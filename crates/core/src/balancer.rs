@@ -27,7 +27,11 @@ pub const LB_ROOT: usize = 0;
 /// Result of a rebalancing step, as seen by every rank.
 #[derive(Debug, Clone)]
 pub struct RebalanceOutcome {
-    /// The new global partition (item index space).
+    /// The new global partition (item index space). Whenever the domain
+    /// has at least one item per rank, every range is non-empty
+    /// ([`Partition::ensure_nonempty`], applied once on the root before
+    /// the broadcast) — callers must not repair it again per rank. Every
+    /// rank's copy shares one boundary allocation.
     pub partition: Partition,
     /// The share decision taken on the root (N, majority fallback, shares).
     pub decision: ShareDecision,
@@ -47,7 +51,8 @@ pub const PARTITION_FLOP_PER_ITEM: f64 = 12.0;
 ///   contiguous, rank-ordered, non-overlapping ranges covering the domain);
 /// * `my_weights` — weights of this PE's items.
 ///
-/// Returns the same [`RebalanceOutcome`] on every rank. The caller performs
+/// Returns the same [`RebalanceOutcome`] on every rank, its partition
+/// already repaired to non-empty ranges. The caller performs
 /// the data migration (ideally inside the same `begin_lb` section) and then
 /// reports `ctx.now() − outcome.started_at` to its trigger as the measured
 /// cost.
@@ -88,7 +93,13 @@ pub async fn centralized_rebalance(
         let decision = compute_shares(&alphas);
         // PartitionAccordingToWeights: charge the prefix walk on the root.
         ctx.compute(PARTITION_FLOP_PER_ITEM * weights.len() as f64);
-        let partition = partition_by_shares(&weights, &decision.shares);
+        let mut partition = partition_by_shares(&weights, &decision.shares);
+        // Extreme shares can leave a range empty. Repair here, where there
+        // is one partition, so that a repair allocates its `O(P)` bounds
+        // once and not on each of the `P` ranks (free in virtual time).
+        if weights.len() >= ctx.size() {
+            partition = partition.ensure_nonempty();
+        }
         (partition, decision)
     });
     let bcast_bytes =
@@ -152,6 +163,37 @@ mod tests {
         let (partition, decision) = rebalance_with_alphas([0.4, 0.4, 0.4, 0.0]);
         assert!(decision.majority_fallback);
         assert_eq!(partition.bounds(), &[0, 25, 50, 75, 100]);
+    }
+
+    #[test]
+    fn repaired_partition_reaches_all_ranks_as_one_allocation() {
+        // α = 1 asks for an empty range on rank 1: the shares alone would
+        // hand it nothing, so the root must repair — once.
+        let shares = compute_shares(&[0.0, 1.0, 0.0, 0.0]).shares;
+        let unrepaired = partition_by_shares(&[1u64; 100], &shares);
+        assert!(unrepaired.range(1).is_empty(), "the test needs a partition that needs repair");
+
+        let seen = std::sync::Arc::new(Mutex::new(Vec::<Partition>::new()));
+        run(RunConfig::new(4), |mut ctx| {
+            let seen = std::sync::Arc::clone(&seen);
+            async move {
+                let rank = ctx.rank();
+                let alpha = if rank == 1 { 1.0 } else { 0.0 };
+                let outcome = centralized_rebalance(&mut ctx, alpha, rank * 25, &[1u64; 25]).await;
+                seen.lock().push(outcome.partition);
+            }
+        });
+        let seen = seen.lock();
+        assert_eq!(seen.len(), 4);
+        let first = &seen[0];
+        assert!((0..4).all(|r| !first.range(r).is_empty()), "repaired: {:?}", first.bounds());
+        for partition in seen.iter() {
+            assert_eq!(
+                partition.bounds().as_ptr(),
+                first.bounds().as_ptr(),
+                "every rank must share the root's one bounds allocation"
+            );
+        }
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!    frontier-scan term;
 //! 3. executes the probabilistic erosion step (real state mutation);
 //! 4. updates its WIR estimate and performs one gossip dissemination step;
-//! 5. joins the iteration-end `allgather` carrying `(elapsed, workload)` —
-//!    the max elapsed is the iteration wall time fed to the trigger;
+//! 5. joins the iteration-end reduction of `(elapsed, workload)`, folded
+//!    once per round on the shared hub round — the max elapsed is the
+//!    iteration wall time fed to the trigger, the sum the total workload;
 //! 6. learns (via broadcast from rank 0) whether to run the LB step; if so,
 //!    computes its α from its WIR z-score (Algorithm 1), joins the
 //!    centralized rebalancing (Algorithm 2), migrates columns, and the
@@ -38,7 +39,7 @@ use std::collections::HashMap;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::Arc;
-use ulba_core::balancer::centralized_rebalance;
+use ulba_core::balancer::{centralized_rebalance, RebalanceOutcome};
 use ulba_core::db::{wire_bytes, WirDatabase, WirEntry};
 use ulba_core::gossip::{select_peers, GossipOutbox};
 use ulba_core::outlier::z_scores;
@@ -49,8 +50,8 @@ use ulba_core::policy::{estimate_ulba_overhead, outlier_score};
 use ulba_core::trigger::{AnyTrigger, LbTrigger};
 use ulba_core::wir::WirEstimator;
 use ulba_runtime::{
-    run, Backend, IterationStats, JobHandle, JobServer, MachineSpec, RankMetrics, RunConfig,
-    RunReport, SpmdCtx, Tag,
+    run, Backend, IterationStats, JobHandle, JobServer, MachineSpec, RankMetrics, RoundValues,
+    RunConfig, RunReport, SpmdCtx, Tag,
 };
 
 /// Message tag of gossip snapshots.
@@ -124,6 +125,52 @@ struct SideChannels {
     db_footprint: Mutex<(u64, u64)>,
 }
 
+/// Diagnostic `eprintln!` switches, read from the environment once per run
+/// (never inside the iteration loop).
+#[derive(Clone, Copy)]
+struct DebugFlags {
+    /// `ULBA_DEBUG`: one line per LB step (cost, α, share decision).
+    lb: bool,
+    /// `ULBA_DEBUG2`: the slowest rank, every 8th iteration.
+    slowest: bool,
+    /// `ULBA_DEBUG3`: the top WIR z-scores at each LB step.
+    wir: bool,
+}
+
+impl DebugFlags {
+    fn from_env() -> Self {
+        let set = |name| std::env::var_os(name).is_some();
+        Self { lb: set("ULBA_DEBUG"), slowest: set("ULBA_DEBUG2"), wir: set("ULBA_DEBUG3") }
+    }
+}
+
+/// What one iteration's `(elapsed, workload)` pairs reduce to.
+#[derive(Clone, Copy)]
+struct IterEnd {
+    /// The slowest PE's elapsed time: the iteration wall time.
+    t_iter: f64,
+    /// Total workload (FLOP) across PEs.
+    wtot_flops: f64,
+    /// `(rank, workload)` of the slowest PE, for the `ULBA_DEBUG2` line.
+    slowest: (usize, f64),
+}
+
+impl IterEnd {
+    /// The fold of the iteration-end reduction: a pure function of the
+    /// round's values in rank order, as [`SpmdCtx::allgather_with`] needs.
+    fn fold(stats: &RoundValues<(f64, f64)>) -> Self {
+        let t_iter = stats.iter().map(|s| s.0).fold(0.0f64, f64::max);
+        let wtot_flops: f64 = stats.iter().map(|s| s.1).sum();
+        let slowest = stats
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1 .0.partial_cmp(&b.1 .0).expect("finite"))
+            .map(|(rank, s)| (rank, s.1))
+            .expect("non-empty");
+        Self { t_iter, wtot_flops, slowest }
+    }
+}
+
 /// One rank's whole program, from initial stripe to final accounting.
 ///
 /// Everything captured is owned (`Arc`s and clones): the future is
@@ -136,6 +183,7 @@ async fn rank_program(
     strong: Arc<Vec<usize>>,
     initial_partition: Partition,
     side: Arc<SideChannels>,
+    debug: DebugFlags,
 ) {
     let rank = ctx.rank();
     let p = ctx.size();
@@ -219,11 +267,12 @@ async fn rank_program(
             ctx.send(peer, GOSSIP_TAG, payload, payload_bytes);
         }
 
-        // (5) Iteration-end sync: share (elapsed, workload).
+        // (5) Iteration-end sync: reduce (elapsed, workload) to the slowest
+        // PE's time and the total workload — folded once for the whole
+        // round, never copied out as a per-rank `O(P)` vector.
         let elapsed = ctx.now() - iter_start;
-        let stats = ctx.allgather((elapsed, workload_flops), 16).await;
-        let t_iter = stats.iter().map(|s| s.0).fold(0.0f64, f64::max);
-        let wtot_flops: f64 = stats.iter().map(|s| s.1).sum();
+        let IterEnd { t_iter, wtot_flops, slowest } =
+            ctx.allgather_with((elapsed, workload_flops), 16, IterEnd::fold).await;
 
         // Drain gossip *after* the rendezvous: every message posted this
         // iteration is now guaranteed present, so the merged set (and
@@ -232,19 +281,10 @@ async fn rank_program(
             db.merge(&snap);
         }
 
-        if rank == 0 && std::env::var_os("ULBA_DEBUG2").is_some() && iter % 8 == 0 {
-            let (argmax, &(tmax, w)) = stats
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1 .0.partial_cmp(&b.1 .0).expect("finite"))
-                .expect("non-empty");
-            eprintln!("[it {iter}] max rank {argmax} t={tmax:.4} w={w:.3e}");
+        if rank == 0 && debug.slowest && iter % 8 == 0 {
+            let (argmax, w) = slowest;
+            eprintln!("[it {iter}] max rank {argmax} t={t_iter:.4} w={w:.3e}");
         }
-        // Only the two scalars above survive the allgather: release
-        // the `O(P)` per-rank stats vector *before* the next awaits,
-        // or P concurrent copies of it (`O(P²)` resident — tens of
-        // GB at P = 65536) sit parked across every rendezvous.
-        drop(stats);
 
         // (6) LB decision on rank 0, broadcast to everyone.
         let my_flag = if rank == 0 {
@@ -298,22 +338,22 @@ async fn rank_program(
             } else {
                 current_weights.clone()
             };
-            let outcome =
+            // Every range of the new partition is non-empty (repaired once,
+            // on the root), and its bounds are one allocation shared by
+            // all ranks.
+            let RebalanceOutcome { partition, decision, .. } =
                 centralized_rebalance(&mut ctx, my_alpha, stripe.first_col(), &split_weights).await;
-            let partition = outcome.partition.clone().ensure_nonempty();
-            // The range allgather stays for its virtual cost, but
-            // its payload is redundant — every rank's range *is*
-            // its slot of the cached previous partition — so the
-            // `O(P)` result is dropped instead of being held by
-            // all P ranks across the migration awaits.
-            let _ = ctx.allgather((stripe.first_col(), stripe.len()), 16).await;
+            // The range allgather stays for its virtual cost, but its
+            // payload is redundant — every rank's range *is* its slot of
+            // the cached previous partition — so nothing is folded out of
+            // it and no rank copies it.
+            ctx.allgather_with((stripe.first_col(), stripe.len()), 16, |_| ()).await;
             stripe = migrate(&mut ctx, stripe, &prev_partition, &partition).await;
-            prev_partition = partition.clone();
             let measured = ctx.now() - lb_started;
             let cost = ctx.allreduce_max(measured).await;
             ctx.end_lb();
             if rank == 0 {
-                if std::env::var_os("ULBA_DEBUG3").is_some() {
+                if debug.wir {
                     let wirs = db.wirs_or(0.0);
                     let zs = z_scores(&wirs);
                     let mut top: Vec<(usize, f64, f64)> =
@@ -321,12 +361,12 @@ async fn rank_program(
                     top.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("finite"));
                     eprintln!("[wir] iter={iter} top: {:?}", &top[..4.min(top.len())]);
                 }
-                if std::env::var_os("ULBA_DEBUG").is_some() {
+                if debug.lb {
                     eprintln!(
                         "[lb] iter={iter} measured_cost={cost:.4}s alpha_root={my_alpha:.2} \
                          N={} fallback={} bounds[28..32]={:?}",
-                        outcome.decision.overloading,
-                        outcome.decision.majority_fallback,
+                        decision.overloading,
+                        decision.majority_fallback,
                         &partition.bounds()[28.min(p)..]
                     );
                 }
@@ -335,6 +375,7 @@ async fn rank_program(
                 }
                 ctx.mark_lb_event(iter);
             }
+            prev_partition = partition;
             // Workload jumped with the migration: restart the local WIR
             // estimate (the persistence principle applies *between* LB
             // steps).
@@ -416,6 +457,7 @@ fn prepare(cfg: &ErosionConfig) -> PreparedRun {
 
     let cfg = Arc::new(cfg);
     let side_tx = Arc::clone(&side);
+    let debug = DebugFlags::from_env();
     let body: ErosionBody = Box::new(move |ctx| {
         Box::pin(rank_program(
             ctx,
@@ -424,6 +466,7 @@ fn prepare(cfg: &ErosionConfig) -> PreparedRun {
             Arc::clone(&strong),
             initial_partition.clone(),
             Arc::clone(&side_tx),
+            debug,
         ))
     });
     PreparedRun { run_cfg, hub_shards, side, body }

@@ -14,10 +14,25 @@
 //! model charges, combine folds — are pure functions over the deposited
 //! values and are shared by every backend, so a program's [`RankMetrics`]
 //! and clocks are bit-identical regardless of backend.
+//!
+//! # Host cost of a collective
+//!
+//! All ranks of a round share one [`RoundValues`] object, so what a
+//! collective costs the *simulator* depends on what each rank takes out of
+//! it. A reduction — [`SpmdCtx::allreduce`] and its `_sum`/`_max`
+//! shorthands, [`SpmdCtx::allgather_with`] — is folded **once per round**
+//! (`O(P)` per round, `O(1)` per rank: the first rank to ask folds in rank
+//! order, the rest clone the cached result); `broadcast`, `scatter` and a
+//! non-root `gather` read one slot. [`SpmdCtx::allgather`] (and `gather`
+//! on the root) is the only collective that copies `O(P)` per rank, which
+//! across `P` ranks is `O(P²)` per round: reserve it for ranks that keep
+//! the vector. The price of the shared fold is a purity contract: the
+//! closure runs on whichever rank asks first, so it must be a pure
+//! function of the round's values and the same on every rank.
 
 use crate::cost::MachineSpec;
 use crate::engine::RunShared;
-use crate::hub::ExchangeRound;
+use crate::hub::{payload_mismatch, ExchangeRound, RoundValues};
 use crate::mailbox::{Received, Tag};
 use crate::metrics::{RankMetrics, TimeKind};
 use crate::time::VirtualTime;
@@ -261,6 +276,11 @@ impl SpmdCtx {
     }
 
     /// Gather `value` from every rank onto every rank (rank-indexed).
+    ///
+    /// The one collective that copies `O(P)` on every rank (`O(P²)` host
+    /// work and memory per round across the machine): use it only when the
+    /// rank keeps the vector. To compute something *from* the values, use
+    /// [`SpmdCtx::allgather_with`].
     pub async fn allgather<T: Clone + Send + Sync + 'static>(
         &mut self,
         value: T,
@@ -272,8 +292,46 @@ impl SpmdCtx {
         round.values.to_vec()
     }
 
+    /// An [`allgather`](SpmdCtx::allgather) whose result every rank only
+    /// needs `fold`ed: same rendezvous, same charge and same trace event,
+    /// but `fold` runs **once per round** over the shared rank-indexed
+    /// values (in rank order) and every rank receives a clone of its
+    /// result — `O(P)` host work per round instead of `O(P)` per rank, and
+    /// no per-rank copy of the vector.
+    ///
+    /// `fold` must be a pure function of the round's values, and every
+    /// rank must pass the same one: it executes on whichever rank asks
+    /// first. Ranks disagreeing on `R` panic like ranks disagreeing on `T`.
+    pub async fn allgather_with<T, R>(
+        &mut self,
+        value: T,
+        bytes_per_rank: usize,
+        fold: impl FnOnce(&RoundValues<T>) -> R,
+    ) -> R
+    where
+        T: Clone + Send + Sync + 'static,
+        R: Clone + Send + Sync + 'static,
+    {
+        let round = self.exchange("allgather", value).await;
+        let cost = self.shared.spec.allgather_secs(self.size, bytes_per_rank);
+        self.sync_traced("allgather", round.max_clock, cost);
+        self.reduce_once("allgather", &round.values, fold)
+    }
+
+    /// The round's shared reduction ([`RoundValues::reduce_once`]), with
+    /// the hub's job-tagged diagnostic when ranks disagree on `R`.
+    fn reduce_once<T, R: Clone + Send + Sync + 'static>(
+        &self,
+        op: &'static str,
+        values: &RoundValues<T>,
+        fold: impl FnOnce(&RoundValues<T>) -> R,
+    ) -> R {
+        values.reduce_once(fold).unwrap_or_else(|| payload_mismatch(op, self.shared.hub.job()))
+    }
+
     /// Reduce `value` across ranks with `combine` (must be associative and
-    /// commutative); every rank receives the result.
+    /// commutative); every rank receives the result. The left fold in rank
+    /// order runs once per round, not once per rank.
     pub async fn allreduce<T, F>(&mut self, value: T, bytes: usize, combine: F) -> T
     where
         T: Clone + Send + Sync + 'static,
@@ -282,12 +340,14 @@ impl SpmdCtx {
         let round = self.exchange("allreduce", value).await;
         let cost = self.shared.spec.allreduce_secs(self.size, bytes);
         self.sync_traced("allreduce", round.max_clock, cost);
-        let mut values = round.values.iter();
-        let mut acc = values.next().expect("at least one rank deposited").clone();
-        for v in values {
-            acc = combine(&acc, v);
-        }
-        acc
+        self.reduce_once("allreduce", &round.values, |values| {
+            let mut values = values.iter();
+            let mut acc = values.next().expect("at least one rank deposited").clone();
+            for v in values {
+                acc = combine(&acc, v);
+            }
+            acc
+        })
     }
 
     /// Sum an `f64` across all ranks.

@@ -42,6 +42,13 @@
 //! them (the sequential scheduler passes a no-op waker and keeps
 //! round-robining).
 //!
+//! The completed round is **one shared object** ([`RoundValues`]): every
+//! rank collects a handle to it, not a copy. It carries a compute-once
+//! slot ([`RoundValues::reduce_once`]), so a reduction over the round is
+//! folded by the first rank that asks and merely cloned by the others —
+//! `O(P)` host work per round rather than per rank, under any of the
+//! waiting strategies above.
+//!
 //! A hub belongs to exactly one run (its *job*): [`Hub::for_job`] stamps
 //! the job id into every collective-mismatch diagnostic, so when many jobs
 //! share one [`crate::exec::server::JobServer`] a panic names which job
@@ -55,7 +62,7 @@ use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::ops::Index;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::task::Waker;
 
 /// Fan-in of the reduction tree combining shard completions: each internal
@@ -68,27 +75,45 @@ const TREE_ARITY: usize = 4;
 /// `s * width .. s * width + chunk.len()` in rank order, so indexing,
 /// iteration and [`RoundValues::to_vec`] observe exactly the monolithic
 /// rank-indexed vector of the pre-chunk hub, for any shard count.
+///
+/// Every rank of the round holds a handle to the *same* object, which is
+/// what lets a reduction run once per round instead of once per rank: see
+/// [`RoundValues::reduce_once`].
 pub struct RoundValues<T> {
-    /// Per-shard chunks in shard (= rank) order; `O(S)` handles.
-    chunks: Arc<Vec<Arc<Vec<T>>>>,
+    /// The round's one shared object; a handle clone is a reference bump.
+    round: Arc<SharedRound<T>>,
     /// Ranks per chunk (the last chunk may be ragged).
     width: usize,
     /// Total rank count.
     len: usize,
 }
 
+/// What all `P` handles of one round share.
+struct SharedRound<T> {
+    /// Per-shard chunks in shard (= rank) order; `O(S)` handles.
+    chunks: Vec<Arc<Vec<T>>>,
+    /// The round's compute-once slot ([`RoundValues::reduce_once`]). Born
+    /// empty with the round and dropped with it, so it needs no reset
+    /// between generations.
+    reduced: OnceLock<Box<dyn Any + Send + Sync>>,
+}
+
 impl<T> Clone for RoundValues<T> {
     fn clone(&self) -> Self {
-        Self { chunks: Arc::clone(&self.chunks), width: self.width, len: self.len }
+        Self { round: Arc::clone(&self.round), width: self.width, len: self.len }
     }
 }
 
 impl<T> RoundValues<T> {
+    fn from_chunks(chunks: Vec<Arc<Vec<T>>>, width: usize, len: usize) -> Self {
+        Self { round: Arc::new(SharedRound { chunks, reduced: OnceLock::new() }), width, len }
+    }
+
     /// Wrap an already rank-indexed vector as a single-chunk round (the
     /// `S = 1` shape); used by tests and single-shard assembly alike.
     pub fn from_vec(values: Vec<T>) -> Self {
         let len = values.len();
-        Self { chunks: Arc::new(vec![Arc::new(values)]), width: len.max(1), len }
+        Self::from_chunks(vec![Arc::new(values)], len.max(1), len)
     }
 
     /// Number of participating ranks.
@@ -103,7 +128,7 @@ impl<T> RoundValues<T> {
 
     /// Iterate the values in rank order.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.chunks.iter().flat_map(|chunk| chunk.iter())
+        self.round.chunks.iter().flat_map(|chunk| chunk.iter())
     }
 
     /// Copy the values out into one rank-indexed vector.
@@ -112,10 +137,28 @@ impl<T> RoundValues<T> {
         T: Clone,
     {
         let mut out = Vec::with_capacity(self.len);
-        for chunk in self.chunks.iter() {
+        for chunk in self.round.chunks.iter() {
             out.extend_from_slice(chunk);
         }
         out
+    }
+
+    /// Reduce the round **once**: the first handle to ask runs `fold` over
+    /// the values (rank order is chunk order, so an `f64` sum is
+    /// bit-identical for any shard count); every other handle of the same
+    /// round gets a clone of the cached result, and handles asking
+    /// concurrently wait for the one fold rather than starting their own.
+    /// A reduction therefore costs `O(P)` per round, `O(1)` per rank.
+    ///
+    /// `fold` must be a pure function of the round's values and the same
+    /// on every rank — it runs on whichever rank asks first. Returns
+    /// `None` when the round was already reduced to a different result
+    /// type (a collective-ordering bug in the caller).
+    pub fn reduce_once<R>(&self, fold: impl FnOnce(&Self) -> R) -> Option<R>
+    where
+        R: Clone + Send + Sync + 'static,
+    {
+        self.round.reduced.get_or_init(|| Box::new(fold(self))).downcast_ref::<R>().cloned()
     }
 }
 
@@ -123,7 +166,7 @@ impl<T> Index<usize> for RoundValues<T> {
     type Output = T;
 
     fn index(&self, rank: usize) -> &T {
-        &self.chunks[rank / self.width][rank % self.width]
+        &self.round.chunks[rank / self.width][rank % self.width]
     }
 }
 
@@ -228,6 +271,12 @@ fn job_tag(job: u64) -> String {
     }
 }
 
+/// The diagnostic of ranks disagreeing on a collective's types — the
+/// deposited payload, or the result a reduction folds it to.
+pub(crate) fn payload_mismatch(op_name: &str, job: u64) -> ! {
+    panic!("collective `{op_name}`: payload type mismatch across ranks{}", job_tag(job))
+}
+
 impl ShardState {
     fn new(width: usize, job: u64) -> Self {
         Self {
@@ -277,9 +326,9 @@ impl ShardState {
         }
         let job = self.job;
         let slots = match &mut self.deposits {
-            Some(buf) => buf.downcast_mut::<Vec<Option<T>>>().unwrap_or_else(|| {
-                panic!("collective `{op_name}`: payload type mismatch across ranks{}", job_tag(job))
-            }),
+            Some(buf) => buf
+                .downcast_mut::<Vec<Option<T>>>()
+                .unwrap_or_else(|| payload_mismatch(op_name, job)),
             none => {
                 let mut buf: Vec<Option<T>> = match self.spare_deposits.remove(&TypeId::of::<T>()) {
                     Some(spare) => *spare.downcast().expect("spare deposit buffer keyed by type"),
@@ -330,12 +379,7 @@ impl ShardState {
             .take()
             .expect("completed shard has deposits")
             .downcast::<Vec<Option<T>>>()
-            .unwrap_or_else(|_| {
-                panic!(
-                    "collective `{op_name}`: payload type mismatch across ranks{}",
-                    job_tag(self.job)
-                )
-            });
+            .unwrap_or_else(|_| payload_mismatch(op_name, self.job));
         chunk.extend(
             slots.iter_mut().map(|s| s.take().expect("all ranks of a completed round deposited")),
         );
@@ -356,12 +400,7 @@ impl ShardState {
             .result
             .as_ref()?
             .downcast_ref::<RoundValues<T>>()
-            .unwrap_or_else(|| {
-                panic!(
-                    "collective `{op_name}`: payload type mismatch across ranks{}",
-                    job_tag(self.job)
-                )
-            })
+            .unwrap_or_else(|| payload_mismatch(op_name, self.job))
             .clone();
         let max_clock = self.result_max_clock;
         self.departed += 1;
@@ -559,8 +598,7 @@ impl Hub {
             chunks.push(chunk);
             max_clock = max_clock.max(st.max_clock);
         }
-        let values =
-            RoundValues { chunks: Arc::new(chunks), width: self.shard_width, len: self.size };
+        let values = RoundValues::from_chunks(chunks, self.shard_width, self.size);
         let mut to_wake = Vec::new();
         for shard in &self.shards {
             let mut st = shard.state.lock();

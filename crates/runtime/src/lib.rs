@@ -92,6 +92,7 @@ pub use cost::MachineSpec;
 pub use ctx::SpmdCtx;
 pub use engine::{run, try_run, Backend, RunConfig, RunError, RunReport};
 pub use exec::server::{JobHandle, JobServer, Priority};
+pub use hub::RoundValues;
 pub use mailbox::Tag;
 pub use metrics::{IterationStats, RankMetrics, TimeKind};
 pub use time::VirtualTime;

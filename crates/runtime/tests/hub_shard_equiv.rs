@@ -10,6 +10,8 @@
 //! span several shards.
 
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use ulba_runtime::{run, try_run, Backend, RunConfig, RunError, RunReport, SpmdCtx};
 
 /// Shard counts every equivalence case sweeps: degenerate, small, a prime
@@ -187,6 +189,148 @@ proptest! {
             }
         }
     }
+}
+
+/// Rank-order-sensitive folds: a polynomial hash (any permutation of the
+/// ranks changes it) and an `f64` sum over magnitudes 1e-8 … 1e16 (any
+/// re-association changes its low bits).
+fn poly_hash<'a>(values: impl Iterator<Item = &'a u64>) -> u64 {
+    values.fold(0u64, |acc, &v| acc.wrapping_mul(31).wrapping_add(v))
+}
+
+/// `(rank, name)` of the last rank holding a longest name: a heap-owning
+/// result, so the cached `R` is really cloned out to every rank.
+fn longest<'a>(names: impl Iterator<Item = &'a String>) -> (usize, String) {
+    names.enumerate().fold((0, String::new()), |best, (rank, name)| {
+        if name.len() >= best.1.len() {
+            (rank, name.clone())
+        } else {
+            best
+        }
+    })
+}
+
+/// What one rank computed in one round of [`fold_body`].
+type Folded = (usize, u64, u64, u64, (usize, String));
+
+fn mixed_magnitude(rank: usize, iter: u64) -> f64 {
+    10f64.powi((rank as i32 * 7 + iter as i32 * 3) % 25 - 8) + rank as f64
+}
+
+/// Three reductions per round, each to a different result type `R`
+/// (consecutive rounds therefore alternate the once-cell's type and the
+/// recycled chunk's element type). `shared = true` reduces once per round
+/// through `allgather_with`; `shared = false` is the reference — the plain
+/// `allgather` folded by every rank for itself. Each rank returns what it
+/// computed, through `out`.
+async fn fold_body(mut ctx: SpmdCtx, rounds: u64, shared: bool, out: Arc<Mutex<Vec<Folded>>>) {
+    let rank = ctx.rank();
+    for iter in 0..rounds {
+        ctx.compute(1.0e5 * ((rank % 3 + 1) as f64));
+        let word = (rank as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ iter;
+        let x = mixed_magnitude(rank, iter);
+        let name = "x".repeat((rank * 5 + iter as usize) % 7);
+        let (hash, sum, longest) = if shared {
+            (
+                ctx.allgather_with(word, 8, |v| poly_hash(v.iter())).await,
+                ctx.allgather_with(x, 8, |v| v.iter().sum::<f64>()).await,
+                ctx.allgather_with(name, 8, |v| longest(v.iter())).await,
+            )
+        } else {
+            (
+                poly_hash(ctx.allgather(word, 8).await.iter()),
+                ctx.allgather(x, 8).await.iter().sum::<f64>(),
+                longest(ctx.allgather(name, 8).await.iter()),
+            )
+        };
+        out.lock().expect("no rank panicked").push((rank, iter, hash, sum.to_bits(), longest));
+        ctx.mark_iteration(iter);
+    }
+}
+
+/// `allgather_with(v, fold)` ≡ `fold(allgather(v))` on **every** rank and
+/// round — values, virtual time and metrics — for 3 backends ×
+/// S ∈ {1, 2, 7, P} × ragged P.
+#[test]
+fn allgather_with_equals_fold_of_allgather_everywhere() {
+    let rounds = 4;
+    let run_fold = |ranks: usize, backend: Backend, shards: usize, shared: bool| {
+        let out = Arc::new(Mutex::new(Vec::new()));
+        let config =
+            RunConfig::new(ranks).with_backend(backend).with_workers(3).with_hub_shards(shards);
+        let sink = Arc::clone(&out);
+        let report = run(config, move |ctx| fold_body(ctx, rounds, shared, Arc::clone(&sink)));
+        let mut seen = std::mem::take(&mut *out.lock().expect("run finished"));
+        seen.sort_unstable();
+        assert_eq!(seen.len(), ranks * rounds as usize);
+        (report, seen)
+    };
+    for ranks in [5usize, 23, 97] {
+        let (ref_report, ref_seen) = run_fold(ranks, Backend::Sequential, 1, false);
+        for backend in [Backend::Threaded, Backend::Sequential, Backend::Parallel] {
+            for shards in shard_sweep(ranks) {
+                let label = format!("P={ranks} {backend} S={shards}");
+                let (report, seen) = run_fold(ranks, backend, shards, true);
+                assert_eq!(seen, ref_seen, "{label}: folded values");
+                assert_reports_identical(&ref_report, &report, &label);
+            }
+        }
+    }
+}
+
+/// The point of the shared round: the fold executes once per round, not
+/// once per rank per round — on every backend, and for `allreduce` too.
+#[test]
+fn fold_runs_once_per_round() {
+    let (ranks, rounds) = (23usize, 6usize);
+    for backend in [Backend::Threaded, Backend::Sequential, Backend::Parallel] {
+        for shards in shard_sweep(ranks) {
+            let folds = Arc::new(AtomicUsize::new(0));
+            let combines = Arc::new(AtomicUsize::new(0));
+            let config =
+                RunConfig::new(ranks).with_backend(backend).with_workers(3).with_hub_shards(shards);
+            let (f, c) = (Arc::clone(&folds), Arc::clone(&combines));
+            run(config, move |mut ctx| {
+                let (f, c) = (Arc::clone(&f), Arc::clone(&c));
+                async move {
+                    for _ in 0..rounds {
+                        let n = ctx
+                            .allgather_with(ctx.rank(), 8, |v| {
+                                f.fetch_add(1, Ordering::Relaxed);
+                                v.len()
+                            })
+                            .await;
+                        assert_eq!(n, ranks);
+                        let total = ctx
+                            .allreduce(1usize, 8, |a, b| {
+                                c.fetch_add(1, Ordering::Relaxed);
+                                a + b
+                            })
+                            .await;
+                        assert_eq!(total, ranks);
+                    }
+                }
+            });
+            let label = format!("{backend} S={shards}");
+            assert_eq!(folds.load(Ordering::Relaxed), rounds, "{label}: folds");
+            assert_eq!(combines.load(Ordering::Relaxed), rounds * (ranks - 1), "{label}: combines");
+        }
+    }
+}
+
+/// Ranks that reduce one round to different result types are told so with
+/// the hub's job-tagged payload diagnostic.
+#[test]
+#[should_panic(expected = "collective `allgather`: payload type mismatch across ranks [job #")]
+fn mismatched_reduction_type_panics_with_job_tag() {
+    let config = RunConfig::new(3).with_backend(Backend::Sequential).with_hub_shards(2);
+    run(config, |mut ctx| async move {
+        if ctx.rank() == 0 {
+            ctx.allgather_with(1u8, 1, |v| v.len() as u64).await;
+        } else {
+            ctx.allgather_with(1u8, 1, |v| v.len() as u32).await;
+        }
+    });
 }
 
 /// The acceptance-criterion scale: `P = 128` across the full

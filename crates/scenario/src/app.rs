@@ -9,7 +9,8 @@
 //! 2. charges the compute of the tasks it currently owns, as dictated by
 //!    the active phase of the generated [`WorkTable`];
 //! 3. updates its WIR estimate and performs one gossip dissemination step;
-//! 4. joins the iteration-end `allgather` carrying `(elapsed, workload)`;
+//! 4. joins the iteration-end reduction of `(elapsed, workload)` (folded once
+//!    per round on the shared hub round);
 //! 5. learns (via broadcast from rank 0) whether to run the LB step; if so,
 //!    computes its α from its WIR outlier score, joins the centralized
 //!    rebalancing over per-task weights, and charges the modelled
@@ -172,12 +173,15 @@ async fn rank_program(
 
         // (4) Iteration-end sync: share (elapsed, workload).
         let elapsed = ctx.now() - iter_start;
-        let stats = ctx.allgather((elapsed, workload_flops), 16).await;
-        let t_iter = stats.iter().map(|s| s.0).fold(0.0f64, f64::max);
-        let wtot_flops: f64 = stats.iter().map(|s| s.1).sum();
-        // Only the two scalars survive: release the O(P) vector before
-        // the next awaits (P concurrent copies would be O(P²) resident).
-        drop(stats);
+        // Folded once for the whole round to the slowest PE's time and
+        // the total workload; no rank copies the O(P) vector.
+        let (t_iter, wtot_flops) = ctx
+            .allgather_with((elapsed, workload_flops), 16, |stats| {
+                let t_iter = stats.iter().map(|s| s.0).fold(0.0f64, f64::max);
+                let wtot_flops: f64 = stats.iter().map(|s| s.1).sum();
+                (t_iter, wtot_flops)
+            })
+            .await;
 
         // Drain after the rendezvous: every message posted this iteration
         // is guaranteed present, so the merged set is deterministic.
@@ -220,8 +224,9 @@ async fn rank_program(
             table.task_weights_into(phase, &my_range, tpr, &mut weights_scratch);
             let outcome =
                 centralized_rebalance(&mut ctx, my_alpha, my_range.start, &weights_scratch).await;
-            let partition = outcome.partition.clone().ensure_nonempty();
-            let bounds = partition.bounds();
+            // Every range is non-empty: the root repaired the partition
+            // before broadcasting it.
+            let bounds = outcome.partition.bounds();
             let new_range = bounds[rank]..bounds[rank + 1];
             // Migration cost: tasks that changed owner drag `task_bytes`
             // each over the wire (modelled — the tasks have no real
