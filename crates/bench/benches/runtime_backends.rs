@@ -1,14 +1,11 @@
 //! Backend comparison: the same BSP program (compute + allreduce + barrier
-//! per round) on the threaded vs. sequential vs. parallel executor at
-//! growing rank counts.
+//! per round) on the sequential vs. parallel executor at growing rank
+//! counts.
 //!
-//! The threaded backend pays thread spawn + condvar rendezvous per
-//! collective, which grows steeply with `P` on an oversubscribed machine;
-//! the sequential backend replaces all of it with one round-robin pass per
-//! superstep; the parallel backend adds work stealing and wake-driven
-//! scheduling over a fixed worker pool, so its overhead is the queue + CAS
-//! churn per suspension. This bench tracks all three curves in the perf
-//! trajectory.
+//! The sequential backend costs one round-robin pass per superstep; the
+//! parallel backend adds work stealing and wake-driven scheduling over a
+//! fixed worker pool, so its overhead is the queue + CAS churn per
+//! suspension. This bench tracks both curves in the perf trajectory.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ulba_runtime::{run, Backend, RunConfig};
@@ -31,14 +28,12 @@ fn bench_backends(c: &mut Criterion) {
     let mut g = c.benchmark_group("backend_bsp_10_rounds");
     g.sample_size(10);
     for ranks in [64usize, 256, 1024] {
-        for (label, backend) in [
-            ("threaded", Backend::Threaded),
-            ("sequential", Backend::Sequential),
-            ("parallel", Backend::Parallel),
-        ] {
-            g.bench_with_input(BenchmarkId::new(label, ranks), &ranks, |b, &ranks| {
-                b.iter(|| bsp_run(ranks, backend))
-            });
+        for backend in [Backend::Sequential, Backend::Parallel] {
+            g.bench_with_input(
+                BenchmarkId::new(backend.to_string(), ranks),
+                &ranks,
+                |b, &ranks| b.iter(|| bsp_run(ranks, backend)),
+            );
         }
     }
     g.finish();

@@ -1,5 +1,5 @@
 //! Ablation E-A2: α rule (fixed vs dynamic z-scaled vs robust detection).
-//! `--backend <threaded|sequential>` selects the runtime backend;
+//! `--backend <sequential|parallel>` selects the runtime backend;
 //! `--ranks 32,64` overrides the PE sweep.
 use ulba_bench::output::{
     apply_cli_backend, cli_ranks, enforce_cli_flags, json_report_path, EROSION_STUDY_FLAGS,

@@ -1,5 +1,5 @@
 //! Ablation E-A1: LB trigger choice.
-//! `--backend <threaded|sequential>` selects the runtime backend;
+//! `--backend <sequential|parallel>` selects the runtime backend;
 //! `--ranks <p>` overrides the PE count.
 use ulba_bench::output::{
     apply_cli_backend, cli_ranks, enforce_cli_flags, json_report_path, EROSION_STUDY_FLAGS,

@@ -1,5 +1,5 @@
 //! Regenerates every paper artifact and all ablations in one run.
-//! `ULBA_QUICK=1` for a fast smoke pass; `--backend <threaded|sequential>`
+//! `ULBA_QUICK=1` for a fast smoke pass; `--backend <sequential|parallel>`
 //! selects the runtime backend for every erosion study.
 use ulba_bench::figures::{self, MEDIAN_SEEDS, PAPER_PE_COUNTS};
 use ulba_bench::output::{

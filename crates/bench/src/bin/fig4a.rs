@@ -1,5 +1,5 @@
 //! Regenerates Fig. 4a (erosion app: standard vs ULBA, P × rock sweep).
-//! `--backend <threaded|sequential>` selects the runtime backend;
+//! `--backend <sequential|parallel>` selects the runtime backend;
 //! `--ranks 64,256` overrides the PE sweep.
 use ulba_bench::figures::{MEDIAN_SEEDS, PAPER_PE_COUNTS};
 use ulba_bench::output::{

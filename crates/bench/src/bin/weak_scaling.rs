@@ -1,9 +1,8 @@
 //! Weak-scaling study: erosion at P ∈ {64, 256, 1024, 4096}, standard vs
 //! ULBA, on selectable runtime backends.
 //!
-//! `--backend sequential` or `--backend parallel` is the intended way to
-//! reach the large-P end of the sweep (no OS thread per rank; parallel
-//! additionally uses all cores, tunable with `--workers N`).
+//! `--backend sequential` or `--backend parallel` selects who polls the
+//! rank futures (parallel uses all cores, tunable with `--workers N`).
 //! `--backends sequential,parallel` runs the sweep once per backend in a
 //! single invocation so their simulation wall-clocks can be compared;
 //! `--ranks 16384` (or `--ranks 65536`, opened by the sparse WIR database)

@@ -2,10 +2,7 @@
 //! trigger choice, α rule (including the paper's announced future work,
 //! dynamic α), and gossip dissemination mode.
 
-use crate::output::{
-    batch_backend_label, perf_row, print_table, quick_mode, write_csv, write_schema3_report,
-    PerfRow,
-};
+use crate::output::{perf_row, print_table, quick_mode, write_csv, write_schema3_report, PerfRow};
 use std::path::Path;
 use std::time::Instant;
 use ulba_core::gossip::{simulate_rounds_to_completion, GossipMode};
@@ -21,12 +18,11 @@ fn run_arms(arms: &[(String, usize, ErosionConfig)]) -> (Vec<ExperimentResult>, 
     let started = Instant::now();
     let results = run_erosion_batch(&cfgs);
     let sweep_wall = started.elapsed().as_secs_f64();
-    let backend = batch_backend_label();
     let rows = arms
         .iter()
         .zip(&results)
         .map(|((label, ranks, cfg), res)| {
-            perf_row(&backend, label, *ranks, &cfg.gossip_wire.to_string(), res, sweep_wall)
+            perf_row(label, *ranks, &cfg.gossip_wire.to_string(), res, sweep_wall)
         })
         .collect();
     (results, sweep_wall, rows)

@@ -7,9 +7,7 @@
 //! * **4b**: per-iteration average PE utilization for 32 PEs / 1 rock, both
 //!   methods; ULBA shows fewer utilization drops and 62.5 % fewer LB calls.
 
-use crate::output::{
-    bar, batch_backend_label, perf_row, print_table, quick_mode, write_csv, write_schema3_report,
-};
+use crate::output::{bar, perf_row, print_table, quick_mode, write_csv, write_schema3_report};
 use std::path::Path;
 use std::time::Instant;
 use ulba_core::policy::LbPolicy;
@@ -138,14 +136,11 @@ pub fn run_4a(
     println!("wrote {}", path.display());
 
     if let Some(path) = json {
-        let backend = batch_backend_label();
         let wire = cfgs[0].gossip_wire.to_string();
         let rows: Vec<_> = specs
             .iter()
             .zip(&medians)
-            .map(|(&(_, ranks, label, _), res)| {
-                perf_row(&backend, label, ranks, &wire, res, sweep_wall)
-            })
+            .map(|(&(_, ranks, label, _), res)| perf_row(label, ranks, &wire, res, sweep_wall))
             .collect();
         write_schema3_report("fig4a", quick_mode(), &[], &rows, path);
     }
@@ -224,10 +219,9 @@ pub fn run_4b(
     println!("wrote {}", path.display());
 
     if let Some(path) = json {
-        let backend = batch_backend_label();
         let rows = [
-            perf_row(&backend, "standard", ranks, &wire, &std_res, sweep_wall),
-            perf_row(&backend, "ulba", ranks, &wire, &ulba_res, sweep_wall),
+            perf_row("standard", ranks, &wire, &std_res, sweep_wall),
+            perf_row("ulba", ranks, &wire, &ulba_res, sweep_wall),
         ];
         write_schema3_report("fig4b", quick_mode(), &[], &rows, path);
     }

@@ -6,9 +6,7 @@
 //! significant gain above α = 0.4 for 32–128 PEs, while 256 PEs still
 //! improves from 0.4 to 0.5 (larger P − N supports a larger α, Eq. (11)).
 
-use crate::output::{
-    batch_backend_label, perf_row, print_table, quick_mode, write_csv, write_schema3_report,
-};
+use crate::output::{perf_row, print_table, quick_mode, write_csv, write_schema3_report};
 use std::path::Path;
 use std::time::Instant;
 use ulba_core::policy::LbPolicy;
@@ -104,13 +102,12 @@ pub fn run(pe_counts: &[usize], seeds: &[u64], json: Option<&Path>) -> Vec<Fig5S
     println!("wrote {}", path.display());
 
     if let Some(path) = json {
-        let backend = batch_backend_label();
         let wire = cfgs[0].gossip_wire.to_string();
         let rows: Vec<_> = specs
             .iter()
             .zip(&medians)
             .map(|(&(ranks, alpha), res)| {
-                perf_row(&backend, &format!("ulba-fixed:{alpha}"), ranks, &wire, res, sweep_wall)
+                perf_row(&format!("ulba-fixed:{alpha}"), ranks, &wire, res, sweep_wall)
             })
             .collect();
         write_schema3_report("fig5", quick_mode(), &[], &rows, path);

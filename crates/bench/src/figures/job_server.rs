@@ -153,7 +153,7 @@ pub fn run(
         .iter()
         .zip(&batched)
         .map(|((label, ranks, cfg), res)| {
-            perf_row("parallel", label, *ranks, &cfg.gossip_wire.to_string(), res, batch_wall_s)
+            perf_row(label, *ranks, &cfg.gossip_wire.to_string(), res, batch_wall_s)
         })
         .collect();
 

@@ -50,10 +50,9 @@ fn policies() -> [(&'static str, LbPolicy); 2] {
 }
 
 /// The backend arms of the sweep: the parallel arm goes through the
-/// shared pool; the sequential arm is deferred by `submit_scenario` and
-/// runs serially at join, inside the same batch call.
-const BACKENDS: [(&str, Backend); 2] =
-    [("parallel", Backend::Parallel), ("sequential", Backend::Sequential)];
+/// shared pool; the sequential arm occupies no pool worker and runs
+/// serially at join, inside the same batch call.
+const BACKENDS: [Backend; 2] = [Backend::Parallel, Backend::Sequential];
 
 /// The scenario grid: every family × policy × wire × backend (backend
 /// innermost, so each parallel row sits next to its sequential twin).
@@ -62,7 +61,7 @@ const BACKENDS: [(&str, Backend); 2] =
 fn scenario_sweep(
     smoke: bool,
     wire_override: Option<GossipWire>,
-) -> Vec<(String, &'static str, ScenarioConfig)> {
+) -> Vec<(String, Backend, ScenarioConfig)> {
     let ranks = if smoke { 8 } else { 64 };
     let wires: Vec<GossipWire> = match wire_override {
         Some(wire) => vec![wire],
@@ -72,7 +71,7 @@ fn scenario_sweep(
     for kind in ScenarioKind::ALL {
         for (plabel, policy) in policies() {
             for &wire in &wires {
-                for (blabel, backend) in BACKENDS {
+                for backend in BACKENDS {
                     let mut cfg = if smoke {
                         ScenarioConfig::tiny(kind, ranks)
                     } else {
@@ -91,7 +90,7 @@ fn scenario_sweep(
                     // period resets the window right at every boundary and
                     // blinds both arms equally.
                     cfg.trigger = TriggerKind::Periodic(cfg.phase_len + cfg.phase_len / 2);
-                    specs.push((format!("{}+{plabel}", kind.name()), blabel, cfg));
+                    specs.push((format!("{}+{plabel}", kind.name()), backend, cfg));
                 }
             }
         }
@@ -102,7 +101,6 @@ fn scenario_sweep(
 /// Build a schema-3 row from one scenario result (the scenario analogue of
 /// [`perf_row`], with the generator's λ accounting attached).
 fn scenario_row(
-    backend: &str,
     label: &str,
     pes: usize,
     gossip_wire: &str,
@@ -120,7 +118,7 @@ fn scenario_row(
         0.0
     };
     PerfRow {
-        backend: backend.to_string(),
+        backend: res.backend.to_string(),
         pes,
         policy: label.to_string(),
         hub_shards: res.hub_shards,
@@ -194,14 +192,15 @@ pub fn run(
     // λ fidelity: the generator already asserts this at build time; the
     // study re-checks the *reported* values so a row can never drift from
     // the construction invariant.
-    for ((label, blabel, cfg), res) in specs.iter().zip(&results) {
+    for ((label, backend, cfg), res) in specs.iter().zip(&results) {
+        assert_eq!(res.backend, *backend, "[{label}] an explicit backend wins over the server");
         assert!(
             (res.lambda_achieved - res.lambda_target).abs() <= LAMBDA_TOLERANCE * res.lambda_target,
-            "[{label}/{blabel}] achieved λ {} strays from target {}",
+            "[{label}/{backend}] achieved λ {} strays from target {}",
             res.lambda_achieved,
             res.lambda_target
         );
-        assert_eq!(res.lambda_target, cfg.lambda, "[{label}/{blabel}] target λ mangled in flight");
+        assert_eq!(res.lambda_target, cfg.lambda, "[{label}/{backend}] target λ mangled in flight");
     }
 
     // Backend invariance: every parallel row must be bit-identical to its
@@ -248,7 +247,6 @@ pub fn run(
         batch_wall_s += gate_started.elapsed().as_secs_f64();
         for ((label, ranks, cfg), res) in gate_specs.iter().zip(&gate_results) {
             gate_rows.push(perf_row(
-                "parallel",
                 label,
                 *ranks,
                 &cfg.gossip_wire.to_string(),
@@ -261,8 +259,8 @@ pub fn run(
     let mut rows: Vec<PerfRow> = specs
         .iter()
         .zip(&results)
-        .map(|((label, blabel, cfg), res)| {
-            scenario_row(blabel, label, cfg.ranks, &cfg.gossip_wire.to_string(), res, batch_wall_s)
+        .map(|((label, _, cfg), res)| {
+            scenario_row(label, cfg.ranks, &cfg.gossip_wire.to_string(), res, batch_wall_s)
         })
         .collect();
     rows.append(&mut gate_rows);

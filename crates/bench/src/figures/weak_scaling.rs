@@ -5,9 +5,9 @@
 //! behaviour changes qualitatively in the thousands-of-PEs regime. This
 //! study keeps the per-PE domain fixed (weak scaling) and sweeps
 //! `P ∈ {64, 256, 1024, 4096}` under the standard method and ULBA, on a
-//! selectable runtime backend — the sequential and parallel backends are
-//! what make `P = 4096` (and `P = 16384`, and with the sparse WIR database
-//! `P = 65536`) tractable, since neither needs one OS thread per rank.
+//! selectable runtime backend — ranks are suspended futures, not threads,
+//! which is what makes `P = 4096` (and `P = 16384`, and with the sparse WIR
+//! database `P = 65536`) tractable.
 //!
 //! Reported per (P, policy): virtual makespan, LB calls, mean PE
 //! utilization, load-imbalance statistics (max/mean busy ratio, idle
@@ -42,7 +42,8 @@ pub struct WeakScalingRow {
     pub ranks: usize,
     /// Policy label (`standard` / `ulba`).
     pub policy: &'static str,
-    /// Backend label (`threaded` / `sequential` / `parallel` / `default`).
+    /// The backend that drove the run (`sequential` / `parallel`) — what
+    /// the requested one (or `None`) resolved to.
     pub backend: String,
     /// Resolved leaf shard count of the rendezvous hub the run used
     /// (`--hub-shards` / `ULBA_HUB_SHARDS`; default `min(workers, 64)`).
@@ -165,7 +166,7 @@ pub fn run(
             rows.push(WeakScalingRow {
                 ranks,
                 policy: label,
-                backend: backend_label.clone(),
+                backend: res.backend.to_string(),
                 hub_shards: res.hub_shards,
                 gossip_wire: wire.to_string(),
                 makespan: res.makespan,

@@ -146,19 +146,26 @@ fn cli_value(flag: &str) -> Option<String> {
     None
 }
 
-/// Parse one backend name, aborting with a usage message rather than
+/// Parse one backend name; the error is the usage message naming the
+/// valid ones.
+fn parse_backend(raw: &str) -> Result<ulba_runtime::Backend, String> {
+    raw.parse()
+        .map_err(|()| format!("unknown backend `{raw}` (expected `sequential` or `parallel`)"))
+}
+
+/// [`parse_backend`], aborting (exit 2) with its usage message rather than
 /// silently running on the wrong backend.
-fn parse_backend(raw: &str) -> ulba_runtime::Backend {
-    raw.parse().unwrap_or_else(|()| {
-        eprintln!("unknown backend `{raw}` (expected `threaded`, `sequential` or `parallel`)");
+fn backend_or_exit(raw: &str) -> ulba_runtime::Backend {
+    parse_backend(raw).unwrap_or_else(|err| {
+        eprintln!("{err}");
         std::process::exit(2);
     })
 }
 
-/// Runtime backend selected on the command line (`--backend threaded`,
-/// `--backend sequential` or `--backend parallel`), if any.
+/// Runtime backend selected on the command line (`--backend sequential`
+/// or `--backend parallel`), if any.
 pub fn cli_backend() -> Option<ulba_runtime::Backend> {
-    cli_value("--backend").map(|raw| parse_backend(&raw))
+    cli_value("--backend").map(|raw| backend_or_exit(&raw))
 }
 
 /// Backends selected on the command line as a comma-separated list
@@ -166,8 +173,12 @@ pub fn cli_backend() -> Option<ulba_runtime::Backend> {
 /// backends side by side in one invocation.
 pub fn cli_backends() -> Option<Vec<ulba_runtime::Backend>> {
     let raw = cli_value("--backends")?;
-    let backends: Vec<ulba_runtime::Backend> =
-        raw.split(',').map(str::trim).filter(|part| !part.is_empty()).map(parse_backend).collect();
+    let backends: Vec<ulba_runtime::Backend> = raw
+        .split(',')
+        .map(str::trim)
+        .filter(|part| !part.is_empty())
+        .map(backend_or_exit)
+        .collect();
     if backends.is_empty() {
         eprintln!("--backends needs at least one backend");
         std::process::exit(2);
@@ -245,7 +256,7 @@ pub fn apply_cli_backend() {
 /// batched sweep instead.
 #[derive(Debug, Clone)]
 pub struct PerfRow {
-    /// Backend label (`threaded` / `sequential` / `parallel` / `default`).
+    /// The backend that drove the run (`sequential` / `parallel`).
     pub backend: String,
     /// PE count.
     pub pes: usize,
@@ -282,9 +293,9 @@ pub struct PerfRow {
 }
 
 /// Build a [`PerfRow`] from one erosion experiment, deriving the
-/// imbalance statistics from the per-rank metrics.
+/// imbalance statistics from the per-rank metrics. The backend label is
+/// the one the run resolved to, never a raw flag or environment string.
 pub fn perf_row(
-    backend: &str,
     policy: &str,
     pes: usize,
     gossip_wire: &str,
@@ -302,7 +313,7 @@ pub fn perf_row(
         0.0
     };
     PerfRow {
-        backend: backend.to_string(),
+        backend: res.backend.to_string(),
         pes,
         policy: policy.to_string(),
         hub_shards: res.hub_shards,
@@ -318,13 +329,6 @@ pub fn perf_row(
         lambda_target: None,
         lambda_achieved: None,
     }
-}
-
-/// Backend label the batch API resolves for pool-eligible submissions:
-/// `ULBA_BACKEND` when the environment pins one, the shared parallel pool
-/// otherwise (matching `submit_erosion`'s admission rule).
-pub fn batch_backend_label() -> String {
-    std::env::var("ULBA_BACKEND").ok().unwrap_or_else(|| "parallel".to_string())
 }
 
 /// Serialize rows as a schema-3 perf report and write it to `path`.
@@ -472,6 +476,20 @@ mod tests {
         audit_args(args(&["--gossip-wire", "delta", "--smoke"]), &value, SMOKE_FLAGS).unwrap();
         audit_args(args(&["--gossip-wire=delta:4", "--ranks=8,16"]), &value, SMOKE_FLAGS).unwrap();
         audit_args(args(&[]), &value, SMOKE_FLAGS).unwrap();
+    }
+
+    #[test]
+    fn unknown_backend_message_names_the_offender_and_the_two_valid_names() {
+        assert_eq!(parse_backend("seq"), Ok(ulba_runtime::Backend::Sequential));
+        assert_eq!(parse_backend("parallel"), Ok(ulba_runtime::Backend::Parallel));
+        // `threaded` was a backend once; now it is an unknown name like any other.
+        for raw in ["threaded", "fibers"] {
+            let err = parse_backend(raw).unwrap_err();
+            assert_eq!(
+                err,
+                format!("unknown backend `{raw}` (expected `sequential` or `parallel`)")
+            );
+        }
     }
 
     #[test]

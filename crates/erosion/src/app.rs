@@ -17,10 +17,11 @@
 //!    centralized rebalancing (Algorithm 2), migrates columns, and the
 //!    measured cost updates the trigger's EWMA LB-cost model.
 //!
-//! Experiments execute through three entry points that share one prepared
-//! rank body: [`run_erosion`] (run one config, blocking),
-//! [`submit_erosion`] (enqueue one config on a shared [`JobServer`] and
-//! join later), and [`run_erosion_batch`] (submit a whole sweep, join in
+//! Experiments execute through three entry points that share one launch
+//! path (the rank body handed to the runtime's `submit`):
+//! [`run_erosion`] (run one config, blocking), [`submit_erosion`] (launch
+//! one config, pooled jobs going to a shared [`JobServer`], and join
+//! later), and [`run_erosion_batch`] (launch a whole sweep, join in
 //! order). The runtime's determinism guarantee makes all three
 //! bit-identical for the same config — batching is purely a wall-time
 //! optimization.
@@ -36,8 +37,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::future::Future;
-use std::pin::Pin;
 use std::sync::Arc;
 use ulba_core::balancer::{centralized_rebalance, RebalanceOutcome};
 use ulba_core::db::{wire_bytes, WirDatabase, WirEntry};
@@ -50,8 +49,8 @@ use ulba_core::policy::{estimate_ulba_overhead, outlier_score};
 use ulba_core::trigger::{AnyTrigger, LbTrigger};
 use ulba_core::wir::WirEstimator;
 use ulba_runtime::{
-    run, Backend, IterationStats, JobHandle, JobServer, MachineSpec, RankMetrics, RoundValues,
-    RunConfig, RunReport, SpmdCtx, Tag,
+    submit, Backend, IterationStats, JobHandle, JobServer, MachineSpec, RankMetrics, RoundValues,
+    RunConfig, SpmdCtx, Tag,
 };
 
 /// Message tag of gossip snapshots.
@@ -79,6 +78,10 @@ pub struct ExperimentResult {
     pub total_eroded: u64,
     /// Final per-rank time accounting.
     pub rank_metrics: Vec<RankMetrics>,
+    /// The backend that drove the run — what [`ErosionConfig::backend`],
+    /// [`ErosionConfig::server`] and `ULBA_BACKEND` resolved to. Pure
+    /// metadata, like the shard count below.
+    pub backend: Backend,
     /// Leaf shard count the runtime's rendezvous hub actually ran with
     /// (the resolved value of [`ErosionConfig::hub_shards`]). Pure
     /// contention metadata: it never influences the measurements above.
@@ -402,24 +405,13 @@ async fn rank_program(
     footprint.1 += outbox.tracked_peers() as u64;
 }
 
-/// The rank-body shape every execution path shares: boxed, so the prepared
-/// run has a concrete type whether it is handed to [`run`] or to
-/// [`JobServer::submit`]. One heap allocation per rank at spawn — noise
-/// next to a rank's stripe state.
-type ErosionBody = Box<dyn Fn(SpmdCtx) -> Pin<Box<dyn Future<Output = ()> + Send>> + Send + Sync>;
-
-/// A validated experiment, ready to execute: the resolved runtime config,
-/// the rank body, and the side channels the body reports into.
-struct PreparedRun {
-    run_cfg: RunConfig,
-    hub_shards: usize,
-    side: Arc<SideChannels>,
-    body: ErosionBody,
-}
-
-/// Validate `cfg`, build the immutable shared inputs (geometry, strong-rock
-/// set, initial partition) once, and package the rank body.
-fn prepare(cfg: &ErosionConfig) -> PreparedRun {
+/// The one launch path of an experiment: validate `cfg`, build the
+/// immutable shared inputs (geometry, strong-rock set, initial partition)
+/// once, resolve the runtime config, and hand the rank body to the
+/// runtime's `submit`. `pool`, when given, is where a pool job goes
+/// (instead of the config's own server); which backend the config *means*
+/// never depends on it.
+fn launch(cfg: &ErosionConfig, pool: Option<&JobServer>) -> ErosionJob {
     cfg.validate().expect("invalid erosion config");
     let geometry = Arc::new(Geometry::new(cfg.ranks, cfg.cols_per_pe, cfg.height, cfg.rock_radius));
     let strong = Arc::new(choose_strong_rocks(cfg));
@@ -428,7 +420,6 @@ fn prepare(cfg: &ErosionConfig) -> PreparedRun {
     // per-rank `O(P)` bounds copy.
     let initial_partition =
         Partition::from_bounds((0..=cfg.ranks).map(|r| r * cfg.cols_per_pe).collect(), cfg.width());
-    let spec = MachineSpec::homogeneous(cfg.omega);
     let side = Arc::new(SideChannels::default());
 
     let mut cfg = cfg.clone();
@@ -436,30 +427,19 @@ fn prepare(cfg: &ErosionConfig) -> PreparedRun {
     // and a handle captured inside the job's own futures would keep the
     // pool alive from within itself.
     let server = cfg.server.take();
-    let mut run_cfg = RunConfig::new(cfg.ranks).with_spec(spec);
-    if let Some(backend) = cfg.backend {
-        run_cfg = run_cfg.with_backend(backend);
-    }
-    if let Some(stack_size) = cfg.stack_size {
-        run_cfg = run_cfg.with_stack_size(stack_size);
-    }
-    if let Some(workers) = cfg.workers {
-        run_cfg = run_cfg.with_workers(workers);
-    }
-    if let Some(hub_shards) = cfg.hub_shards {
-        run_cfg = run_cfg.with_hub_shards(hub_shards);
-    }
-    // Applied last: a server target forces the parallel backend.
-    if let Some(server) = server {
-        run_cfg = run_cfg.with_server(server);
+    let mut run_cfg =
+        RunConfig::resolve(cfg.ranks, cfg.backend, cfg.workers, cfg.hub_shards, server)
+            .with_spec(MachineSpec::homogeneous(cfg.omega));
+    if let Some(pool) = pool {
+        run_cfg.server = Some(pool.clone());
     }
     let hub_shards = run_cfg.effective_hub_shards();
 
     let cfg = Arc::new(cfg);
     let side_tx = Arc::clone(&side);
     let debug = DebugFlags::from_env();
-    let body: ErosionBody = Box::new(move |ctx| {
-        Box::pin(rank_program(
+    let handle = submit(run_cfg, move |ctx| {
+        rank_program(
             ctx,
             Arc::clone(&cfg),
             Arc::clone(&geometry),
@@ -467,124 +447,70 @@ fn prepare(cfg: &ErosionConfig) -> PreparedRun {
             initial_partition.clone(),
             Arc::clone(&side_tx),
             debug,
-        ))
+        )
     });
-    PreparedRun { run_cfg, hub_shards, side, body }
-}
-
-/// Combine the runtime's report with the run's side channels into the
-/// final measurements.
-fn assemble(report: RunReport, side: &SideChannels, hub_shards: usize) -> ExperimentResult {
-    let (final_total_weight, total_eroded) =
-        side.extras.lock().take().expect("rank 0 recorded the extras");
-    let (db_entries_total, gossip_watermarks_total) = *side.db_footprint.lock();
-    ExperimentResult {
-        makespan: report.makespan().as_secs(),
-        lb_calls: report.lb_call_count(),
-        lb_iterations: report.lb_iterations.clone(),
-        mean_utilization: report.mean_utilization(),
-        iterations: report.iterations,
-        final_total_weight,
-        total_eroded,
-        rank_metrics: report.rank_metrics,
-        hub_shards,
-        db_entries_total,
-        gossip_watermarks_total,
-    }
+    ErosionJob { handle, side, hub_shards }
 }
 
 /// Run one erosion experiment and collect its measurements.
 pub fn run_erosion(cfg: &ErosionConfig) -> ExperimentResult {
-    let prepared = prepare(cfg);
-    let report = run(prepared.run_cfg, prepared.body);
-    assemble(report, &prepared.side, prepared.hub_shards)
+    launch(cfg, None).join()
 }
 
-/// A submitted (or deferred) erosion experiment; see [`submit_erosion`].
+/// A launched erosion experiment; see [`submit_erosion`].
 pub struct ErosionJob {
-    inner: ErosionJobInner,
-}
-
-enum ErosionJobInner {
-    /// Running concurrently on a shared [`JobServer`].
-    Submitted { handle: JobHandle, side: Arc<SideChannels>, hub_shards: usize },
-    /// The config resolves to a non-parallel backend (explicitly or via
-    /// `ULBA_BACKEND`): the run executes with that backend's semantics,
-    /// serially, inside [`ErosionJob::join`].
-    Deferred(Box<ErosionConfig>),
-}
-
-impl std::fmt::Debug for ErosionJob {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.inner {
-            ErosionJobInner::Submitted { handle, .. } => {
-                f.debug_struct("ErosionJob").field("job", &handle.id()).finish()
-            }
-            ErosionJobInner::Deferred(_) => {
-                f.debug_struct("ErosionJob").field("job", &"deferred").finish()
-            }
-        }
-    }
+    handle: JobHandle,
+    side: Arc<SideChannels>,
+    hub_shards: usize,
 }
 
 impl ErosionJob {
-    /// The runtime job id when the experiment runs on a server (`None` for
-    /// deferred serial runs).
-    pub fn id(&self) -> Option<u64> {
-        match &self.inner {
-            ErosionJobInner::Submitted { handle, .. } => Some(handle.id()),
-            ErosionJobInner::Deferred(_) => None,
-        }
+    /// The backend driving the experiment: a [`Backend::Parallel`] job is
+    /// already running on its server; a [`Backend::Sequential`] one
+    /// occupies no pool worker and runs inside [`ErosionJob::join`].
+    pub fn backend(&self) -> Backend {
+        self.handle.backend()
     }
 
-    /// Block until the experiment finishes and collect its measurements.
-    /// Same failure contract as [`run_erosion`]: panics if the job
-    /// deadlocked or a rank panicked.
+    /// Block until the experiment finishes and combine the runtime's
+    /// report with the run's side channels into the final measurements.
+    /// Panics if the job deadlocked or a rank panicked.
     pub fn join(self) -> ExperimentResult {
-        match self.inner {
-            ErosionJobInner::Submitted { handle, side, hub_shards } => {
-                let report = handle.join().unwrap_or_else(|err| panic!("{err}"));
-                assemble(report, &side, hub_shards)
-            }
-            ErosionJobInner::Deferred(cfg) => run_erosion(&cfg),
+        let backend = self.handle.backend();
+        let report = self.handle.join().unwrap_or_else(|err| panic!("{err}"));
+        let (final_total_weight, total_eroded) =
+            self.side.extras.lock().take().expect("rank 0 recorded the extras");
+        let (db_entries_total, gossip_watermarks_total) = *self.side.db_footprint.lock();
+        ExperimentResult {
+            makespan: report.makespan().as_secs(),
+            lb_calls: report.lb_call_count(),
+            lb_iterations: report.lb_iterations.clone(),
+            mean_utilization: report.mean_utilization(),
+            iterations: report.iterations,
+            final_total_weight,
+            total_eroded,
+            rank_metrics: report.rank_metrics,
+            backend,
+            hub_shards: self.hub_shards,
+            db_entries_total,
+            gossip_watermarks_total,
         }
     }
 }
 
-/// Submit one experiment to `server` without waiting for it.
+/// Launch one experiment without waiting for it; a pooled job goes to
+/// `server`.
 ///
-/// When the config resolves to a non-parallel backend — an explicit
-/// [`ErosionConfig::backend`], or `ULBA_BACKEND` when the config leaves the
-/// backend `None` — the run is deferred instead: it executes serially with
-/// the requested backend's semantics when the returned job is joined, so a
+/// Which backend the config means is decided exactly as in [`run_erosion`]
+/// (see [`ErosionConfig::with_server`]) — `server` only names the pool. A
+/// config that means the sequential backend — explicitly, or through
+/// `ULBA_BACKEND` when it names neither backend nor server — occupies no
+/// pool worker: it runs serially when the returned job is joined, so a
 /// `ULBA_BACKEND=sequential` CI leg still exercises the sequential
 /// scheduler even through the batch API. Either way the measurements are
 /// bit-identical; only wall time and concurrency differ.
 pub fn submit_erosion(server: &JobServer, cfg: &ErosionConfig) -> ErosionJob {
-    // The parallel sentinel survives `from_env` only if `ULBA_BACKEND` is
-    // unset — exactly the cases in which pooling preserves semantics.
-    let effective = cfg.backend.unwrap_or_else(|| {
-        RunConfig::defaults(1).with_backend(Backend::Parallel).from_env().backend
-    });
-    if effective != Backend::Parallel {
-        // Drop the server handle: a deferred run must honour the requested
-        // backend, and `prepare` would otherwise re-route it to the pool.
-        let mut cfg = cfg.clone();
-        cfg.server = None;
-        return ErosionJob { inner: ErosionJobInner::Deferred(Box::new(cfg)) };
-    }
-    let mut cfg = cfg.clone();
-    cfg.backend = Some(Backend::Parallel);
-    cfg.server = Some(server.clone());
-    let prepared = prepare(&cfg);
-    let handle = server.submit(prepared.run_cfg, prepared.body);
-    ErosionJob {
-        inner: ErosionJobInner::Submitted {
-            handle,
-            side: prepared.side,
-            hub_shards: prepared.hub_shards,
-        },
-    }
+    launch(cfg, Some(server))
 }
 
 /// Run a whole sweep concurrently on a shared pool and return the results
@@ -597,10 +523,7 @@ pub fn submit_erosion(server: &JobServer, cfg: &ErosionConfig) -> ErosionJob {
 pub fn run_erosion_batch(cfgs: &[ErosionConfig]) -> Vec<ExperimentResult> {
     let jobs: Vec<ErosionJob> = cfgs
         .iter()
-        .map(|cfg| match &cfg.server {
-            Some(server) => submit_erosion(server, cfg),
-            None => submit_erosion(JobServer::global(), cfg),
-        })
+        .map(|cfg| submit_erosion(cfg.server.as_ref().unwrap_or_else(|| JobServer::global()), cfg))
         .collect();
     jobs.into_iter().map(ErosionJob::join).collect()
 }
@@ -834,8 +757,37 @@ mod tests {
         cfg.iterations = 10;
         cfg.backend = Some(Backend::Sequential);
         let job = submit_erosion(&server, &cfg);
-        assert_eq!(job.id(), None, "sequential runs must not be pooled");
+        assert_eq!(job.backend(), Backend::Sequential, "sequential runs must not be pooled");
         let res = job.join();
         assert_eq!(run_erosion(&cfg).makespan.to_bits(), res.makespan.to_bits());
+    }
+
+    /// `run_erosion` and `submit_erosion` mean the same backend by the
+    /// same config, for every way of (not) naming one — `Sequential` +
+    /// server used to be pooled by the former and deferred by the latter.
+    #[test]
+    fn run_and_submit_resolve_the_same_backend() {
+        let pool = JobServer::new(1);
+        for backend in [None, Some(Backend::Sequential), Some(Backend::Parallel)] {
+            for server in [None, Some(JobServer::new(1))] {
+                let mut cfg = ErosionConfig::tiny(2, 1);
+                cfg.iterations = 10;
+                cfg.backend = backend;
+                cfg.server = server;
+                let label = format!("{backend:?} + {:?}", cfg.server);
+                let ran = run_erosion(&cfg);
+                let submitted = submit_erosion(&pool, &cfg).join();
+                assert_eq!(ran.backend, submitted.backend, "{label}");
+                if let Some(explicit) = backend {
+                    assert_eq!(ran.backend, explicit, "{label}: an explicit backend wins");
+                } else if cfg.server.is_some() {
+                    assert_eq!(ran.backend, Backend::Parallel, "{label}: a server is that pool");
+                }
+                assert_eq!(ran.makespan.to_bits(), submitted.makespan.to_bits(), "{label}");
+                assert_eq!(ran.lb_iterations, submitted.lb_iterations, "{label}");
+                assert_eq!(ran.total_eroded, submitted.total_eroded, "{label}");
+                assert_eq!(ran.hub_shards, submitted.hub_shards, "{label}");
+            }
+        }
     }
 }

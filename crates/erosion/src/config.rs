@@ -78,19 +78,14 @@ pub struct ErosionConfig {
     pub lb_root_walk_flop_per_cell: f64,
     /// PE speed ω in FLOP/s (Table II: 1 GFLOPS).
     pub omega: f64,
-    /// Execution backend of the SPMD runtime. `None` defers to the runtime
-    /// default (the `ULBA_BACKEND` environment variable, falling back to
-    /// threaded). Use [`Backend::Sequential`] or [`Backend::Parallel`] for
-    /// large `P` — neither needs one OS thread per rank, so both scale to
-    /// tens of thousands of ranks (parallel additionally uses all cores).
+    /// Execution backend of the SPMD runtime. `Some` always wins; `None`
+    /// means [`ErosionConfig::server`]'s pool when one is set, otherwise
+    /// the `ULBA_BACKEND` environment variable, else the global pool (the
+    /// one rule of `ulba_runtime::RunConfig::resolve`).
     pub backend: Option<Backend>,
-    /// Per-rank thread stack size in bytes for the threaded backend
-    /// (`None` = runtime default of 2 MiB). Ignored by the cooperative
-    /// backends.
-    pub stack_size: Option<usize>,
     /// Worker threads of the parallel backend (`None` = runtime default:
     /// the `ULBA_WORKERS` environment variable, falling back to all
-    /// available cores). Ignored by the other backends.
+    /// available cores). Ignored by the sequential backend.
     pub workers: Option<usize>,
     /// Leaf shard count of the runtime's collective rendezvous hub
     /// (`None` = runtime default: the `ULBA_HUB_SHARDS` environment
@@ -98,8 +93,8 @@ pub struct ErosionConfig {
     /// contention knob — results are bit-identical for any value.
     pub hub_shards: Option<usize>,
     /// Submit the run to this existing [`JobServer`] instead of standing up
-    /// (or routing to) a pool of its own. Setting a server forces the
-    /// parallel backend. Not serialized — a server is a live handle, not a
+    /// (or routing to) a pool of its own — unless an explicit
+    /// [`ErosionConfig::backend`] says sequential. Not serialized — a server is a live handle, not a
     /// parameter; deserialized configs always start with `None`.
     #[serde(skip)]
     pub server: Option<JobServer>,
@@ -134,16 +129,17 @@ impl ErosionConfig {
             lb_root_walk_flop_per_cell: 6.0,
             omega: 1.0e9,
             backend: None,
-            stack_size: None,
             workers: None,
             hub_shards: None,
             server: None,
         }
     }
 
-    /// Route this experiment to an existing shared [`JobServer`] (implies
-    /// the parallel backend). Figure harnesses use this to run whole sweeps
-    /// concurrently on one pool; see [`crate::app::run_erosion_batch`].
+    /// Route this experiment to an existing shared [`JobServer`]. An
+    /// explicit [`ErosionConfig::backend`] wins; otherwise a server target
+    /// means that pool; otherwise `ULBA_BACKEND`, else the global pool.
+    /// Figure harnesses use this to run whole sweeps concurrently on one
+    /// pool; see [`crate::app::run_erosion_batch`].
     pub fn with_server(mut self, server: JobServer) -> Self {
         self.server = Some(server);
         self
@@ -225,9 +221,6 @@ impl ErosionConfig {
         if self.iterations == 0 {
             return Err("need at least one iteration".into());
         }
-        if self.stack_size == Some(0) {
-            return Err("stack_size must be positive when set".into());
-        }
         if self.workers == Some(0) {
             return Err("workers must be positive when set (None = all cores)".into());
         }
@@ -307,9 +300,6 @@ mod tests {
         c.iterations = 0;
         assert!(c.validate().is_err());
         let mut c = ErosionConfig::tiny(4, 1);
-        c.stack_size = Some(0);
-        assert!(c.validate().is_err());
-        let mut c = ErosionConfig::tiny(4, 1);
         c.workers = Some(0);
         assert!(c.validate().is_err());
         let mut c = ErosionConfig::tiny(4, 1);
@@ -328,11 +318,10 @@ mod tests {
     }
 
     #[test]
-    fn backend_and_stack_size_overrides_validate() {
+    fn backend_and_worker_overrides_validate() {
         let mut c = ErosionConfig::tiny(4, 1);
         assert_eq!(c.backend, None, "presets defer to the runtime default");
         c.backend = Some(Backend::Sequential);
-        c.stack_size = Some(256 * 1024);
         c.validate().unwrap();
         c.backend = Some(Backend::Parallel);
         c.workers = Some(2);

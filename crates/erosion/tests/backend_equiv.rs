@@ -1,9 +1,9 @@
-//! Cross-backend equivalence: the threaded (one OS thread per rank,
-//! blocking rendezvous), sequential (single-threaded lockstep scheduler)
-//! and parallel (work-stealing worker pool) backends must produce
-//! **bit-identical** experiment results — same virtual makespan, same
-//! per-rank clocks and time accounting, same iteration statistics, same LB
-//! activations — for the full erosion application, not just micro-programs.
+//! Cross-backend equivalence: the sequential (single-threaded lockstep
+//! scheduler, the deterministic oracle) and parallel (work-stealing worker
+//! pool) backends must produce **bit-identical** experiment results — same
+//! virtual makespan, same per-rank clocks and time accounting, same
+//! iteration statistics, same LB activations — for the full erosion
+//! application, not just micro-programs.
 //! The rendezvous hub's shard count rides along as a second free
 //! dimension: any `S` (degenerate 1, ragged, one-rank-per-shard) must be
 //! invisible in the results.
@@ -58,9 +58,20 @@ fn assert_bit_identical(reference: &ExperimentResult, other: &ExperimentResult, 
     }
 }
 
-/// Compare every non-threaded backend against the threaded reference.
+/// The oracle every comparison is anchored on: `cfg` on the sequential
+/// backend over the degenerate single-shard hub.
+fn reference_run(cfg: &ErosionConfig) -> ExperimentResult {
+    let mut cfg = cfg.clone();
+    cfg.hub_shards = Some(1);
+    let reference = on_backend(&cfg, Backend::Sequential);
+    assert_eq!(reference.hub_shards, 1);
+    reference
+}
+
+/// Compare both backends (at `cfg`'s own shard count) against the
+/// reference.
 fn assert_backends_equivalent(cfg: &ErosionConfig) {
-    let reference = on_backend(cfg, Backend::Threaded);
+    let reference = reference_run(cfg);
     for backend in [Backend::Sequential, Backend::Parallel] {
         let other = on_backend(cfg, backend);
         assert_bit_identical(&reference, &other, backend);
@@ -70,11 +81,8 @@ fn assert_backends_equivalent(cfg: &ErosionConfig) {
 /// Compare the single-shard reference against the hub shard sweep of the
 /// acceptance criterion — `S ∈ {1, 2, 7, P}` — on every backend.
 fn assert_shard_counts_equivalent(cfg: &ErosionConfig) {
-    let mut reference_cfg = cfg.clone();
-    reference_cfg.hub_shards = Some(1);
-    let reference = on_backend(&reference_cfg, Backend::Threaded);
-    assert_eq!(reference.hub_shards, 1);
-    for backend in [Backend::Threaded, Backend::Sequential, Backend::Parallel] {
+    let reference = reference_run(cfg);
+    for backend in [Backend::Sequential, Backend::Parallel] {
         for shards in [1usize, 2, 7, cfg.ranks] {
             let mut sharded = cfg.clone();
             sharded.hub_shards = Some(shards);
@@ -91,7 +99,7 @@ fn assert_shard_counts_equivalent(cfg: &ErosionConfig) {
 
 /// The tentpole acceptance criterion at application scale: a 128-rank
 /// erosion run (LB steps included) is bit-identical across
-/// `S ∈ {1, 2, 7, 128}` × all three backends. 128 ranks over `S = 7`
+/// `S ∈ {1, 2, 7, 128}` × both backends. 128 ranks over `S = 7`
 /// leaves a ragged last shard (6 × 19 + 14).
 #[test]
 fn shard_counts_equivalent_at_128_ranks() {
@@ -112,7 +120,7 @@ fn shard_counts_equivalent_at_ragged_90_ranks() {
 }
 
 /// The acceptance-criterion case: a 128-rank erosion run with LB activity
-/// must be bit-identical across all three backends.
+/// must be bit-identical across both backends.
 #[test]
 fn equivalent_at_128_ranks() {
     let mut cfg = ErosionConfig::tiny(128, 4);
@@ -122,7 +130,7 @@ fn equivalent_at_128_ranks() {
 
 /// The gossip wire format as a free dimension: for each format (full
 /// snapshots, delta with a tight anti-entropy period, delta with the
-/// default period) the three backends must agree bit-for-bit — at a ragged
+/// default period) the two backends must agree bit-for-bit — at a ragged
 /// P with LB activity, so delta payload construction runs under real
 /// migrations. The wire format changes what the bytes on the wire *are*,
 /// so reports differ *across* formats; determinism within one must hold
@@ -146,11 +154,11 @@ fn equivalent_under_both_policies() {
         cfg.policy = policy;
         cfg.iterations = 80;
         cfg.initial_lb_cost_factor = 0.05; // make the trigger actually fire
-        let threaded = on_backend(&cfg, Backend::Threaded);
-        assert!(threaded.lb_calls > 0 || matches!(cfg.policy, LbPolicy::Standard));
+        let reference = reference_run(&cfg);
+        assert!(reference.lb_calls > 0 || matches!(cfg.policy, LbPolicy::Standard));
         for backend in [Backend::Sequential, Backend::Parallel] {
             let other = on_backend(&cfg, backend);
-            assert_bit_identical(&threaded, &other, backend);
+            assert_bit_identical(&reference, &other, backend);
         }
     }
 }
@@ -160,7 +168,7 @@ proptest! {
 
     /// Randomized erosion configurations: ranks, rocks, iterations, seed,
     /// policy, gossip mode, anticipation, hub shard count — always
-    /// bit-identical on all three backends.
+    /// bit-identical on both backends.
     #[test]
     fn equivalent_on_random_configs(
         ranks in 2usize..12,

@@ -5,15 +5,13 @@
 //! operation advances the rank's virtual clock according to the
 //! [`MachineSpec`] cost model and books the time into [`RankMetrics`].
 //!
-//! Operations that synchronize with other ranks are `async`: on the
-//! threaded backend they block the rank's OS thread and resolve in a single
-//! poll, while on the cooperative backends (sequential and parallel) they
-//! suspend the rank's future — parking its waker in the hub/mailbox — so a
+//! Operations that synchronize with other ranks are `async`: they suspend
+//! the rank's future — parking its waker in the hub/mailbox — so a
 //! scheduler can interleave thousands of ranks over few threads. The
 //! collective *semantics* — rank-indexed value vectors, clock maximum, cost
 //! model charges, combine folds — are pure functions over the deposited
-//! values and are shared by every backend, so a program's [`RankMetrics`]
-//! and clocks are bit-identical regardless of backend.
+//! values, so a program's [`RankMetrics`] and clocks are bit-identical
+//! regardless of which scheduler polls it.
 //!
 //! # Host cost of a collective
 //!
@@ -42,7 +40,7 @@ use std::pin::Pin;
 use std::sync::Arc;
 use std::task::{Context, Poll};
 
-/// Execution context handed to each rank closure by [`crate::engine::run`].
+/// Execution context handed to each rank closure by [`crate::engine::submit`].
 pub struct SpmdCtx {
     rank: usize,
     size: usize,
@@ -50,9 +48,6 @@ pub struct SpmdCtx {
     /// This rank's leaf shard in the rendezvous hub, resolved once per run
     /// so the per-collective hot path never recomputes the mapping.
     hub_shard: usize,
-    /// Waiting strategy: `true` blocks the OS thread (threaded backend),
-    /// `false` suspends the rank future (sequential backend).
-    blocking: bool,
     clock: VirtualTime,
     metrics: RankMetrics,
     send_seq: u64,
@@ -67,7 +62,6 @@ impl SpmdCtx {
         rank: usize,
         size: usize,
         shared: Arc<RunShared>,
-        blocking: bool,
         tracer: Option<Arc<Tracer>>,
     ) -> Self {
         let hub_shard = shared.hub.shard_of(rank);
@@ -76,7 +70,6 @@ impl SpmdCtx {
             size,
             shared,
             hub_shard,
-            blocking,
             clock: VirtualTime::ZERO,
             metrics: RankMetrics::default(),
             send_seq: 0,
@@ -197,18 +190,14 @@ impl SpmdCtx {
     /// Receive from `from` under `tag`; waits (idle time) until the
     /// message's virtual arrival.
     pub async fn recv<T: Send + 'static>(&mut self, from: usize, tag: Tag) -> T {
-        let got = if self.blocking {
-            self.shared.mail.recv::<T>(self.rank, from, tag)
-        } else {
-            RecvFuture::<T> {
-                shared: Arc::clone(&self.shared),
-                me: self.rank,
-                from,
-                tag,
-                _payload: std::marker::PhantomData,
-            }
-            .await
-        };
+        let got = RecvFuture::<T> {
+            shared: Arc::clone(&self.shared),
+            me: self.rank,
+            from,
+            tag,
+            _payload: std::marker::PhantomData,
+        }
+        .await;
         let wait = got.arrival.since(self.clock);
         self.metrics.charge(TimeKind::Idle, wait);
         self.clock = self.clock.max(got.arrival);
@@ -235,23 +224,14 @@ impl SpmdCtx {
 
     // --- collectives --------------------------------------------------------
 
-    /// One hub rendezvous under the backend's waiting strategy.
-    async fn exchange<T: Clone + Send + Sync + 'static>(
-        &mut self,
-        op: &'static str,
-        value: T,
-    ) -> ExchangeRound<T> {
-        if self.blocking {
-            self.shared.hub.exchange_in_shard(self.hub_shard, self.rank, op, value, self.clock)
-        } else {
-            ExchangeFuture {
-                shared: Arc::clone(&self.shared),
-                rank: self.rank,
-                shard: self.hub_shard,
-                op,
-                pending: Some((value, self.clock)),
-            }
-            .await
+    /// One hub rendezvous.
+    fn exchange<T>(&mut self, op: &'static str, value: T) -> ExchangeFuture<T> {
+        ExchangeFuture {
+            shared: Arc::clone(&self.shared),
+            rank: self.rank,
+            shard: self.hub_shard,
+            op,
+            pending: Some((value, self.clock)),
         }
     }
 
@@ -440,10 +420,10 @@ impl Drop for SpmdCtx {
     }
 }
 
-/// Cooperative-mode rendezvous: deposit once the previous round is drained,
-/// then resolve when the round completes. Every `Pending` return leaves the
-/// task's waker parked in the hub, so a wake-driven executor (the parallel
-/// backend) re-polls exactly when the blocking state transition happens;
+/// The rendezvous: deposit once the previous round is drained, then resolve
+/// when the round completes. Every `Pending` return leaves the task's waker
+/// parked in the hub, so a wake-driven executor (the job server) re-polls
+/// exactly when the blocking state transition happens;
 /// the sequential scheduler passes a no-op waker and re-polls by
 /// round-robin instead.
 struct ExchangeFuture<T> {
@@ -491,7 +471,7 @@ impl<T: Clone + Send + Sync + 'static> Future for ExchangeFuture<T> {
     }
 }
 
-/// Cooperative-mode receive: resolves once a matching message is posted
+/// The receive: resolves once a matching message is posted
 /// (the posting rank wakes the parked receiver).
 struct RecvFuture<T> {
     shared: Arc<RunShared>,

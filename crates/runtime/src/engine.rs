@@ -1,34 +1,39 @@
-//! The run engine: backend-agnostic run configuration, shared run state,
-//! and the [`run`]/[`try_run`] entry points that dispatch an SPMD program
-//! onto one of the pluggable execution backends in [`crate::exec`].
+//! The run engine: run configuration, shared run state, and the one launch
+//! path — [`submit`] turns a [`RunConfig`] + rank body into a joinable
+//! [`JobHandle`]; [`run`]/[`try_run`] are `submit(..).join()`.
 //!
 //! # Backends
 //!
-//! * [`Backend::Threaded`] — one OS thread per rank; blocking rendezvous on
-//!   condvars. Real parallelism, but thread-count limits cap it at a few
-//!   thousand ranks.
-//! * [`Backend::Sequential`] — a single-threaded cooperative scheduler that
-//!   polls every rank's program slice-by-slice between synchronization
-//!   points. No OS threads, no blocking; scales to tens of thousands of
-//!   ranks with **identical** [`RunReport`] output.
-//! * [`Backend::Parallel`] — submit the run as a job to a work-stealing
-//!   [`JobServer`]: the one targeted by [`RunConfig::with_server`], the
-//!   process-wide default ([`JobServer::global`]) when no worker count is
-//!   forced, or a transient private pool when one is. Blocked ranks park
-//!   wakers in their job's hub/mailbox and are re-queued on wake-up.
-//!   Sequential's scale *and* threaded's parallelism — and one shared pool
-//!   can drive many concurrent jobs.
+//! Rank futures suspend at synchronization points, full stop; a backend
+//! only decides who polls them.
 //!
-//! All backends drive the same [`crate::ctx::SpmdCtx`] accounting and the
-//! same [`crate::hub::Hub`]/[`crate::mailbox::MailboxSet`] state machines;
-//! only the waiting strategy differs (block vs. suspend), so a program's
-//! virtual-time behaviour is bit-identical across backends — and, on the
-//! job server, independent of which other jobs share the pool.
+//! * [`Backend::Parallel`] (the default) — the run is a job on a
+//!   work-stealing [`JobServer`]: the one targeted by
+//!   [`RunConfig::with_server`], the process-wide default
+//!   ([`JobServer::global`]) when no worker count is forced, or a transient
+//!   private pool when one is. Blocked ranks park wakers in their job's
+//!   hub/mailbox and are re-queued on wake-up; one shared pool drives many
+//!   concurrent jobs.
+//! * [`Backend::Sequential`] — a single-threaded round-robin scheduler,
+//!   driven on the thread that joins the handle. The deterministic oracle
+//!   of every equivalence suite, and the faster way to use one core.
+//!
+//! Both drive the same [`crate::ctx::SpmdCtx`] accounting and the same
+//! [`crate::hub::Hub`]/[`crate::mailbox::MailboxSet`] state machines, so a
+//! program's virtual-time behaviour is bit-identical across backends — and,
+//! on the job server, independent of which other jobs share the pool. Both
+//! detect deadlocks exactly ([`RunError::Deadlock`]).
+//!
+//! # Which backend a configuration means
+//!
+//! Stated once, for [`RunConfig::resolve`] and the app configs built on it:
+//! an explicit backend wins; otherwise a server target means that pool;
+//! otherwise `ULBA_BACKEND`; else the global pool.
 
 use crate::cost::MachineSpec;
 use crate::ctx::SpmdCtx;
-use crate::exec;
-use crate::exec::server::{JobServer, Priority};
+use crate::exec::sequential::SequentialJob;
+use crate::exec::server::{effective_workers, JobServer, PoolJob, Priority};
 use crate::hub::Hub;
 use crate::mailbox::MailboxSet;
 use crate::metrics::{Collector, IterationStats, RankMetrics};
@@ -40,43 +45,16 @@ use std::future::Future;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Which execution strategy runs the ranks of an SPMD program.
+/// Who polls the rank futures of an SPMD program (see the
+/// [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Backend {
-    /// One OS thread per rank, blocking rendezvous (the default). Best when
-    /// rank bodies do real CPU work that benefits from physical cores.
-    Threaded,
-    /// Single-threaded lockstep scheduler: every rank's program runs
-    /// slice-by-slice between synchronization points on the calling thread.
-    /// Best for large `P` (no thread-count limits) and for deterministic
-    /// debugging.
+    /// The single-threaded lockstep scheduler, on the joining thread. Best
+    /// on one core and for deterministic debugging.
     Sequential,
-    /// Submit the run as a job to a work-stealing [`JobServer`] (the
-    /// explicitly targeted one, the process-wide default, or a transient
-    /// private pool — see [`RunConfig::with_server`]); blocked ranks are
-    /// woken by the deposit/post that unblocks them. Best when rank bodies
-    /// do real CPU work *and* `P` is large: all cores stay busy without
-    /// one thread per rank, and many runs can share one pool.
+    /// A work-stealing [`JobServer`]. The default: all cores stay busy at
+    /// any `P`, and many runs can share one pool.
     Parallel,
-}
-
-impl Backend {
-    /// Read the `ULBA_BACKEND` environment variable (`threaded`,
-    /// `sequential` or `parallel`, mirroring the `ULBA_QUICK` convention).
-    /// Returns `None` when unset; unknown values warn once per process and
-    /// are ignored.
-    #[deprecated(note = "use `RunConfig::from_env`, which folds `ULBA_BACKEND`, \
-                         `ULBA_WORKERS` and `ULBA_HUB_SHARDS` in one place")]
-    pub fn from_env() -> Option<Backend> {
-        let raw = std::env::var("ULBA_BACKEND").ok()?;
-        match raw.parse() {
-            Ok(backend) => Some(backend),
-            Err(()) => {
-                warn_unknown_backend(&raw);
-                None
-            }
-        }
-    }
 }
 
 /// Warn once per process about an unparsable `ULBA_BACKEND` value.
@@ -85,7 +63,7 @@ fn warn_unknown_backend(raw: &str) {
     WARN_ONCE.call_once(|| {
         eprintln!(
             "ulba-runtime: ignoring unknown ULBA_BACKEND value `{raw}` \
-             (expected `threaded`, `sequential` or `parallel`)"
+             (expected `sequential` or `parallel`)"
         );
     });
 }
@@ -94,7 +72,6 @@ impl std::str::FromStr for Backend {
     type Err = ();
     fn from_str(s: &str) -> Result<Self, ()> {
         match s.to_ascii_lowercase().as_str() {
-            "threaded" | "threads" | "thread" => Ok(Backend::Threaded),
             "sequential" | "seq" => Ok(Backend::Sequential),
             "parallel" | "par" | "pool" => Ok(Backend::Parallel),
             _ => Err(()),
@@ -105,7 +82,6 @@ impl std::str::FromStr for Backend {
 impl std::fmt::Display for Backend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            Backend::Threaded => "threaded",
             Backend::Sequential => "sequential",
             Backend::Parallel => "parallel",
         })
@@ -119,20 +95,14 @@ pub struct RunConfig {
     pub ranks: usize,
     /// Machine cost model driving the virtual clocks.
     pub spec: MachineSpec,
-    /// Per-thread stack size in bytes, used by the threaded backend only
-    /// (ranks are lightweight; 2 MiB default keeps 256-rank runs comfortably
-    /// under control).
-    pub stack_size: usize,
     /// Optional event tracer shared by all ranks (free in virtual time).
     pub tracer: Option<Arc<Tracer>>,
     /// Execution backend. Defaults to the `ULBA_BACKEND` environment
-    /// variable, falling back to [`Backend::Threaded`].
+    /// variable, falling back to [`Backend::Parallel`].
     pub backend: Backend,
     /// Worker threads of the parallel backend; `0` (the default) means the
     /// machine's available parallelism. Defaults to the `ULBA_WORKERS`
-    /// environment variable. The other backends spawn no workers from it,
-    /// but it still seeds the automatic hub shard count
-    /// ([`RunConfig::effective_hub_shards`]) on the threaded backend.
+    /// environment variable.
     pub workers: usize,
     /// Leaf shard count of the collective rendezvous hub; `0` (the
     /// default) resolves to `min(effective workers, 64)` (capped at
@@ -160,14 +130,13 @@ impl RunConfig {
     }
 
     /// A run with `ranks` ranks on the default machine, ignoring the
-    /// environment: threaded backend, automatic workers and hub shards.
+    /// environment: the global pool, automatic workers and hub shards.
     pub fn defaults(ranks: usize) -> Self {
         Self {
             ranks,
             spec: MachineSpec::default(),
-            stack_size: 2 * 1024 * 1024,
             tracer: None,
-            backend: Backend::Threaded,
+            backend: Backend::Parallel,
             workers: 0,
             hub_shards: 0,
             server: None,
@@ -179,9 +148,8 @@ impl RunConfig {
     /// place the engine parses runtime env vars, so binaries and tests
     /// don't re-implement the precedence themselves:
     ///
-    /// * `ULBA_BACKEND` → [`RunConfig::backend`] (`threaded`,
-    ///   `sequential`, `parallel`; unknown values warn once and are
-    ///   ignored),
+    /// * `ULBA_BACKEND` → [`RunConfig::backend`] (`sequential`,
+    ///   `parallel`; unknown values warn once and are ignored),
     /// * `ULBA_WORKERS` → [`RunConfig::workers`],
     /// * `ULBA_HUB_SHARDS` → [`RunConfig::hub_shards`].
     ///
@@ -222,12 +190,6 @@ impl RunConfig {
         self
     }
 
-    /// Override the per-rank thread stack size (threaded backend only).
-    pub fn with_stack_size(mut self, bytes: usize) -> Self {
-        self.stack_size = bytes;
-        self
-    }
-
     /// Set the worker-thread count of the parallel backend (`0` = all
     /// available cores; overrides `ULBA_WORKERS`).
     pub fn with_workers(mut self, workers: usize) -> Self {
@@ -245,12 +207,35 @@ impl RunConfig {
     }
 
     /// Submit this run to an existing [`JobServer`] instead of the default
-    /// global one. Implies [`Backend::Parallel`] (the other backends don't
-    /// use a pool).
+    /// global one. Implies [`Backend::Parallel`] (the sequential scheduler
+    /// uses no pool); a later [`RunConfig::with_backend`] overrides that.
     pub fn with_server(mut self, server: JobServer) -> Self {
         self.server = Some(server);
         self.backend = Backend::Parallel;
         self
+    }
+
+    /// The configuration an application's optional knobs resolve to —
+    /// the one place `Option<Backend>` + server target + environment become
+    /// an effective backend (see the [module docs](self)): an explicit
+    /// `backend` wins; otherwise a `server` target means that pool;
+    /// otherwise `ULBA_BACKEND`; else the global pool. `workers` and
+    /// `hub_shards` override their `ULBA_*` variables when set.
+    pub fn resolve(
+        ranks: usize,
+        backend: Option<Backend>,
+        workers: Option<usize>,
+        hub_shards: Option<usize>,
+        server: Option<JobServer>,
+    ) -> Self {
+        let mut config = Self::new(ranks);
+        config.workers = workers.unwrap_or(config.workers);
+        config.hub_shards = hub_shards.unwrap_or(config.hub_shards);
+        if let Some(server) = server {
+            config = config.with_server(server);
+        }
+        config.backend = backend.unwrap_or(config.backend);
+        config
     }
 
     /// Set the job's admission priority on its server (parallel backend
@@ -263,13 +248,12 @@ impl RunConfig {
     /// The hub shard count this configuration resolves to: the explicit
     /// [`RunConfig::hub_shards`] if nonzero, otherwise
     /// `min(effective workers, 64)` — one shard per worker of the parallel
-    /// backend (threaded runs shard by available parallelism; the
-    /// single-threaded sequential scheduler keeps the degenerate single
-    /// shard). Always clamped to `[1, ranks]`.
+    /// backend (the single-threaded sequential scheduler keeps the
+    /// degenerate single shard). Always clamped to `[1, ranks]`.
     pub fn effective_hub_shards(&self) -> usize {
         let auto = || match self.backend {
             Backend::Sequential => 1,
-            Backend::Threaded | Backend::Parallel => exec::server::effective_workers(self).min(64),
+            Backend::Parallel => effective_workers(self).min(64),
         };
         let shards = if self.hub_shards > 0 { self.hub_shards } else { auto() };
         shards.clamp(1, self.ranks.max(1))
@@ -284,23 +268,10 @@ fn env_usize(name: &str) -> Option<usize> {
 /// A structured run failure (instead of a panic deep inside the engine).
 #[derive(Debug)]
 pub enum RunError {
-    /// The threaded backend could not spawn a rank thread — typically the
-    /// OS thread limit or address space at large `P`. The run was aborted
-    /// before any rank executed, so retrying on [`Backend::Sequential`] is
-    /// always safe ([`run`] does exactly that automatically).
-    ThreadSpawn {
-        /// Rank whose thread failed to spawn.
-        rank: usize,
-        /// Total ranks requested.
-        ranks: usize,
-        /// The underlying OS error.
-        source: std::io::Error,
-    },
     /// The program can never finish: some ranks are permanently blocked
     /// (a collective not every rank joins, or a `recv` with no matching
-    /// send). Detected by the sequential and parallel backends — the
-    /// threaded backend hangs in this situation, like a real MPI job.
-    /// [`try_run`] surfaces this error; [`run`] panics on it.
+    /// send). Detected exactly by both backends. [`try_run`] surfaces this
+    /// error; [`run`] panics on it.
     Deadlock {
         /// Id of the deadlocked job (process-unique, starts at 1). On a
         /// shared [`JobServer`] many jobs are in flight at once; the id
@@ -316,7 +287,7 @@ pub enum RunError {
         /// at large `P`.
         shards: Vec<usize>,
     },
-    /// A [`crate::exec::server::JobHandle`] observed its job as finished
+    /// A [`JobHandle`] observed its pool job as finished
     /// but the result slot was already empty — the outcome was consumed
     /// through another path (a raced double-join) or the finalizing worker
     /// died before publishing it. Used to be an `expect` panic inside the
@@ -331,9 +302,6 @@ pub enum RunError {
 impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RunError::ThreadSpawn { rank, ranks, source } => {
-                write!(f, "failed to spawn the thread of rank {rank} (of {ranks}): {source}")
-            }
             RunError::Deadlock { job, blocked, ranks, shards } => {
                 write!(
                     f,
@@ -359,14 +327,7 @@ impl std::fmt::Display for RunError {
     }
 }
 
-impl std::error::Error for RunError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            RunError::ThreadSpawn { source, .. } => Some(source),
-            RunError::Deadlock { .. } | RunError::ResultMissing { .. } => None,
-        }
-    }
-}
+impl std::error::Error for RunError {}
 
 /// Everything measured during a run.
 #[derive(Debug, Clone)]
@@ -423,7 +384,7 @@ pub(crate) struct RunShared {
     progress: AtomicU64,
 }
 
-/// Source of [`RunShared::job_id`]s: every run of any backend draws one.
+/// Source of [`RunShared::job_id`]s: every run of either backend draws one.
 static NEXT_JOB_ID: AtomicU64 = AtomicU64::new(1);
 
 impl RunShared {
@@ -483,84 +444,124 @@ impl RunShared {
     }
 }
 
-/// Run `body` as an SPMD program over `config.ranks` ranks and collect the
-/// report. `body` is invoked once per rank with that rank's [`SpmdCtx`] and
+/// A submitted run; join it for the [`RunReport`]. A pool job is already
+/// running (holding the handle keeps its server's workers alive even if
+/// the [`JobServer`] itself is dropped); a sequential job runs on the
+/// joining thread, inside [`JobHandle::join`].
+pub struct JobHandle {
+    pub(crate) job: Launched,
+}
+
+pub(crate) enum Launched {
+    Pool(PoolJob),
+    Sequential(SequentialJob),
+}
+
+impl std::fmt::Debug for JobHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("JobHandle")
+            .field("job", &self.id())
+            .field("backend", &self.backend())
+            .field("done", &self.is_done())
+            .finish()
+    }
+}
+
+impl JobHandle {
+    /// The job id (process-unique, starts at 1) — the same id tagged onto
+    /// [`RunError::Deadlock`] and hub diagnostics.
+    pub fn id(&self) -> u64 {
+        match &self.job {
+            Launched::Pool(job) => job.id(),
+            Launched::Sequential(job) => job.id(),
+        }
+    }
+
+    /// The backend driving the job: [`Backend::Parallel`] occupies workers
+    /// of a [`JobServer`], [`Backend::Sequential`] never does.
+    pub fn backend(&self) -> Backend {
+        match &self.job {
+            Launched::Pool(_) => Backend::Parallel,
+            Launched::Sequential(_) => Backend::Sequential,
+        }
+    }
+
+    /// Whether the job has finished (successfully or not) without blocking.
+    /// A sequential job only runs inside [`JobHandle::join`], so it never
+    /// has.
+    pub fn is_done(&self) -> bool {
+        match &self.job {
+            Launched::Pool(job) => job.is_done(),
+            Launched::Sequential(_) => false,
+        }
+    }
+
+    /// Finish the job and return its report: block on (or, from one of the
+    /// server's own workers, help drive) a pool job; drive a sequential job
+    /// here and now. A deadlocked job returns [`RunError::Deadlock`] tagged
+    /// with this job's id; a rank panic is resumed on the joining thread
+    /// (lowest rank wins).
+    pub fn join(self) -> Result<RunReport, RunError> {
+        match self.job {
+            Launched::Pool(job) => job.join(),
+            Launched::Sequential(job) => job.drive(),
+        }
+    }
+}
+
+/// Launch `body` as an SPMD program over `config.ranks` ranks — the one
+/// path from a [`RunConfig`] to a running job (the [module docs](self) say
+/// where it runs; a transient private pool lives as long as the handle,
+/// and [`Backend::Sequential`] ignores any [`RunConfig::server`]).
+///
+/// `body` is invoked once per rank, here, with that rank's [`SpmdCtx`] and
 /// returns the rank's program as a future; operations that synchronize with
 /// other ranks (`recv`, `barrier`, collectives) are `async` and suspend at
-/// the synchronization point, which is what lets the cooperative backends
-/// interleave thousands of ranks over few threads (rank futures migrate
-/// between a job server's workers, hence the `Send + 'static` bounds — a
-/// rank program owns its data).
+/// the synchronization point, which is what lets either scheduler
+/// interleave thousands of ranks over few threads (rank futures outlive
+/// this call and migrate between a server's workers, hence the
+/// `Send + 'static` bounds — a rank program owns its data).
+pub fn submit<F, Fut>(config: RunConfig, body: F) -> JobHandle
+where
+    F: Fn(SpmdCtx) -> Fut,
+    Fut: Future<Output = ()> + Send + 'static,
+{
+    if config.backend == Backend::Sequential {
+        return JobHandle { job: Launched::Sequential(SequentialJob::new(&config, body)) };
+    }
+    let server = match &config.server {
+        Some(server) => server.clone(),
+        None if config.workers == 0 => JobServer::global().clone(),
+        None => JobServer::new(effective_workers(&config)),
+    };
+    server.submit(config, body)
+}
+
+/// [`submit`] and join: run `body` to completion and collect the report.
 ///
 /// # Failure contract
 ///
 /// Panics in any rank propagate after the run is wound down (the panic
-/// payload of the lowest-ranked failing rank is resumed). If the threaded
-/// backend cannot spawn its rank threads (OS thread limits at large `P`),
-/// the run transparently falls back to the sequential backend. A
-/// deadlocked program — detected exactly by the sequential and parallel
-/// backends; the threaded backend hangs like a real MPI job — **panics**
-/// with the full [`RunError::Deadlock`] diagnostic: the job id, the
-/// blocked ranks, and the hub shards holding them. Use [`try_run`] to
-/// observe either failure as a structured [`RunError`] instead.
+/// payload of the lowest-ranked failing rank is resumed). A deadlocked
+/// program **panics** with the full [`RunError::Deadlock`] diagnostic: the
+/// job id, the blocked ranks, and the hub shards holding them. Use
+/// [`try_run`] to observe it as a structured [`RunError`] instead.
 pub fn run<F, Fut>(config: RunConfig, body: F) -> RunReport
 where
-    F: Fn(SpmdCtx) -> Fut + Sync,
+    F: Fn(SpmdCtx) -> Fut,
     Fut: Future<Output = ()> + Send + 'static,
 {
-    match config.backend {
-        Backend::Threaded => {
-            let shared = RunShared::new(&config);
-            match exec::threaded::execute(&shared, &config, &body) {
-                Ok(()) => shared.build_report(),
-                Err(err) => {
-                    eprintln!("ulba-runtime: {err}; falling back to the sequential backend");
-                    run_sequential(&config, &body).unwrap_or_else(|err| panic!("{err}"))
-                }
-            }
-        }
-        Backend::Sequential => run_sequential(&config, &body).unwrap_or_else(|err| panic!("{err}")),
-        Backend::Parallel => {
-            exec::server::execute(&config, &body).unwrap_or_else(|err| panic!("{err}"))
-        }
-    }
+    try_run(config, body).unwrap_or_else(|err| panic!("{err}"))
 }
 
-/// Like [`run`], but reports backend failures as a structured [`RunError`]
-/// instead of falling back or panicking:
-///
-/// * thread-spawn exhaustion on the threaded backend →
-///   [`RunError::ThreadSpawn`] (no sequential fallback is attempted);
-/// * deadlock on the sequential/parallel backends →
-///   [`RunError::Deadlock`], tagged with the job id and the hub shards of
-///   the blocked ranks.
-///
-/// Rank panics are **not** converted: they resume on the calling thread,
-/// exactly as under [`run`].
+/// Like [`run`], but reports a deadlock as [`RunError::Deadlock`] — tagged
+/// with the job id and the hub shards of the blocked ranks — instead of
+/// panicking. Rank panics are **not** converted: they resume on the
+/// calling thread, exactly as under [`run`].
 pub fn try_run<F, Fut>(config: RunConfig, body: F) -> Result<RunReport, RunError>
 where
-    F: Fn(SpmdCtx) -> Fut + Sync,
+    F: Fn(SpmdCtx) -> Fut,
     Fut: Future<Output = ()> + Send + 'static,
 {
-    match config.backend {
-        Backend::Threaded => {
-            let shared = RunShared::new(&config);
-            exec::threaded::execute(&shared, &config, &body)?;
-            Ok(shared.build_report())
-        }
-        Backend::Sequential => run_sequential(&config, &body),
-        Backend::Parallel => exec::server::execute(&config, &body),
-    }
-}
-
-/// Drive a run on the single-threaded lockstep scheduler.
-fn run_sequential<F, Fut>(config: &RunConfig, body: &F) -> Result<RunReport, RunError>
-where
-    F: Fn(SpmdCtx) -> Fut,
-    Fut: Future<Output = ()>,
-{
-    assert!(config.ranks >= 1, "need at least one rank");
-    let shared = RunShared::new(config);
-    exec::sequential::execute(&shared, config, body)?;
-    Ok(shared.build_report())
+    submit(config, body).join()
 }

@@ -1,22 +1,13 @@
-//! Pluggable execution backends.
+//! The two schedulers behind [`crate::engine::submit`]: [`server`] (the
+//! work-stealing [`server::JobServer`] that `Backend::Parallel` runs are
+//! jobs on) and [`sequential`] (round-robin on the joining thread).
 //!
-//! A backend's job is narrow: create one [`crate::ctx::SpmdCtx`] per rank,
-//! drive each rank's program future to completion, and get out of the way —
+//! A scheduler's job is narrow: create one [`crate::ctx::SpmdCtx`] per rank,
+//! poll each rank's program future to completion, and get out of the way —
 //! all virtual-time accounting, collective semantics, and message matching
-//! live in the backend-agnostic [`crate::hub`], [`crate::mailbox`] and
-//! [`crate::ctx`] layers. Three strategies are provided:
-//!
-//! * [`threaded`] — one OS thread per rank; ctx operations block the thread
-//!   on condvars, so each rank future completes in a single poll.
-//! * [`sequential`] — a single-threaded cooperative scheduler; ctx
-//!   operations return [`std::task::Poll::Pending`] at synchronization
-//!   points and the scheduler round-robins all ranks until everyone
-//!   finishes.
-//! * [`server`] — a long-lived work-stealing pool ([`server::JobServer`])
-//!   that admits many concurrent jobs; blocked ranks park their wakers in
-//!   their job's hub/mailbox and are re-queued by the deposit/post that
-//!   unblocks them. `Backend::Parallel` runs submit to a server.
+//! live in the [`crate::hub`], [`crate::mailbox`] and [`crate::ctx`] layers,
+//! whose operations return [`std::task::Poll::Pending`] at synchronization
+//! points and never block a thread.
 
 pub(crate) mod sequential;
 pub(crate) mod server;
-pub(crate) mod threaded;

@@ -1,8 +1,7 @@
 //! The job server: a long-lived work-stealing pool that admits many
 //! concurrent SPMD jobs.
 //!
-//! Where the old parallel backend built a private pool per run, a
-//! [`JobServer`] owns `M` worker threads for its whole lifetime and
+//! A [`JobServer`] owns `M` worker threads for its whole lifetime and
 //! multiplexes any number of submitted jobs over them:
 //!
 //! * [`JobServer::submit`] turns a [`RunConfig`] + rank body into a [`Job`]
@@ -37,7 +36,7 @@
 //! the same pool keep running.
 
 use crate::ctx::SpmdCtx;
-use crate::engine::{RunConfig, RunError, RunReport, RunShared};
+use crate::engine::{JobHandle, Launched, RunConfig, RunError, RunReport, RunShared};
 use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::cell::RefCell;
@@ -115,7 +114,7 @@ impl std::str::FromStr for Priority {
 
 /// A rank future of one job, type-erased so jobs of different body types
 /// share one pool ([`JobServer::submit`] boxes each rank's future).
-type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send>>;
+pub(crate) type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send>>;
 
 /// One queue entry: which job, which of its tasks.
 type TaskRef = (Arc<Job>, usize);
@@ -173,8 +172,7 @@ struct Job {
     cancelled: AtomicBool,
     /// Guards [`finalize`] against the benign last-decrement races.
     finalized: AtomicBool,
-    /// First panic payload observed (lowest task id wins, like the
-    /// threaded backend's lowest-ranked failing thread).
+    /// First panic payload observed (lowest task id wins).
     panics: Mutex<Option<(usize, Box<dyn Any + Send>)>>,
     /// One waker per task for the whole run (polls and hub/mailbox parks
     /// only clone it), keeping Arc churn off the hottest scheduler path.
@@ -215,9 +213,8 @@ type DeferredWake = (Arc<ServerCore>, Arc<Job>, usize);
 /// server: the state transitions (which deduplicate concurrent wakes) still
 /// happen one by one, but all resulting run-queue insertions of one server
 /// land under a single queue lock, and sleeping workers are roused once per
-/// batch instead of once per task. Wakers of other backends (no-op wakers
-/// of the sequential scheduler, thread unparkers of the threaded backend)
-/// are simply woken in order.
+/// batch instead of once per task. Other wakers (the sequential
+/// scheduler's no-op waker) are simply woken in order.
 pub(crate) fn wake_batched(wakers: Vec<Waker>) {
     if wakers.len() <= 1 {
         for waker in wakers {
@@ -629,11 +626,11 @@ impl Drop for ServerGuard {
 /// jobs. Cloning is cheap and shares the pool; the worker threads exit when
 /// the last clone and the last outstanding [`JobHandle`] are dropped.
 ///
-/// [`crate::run`]/[`crate::try_run`] with [`crate::Backend::Parallel`] are
-/// thin wrappers over a server: an explicit one
-/// ([`crate::RunConfig::with_server`]), the process-wide default
-/// ([`JobServer::global`]) when no worker count is forced, or a transient
-/// private pool when one is ([`crate::RunConfig::with_workers`]).
+/// [`crate::submit`] routes every [`crate::Backend::Parallel`] run to a
+/// server: an explicit one ([`crate::RunConfig::with_server`]), the
+/// process-wide default ([`JobServer::global`]) when no worker count is
+/// forced, or a transient private pool when one is
+/// ([`crate::RunConfig::with_workers`]).
 #[derive(Clone)]
 pub struct JobServer {
     core: Arc<ServerCore>,
@@ -702,7 +699,7 @@ impl JobServer {
     /// Submit `body` as an SPMD job over `config.ranks` ranks; returns
     /// immediately with a handle. The job runs on this server's workers
     /// regardless of `config.backend`, at `config.priority`, with its own
-    /// hub/mailbox namespace and job id. See [`crate::run`] for the body
+    /// hub/mailbox namespace and job id. See [`crate::submit`] for the body
     /// contract; the future must be `'static` because it outlives the
     /// submitting stack frame.
     pub fn submit<F, Fut>(&self, config: RunConfig, body: F) -> JobHandle
@@ -718,13 +715,7 @@ impl JobServer {
             priority: config.priority,
             slots: (0..ranks)
                 .map(|rank| {
-                    let ctx = SpmdCtx::new(
-                        rank,
-                        ranks,
-                        Arc::clone(&shared),
-                        false,
-                        config.tracer.clone(),
-                    );
+                    let ctx = SpmdCtx::new(rank, ranks, Arc::clone(&shared), config.tracer.clone());
                     Mutex::new(Some(Box::pin(body(ctx)) as BoxFuture))
                 })
                 .collect(),
@@ -749,47 +740,33 @@ impl JobServer {
             shared,
         });
         self.core.seed(&job);
-        JobHandle { core, job, _guard: Arc::clone(&self.guard) }
+        JobHandle { job: Launched::Pool(PoolJob { core, job, _guard: Arc::clone(&self.guard) }) }
     }
 }
 
-/// An in-flight job on a [`JobServer`]; join it for the [`RunReport`].
-/// Holding the handle keeps the server's workers alive even if the server
-/// itself is dropped.
-pub struct JobHandle {
+/// An in-flight job on a [`JobServer`] — the pool half of a [`JobHandle`].
+/// Holding it keeps the server's workers alive even if the server itself
+/// is dropped.
+pub(crate) struct PoolJob {
     core: Arc<ServerCore>,
     job: Arc<Job>,
     _guard: Arc<ServerGuard>,
 }
 
-impl std::fmt::Debug for JobHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobHandle")
-            .field("job", &self.id())
-            .field("done", &self.job.done.load(Ordering::Acquire))
-            .finish()
-    }
-}
-
-impl JobHandle {
-    /// The job id (process-unique, starts at 1) — the same id tagged onto
-    /// [`RunError::Deadlock`] and hub diagnostics.
-    pub fn id(&self) -> u64 {
+impl PoolJob {
+    pub(crate) fn id(&self) -> u64 {
         self.job.shared.job_id()
     }
 
-    /// Whether the job has finished (successfully or not) without blocking.
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.job.done.load(Ordering::Acquire)
     }
 
-    /// Block until the job finishes and return its report. A deadlocked
-    /// job returns [`RunError::Deadlock`] tagged with this job's id; a
-    /// rank panic is resumed on the joining thread (lowest rank wins). If
-    /// the joining thread is itself one of this server's workers (a rank
-    /// body submitting nested jobs), it helps drive the pool instead of
+    /// Block until the job finishes and return its report. If the joining
+    /// thread is itself one of this server's workers (a rank body
+    /// submitting nested jobs), it helps drive the pool instead of
     /// blocking it.
-    pub fn join(self) -> Result<RunReport, RunError> {
+    pub(crate) fn join(self) -> Result<RunReport, RunError> {
         let me = CURRENT_WORKER.with(|cw| {
             cw.borrow().as_ref().and_then(|(core, idx)| {
                 core.upgrade().filter(|c| Arc::ptr_eq(c, &self.core)).map(|_| *idx)
@@ -859,22 +836,6 @@ pub(crate) fn effective_workers(config: &RunConfig) -> usize {
     requested.clamp(1, config.ranks)
 }
 
-/// [`crate::Backend::Parallel`] entry point: route the run to a server —
-/// the explicitly targeted one, the process-wide default, or a transient
-/// private pool when a worker count is forced — and join it.
-pub(crate) fn execute<F, Fut>(config: &RunConfig, body: F) -> Result<RunReport, RunError>
-where
-    F: Fn(SpmdCtx) -> Fut,
-    Fut: Future<Output = ()> + Send + 'static,
-{
-    let handle = match &config.server {
-        Some(server) => server.submit(config.clone(), body),
-        None if config.workers == 0 => JobServer::global().submit(config.clone(), body),
-        None => JobServer::new(effective_workers(config)).submit(config.clone(), body),
-    };
-    handle.join()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -888,6 +849,9 @@ mod tests {
         let handle = server.submit(RunConfig::new(2), |mut ctx| async move {
             ctx.barrier().await;
         });
+        let Launched::Pool(handle) = handle.job else {
+            unreachable!("a server's jobs are pool jobs")
+        };
         while !handle.is_done() {
             std::thread::yield_now();
         }

@@ -25,29 +25,24 @@
 //! of a shard propagates up, and the globally last drain reopens entry on
 //! every shard for the next generation.
 //!
-//! The hub itself stays **backend-agnostic**: the shard state machine
+//! The hub never blocks a thread: the shard state machine
 //! ([`ShardState::deposit`] / [`ShardState::collect`]) is pure bookkeeping
-//! over the deposited values, and the execution backends drive it with
-//! different waiting strategies — the threaded backend blocks on the
-//! shard's condvar ([`Hub::exchange`]), while the cooperative backends
-//! (sequential and parallel) poll the non-blocking [`Hub::poll_deposit`] /
-//! [`Hub::poll_collect`] pair and never block at all. A cooperative caller
-//! leaves its [`Waker`] behind in its shard whenever it cannot progress;
-//! the state transition that unblocks it — the round completing on the
-//! last deposit, or entry reopening on the last drain — wakes every parked
-//! waker of every shard (batched shard-by-shard through
-//! [`crate::exec::server::wake_batched`], so the job server moves a
-//! whole shard's worth of ranks onto a run queue under one lock), which is
-//! what lets the parallel backend sleep blocked ranks instead of spinning
-//! them (the sequential scheduler passes a no-op waker and keeps
-//! round-robining).
+//! over the deposited values, driven through the [`Hub::poll_deposit`] /
+//! [`Hub::poll_collect`] pair. A caller leaves its [`Waker`] behind in its
+//! shard whenever it cannot progress; the state transition that unblocks
+//! it — the round completing on the last deposit, or entry reopening on
+//! the last drain — wakes every parked waker of every shard (batched
+//! shard-by-shard through [`crate::exec::server::wake_batched`], so the
+//! job server moves a whole shard's worth of ranks onto a run queue under
+//! one lock), which is what lets the job server sleep blocked ranks
+//! instead of spinning them (the sequential scheduler passes a no-op waker
+//! and keeps round-robining).
 //!
 //! The completed round is **one shared object** ([`RoundValues`]): every
 //! rank collects a handle to it, not a copy. It carries a compute-once
 //! slot ([`RoundValues::reduce_once`]), so a reduction over the round is
 //! folded by the first rank that asks and merely cloned by the others —
-//! `O(P)` host work per round rather than per rank, under any of the
-//! waiting strategies above.
+//! `O(P)` host work per round rather than per rank.
 //!
 //! A hub belongs to exactly one run (its *job*): [`Hub::for_job`] stamps
 //! the job id into every collective-mismatch diagnostic, so when many jobs
@@ -57,7 +52,7 @@
 
 use crate::exec::server::wake_batched;
 use crate::time::VirtualTime;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::ops::Index;
@@ -254,8 +249,8 @@ struct ShardState {
     /// Cleared `Vec<Option<T>>` deposit buffers keyed by element type.
     spare_deposits: HashMap<TypeId, Box<dyn Any + Send>>,
     departed: usize,
-    /// Wakers of cooperatively scheduled ranks parked at the rendezvous
-    /// (waiting either for the round to complete or for entry to reopen),
+    /// Wakers of the ranks parked at the rendezvous (waiting either for
+    /// the round to complete or for entry to reopen),
     /// indexed locally. A rank runs one operation at a time, so one slot
     /// per rank suffices.
     wakers: Vec<Option<Waker>>,
@@ -424,9 +419,6 @@ struct Shard {
     /// tree root (single-shard hub).
     parent: Option<usize>,
     state: Mutex<ShardState>,
-    /// Blocking-mode waiters of this shard (threaded backend): both the
-    /// entry guard and the round-completion wait park here.
-    cond: Condvar,
 }
 
 /// Internal reduction-tree node: fan-in counters for round completion and
@@ -483,12 +475,7 @@ impl Hub {
             .map(|s| {
                 let base = s * shard_width;
                 let width = shard_width.min(size - base);
-                Shard {
-                    base,
-                    parent: None,
-                    state: Mutex::new(ShardState::new(width, job)),
-                    cond: Condvar::new(),
-                }
+                Shard { base, parent: None, state: Mutex::new(ShardState::new(width, job)) }
             })
             .collect();
 
@@ -605,7 +592,6 @@ impl Hub {
             st.result = Some(Box::new(values.clone()));
             st.result_max_clock = max_clock;
             to_wake.extend(st.take_wakers());
-            shard.cond.notify_all();
         }
         to_wake
     }
@@ -631,76 +617,17 @@ impl Hub {
             st.generation += 1;
             st.entry_open = true;
             to_wake.extend(st.take_wakers());
-            shard.cond.notify_all();
         }
         to_wake
     }
 
-    /// Perform one all-to-all exchange, **blocking** the calling OS thread
-    /// (the threaded backend's waiting strategy). Every rank must call this
-    /// with the same value type `T` and the same `op_name`; mismatches
-    /// indicate a collective-ordering bug in the application and panic with
-    /// a diagnostic. Blocks until all ranks of the current generation
-    /// arrive.
-    pub fn exchange<T: Send + Sync + 'static>(
-        &self,
-        rank: usize,
-        op_name: &'static str,
-        value: T,
-        clock: VirtualTime,
-    ) -> ExchangeRound<T> {
-        assert!(rank < self.size, "rank {rank} out of range (size {})", self.size);
-        self.exchange_in_shard(self.shard_of(rank), rank, op_name, value, clock)
-    }
-
-    /// [`Hub::exchange`] with the shard precomputed (the per-rank
-    /// [`crate::ctx::SpmdCtx`] caches it for the whole run).
-    pub(crate) fn exchange_in_shard<T: Send + Sync + 'static>(
-        &self,
-        shard_idx: usize,
-        rank: usize,
-        op_name: &'static str,
-        value: T,
-        clock: VirtualTime,
-    ) -> ExchangeRound<T> {
-        let shard = &self.shards[shard_idx];
-        let local = rank - shard.base;
-        let mut st = shard.state.lock();
-
-        // Entry guard: the previous round must be fully drained.
-        while !st.entry_open {
-            shard.cond.wait(&mut st);
-        }
-        let mut to_wake = Vec::new();
-        if st.deposit(local, rank, op_name, value, clock) {
-            // Last of the shard: report up the tree, outside the shard lock
-            // (the root assembly revisits every shard, including this one).
-            drop(st);
-            if self.propagate(shard.parent, |n| &n.arrived) {
-                to_wake = self.complete_round::<T>(op_name);
-            }
-            st = shard.state.lock();
-        }
-        while st.result.is_none() {
-            shard.cond.wait(&mut st);
-        }
-
-        // Drain phase: read the distributed result.
-        let (round, shard_drained) = st.collect(op_name).expect("result present after wait");
-        drop(st);
-        if shard_drained && self.propagate(shard.parent, |n| &n.drained) {
-            // Globally last out: release the entry-guard waiters of the
-            // next round.
-            to_wake.extend(self.reopen_entry());
-        }
-        wake_batched(to_wake);
-        round
-    }
-
-    /// Non-blocking deposit (the cooperative backends' waiting strategy):
-    /// returns `Err(value)` when the previous round has not been fully
-    /// drained yet, parking `waker` to be woken once entry reopens. On the
-    /// deposit that completes the round, every parked rank is woken.
+    /// Deposit `value` into the current round. Every rank must deposit the
+    /// same value type `T` under the same `op_name`; mismatches indicate a
+    /// collective-ordering bug in the application and panic with a
+    /// diagnostic. Returns `Err(value)` when the previous round has not
+    /// been fully drained yet, parking `waker` to be woken once entry
+    /// reopens. On the deposit that completes the round, every parked rank
+    /// is woken.
     pub(crate) fn poll_deposit<T: Send + Sync + 'static>(
         &self,
         shard_idx: usize,
@@ -728,9 +655,9 @@ impl Hub {
         Ok(())
     }
 
-    /// Non-blocking collect: `None` while ranks are still missing from the
-    /// round (parking `waker` until the round completes). Must be called at
-    /// most once (until `Some`) per deposit. The last rank to drain reopens
+    /// Collect the round: `None` while ranks are still missing from it
+    /// (parking `waker` until the round completes). Must be called at most
+    /// once (until `Some`) per deposit. The last rank to drain reopens
     /// entry and wakes every rank parked on the entry guard.
     pub(crate) fn poll_collect<T: Send + Sync + 'static>(
         &self,
@@ -762,7 +689,26 @@ impl Hub {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
+
+    /// One full round, single-threaded, the way the schedulers drive it:
+    /// every rank deposits its `(value, clock)` in rank order, then every
+    /// rank collects. Returns each rank's view of the round.
+    fn exchange_all<T: Send + Sync + 'static>(
+        hub: &Hub,
+        op: &'static str,
+        deposits: impl IntoIterator<Item = (T, VirtualTime)>,
+    ) -> Vec<ExchangeRound<T>> {
+        let noop = Waker::noop();
+        for (rank, (value, clock)) in deposits.into_iter().enumerate() {
+            let accepted = hub.poll_deposit(hub.shard_of(rank), rank, op, value, clock, noop);
+            assert!(accepted.is_ok(), "rank {rank}: previous round fully drained");
+        }
+        (0..hub.size())
+            .map(|rank| {
+                hub.poll_collect(hub.shard_of(rank), rank, op, noop).expect("round complete")
+            })
+            .collect()
+    }
 
     /// Shard counts exercised by every sharded test: degenerate, even
     /// split, ragged (non-dividing), and fully sharded (one rank each).
@@ -776,9 +722,9 @@ mod tests {
     #[test]
     fn single_rank_exchange_is_immediate() {
         let hub = Hub::new(1);
-        let round = hub.exchange(0, "test", 42u32, VirtualTime::from_secs(1.0));
-        assert_eq!(round.values, vec![42]);
-        assert_eq!(round.max_clock.as_secs(), 1.0);
+        let rounds = exchange_all(&hub, "test", [(42u32, VirtualTime::from_secs(1.0))]);
+        assert_eq!(rounds[0].values, vec![42]);
+        assert_eq!(rounds[0].max_clock.as_secs(), 1.0);
     }
 
     #[test]
@@ -804,21 +750,11 @@ mod tests {
     fn values_are_rank_indexed() {
         for shards in shard_sweep(8) {
             let hub = Hub::with_shards(8, shards);
-            thread::scope(|s| {
-                for rank in 0..8usize {
-                    let hub = &hub;
-                    s.spawn(move || {
-                        let round = hub.exchange(
-                            rank,
-                            "gather-ranks",
-                            rank * 10,
-                            VirtualTime::from_secs(rank as f64),
-                        );
-                        assert_eq!(round.values, (0..8).map(|r| r * 10).collect::<Vec<_>>());
-                        assert_eq!(round.max_clock.as_secs(), 7.0);
-                    });
-                }
-            });
+            let deposits = (0..8usize).map(|r| (r * 10, VirtualTime::from_secs(r as f64)));
+            for round in exchange_all(&hub, "gather-ranks", deposits) {
+                assert_eq!(round.values, (0..8).map(|r| r * 10).collect::<Vec<_>>());
+                assert_eq!(round.max_clock.as_secs(), 7.0);
+            }
         }
     }
 
@@ -828,40 +764,25 @@ mod tests {
         let hub = Hub::with_shards(10, 4);
         assert_eq!(hub.shard_count(), 4);
         assert_eq!(hub.shard_of(9), 3);
-        thread::scope(|s| {
-            for rank in 0..10usize {
-                let hub = &hub;
-                s.spawn(move || {
-                    let round = hub.exchange(rank, "ragged", rank as u64, VirtualTime::ZERO);
-                    assert_eq!(round.values, (0..10u64).collect::<Vec<_>>());
-                });
-            }
-        });
+        for round in exchange_all(&hub, "ragged", (0..10u64).map(|r| (r, VirtualTime::ZERO))) {
+            assert_eq!(round.values, (0..10u64).collect::<Vec<_>>());
+        }
     }
 
     #[test]
     fn consecutive_rounds_do_not_mix() {
         for shards in shard_sweep(4) {
             let hub = Hub::with_shards(4, shards);
-            thread::scope(|s| {
-                for rank in 0..4usize {
-                    let hub = &hub;
-                    s.spawn(move || {
-                        for round_idx in 0..100u64 {
-                            let round = hub.exchange(
-                                rank,
-                                "loop",
-                                (rank as u64, round_idx),
-                                VirtualTime::from_secs(round_idx as f64),
-                            );
-                            for (r, &(vr, vi)) in round.values.iter().enumerate() {
-                                assert_eq!(vr, r as u64);
-                                assert_eq!(vi, round_idx, "round {round_idx} mixed with {vi}");
-                            }
-                        }
-                    });
+            for round_idx in 0..100u64 {
+                let clock = VirtualTime::from_secs(round_idx as f64);
+                let deposits = (0..4u64).map(|r| ((r, round_idx), clock));
+                for round in exchange_all(&hub, "loop", deposits) {
+                    for (r, &(vr, vi)) in round.values.iter().enumerate() {
+                        assert_eq!(vr, r as u64);
+                        assert_eq!(vi, round_idx, "round {round_idx} mixed with {vi}");
+                    }
                 }
-            });
+            }
         }
     }
 
@@ -869,16 +790,10 @@ mod tests {
     fn max_clock_is_maximum_of_deposits() {
         for shards in shard_sweep(3) {
             let hub = Hub::with_shards(3, shards);
-            thread::scope(|s| {
-                for rank in 0..3usize {
-                    let hub = &hub;
-                    s.spawn(move || {
-                        let clock = VirtualTime::from_secs([0.5, 9.25, 3.0][rank]);
-                        let round = hub.exchange(rank, "clocks", (), clock);
-                        assert_eq!(round.max_clock.as_secs(), 9.25);
-                    });
-                }
-            });
+            let deposits = [0.5, 9.25, 3.0].map(|secs| ((), VirtualTime::from_secs(secs)));
+            for round in exchange_all(&hub, "clocks", deposits) {
+                assert_eq!(round.max_clock.as_secs(), 9.25);
+            }
         }
     }
 
@@ -887,17 +802,11 @@ mod tests {
         // 64 ranks over 32 shards: two internal tree levels (32 → 8 → 2 → 1).
         let hub = Hub::with_shards(64, 32);
         assert_eq!(hub.shard_count(), 32);
-        thread::scope(|s| {
-            for rank in 0..64usize {
-                let hub = &hub;
-                s.spawn(move || {
-                    let payload = vec![rank as u8; 1024];
-                    let round = hub.exchange(rank, "heavy", payload, VirtualTime::ZERO);
-                    assert_eq!(round.values.len(), 64);
-                    assert_eq!(round.values[17][0], 17);
-                });
-            }
-        });
+        let deposits = (0..64usize).map(|r| (vec![r as u8; 1024], VirtualTime::ZERO));
+        for round in exchange_all(&hub, "heavy", deposits) {
+            assert_eq!(round.values.len(), 64);
+            assert_eq!(round.values[17][0], 17);
+        }
     }
 
     #[test]
@@ -1010,27 +919,16 @@ mod tests {
         let rounds = 25u64;
         let run = |shards: usize| -> Vec<(Vec<u64>, f64)> {
             let hub = Hub::with_shards(size, shards);
-            let out = Mutex::new(Vec::new());
-            thread::scope(|s| {
-                for rank in 0..size {
-                    let hub = &hub;
-                    let out = &out;
-                    s.spawn(move || {
-                        for g in 0..rounds {
-                            let round = hub.exchange(
-                                rank,
-                                "agree",
-                                rank as u64 * 1000 + g,
-                                VirtualTime::from_secs((rank as f64) * 0.25 + g as f64),
-                            );
-                            if rank == 0 {
-                                out.lock().push((round.values.to_vec(), round.max_clock.as_secs()));
-                            }
-                        }
+            (0..rounds)
+                .map(|g| {
+                    let deposits = (0..size).map(|rank| {
+                        let clock = VirtualTime::from_secs((rank as f64) * 0.25 + g as f64);
+                        (rank as u64 * 1000 + g, clock)
                     });
-                }
-            });
-            out.into_inner()
+                    let round = exchange_all(&hub, "agree", deposits).swap_remove(0);
+                    (round.values.to_vec(), round.max_clock.as_secs())
+                })
+                .collect()
         };
         let reference = run(1);
         for shards in [2usize, 3, 4, 7, 10] {

@@ -1,5 +1,4 @@
-//! `ulba-runtime` — a virtual-time SPMD distributed-memory runtime with
-//! pluggable execution backends.
+//! `ulba-runtime` — a virtual-time SPMD distributed-memory runtime.
 //!
 //! Boulmier et al. (CLUSTER 2019) evaluated ULBA with MPI on a physical
 //! cluster. This crate is the substitute substrate: it runs an SPMD program
@@ -11,29 +10,18 @@
 //! bulk-synchronous machine, but deterministic and independent of how many
 //! physical cores run the simulation.
 //!
-//! # Execution backends
+//! # Execution
 //!
 //! Rank programs are `async`: operations that synchronize with other ranks
-//! (`recv`, `barrier`, collectives) are await points, which lets the
-//! execution strategy be chosen per run ([`RunConfig::with_backend`], or
-//! the `ULBA_BACKEND` environment variable):
-//!
-//! * [`Backend::Threaded`] (default) — one OS thread per rank, blocking
-//!   rendezvous. Real parallelism for CPU-heavy rank bodies, but OS thread
-//!   limits cap it at a few thousand ranks.
-//! * [`Backend::Sequential`] — a single-threaded lockstep (discrete-event)
-//!   scheduler that runs each rank's program slice-by-slice between
-//!   synchronization points. No threads and no blocking, so it scales to
-//!   tens of thousands of ranks (`P ≥ 16384`) and detects deadlocks
-//!   instead of hanging.
-//! * [`Backend::Parallel`] — submit the run as a job to a work-stealing
-//!   [`JobServer`] (`M` worker threads, [`RunConfig::with_workers`] /
-//!   `ULBA_WORKERS`; default: the process-wide [`JobServer::global`] sized
-//!   to all cores) driving all rank futures; ranks blocked at a
-//!   synchronization point park their wakers in their job's hub/mailbox
-//!   and are re-queued by the deposit/post that unblocks them. Combines
-//!   sequential's scale with threaded's parallelism: `P = 16384` runs
-//!   multi-core.
+//! (`recv`, `barrier`, collectives) are await points at which the rank's
+//! future suspends — nothing ever blocks a thread. [`submit`] is the one
+//! launch path (a [`RunConfig`] + rank body in, a joinable [`JobHandle`]
+//! out; [`run`] and [`try_run`] are `submit(..).join()`), and the
+//! [`Backend`] only decides who polls the futures: a work-stealing
+//! [`JobServer`] ([`Backend::Parallel`], the default — `P = 16384` runs
+//! multi-core) or a single-threaded lockstep scheduler on the joining
+//! thread ([`Backend::Sequential`], the deterministic oracle). See
+//! [`engine`] for both and for the rule that picks one.
 //!
 //! One [`JobServer`] admits **many concurrent jobs**: each gets its own
 //! hub/mailbox namespace and job id, admission is priority-ordered
@@ -49,14 +37,11 @@
 //! combine up a fixed-arity reduction tree, so at `P = 16384` a deposit
 //! contends with `P/S` ranks instead of all of them.
 //!
-//! All backends drive the same accounting, collective semantics, and
+//! Both backends drive the same accounting, collective semantics, and
 //! message matching, so they produce **bit-identical** [`RunReport`]s —
-//! for any backend **and any hub shard count**.
-//! If the threaded backend cannot spawn its rank threads (large `P`),
-//! [`run`] transparently falls back to the sequential backend;
-//! [`try_run`] surfaces the failure as a [`RunError`] instead. Deadlocked
-//! programs are detected by the sequential and parallel backends and
-//! reported as [`RunError::Deadlock`] (or a panic from [`run`]).
+//! for either backend **and any hub shard count** — and both detect a
+//! deadlocked program exactly, reporting it as [`RunError::Deadlock`] (or
+//! a panic from [`run`]).
 //!
 //! # Example
 //!
@@ -90,8 +75,8 @@ pub mod trace;
 
 pub use cost::MachineSpec;
 pub use ctx::SpmdCtx;
-pub use engine::{run, try_run, Backend, RunConfig, RunError, RunReport};
-pub use exec::server::{JobHandle, JobServer, Priority};
+pub use engine::{run, submit, try_run, Backend, JobHandle, RunConfig, RunError, RunReport};
+pub use exec::server::{JobServer, Priority};
 pub use hub::RoundValues;
 pub use mailbox::Tag;
 pub use metrics::{IterationStats, RankMetrics, TimeKind};
@@ -281,7 +266,7 @@ mod tests {
 
     #[test]
     fn many_ranks_smoke() {
-        // 128 rank threads on one core: correctness, not speed.
+        // 128 ranks on the default pool: correctness, not speed.
         let report = run(RunConfig::new(128), |mut ctx| async move {
             let sum = ctx.allreduce_sum(1.0).await;
             assert_eq!(sum, 128.0);
@@ -342,19 +327,19 @@ mod tests {
 
     #[test]
     fn backends_produce_bit_identical_reports() {
-        let threaded = run(RunConfig::new(9).with_backend(Backend::Threaded), mixed_body);
+        let reference = run(RunConfig::new(9).with_backend(Backend::Sequential), mixed_body);
         for backend in [Backend::Sequential, Backend::Parallel] {
-            let other = run(RunConfig::new(9).with_backend(backend), mixed_body);
+            let other = run(RunConfig::new(9).with_backend(backend).with_hub_shards(3), mixed_body);
             assert_eq!(
-                threaded.makespan().as_secs().to_bits(),
+                reference.makespan().as_secs().to_bits(),
                 other.makespan().as_secs().to_bits(),
                 "{backend} makespan"
             );
-            assert_eq!(threaded.rank_metrics, other.rank_metrics, "{backend}");
-            assert_eq!(threaded.final_clocks, other.final_clocks, "{backend}");
-            assert_eq!(threaded.lb_iterations, other.lb_iterations, "{backend}");
-            assert_eq!(threaded.iterations.len(), other.iterations.len(), "{backend}");
-            for (a, b) in threaded.iterations.iter().zip(&other.iterations) {
+            assert_eq!(reference.rank_metrics, other.rank_metrics, "{backend}");
+            assert_eq!(reference.final_clocks, other.final_clocks, "{backend}");
+            assert_eq!(reference.lb_iterations, other.lb_iterations, "{backend}");
+            assert_eq!(reference.iterations.len(), other.iterations.len(), "{backend}");
+            for (a, b) in reference.iterations.iter().zip(&other.iterations) {
                 assert_eq!(a.wall_time.to_bits(), b.wall_time.to_bits());
                 assert_eq!(a.mean_utilization.to_bits(), b.mean_utilization.to_bits());
                 assert_eq!(a.lb_active, b.lb_active);
@@ -364,8 +349,7 @@ mod tests {
 
     #[test]
     fn sequential_scales_to_16384_ranks() {
-        // Far beyond what one-thread-per-rank can do on a default OS
-        // configuration: no threads are spawned at all.
+        // No threads are spawned at all.
         let p = 16384usize;
         let report =
             run(RunConfig::new(p).with_backend(Backend::Sequential), |mut ctx| async move {
@@ -403,8 +387,8 @@ mod tests {
     /// The satellite regression: a mismatched collective (one rank never
     /// joins the barrier) must surface as a structured
     /// [`RunError::Deadlock`] through [`try_run`] naming the stuck ranks —
-    /// on both deadlock-detecting backends, which share one reporting
-    /// path, and for every hub shard count (the blocked set must not
+    /// on both backends, which share one reporting path, and for every
+    /// hub shard count (the blocked set must not
     /// depend on how the rendezvous is sharded).
     #[test]
     fn try_run_reports_deadlock_on_mismatched_collective() {
@@ -457,8 +441,8 @@ mod tests {
 
     #[test]
     fn parallel_scales_to_many_ranks_and_workers() {
-        // More ranks than any sane thread-per-rank setup, driven by a small
-        // worker pool (explicit count: the test machine may have one core).
+        // Many more ranks than workers (explicit count: the test machine may
+        // have one core).
         let p = 4096usize;
         let report = run(
             RunConfig::new(p).with_backend(Backend::Parallel).with_workers(4),
@@ -493,28 +477,43 @@ mod tests {
     }
 
     #[test]
-    fn thread_spawn_failure_returns_structured_error() {
-        // A stack size no OS can map: spawning must fail before any rank
-        // body runs.
-        let config = RunConfig::new(2).with_backend(Backend::Threaded).with_stack_size(1 << 50);
-        match try_run(config, |mut ctx| async move { ctx.barrier().await }) {
-            Err(RunError::ThreadSpawn { rank, ranks, .. }) => {
-                assert_eq!(rank, 0);
-                assert_eq!(ranks, 2);
+    fn default_backend_is_the_pool_and_detects_deadlock() {
+        assert_eq!(RunConfig::defaults(4).backend, Backend::Parallel);
+        // One rank skips the barrier: the default engine reports it.
+        let result = try_run(RunConfig::defaults(2), |mut ctx| async move {
+            if ctx.rank() == 0 {
+                ctx.barrier().await;
             }
-            other => panic!("a 1 PiB stack must not be spawnable, got {other:?}"),
-        }
+        });
+        assert!(matches!(result, Err(RunError::Deadlock { ranks: 2, .. })), "got {result:?}");
     }
 
     #[test]
-    fn run_falls_back_to_sequential_on_spawn_failure() {
-        let config = RunConfig::new(4).with_backend(Backend::Threaded).with_stack_size(1 << 50);
-        let report = run(config, |mut ctx| async move {
-            ctx.compute(1.0e9);
-            ctx.barrier().await;
-        });
-        assert_eq!(report.rank_metrics.len(), 4);
-        assert!((report.makespan().as_secs() - 1.0).abs() < 1e-3);
+    fn resolve_lets_an_explicit_backend_win_then_a_server_then_the_default() {
+        let pool = JobServer::new(1);
+        let resolve = |backend, server: bool| {
+            let config = RunConfig::resolve(4, backend, None, None, server.then(|| pool.clone()));
+            (config.backend, config.server.is_some())
+        };
+        assert_eq!(resolve(Some(Backend::Sequential), true), (Backend::Sequential, true));
+        assert_eq!(resolve(Some(Backend::Parallel), false), (Backend::Parallel, false));
+        assert_eq!(resolve(None, true), (Backend::Parallel, true), "a server target is that pool");
+        assert_eq!(resolve(None, false).0, RunConfig::new(4).backend, "else ULBA_BACKEND/global");
+        let knobs = RunConfig::resolve(8, None, Some(3), Some(2), None);
+        assert_eq!((knobs.workers, knobs.hub_shards), (3, 2));
+    }
+
+    #[test]
+    fn submitted_handles_report_who_drives_them() {
+        let body = |mut ctx: SpmdCtx| async move { ctx.barrier().await };
+        let sequential = submit(RunConfig::new(3).with_backend(Backend::Sequential), body);
+        assert_eq!(sequential.backend(), Backend::Sequential);
+        assert!(!sequential.is_done(), "a sequential job runs inside join");
+        let pooled = submit(RunConfig::new(3).with_backend(Backend::Parallel), body);
+        assert_eq!(pooled.backend(), Backend::Parallel);
+        assert!(pooled.id() > sequential.id(), "every run of either backend draws a job id");
+        let (a, b) = (sequential.join().expect("completes"), pooled.join().expect("completes"));
+        assert_eq!(a.final_clocks, b.final_clocks);
     }
 
     #[test]
@@ -540,11 +539,10 @@ mod tests {
     fn backend_parsing() {
         assert_eq!("sequential".parse(), Ok(Backend::Sequential));
         assert_eq!("SEQ".parse(), Ok(Backend::Sequential));
-        assert_eq!("threaded".parse(), Ok(Backend::Threaded));
-        assert_eq!("Threads".parse(), Ok(Backend::Threaded));
         assert_eq!("parallel".parse(), Ok(Backend::Parallel));
         assert_eq!("Pool".parse(), Ok(Backend::Parallel));
         assert_eq!("fibers".parse::<Backend>(), Err(()));
+        assert_eq!("threaded".parse::<Backend>(), Err(()), "no longer a backend");
         assert_eq!(Backend::Sequential.to_string(), "sequential");
         assert_eq!(Backend::Parallel.to_string(), "parallel");
     }

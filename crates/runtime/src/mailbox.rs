@@ -3,20 +3,18 @@
 //! Each rank owns one mailbox. A message carries its sender, a user tag, a
 //! per-sender sequence number (FIFO per channel, deterministic drain order)
 //! and the virtual time at which it *arrives* at the destination under the
-//! Hockney model. Receives block until a matching envelope exists and then
-//! advance the receiver's clock to `max(local clock, arrival)`.
+//! Hockney model. A receive suspends until a matching envelope exists and
+//! then advances the receiver's clock to `max(local clock, arrival)`.
 //!
-//! Like the [`crate::hub`], the mailbox serves both waiting strategies: the
-//! threaded backend blocks in [`MailboxSet::recv`] on a condvar, while the
-//! cooperative backends poll [`MailboxSet::poll_recv`], which parks the
-//! rank's [`Waker`] under the inbox lock so that the `post` making a
-//! message available can wake exactly the rank suspended on it — at most
-//! one waker per post, so the mailbox wakes directly; only the sharded
-//! hub's shard-sized wake sets go through the parallel backend's batched
-//! path ([`crate::exec::server::wake_batched`]).
+//! Like the [`crate::hub`], the mailbox never blocks a thread:
+//! [`MailboxSet::poll_recv`] parks the rank's [`Waker`] under the inbox
+//! lock so that the `post` making a message available can wake exactly the
+//! rank suspended on it — at most one waker per post, so the mailbox wakes
+//! directly; only the sharded hub's shard-sized wake sets go through the
+//! job server's batched path ([`crate::exec::server::wake_batched`]).
 
 use crate::time::VirtualTime;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::any::Any;
 use std::task::Waker;
 
@@ -43,9 +41,9 @@ pub struct Received<T> {
     pub value: T,
 }
 
-/// One rank's inbox: the deposited envelopes plus the waker of a
-/// cooperatively scheduled rank suspended in `poll_recv` (at most one — a
-/// rank runs one receive at a time).
+/// One rank's inbox: the deposited envelopes plus the waker of the rank
+/// suspended in `poll_recv` (at most one — a rank runs one receive at a
+/// time).
 struct Inbox {
     envelopes: Vec<Envelope>,
     waker: Option<Waker>,
@@ -54,7 +52,6 @@ struct Inbox {
 /// The set of mailboxes for one run (indexed by destination rank).
 pub struct MailboxSet {
     boxes: Vec<Mutex<Inbox>>,
-    conds: Vec<Condvar>,
 }
 
 impl MailboxSet {
@@ -64,7 +61,6 @@ impl MailboxSet {
             boxes: (0..size)
                 .map(|_| Mutex::new(Inbox { envelopes: Vec::new(), waker: None }))
                 .collect(),
-            conds: (0..size).map(|_| Condvar::new()).collect(),
         }
     }
 
@@ -75,7 +71,7 @@ impl MailboxSet {
 
     /// Deposit a message for `to`. `seq` must be monotonically increasing per
     /// sender (the [`crate::ctx::SpmdCtx`] manages this). Wakes the
-    /// destination rank if it is suspended in a cooperative receive.
+    /// destination rank if it is suspended in a receive.
     pub fn post<T: Send + 'static>(
         &self,
         from: usize,
@@ -89,7 +85,6 @@ impl MailboxSet {
         let mut inbox = self.boxes[to].lock();
         inbox.envelopes.push(Envelope { from, tag, seq, arrival, payload: Box::new(value) });
         let waker = inbox.waker.take();
-        self.conds[to].notify_all();
         drop(inbox);
         if let Some(waker) = waker {
             waker.wake();
@@ -121,24 +116,12 @@ impl MailboxSet {
         Some(Received { from: env.from, seq: env.seq, arrival: env.arrival, value })
     }
 
-    /// Blocking receive of the next message from `from` with tag `tag`
-    /// (FIFO per sender/tag channel) — the threaded backend's waiting
-    /// strategy.
-    pub fn recv<T: Send + 'static>(&self, me: usize, from: usize, tag: Tag) -> Received<T> {
-        let mut inbox = self.boxes[me].lock();
-        loop {
-            if let Some(received) = Self::take_match(&mut inbox.envelopes, me, from, tag) {
-                return received;
-            }
-            self.conds[me].wait(&mut inbox);
-        }
-    }
-
-    /// Non-blocking receive (the cooperative backends' waiting strategy):
-    /// `None` when no matching message has been posted yet, in which case
-    /// `waker` is parked — the registration happens under the inbox lock,
-    /// so a concurrent `post` either satisfies this poll or finds the waker
-    /// to wake; a wakeup can never fall between the check and the park.
+    /// Receive the next message from `from` with tag `tag` (FIFO per
+    /// sender/tag channel): `None` when no matching message has been
+    /// posted yet, in which case `waker` is parked — the registration
+    /// happens under the inbox lock, so a concurrent `post` either
+    /// satisfies this poll or finds the waker to wake; a wakeup can never
+    /// fall between the check and the park.
     pub(crate) fn poll_recv<T: Send + 'static>(
         &self,
         me: usize,
@@ -192,34 +175,20 @@ impl MailboxSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
+
+    /// A receive whose message is already posted.
+    fn recv<T: Send + 'static>(mail: &MailboxSet, me: usize, from: usize, tag: Tag) -> Received<T> {
+        mail.poll_recv(me, from, tag, Waker::noop()).expect("posted")
+    }
 
     #[test]
     fn post_then_recv() {
         let mail = MailboxSet::new(2);
         mail.post(0, 1, 7, 0, VirtualTime::from_secs(1.5), String::from("hello"));
-        let got = mail.recv::<String>(1, 0, 7);
+        let got = recv::<String>(&mail, 1, 0, 7);
         assert_eq!(got.value, "hello");
         assert_eq!(got.from, 0);
         assert_eq!(got.arrival.as_secs(), 1.5);
-    }
-
-    #[test]
-    fn recv_blocks_until_posted() {
-        let mail = MailboxSet::new(2);
-        thread::scope(|s| {
-            let m = &mail;
-            s.spawn(move || {
-                let got = m.recv::<u64>(1, 0, 1);
-                assert_eq!(got.value, 99);
-            });
-            s.spawn(move || {
-                // The receiver may or may not already be waiting; both orders
-                // must work.
-                std::thread::sleep(std::time::Duration::from_millis(10));
-                m.post(0, 1, 1, 0, VirtualTime::ZERO, 99u64);
-            });
-        });
     }
 
     #[test]
@@ -229,7 +198,7 @@ mod tests {
             mail.post(0, 1, 3, seq, VirtualTime::ZERO, seq);
         }
         for expect in 0..5u64 {
-            assert_eq!(mail.recv::<u64>(1, 0, 3).value, expect);
+            assert_eq!(recv::<u64>(&mail, 1, 0, 3).value, expect);
         }
     }
 
@@ -238,8 +207,8 @@ mod tests {
         let mail = MailboxSet::new(2);
         mail.post(0, 1, 1, 0, VirtualTime::ZERO, 'a');
         mail.post(0, 1, 2, 1, VirtualTime::ZERO, 'b');
-        assert_eq!(mail.recv::<char>(1, 0, 2).value, 'b');
-        assert_eq!(mail.recv::<char>(1, 0, 1).value, 'a');
+        assert_eq!(recv::<char>(&mail, 1, 0, 2).value, 'b');
+        assert_eq!(recv::<char>(&mail, 1, 0, 1).value, 'a');
     }
 
     #[test]
@@ -304,6 +273,6 @@ mod tests {
     fn type_mismatch_panics() {
         let mail = MailboxSet::new(2);
         mail.post(0, 1, 0, 0, VirtualTime::ZERO, 1u8);
-        let _ = mail.recv::<u64>(1, 0, 0);
+        let _ = recv::<u64>(&mail, 1, 0, 0);
     }
 }

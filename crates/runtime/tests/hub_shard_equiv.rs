@@ -87,7 +87,7 @@ fn assert_reports_identical(reference: &RunReport, other: &RunReport, label: &st
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Randomized (P, S, workers, program): the single-shard threaded
+    /// Randomized (P, S, workers, program): the single-shard sequential
     /// report is the reference; every shard count of the sweep and every
     /// backend must reproduce it bit-identically. `ranks` is drawn from a
     /// range full of non-powers-of-two, so the `S = 7` leg regularly
@@ -100,10 +100,10 @@ proptest! {
         flops_scale in 1.0e5f64..1.0e8,
         extra_shards in 1usize..32,
     ) {
-        let reference = report_for(ranks, Backend::Threaded, 1, workers, rounds, flops_scale);
+        let reference = report_for(ranks, Backend::Sequential, 1, workers, rounds, flops_scale);
         let mut sweep = shard_sweep(ranks);
         sweep.push(extra_shards); // an arbitrary count on top of the fixed sweep
-        for backend in [Backend::Threaded, Backend::Sequential, Backend::Parallel] {
+        for backend in [Backend::Sequential, Backend::Parallel] {
             for &shards in &sweep {
                 let other = report_for(ranks, backend, shards, workers, rounds, flops_scale);
                 assert_reports_identical(
@@ -168,7 +168,7 @@ proptest! {
 
     /// Randomized chunked-vs-monolithic payload equivalence: `ranks` drawn
     /// from a non-power-of-two-rich range (the `S = 7` leg regularly
-    /// leaves a ragged last shard) across all three backends. The body
+    /// leaves a ragged last shard) across both backends. The body
     /// asserts exact payloads internally; any failure panics the run.
     #[test]
     fn collective_payloads_survive_chunked_assembly(
@@ -179,7 +179,7 @@ proptest! {
     ) {
         let mut sweep = shard_sweep(ranks);
         sweep.push(extra_shards);
-        for backend in [Backend::Threaded, Backend::Sequential, Backend::Parallel] {
+        for backend in [Backend::Sequential, Backend::Parallel] {
             for &shards in &sweep {
                 let config = RunConfig::new(ranks)
                     .with_backend(backend)
@@ -249,7 +249,7 @@ async fn fold_body(mut ctx: SpmdCtx, rounds: u64, shared: bool, out: Arc<Mutex<V
 }
 
 /// `allgather_with(v, fold)` ≡ `fold(allgather(v))` on **every** rank and
-/// round — values, virtual time and metrics — for 3 backends ×
+/// round — values, virtual time and metrics — for 2 backends ×
 /// S ∈ {1, 2, 7, P} × ragged P.
 #[test]
 fn allgather_with_equals_fold_of_allgather_everywhere() {
@@ -267,7 +267,7 @@ fn allgather_with_equals_fold_of_allgather_everywhere() {
     };
     for ranks in [5usize, 23, 97] {
         let (ref_report, ref_seen) = run_fold(ranks, Backend::Sequential, 1, false);
-        for backend in [Backend::Threaded, Backend::Sequential, Backend::Parallel] {
+        for backend in [Backend::Sequential, Backend::Parallel] {
             for shards in shard_sweep(ranks) {
                 let label = format!("P={ranks} {backend} S={shards}");
                 let (report, seen) = run_fold(ranks, backend, shards, true);
@@ -283,7 +283,7 @@ fn allgather_with_equals_fold_of_allgather_everywhere() {
 #[test]
 fn fold_runs_once_per_round() {
     let (ranks, rounds) = (23usize, 6usize);
-    for backend in [Backend::Threaded, Backend::Sequential, Backend::Parallel] {
+    for backend in [Backend::Sequential, Backend::Parallel] {
         for shards in shard_sweep(ranks) {
             let folds = Arc::new(AtomicUsize::new(0));
             let combines = Arc::new(AtomicUsize::new(0));
@@ -338,8 +338,8 @@ fn mismatched_reduction_type_panics_with_job_tag() {
 /// 128 = 6·19 + 14).
 #[test]
 fn identical_at_128_ranks_all_shard_counts() {
-    let reference = report_for(128, Backend::Threaded, 1, 3, 3, 2.0e6);
-    for backend in [Backend::Threaded, Backend::Sequential, Backend::Parallel] {
+    let reference = report_for(128, Backend::Sequential, 1, 3, 3, 2.0e6);
+    for backend in [Backend::Sequential, Backend::Parallel] {
         for shards in shard_sweep(128) {
             let other = report_for(128, backend, shards, 3, 3, 2.0e6);
             assert_reports_identical(&reference, &other, &format!("P=128 {backend} S={shards}"));
@@ -353,7 +353,7 @@ fn identical_at_128_ranks_all_shard_counts() {
 #[test]
 fn identical_at_ragged_97_ranks() {
     let reference = report_for(97, Backend::Sequential, 1, 2, 2, 5.0e5);
-    for backend in [Backend::Threaded, Backend::Sequential, Backend::Parallel] {
+    for backend in [Backend::Sequential, Backend::Parallel] {
         for shards in [1usize, 2, 7, 13, 96, 97] {
             let other = report_for(97, backend, shards, 2, 2, 5.0e5);
             assert_reports_identical(&reference, &other, &format!("P=97 {backend} S={shards}"));

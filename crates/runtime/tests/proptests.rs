@@ -89,12 +89,12 @@ proptest! {
         prop_assert!((report.makespan().as_secs() - expect).abs() < 1e-9 * expect);
     }
 
-    /// The threaded, sequential, and parallel backends produce bit-identical
-    /// reports for arbitrary BSP programs mixing compute, ring p2p, and
-    /// collectives (the parallel backend gets a small explicit worker count
-    /// so the property holds even on a single-core machine). The hub shard
-    /// count rides along as a free dimension: it must never show up in a
-    /// report.
+    /// The sequential and parallel backends produce bit-identical reports
+    /// for arbitrary BSP programs mixing compute, ring p2p, and collectives
+    /// (the parallel backend gets a small explicit worker count so the
+    /// property holds even on a single-core machine). The hub shard count
+    /// rides along as a free dimension: the single-shard sequential run is
+    /// the reference, and the count must never show up in a report.
     #[test]
     fn backends_agree_on_random_programs(
         flops in proptest::collection::vec(1.0e5f64..1.0e9, 2..10),
@@ -103,7 +103,7 @@ proptest! {
         hub_shards in 1usize..9,
     ) {
         let ranks = flops.len();
-        let go = |backend: Backend| {
+        let go = |backend: Backend, hub_shards: usize| {
             let flops_ref = flops.clone();
             let config = RunConfig::new(ranks)
                 .with_backend(backend)
@@ -125,17 +125,17 @@ proptest! {
                 }
             })
         };
-        let threaded = go(Backend::Threaded);
+        let reference = go(Backend::Sequential, 1);
         for backend in [Backend::Sequential, Backend::Parallel] {
-            let other = go(backend);
-            prop_assert_eq!(&threaded.rank_metrics, &other.rank_metrics);
-            prop_assert_eq!(&threaded.final_clocks, &other.final_clocks);
+            let other = go(backend, hub_shards);
+            prop_assert_eq!(&reference.rank_metrics, &other.rank_metrics);
+            prop_assert_eq!(&reference.final_clocks, &other.final_clocks);
             prop_assert_eq!(
-                threaded.makespan().as_secs().to_bits(),
+                reference.makespan().as_secs().to_bits(),
                 other.makespan().as_secs().to_bits()
             );
-            prop_assert_eq!(threaded.iterations.len(), other.iterations.len());
-            for (a, b) in threaded.iterations.iter().zip(&other.iterations) {
+            prop_assert_eq!(reference.iterations.len(), other.iterations.len());
+            for (a, b) in reference.iterations.iter().zip(&other.iterations) {
                 prop_assert_eq!(a.wall_time.to_bits(), b.wall_time.to_bits());
                 prop_assert_eq!(a.mean_utilization.to_bits(), b.mean_utilization.to_bits());
             }

@@ -16,18 +16,16 @@
 //!    rebalancing over per-task weights, and charges the modelled
 //!    migration cost of the tasks that changed owner.
 //!
-//! The three entry points mirror the erosion app's: [`run_scenario`]
-//! (blocking), [`submit_scenario`] (enqueue on a shared [`JobServer`]), and
-//! [`run_scenario_batch`] (submit a sweep, join in order) — all
-//! bit-identical for the same config.
+//! The three entry points mirror the erosion app's and share one launch
+//! path: [`run_scenario`] (blocking), [`submit_scenario`] (launch, pooled
+//! jobs going to a shared [`JobServer`]), and [`run_scenario_batch`]
+//! (launch a sweep, join in order) — all bit-identical for the same config.
 
 use crate::config::ScenarioConfig;
 use crate::generator::{ScenarioKind, WorkTable};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::future::Future;
 use std::ops::Range;
-use std::pin::Pin;
 use std::sync::Arc;
 use ulba_core::balancer::centralized_rebalance;
 use ulba_core::db::{wire_bytes, WirDatabase, WirEntry};
@@ -36,8 +34,8 @@ use ulba_core::policy::{estimate_ulba_overhead, outlier_score};
 use ulba_core::trigger::{AnyTrigger, LbTrigger};
 use ulba_core::wir::WirEstimator;
 use ulba_runtime::{
-    run, Backend, IterationStats, JobHandle, JobServer, MachineSpec, RankMetrics, RunConfig,
-    RunReport, SpmdCtx, Tag,
+    submit, Backend, IterationStats, JobHandle, JobServer, MachineSpec, RankMetrics, RunConfig,
+    SpmdCtx, Tag,
 };
 
 /// Message tag of gossip snapshots (distinct from the erosion app's).
@@ -60,6 +58,10 @@ pub struct ScenarioResult {
     pub mean_utilization: f64,
     /// Final per-rank time accounting.
     pub rank_metrics: Vec<RankMetrics>,
+    /// The backend that drove the run — what [`ScenarioConfig::backend`],
+    /// [`ScenarioConfig::server`] and `ULBA_BACKEND` resolved to. Pure
+    /// metadata, like the shard count below.
+    pub backend: Backend,
     /// Leaf shard count the rendezvous hub actually ran with. Pure
     /// contention metadata: it never influences the measurements above.
     pub hub_shards: usize,
@@ -268,20 +270,11 @@ async fn rank_program(
     footprint.1 += outbox.tracked_peers() as u64;
 }
 
-/// The rank-body shape every execution path shares (see the erosion app).
-type ScenarioBody = Box<dyn Fn(SpmdCtx) -> Pin<Box<dyn Future<Output = ()> + Send>> + Send + Sync>;
-
-/// A validated experiment, ready to execute.
-struct PreparedRun {
-    run_cfg: RunConfig,
-    hub_shards: usize,
-    lambda: (f64, f64),
-    side: Arc<SideChannels>,
-    body: ScenarioBody,
-}
-
-/// Validate `cfg`, build the work table once, and package the rank body.
-fn prepare(cfg: &ScenarioConfig) -> PreparedRun {
+/// The one launch path of an experiment (see the erosion app's): validate
+/// `cfg`, build the work table once, resolve the runtime config, and hand
+/// the rank body to the runtime's `submit`. `pool`, when given, is where a
+/// pool job goes; which backend the config means never depends on it.
+fn launch(cfg: &ScenarioConfig, pool: Option<&JobServer>) -> ScenarioJob {
     cfg.validate().expect("invalid scenario config");
     let table = Arc::new(
         WorkTable::build(
@@ -295,148 +288,86 @@ fn prepare(cfg: &ScenarioConfig) -> PreparedRun {
         .expect("config validation admits only feasible tables"),
     );
     let lambda = (table.lambda_target, table.lambda_achieved);
-    let spec = MachineSpec::homogeneous(cfg.omega);
     let side = Arc::new(SideChannels::default());
 
     let mut cfg = cfg.clone();
+    // The server handle only routes the run; captured inside the job's own
+    // futures it would keep the pool alive from within itself.
     let server = cfg.server.take();
-    let mut run_cfg = RunConfig::new(cfg.ranks).with_spec(spec);
-    if let Some(backend) = cfg.backend {
-        run_cfg = run_cfg.with_backend(backend);
-    }
-    if let Some(stack_size) = cfg.stack_size {
-        run_cfg = run_cfg.with_stack_size(stack_size);
-    }
-    if let Some(workers) = cfg.workers {
-        run_cfg = run_cfg.with_workers(workers);
-    }
-    if let Some(hub_shards) = cfg.hub_shards {
-        run_cfg = run_cfg.with_hub_shards(hub_shards);
-    }
-    // Applied last: a server target forces the parallel backend.
-    if let Some(server) = server {
-        run_cfg = run_cfg.with_server(server);
+    let mut run_cfg =
+        RunConfig::resolve(cfg.ranks, cfg.backend, cfg.workers, cfg.hub_shards, server)
+            .with_spec(MachineSpec::homogeneous(cfg.omega));
+    if let Some(pool) = pool {
+        run_cfg.server = Some(pool.clone());
     }
     let hub_shards = run_cfg.effective_hub_shards();
 
     let cfg = Arc::new(cfg);
     let side_tx = Arc::clone(&side);
-    let body: ScenarioBody = Box::new(move |ctx| {
-        Box::pin(rank_program(ctx, Arc::clone(&cfg), Arc::clone(&table), Arc::clone(&side_tx)))
+    let handle = submit(run_cfg, move |ctx| {
+        rank_program(ctx, Arc::clone(&cfg), Arc::clone(&table), Arc::clone(&side_tx))
     });
-    PreparedRun { run_cfg, hub_shards, lambda, side, body }
-}
-
-/// Combine the runtime's report with the run's side channels.
-fn assemble(
-    report: RunReport,
-    side: &SideChannels,
-    hub_shards: usize,
-    lambda: (f64, f64),
-) -> ScenarioResult {
-    let (total_work_units, traffic_checksum) =
-        side.extras.lock().take().expect("rank 0 recorded the extras");
-    let (db_entries_total, gossip_watermarks_total) = *side.db_footprint.lock();
-    ScenarioResult {
-        makespan: report.makespan().as_secs(),
-        lb_calls: report.lb_call_count(),
-        lb_iterations: report.lb_iterations.clone(),
-        mean_utilization: report.mean_utilization(),
-        iterations: report.iterations,
-        rank_metrics: report.rank_metrics,
-        hub_shards,
-        db_entries_total,
-        gossip_watermarks_total,
-        total_work_units,
-        traffic_checksum,
-        lambda_target: lambda.0,
-        lambda_achieved: lambda.1,
-    }
+    ScenarioJob { handle, side, hub_shards, lambda }
 }
 
 /// Run one scenario experiment and collect its measurements.
 pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
-    let prepared = prepare(cfg);
-    let report = run(prepared.run_cfg, prepared.body);
-    assemble(report, &prepared.side, prepared.hub_shards, prepared.lambda)
+    launch(cfg, None).join()
 }
 
-/// A submitted (or deferred) scenario experiment; see [`submit_scenario`].
+/// A launched scenario experiment; see [`submit_scenario`].
 pub struct ScenarioJob {
-    inner: ScenarioJobInner,
-}
-
-enum ScenarioJobInner {
-    /// Running concurrently on a shared [`JobServer`].
-    Submitted { handle: JobHandle, side: Arc<SideChannels>, hub_shards: usize, lambda: (f64, f64) },
-    /// The config resolves to a non-parallel backend: the run executes
-    /// with that backend's semantics, serially, inside [`ScenarioJob::join`].
-    Deferred(Box<ScenarioConfig>),
-}
-
-impl std::fmt::Debug for ScenarioJob {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.inner {
-            ScenarioJobInner::Submitted { handle, .. } => {
-                f.debug_struct("ScenarioJob").field("job", &handle.id()).finish()
-            }
-            ScenarioJobInner::Deferred(_) => {
-                f.debug_struct("ScenarioJob").field("job", &"deferred").finish()
-            }
-        }
-    }
+    handle: JobHandle,
+    side: Arc<SideChannels>,
+    hub_shards: usize,
+    lambda: (f64, f64),
 }
 
 impl ScenarioJob {
-    /// The runtime job id when the experiment runs on a server (`None` for
-    /// deferred serial runs).
-    pub fn id(&self) -> Option<u64> {
-        match &self.inner {
-            ScenarioJobInner::Submitted { handle, .. } => Some(handle.id()),
-            ScenarioJobInner::Deferred(_) => None,
-        }
+    /// The backend driving the experiment: a [`Backend::Sequential`] one
+    /// occupies no pool worker and runs inside [`ScenarioJob::join`].
+    pub fn backend(&self) -> Backend {
+        self.handle.backend()
     }
 
-    /// Block until the experiment finishes and collect its measurements.
+    /// Block until the experiment finishes and combine the runtime's
+    /// report with the run's side channels. Panics if the job deadlocked
+    /// or a rank panicked.
     pub fn join(self) -> ScenarioResult {
-        match self.inner {
-            ScenarioJobInner::Submitted { handle, side, hub_shards, lambda } => {
-                let report = handle.join().unwrap_or_else(|err| panic!("{err}"));
-                assemble(report, &side, hub_shards, lambda)
-            }
-            ScenarioJobInner::Deferred(cfg) => run_scenario(&cfg),
+        let backend = self.handle.backend();
+        let report = self.handle.join().unwrap_or_else(|err| panic!("{err}"));
+        let (total_work_units, traffic_checksum) =
+            self.side.extras.lock().take().expect("rank 0 recorded the extras");
+        let (db_entries_total, gossip_watermarks_total) = *self.side.db_footprint.lock();
+        ScenarioResult {
+            makespan: report.makespan().as_secs(),
+            lb_calls: report.lb_call_count(),
+            lb_iterations: report.lb_iterations.clone(),
+            mean_utilization: report.mean_utilization(),
+            iterations: report.iterations,
+            rank_metrics: report.rank_metrics,
+            backend,
+            hub_shards: self.hub_shards,
+            db_entries_total,
+            gossip_watermarks_total,
+            total_work_units,
+            traffic_checksum,
+            lambda_target: self.lambda.0,
+            lambda_achieved: self.lambda.1,
         }
     }
 }
 
-/// Submit one experiment to `server` without waiting for it.
+/// Launch one experiment without waiting for it; a pooled job goes to
+/// `server`.
 ///
-/// Same deferral contract as the erosion app's `submit_erosion`: when the
-/// config resolves to a non-parallel backend (explicitly or via
-/// `ULBA_BACKEND`), the run executes serially with that backend's
-/// semantics at join time. Either way the measurements are bit-identical.
+/// Same contract as the erosion app's `submit_erosion`: which backend the
+/// config means is decided exactly as in [`run_scenario`] (see
+/// [`ScenarioConfig::with_server`]), and one that means the sequential
+/// backend runs serially at join time. Either way the measurements are
+/// bit-identical.
 pub fn submit_scenario(server: &JobServer, cfg: &ScenarioConfig) -> ScenarioJob {
-    let effective = cfg.backend.unwrap_or_else(|| {
-        RunConfig::defaults(1).with_backend(Backend::Parallel).from_env().backend
-    });
-    if effective != Backend::Parallel {
-        let mut cfg = cfg.clone();
-        cfg.server = None;
-        return ScenarioJob { inner: ScenarioJobInner::Deferred(Box::new(cfg)) };
-    }
-    let mut cfg = cfg.clone();
-    cfg.backend = Some(Backend::Parallel);
-    cfg.server = Some(server.clone());
-    let prepared = prepare(&cfg);
-    let handle = server.submit(prepared.run_cfg, prepared.body);
-    ScenarioJob {
-        inner: ScenarioJobInner::Submitted {
-            handle,
-            side: prepared.side,
-            hub_shards: prepared.hub_shards,
-            lambda: prepared.lambda,
-        },
-    }
+    launch(cfg, Some(server))
 }
 
 /// Run a whole sweep concurrently on a shared pool and return the results
@@ -445,10 +376,7 @@ pub fn submit_scenario(server: &JobServer, cfg: &ScenarioConfig) -> ScenarioJob 
 pub fn run_scenario_batch(cfgs: &[ScenarioConfig]) -> Vec<ScenarioResult> {
     let jobs: Vec<ScenarioJob> = cfgs
         .iter()
-        .map(|cfg| match &cfg.server {
-            Some(server) => submit_scenario(server, cfg),
-            None => submit_scenario(JobServer::global(), cfg),
-        })
+        .map(|cfg| submit_scenario(cfg.server.as_ref().unwrap_or_else(|| JobServer::global()), cfg))
         .collect();
     jobs.into_iter().map(ScenarioJob::join).collect()
 }
@@ -557,9 +485,38 @@ mod tests {
         cfg.iterations = 8;
         cfg.backend = Some(Backend::Sequential);
         let job = submit_scenario(&server, &cfg);
-        assert_eq!(job.id(), None, "sequential runs must not be pooled");
+        assert_eq!(job.backend(), Backend::Sequential, "sequential runs must not be pooled");
         let res = job.join();
         assert_eq!(run_scenario(&cfg).makespan.to_bits(), res.makespan.to_bits());
+    }
+
+    /// `run_scenario` and `submit_scenario` mean the same backend by the
+    /// same config, for every way of (not) naming one — `Sequential` +
+    /// server used to be pooled by the former and deferred by the latter.
+    #[test]
+    fn run_and_submit_resolve_the_same_backend() {
+        let pool = JobServer::new(1);
+        for backend in [None, Some(Backend::Sequential), Some(Backend::Parallel)] {
+            for server in [None, Some(JobServer::new(1))] {
+                let mut cfg = ScenarioConfig::tiny(ScenarioKind::TaskGraph, 3);
+                cfg.iterations = 8;
+                cfg.backend = backend;
+                cfg.server = server;
+                let label = format!("{backend:?} + {:?}", cfg.server);
+                let ran = run_scenario(&cfg);
+                let submitted = submit_scenario(&pool, &cfg).join();
+                assert_eq!(ran.backend, submitted.backend, "{label}");
+                if let Some(explicit) = backend {
+                    assert_eq!(ran.backend, explicit, "{label}: an explicit backend wins");
+                } else if cfg.server.is_some() {
+                    assert_eq!(ran.backend, Backend::Parallel, "{label}: a server is that pool");
+                }
+                assert_eq!(ran.makespan.to_bits(), submitted.makespan.to_bits(), "{label}");
+                assert_eq!(ran.lb_iterations, submitted.lb_iterations, "{label}");
+                assert_eq!(ran.traffic_checksum, submitted.traffic_checksum, "{label}");
+                assert_eq!(ran.hub_shards, submitted.hub_shards, "{label}");
+            }
+        }
     }
 
     #[test]

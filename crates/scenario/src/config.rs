@@ -62,17 +62,17 @@ pub struct ScenarioConfig {
     pub lb_fixed_cost_factor: f64,
     /// PE speed ω in FLOP/s.
     pub omega: f64,
-    /// Execution backend (`None` = runtime default / `ULBA_BACKEND`).
+    /// Execution backend. `Some` always wins; `None` means
+    /// [`ScenarioConfig::server`]'s pool when one is set, otherwise
+    /// `ULBA_BACKEND`, else the global pool.
     pub backend: Option<Backend>,
-    /// Per-rank stack size for the threaded backend (`None` = default).
-    pub stack_size: Option<usize>,
     /// Worker threads of the parallel backend (`None` = default).
     pub workers: Option<usize>,
     /// Leaf shard count of the rendezvous hub (`None` = runtime default).
     /// Purely a contention knob — results are bit-identical for any value.
     pub hub_shards: Option<usize>,
-    /// Submit the run to this existing [`JobServer`] (forces the parallel
-    /// backend). Not serialized — a live handle, not a parameter.
+    /// Submit the run to this existing [`JobServer`] (unless an explicit
+    /// `backend` says sequential). Not serialized — a live handle, not a parameter.
     #[serde(skip)]
     pub server: Option<JobServer>,
 }
@@ -106,7 +106,6 @@ impl ScenarioConfig {
             lb_fixed_cost_factor: 2.0,
             omega: 1.0e9,
             backend: None,
-            stack_size: None,
             workers: None,
             hub_shards: None,
             server: None,
@@ -119,8 +118,10 @@ impl ScenarioConfig {
         Self { iterations: 32, phases: 4, avg_units_per_rank: 256, ..Self::new(kind, ranks) }
     }
 
-    /// Route this experiment to an existing shared [`JobServer`] (implies
-    /// the parallel backend); see [`crate::app::run_scenario_batch`].
+    /// Route this experiment to an existing shared [`JobServer`]. An
+    /// explicit [`ScenarioConfig::backend`] wins; otherwise a server target
+    /// means that pool; otherwise `ULBA_BACKEND`, else the global pool. See
+    /// [`crate::app::run_scenario_batch`].
     pub fn with_server(mut self, server: JobServer) -> Self {
         self.server = Some(server);
         self
@@ -170,9 +171,6 @@ impl ScenarioConfig {
         }
         if self.initial_lb_cost_factor < 0.0 || self.lb_fixed_cost_factor < 0.0 {
             return Err("LB cost factors must be non-negative".into());
-        }
-        if self.stack_size == Some(0) {
-            return Err("stack_size must be positive when set".into());
         }
         if self.workers == Some(0) {
             return Err("workers must be positive when set (None = all cores)".into());

@@ -1,7 +1,6 @@
 //! Cross-backend equivalence for the scenario application — the
 //! acceptance criterion: per-scenario results are bit-identical across the
-//! threaded, sequential, and parallel backends and across hub-shard
-//! counts, for every scenario family, policy, and gossip wire format.
+//! sequential and parallel backends and across hub-shard counts, for every scenario family, policy, and gossip wire format.
 
 use proptest::prelude::*;
 use ulba_core::gossip::GossipWire;
@@ -53,9 +52,20 @@ fn assert_bit_identical(reference: &ScenarioResult, other: &ScenarioResult, back
     }
 }
 
-/// Compare every non-threaded backend against the threaded reference.
+/// The oracle every comparison is anchored on: `cfg` on the sequential
+/// backend over the degenerate single-shard hub.
+fn reference_run(cfg: &ScenarioConfig) -> ScenarioResult {
+    let mut cfg = cfg.clone();
+    cfg.hub_shards = Some(1);
+    let reference = on_backend(&cfg, Backend::Sequential);
+    assert_eq!(reference.hub_shards, 1);
+    reference
+}
+
+/// Compare both backends (at `cfg`'s own shard count) against the
+/// reference.
 fn assert_backends_equivalent(cfg: &ScenarioConfig) {
-    let reference = on_backend(cfg, Backend::Threaded);
+    let reference = reference_run(cfg);
     for backend in [Backend::Sequential, Backend::Parallel] {
         let other = on_backend(cfg, backend);
         assert_bit_identical(&reference, &other, backend);
@@ -65,11 +75,8 @@ fn assert_backends_equivalent(cfg: &ScenarioConfig) {
 /// Compare the single-shard reference against `S ∈ {1, 2, 7, P}` on every
 /// backend.
 fn assert_shard_counts_equivalent(cfg: &ScenarioConfig) {
-    let mut reference_cfg = cfg.clone();
-    reference_cfg.hub_shards = Some(1);
-    let reference = on_backend(&reference_cfg, Backend::Threaded);
-    assert_eq!(reference.hub_shards, 1);
-    for backend in [Backend::Threaded, Backend::Sequential, Backend::Parallel] {
+    let reference = reference_run(cfg);
+    for backend in [Backend::Sequential, Backend::Parallel] {
         for shards in [1usize, 2, 7, cfg.ranks] {
             let mut sharded = cfg.clone();
             sharded.hub_shards = Some(shards);
@@ -80,7 +87,7 @@ fn assert_shard_counts_equivalent(cfg: &ScenarioConfig) {
 }
 
 /// Every scenario family at a ragged P with LB activity: bit-identical
-/// across all three backends.
+/// across both backends.
 #[test]
 fn every_family_equivalent_across_backends() {
     for kind in ScenarioKind::ALL {
@@ -121,7 +128,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Randomized scenario configurations: family, ranks, λ, phases, seed,
-    /// policy, wire, hub shards — always bit-identical on all three
+    /// policy, wire, hub shards — always bit-identical on both
     /// backends.
     #[test]
     fn equivalent_on_random_configs(

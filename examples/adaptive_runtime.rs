@@ -8,9 +8,9 @@
 //! Run with: `cargo run --release --example adaptive_runtime`
 //!
 //! The execution backend is selectable per process: e.g.
-//! `ULBA_BACKEND=parallel ULBA_WORKERS=4 cargo run --example adaptive_runtime`
-//! runs the same program (with a bit-identical report) on the
-//! work-stealing pool instead of one thread per rank.
+//! `ULBA_BACKEND=sequential cargo run --example adaptive_runtime` runs the
+//! same program (with a bit-identical report) on the single-threaded
+//! scheduler instead of the default work-stealing pool.
 
 use ulba::core::outlier::{z_from, z_params};
 use ulba::core::prelude::*;

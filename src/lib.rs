@@ -15,10 +15,11 @@
 //!   (replacement for the Python `simanneal` module used in §III-B);
 //! * [`runtime`] (`ulba-runtime`) — a virtual-time SPMD distributed-memory
 //!   runtime (typed messages, collectives, Hockney cost model,
-//!   per-rank/iteration metrics) with pluggable execution backends: one OS
-//!   thread per rank, a single-threaded lockstep scheduler that scales past
-//!   16 k ranks, or a shared work-stealing job server that runs many
-//!   concurrent SPMD jobs on one worker pool;
+//!   per-rank/iteration metrics) whose rank programs suspend rather than
+//!   block, launched through one path (`submit`) onto a shared
+//!   work-stealing job server that runs many concurrent SPMD jobs on one
+//!   worker pool (the default), or onto a single-threaded lockstep
+//!   scheduler (the deterministic oracle; fastest on one core);
 //! * [`core`] (`ulba-core`) — the ULBA machinery of §III-C: WIR estimation,
 //!   gossip dissemination, z-score overload detection, the Zhai degradation
 //!   trigger, Algorithm 2 target shares, weighted stripe partitioning and
@@ -87,8 +88,8 @@ pub mod prelude {
         InstanceDistribution, Method, ModelParams, Schedule,
     };
     pub use ulba_runtime::{
-        run, try_run, Backend, JobHandle, JobServer, MachineSpec, Priority, RunConfig, RunError,
-        RunReport, SpmdCtx,
+        run, submit, try_run, Backend, JobHandle, JobServer, MachineSpec, Priority, RunConfig,
+        RunError, RunReport, SpmdCtx,
     };
     pub use ulba_scenario::{
         run_scenario, run_scenario_batch, submit_scenario, ScenarioConfig, ScenarioJob,

@@ -63,8 +63,8 @@ fn quickstart_runtime_run() {
     assert!(report.mean_utilization() <= 1.0);
 }
 
-/// Backend selection through the prelude: the sequential backend reproduces
-/// the threaded run exactly.
+/// Backend selection through the prelude: the default pool reproduces the
+/// sequential run exactly.
 #[test]
 fn quickstart_backend_selection() {
     let go = |backend: Backend| {
@@ -76,7 +76,7 @@ fn quickstart_backend_selection() {
             ctx.barrier().await;
         })
     };
-    let threaded = go(Backend::Threaded);
     let sequential = go(Backend::Sequential);
-    assert_eq!(threaded.makespan().as_secs().to_bits(), sequential.makespan().as_secs().to_bits());
+    let parallel = go(Backend::Parallel);
+    assert_eq!(sequential.makespan().as_secs().to_bits(), parallel.makespan().as_secs().to_bits());
 }

@@ -29,9 +29,10 @@ fn build_config(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// A batch mixing pool-eligible configs with explicitly sequential and
-    /// threaded ones (which the batch API runs serially, preserving their
-    /// backend semantics) matches per-config serial runs bit for bit.
+    /// A batch mixing configs that name no backend (the server target makes
+    /// them pool jobs), explicitly parallel ones, and explicitly sequential
+    /// ones (which occupy no pool worker and run serially at join) matches
+    /// per-config serial runs bit for bit.
     #[test]
     fn batched_sweeps_match_serial_runs(
         sweep in proptest::collection::vec(
@@ -45,7 +46,7 @@ proptest! {
             .iter()
             .map(|&(seed, ranks, wire, hub_shards, backend)| {
                 let wire = [GossipWire::Full, GossipWire::delta(), GossipWire::Delta { full_every: 3 }][wire];
-                let backend = [None, Some(Backend::Sequential), Some(Backend::Threaded)][backend];
+                let backend = [None, Some(Backend::Sequential), Some(Backend::Parallel)][backend];
                 build_config(seed, ranks, wire, hub_shards, backend)
                     .with_server(server.clone())
             })

@@ -144,14 +144,14 @@ fn halo_only_stress_without_the_hub() {
     // Satellite baseline for the sharded-hub numbers: a pure
     // neighbor-exchange (halo) workload with **no global collective per
     // iteration** — between the first and last barrier the rendezvous hub
-    // is never on the hot path, so the cooperative backends run on mailbox
-    // wakes alone. The wake-driven parallel scheduler must match the
-    // round-robin sequential scheduler and the blocking threaded backend
-    // bit-for-bit even when every suspension is a point-to-point wait.
+    // is never on the hot path, so both schedulers run on mailbox wakes
+    // alone. The wake-driven parallel scheduler must match the round-robin
+    // sequential scheduler bit-for-bit, at any worker count, even when
+    // every suspension is a point-to-point wait.
     let p = 48usize;
     let rounds = 60u64;
-    let go = |backend: Backend| {
-        let config = RunConfig::new(p).with_backend(backend).with_workers(3);
+    let go = |backend: Backend, workers: usize| {
+        let config = RunConfig::new(p).with_backend(backend).with_workers(workers);
         run(config, move |mut ctx| async move {
             let rank = ctx.rank();
             let size = ctx.size();
@@ -186,16 +186,16 @@ fn halo_only_stress_without_the_hub() {
             assert!(total > 0.0);
         })
     };
-    let reference = go(Backend::Threaded);
+    let reference = go(Backend::Sequential, 1);
     assert_eq!(reference.iterations.len(), rounds as usize);
-    for backend in [Backend::Sequential, Backend::Parallel] {
-        let other = go(backend);
-        assert_eq!(reference.rank_metrics, other.rank_metrics, "{backend}");
-        assert_eq!(reference.final_clocks, other.final_clocks, "{backend}");
+    for workers in [1usize, 3] {
+        let other = go(Backend::Parallel, workers);
+        assert_eq!(reference.rank_metrics, other.rank_metrics, "{workers} workers");
+        assert_eq!(reference.final_clocks, other.final_clocks, "{workers} workers");
         assert_eq!(
             reference.makespan().as_secs().to_bits(),
             other.makespan().as_secs().to_bits(),
-            "{backend}"
+            "{workers} workers"
         );
     }
 }
@@ -240,7 +240,7 @@ fn sparse_db_large_p_erosion_smoke() {
 
 #[test]
 fn large_rank_count_with_collectives() {
-    // 200 rank threads on whatever cores exist: the hub must scale.
+    // 200 ranks on whatever cores exist: the hub must scale.
     let report = run(RunConfig::new(200), |mut ctx| async move {
         let sum = ctx.allreduce_sum(ctx.rank() as f64).await;
         assert_eq!(sum, (0..200).sum::<usize>() as f64);
