@@ -1,6 +1,7 @@
-//! Ablation studies beyond the paper's figures (DESIGN.md E-A1…E-A3):
-//! trigger choice, α rule (including the paper's announced future work,
-//! dynamic α), and gossip dissemination mode.
+//! Ablation studies beyond the paper's figures — experiments the paper
+//! does not run: trigger choice, α rule (including the paper's announced
+//! future work, dynamic α), anticipatory partitioning, and gossip
+//! dissemination mode.
 
 use crate::output::{perf_row, print_table, quick_mode, write_csv, write_schema3_report, PerfRow};
 use std::path::Path;

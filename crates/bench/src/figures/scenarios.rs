@@ -18,9 +18,7 @@
 //!   baseline, proving the scenario batch shares the pool without
 //!   perturbing the seed numbers.
 
-use crate::output::{
-    json_f64, peak_rss_bytes, perf_row, print_table, write_schema3_report, PerfRow,
-};
+use crate::output::{json_f64, perf_row, print_table, write_schema3_report, PerfRow};
 use std::path::Path;
 use std::time::Instant;
 use ulba_core::gossip::GossipWire;
@@ -96,44 +94,6 @@ fn scenario_sweep(
         }
     }
     specs
-}
-
-/// Build a schema-3 row from one scenario result (the scenario analogue of
-/// [`perf_row`], with the generator's λ accounting attached).
-fn scenario_row(
-    label: &str,
-    pes: usize,
-    gossip_wire: &str,
-    res: &ScenarioResult,
-    sim_wall_s: f64,
-) -> PerfRow {
-    let busy: Vec<f64> = res.rank_metrics.iter().map(|m| m.busy).collect();
-    let busy_mean = busy.iter().sum::<f64>() / busy.len().max(1) as f64;
-    let busy_max_over_mean =
-        if busy_mean > 0.0 { busy.iter().copied().fold(0.0f64, f64::max) / busy_mean } else { 1.0 };
-    let total: f64 = res.rank_metrics.iter().map(|m| m.total()).sum();
-    let idle_fraction = if total > 0.0 {
-        res.rank_metrics.iter().map(|m| m.idle).sum::<f64>() / total
-    } else {
-        0.0
-    };
-    PerfRow {
-        backend: res.backend.to_string(),
-        pes,
-        policy: label.to_string(),
-        hub_shards: res.hub_shards,
-        gossip_wire: gossip_wire.to_string(),
-        sim_wall_s,
-        makespan_virtual_s: res.makespan,
-        lb_calls: res.lb_calls,
-        mean_utilization: res.mean_utilization,
-        busy_max_over_mean,
-        idle_fraction,
-        db_entries_total: res.db_entries_total,
-        peak_rss_bytes: peak_rss_bytes(),
-        lambda_target: Some(res.lambda_target),
-        lambda_achieved: Some(res.lambda_achieved),
-    }
 }
 
 fn assert_identical(label: &str, a: &ScenarioResult, b: &ScenarioResult) {
@@ -260,7 +220,7 @@ pub fn run(
         .iter()
         .zip(&results)
         .map(|((label, _, cfg), res)| {
-            scenario_row(label, cfg.ranks, &cfg.gossip_wire.to_string(), res, batch_wall_s)
+            perf_row(label, cfg.ranks, &cfg.gossip_wire.to_string(), res, batch_wall_s)
         })
         .collect();
     rows.append(&mut gate_rows);

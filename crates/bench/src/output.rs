@@ -292,20 +292,66 @@ pub struct PerfRow {
     pub lambda_achieved: Option<f64>,
 }
 
-/// Build a [`PerfRow`] from one erosion experiment, deriving the
-/// imbalance statistics from the per-rank metrics. The backend label is
-/// the one the run resolved to, never a raw flag or environment string.
-pub fn perf_row(
+/// The measurements every run of the LB driver shares, borrowed from an
+/// application's flat result — what [`perf_row`] reads.
+pub struct RunView<'a> {
+    backend: ulba_runtime::Backend,
+    hub_shards: usize,
+    makespan: f64,
+    lb_calls: usize,
+    mean_utilization: f64,
+    db_entries_total: u64,
+    rank_metrics: &'a [ulba_runtime::RankMetrics],
+    /// The generator's `(target, achieved)` λ (scenario runs only).
+    lambda: Option<(f64, f64)>,
+}
+
+impl<'a> From<&'a ulba_erosion::ExperimentResult> for RunView<'a> {
+    fn from(r: &'a ulba_erosion::ExperimentResult) -> Self {
+        Self {
+            backend: r.backend,
+            hub_shards: r.hub_shards,
+            makespan: r.makespan,
+            lb_calls: r.lb_calls,
+            mean_utilization: r.mean_utilization,
+            db_entries_total: r.db_entries_total,
+            rank_metrics: &r.rank_metrics,
+            lambda: None,
+        }
+    }
+}
+
+impl<'a> From<&'a ulba_scenario::ScenarioResult> for RunView<'a> {
+    fn from(r: &'a ulba_scenario::ScenarioResult) -> Self {
+        Self {
+            backend: r.backend,
+            hub_shards: r.hub_shards,
+            makespan: r.makespan,
+            lb_calls: r.lb_calls,
+            mean_utilization: r.mean_utilization,
+            db_entries_total: r.db_entries_total,
+            rank_metrics: &r.rank_metrics,
+            lambda: Some((r.lambda_target, r.lambda_achieved)),
+        }
+    }
+}
+
+/// Build a [`PerfRow`] from one experiment (erosion or scenario), deriving
+/// the imbalance statistics from the per-rank metrics; scenario rows carry
+/// the generator's λ accounting. The backend label is the one the run
+/// resolved to, never a raw flag or environment string.
+pub fn perf_row<'a>(
     policy: &str,
     pes: usize,
     gossip_wire: &str,
-    res: &ulba_erosion::ExperimentResult,
+    res: impl Into<RunView<'a>>,
     sim_wall_s: f64,
 ) -> PerfRow {
-    let busy: Vec<f64> = res.rank_metrics.iter().map(|m| m.busy).collect();
-    let busy_mean = busy.iter().sum::<f64>() / busy.len().max(1) as f64;
-    let busy_max_over_mean =
-        if busy_mean > 0.0 { busy.iter().copied().fold(0.0f64, f64::max) / busy_mean } else { 1.0 };
+    let res: RunView<'a> = res.into();
+    let busy_sum: f64 = res.rank_metrics.iter().map(|m| m.busy).sum();
+    let busy_mean = busy_sum / res.rank_metrics.len().max(1) as f64;
+    let busy_max = res.rank_metrics.iter().map(|m| m.busy).fold(0.0f64, f64::max);
+    let busy_max_over_mean = if busy_mean > 0.0 { busy_max / busy_mean } else { 1.0 };
     let total: f64 = res.rank_metrics.iter().map(|m| m.total()).sum();
     let idle_fraction = if total > 0.0 {
         res.rank_metrics.iter().map(|m| m.idle).sum::<f64>() / total
@@ -326,8 +372,8 @@ pub fn perf_row(
         idle_fraction,
         db_entries_total: res.db_entries_total,
         peak_rss_bytes: peak_rss_bytes(),
-        lambda_target: None,
-        lambda_achieved: None,
+        lambda_target: res.lambda.map(|l| l.0),
+        lambda_achieved: res.lambda.map(|l| l.1),
     }
 }
 

@@ -25,7 +25,11 @@
 //! * [`partition`] — weighted contiguous 1-D (stripe) partitioning;
 //! * [`balancer`] — the centralized LB technique executed on
 //!   [`ulba_runtime`];
-//! * [`policy`] — standard vs. ULBA (fixed α) vs. the dynamic-α extension.
+//! * [`policy`] — standard vs. ULBA (fixed α) vs. the dynamic-α extension;
+//! * [`driver`] — the one LB loop that strings all of the above together
+//!   as a generic rank program: an application implements the six-method
+//!   [`Workload`] trait and is launched, joined and
+//!   batched through [`LbLaunch`].
 //!
 //! # Example: one ULBA decision cycle (no runtime needed)
 //!
@@ -55,6 +59,7 @@
 
 pub mod balancer;
 pub mod db;
+pub mod driver;
 pub mod gossip;
 pub mod model_loop;
 pub mod outlier;
@@ -66,6 +71,7 @@ pub mod wir;
 
 pub use balancer::{centralized_rebalance, RebalanceOutcome, LB_ROOT};
 pub use db::{wire_bytes, WirDatabase, WirEntry};
+pub use driver::{LbJob, LbLaunch, LbParams, LbRun, LbStepRecord, Placement, Workload};
 pub use gossip::{select_peers, GossipMode, GossipOutbox, GossipWire};
 pub use model_loop::trigger_driven_schedule;
 pub use outlier::{detect_overloading, z_scores, DetectionStat, DEFAULT_Z_THRESHOLD};
@@ -82,6 +88,7 @@ pub use wir::WirEstimator;
 pub mod prelude {
     pub use crate::balancer::{centralized_rebalance, RebalanceOutcome, LB_ROOT};
     pub use crate::db::{wire_bytes, WirDatabase, WirEntry};
+    pub use crate::driver::{LbJob, LbLaunch, LbParams, LbRun, LbStepRecord, Placement, Workload};
     pub use crate::gossip::{select_peers, GossipMode, GossipOutbox, GossipWire};
     pub use crate::outlier::{detect_overloading, z_scores, DetectionStat, DEFAULT_Z_THRESHOLD};
     pub use crate::partition::{partition_by_shares, partition_evenly, Partition};

@@ -35,6 +35,12 @@ impl Partition {
         Self { bounds: Arc::new(bounds) }
     }
 
+    /// `ranks` ranges of `items_per_rank` items each — the partition an
+    /// application starts from before any LB step.
+    pub fn uniform(ranks: usize, items_per_rank: usize) -> Self {
+        Self::from_bounds((0..=ranks).map(|r| r * items_per_rank).collect(), ranks * items_per_rank)
+    }
+
     /// Number of ranges (PEs).
     pub fn num_ranges(&self) -> usize {
         self.bounds.len() - 1

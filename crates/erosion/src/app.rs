@@ -1,60 +1,37 @@
-//! The full distributed erosion application (§IV-B), wiring the mesh
-//! dynamics to the ULBA machinery on the SPMD runtime.
+//! The distributed erosion application (§IV-B): the mesh dynamics as a
+//! [`Workload`] of the ULBA driver.
 //!
-//! Per iteration, each rank:
+//! Per iteration, each rank (in [`Workload::step`]):
 //!
 //! 1. exchanges halo columns with its neighbours and refreshes the exposure
 //!    of its boundary columns;
 //! 2. charges the fluid compute (`fluid weight × FLOP/cell`) plus a small
 //!    frontier-scan term;
-//! 3. executes the probabilistic erosion step (real state mutation);
-//! 4. updates its WIR estimate and performs one gossip dissemination step;
-//! 5. joins the iteration-end reduction of `(elapsed, workload)`, folded
-//!    once per round on the shared hub round — the max elapsed is the
-//!    iteration wall time fed to the trigger, the sum the total workload;
-//! 6. learns (via broadcast from rank 0) whether to run the LB step; if so,
-//!    computes its α from its WIR z-score (Algorithm 1), joins the
-//!    centralized rebalancing (Algorithm 2), migrates columns, and the
-//!    measured cost updates the trigger's EWMA LB-cost model.
+//! 3. executes the probabilistic erosion step (real state mutation).
 //!
-//! Experiments execute through three entry points that share one launch
-//! path (the rank body handed to the runtime's `submit`):
-//! [`run_erosion`] (run one config, blocking), [`submit_erosion`] (launch
-//! one config, pooled jobs going to a shared [`JobServer`], and join
-//! later), and [`run_erosion_batch`] (launch a whole sweep, join in
-//! order). The runtime's determinism guarantee makes all three
-//! bit-identical for the same config — batching is purely a wall-time
-//! optimization.
+//! WIR measurement, gossip, the iteration-end reduction, the trigger
+//! decision and the LB step (Algorithms 1–2) are [`ulba_core::driver`]'s;
+//! this module only says what a column weighs (optionally extrapolated —
+//! anticipatory partitioning), what an LB call costs on top of its
+//! collectives, and how columns migrate.
+//!
+//! [`run_erosion`], [`submit_erosion`] and [`run_erosion_batch`] are the
+//! driver's run / submit / batch over an [`ErosionConfig`]; determinism
+//! makes all three bit-identical for the same config.
 
 use crate::config::ErosionConfig;
-#[cfg(test)]
-use crate::config::TriggerKind;
 use crate::erode::erosion_step;
 use crate::geometry::Geometry;
 use crate::stripe::{exchange_halos_reusing, migrate, HaloScratch, Stripe};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::Arc;
-use ulba_core::balancer::{centralized_rebalance, RebalanceOutcome};
-use ulba_core::db::{wire_bytes, WirDatabase, WirEntry};
-use ulba_core::gossip::{select_peers, GossipOutbox};
-use ulba_core::outlier::z_scores;
+use ulba_core::balancer::LB_ROOT;
+use ulba_core::driver::{run_batch, LbJob, LbLaunch, LbRun, LbStepRecord, Workload};
 use ulba_core::partition::{predicted_weights, Partition};
-#[cfg(test)]
-use ulba_core::policy::LbPolicy;
-use ulba_core::policy::{estimate_ulba_overhead, outlier_score};
-use ulba_core::trigger::{AnyTrigger, LbTrigger};
-use ulba_core::wir::WirEstimator;
-use ulba_runtime::{
-    submit, Backend, IterationStats, JobHandle, JobServer, MachineSpec, RankMetrics, RoundValues,
-    RunConfig, SpmdCtx, Tag,
-};
+use ulba_runtime::{Backend, IterationStats, JobServer, RankMetrics, SpmdCtx};
 
-/// Message tag of gossip snapshots.
-pub const GOSSIP_TAG: Tag = 0x474F;
 /// FLOP charged per exposed frontier cell per iteration (neighbour scan +
 /// probability sampling).
 pub const FRONTIER_FLOP: f64 = 16.0;
@@ -68,6 +45,9 @@ pub struct ExperimentResult {
     pub lb_calls: usize,
     /// Iterations at which LB steps happened.
     pub lb_iterations: Vec<u64>,
+    /// What rank 0 knew at each executed LB step (cost, α, share decision),
+    /// parallel to [`lb_iterations`](Self::lb_iterations).
+    pub lb_steps: Vec<LbStepRecord>,
     /// Per-iteration wall time / mean utilization series (Fig. 4b).
     pub iterations: Vec<IterationStats>,
     /// Average PE utilization over the whole run.
@@ -79,23 +59,40 @@ pub struct ExperimentResult {
     /// Final per-rank time accounting.
     pub rank_metrics: Vec<RankMetrics>,
     /// The backend that drove the run — what [`ErosionConfig::backend`],
-    /// [`ErosionConfig::server`] and `ULBA_BACKEND` resolved to. Pure
-    /// metadata, like the shard count below.
+    /// [`ErosionConfig::server`] and `ULBA_BACKEND` resolved to.
     pub backend: Backend,
-    /// Leaf shard count the runtime's rendezvous hub actually ran with
-    /// (the resolved value of [`ErosionConfig::hub_shards`]). Pure
-    /// contention metadata: it never influences the measurements above.
+    /// Leaf shard count the rendezvous hub actually ran with (the resolved
+    /// [`ErosionConfig::hub_shards`]); see [`LbRun::hub_shards`].
     pub hub_shards: usize,
-    /// Sum over ranks of WIR-database entries resident at run end — the
-    /// sparse database's aggregate footprint in entries. Bounded by what
-    /// gossip actually delivered (`O(P · min(P, fanout · iterations))`),
-    /// where the dense layout always held `P²`. Pure memory metadata: it
-    /// never influences the measurements above.
+    /// Sum over ranks of WIR-database entries resident at run end; see
+    /// [`LbRun::db_entries_total`].
     pub db_entries_total: u64,
     /// Sum over ranks of delta-gossip peer watermarks resident at run end
-    /// (0 under the full-snapshot wire). Memory metadata, like
-    /// [`db_entries_total`](Self::db_entries_total).
+    /// (0 under the full-snapshot wire).
     pub gossip_watermarks_total: u64,
+}
+
+/// The driver's measurements plus the workload's
+/// `(final total weight, total eroded)`, flattened.
+impl From<LbRun<(u64, u64)>> for ExperimentResult {
+    fn from(run: LbRun<(u64, u64)>) -> Self {
+        let (final_total_weight, total_eroded) = run.extras;
+        Self {
+            makespan: run.makespan,
+            lb_calls: run.lb_calls,
+            lb_iterations: run.lb_iterations,
+            lb_steps: run.lb_steps,
+            iterations: run.iterations,
+            mean_utilization: run.mean_utilization,
+            final_total_weight,
+            total_eroded,
+            rank_metrics: run.rank_metrics,
+            backend: run.backend,
+            hub_shards: run.hub_shards,
+            db_entries_total: run.db_entries_total,
+            gossip_watermarks_total: run.gossip_watermarks_total,
+        }
+    }
 }
 
 /// Deterministically pick which rock discs are strongly erodible
@@ -114,139 +111,54 @@ pub fn choose_strong_rocks(cfg: &ErosionConfig) -> Vec<usize> {
     strong
 }
 
-/// Out-of-band measurements a run records on its way out: rank 0's final
-/// physics totals and every rank's database-footprint contribution. A side
-/// channel, not a collective: it must not perturb the virtual-time
-/// measurements. Owned per prepared run, so concurrent jobs on a shared
-/// [`JobServer`] can never cross-contaminate each other's accounting.
-#[derive(Default)]
-struct SideChannels {
-    /// `(final total weight, total eroded)`, recorded by rank 0.
-    extras: Mutex<Option<(u64, u64)>>,
-    /// Aggregate memory accounting `(db entries, gossip watermarks)`,
-    /// summed by every rank on its way out.
-    db_footprint: Mutex<(u64, u64)>,
+/// The immutable inputs of one run, built once and shared by every rank.
+struct Inputs {
+    /// The config, minus its server handle (the rank bodies never need it,
+    /// and a handle captured inside the job's own futures would keep the
+    /// pool alive from within itself).
+    cfg: ErosionConfig,
+    geometry: Geometry,
+    strong: Vec<usize>,
 }
 
-/// Diagnostic `eprintln!` switches, read from the environment once per run
-/// (never inside the iteration loop).
-#[derive(Clone, Copy)]
-struct DebugFlags {
-    /// `ULBA_DEBUG`: one line per LB step (cost, α, share decision).
-    lb: bool,
-    /// `ULBA_DEBUG2`: the slowest rank, every 8th iteration.
-    slowest: bool,
-    /// `ULBA_DEBUG3`: the top WIR z-scores at each LB step.
-    wir: bool,
+/// One rank's kernel state: its stripe and what the physics accumulates.
+struct ErosionWorkload {
+    inputs: Arc<Inputs>,
+    stripe: Stripe,
+    /// Halo send buffers, refilled from the halos received the previous
+    /// iteration so the steady-state exchange allocates nothing.
+    halo_scratch: HaloScratch,
+    eroded_total: u64,
+    /// Anticipatory partitioning only: the stripe's per-column weights as
+    /// of `history_iter` (the construction or the last migration — the
+    /// only points at which the stripe's column range changes).
+    history: Vec<u64>,
+    history_iter: u64,
 }
 
-impl DebugFlags {
-    fn from_env() -> Self {
-        let set = |name| std::env::var_os(name).is_some();
-        Self { lb: set("ULBA_DEBUG"), slowest: set("ULBA_DEBUG2"), wir: set("ULBA_DEBUG3") }
-    }
-}
+impl Workload for ErosionWorkload {
+    type Extras = (u64, u64);
 
-/// What one iteration's `(elapsed, workload)` pairs reduce to.
-#[derive(Clone, Copy)]
-struct IterEnd {
-    /// The slowest PE's elapsed time: the iteration wall time.
-    t_iter: f64,
-    /// Total workload (FLOP) across PEs.
-    wtot_flops: f64,
-    /// `(rank, workload)` of the slowest PE, for the `ULBA_DEBUG2` line.
-    slowest: (usize, f64),
-}
+    async fn step(&mut self, ctx: &mut SpmdCtx, iter: u64) -> f64 {
+        let Inputs { cfg, strong, .. } = &*self.inputs;
+        let halos = exchange_halos_reusing(ctx, &self.stripe, &mut self.halo_scratch).await;
+        self.stripe.refresh_boundary_exposure(halos.left.as_deref(), halos.right.as_deref());
 
-impl IterEnd {
-    /// The fold of the iteration-end reduction: a pure function of the
-    /// round's values in rank order, as [`SpmdCtx::allgather_with`] needs.
-    fn fold(stats: &RoundValues<(f64, f64)>) -> Self {
-        let t_iter = stats.iter().map(|s| s.0).fold(0.0f64, f64::max);
-        let wtot_flops: f64 = stats.iter().map(|s| s.1).sum();
-        let slowest = stats
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1 .0.partial_cmp(&b.1 .0).expect("finite"))
-            .map(|(rank, s)| (rank, s.1))
-            .expect("non-empty");
-        Self { t_iter, wtot_flops, slowest }
-    }
-}
+        let workload_flops = self.stripe.fluid_weight() as f64 * cfg.flop_per_cell;
+        ctx.compute(workload_flops + self.stripe.exposed_count() as f64 * FRONTIER_FLOP);
 
-/// One rank's whole program, from initial stripe to final accounting.
-///
-/// Everything captured is owned (`Arc`s and clones): the future is
-/// `'static`, as the runtime requires — a submitted job outlives the stack
-/// frame that prepared it.
-async fn rank_program(
-    mut ctx: SpmdCtx,
-    cfg: Arc<ErosionConfig>,
-    geometry: Arc<Geometry>,
-    strong: Arc<Vec<usize>>,
-    initial_partition: Partition,
-    side: Arc<SideChannels>,
-    debug: DebugFlags,
-) {
-    let rank = ctx.rank();
-    let p = ctx.size();
-    // Disc membership is positional (one disc per initial stripe);
-    // rock cells carry no id — see `cell.rs`.
-    let prob_of = |col: usize| {
-        if strong.binary_search(&(col / cfg.cols_per_pe)).is_ok() {
-            cfg.p_strong
-        } else {
-            cfg.p_weak
-        }
-    };
-
-    let mut stripe =
-        Stripe::initial(&geometry, rank * cfg.cols_per_pe..(rank + 1) * cfg.cols_per_pe);
-    // Every rank's stripe equals its range of this partition at all
-    // times (initially by construction, after every LB step by
-    // migration) — so migration routing never needs the per-rank
-    // `O(P)` materialization of everyone's old ranges.
-    let mut prev_partition = initial_partition;
-    let mut wir = WirEstimator::new(cfg.wir_window);
-    let mut db = WirDatabase::new(p);
-    let mut outbox = GossipOutbox::new();
-    // The trigger lives on rank 0 (decisions are broadcast); it is
-    // created at iteration 0 once the first wall time seeds the LB-cost
-    // estimate.
-    let mut trigger: Option<AnyTrigger> = None;
-    let mut eroded_total = 0u64;
-    // Per-column weight history for anticipatory partitioning: weights
-    // by global column index as of `history_iter`.
-    let mut history: HashMap<usize, u64> = HashMap::new();
-    let mut history_iter = 0u64;
-    // Scratch reused across iterations/LB steps so the steady-state loop
-    // allocates nothing: halo send buffers are refilled from the halos
-    // received the previous iteration, and the per-column weight vector
-    // is cleared and refilled in place at each LB step.
-    let mut halo_scratch = HaloScratch::new();
-    let mut weights_scratch: Vec<u64> = Vec::new();
-    if cfg.anticipatory_partitioning {
-        stripe.col_weights_into(&mut weights_scratch);
-        for (i, &w) in weights_scratch.iter().enumerate() {
-            history.insert(stripe.first_col() + i, w);
-        }
-    }
-
-    for iter in 0..cfg.iterations {
-        let iter_start = ctx.now();
-
-        // (1) Halo exchange + boundary exposure refresh.
-        let halos = exchange_halos_reusing(&mut ctx, &stripe, &mut halo_scratch).await;
-        stripe.refresh_boundary_exposure(halos.left.as_deref(), halos.right.as_deref());
-
-        // (2) Fluid compute + frontier scan (charged).
-        let workload_flops = stripe.fluid_weight() as f64 * cfg.flop_per_cell;
-        ctx.compute(workload_flops + stripe.exposed_count() as f64 * FRONTIER_FLOP);
-
-        // (3) Erosion dynamics (actual state mutation).
-        let first_col = stripe.first_col();
+        // Disc membership is positional (one disc per initial stripe);
+        // rock cells carry no id — see `cell.rs`.
+        let prob_of = |col: usize| {
+            if strong.binary_search(&(col / cfg.cols_per_pe)).is_ok() {
+                cfg.p_strong
+            } else {
+                cfg.p_weak
+            }
+        };
+        let first_col = self.stripe.first_col();
         let delta = erosion_step(
-            stripe.cols_mut(),
+            self.stripe.cols_mut(),
             first_col,
             halos.left.as_deref(),
             halos.right.as_deref(),
@@ -254,278 +166,126 @@ async fn rank_program(
             iter,
             &prob_of,
         );
-        eroded_total += delta.eroded as u64;
+        self.eroded_total += delta.eroded as u64;
         // The halos are fully consumed: feed their buffers back into the
         // next iteration's sends.
-        halos.recycle_into(&mut halo_scratch);
+        halos.recycle_into(&mut self.halo_scratch);
+        workload_flops
+    }
 
-        // (4) WIR measurement + one gossip dissemination step.
-        wir.push(iter, workload_flops);
-        if let Some(rate) = wir.rate() {
-            db.update(WirEntry { rank, wir: rate, iteration: iter });
-        }
-        for peer in select_peers(cfg.gossip, rank, p, iter, cfg.seed) {
-            let payload = outbox.message(&db, peer, iter, cfg.gossip_wire);
-            let payload_bytes = wire_bytes(&payload);
-            ctx.send(peer, GOSSIP_TAG, payload, payload_bytes);
-        }
-
-        // (5) Iteration-end sync: reduce (elapsed, workload) to the slowest
-        // PE's time and the total workload — folded once for the whole
-        // round, never copied out as a per-rank `O(P)` vector.
-        let elapsed = ctx.now() - iter_start;
-        let IterEnd { t_iter, wtot_flops, slowest } =
-            ctx.allgather_with((elapsed, workload_flops), 16, IterEnd::fold).await;
-
-        // Drain gossip *after* the rendezvous: every message posted this
-        // iteration is now guaranteed present, so the merged set (and
-        // with it every LB decision) is deterministic.
-        for (_, snap) in ctx.drain::<Vec<WirEntry>>(GOSSIP_TAG) {
-            db.merge(&snap);
-        }
-
-        if rank == 0 && debug.slowest && iter % 8 == 0 {
-            let (argmax, w) = slowest;
-            eprintln!("[it {iter}] max rank {argmax} t={t_iter:.4} w={w:.3e}");
-        }
-
-        // (6) LB decision on rank 0, broadcast to everyone.
-        let my_flag = if rank == 0 {
-            let trig = trigger
-                .get_or_insert_with(|| cfg.trigger.build(cfg.initial_lb_cost_factor * t_iter));
-            trig.set_overhead_estimate(estimate_ulba_overhead(
-                &cfg.policy,
-                &db,
-                wtot_flops,
-                cfg.omega,
-                p,
-            ));
-            Some(trig.observe(iter, t_iter))
-        } else {
-            None
-        };
-        let lb_now = ctx.broadcast(0, my_flag, 1).await;
-        ctx.mark_iteration(iter);
-
-        // (7) The LB step (Algorithms 1–2 + migration).
-        if lb_now && iter + 1 < cfg.iterations {
-            ctx.begin_lb();
-            let lb_started = ctx.now();
-            // Fixed per-call overhead restoring the paper's LB-cost
-            // regime (see ErosionConfig::lb_fixed_cost_factor), plus the
-            // root's cell-granularity repartitioning walk (grows with P).
-            ctx.elapse_lb(cfg.lb_fixed_cost_secs());
-            if rank == 0 {
-                ctx.elapse_lb(cfg.lb_root_walk_secs());
-            }
-            let my_z = outlier_score(&cfg.policy, &db, rank);
-            let my_alpha = cfg.policy.alpha_for(my_z);
-            // Optionally extrapolate column weights over the expected
-            // next interval (persistence: ≈ the last interval length).
-            stripe.col_weights_into(&mut weights_scratch);
-            let current_weights = &weights_scratch;
-            let split_weights = if cfg.anticipatory_partitioning {
-                let elapsed_iters = (iter - history_iter).max(1) as f64;
-                let rates: Vec<f64> = current_weights
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &w)| {
-                        let global = stripe.first_col() + i;
-                        match history.get(&global) {
-                            Some(&old) => (w as f64 - old as f64) / elapsed_iters,
-                            None => 0.0, // migrated in: no history yet
-                        }
-                    })
-                    .collect();
-                predicted_weights(current_weights, &rates, elapsed_iters)
-            } else {
-                current_weights.clone()
-            };
-            // Every range of the new partition is non-empty (repaired once,
-            // on the root), and its bounds are one allocation shared by
-            // all ranks.
-            let RebalanceOutcome { partition, decision, .. } =
-                centralized_rebalance(&mut ctx, my_alpha, stripe.first_col(), &split_weights).await;
-            // The range allgather stays for its virtual cost, but its
-            // payload is redundant — every rank's range *is* its slot of
-            // the cached previous partition — so nothing is folded out of
-            // it and no rank copies it.
-            ctx.allgather_with((stripe.first_col(), stripe.len()), 16, |_| ()).await;
-            stripe = migrate(&mut ctx, stripe, &prev_partition, &partition).await;
-            let measured = ctx.now() - lb_started;
-            let cost = ctx.allreduce_max(measured).await;
-            ctx.end_lb();
-            if rank == 0 {
-                if debug.wir {
-                    let wirs = db.wirs_or(0.0);
-                    let zs = z_scores(&wirs);
-                    let mut top: Vec<(usize, f64, f64)> =
-                        wirs.iter().zip(&zs).enumerate().map(|(r, (&w, &z))| (r, w, z)).collect();
-                    top.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("finite"));
-                    eprintln!("[wir] iter={iter} top: {:?}", &top[..4.min(top.len())]);
-                }
-                if debug.lb {
-                    eprintln!(
-                        "[lb] iter={iter} measured_cost={cost:.4}s alpha_root={my_alpha:.2} \
-                         N={} fallback={} bounds[28..32]={:?}",
-                        decision.overloading,
-                        decision.majority_fallback,
-                        &partition.bounds()[28.min(p)..]
-                    );
-                }
-                if let Some(trig) = trigger.as_mut() {
-                    trig.lb_completed(iter, cost);
-                }
-                ctx.mark_lb_event(iter);
-            }
-            prev_partition = partition;
-            // Workload jumped with the migration: restart the local WIR
-            // estimate (the persistence principle applies *between* LB
-            // steps).
-            wir.reset();
-            if cfg.anticipatory_partitioning {
-                history.clear();
-                stripe.col_weights_into(&mut weights_scratch);
-                for (i, &w) in weights_scratch.iter().enumerate() {
-                    history.insert(stripe.first_col() + i, w);
-                }
-                history_iter = iter;
-            }
+    /// Fixed per-call overhead restoring the paper's LB-cost regime (see
+    /// [`ErosionConfig::lb_fixed_cost_factor`]), plus the root's
+    /// cell-granularity repartitioning walk (grows with P). Two charges,
+    /// not one sum: the clock is an `f64`.
+    fn charge_lb_overhead(&self, ctx: &mut SpmdCtx) {
+        ctx.elapse_lb(self.inputs.cfg.lb_fixed_cost_secs());
+        if ctx.rank() == LB_ROOT {
+            ctx.elapse_lb(self.inputs.cfg.lb_root_walk_secs());
         }
     }
 
-    // Final accounting.
-    let final_weight = ctx.allreduce_sum(stripe.fluid_weight() as f64).await as u64;
-    let eroded = ctx.allreduce_sum(eroded_total as f64).await as u64;
-    if rank == 0 {
-        *side.extras.lock() = Some((final_weight, eroded));
+    fn weights_into(&mut self, iter: u64, out: &mut Vec<u64>) -> usize {
+        self.stripe.col_weights_into(out);
+        if self.inputs.cfg.anticipatory_partitioning {
+            // Extrapolate column weights over the expected next interval
+            // (persistence: ≈ the last interval length).
+            let elapsed_iters = (iter - self.history_iter).max(1) as f64;
+            let rates: Vec<f64> = out
+                .iter()
+                .zip(&self.history)
+                .map(|(&w, &old)| (w as f64 - old as f64) / elapsed_iters)
+                .collect();
+            *out = predicted_weights(out, &rates, elapsed_iters);
+        }
+        self.stripe.first_col()
     }
-    let mut footprint = side.db_footprint.lock();
-    footprint.0 += db.known_count() as u64;
-    footprint.1 += outbox.tracked_peers() as u64;
+
+    async fn migrate(&mut self, ctx: &mut SpmdCtx, iter: u64, old: &Partition, new: &Partition) {
+        // The range allgather stays for its virtual cost, but its payload
+        // is redundant — every rank's range *is* its slot of `old` — so
+        // nothing is folded out of it and no rank copies it.
+        ctx.allgather_with((self.stripe.first_col(), self.stripe.len()), 16, |_| ()).await;
+        self.stripe = migrate(ctx, std::mem::take(&mut self.stripe), old, new).await;
+        if self.inputs.cfg.anticipatory_partitioning {
+            self.stripe.col_weights_into(&mut self.history);
+            self.history_iter = iter;
+        }
+    }
+
+    async fn finish(self, ctx: &mut SpmdCtx) -> (u64, u64) {
+        let final_weight = ctx.allreduce_sum(self.stripe.fluid_weight() as f64).await as u64;
+        let eroded = ctx.allreduce_sum(self.eroded_total as f64).await as u64;
+        (final_weight, eroded)
+    }
 }
 
-/// The one launch path of an experiment: validate `cfg`, build the
-/// immutable shared inputs (geometry, strong-rock set, initial partition)
-/// once, resolve the runtime config, and hand the rank body to the
-/// runtime's `submit`. `pool`, when given, is where a pool job goes
-/// (instead of the config's own server); which backend the config *means*
-/// never depends on it.
-fn launch(cfg: &ErosionConfig, pool: Option<&JobServer>) -> ErosionJob {
-    cfg.validate().expect("invalid erosion config");
-    let geometry = Arc::new(Geometry::new(cfg.ranks, cfg.cols_per_pe, cfg.height, cfg.rock_radius));
-    let strong = Arc::new(choose_strong_rocks(cfg));
-    // The initial (uniform) partition, built once and Arc-shared: every
-    // rank's cached "previous partition" clone is a reference bump, never a
-    // per-rank `O(P)` bounds copy.
-    let initial_partition =
-        Partition::from_bounds((0..=cfg.ranks).map(|r| r * cfg.cols_per_pe).collect(), cfg.width());
-    let side = Arc::new(SideChannels::default());
-
+/// Validate `cfg` and build the immutable shared inputs (geometry,
+/// strong-rock set, initial uniform partition) once; the driver does the
+/// rest.
+fn prepare(
+    cfg: &ErosionConfig,
+) -> Result<LbLaunch<impl Fn(&SpmdCtx) -> ErosionWorkload + Send + Sync + 'static>, String> {
+    cfg.validate()?;
     let mut cfg = cfg.clone();
-    // The server handle only routes the run; the rank bodies never need it,
-    // and a handle captured inside the job's own futures would keep the
-    // pool alive from within itself.
-    let server = cfg.server.take();
-    let mut run_cfg =
-        RunConfig::resolve(cfg.ranks, cfg.backend, cfg.workers, cfg.hub_shards, server)
-            .with_spec(MachineSpec::homogeneous(cfg.omega));
-    if let Some(pool) = pool {
-        run_cfg.server = Some(pool.clone());
-    }
-    let hub_shards = run_cfg.effective_hub_shards();
-
-    let cfg = Arc::new(cfg);
-    let side_tx = Arc::clone(&side);
-    let debug = DebugFlags::from_env();
-    let handle = submit(run_cfg, move |ctx| {
-        rank_program(
-            ctx,
-            Arc::clone(&cfg),
-            Arc::clone(&geometry),
-            Arc::clone(&strong),
-            initial_partition.clone(),
-            Arc::clone(&side_tx),
-            debug,
-        )
+    let placement = cfg.placement();
+    cfg.server = None;
+    let lb = cfg.lb_params();
+    let initial = Partition::uniform(cfg.ranks, cfg.cols_per_pe);
+    let inputs = Arc::new(Inputs {
+        geometry: Geometry::new(cfg.ranks, cfg.cols_per_pe, cfg.height, cfg.rock_radius),
+        strong: choose_strong_rocks(&cfg),
+        cfg,
     });
-    ErosionJob { handle, side, hub_shards }
+    let make = move |ctx: &SpmdCtx| {
+        let cols = inputs.cfg.cols_per_pe;
+        let stripe = Stripe::initial(&inputs.geometry, ctx.rank() * cols..(ctx.rank() + 1) * cols);
+        let history =
+            if inputs.cfg.anticipatory_partitioning { stripe.col_weights() } else { Vec::new() };
+        ErosionWorkload {
+            inputs: Arc::clone(&inputs),
+            stripe,
+            halo_scratch: HaloScratch::new(),
+            eroded_total: 0,
+            history,
+            history_iter: 0,
+        }
+    };
+    Ok(LbLaunch { lb, placement, initial, make })
+}
+
+/// Validate, prepare and launch `cfg`; `pool` as in [`LbLaunch::submit`].
+fn start(cfg: &ErosionConfig, pool: Option<&JobServer>) -> ErosionJob {
+    prepare(cfg).unwrap_or_else(|err| panic!("invalid erosion config: {err}")).submit(pool)
 }
 
 /// Run one erosion experiment and collect its measurements.
 pub fn run_erosion(cfg: &ErosionConfig) -> ExperimentResult {
-    launch(cfg, None).join()
+    start(cfg, None).join()
 }
 
-/// A launched erosion experiment; see [`submit_erosion`].
-pub struct ErosionJob {
-    handle: JobHandle,
-    side: Arc<SideChannels>,
-    hub_shards: usize,
-}
-
-impl ErosionJob {
-    /// The backend driving the experiment: a [`Backend::Parallel`] job is
-    /// already running on its server; a [`Backend::Sequential`] one
-    /// occupies no pool worker and runs inside [`ErosionJob::join`].
-    pub fn backend(&self) -> Backend {
-        self.handle.backend()
-    }
-
-    /// Block until the experiment finishes and combine the runtime's
-    /// report with the run's side channels into the final measurements.
-    /// Panics if the job deadlocked or a rank panicked.
-    pub fn join(self) -> ExperimentResult {
-        let backend = self.handle.backend();
-        let report = self.handle.join().unwrap_or_else(|err| panic!("{err}"));
-        let (final_total_weight, total_eroded) =
-            self.side.extras.lock().take().expect("rank 0 recorded the extras");
-        let (db_entries_total, gossip_watermarks_total) = *self.side.db_footprint.lock();
-        ExperimentResult {
-            makespan: report.makespan().as_secs(),
-            lb_calls: report.lb_call_count(),
-            lb_iterations: report.lb_iterations.clone(),
-            mean_utilization: report.mean_utilization(),
-            iterations: report.iterations,
-            final_total_weight,
-            total_eroded,
-            rank_metrics: report.rank_metrics,
-            backend,
-            hub_shards: self.hub_shards,
-            db_entries_total,
-            gossip_watermarks_total,
-        }
-    }
-}
+/// A launched erosion experiment; see [`submit_erosion`]. A
+/// [`Backend::Parallel`] job is already running on its server; a
+/// [`Backend::Sequential`] one runs inside `join`.
+pub type ErosionJob = LbJob<(u64, u64), ExperimentResult>;
 
 /// Launch one experiment without waiting for it; a pooled job goes to
 /// `server`.
 ///
 /// Which backend the config means is decided exactly as in [`run_erosion`]
 /// (see [`ErosionConfig::with_server`]) — `server` only names the pool. A
-/// config that means the sequential backend — explicitly, or through
-/// `ULBA_BACKEND` when it names neither backend nor server — occupies no
-/// pool worker: it runs serially when the returned job is joined, so a
-/// `ULBA_BACKEND=sequential` CI leg still exercises the sequential
-/// scheduler even through the batch API. Either way the measurements are
-/// bit-identical; only wall time and concurrency differ.
+/// config that means the sequential backend (explicitly, or through
+/// `ULBA_BACKEND`) occupies no pool worker and runs serially when the job
+/// is joined. Either way the measurements are bit-identical.
 pub fn submit_erosion(server: &JobServer, cfg: &ErosionConfig) -> ErosionJob {
-    launch(cfg, Some(server))
+    start(cfg, Some(server))
 }
 
-/// Run a whole sweep concurrently on a shared pool and return the results
-/// in input order.
-///
-/// Each config routes to its own [`ErosionConfig::server`] when set, else
-/// to the process-global [`JobServer::global`] pool. The runtime's
-/// determinism guarantee makes every result bit-identical to a serial
-/// [`run_erosion`] of the same config — batching only buys wall time.
+/// Run a whole sweep concurrently and return the results in input order
+/// ([`run_batch`]): each config routes to its own [`ErosionConfig::server`]
+/// when set, else to [`JobServer::global`], and every config is validated
+/// before the first job is submitted (the panic names the offending index).
 pub fn run_erosion_batch(cfgs: &[ErosionConfig]) -> Vec<ExperimentResult> {
-    let jobs: Vec<ErosionJob> = cfgs
-        .iter()
-        .map(|cfg| submit_erosion(cfg.server.as_ref().unwrap_or_else(|| JobServer::global()), cfg))
-        .collect();
-    jobs.into_iter().map(ErosionJob::join).collect()
+    run_batch(cfgs, prepare)
 }
 
 /// Run the same configuration under several seeds and return the median
@@ -533,14 +293,8 @@ pub fn run_erosion_batch(cfgs: &[ErosionConfig]) -> Vec<ExperimentResult> {
 /// runs"). The seeds run concurrently through [`run_erosion_batch`].
 pub fn run_erosion_median(cfg: &ErosionConfig, seeds: &[u64]) -> ExperimentResult {
     assert!(!seeds.is_empty());
-    let cfgs: Vec<ErosionConfig> = seeds
-        .iter()
-        .map(|&s| {
-            let mut c = cfg.clone();
-            c.seed = s;
-            c
-        })
-        .collect();
+    let cfgs: Vec<ErosionConfig> =
+        seeds.iter().map(|&seed| ErosionConfig { seed, ..cfg.clone() }).collect();
     median_result(run_erosion_batch(&cfgs))
 }
 
@@ -557,7 +311,18 @@ pub fn median_result(mut results: Vec<ExperimentResult>) -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TriggerKind;
     use ulba_core::gossip::GossipMode;
+    use ulba_core::policy::LbPolicy;
+
+    /// One record per executed LB step, in schedule order.
+    fn assert_lb_steps_match(res: &ExperimentResult) {
+        assert_eq!(res.lb_steps.len(), res.lb_calls);
+        for (step, &iter) in res.lb_steps.iter().zip(&res.lb_iterations) {
+            assert_eq!(step.iteration, iter);
+            assert!(step.cost_secs > 0.0 && step.iter_wall_secs > 0.0);
+        }
+    }
 
     #[test]
     fn strong_rock_choice_is_deterministic_and_distinct() {
@@ -592,6 +357,7 @@ mod tests {
         assert_eq!(res.iterations.len(), cfg.iterations as usize);
         assert!(res.total_eroded > 0, "the strong rock must erode");
         assert!(res.mean_utilization > 0.2 && res.mean_utilization <= 1.0);
+        assert_lb_steps_match(&res);
     }
 
     #[test]
@@ -600,6 +366,7 @@ mod tests {
         let res = run_erosion(&cfg);
         assert!(res.makespan > 0.0);
         assert_eq!(res.iterations.len(), cfg.iterations as usize);
+        assert_lb_steps_match(&res);
     }
 
     #[test]
@@ -641,6 +408,7 @@ mod tests {
         // Fires at iterations 19 and 39 (the 59 slot is suppressed as the
         // last iteration).
         assert_eq!(res.lb_iterations, vec![19, 39]);
+        assert_lb_steps_match(&res);
     }
 
     #[test]
@@ -760,6 +528,18 @@ mod tests {
         assert_eq!(job.backend(), Backend::Sequential, "sequential runs must not be pooled");
         let res = job.join();
         assert_eq!(run_erosion(&cfg).makespan.to_bits(), res.makespan.to_bits());
+    }
+
+    /// Regression: the batch used to launch configs 0..k before it looked
+    /// at config k, stranding them on the pool when k was invalid.
+    #[test]
+    fn batch_rejects_a_bad_config_by_index_before_launching_any() {
+        let mut cfgs = vec![ErosionConfig::tiny(4, 1); 3];
+        cfgs[2].strong_rocks = 5;
+        let panic = std::panic::catch_unwind(|| run_erosion_batch(&cfgs)).expect_err("5 > 4 discs");
+        let message = panic.downcast_ref::<String>().expect("a formatted panic message");
+        assert!(message.contains("index 2"), "{message}");
+        assert!(message.contains("strong rocks"), "{message}");
     }
 
     /// `run_erosion` and `submit_erosion` mean the same backend by the

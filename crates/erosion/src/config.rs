@@ -1,6 +1,7 @@
 //! Experiment configuration for the erosion proxy application.
 
 use serde::{Deserialize, Serialize};
+use ulba_core::driver::{LbParams, Placement};
 use ulba_core::gossip::{GossipMode, GossipWire};
 use ulba_core::policy::LbPolicy;
 use ulba_runtime::{Backend, JobServer};
@@ -66,8 +67,9 @@ pub struct ErosionConfig {
     /// ships column weights and the migrated columns, which would make `C`
     /// three orders of magnitude cheaper than Table II's 0.1–3.0
     /// balanced-iteration range and erase the trade-off the paper studies.
-    /// This constant restores the paper's cost regime (see DESIGN.md,
-    /// substitutions).
+    /// This constant restores the paper's cost regime — one of this
+    /// reproduction's deliberate substitutions (a modelled charge standing
+    /// in for work a physical cluster would really do).
     pub lb_fixed_cost_factor: f64,
     /// FLOP charged on the *root* per domain cell at each LB step, modelling
     /// the centralized technique's cell-granularity repartitioning work
@@ -180,11 +182,11 @@ impl ErosionConfig {
         }
     }
 
-    /// Validate cross-field invariants.
+    /// Validate cross-field invariants: the geometry and physics checks
+    /// here, the LB-loop and placement checks every application shares on
+    /// the driver's [`LbParams`] / [`Placement`].
     pub fn validate(&self) -> Result<(), String> {
-        if self.ranks == 0 {
-            return Err("need at least one rank".into());
-        }
+        self.placement().validate()?;
         if self.height > 1 << 16 {
             return Err(format!(
                 "height {} exceeds the u16 row-index space of the erosion frontier \
@@ -209,26 +211,39 @@ impl ErosionConfig {
                 return Err(format!("{name} must be a probability, got {p}"));
             }
         }
-        if self.flop_per_cell <= 0.0 || self.omega <= 0.0 {
-            return Err("flop_per_cell and omega must be positive".into());
+        if self.flop_per_cell <= 0.0 {
+            return Err("flop_per_cell must be positive".into());
         }
-        if self.lb_fixed_cost_factor < 0.0
-            || self.initial_lb_cost_factor < 0.0
-            || self.lb_root_walk_flop_per_cell < 0.0
-        {
+        if self.lb_fixed_cost_factor < 0.0 || self.lb_root_walk_flop_per_cell < 0.0 {
             return Err("LB cost factors must be non-negative".into());
         }
-        if self.iterations == 0 {
-            return Err("need at least one iteration".into());
+        self.lb_params().validate()
+    }
+
+    /// The LB-side parameters of this experiment, as the driver reads them.
+    pub(crate) fn lb_params(&self) -> LbParams {
+        LbParams {
+            policy: self.policy,
+            trigger: self.trigger,
+            gossip: self.gossip,
+            gossip_wire: self.gossip_wire,
+            wir_window: self.wir_window,
+            initial_lb_cost_factor: self.initial_lb_cost_factor,
+            seed: self.seed,
+            omega: self.omega,
+            iterations: self.iterations,
         }
-        if self.workers == Some(0) {
-            return Err("workers must be positive when set (None = all cores)".into());
+    }
+
+    /// Where this experiment executes, as the driver resolves it.
+    pub(crate) fn placement(&self) -> Placement {
+        Placement {
+            ranks: self.ranks,
+            backend: self.backend,
+            workers: self.workers,
+            hub_shards: self.hub_shards,
+            server: self.server.clone(),
         }
-        if self.hub_shards == Some(0) {
-            return Err("hub_shards must be positive when set (None = runtime default)".into());
-        }
-        self.gossip_wire.validate()?;
-        Ok(())
     }
 
     /// Total domain width in columns.

@@ -44,4 +44,4 @@ pub use cell::Cell;
 pub use column::Column;
 pub use config::{ErosionConfig, TriggerKind};
 pub use geometry::Geometry;
-pub use stripe::{exchange_halos, exchange_halos_reusing, migrate, HaloScratch, Stripe};
+pub use stripe::{exchange_halos_reusing, migrate, HaloScratch, Stripe};

@@ -12,8 +12,9 @@ pub const HALO_TAG: Tag = 0x4841;
 /// Message tag of migration transfers.
 pub const MIGRATE_TAG: Tag = 0x4D49;
 
-/// The contiguous block of columns owned by one rank.
-#[derive(Debug, Clone, PartialEq)]
+/// The contiguous block of columns owned by one rank. The default is the
+/// empty stripe a rank holds while its columns are in flight.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Stripe {
     first_col: usize,
     cols: Vec<Column>,
@@ -186,14 +187,9 @@ impl HaloScratch {
 }
 
 /// Perform the per-iteration halo exchange: boundary column cells flow to
-/// both neighbours. Every rank must own at least one column.
-pub async fn exchange_halos(ctx: &mut SpmdCtx, stripe: &Stripe) -> Halos {
-    exchange_halos_reusing(ctx, stripe, &mut HaloScratch::new()).await
-}
-
-/// [`exchange_halos`], but drawing send buffers from `scratch` — the
-/// steady-state form used by the erosion loop, which recycles each
-/// iteration's received halos into the next iteration's sends.
+/// both neighbours. Every rank must own at least one column. Send buffers
+/// are drawn from `scratch`: the erosion loop recycles each iteration's
+/// received halos into the next iteration's sends.
 pub async fn exchange_halos_reusing(
     ctx: &mut SpmdCtx,
     stripe: &Stripe,
@@ -344,7 +340,8 @@ mod tests {
                 let g = &*g;
                 let rank = ctx.rank();
                 let stripe = Stripe::initial(g, rank * 32..(rank + 1) * 32);
-                let halos = exchange_halos(&mut ctx, &stripe).await;
+                let halos =
+                    exchange_halos_reusing(&mut ctx, &stripe, &mut HaloScratch::new()).await;
                 assert_eq!(halos.left.is_some(), rank > 0);
                 assert_eq!(halos.right.is_some(), rank < 3);
                 if let Some(left) = &halos.left {

@@ -1,45 +1,33 @@
-//! The scenario application: adversarial generated work driven through the
-//! full ULBA machinery on the SPMD runtime.
+//! The scenario application: adversarial generated work as a [`Workload`]
+//! of the ULBA driver.
 //!
-//! Per iteration, each rank:
+//! Per iteration, each rank (in [`Workload::step`]):
 //!
 //! 1. (task-graph only) pushes traffic payloads to pseudo-random partners —
 //!    irregular point-to-point communication beyond the halo-only BSP
 //!    baseline;
 //! 2. charges the compute of the tasks it currently owns, as dictated by
-//!    the active phase of the generated [`WorkTable`];
-//! 3. updates its WIR estimate and performs one gossip dissemination step;
-//! 4. joins the iteration-end reduction of `(elapsed, workload)` (folded once
-//!    per round on the shared hub round);
-//! 5. learns (via broadcast from rank 0) whether to run the LB step; if so,
-//!    computes its α from its WIR outlier score, joins the centralized
-//!    rebalancing over per-task weights, and charges the modelled
-//!    migration cost of the tasks that changed owner.
+//!    the active phase of the generated [`WorkTable`].
 //!
-//! The three entry points mirror the erosion app's and share one launch
-//! path: [`run_scenario`] (blocking), [`submit_scenario`] (launch, pooled
-//! jobs going to a shared [`JobServer`]), and [`run_scenario_batch`]
-//! (launch a sweep, join in order) — all bit-identical for the same config.
+//! WIR measurement, gossip, the trigger decision and the LB step are
+//! [`ulba_core::driver`]'s; this module says what a task weighs in the
+//! current phase and charges the modelled migration cost of the tasks that
+//! changed owner.
+//!
+//! [`run_scenario`], [`submit_scenario`] and [`run_scenario_batch`] are the
+//! driver's run / submit / batch over a [`ScenarioConfig`] — all
+//! bit-identical for the same config.
 
 use crate::config::ScenarioConfig;
 use crate::generator::{ScenarioKind, WorkTable};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::Arc;
-use ulba_core::balancer::centralized_rebalance;
-use ulba_core::db::{wire_bytes, WirDatabase, WirEntry};
-use ulba_core::gossip::{select_peers, GossipMode, GossipOutbox};
-use ulba_core::policy::{estimate_ulba_overhead, outlier_score};
-use ulba_core::trigger::{AnyTrigger, LbTrigger};
-use ulba_core::wir::WirEstimator;
-use ulba_runtime::{
-    submit, Backend, IterationStats, JobHandle, JobServer, MachineSpec, RankMetrics, RunConfig,
-    SpmdCtx, Tag,
-};
+use ulba_core::driver::{run_batch, LbJob, LbLaunch, LbRun, LbStepRecord, Workload};
+use ulba_core::gossip::{select_peers, GossipMode};
+use ulba_core::partition::Partition;
+use ulba_runtime::{Backend, IterationStats, JobServer, RankMetrics, SpmdCtx, Tag};
 
-/// Message tag of gossip snapshots (distinct from the erosion app's).
-pub const GOSSIP_TAG: Tag = 0x5C47;
 /// Message tag of task-graph traffic payloads.
 pub const TRAFFIC_TAG: Tag = 0x5C54;
 
@@ -52,6 +40,9 @@ pub struct ScenarioResult {
     pub lb_calls: usize,
     /// Iterations at which LB steps happened.
     pub lb_iterations: Vec<u64>,
+    /// What rank 0 knew at each executed LB step, parallel to
+    /// [`lb_iterations`](Self::lb_iterations).
+    pub lb_steps: Vec<LbStepRecord>,
     /// Per-iteration wall time / mean utilization series.
     pub iterations: Vec<IterationStats>,
     /// Average PE utilization over the whole run.
@@ -59,11 +50,10 @@ pub struct ScenarioResult {
     /// Final per-rank time accounting.
     pub rank_metrics: Vec<RankMetrics>,
     /// The backend that drove the run — what [`ScenarioConfig::backend`],
-    /// [`ScenarioConfig::server`] and `ULBA_BACKEND` resolved to. Pure
-    /// metadata, like the shard count below.
+    /// [`ScenarioConfig::server`] and `ULBA_BACKEND` resolved to.
     pub backend: Backend,
-    /// Leaf shard count the rendezvous hub actually ran with. Pure
-    /// contention metadata: it never influences the measurements above.
+    /// Leaf shard count the rendezvous hub actually ran with; see
+    /// [`LbRun::hub_shards`].
     pub hub_shards: usize,
     /// Sum over ranks of WIR-database entries resident at run end.
     pub db_entries_total: u64,
@@ -85,6 +75,34 @@ pub struct ScenarioResult {
     pub lambda_achieved: f64,
 }
 
+/// What the workload's `finish` hands back from rank 0:
+/// `(total work units, traffic checksum, λ target, λ achieved)`.
+type Extras = (u64, u64, f64, f64);
+
+/// The driver's measurements plus the workload's extras, flattened.
+impl From<LbRun<Extras>> for ScenarioResult {
+    fn from(run: LbRun<Extras>) -> Self {
+        let (total_work_units, traffic_checksum, lambda_target, lambda_achieved) = run.extras;
+        Self {
+            makespan: run.makespan,
+            lb_calls: run.lb_calls,
+            lb_iterations: run.lb_iterations,
+            lb_steps: run.lb_steps,
+            iterations: run.iterations,
+            mean_utilization: run.mean_utilization,
+            rank_metrics: run.rank_metrics,
+            backend: run.backend,
+            hub_shards: run.hub_shards,
+            db_entries_total: run.db_entries_total,
+            gossip_watermarks_total: run.gossip_watermarks_total,
+            total_work_units,
+            traffic_checksum,
+            lambda_target,
+            lambda_achieved,
+        }
+    }
+}
+
 /// Deterministic traffic payload pushed by `rank` at `iter` — a keyed
 /// counter stream, cheap to generate and summing to an order-independent
 /// checksum on the receiving side.
@@ -96,17 +114,6 @@ fn traffic_payload(rank: usize, iter: u64, words: usize, seed: u64) -> Vec<u64> 
     (0..words as u64).map(|i| key.wrapping_mul(i.wrapping_add(1))).collect()
 }
 
-/// Out-of-band measurements a run records on its way out; a side channel,
-/// not a collective — it must not perturb the virtual-time measurements.
-#[derive(Default)]
-struct SideChannels {
-    /// `(total work units, traffic checksum)`, recorded by rank 0.
-    extras: Mutex<Option<(u64, u64)>>,
-    /// Aggregate memory accounting `(db entries, gossip watermarks)`,
-    /// summed by every rank on its way out.
-    db_footprint: Mutex<(u64, u64)>,
-}
-
 /// Tasks migrated when this rank's range changes from `old` to `new`:
 /// everything it gave up plus everything it received (both directions
 /// cost wire time on this rank's clock).
@@ -115,248 +122,140 @@ fn tasks_moved(old: &Range<usize>, new: &Range<usize>) -> usize {
     (old.len() - overlap) + (new.len() - overlap)
 }
 
-/// One rank's whole program, from initial task range to final accounting.
-async fn rank_program(
-    mut ctx: SpmdCtx,
-    cfg: Arc<ScenarioConfig>,
-    table: Arc<WorkTable>,
-    side: Arc<SideChannels>,
-) {
-    let rank = ctx.rank();
-    let p = ctx.size();
-    let tpr = cfg.tasks_per_rank;
-    let mut my_range = rank * tpr..(rank + 1) * tpr;
-    let mut wir = WirEstimator::new(cfg.wir_window);
-    let mut db = WirDatabase::new(p);
-    let mut outbox = GossipOutbox::new();
-    let mut trigger: Option<AnyTrigger> = None;
-    let mut weights_scratch: Vec<u64> = Vec::new();
-    let mut units_done = 0u64;
-    let mut traffic_checksum = 0u64;
-    // Decorrelate the traffic partner stream from the gossip stream.
-    let traffic_seed = cfg.seed ^ 0x7AF1_C0DE;
+/// One rank's kernel state: the task range it owns and what it executed.
+struct ScenarioWorkload {
+    /// The generated table and the config, shared by every rank — minus
+    /// the config's server handle, which captured inside the job's own
+    /// futures would keep the pool alive from within itself.
+    inputs: Arc<(ScenarioConfig, WorkTable)>,
+    range: Range<usize>,
+    units_done: u64,
+    traffic_checksum: u64,
+}
 
-    for iter in 0..cfg.iterations {
-        let iter_start = ctx.now();
-        let phase = table.phase_of(iter, cfg.phase_len);
+impl Workload for ScenarioWorkload {
+    type Extras = Extras;
 
-        // (1) Irregular task-graph traffic (beyond the halo-only baseline).
+    async fn step(&mut self, ctx: &mut SpmdCtx, iter: u64) -> f64 {
+        let (cfg, table) = &*self.inputs;
         if cfg.kind == ScenarioKind::TaskGraph {
             let partners = select_peers(
                 GossipMode::RandomPush { fanout: cfg.traffic_fanout },
-                rank,
-                p,
+                ctx.rank(),
+                ctx.size(),
                 iter,
-                traffic_seed,
+                // Decorrelate the traffic partner stream from the gossip
+                // stream.
+                cfg.seed ^ 0x7AF1_C0DE,
             );
             for peer in partners {
-                let payload = traffic_payload(rank, iter, cfg.traffic_payload_len, cfg.seed);
+                let payload = traffic_payload(ctx.rank(), iter, cfg.traffic_payload_len, cfg.seed);
                 let bytes = payload.len() * 8;
                 ctx.send(peer, TRAFFIC_TAG, payload, bytes);
             }
         }
 
-        // (2) Compute the tasks this rank currently owns.
-        let units = table.range_units(phase, &my_range, tpr);
-        units_done += units;
+        let phase = table.phase_of(iter, cfg.phase_len);
+        let units = table.range_units(phase, &self.range, cfg.tasks_per_rank);
+        self.units_done += units;
         let workload_flops = units as f64 * cfg.flop_per_unit;
         ctx.compute(workload_flops);
+        workload_flops
+    }
 
-        // (3) WIR measurement + one gossip dissemination step.
-        wir.push(iter, workload_flops);
-        if let Some(rate) = wir.rate() {
-            db.update(WirEntry { rank, wir: rate, iteration: iter });
-        }
-        for peer in select_peers(cfg.gossip, rank, p, iter, cfg.seed) {
-            let payload = outbox.message(&db, peer, iter, cfg.gossip_wire);
-            let payload_bytes = wire_bytes(&payload);
-            ctx.send(peer, GOSSIP_TAG, payload, payload_bytes);
-        }
-
-        // (4) Iteration-end sync: share (elapsed, workload).
-        let elapsed = ctx.now() - iter_start;
-        // Folded once for the whole round to the slowest PE's time and
-        // the total workload; no rank copies the O(P) vector.
-        let (t_iter, wtot_flops) = ctx
-            .allgather_with((elapsed, workload_flops), 16, |stats| {
-                let t_iter = stats.iter().map(|s| s.0).fold(0.0f64, f64::max);
-                let wtot_flops: f64 = stats.iter().map(|s| s.1).sum();
-                (t_iter, wtot_flops)
-            })
-            .await;
-
-        // Drain after the rendezvous: every message posted this iteration
-        // is guaranteed present, so the merged set is deterministic.
-        for (_, snap) in ctx.drain::<Vec<WirEntry>>(GOSSIP_TAG) {
-            db.merge(&snap);
-        }
-        // Wrapping sums are commutative: the checksum is independent of
-        // arrival order, hence bit-identical across backends.
+    /// Wrapping sums are commutative: the checksum is independent of
+    /// arrival order, hence bit-identical across backends.
+    fn after_sync(&mut self, ctx: &mut SpmdCtx, _iter: u64) {
         for (_, payload) in ctx.drain::<Vec<u64>>(TRAFFIC_TAG) {
             for word in payload {
-                traffic_checksum = traffic_checksum.wrapping_add(word);
+                self.traffic_checksum = self.traffic_checksum.wrapping_add(word);
             }
-        }
-
-        // (5) LB decision on rank 0, broadcast to everyone.
-        let my_flag = if rank == 0 {
-            let trig = trigger
-                .get_or_insert_with(|| cfg.trigger.build(cfg.initial_lb_cost_factor * t_iter));
-            trig.set_overhead_estimate(estimate_ulba_overhead(
-                &cfg.policy,
-                &db,
-                wtot_flops,
-                cfg.omega,
-                p,
-            ));
-            Some(trig.observe(iter, t_iter))
-        } else {
-            None
-        };
-        let lb_now = ctx.broadcast(0, my_flag, 1).await;
-        ctx.mark_iteration(iter);
-
-        // (6) The LB step over per-task weights of the *current* phase.
-        if lb_now && iter + 1 < cfg.iterations {
-            ctx.begin_lb();
-            let lb_started = ctx.now();
-            ctx.elapse_lb(cfg.lb_fixed_cost_secs());
-            let my_z = outlier_score(&cfg.policy, &db, rank);
-            let my_alpha = cfg.policy.alpha_for(my_z);
-            table.task_weights_into(phase, &my_range, tpr, &mut weights_scratch);
-            let outcome =
-                centralized_rebalance(&mut ctx, my_alpha, my_range.start, &weights_scratch).await;
-            // Every range is non-empty: the root repaired the partition
-            // before broadcasting it.
-            let bounds = outcome.partition.bounds();
-            let new_range = bounds[rank]..bounds[rank + 1];
-            // Migration cost: tasks that changed owner drag `task_bytes`
-            // each over the wire (modelled — the tasks have no real
-            // payload state, their weight lives in the table).
-            let moved = tasks_moved(&my_range, &new_range);
-            if moved > 0 {
-                ctx.elapse_lb(ctx.machine().p2p_secs(moved * cfg.task_bytes));
-            }
-            my_range = new_range;
-            let measured = ctx.now() - lb_started;
-            let cost = ctx.allreduce_max(measured).await;
-            ctx.end_lb();
-            if rank == 0 {
-                if let Some(trig) = trigger.as_mut() {
-                    trig.lb_completed(iter, cost);
-                }
-                ctx.mark_lb_event(iter);
-            }
-            // Workload jumped with the migration: restart the local WIR
-            // estimate (persistence applies *between* LB steps).
-            wir.reset();
         }
     }
 
-    // Final accounting: work conservation across whatever partitions the
-    // balancer produced, plus the order-independent traffic checksum.
-    let total_units = ctx.allreduce(units_done, 8, |a, b| a.wrapping_add(*b)).await;
-    assert_eq!(
-        total_units,
-        cfg.iterations * table.total_units,
-        "work conservation: every unit is executed exactly once per iteration"
-    );
-    let checksum = ctx.allreduce(traffic_checksum, 8, |a, b| a.wrapping_add(*b)).await;
-    if rank == 0 {
-        *side.extras.lock() = Some((total_units, checksum));
+    fn charge_lb_overhead(&self, ctx: &mut SpmdCtx) {
+        ctx.elapse_lb(self.inputs.0.lb_fixed_cost_secs());
     }
-    let mut footprint = side.db_footprint.lock();
-    footprint.0 += db.known_count() as u64;
-    footprint.1 += outbox.tracked_peers() as u64;
+
+    /// Per-task weights of the *current* phase.
+    fn weights_into(&mut self, iter: u64, out: &mut Vec<u64>) -> usize {
+        let (cfg, table) = &*self.inputs;
+        let phase = table.phase_of(iter, cfg.phase_len);
+        table.task_weights_into(phase, &self.range, cfg.tasks_per_rank, out);
+        self.range.start
+    }
+
+    /// Migration cost: tasks that changed owner drag `task_bytes` each over
+    /// the wire (modelled — the tasks have no real payload state, their
+    /// weight lives in the table).
+    async fn migrate(&mut self, ctx: &mut SpmdCtx, _iter: u64, _old: &Partition, new: &Partition) {
+        let new_range = new.range(ctx.rank());
+        let moved = tasks_moved(&self.range, &new_range);
+        if moved > 0 {
+            ctx.elapse_lb(ctx.machine().p2p_secs(moved * self.inputs.0.task_bytes));
+        }
+        self.range = new_range;
+    }
+
+    /// Work conservation across whatever partitions the balancer produced,
+    /// plus the order-independent traffic checksum.
+    async fn finish(self, ctx: &mut SpmdCtx) -> Extras {
+        let (cfg, table) = &*self.inputs;
+        let total_work_units = ctx.allreduce(self.units_done, 8, |a, b| a.wrapping_add(*b)).await;
+        assert_eq!(
+            total_work_units,
+            cfg.iterations * table.total_units,
+            "work conservation: every unit is executed exactly once per iteration"
+        );
+        let traffic_checksum =
+            ctx.allreduce(self.traffic_checksum, 8, |a, b| a.wrapping_add(*b)).await;
+        (total_work_units, traffic_checksum, table.lambda_target, table.lambda_achieved)
+    }
 }
 
-/// The one launch path of an experiment (see the erosion app's): validate
-/// `cfg`, build the work table once, resolve the runtime config, and hand
-/// the rank body to the runtime's `submit`. `pool`, when given, is where a
-/// pool job goes; which backend the config means never depends on it.
-fn launch(cfg: &ScenarioConfig, pool: Option<&JobServer>) -> ScenarioJob {
-    cfg.validate().expect("invalid scenario config");
-    let table = Arc::new(
-        WorkTable::build(
-            cfg.kind,
-            cfg.ranks,
-            cfg.phases,
-            cfg.lambda,
-            cfg.avg_units_per_rank,
-            cfg.seed,
-        )
-        .expect("config validation admits only feasible tables"),
-    );
-    let lambda = (table.lambda_target, table.lambda_achieved);
-    let side = Arc::new(SideChannels::default());
-
+/// Validate `cfg` and build the work table once; the driver does the rest.
+fn prepare(
+    cfg: &ScenarioConfig,
+) -> Result<LbLaunch<impl Fn(&SpmdCtx) -> ScenarioWorkload + Send + Sync + 'static>, String> {
+    cfg.validate()?;
+    let table = WorkTable::build(
+        cfg.kind,
+        cfg.ranks,
+        cfg.phases,
+        cfg.lambda,
+        cfg.avg_units_per_rank,
+        cfg.seed,
+    )?;
     let mut cfg = cfg.clone();
-    // The server handle only routes the run; captured inside the job's own
-    // futures it would keep the pool alive from within itself.
-    let server = cfg.server.take();
-    let mut run_cfg =
-        RunConfig::resolve(cfg.ranks, cfg.backend, cfg.workers, cfg.hub_shards, server)
-            .with_spec(MachineSpec::homogeneous(cfg.omega));
-    if let Some(pool) = pool {
-        run_cfg.server = Some(pool.clone());
-    }
-    let hub_shards = run_cfg.effective_hub_shards();
+    let placement = cfg.placement();
+    cfg.server = None; // only routes the run; see `inputs`
+    let lb = cfg.lb_params();
+    let tpr = cfg.tasks_per_rank;
+    let initial = Partition::uniform(cfg.ranks, tpr);
+    let inputs = Arc::new((cfg, table));
+    let make = move |ctx: &SpmdCtx| ScenarioWorkload {
+        inputs: Arc::clone(&inputs),
+        range: ctx.rank() * tpr..(ctx.rank() + 1) * tpr,
+        units_done: 0,
+        traffic_checksum: 0,
+    };
+    Ok(LbLaunch { lb, placement, initial, make })
+}
 
-    let cfg = Arc::new(cfg);
-    let side_tx = Arc::clone(&side);
-    let handle = submit(run_cfg, move |ctx| {
-        rank_program(ctx, Arc::clone(&cfg), Arc::clone(&table), Arc::clone(&side_tx))
-    });
-    ScenarioJob { handle, side, hub_shards, lambda }
+/// Validate, prepare and launch `cfg`; `pool` as in [`LbLaunch::submit`].
+fn start(cfg: &ScenarioConfig, pool: Option<&JobServer>) -> ScenarioJob {
+    prepare(cfg).unwrap_or_else(|err| panic!("invalid scenario config: {err}")).submit(pool)
 }
 
 /// Run one scenario experiment and collect its measurements.
 pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
-    launch(cfg, None).join()
+    start(cfg, None).join()
 }
 
-/// A launched scenario experiment; see [`submit_scenario`].
-pub struct ScenarioJob {
-    handle: JobHandle,
-    side: Arc<SideChannels>,
-    hub_shards: usize,
-    lambda: (f64, f64),
-}
-
-impl ScenarioJob {
-    /// The backend driving the experiment: a [`Backend::Sequential`] one
-    /// occupies no pool worker and runs inside [`ScenarioJob::join`].
-    pub fn backend(&self) -> Backend {
-        self.handle.backend()
-    }
-
-    /// Block until the experiment finishes and combine the runtime's
-    /// report with the run's side channels. Panics if the job deadlocked
-    /// or a rank panicked.
-    pub fn join(self) -> ScenarioResult {
-        let backend = self.handle.backend();
-        let report = self.handle.join().unwrap_or_else(|err| panic!("{err}"));
-        let (total_work_units, traffic_checksum) =
-            self.side.extras.lock().take().expect("rank 0 recorded the extras");
-        let (db_entries_total, gossip_watermarks_total) = *self.side.db_footprint.lock();
-        ScenarioResult {
-            makespan: report.makespan().as_secs(),
-            lb_calls: report.lb_call_count(),
-            lb_iterations: report.lb_iterations.clone(),
-            mean_utilization: report.mean_utilization(),
-            iterations: report.iterations,
-            rank_metrics: report.rank_metrics,
-            backend,
-            hub_shards: self.hub_shards,
-            db_entries_total,
-            gossip_watermarks_total,
-            total_work_units,
-            traffic_checksum,
-            lambda_target: self.lambda.0,
-            lambda_achieved: self.lambda.1,
-        }
-    }
-}
+/// A launched scenario experiment; see [`submit_scenario`]. A
+/// [`Backend::Sequential`] one occupies no pool worker and runs inside
+/// `join`.
+pub type ScenarioJob = LbJob<Extras, ScenarioResult>;
 
 /// Launch one experiment without waiting for it; a pooled job goes to
 /// `server`.
@@ -367,18 +266,15 @@ impl ScenarioJob {
 /// backend runs serially at join time. Either way the measurements are
 /// bit-identical.
 pub fn submit_scenario(server: &JobServer, cfg: &ScenarioConfig) -> ScenarioJob {
-    launch(cfg, Some(server))
+    start(cfg, Some(server))
 }
 
-/// Run a whole sweep concurrently on a shared pool and return the results
-/// in input order. Each config routes to its own
-/// [`ScenarioConfig::server`] when set, else to [`JobServer::global`].
+/// Run a whole sweep concurrently and return the results in input order
+/// ([`run_batch`]): each config routes to its own
+/// [`ScenarioConfig::server`] when set, else to [`JobServer::global`], and
+/// every config is validated before the first job is submitted.
 pub fn run_scenario_batch(cfgs: &[ScenarioConfig]) -> Vec<ScenarioResult> {
-    let jobs: Vec<ScenarioJob> = cfgs
-        .iter()
-        .map(|cfg| submit_scenario(cfg.server.as_ref().unwrap_or_else(|| JobServer::global()), cfg))
-        .collect();
-    jobs.into_iter().map(ScenarioJob::join).collect()
+    run_batch(cfgs, prepare)
 }
 
 #[cfg(test)]
@@ -394,6 +290,10 @@ mod tests {
             let res = run_scenario(&cfg);
             assert!(res.makespan > 0.0, "{kind}");
             assert_eq!(res.iterations.len(), cfg.iterations as usize, "{kind}");
+            assert_eq!(res.lb_steps.len(), res.lb_calls, "{kind}");
+            for (step, &iter) in res.lb_steps.iter().zip(&res.lb_iterations) {
+                assert_eq!(step.iteration, iter, "{kind}");
+            }
             assert_eq!(
                 res.total_work_units,
                 cfg.iterations * 4 * cfg.avg_units_per_rank,
@@ -440,6 +340,8 @@ mod tests {
         let b = run_scenario(&ulba);
         assert_eq!(a.lb_calls, 0);
         assert!(b.lb_calls > 0);
+        assert_eq!(b.lb_steps.len(), b.lb_calls);
+        assert!(b.lb_steps.iter().zip(&b.lb_iterations).all(|(s, &i)| s.iteration == i));
         assert!(
             b.makespan < a.makespan,
             "balancing a persistent slow node must pay off ({} vs {})",
@@ -488,6 +390,18 @@ mod tests {
         assert_eq!(job.backend(), Backend::Sequential, "sequential runs must not be pooled");
         let res = job.join();
         assert_eq!(run_scenario(&cfg).makespan.to_bits(), res.makespan.to_bits());
+    }
+
+    /// Regression: the batch used to launch configs 0..k before it looked
+    /// at config k, stranding them on the pool when k was invalid.
+    #[test]
+    fn batch_rejects_a_bad_config_by_index_before_launching_any() {
+        let mut cfgs = vec![ScenarioConfig::tiny(ScenarioKind::Scatter, 4); 3];
+        cfgs[2].lambda = 5.0;
+        let panic = std::panic::catch_unwind(|| run_scenario_batch(&cfgs)).expect_err("λ > P");
+        let message = panic.downcast_ref::<String>().expect("a formatted panic message");
+        assert!(message.contains("index 2"), "{message}");
+        assert!(message.contains("lambda"), "{message}");
     }
 
     /// `run_scenario` and `submit_scenario` mean the same backend by the

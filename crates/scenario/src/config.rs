@@ -2,6 +2,7 @@
 
 use crate::generator::{ScenarioKind, MIN_AVG_UNITS};
 use serde::{Deserialize, Serialize};
+use ulba_core::driver::{LbParams, Placement};
 use ulba_core::gossip::{GossipMode, GossipWire};
 use ulba_core::policy::LbPolicy;
 use ulba_runtime::{Backend, JobServer};
@@ -127,18 +128,15 @@ impl ScenarioConfig {
         self
     }
 
-    /// Validate cross-field invariants. The work-table parameters get a
-    /// second, authoritative check inside
+    /// Validate cross-field invariants: the generator and traffic checks
+    /// here, the LB-loop and placement checks every application shares on
+    /// the driver's [`LbParams`] / [`Placement`]. The work-table parameters
+    /// get a second, authoritative check inside
     /// [`WorkTable::build`](crate::generator::WorkTable::build).
     pub fn validate(&self) -> Result<(), String> {
-        if self.ranks == 0 {
-            return Err("need at least one rank".into());
-        }
+        self.placement().validate()?;
         if self.tasks_per_rank == 0 {
             return Err("need at least one task per rank".into());
-        }
-        if self.iterations == 0 {
-            return Err("need at least one iteration".into());
         }
         if self.phase_len == 0 || self.phases == 0 {
             return Err("phase_len and phases must be positive".into());
@@ -155,8 +153,8 @@ impl ScenarioConfig {
                 self.avg_units_per_rank
             ));
         }
-        if self.flop_per_unit <= 0.0 || self.omega <= 0.0 {
-            return Err("flop_per_unit and omega must be positive".into());
+        if self.flop_per_unit <= 0.0 {
+            return Err("flop_per_unit must be positive".into());
         }
         if self.kind == ScenarioKind::TaskGraph {
             if self.traffic_fanout == 0 || self.traffic_fanout >= self.ranks.max(2) {
@@ -169,17 +167,36 @@ impl ScenarioConfig {
                 return Err("traffic_payload_len must be positive for task-graph".into());
             }
         }
-        if self.initial_lb_cost_factor < 0.0 || self.lb_fixed_cost_factor < 0.0 {
+        if self.lb_fixed_cost_factor < 0.0 {
             return Err("LB cost factors must be non-negative".into());
         }
-        if self.workers == Some(0) {
-            return Err("workers must be positive when set (None = all cores)".into());
+        self.lb_params().validate()
+    }
+
+    /// The LB-side parameters of this experiment, as the driver reads them.
+    pub(crate) fn lb_params(&self) -> LbParams {
+        LbParams {
+            policy: self.policy,
+            trigger: self.trigger,
+            gossip: self.gossip,
+            gossip_wire: self.gossip_wire,
+            wir_window: self.wir_window,
+            initial_lb_cost_factor: self.initial_lb_cost_factor,
+            seed: self.seed,
+            omega: self.omega,
+            iterations: self.iterations,
         }
-        if self.hub_shards == Some(0) {
-            return Err("hub_shards must be positive when set (None = runtime default)".into());
+    }
+
+    /// Where this experiment executes, as the driver resolves it.
+    pub(crate) fn placement(&self) -> Placement {
+        Placement {
+            ranks: self.ranks,
+            backend: self.backend,
+            workers: self.workers,
+            hub_shards: self.hub_shards,
+            server: self.server.clone(),
         }
-        self.gossip_wire.validate()?;
-        Ok(())
     }
 
     /// Global task count.

@@ -21,8 +21,7 @@ pub mod config;
 pub mod generator;
 
 pub use app::{
-    run_scenario, run_scenario_batch, submit_scenario, ScenarioJob, ScenarioResult, GOSSIP_TAG,
-    TRAFFIC_TAG,
+    run_scenario, run_scenario_batch, submit_scenario, ScenarioJob, ScenarioResult, TRAFFIC_TAG,
 };
 pub use config::ScenarioConfig;
 pub use generator::{split_capped, ScenarioKind, WorkTable, LAMBDA_TOLERANCE, MIN_AVG_UNITS};

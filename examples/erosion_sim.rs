@@ -32,6 +32,18 @@ fn main() {
             res.mean_utilization * 100.0,
             res.total_eroded
         );
+        for step in &res.lb_steps {
+            println!(
+                "             LB at iteration {:3}: cost {:.3} s (iteration {:.3} s, \
+                 anticipated overhead {:.3} s), N = {} overloading{}",
+                step.iteration,
+                step.cost_secs,
+                step.iter_wall_secs,
+                step.overhead_estimate_secs,
+                step.overloading,
+                if step.majority_fallback { ", majority fallback" } else { "" }
+            );
+        }
         results.push(res);
     }
 

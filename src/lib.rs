@@ -22,14 +22,16 @@
 //!   scheduler (the deterministic oracle; fastest on one core);
 //! * [`core`] (`ulba-core`) — the ULBA machinery of §III-C: WIR estimation,
 //!   gossip dissemination, z-score overload detection, the Zhai degradation
-//!   trigger, Algorithm 2 target shares, weighted stripe partitioning and
-//!   the centralized balancer;
+//!   trigger, Algorithm 2 target shares, weighted stripe partitioning, the
+//!   centralized balancer, and `core::driver` — the one LB loop that runs
+//!   them as a generic rank program behind the six-method `Workload` trait
+//!   (see `examples/adaptive_runtime.rs` for plugging in an application);
 //! * [`erosion`] (`ulba-erosion`) — the §IV-B fluid-with-erosion proxy
-//!   application;
+//!   application, a `Workload` of that driver;
 //! * [`scenario`] (`ulba-scenario`) — adversarial imbalance scenario
 //!   generators (slow node, scatter, drifting hotspot, bursty, task-graph
-//!   traffic) with exact, analytically verified imbalance factors, driven
-//!   through the same runtime and ULBA machinery.
+//!   traffic) with exact, analytically verified imbalance factors — the
+//!   driver's second `Workload`.
 //!
 //! ## Quick start
 //!
