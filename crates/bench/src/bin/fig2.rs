@@ -1,9 +1,9 @@
 //! Regenerates Fig. 2 (σ⁺ vs simulated-annealing schedule quality).
-use ulba_bench::output::{enforce_cli_flags, env_usize, quick_mode, SMOKE_FLAGS};
+use ulba_bench::cli::Cli;
 
 fn main() {
-    enforce_cli_flags(&[], SMOKE_FLAGS);
-    let n = env_usize("ULBA_INSTANCES", if quick_mode() { 100 } else { 1000 });
-    let steps = env_usize("ULBA_SA_STEPS", if quick_mode() { 5_000 } else { 20_000 });
-    ulba_bench::figures::fig2::run(n, steps as u64, 2019);
+    let cli = Cli::from_env(&[]);
+    let n = cli.instances.unwrap_or(if cli.smoke { 100 } else { 1000 });
+    let steps = cli.sa_steps.unwrap_or(if cli.smoke { 5_000 } else { 20_000 });
+    ulba_bench::figures::fig2::run(n, steps as u64, 2019, &cli.results);
 }

@@ -1,9 +1,9 @@
 //! Regenerates Fig. 3 (ULBA gain by overloading percentage).
-use ulba_bench::output::{enforce_cli_flags, env_usize, quick_mode, SMOKE_FLAGS};
+use ulba_bench::cli::Cli;
 
 fn main() {
-    enforce_cli_flags(&[], SMOKE_FLAGS);
-    let n = env_usize("ULBA_INSTANCES", if quick_mode() { 100 } else { 1000 });
-    let alphas = env_usize("ULBA_ALPHA_SAMPLES", 100);
-    ulba_bench::figures::fig3::run(n, alphas as u32, 2019);
+    let cli = Cli::from_env(&[]);
+    let n = cli.instances.unwrap_or(if cli.smoke { 100 } else { 1000 });
+    let alphas = cli.alpha_samples.unwrap_or(100);
+    ulba_bench::figures::fig3::run(n, alphas as u32, 2019, &cli.results);
 }

@@ -3,25 +3,19 @@
 //! shared pool, with bit-identity asserted between the two passes and the
 //! wall-time comparison recorded in `results/BENCH_job_server.json`.
 //!
-//! `--workers N` sizes both pools (default: all cores); `--ranks 16384`
-//! appends the weak-scaling drift-gate legs (standard + ULBA per PE count)
-//! whose makespans CI compares against `results/BENCH_seed.json`;
-//! `--smoke` (or `ULBA_QUICK=1`) shrinks the base sweep; `--json <path>`
-//! overrides the report location.
+//! `--workers N` (or `ULBA_WORKERS`) sizes both pools (default: all
+//! cores); `--ranks 16384` appends the weak-scaling drift-gate legs
+//! (standard + ULBA per PE count) whose makespans CI compares against
+//! `results/BENCH_seed.json`; `--smoke` (or `ULBA_QUICK=1`) shrinks the
+//! base sweep; `--json <path>` overrides the report location. `--backend`
+//! is ignored: the comparison is about the pool, so every job pins the
+//! parallel backend.
+use ulba_bench::cli::{Cli, EROSION_STUDY_FLAGS};
 use ulba_bench::figures::job_server;
-use ulba_bench::output::{
-    apply_cli_backend, cli_ranks, enforce_cli_flags, env_usize, json_report_path, quick_mode,
-    EROSION_STUDY_FLAGS, SMOKE_FLAGS,
-};
 
 fn main() {
-    enforce_cli_flags(EROSION_STUDY_FLAGS, SMOKE_FLAGS);
-    // Exports --workers as ULBA_WORKERS; the study reads it back below.
-    // (--backend is ignored here: the comparison is about the pool, so
-    // every job pins the parallel backend.)
-    apply_cli_backend();
-    let workers = env_usize("ULBA_WORKERS", 0);
-    let gate_pes = cli_ranks().unwrap_or_default();
-    let json = json_report_path("job_server");
-    job_server::run(workers, &gate_pes, quick_mode(), Some(&json));
+    let cli = Cli::from_env(EROSION_STUDY_FLAGS);
+    let gate_pes = cli.ranks.clone().unwrap_or_default();
+    let json = cli.report_path("job_server");
+    job_server::run(cli.workers.unwrap_or(0), &gate_pes, cli.smoke, Some(&json));
 }

@@ -5,27 +5,22 @@
 //! re-checked on a serial leg per family. Writes
 //! `results/BENCH_scenarios.json`.
 //!
-//! `--workers N` sizes the pool (default: all cores); `--ranks 16384`
-//! appends the weak-scaling drift-gate legs (standard + ULBA per PE count)
-//! whose makespans CI compares against `results/BENCH_seed.json`;
-//! `--gossip-wire full|delta[:N]` restricts the wire dimension; `--smoke`
-//! (or `ULBA_QUICK=1`) shrinks the sweep; `--json <path>` overrides the
-//! report location.
+//! `--workers N` (or `ULBA_WORKERS`) sizes the pool (default: all cores);
+//! `--ranks 16384` appends the weak-scaling drift-gate legs (standard +
+//! ULBA per PE count) whose makespans CI compares against
+//! `results/BENCH_seed.json`; `--gossip-wire full|delta[:N]` restricts the
+//! wire dimension; `--smoke` (or `ULBA_QUICK=1`) shrinks the sweep;
+//! `--json <path>` overrides the report location. `--backend` is ignored:
+//! the sweep is about the policies, so the grid pins both backends itself.
+use ulba_bench::cli::{Cli, EROSION_STUDY_FLAGS};
 use ulba_bench::figures::scenarios;
-use ulba_bench::output::{
-    apply_cli_backend, cli_gossip_wire, cli_ranks, enforce_cli_flags, env_usize, json_report_path,
-    quick_mode, EROSION_STUDY_FLAGS, SMOKE_FLAGS,
-};
 
 fn main() {
-    enforce_cli_flags(EROSION_STUDY_FLAGS, SMOKE_FLAGS);
-    // Exports --workers as ULBA_WORKERS; the study reads it back below.
-    // (--backend is ignored here: the sweep is about the policies, so
-    // every job pins the parallel backend and the invariance check pins
-    // the sequential one.)
-    apply_cli_backend();
-    let workers = env_usize("ULBA_WORKERS", 0);
-    let gate_pes = cli_ranks().unwrap_or_default();
-    let json = json_report_path("scenarios");
-    scenarios::run(workers, &gate_pes, quick_mode(), cli_gossip_wire(), Some(&json));
+    let mut flags = EROSION_STUDY_FLAGS.to_vec();
+    flags.push("--gossip-wire");
+    let cli = Cli::from_env(&flags);
+    let gate_pes = cli.ranks.clone().unwrap_or_default();
+    let json = cli.report_path("scenarios");
+    let workers = cli.workers.unwrap_or(0);
+    scenarios::run(workers, &gate_pes, cli.smoke, cli.gossip_wire, Some(&json));
 }

@@ -1,8 +1,8 @@
 //! Regenerates Table II (parameter-distribution validation).
-use ulba_bench::output::{enforce_cli_flags, env_usize, quick_mode, SMOKE_FLAGS};
+use ulba_bench::cli::Cli;
 
 fn main() {
-    enforce_cli_flags(&[], SMOKE_FLAGS);
-    let n = env_usize("ULBA_INSTANCES", if quick_mode() { 100 } else { 1000 });
-    ulba_bench::figures::table2::run(n, 2019);
+    let cli = Cli::from_env(&[]);
+    let n = cli.instances.unwrap_or(if cli.smoke { 100 } else { 1000 });
+    ulba_bench::figures::table2::run(n, 2019, &cli.results);
 }

@@ -16,31 +16,28 @@
 //! writes the machine-readable schema-3 perf-trajectory report covering
 //! every backend of the invocation (CI uploads `BENCH_weak_scaling.json`
 //! and `BENCH_p65536.json`).
+use ulba_bench::cli::{Cli, EROSION_STUDY_FLAGS};
 use ulba_bench::figures::weak_scaling::{self, WEAK_SCALING_PE_COUNTS};
-use ulba_bench::output::{
-    apply_cli_backend, cli_backend, cli_backends, cli_gossip_wire, cli_json_path, cli_ranks,
-    enforce_cli_flags, quick_mode, EROSION_STUDY_FLAGS, SMOKE_FLAGS,
-};
+use ulba_bench::report::{Report, Summary};
 
 fn main() {
     let mut flags = EROSION_STUDY_FLAGS.to_vec();
     flags.extend(["--backends", "--gossip-wire"]);
-    enforce_cli_flags(&flags, SMOKE_FLAGS);
-    // Exports --workers as ULBA_WORKERS (and --backend as ULBA_BACKEND) so
-    // the runtime picks them up; the per-run backend below still wins.
-    apply_cli_backend();
-    let backends: Vec<Option<ulba_runtime::Backend>> = match cli_backends() {
-        Some(list) => list.into_iter().map(Some).collect(),
-        None => vec![cli_backend()],
+    let cli = Cli::from_env(&flags);
+    // --backend is also the process default (ULBA_BACKEND); the per-run
+    // backend below still wins.
+    let backends: Vec<Option<ulba_runtime::Backend>> = match &cli.backends {
+        Some(list) => list.iter().copied().map(Some).collect(),
+        None => vec![cli.backend],
     };
-    let pes = cli_ranks().unwrap_or_else(|| WEAK_SCALING_PE_COUNTS.to_vec());
-    let wire = cli_gossip_wire().unwrap_or_default();
-    let smoke = quick_mode();
+    let pes = cli.ranks.clone().unwrap_or_else(|| WEAK_SCALING_PE_COUNTS.to_vec());
+    let wire = cli.gossip_wire.unwrap_or_default();
     let mut rows = Vec::new();
     for backend in backends {
-        rows.extend(weak_scaling::run(&pes, backend, wire, smoke));
+        rows.extend(weak_scaling::run(&pes, backend, wire, cli.smoke, &cli.results));
     }
-    if let Some(path) = cli_json_path() {
-        weak_scaling::write_json_report(&rows, smoke, &path);
+    if let Some(path) = &cli.json {
+        let summary = Summary::default();
+        Report { study: "weak_scaling".into(), smoke: cli.smoke, summary, rows }.write(path);
     }
 }

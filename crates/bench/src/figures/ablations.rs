@@ -3,8 +3,8 @@
 //! future work, dynamic α), anticipatory partitioning, and gossip
 //! dissemination mode.
 
-use crate::output::{perf_row, print_table, quick_mode, write_csv, write_schema3_report, PerfRow};
-use std::path::Path;
+use crate::output::{print_table, write_csv, StudyOutput};
+use crate::report::{perf_row, PerfRow};
 use std::time::Instant;
 use ulba_core::gossip::{simulate_rounds_to_completion, GossipMode};
 use ulba_core::outlier::DetectionStat;
@@ -13,7 +13,7 @@ use ulba_erosion::{run_erosion_batch, ErosionConfig, ExperimentResult, TriggerKi
 
 /// Submit a whole ablation's arms to the shared job server as one batch
 /// and return the results in arm order, plus the sweep's wall time and
-/// the schema-3 rows (policy = arm label).
+/// the schema-3 rows (policy = arm label, no per-row wall).
 fn run_arms(arms: &[(String, usize, ErosionConfig)]) -> (Vec<ExperimentResult>, f64, Vec<PerfRow>) {
     let cfgs: Vec<ErosionConfig> = arms.iter().map(|(_, _, cfg)| cfg.clone()).collect();
     let started = Instant::now();
@@ -22,16 +22,14 @@ fn run_arms(arms: &[(String, usize, ErosionConfig)]) -> (Vec<ExperimentResult>, 
     let rows = arms
         .iter()
         .zip(&results)
-        .map(|((label, ranks, cfg), res)| {
-            perf_row(label, *ranks, &cfg.gossip_wire.to_string(), res, sweep_wall)
-        })
+        .map(|((label, ranks, cfg), res)| perf_row(label, *ranks, cfg.gossip_wire, res, None))
         .collect();
     (results, sweep_wall, rows)
 }
 
 /// E-A1 — trigger choice on the erosion app (fixed policy per arm); all
 /// arms run concurrently on the shared job server.
-pub fn trigger_ablation(ranks: usize, seed: u64, json: Option<&Path>) {
+pub fn trigger_ablation(ranks: usize, seed: u64, out: &StudyOutput) {
     println!("Ablation E-A1 — LB trigger choice ({ranks} PEs, 1 strong rock)");
     let arms: Vec<(&str, LbPolicy, TriggerKind)> = vec![
         ("standard+zhai", LbPolicy::Standard, TriggerKind::Zhai),
@@ -52,7 +50,7 @@ pub fn trigger_ablation(ranks: usize, seed: u64, json: Option<&Path>) {
             (name.to_string(), ranks, cfg)
         })
         .collect();
-    let (results, _, perf_rows) = run_arms(&specs);
+    let (results, sweep_wall, perf_rows) = run_arms(&specs);
     let rows: Vec<Vec<String>> = specs
         .iter()
         .zip(&results)
@@ -66,18 +64,15 @@ pub fn trigger_ablation(ranks: usize, seed: u64, json: Option<&Path>) {
         })
         .collect();
     print_table("trigger ablation", &["configuration", "time [s]", "LB calls", "mean util"], &rows);
-    let path =
-        write_csv("ablation_trigger", &["configuration", "time_s", "lb_calls", "mean_util"], &rows);
-    println!("wrote {}", path.display());
-    if let Some(path) = json {
-        write_schema3_report("ablation_trigger", quick_mode(), &[], &perf_rows, path);
-    }
+    let header = ["configuration", "time_s", "lb_calls", "mean_util"];
+    write_csv(&out.dir, "ablation_trigger", &header, &rows);
+    out.write_batch_report("ablation_trigger", sweep_wall, perf_rows);
 }
 
 /// E-A2 — α rule: the paper's fixed α vs the z-score-scaled dynamic α
 /// (announced as future work in §V) vs robust outlier detection; the
 /// whole (P × rule) sweep runs concurrently on the shared job server.
-pub fn alpha_rule_ablation(pe_counts: &[usize], seed: u64, json: Option<&Path>) {
+pub fn alpha_rule_ablation(pe_counts: &[usize], seed: u64, out: &StudyOutput) {
     println!("Ablation E-A2 — α rule (1 strong rock)");
     let mut robust = UlbaConfig::fixed(0.4);
     robust.stat = DetectionStat::RobustZScore;
@@ -101,7 +96,7 @@ pub fn alpha_rule_ablation(pe_counts: &[usize], seed: u64, json: Option<&Path>) 
             })
         })
         .collect();
-    let (results, _, perf_rows) = run_arms(&specs);
+    let (results, sweep_wall, perf_rows) = run_arms(&specs);
     let mut rows = Vec::new();
     for (chunk, spec_chunk) in results.chunks(arms.len()).zip(specs.chunks(arms.len())) {
         // The first arm of each P group is the standard baseline.
@@ -126,15 +121,9 @@ pub fn alpha_rule_ablation(pe_counts: &[usize], seed: u64, json: Option<&Path>) 
         &["PEs", "rule", "time [s]", "LB calls", "gain vs standard"],
         &rows,
     );
-    let path = write_csv(
-        "ablation_alpha",
-        &["pes", "rule", "time_s", "lb_calls", "gain_vs_standard_pct"],
-        &rows,
-    );
-    println!("wrote {}", path.display());
-    if let Some(path) = json {
-        write_schema3_report("ablation_alpha", quick_mode(), &[], &perf_rows, path);
-    }
+    let header = ["pes", "rule", "time_s", "lb_calls", "gain_vs_standard_pct"];
+    write_csv(&out.dir, "ablation_alpha", &header, &rows);
+    out.write_batch_report("ablation_alpha", sweep_wall, perf_rows);
 }
 
 /// E-A4 — anticipatory (predicted-weight) partitioning: our spatial
@@ -142,7 +131,7 @@ pub fn alpha_rule_ablation(pe_counts: &[usize], seed: u64, json: Option<&Path>) 
 /// the expected LB interval balances the *future* load — the standard
 /// method with prediction behaves like ULBA with a per-region α derived
 /// automatically from the measured growth.
-pub fn anticipation_ablation(pe_counts: &[usize], seed: u64, json: Option<&Path>) {
+pub fn anticipation_ablation(pe_counts: &[usize], seed: u64, out: &StudyOutput) {
     println!("Ablation E-A4 — anticipatory partitioning (1 strong rock)");
     let arms: Vec<(&str, LbPolicy, bool)> = vec![
         ("standard", LbPolicy::Standard, false),
@@ -162,7 +151,7 @@ pub fn anticipation_ablation(pe_counts: &[usize], seed: u64, json: Option<&Path>
             })
         })
         .collect();
-    let (results, _, perf_rows) = run_arms(&specs);
+    let (results, sweep_wall, perf_rows) = run_arms(&specs);
     let mut rows = Vec::new();
     for (chunk, spec_chunk) in results.chunks(arms.len()).zip(specs.chunks(arms.len())) {
         // The first arm of each P group is the standard baseline.
@@ -188,21 +177,16 @@ pub fn anticipation_ablation(pe_counts: &[usize], seed: u64, json: Option<&Path>
         &["PEs", "configuration", "time [s]", "LB calls", "mean util", "gain vs standard"],
         &rows,
     );
-    let path = write_csv(
-        "ablation_anticipation",
-        &["pes", "configuration", "time_s", "lb_calls", "mean_util", "gain_vs_standard_pct"],
-        &rows,
-    );
-    println!("wrote {}", path.display());
-    if let Some(path) = json {
-        write_schema3_report("ablation_anticipation", quick_mode(), &[], &perf_rows, path);
-    }
+    let header =
+        ["pes", "configuration", "time_s", "lb_calls", "mean_util", "gain_vs_standard_pct"];
+    write_csv(&out.dir, "ablation_anticipation", &header, &rows);
+    out.write_batch_report("ablation_anticipation", sweep_wall, perf_rows);
 }
 
 /// E-A3 — gossip mode: convergence rounds (round-based simulation) and
 /// end-to-end effect on the erosion app; the erosion arms run concurrently
 /// on the shared job server.
-pub fn gossip_ablation(ranks: usize, seed: u64, json: Option<&Path>) {
+pub fn gossip_ablation(ranks: usize, seed: u64, out: &StudyOutput) {
     println!("Ablation E-A3 — gossip dissemination mode ({ranks} PEs, 1 strong rock)");
     let modes: Vec<(&str, GossipMode)> = vec![
         ("ring", GossipMode::Ring),
@@ -220,7 +204,7 @@ pub fn gossip_ablation(ranks: usize, seed: u64, json: Option<&Path>) {
             (name.to_string(), ranks, cfg)
         })
         .collect();
-    let (results, _, perf_rows) = run_arms(&specs);
+    let (results, sweep_wall, perf_rows) = run_arms(&specs);
     let mut rows = Vec::new();
     for (&(name, mode), res) in modes.iter().zip(&results) {
         let rounds = simulate_rounds_to_completion(mode, ranks, seed, 4 * ranks)
@@ -238,23 +222,20 @@ pub fn gossip_ablation(ranks: usize, seed: u64, json: Option<&Path>) {
         &["mode", "rounds to full DB", "time [s]", "LB calls"],
         &rows,
     );
-    let path =
-        write_csv("ablation_gossip", &["mode", "rounds_to_full_db", "time_s", "lb_calls"], &rows);
-    println!("wrote {}", path.display());
-    if let Some(path) = json {
-        write_schema3_report("ablation_gossip", quick_mode(), &[], &perf_rows, path);
-    }
+    let header = ["mode", "rounds_to_full_db", "time_s", "lb_calls"];
+    write_csv(&out.dir, "ablation_gossip", &header, &rows);
+    out.write_batch_report("ablation_gossip", sweep_wall, perf_rows);
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn ablations_run_small() {
-        std::env::set_var("ULBA_RESULTS", std::env::temp_dir().join("ulba-abl-test"));
+        let dir = std::env::temp_dir().join("ulba-abl-test");
+        let out = crate::output::StudyOutput { dir, smoke: true, json: None };
         // Tiny PE counts: plumbing checks only.
-        super::trigger_ablation(4, 11, None);
-        super::alpha_rule_ablation(&[4], 11, None);
-        super::gossip_ablation(4, 11, None);
-        std::env::remove_var("ULBA_RESULTS");
+        super::trigger_ablation(4, 11, &out);
+        super::alpha_rule_ablation(&[4], 11, &out);
+        super::gossip_ablation(4, 11, &out);
     }
 }

@@ -9,11 +9,12 @@
 
 use crate::output::{bar, print_table, write_csv};
 use crate::stats::mean;
+use std::path::Path;
 use ulba_model::search::AnnealSearchConfig;
 use ulba_model::study::{fig2_study, Fig2Point};
 
-/// Run the Fig. 2 study and print/persist the histogram.
-pub fn run(instances: usize, sa_steps: u64, seed: u64) -> Vec<Fig2Point> {
+/// Run the Fig. 2 study and print the histogram; the CSV goes under `out`.
+pub fn run(instances: usize, sa_steps: u64, seed: u64, out: &Path) -> Vec<Fig2Point> {
     println!(
         "Fig. 2 — σ⁺ vs simulated-annealing schedules on {instances} Table II \
          instances (SA budget: {sa_steps} moves)"
@@ -64,12 +65,12 @@ pub fn run(instances: usize, sa_steps: u64, seed: u64) -> Vec<Fig2Point> {
             ]
         })
         .collect();
-    let path = write_csv(
+    write_csv(
+        out,
         "fig2_gain_histogram",
         &["sa_time_s", "sigma_time_s", "optimal_time_s", "gain_vs_sa_pct", "gain_vs_optimal_pct"],
         &csv_rows,
     );
-    println!("wrote {}", path.display());
     points
 }
 
@@ -79,14 +80,12 @@ mod tests {
 
     #[test]
     fn small_fig2_run_has_paper_shape() {
-        std::env::set_var("ULBA_RESULTS", std::env::temp_dir().join("ulba-fig2-test"));
-        let points = run(12, 3_000, 7);
+        let points = run(12, 3_000, 7, &std::env::temp_dir().join("ulba-fig2-test"));
         assert_eq!(points.len(), 12);
         // σ⁺ never beats the exact optimum; averages are small in magnitude.
         for p in &points {
             assert!(p.gain_vs_optimal <= 1e-9);
             assert!(p.gain_vs_sa.abs() < 50.0);
         }
-        std::env::remove_var("ULBA_RESULTS");
     }
 }

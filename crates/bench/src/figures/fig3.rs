@@ -7,10 +7,17 @@
 //! percentage grows; the average best α decreases from ~0.93 to ~0.08.
 
 use crate::output::{print_table, write_csv};
+use std::path::Path;
 use ulba_model::study::{fig3_study, Fig3Bucket};
 
-/// Run the Fig. 3 sweep and print/persist the per-bucket box statistics.
-pub fn run(instances_per_bucket: usize, alpha_samples: u32, seed: u64) -> Vec<Fig3Bucket> {
+/// Run the Fig. 3 sweep and print the per-bucket box statistics; the CSV
+/// goes under `out`.
+pub fn run(
+    instances_per_bucket: usize,
+    alpha_samples: u32,
+    seed: u64,
+    out: &Path,
+) -> Vec<Fig3Bucket> {
     println!(
         "Fig. 3 — standard LB vs ULBA gain by overloading percentage \
          ({instances_per_bucket} instances × {alpha_samples} α values per bucket)"
@@ -53,7 +60,8 @@ pub fn run(instances_per_bucket: usize, alpha_samples: u32, seed: u64) -> Vec<Fi
     println!("\nmaximum gain observed: {max_gain:+.1}% (paper: up to 21%)");
     println!("(α* decreasing with the overloading percentage reproduces the paper's trend)");
 
-    let path = write_csv(
+    write_csv(
+        out,
         "fig3_gain_by_overloading",
         &[
             "overloading_pct",
@@ -67,7 +75,6 @@ pub fn run(instances_per_bucket: usize, alpha_samples: u32, seed: u64) -> Vec<Fi
         ],
         &csv_rows,
     );
-    println!("wrote {}", path.display());
     buckets
 }
 
@@ -77,8 +84,7 @@ mod tests {
 
     #[test]
     fn small_fig3_run_shape() {
-        std::env::set_var("ULBA_RESULTS", std::env::temp_dir().join("ulba-fig3-test"));
-        let buckets = run(10, 11, 3);
+        let buckets = run(10, 11, 3, &std::env::temp_dir().join("ulba-fig3-test"));
         assert_eq!(buckets.len(), 10);
         for b in &buckets {
             // Never worse than standard (α = 0 fallback).
@@ -89,6 +95,5 @@ mod tests {
             buckets[0].mean_best_alpha() > buckets[9].mean_best_alpha(),
             "α* must decrease with the overloading fraction"
         );
-        std::env::remove_var("ULBA_RESULTS");
     }
 }

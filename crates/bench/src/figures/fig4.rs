@@ -7,8 +7,8 @@
 //! * **4b**: per-iteration average PE utilization for 32 PEs / 1 rock, both
 //!   methods; ULBA shows fewer utilization drops and 62.5 % fewer LB calls.
 
-use crate::output::{bar, perf_row, print_table, quick_mode, write_csv, write_schema3_report};
-use std::path::Path;
+use crate::output::{bar, print_table, write_csv, StudyOutput};
+use crate::report::perf_row;
 use std::time::Instant;
 use ulba_core::policy::LbPolicy;
 use ulba_erosion::{median_result, run_erosion_batch, ErosionConfig, ExperimentResult};
@@ -41,14 +41,13 @@ fn config_for(ranks: usize, strong: usize, policy: LbPolicy) -> ErosionConfig {
 
 /// Run the Fig. 4a sweep as one batch: every (rocks, P, policy, seed)
 /// combination is submitted to the shared job server at once, then reduced
-/// to per-cell medians. `json` additionally writes the schema-3 report
-/// (one row per median, policy `standard` / `ulba`, in sweep order — rows
-/// repeat per rock count).
+/// to per-cell medians. The schema-3 report has one row per median (policy
+/// `standard` / `ulba`, in sweep order — rows repeat per rock count).
 pub fn run_4a(
     pe_counts: &[usize],
     rock_counts: &[usize],
     seeds: &[u64],
-    json: Option<&Path>,
+    out: &StudyOutput,
 ) -> Vec<Fig4aCell> {
     println!(
         "Fig. 4a — erosion app: standard(+Zhai) vs ULBA (α = 0.4), median of \
@@ -128,39 +127,33 @@ pub fn run_4a(
             ]
         })
         .collect();
-    let path = write_csv(
+    write_csv(
+        &out.dir,
         "fig4a_performance",
         &["strong_rocks", "pes", "standard_s", "ulba_s", "gain_pct"],
         &csv_rows,
     );
-    println!("wrote {}", path.display());
 
-    if let Some(path) = json {
-        let wire = cfgs[0].gossip_wire.to_string();
-        let rows: Vec<_> = specs
-            .iter()
-            .zip(&medians)
-            .map(|(&(_, ranks, label, _), res)| perf_row(label, ranks, &wire, res, sweep_wall))
-            .collect();
-        write_schema3_report("fig4a", quick_mode(), &[], &rows, path);
-    }
+    let wire = cfgs[0].gossip_wire;
+    let rows = specs
+        .iter()
+        .zip(&medians)
+        .map(|(&(_, ranks, label, _), res)| perf_row(label, ranks, wire, res, None))
+        .collect();
+    out.write_batch_report("fig4a", sweep_wall, rows);
     cells
 }
 
 /// Run the Fig. 4b utilization study (32 PEs, 1 strong rock by default).
 /// The standard and ULBA runs are submitted to the shared job server as
 /// one batch of two.
-pub fn run_4b(
-    ranks: usize,
-    seed: u64,
-    json: Option<&Path>,
-) -> (ExperimentResult, ExperimentResult) {
+pub fn run_4b(ranks: usize, seed: u64, out: &StudyOutput) -> (ExperimentResult, ExperimentResult) {
     println!("Fig. 4b — average PE utilization, {ranks} PEs, 1 strongly erodible rock");
     let mut std_cfg = config_for(ranks, 1, LbPolicy::Standard);
     std_cfg.seed = seed;
     let mut ulba_cfg = config_for(ranks, 1, LbPolicy::ulba_fixed(0.4));
     ulba_cfg.seed = seed;
-    let wire = std_cfg.gossip_wire.to_string();
+    let wire = std_cfg.gossip_wire;
     let started = Instant::now();
     let mut results = run_erosion_batch(&[std_cfg, ulba_cfg]);
     let sweep_wall = started.elapsed().as_secs_f64();
@@ -211,20 +204,18 @@ pub fn run_4b(
             ]
         })
         .collect();
-    let path = write_csv(
+    write_csv(
+        &out.dir,
         "fig4b_utilization",
         &["iter", "std_utilization", "std_lb", "ulba_utilization", "ulba_lb"],
         &csv_rows,
     );
-    println!("wrote {}", path.display());
 
-    if let Some(path) = json {
-        let rows = [
-            perf_row("standard", ranks, &wire, &std_res, sweep_wall),
-            perf_row("ulba", ranks, &wire, &ulba_res, sweep_wall),
-        ];
-        write_schema3_report("fig4b", quick_mode(), &[], &rows, path);
-    }
+    let rows = vec![
+        perf_row("standard", ranks, wire, &std_res, None),
+        perf_row("ulba", ranks, wire, &ulba_res, None),
+    ];
+    out.write_batch_report("fig4b", sweep_wall, rows);
     (std_res, ulba_res)
 }
 
@@ -240,12 +231,19 @@ mod tests {
 
     #[test]
     fn tiny_fig4a_runs() {
-        std::env::set_var("ULBA_RESULTS", std::env::temp_dir().join("ulba-fig4-test"));
+        let dir = std::env::temp_dir().join("ulba-fig4-test");
+        let json = dir.join("BENCH_fig4a.json");
+        let out = StudyOutput { dir, smoke: true, json: Some(json.clone()) };
         // Tiny scale smoke: 8 PEs, 1 rock, 1 seed — checks plumbing, not
         // magnitudes.
-        let cells = run_4a(&[8], &[1], &[11], None);
+        let cells = run_4a(&[8], &[1], &[11], &out);
         assert_eq!(cells.len(), 1);
         assert!(cells[0].standard > 0.0 && cells[0].ulba > 0.0);
-        std::env::remove_var("ULBA_RESULTS");
+        // A batch study: the sweep wall once, no per-row wall.
+        let report = crate::report::Report::read(&json).unwrap();
+        assert!(report.smoke && report.summary.batch_wall_s > Some(0.0));
+        let spans: Vec<f64> = report.rows.iter().map(|r| r.makespan_virtual_s).collect();
+        assert_eq!(spans, [cells[0].standard, cells[0].ulba]);
+        assert!(report.rows.iter().all(|r| r.sim_wall_s.is_none()));
     }
 }

@@ -6,8 +6,8 @@
 //! significant gain above α = 0.4 for 32–128 PEs, while 256 PEs still
 //! improves from 0.4 to 0.5 (larger P − N supports a larger α, Eq. (11)).
 
-use crate::output::{perf_row, print_table, quick_mode, write_csv, write_schema3_report};
-use std::path::Path;
+use crate::output::{print_table, write_csv, StudyOutput};
+use crate::report::perf_row;
 use std::time::Instant;
 use ulba_core::policy::LbPolicy;
 use ulba_erosion::{median_result, run_erosion_batch, ErosionConfig, ExperimentResult};
@@ -35,9 +35,8 @@ impl Fig5Series {
 
 /// Run the α sweep as one batch: every (P, α, seed) combination is
 /// submitted to the shared job server at once, then reduced to per-(P, α)
-/// medians. `json` additionally writes the schema-3 report (policy label
-/// `ulba-fixed:<α>`).
-pub fn run(pe_counts: &[usize], seeds: &[u64], json: Option<&Path>) -> Vec<Fig5Series> {
+/// medians. The schema-3 report labels its rows `ulba-fixed:<α>`.
+pub fn run(pe_counts: &[usize], seeds: &[u64], out: &StudyOutput) -> Vec<Fig5Series> {
     println!(
         "Fig. 5 — α tuning on the erosion app (1 strong rock, median of {} seed(s))",
         seeds.len()
@@ -98,20 +97,17 @@ pub fn run(pe_counts: &[usize], seeds: &[u64], json: Option<&Path>) -> Vec<Fig5S
                 .map(move |(a, t)| vec![s.ranks.to_string(), format!("{a}"), format!("{t:.4}")])
         })
         .collect();
-    let path = write_csv("fig5_alpha_tuning", &["pes", "alpha", "time_s"], &csv_rows);
-    println!("wrote {}", path.display());
+    write_csv(&out.dir, "fig5_alpha_tuning", &["pes", "alpha", "time_s"], &csv_rows);
 
-    if let Some(path) = json {
-        let wire = cfgs[0].gossip_wire.to_string();
-        let rows: Vec<_> = specs
-            .iter()
-            .zip(&medians)
-            .map(|(&(ranks, alpha), res)| {
-                perf_row(&format!("ulba-fixed:{alpha}"), ranks, &wire, res, sweep_wall)
-            })
-            .collect();
-        write_schema3_report("fig5", quick_mode(), &[], &rows, path);
-    }
+    let wire = cfgs[0].gossip_wire;
+    let rows = specs
+        .iter()
+        .zip(&medians)
+        .map(|(&(ranks, alpha), res)| {
+            perf_row(&format!("ulba-fixed:{alpha}"), ranks, wire, res, None)
+        })
+        .collect();
+    out.write_batch_report("fig5", sweep_wall, rows);
     series
 }
 

@@ -12,38 +12,21 @@
 //!   execution (recorded in `BENCH_job_server.json`; warn-only, since
 //!   runner load and core counts vary).
 //!
-//! `gate_pes` appends, per PE count, the two weak-scaling smoke
-//! configurations (standard and ULBA, default gossip wire) whose virtual
-//! makespans the CI perf-trajectory gate compares against the committed
-//! `results/BENCH_seed.json` baseline — the drift check that proves the
-//! shared pool reproduces the seed numbers at `P = 16384`.
+//! `gate_pes` appends the [`weak_scaling::gate_legs`] — the drift check
+//! that proves the shared pool reproduces the seed numbers at `P = 16384`.
 
-use crate::output::{json_f64, perf_row, print_table, write_schema3_report, PerfRow};
+use super::weak_scaling;
+use crate::output::print_table;
+use crate::report::{perf_row, PerfRow, Report, Summary};
 use std::path::Path;
 use std::time::Instant;
-use ulba_core::gossip::GossipWire;
 use ulba_core::policy::LbPolicy;
 use ulba_erosion::{run_erosion_batch, submit_erosion, ErosionConfig, ExperimentResult};
 use ulba_runtime::{Backend, JobServer};
 
-/// Summary of one serial-vs-batched comparison.
-#[derive(Debug, Clone)]
-pub struct JobServerReport {
-    /// Number of jobs in the sweep.
-    pub jobs: usize,
-    /// Wall time of the serial one-pool-per-run pass, in seconds.
-    pub serial_wall_s: f64,
-    /// Wall time of the batched shared-pool pass, in seconds.
-    pub batch_wall_s: f64,
-    /// `serial_wall_s / batch_wall_s`.
-    pub speedup: f64,
-    /// Schema-3 rows of the batched pass (policy label per job).
-    pub rows: Vec<PerfRow>,
-}
-
 /// The base sweep: ≥ 8 jobs mixing PE counts, policies and seeds, every
 /// config pinned to the parallel backend so both passes exercise the pool.
-fn base_sweep(smoke: bool) -> Vec<(String, usize, ErosionConfig)> {
+fn base_sweep(smoke: bool) -> Vec<(&'static str, usize, ErosionConfig)> {
     let pe_counts: &[usize] = if smoke { &[8, 16] } else { &[32, 64] };
     let policies = [("standard", LbPolicy::Standard), ("ulba", LbPolicy::ulba_fixed(0.4))];
     let mut specs = Vec::new();
@@ -59,7 +42,7 @@ fn base_sweep(smoke: bool) -> Vec<(String, usize, ErosionConfig)> {
                 };
                 cfg.policy = policy;
                 cfg.seed = seed;
-                specs.push((label.to_string(), ranks, cfg));
+                specs.push((label, ranks, cfg));
             }
         }
     }
@@ -85,24 +68,13 @@ fn assert_identical(label: &str, serial: &ExperimentResult, batched: &Experiment
 }
 
 /// Run the serial-vs-batched comparison. `workers` sizes both pools (0 =
-/// all cores); `gate_pes` appends the weak-scaling drift-gate legs; `json`
-/// writes `BENCH_job_server.json` (schema 3 plus `jobs`, `serial_wall_s`,
-/// `batch_wall_s` and `speedup` summary keys).
-pub fn run(
-    workers: usize,
-    gate_pes: &[usize],
-    smoke: bool,
-    json: Option<&Path>,
-) -> JobServerReport {
+/// all cores); `gate_pes` appends the weak-scaling drift-gate legs. Returns
+/// the report — the batched pass's rows (no per-row wall: the jobs ran
+/// concurrently) under the `jobs`, `serial_wall_s`, `batch_wall_s` and
+/// `speedup` summary keys — after writing it to `json`, if given.
+pub fn run(workers: usize, gate_pes: &[usize], smoke: bool, json: Option<&Path>) -> Report {
     let mut specs = base_sweep(smoke);
-    for &ranks in gate_pes {
-        for (label, policy) in
-            [("standard", LbPolicy::Standard), ("ulba", LbPolicy::ulba_fixed(0.4))]
-        {
-            let cfg = super::weak_scaling::config_for(ranks, policy, GossipWire::default(), smoke);
-            specs.push((label.to_string(), ranks, cfg));
-        }
-    }
+    specs.extend(weak_scaling::gate_legs(gate_pes, smoke));
     for (_, _, cfg) in &mut specs {
         cfg.backend = Some(Backend::Parallel);
     }
@@ -152,9 +124,7 @@ pub fn run(
     let rows: Vec<PerfRow> = specs
         .iter()
         .zip(&batched)
-        .map(|((label, ranks, cfg), res)| {
-            perf_row(label, *ranks, &cfg.gossip_wire.to_string(), res, batch_wall_s)
-        })
+        .map(|((label, ranks, cfg), res)| perf_row(label, *ranks, cfg.gossip_wire, res, None))
         .collect();
 
     let table: Vec<Vec<String>> = rows
@@ -181,16 +151,17 @@ pub fn run(
         specs.len()
     );
 
+    let summary = Summary {
+        jobs: Some(specs.len() as u64),
+        serial_wall_s: Some(serial_wall_s),
+        batch_wall_s: Some(batch_wall_s),
+        speedup: Some(speedup),
+    };
+    let report = Report { study: "job_server".into(), smoke, summary, rows };
     if let Some(path) = json {
-        let summary = [
-            ("jobs", specs.len().to_string()),
-            ("serial_wall_s", json_f64(serial_wall_s)),
-            ("batch_wall_s", json_f64(batch_wall_s)),
-            ("speedup", json_f64(speedup)),
-        ];
-        write_schema3_report("job_server", smoke, &summary, &rows, path);
+        report.write(path);
     }
-    JobServerReport { jobs: specs.len(), serial_wall_s, batch_wall_s, speedup, rows }
+    report
 }
 
 #[cfg(test)]
@@ -199,16 +170,16 @@ mod tests {
 
     #[test]
     fn smoke_sweep_is_bit_identical_and_reports() {
-        std::env::set_var("ULBA_RESULTS", std::env::temp_dir().join("ulba-jobsrv-test"));
         let json = std::env::temp_dir().join("ulba-jobsrv-test").join("BENCH_job_server.json");
         // run() hard-asserts serial/batched bit-identity internally.
         let report = run(2, &[], true, Some(&json));
-        assert!(report.jobs >= 8, "the sweep must batch at least 8 jobs");
-        assert_eq!(report.rows.len(), report.jobs);
-        assert!(report.serial_wall_s > 0.0 && report.batch_wall_s > 0.0);
-        let doc = std::fs::read_to_string(&json).unwrap();
-        assert!(doc.contains("\"study\": \"job_server\""));
-        assert!(doc.contains("\"speedup\":"));
-        std::env::remove_var("ULBA_RESULTS");
+        assert!(report.summary.jobs >= Some(8), "the sweep must batch at least 8 jobs");
+        assert_eq!(Some(report.rows.len() as u64), report.summary.jobs);
+        assert!(
+            report.summary.serial_wall_s > Some(0.0) && report.summary.batch_wall_s > Some(0.0)
+        );
+        assert!(report.summary.speedup.is_some_and(f64::is_finite));
+        assert!(report.rows.iter().all(|r| r.sim_wall_s.is_none()), "no per-row wall in a batch");
+        assert_eq!(Report::read(&json), Ok(report));
     }
 }

@@ -6,41 +6,31 @@
 //! Three claims are checked on every invocation:
 //!
 //! * **λ fidelity** — each scenario's achieved imbalance factor (verified
-//!   analytically by the generator) stays within 5% of the requested
-//!   target, and both values land in the report rows;
+//!   analytically by the generator) stays within tolerance of the requested
+//!   target — the same [`gates::lambda`] CI runs on the written report —
+//!   and both values land in the report rows;
 //! * **backend/shard invariance** — every parallel row is asserted
 //!   bit-identical to its sequential twin in the grid, and one ULBA leg
 //!   per family is additionally re-run serially with a different
 //!   hub-shard count;
-//! * **perf trajectory** — `gate_pes` appends the erosion weak-scaling
-//!   smoke legs (standard + ULBA per PE count) whose virtual makespans the
-//!   CI gate compares against the committed `results/BENCH_seed.json`
-//!   baseline, proving the scenario batch shares the pool without
-//!   perturbing the seed numbers.
+//! * **perf trajectory** — `gate_pes` appends the
+//!   [`weak_scaling::gate_legs`], proving the scenario batch shares the
+//!   pool without perturbing the seed numbers.
 
-use crate::output::{json_f64, perf_row, print_table, write_schema3_report, PerfRow};
+use super::weak_scaling;
+use crate::gates;
+use crate::output::print_table;
+use crate::report::{perf_row, PerfRow, Report, Summary};
 use std::path::Path;
 use std::time::Instant;
 use ulba_core::gossip::GossipWire;
 use ulba_core::policy::LbPolicy;
-use ulba_erosion::run_erosion_batch;
+use ulba_erosion::{run_erosion_batch, ErosionConfig};
 use ulba_runtime::{Backend, JobServer};
 use ulba_scenario::config::TriggerKind;
 use ulba_scenario::{
-    run_scenario, run_scenario_batch, submit_scenario, ScenarioConfig, ScenarioKind,
-    ScenarioResult, LAMBDA_TOLERANCE,
+    run_scenario, run_scenario_batch, submit_scenario, ScenarioConfig, ScenarioKind, ScenarioResult,
 };
-
-/// Summary of one scenario sweep.
-#[derive(Debug, Clone)]
-pub struct ScenariosReport {
-    /// Number of jobs in the batched sweep (scenario grid + gate legs).
-    pub jobs: usize,
-    /// Wall time of the batched pass, in seconds.
-    pub batch_wall_s: f64,
-    /// Schema-3 rows (scenario rows carry `lambda_target`/`lambda_achieved`).
-    pub rows: Vec<PerfRow>,
-}
 
 /// The policy arms of the sweep.
 fn policies() -> [(&'static str, LbPolicy); 2] {
@@ -112,16 +102,16 @@ fn assert_identical(label: &str, a: &ScenarioResult, b: &ScenarioResult) {
 
 /// Run the scenario sweep. `workers` sizes the shared pool (0 = all
 /// cores); `gate_pes` appends the erosion weak-scaling drift-gate legs;
-/// `wire_override` restricts the wire dimension; `json` writes
-/// `BENCH_scenarios.json` (schema 3 plus `jobs` and `batch_wall_s`
-/// summary keys).
+/// `wire_override` restricts the wire dimension. Returns the report
+/// (scenario rows carry `lambda_target`/`lambda_achieved`; `jobs` and
+/// `batch_wall_s` summary keys) after writing it to `json`, if given.
 pub fn run(
     workers: usize,
     gate_pes: &[usize],
     smoke: bool,
     wire_override: Option<GossipWire>,
     json: Option<&Path>,
-) -> ScenariosReport {
+) -> Report {
     let specs = scenario_sweep(smoke, wire_override);
     println!(
         "Scenario study — {} scenario jobs ({} families × {} policies × wires × {} backends){}",
@@ -149,17 +139,8 @@ pub fn run(
     let results = run_scenario_batch(&cfgs);
     let mut batch_wall_s = batch_started.elapsed().as_secs_f64();
 
-    // λ fidelity: the generator already asserts this at build time; the
-    // study re-checks the *reported* values so a row can never drift from
-    // the construction invariant.
     for ((label, backend, cfg), res) in specs.iter().zip(&results) {
         assert_eq!(res.backend, *backend, "[{label}] an explicit backend wins over the server");
-        assert!(
-            (res.lambda_achieved - res.lambda_target).abs() <= LAMBDA_TOLERANCE * res.lambda_target,
-            "[{label}/{backend}] achieved λ {} strays from target {}",
-            res.lambda_achieved,
-            res.lambda_target
-        );
         assert_eq!(res.lambda_target, cfg.lambda, "[{label}/{backend}] target λ mangled in flight");
     }
 
@@ -185,45 +166,32 @@ pub fn run(
         assert_identical(label, batched, &serial);
     }
 
-    // The erosion weak-scaling drift-gate legs, batched on the same pool.
-    let mut gate_rows: Vec<PerfRow> = Vec::new();
-    if !gate_pes.is_empty() {
-        let mut gate_specs = Vec::new();
-        for &ranks in gate_pes {
-            for (label, policy) in
-                [("standard", LbPolicy::Standard), ("ulba", LbPolicy::ulba_fixed(0.4))]
-            {
-                let mut cfg =
-                    super::weak_scaling::config_for(ranks, policy, GossipWire::default(), smoke);
-                cfg.backend = Some(Backend::Parallel);
-                cfg.server = Some(shared.clone());
-                gate_specs.push((label, ranks, cfg));
-            }
-        }
-        let gate_started = Instant::now();
-        let gate_results = run_erosion_batch(
-            &gate_specs.iter().map(|(_, _, cfg)| cfg.clone()).collect::<Vec<_>>(),
-        );
-        batch_wall_s += gate_started.elapsed().as_secs_f64();
-        for ((label, ranks, cfg), res) in gate_specs.iter().zip(&gate_results) {
-            gate_rows.push(perf_row(
-                label,
-                *ranks,
-                &cfg.gossip_wire.to_string(),
-                res,
-                batch_wall_s,
-            ));
-        }
-    }
-
     let mut rows: Vec<PerfRow> = specs
         .iter()
         .zip(&results)
-        .map(|((label, _, cfg), res)| {
-            perf_row(label, cfg.ranks, &cfg.gossip_wire.to_string(), res, batch_wall_s)
-        })
+        .map(|((label, _, cfg), res)| perf_row(label, cfg.ranks, cfg.gossip_wire, res, None))
         .collect();
-    rows.append(&mut gate_rows);
+
+    // The erosion weak-scaling drift-gate legs, batched on the same pool.
+    if !gate_pes.is_empty() {
+        let legs = weak_scaling::gate_legs(gate_pes, smoke);
+        let cfgs: Vec<ErosionConfig> = legs
+            .iter()
+            .map(|(_, _, cfg)| {
+                let mut cfg = cfg.clone().with_server(shared.clone());
+                cfg.backend = Some(Backend::Parallel);
+                cfg
+            })
+            .collect();
+        let gate_started = Instant::now();
+        let gate_results = run_erosion_batch(&cfgs);
+        batch_wall_s += gate_started.elapsed().as_secs_f64();
+        rows.extend(
+            legs.iter().zip(&gate_results).map(|((label, ranks, cfg), res)| {
+                perf_row(label, *ranks, cfg.gossip_wire, res, None)
+            }),
+        );
+    }
 
     let table: Vec<Vec<String>> = rows
         .iter()
@@ -258,11 +226,17 @@ pub fn run(
     );
     println!("\n{} jobs batched in {batch_wall_s:.2}s on one shared pool", rows.len());
 
+    let summary = Summary { jobs: Some(rows.len() as u64), ..Summary::batch(batch_wall_s) };
+    let report = Report { study: "scenarios".into(), smoke, summary, rows };
+    // λ fidelity: the generator already asserts this at build time; the
+    // study re-checks the *reported* values, with the gate CI runs on the
+    // file, so a row can never drift from the construction invariant.
+    let lambda = gates::lambda(&report);
+    assert!(!gates::failed(&lambda), "λ fidelity: {lambda:?}");
     if let Some(path) = json {
-        let summary = [("jobs", rows.len().to_string()), ("batch_wall_s", json_f64(batch_wall_s))];
-        write_schema3_report("scenarios", smoke, &summary, &rows, path);
+        report.write(path);
     }
-    ScenariosReport { jobs: rows.len(), batch_wall_s, rows }
+    report
 }
 
 #[cfg(test)]
@@ -271,18 +245,18 @@ mod tests {
 
     #[test]
     fn smoke_sweep_reports_lambda_and_verifies_invariance() {
-        std::env::set_var("ULBA_RESULTS", std::env::temp_dir().join("ulba-scenarios-test"));
         let json = std::env::temp_dir().join("ulba-scenarios-test").join("BENCH_scenarios.json");
         // run() hard-asserts λ fidelity and backend/shard bit-identity.
         let report = run(2, &[], true, None, Some(&json));
-        assert_eq!(report.jobs, 40, "5 families × 2 policies × 2 wires × 2 backends");
-        assert!(report.rows.iter().all(|r| r.lambda_target.is_some()));
-        assert!(report.rows.iter().any(|r| r.backend == "sequential"));
-        let doc = std::fs::read_to_string(&json).unwrap();
-        assert!(doc.contains("\"study\": \"scenarios\""));
-        assert!(doc.contains("\"lambda_achieved\":"));
-        assert!(doc.contains("slow-node+ulba-fixed:0.4"));
-        std::env::remove_var("ULBA_RESULTS");
+        assert_eq!(report.summary.jobs, Some(40), "5 families × 2 policies × 2 wires × 2 backends");
+        assert!(report
+            .rows
+            .iter()
+            .all(|r| r.lambda_target.is_some() && r.lambda_achieved.is_some()));
+        assert!(report.rows.iter().all(|r| r.sim_wall_s.is_none()), "no per-row wall in a batch");
+        assert!(report.rows.iter().any(|r| r.policy == "slow-node+ulba-fixed:0.4"));
+        assert!(!gates::failed(&gates::scenario_grid(&report)), "the smoke grid is the full grid");
+        assert_eq!(Report::read(&json), Ok(report));
     }
 
     #[test]

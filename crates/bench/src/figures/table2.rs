@@ -5,10 +5,11 @@
 //! `C` in balanced-iteration units).
 
 use crate::output::{print_table, write_csv};
+use std::path::Path;
 use ulba_model::instance::InstanceDistribution;
 
-/// Run the sampler validation on `count` instances.
-pub fn run(count: usize, seed: u64) {
+/// Run the sampler validation on `count` instances; the CSV goes under `out`.
+pub fn run(count: usize, seed: u64, out: &Path) {
     println!("Table II — sampling {count} instances and validating the distributions");
     let dist = InstanceDistribution::default();
     let instances = dist.sample_many(count, seed);
@@ -69,21 +70,18 @@ pub fn run(count: usize, seed: u64) {
         .fold(0.0f64, f64::max);
     println!("\nmax |aP + mN − ΔW| / ΔW over all samples: {max_residual:.2e} (identity check)");
 
-    let csv: Vec<Vec<String>> = table.clone();
-    let path = write_csv(
+    write_csv(
+        out,
         "table2_distributions",
         &["parameter", "specified", "observed_min", "observed_mean", "observed_max"],
-        &csv,
+        &table,
     );
-    println!("wrote {}", path.display());
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn table2_runs() {
-        std::env::set_var("ULBA_RESULTS", std::env::temp_dir().join("ulba-table2-test"));
-        super::run(50, 5);
-        std::env::remove_var("ULBA_RESULTS");
+        super::run(50, 5, &std::env::temp_dir().join("ulba-table2-test"));
     }
 }

@@ -17,15 +17,16 @@
 //! leg. Every sweep starts with one explicit *untimed* single-iteration
 //! warmup run, so the process's one-time heap-growth/page-zeroing cost is
 //! not booked against the first timed leg's `sim_wall_s`.
-//! CSV: `results/weak_scaling_<backend>.csv` — one file per backend,
-//! so runs on different backends can be compared side by side instead of
-//! overwriting each other. [`write_json_report`] additionally emits one
-//! machine-readable JSON document (schema 3) covering all backends of an
-//! invocation (the CI perf-trajectory artifacts `BENCH_weak_scaling.json`
-//! and `BENCH_p65536.json`).
+//! CSV: `<out>/weak_scaling_<backend>.csv` — one file per backend, so runs
+//! on different backends can be compared side by side instead of
+//! overwriting each other; its columns are the report's. The binary
+//! additionally writes one schema-3 [`Report`](crate::report::Report)
+//! covering all backends of an invocation (the CI perf-trajectory artifacts
+//! `BENCH_weak_scaling.json` and `BENCH_p65536.json`).
 
-use crate::output::{peak_rss_bytes, print_table, write_csv, write_schema3_report, PerfRow};
-use std::path::{Path, PathBuf};
+use crate::output::{print_table, write_csv};
+use crate::report::{perf_row, PerfRow};
+use std::path::Path;
 use std::time::Instant;
 use ulba_core::gossip::{GossipMode, GossipWire};
 use ulba_core::policy::LbPolicy;
@@ -35,55 +36,13 @@ use ulba_runtime::Backend;
 /// Default PE sweep of the study.
 pub const WEAK_SCALING_PE_COUNTS: [usize; 4] = [64, 256, 1024, 4096];
 
-/// One (P, policy, backend) measurement.
-#[derive(Debug, Clone)]
-pub struct WeakScalingRow {
-    /// PE count.
-    pub ranks: usize,
-    /// Policy label (`standard` / `ulba`).
-    pub policy: &'static str,
-    /// The backend that drove the run (`sequential` / `parallel`) — what
-    /// the requested one (or `None`) resolved to.
-    pub backend: String,
-    /// Resolved leaf shard count of the rendezvous hub the run used
-    /// (`--hub-shards` / `ULBA_HUB_SHARDS`; default `min(workers, 64)`).
-    pub hub_shards: usize,
-    /// Gossip wire-format label (`full` / `delta:<N>`).
-    pub gossip_wire: String,
-    /// Virtual makespan in seconds.
-    pub makespan: f64,
-    /// Number of LB steps performed.
-    pub lb_calls: usize,
-    /// Mean PE utilization over the run.
-    pub mean_utilization: f64,
-    /// Load-imbalance factor λ: max busy time over mean busy time.
-    pub busy_max_over_mean: f64,
-    /// Fraction of total accounted virtual time spent idle (waiting).
-    pub idle_fraction: f64,
-    /// Real wall-clock seconds spent simulating the run.
-    pub sim_secs: f64,
-    /// Aggregate WIR-database entries resident at run end, summed over
-    /// ranks (the sparse database's footprint; dense held `P²`).
-    pub db_entries_total: u64,
-    /// Process peak RSS in bytes after this row (Linux `VmHWM`; `None`
-    /// where the platform lacks the probe). Monotone across rows of one
-    /// invocation.
-    pub peak_rss_bytes: Option<u64>,
-}
-
 /// Weak-scaling configuration: a fixed per-PE domain small enough that
 /// `P = 4096` stays tractable, with the overloaded-PE *fraction* held
 /// roughly constant across `P` (one strongly erodible rock per 64 PEs) so
 /// the ULBA regime is comparable along the sweep.
-pub(crate) fn config_for(
-    ranks: usize,
-    policy: LbPolicy,
-    wire: GossipWire,
-    smoke: bool,
-) -> ErosionConfig {
+fn config_for(ranks: usize, policy: LbPolicy, smoke: bool) -> ErosionConfig {
     let mut cfg = ErosionConfig::tiny(ranks, (ranks / 64).max(1).min(ranks));
     cfg.policy = policy;
-    cfg.gossip_wire = wire;
     if smoke {
         // CI-sized: a few minutes even at P = 4096 on the sequential
         // backend. Ring gossip keeps snapshot sizes O(iterations) instead
@@ -99,101 +58,88 @@ pub(crate) fn config_for(
     cfg
 }
 
+/// The legs of the study, `(policy label, P, config)`: per PE count the
+/// standard method and ULBA (α = 0.4) on the default gossip wire. At
+/// `P = 16384 --smoke` these are the runs whose virtual makespans the
+/// `drift` gate compares against the committed `results/BENCH_seed.json`,
+/// which is why `job_server` and `scenarios` append them to their batches.
+pub fn gate_legs(pe_counts: &[usize], smoke: bool) -> Vec<(&'static str, usize, ErosionConfig)> {
+    let policies = [("standard", LbPolicy::Standard), ("ulba", LbPolicy::ulba_fixed(0.4))];
+    pe_counts
+        .iter()
+        .flat_map(|&ranks| {
+            policies.map(|(label, policy)| (label, ranks, config_for(ranks, policy, smoke)))
+        })
+        .collect()
+}
+
 /// Run the weak-scaling sweep on `backend` (`None` = runtime default) with
-/// the given gossip wire format.
+/// the given gossip wire format; the CSV goes under `out`.
 pub fn run(
     pe_counts: &[usize],
     backend: Option<Backend>,
     wire: GossipWire,
     smoke: bool,
-) -> Vec<WeakScalingRow> {
+    out: &Path,
+) -> Vec<PerfRow> {
     let backend_label = backend.map_or_else(|| "default".to_string(), |b| b.to_string());
     println!(
         "Weak scaling — erosion app, fixed per-PE domain, standard vs ULBA \
          (α = 0.4), backend: {backend_label}, gossip wire: {wire}{}",
         if smoke { ", smoke" } else { "" }
     );
+    let mut legs = gate_legs(pe_counts, smoke);
+    for (_, _, cfg) in &mut legs {
+        cfg.backend = backend;
+        cfg.gossip_wire = wire;
+    }
     // Explicit untimed warmup: the first simulation in a process pays a
     // one-time heap-growth + page-zeroing cost (hundreds of seconds at the
     // largest P) that used to land entirely on the first timed leg's
     // `sim_wall_s`. A single-iteration run of the first configuration
     // faults in the allocator before any timer starts.
-    if let Some(&ranks) = pe_counts.first() {
-        let mut warm = config_for(ranks, LbPolicy::Standard, wire, smoke);
-        warm.backend = backend;
+    if let Some((_, ranks, cfg)) = legs.first() {
+        let mut warm = cfg.clone();
         warm.iterations = 1;
         eprintln!("  [warmup P={ranks}] one untimed iteration before the timed legs");
         let _ = run_erosion(&warm);
     }
     let mut rows = Vec::new();
-    for &ranks in pe_counts {
-        for (label, policy) in
-            [("standard", LbPolicy::Standard), ("ulba", LbPolicy::ulba_fixed(0.4))]
-        {
-            let mut cfg = config_for(ranks, policy, wire, smoke);
-            cfg.backend = backend;
-            let started = Instant::now();
-            let res = run_erosion(&cfg);
-            let sim_secs = started.elapsed().as_secs_f64();
-            let busy: Vec<f64> = res.rank_metrics.iter().map(|m| m.busy).collect();
-            let busy_mean = busy.iter().sum::<f64>() / busy.len() as f64;
-            let busy_max_over_mean = if busy_mean > 0.0 {
-                busy.iter().copied().fold(0.0f64, f64::max) / busy_mean
-            } else {
-                1.0
-            };
-            let total: f64 = res.rank_metrics.iter().map(|m| m.total()).sum();
-            let idle_fraction = if total > 0.0 {
-                res.rank_metrics.iter().map(|m| m.idle).sum::<f64>() / total
-            } else {
-                0.0
-            };
-            let peak_rss = peak_rss_bytes();
-            eprintln!(
-                "  [P={ranks} {label} {backend_label} S={}] makespan {:.2}s, {} LB calls, \
-                 util {:.1}%, λ {:.3}, {} db entries, peak RSS {}, simulated in {sim_secs:.2}s",
-                res.hub_shards,
-                res.makespan,
-                res.lb_calls,
-                res.mean_utilization * 100.0,
-                busy_max_over_mean,
-                res.db_entries_total,
-                peak_rss.map_or_else(
-                    || "n/a".into(),
-                    |b| format!("{:.0} MiB", b as f64 / (1 << 20) as f64)
-                ),
-            );
-            rows.push(WeakScalingRow {
-                ranks,
-                policy: label,
-                backend: res.backend.to_string(),
-                hub_shards: res.hub_shards,
-                gossip_wire: wire.to_string(),
-                makespan: res.makespan,
-                lb_calls: res.lb_calls,
-                mean_utilization: res.mean_utilization,
-                busy_max_over_mean,
-                idle_fraction,
-                sim_secs,
-                db_entries_total: res.db_entries_total,
-                peak_rss_bytes: peak_rss,
-            });
-        }
+    for (label, ranks, cfg) in &legs {
+        let started = Instant::now();
+        let res = run_erosion(cfg);
+        let sim_secs = started.elapsed().as_secs_f64();
+        let row = perf_row(label, *ranks, wire, &res, Some(sim_secs));
+        eprintln!(
+            "  [P={ranks} {label} {backend_label} S={}] makespan {:.2}s, {} LB calls, \
+             util {:.1}%, λ {:.3}, {} db entries, peak RSS {}, simulated in {sim_secs:.2}s",
+            row.hub_shards,
+            row.makespan_virtual_s,
+            row.lb_calls,
+            row.mean_utilization * 100.0,
+            row.busy_max_over_mean,
+            row.db_entries_total,
+            row.peak_rss_bytes.map_or_else(
+                || "n/a".into(),
+                |b| format!("{:.0} MiB", b as f64 / (1 << 20) as f64)
+            ),
+        );
+        rows.push(row);
     }
 
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
             vec![
-                r.ranks.to_string(),
-                r.policy.to_string(),
+                r.pes.to_string(),
+                r.policy.clone(),
                 r.hub_shards.to_string(),
-                format!("{:.2}", r.makespan),
+                format!("{:.2}", r.makespan_virtual_s),
                 r.lb_calls.to_string(),
                 format!("{:.1}%", r.mean_utilization * 100.0),
                 format!("{:.3}", r.busy_max_over_mean),
                 r.db_entries_total.to_string(),
-                format!("{:.2}", r.sim_secs),
+                format!("{:.2}", r.sim_wall_s.unwrap_or(f64::NAN)),
             ]
         })
         .collect();
@@ -212,74 +158,37 @@ pub fn run(
         ],
         &table,
     );
-    let csv_rows: Vec<Vec<String>> = rows.iter().map(csv_row).collect();
-    let path = write_csv(&format!("weak_scaling_{backend_label}"), CSV_HEADER, &csv_rows);
-    println!("wrote {}", path.display());
+    let csv_rows: Vec<Vec<String>> = rows.iter().map(PerfRow::csv_row).collect();
+    write_csv(out, &format!("weak_scaling_{backend_label}"), &PerfRow::csv_header(), &csv_rows);
     rows
 }
 
-const CSV_HEADER: &[&str] = &[
-    "pes",
-    "policy",
-    "backend",
-    "hub_shards",
-    "gossip_wire",
-    "makespan_s",
-    "lb_calls",
-    "mean_utilization",
-    "busy_max_over_mean",
-    "idle_fraction",
-    "sim_wall_s",
-    "db_entries_total",
-    "peak_rss_bytes",
-];
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::report::{Report, Summary};
 
-fn csv_row(r: &WeakScalingRow) -> Vec<String> {
-    vec![
-        r.ranks.to_string(),
-        r.policy.to_string(),
-        r.backend.clone(),
-        r.hub_shards.to_string(),
-        r.gossip_wire.clone(),
-        format!("{}", r.makespan),
-        r.lb_calls.to_string(),
-        format!("{}", r.mean_utilization),
-        format!("{}", r.busy_max_over_mean),
-        format!("{}", r.idle_fraction),
-        format!("{}", r.sim_secs),
-        r.db_entries_total.to_string(),
-        r.peak_rss_bytes.map_or_else(String::new, |b| b.to_string()),
-    ]
-}
-
-/// Serialize the collected rows as the machine-readable perf-trajectory
-/// report (`BENCH_weak_scaling.json` / `BENCH_p65536.json` in CI): per
-/// (backend, P, policy) the real wall-clock simulation cost, the virtual
-/// makespan, the imbalance statistics, and the memory story (aggregate
-/// database entries + peak RSS). Returns the written path.
-///
-/// Schema 3 = schema 2 plus `gossip_wire`, `db_entries_total` and
-/// `peak_rss_bytes` (nullable).
-pub fn write_json_report(rows: &[WeakScalingRow], smoke: bool, path: &Path) -> PathBuf {
-    let rows: Vec<PerfRow> = rows
-        .iter()
-        .map(|r| PerfRow {
-            backend: r.backend.clone(),
-            pes: r.ranks,
-            policy: r.policy.to_string(),
-            hub_shards: r.hub_shards,
-            gossip_wire: r.gossip_wire.clone(),
-            sim_wall_s: r.sim_secs,
-            makespan_virtual_s: r.makespan,
-            lb_calls: r.lb_calls,
-            mean_utilization: r.mean_utilization,
-            busy_max_over_mean: r.busy_max_over_mean,
-            idle_fraction: r.idle_fraction,
-            db_entries_total: r.db_entries_total,
-            peak_rss_bytes: r.peak_rss_bytes,
-            lambda_target: None,
-            lambda_achieved: None,
-        })
-        .collect();
-    write_schema3_report("weak_scaling", smoke, &[], &rows, path)
+    #[test]
+    fn smoke_rows_are_what_perf_row_gives_and_the_report_round_trips() {
+        let out = std::env::temp_dir().join("ulba-weak-scaling-test");
+        let rows = run(&[8], Some(Backend::Sequential), GossipWire::default(), true, &out);
+        assert_eq!(rows.len(), 2, "standard + ULBA");
+        for (row, (label, ranks, mut cfg)) in rows.iter().zip(gate_legs(&[8], true)) {
+            cfg.backend = Some(Backend::Sequential);
+            let expected =
+                perf_row(label, ranks, cfg.gossip_wire, &run_erosion(&cfg), row.sim_wall_s);
+            // The RSS probe is monotone over the process, not a property of the run.
+            assert_eq!(*row, PerfRow { peak_rss_bytes: row.peak_rss_bytes, ..expected });
+            assert!(
+                row.sim_wall_s.is_some_and(|s| s > 0.0),
+                "serial studies keep the per-run wall"
+            );
+        }
+        let csv = std::fs::read_to_string(out.join("weak_scaling_sequential.csv")).unwrap();
+        assert!(csv.starts_with("backend,pes,policy,"), "the CSV header is the column list: {csv}");
+        assert_eq!(csv.lines().count(), 3);
+        let report =
+            Report { study: "weak_scaling".into(), smoke: true, summary: Summary::default(), rows };
+        assert_eq!(Report::parse(&report.to_json()), Ok(report));
+    }
 }
