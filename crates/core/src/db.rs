@@ -48,6 +48,19 @@ struct Slot {
     version: u64,
 }
 
+impl Slot {
+    /// The freshness rule for a rank that already has a slot: a stale
+    /// (older-iteration) or identical `entry` changes nothing; anything
+    /// else overwrites and takes the next tick of `clock`.
+    fn refresh(&mut self, entry: WirEntry, clock: &mut u64) {
+        if self.entry.iteration > entry.iteration || self.entry == entry {
+            return;
+        }
+        *clock += 1;
+        *self = Slot { entry, version: *clock };
+    }
+}
+
 /// A sparse, versioned WIR database with freshness-based merging.
 ///
 /// Stores only the entries this PE has heard about, as a run sorted by
@@ -93,14 +106,7 @@ impl WirDatabase {
     pub fn update(&mut self, entry: WirEntry) {
         assert!(entry.rank < self.size, "rank {} out of range", entry.rank);
         match self.slots.binary_search_by_key(&entry.rank, |s| s.entry.rank) {
-            Ok(i) => {
-                let stored = &mut self.slots[i];
-                if stored.entry.iteration > entry.iteration || stored.entry == entry {
-                    return;
-                }
-                self.clock += 1;
-                *stored = Slot { entry, version: self.clock };
-            }
+            Ok(i) => self.slots[i].refresh(entry, &mut self.clock),
             Err(i) => {
                 self.clock += 1;
                 self.slots.insert(i, Slot { entry, version: self.clock });
@@ -108,10 +114,76 @@ impl WirDatabase {
         }
     }
 
-    /// Merge every entry of `snapshot` (e.g. received via gossip).
-    pub fn merge(&mut self, snapshot: &[WirEntry]) {
-        for &e in snapshot {
-            self.update(e);
+    /// Merge a payload (e.g. received via gossip): observably — entries,
+    /// [`version`](Self::version) and every later
+    /// [`delta_since`](Self::delta_since) — the fold of
+    /// [`update`](Self::update) over `payload` in slice order, change-clock
+    /// ticks included.
+    ///
+    /// Gossip payloads are rank-ordered runs ([`snapshot`](Self::snapshot),
+    /// [`delta_since`](Self::delta_since)) and so is the database, so the
+    /// two are walked together: while `payload` ascends by rank (repeats
+    /// allowed) the whole merge costs `O(known + payload)` slot visits,
+    /// *including* when it brings new ranks — the first one opens a gap in
+    /// the run wide enough for every insert the rest of the payload can
+    /// still make (at most one growth of the run, none when no rank is
+    /// new), slots are moved down across the gap as the walk passes them,
+    /// and the gap's unused rest is closed at the end. Order is not a
+    /// precondition: an entry whose rank is below its predecessor's closes
+    /// the gap and restarts the walk from the front, so any slice merges
+    /// correctly and only pays one more `O(known)` walk per descent.
+    pub fn merge(&mut self, payload: &[WirEntry]) {
+        // `slots[..write]` is merged output, `slots[read..]` the part of the
+        // run the walk has not reached, and between them lies the gap
+        // (empty — `write == read` — until a new rank needs room).
+        let (mut write, mut read) = (0, 0);
+        let mut prev_rank = 0;
+        for (done, &entry) in payload.iter().enumerate() {
+            assert!(entry.rank < self.size, "rank {} out of range", entry.rank);
+            if entry.rank < prev_rank {
+                self.close_gap(write, read);
+                (write, read) = (0, 0);
+            }
+            prev_rank = entry.rank;
+            while read < self.slots.len() && self.slots[read].entry.rank < entry.rank {
+                self.slots[write] = self.slots[read];
+                write += 1;
+                read += 1;
+            }
+            // The slot of `entry.rank`, if it has one: the next of the run,
+            // or (a rank new to the run, repeated) the one just written.
+            let known = if self.slots.get(read).is_some_and(|s| s.entry.rank == entry.rank) {
+                Some(read)
+            } else {
+                write.checked_sub(1).filter(|&last| self.slots[last].entry.rank == entry.rank)
+            };
+            match known {
+                Some(i) => self.slots[i].refresh(entry, &mut self.clock),
+                None => {
+                    self.clock += 1;
+                    let slot = Slot { entry, version: self.clock };
+                    if write == read {
+                        // Every later insert is a distinct unknown rank
+                        // brought by a later payload entry.
+                        let len = self.slots.len();
+                        let room = (payload.len() - done).min(self.size - len);
+                        self.slots.resize(len + room, slot);
+                        self.slots.copy_within(read..len, read + room);
+                        read += room;
+                    }
+                    self.slots[write] = slot;
+                    write += 1;
+                }
+            }
+        }
+        self.close_gap(write, read);
+    }
+
+    /// Move the unread rest of the run down over what is left of the gap.
+    fn close_gap(&mut self, write: usize, read: usize) {
+        if write != read {
+            self.slots.copy_within(read.., write);
+            self.slots.truncate(self.slots.len() - (read - write));
         }
     }
 
@@ -121,7 +193,8 @@ impl WirDatabase {
         self.slots.binary_search_by_key(&rank, |s| s.entry.rank).ok().map(|i| self.slots[i].entry)
     }
 
-    /// All known entries (rank order — deterministic).
+    /// All known entries (rank order — deterministic), in one allocation
+    /// of exactly `known_count()` entries.
     pub fn snapshot(&self) -> Vec<WirEntry> {
         self.slots.iter().map(|s| s.entry).collect()
     }
@@ -143,13 +216,19 @@ impl WirDatabase {
     /// is empty. This is the delta-gossip payload: a peer that merged
     /// everything up to `since` needs exactly these entries.
     ///
-    /// Extraction scans the full run — `O(known)` per call, the same CPU a
-    /// full snapshot costs; the delta wire's win is the *bytes charged on
-    /// the wire*, not sender CPU. A version-ordered side index would make
-    /// this `O(log known + |delta|)` if sender CPU ever becomes the
-    /// bottleneck.
+    /// Extraction scans the run twice — count, then copy — so the payload
+    /// is one allocation whose capacity equals its length (none at all for
+    /// an empty delta): `O(known)` CPU per call whatever the delta's size,
+    /// and about twice [`snapshot`](Self::snapshot)'s scan. The delta wire's
+    /// win is the *bytes charged on the wire*, not sender CPU. Growing the
+    /// payload entry by entry instead costs a handful of reallocations per
+    /// message, each later freed on whichever worker runs the receiver —
+    /// measured, that was most of this path's cost on two workers.
     pub fn delta_since(&self, since: u64) -> Vec<WirEntry> {
-        self.slots.iter().filter(|s| s.version > since).map(|s| s.entry).collect()
+        let changed = |s: &&Slot| s.version > since;
+        let mut delta = Vec::with_capacity(self.slots.iter().filter(changed).count());
+        delta.extend(self.slots.iter().filter(changed).map(|s| s.entry));
+        delta
     }
 
     /// Number of ranks with a known entry.

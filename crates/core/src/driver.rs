@@ -114,7 +114,7 @@ pub struct LbParams {
     pub gossip: GossipMode,
     /// Gossip wire format.
     pub gossip_wire: GossipWire,
-    /// Sliding window of the per-PE WIR estimator.
+    /// Sliding window of the per-PE WIR estimator (≥ 2 samples).
     pub wir_window: usize,
     /// Initial LB-cost estimate, as a fraction of the first iteration's
     /// wall time.
@@ -139,6 +139,13 @@ impl LbParams {
         if self.initial_lb_cost_factor < 0.0 {
             return Err("LB cost factors must be non-negative".into());
         }
+        if self.wir_window < 2 {
+            return Err(format!(
+                "wir_window must be at least 2 (a rate needs two samples), got {}",
+                self.wir_window
+            ));
+        }
+        self.gossip.validate()?;
         self.gossip_wire.validate()
     }
 }

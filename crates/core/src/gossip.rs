@@ -46,6 +46,19 @@ pub enum GossipMode {
 }
 
 impl GossipMode {
+    /// Hard config validation: reject a zero `fanout`, which would
+    /// otherwise trip `random_peers`' assert inside every rank of a
+    /// launched run. The single check every config `validate()` routes
+    /// through, beside [`GossipWire::validate`].
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            GossipMode::RandomPush { fanout: 0 } | GossipMode::Hybrid { fanout: 0 } => {
+                Err("gossip fanout must be at least 1".into())
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Upper bound (in rounds) within which dissemination is guaranteed or
     /// expected w.h.p.; used by tests and by staleness heuristics.
     pub fn expected_rounds(&self, size: usize) -> usize {
@@ -243,9 +256,10 @@ impl GossipOutbox {
     /// Under [`GossipWire::Full`] this is the full snapshot (watermarks are
     /// not consulted — both formats can be mixed freely). Under
     /// [`GossipWire::Delta`] it is the entries changed since the last send
-    /// to `peer`, or the full snapshot on anti-entropy rounds
-    /// (`round % full_every == 0` — including round 0, where the watermark
-    /// is empty and the delta is the full snapshot regardless).
+    /// to `peer`, or the full snapshot on first contact and on anti-entropy
+    /// rounds (`round % full_every == 0`). Either way the payload is one
+    /// allocation of exactly its length (none when the delta is empty): the
+    /// receiver frees it, usually on another worker.
     pub fn message(
         &mut self,
         db: &WirDatabase,
@@ -266,11 +280,12 @@ impl GossipOutbox {
                     "anti-entropy period must be ≥ 1 (got delta:{full_every})"
                 );
                 let anti_entropy = round.is_multiple_of(full_every);
-                let since =
-                    if anti_entropy { 0 } else { self.watermarks.get(&peer).copied().unwrap_or(0) };
-                let payload = db.delta_since(since);
-                self.watermarks.insert(peer, db.version());
-                payload
+                match self.watermarks.insert(peer, db.version()) {
+                    Some(since) if !anti_entropy => db.delta_since(since),
+                    // Everything changed "since" a first contact or an
+                    // anti-entropy round: no need to filter for it.
+                    _ => db.snapshot(),
+                }
             }
         }
     }
@@ -480,6 +495,15 @@ mod tests {
                 assert_eq!(hybrid.len(), size - 1, "size {size} round {round} (hybrid)");
             }
         }
+    }
+
+    #[test]
+    fn mode_validate_rejects_zero_fanout() {
+        assert!(GossipMode::RandomPush { fanout: 0 }.validate().is_err());
+        assert!(GossipMode::Hybrid { fanout: 0 }.validate().is_err());
+        assert!(GossipMode::RandomPush { fanout: 1 }.validate().is_ok());
+        assert!(GossipMode::Hybrid { fanout: 2 }.validate().is_ok());
+        assert!(GossipMode::Ring.validate().is_ok());
     }
 
     #[test]

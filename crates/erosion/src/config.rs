@@ -45,7 +45,7 @@ pub struct ErosionConfig {
     /// The merged databases — and with them every LB decision — are
     /// identical either way; only the bytes charged on the wire differ.
     pub gossip_wire: GossipWire,
-    /// Sliding window of the per-PE WIR estimator.
+    /// Sliding window of the per-PE WIR estimator (≥ 2 samples).
     pub wir_window: usize,
     /// Partition on *predicted* column weights (current weight extrapolated
     /// by its per-column growth rate over the expected LB interval) instead

@@ -393,15 +393,28 @@ mod tests {
     }
 
     /// Regression: the batch used to launch configs 0..k before it looked
-    /// at config k, stranding them on the pool when k was invalid.
+    /// at config k, stranding them on the pool when k was invalid — and a
+    /// zero gossip fanout or a one-sample WIR window used to pass `validate`
+    /// and panic inside every rank future on the pool workers instead.
     #[test]
     fn batch_rejects_a_bad_config_by_index_before_launching_any() {
-        let mut cfgs = vec![ScenarioConfig::tiny(ScenarioKind::Scatter, 4); 3];
-        cfgs[2].lambda = 5.0;
-        let panic = std::panic::catch_unwind(|| run_scenario_batch(&cfgs)).expect_err("λ > P");
-        let message = panic.downcast_ref::<String>().expect("a formatted panic message");
-        assert!(message.contains("index 2"), "{message}");
-        assert!(message.contains("lambda"), "{message}");
+        let good = ScenarioConfig::tiny(ScenarioKind::Scatter, 4);
+        let bad = [
+            (ScenarioConfig { lambda: 5.0, ..good.clone() }, "lambda"),
+            (
+                ScenarioConfig { gossip: GossipMode::RandomPush { fanout: 0 }, ..good.clone() },
+                "fanout",
+            ),
+            (ScenarioConfig { wir_window: 1, ..good.clone() }, "wir_window"),
+        ];
+        for (index, (bad, names)) in bad.into_iter().enumerate() {
+            let mut cfgs = vec![good.clone(); 3];
+            cfgs[index] = bad;
+            let panic = std::panic::catch_unwind(|| run_scenario_batch(&cfgs)).expect_err(names);
+            let message = panic.downcast_ref::<String>().expect("a formatted panic message");
+            assert!(message.contains(&format!("index {index}")), "{message}");
+            assert!(message.contains(names), "{message}");
+        }
     }
 
     /// `run_scenario` and `submit_scenario` mean the same backend by the

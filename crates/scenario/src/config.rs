@@ -53,7 +53,7 @@ pub struct ScenarioConfig {
     pub gossip: GossipMode,
     /// Gossip wire format (full snapshots or deltas).
     pub gossip_wire: GossipWire,
-    /// Sliding window of the per-PE WIR estimator.
+    /// Sliding window of the per-PE WIR estimator (≥ 2 samples).
     pub wir_window: usize,
     /// Initial LB-cost estimate as a fraction of the first iteration's wall
     /// time.
