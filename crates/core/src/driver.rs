@@ -103,6 +103,27 @@ pub trait Workload: Send + 'static {
     fn finish(self, ctx: &mut SpmdCtx) -> impl Future<Output = Self::Extras> + Send;
 }
 
+/// `value` must be finite and positive; the error names `field`. Written
+/// as the accepted range, not as `value <= 0.0`, because `NaN` passes every
+/// such comparison and then trips an assert inside a rank future, while an
+/// infinite speed or cost silently yields an infinite makespan.
+pub fn require_positive(field: &str, value: f64) -> Result<(), String> {
+    if value > 0.0 && value.is_finite() {
+        Ok(())
+    } else {
+        Err(format!("{field} must be positive and finite, got {value}"))
+    }
+}
+
+/// `value` must be finite and non-negative; see [`require_positive`].
+pub fn require_non_negative(field: &str, value: f64) -> Result<(), String> {
+    if value >= 0.0 && value.is_finite() {
+        Ok(())
+    } else {
+        Err(format!("{field} must be non-negative and finite, got {value}"))
+    }
+}
+
 /// The LB-side parameters the loop reads.
 #[derive(Debug, Clone)]
 pub struct LbParams {
@@ -133,12 +154,8 @@ impl LbParams {
         if self.iterations == 0 {
             return Err("need at least one iteration".into());
         }
-        if self.omega <= 0.0 {
-            return Err("omega must be positive".into());
-        }
-        if self.initial_lb_cost_factor < 0.0 {
-            return Err("LB cost factors must be non-negative".into());
-        }
+        require_positive("omega", self.omega)?;
+        require_non_negative("initial_lb_cost_factor", self.initial_lb_cost_factor)?;
         if self.wir_window < 2 {
             return Err(format!(
                 "wir_window must be at least 2 (a rate needs two samples), got {}",

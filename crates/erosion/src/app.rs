@@ -532,8 +532,10 @@ mod tests {
 
     /// Regression: the batch used to launch configs 0..k before it looked
     /// at config k, stranding them on the pool when k was invalid — and a
-    /// zero gossip fanout or a one-sample WIR window used to pass `validate`
-    /// and panic inside every rank future on the pool workers instead.
+    /// zero gossip fanout, a one-sample WIR window or a `NaN` cost (which
+    /// every `x <= 0.0` check lets through) used to pass `validate` and
+    /// panic inside every rank future on the pool workers instead, while an
+    /// infinite one ran to an infinite makespan.
     #[test]
     fn batch_rejects_a_bad_config_by_index_before_launching_any() {
         let good = ErosionConfig::tiny(4, 1);
@@ -544,9 +546,15 @@ mod tests {
                 "fanout",
             ),
             (ErosionConfig { wir_window: 1, ..good.clone() }, "wir_window"),
+            (ErosionConfig { flop_per_cell: f64::NAN, ..good.clone() }, "flop_per_cell"),
+            (
+                ErosionConfig { lb_root_walk_flop_per_cell: f64::INFINITY, ..good.clone() },
+                "lb_root_walk_flop_per_cell",
+            ),
         ];
+        let count = bad.len();
         for (index, (bad, names)) in bad.into_iter().enumerate() {
-            let mut cfgs = vec![good.clone(); 3];
+            let mut cfgs = vec![good.clone(); count];
             cfgs[index] = bad;
             let panic = std::panic::catch_unwind(|| run_erosion_batch(&cfgs)).expect_err(names);
             let message = panic.downcast_ref::<String>().expect("a formatted panic message");

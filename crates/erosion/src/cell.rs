@@ -7,22 +7,30 @@
 //! (same FLOP count and same partitioning weight as four small cells, on an
 //! unchanged index space).
 //!
-//! Cells are packed into a `u16` (2 bytes/cell keeps a 256-PE scaled domain
-//! in tens of megabytes): `0` = plain fluid (weight 1), `1` = refined fluid
-//! (weight 4), `2` = rock. A rock cell does *not* store its disc id — discs
-//! fit strictly inside their home stripe, so the id is always derivable as
-//! `global_col / cols_per_stripe` ([`crate::geometry::Geometry::rock_at`]),
-//! and not storing it is what lets one u16 cell type serve any `P`
-//! (per-cell ids capped the domain at 2¹⁶ − 2 discs, blocking `P = 65536`).
+//! A cell is one byte holding one of three states: `0` = plain fluid
+//! (weight 1), `1` = refined fluid (weight 4), `2` = rock. Stripes are the
+//! dominant resident memory of an erosion run (1 MB per PE at paper scale,
+//! the largest single term of the `P = 2²⁰` leg's budget), so the cell is as
+//! small as its state space. A rock cell does *not* store its disc id —
+//! discs fit strictly inside their home stripe, so the id is always
+//! derivable as `global_col / cols_per_stripe`
+//! ([`crate::geometry::Geometry::rock_at`]), which is what lets one cell
+//! type serve any `P`.
+//!
+//! What a cell occupies in host memory and what it is *charged* on the
+//! modelled wire are separate numbers: halo and migration messages cost
+//! [`Cell::WIRE_BYTES`] per cell of virtual time, and that constant is part
+//! of the reproduced cost model (every committed makespan depends on it),
+//! not a property of this struct.
 
 use serde::{Deserialize, Serialize};
 
 /// Compute/partition weight of a refined (post-erosion) fluid cell.
 pub const REFINED_WEIGHT: u32 = 4;
 
-/// One mesh cell, packed into two bytes.
+/// One mesh cell, packed into one byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Cell(u16);
+pub struct Cell(u8);
 
 impl Cell {
     /// A plain fluid cell (weight 1).
@@ -58,8 +66,11 @@ impl Cell {
         Cell::REFINED
     }
 
-    /// Wire size of one cell.
-    pub const BYTES: usize = 2;
+    /// *Modelled* wire size of one cell: what halo and migration messages
+    /// are charged per cell on the virtual network. Deliberately not
+    /// `size_of::<Cell>()` — shrinking the host representation must not
+    /// move a virtual cost.
+    pub const WIRE_BYTES: usize = 2;
 }
 
 #[cfg(test)]
@@ -93,10 +104,5 @@ mod tests {
     #[should_panic(expected = "only rock cells can erode")]
     fn fluid_cannot_erode() {
         Cell::FLUID.eroded();
-    }
-
-    #[test]
-    fn cell_is_two_bytes() {
-        assert_eq!(std::mem::size_of::<Cell>(), Cell::BYTES);
     }
 }

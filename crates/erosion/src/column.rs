@@ -20,28 +20,39 @@ pub struct Column {
 
 impl Column {
     /// Build the initial state of global column `col` from the analytic
-    /// geometry.
+    /// geometry: a fluid fill, the disc's one rock run
+    /// ([`Geometry::rock_rows`]) and the frontier that run has against the
+    /// two neighbouring columns' runs — no per-cell predicate is evaluated.
     pub fn initial(geometry: &Geometry, col: usize) -> Self {
-        let cells: Vec<Cell> =
-            (0..geometry.height).map(|row| geometry.initial_cell(col, row)).collect();
-        let exposed: Vec<u16> = (0..geometry.height)
-            .filter(|&row| geometry.initially_exposed(col, row))
-            .map(|row| row as u16)
-            .collect();
-        let fluid_weight = cells.iter().map(|c| c.weight()).sum();
-        Self { cells, fluid_weight, exposed }
-    }
+        let height = geometry.height;
+        let rock = geometry.rock_rows(col);
+        let mut cells = vec![Cell::FLUID; height];
+        cells[rock.clone()].fill(Cell::ROCK);
+        let fluid_weight = (height - rock.len()) as u32;
 
-    /// Construct from raw cells, recomputing the caches. `exposure_of` must
-    /// say whether the rock cell at a row is currently exposed.
-    pub fn from_cells(cells: Vec<Cell>, exposure_of: impl Fn(usize) -> bool) -> Self {
-        let fluid_weight = cells.iter().map(|c| c.weight()).sum();
-        let exposed = cells
-            .iter()
-            .enumerate()
-            .filter(|(row, c)| c.is_rock() && exposure_of(*row))
-            .map(|(row, _)| row as u16)
-            .collect();
+        let mut exposed = Vec::new();
+        if !rock.is_empty() {
+            // A rock row is buried when all four neighbours are non-fluid,
+            // and the domain border counts as non-fluid: vertically that is
+            // the run minus whichever end has a fluid cell beyond it,
+            // horizontally the rows both in-domain neighbours' runs cover.
+            // All three are intervals, so the buried rows are one interval
+            // and the frontier is the run's rows on either side of it.
+            let mut buried =
+                rock.start + usize::from(rock.start > 0)..rock.end - usize::from(rock.end < height);
+            let neighbours = [col.checked_sub(1), Some(col + 1).filter(|&c| c < geometry.width)];
+            for neighbour in neighbours.into_iter().flatten() {
+                let run = geometry.rock_rows(neighbour);
+                buried = buried.start.max(run.start)..buried.end.min(run.end);
+            }
+            // "No buried row" may come out as start > end: clamp it to an
+            // empty interval inside the run, so the two sides tile the run.
+            let buried_start = buried.start.min(rock.end);
+            let buried_end = buried.end.max(buried_start);
+            exposed.extend(
+                (rock.start..buried_start).chain(buried_end..rock.end).map(|row| row as u16),
+            );
+        }
         Self { cells, fluid_weight, exposed }
     }
 
@@ -115,7 +126,7 @@ impl Column {
 
     /// Wire size of this column when migrated or sent as a halo.
     pub fn wire_bytes(&self) -> usize {
-        self.cells.len() * Cell::BYTES + self.exposed.len() * 2 + 8
+        self.cells.len() * Cell::WIRE_BYTES + self.exposed.len() * 2 + 8
     }
 
     /// Internal consistency check (test/debug aid): the cached weight
@@ -227,14 +238,5 @@ mod tests {
         let right = Column::initial(&g, 17);
         c.refresh_exposure(Some(left.cells()), Some(right.cells()));
         assert_eq!(c.exposed(), initial.as_slice());
-    }
-
-    #[test]
-    fn from_cells_reconstructs_caches() {
-        let cells = vec![Cell::FLUID, Cell::ROCK, Cell::REFINED, Cell::ROCK];
-        let c = Column::from_cells(cells, |row| row == 1);
-        assert_eq!(c.fluid_weight(), 1 + 4);
-        assert_eq!(c.exposed(), &[1]);
-        c.check_invariants().unwrap();
     }
 }

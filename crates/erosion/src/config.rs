@@ -1,7 +1,7 @@
 //! Experiment configuration for the erosion proxy application.
 
 use serde::{Deserialize, Serialize};
-use ulba_core::driver::{LbParams, Placement};
+use ulba_core::driver::{require_non_negative, require_positive, LbParams, Placement};
 use ulba_core::gossip::{GossipMode, GossipWire};
 use ulba_core::policy::LbPolicy;
 use ulba_runtime::{Backend, JobServer};
@@ -31,8 +31,11 @@ pub struct ErosionConfig {
     /// Number of application iterations (Fig. 4b runs ~400).
     pub iterations: u64,
     /// Master seed: strong-rock placement and erosion sampling derive from
-    /// it, so a (config, seed) pair is fully reproducible and *identical
-    /// physics* is replayed under every LB policy.
+    /// it, so a (config, seed) pair is fully reproducible. Sampling is
+    /// ownership-independent, so every LB policy faces the same rolls — but
+    /// not quite the same physics: exposure at a just-migrated join can lag
+    /// (see [`crate::erode`]), which moves eroded totals by a few cells
+    /// between policies on some seeds.
     pub seed: u64,
     /// Load-balancing policy under test.
     pub policy: LbPolicy,
@@ -107,7 +110,8 @@ impl ErosionConfig {
     /// (1 M cells/PE), radius-250 discs, 400 iterations, erosion
     /// probabilities 0.02 / 0.4, ULBA α = 0.4 trigger per Zhai.
     ///
-    /// Memory: ~2 MB per PE; fine for `P ≤ 64` on a laptop, heavy above.
+    /// Memory: ~1 MB per PE (one byte per cell); fine for `P ≤ 64` on a
+    /// laptop, heavy above.
     pub fn paper(ranks: usize, strong_rocks: usize) -> Self {
         Self {
             ranks,
@@ -211,12 +215,9 @@ impl ErosionConfig {
                 return Err(format!("{name} must be a probability, got {p}"));
             }
         }
-        if self.flop_per_cell <= 0.0 {
-            return Err("flop_per_cell must be positive".into());
-        }
-        if self.lb_fixed_cost_factor < 0.0 || self.lb_root_walk_flop_per_cell < 0.0 {
-            return Err("LB cost factors must be non-negative".into());
-        }
+        require_positive("flop_per_cell", self.flop_per_cell)?;
+        require_non_negative("lb_fixed_cost_factor", self.lb_fixed_cost_factor)?;
+        require_non_negative("lb_root_walk_flop_per_cell", self.lb_root_walk_flop_per_cell)?;
         self.lb_params().validate()
     }
 
@@ -326,6 +327,29 @@ mod tests {
         let mut c = ErosionConfig::tiny(4, 1);
         c.height = (1 << 16) + 1; // row indices of the frontier are u16
         assert!(c.validate().is_err());
+        // Non-finite costs and speeds: `NaN` passes any `x <= 0.0` test.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let good = ErosionConfig::tiny(4, 1);
+            for (cfg, field) in [
+                (ErosionConfig { flop_per_cell: bad, ..good.clone() }, "flop_per_cell"),
+                (
+                    ErosionConfig { lb_fixed_cost_factor: bad, ..good.clone() },
+                    "lb_fixed_cost_factor",
+                ),
+                (
+                    ErosionConfig { lb_root_walk_flop_per_cell: bad, ..good.clone() },
+                    "lb_root_walk_flop_per_cell",
+                ),
+                (ErosionConfig { omega: bad, ..good.clone() }, "omega"),
+                (
+                    ErosionConfig { initial_lb_cost_factor: bad, ..good.clone() },
+                    "initial_lb_cost_factor",
+                ),
+            ] {
+                let err = cfg.validate().expect_err(field);
+                assert!(err.contains(field), "{field} = {bad}: {err}");
+            }
+        }
         // P = 65536 itself is valid: rock cells carry no id, so the rank
         // count is not bounded by the cell packing.
         let c = ErosionConfig::tiny(1 << 16, 1);

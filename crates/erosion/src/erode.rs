@@ -6,11 +6,25 @@
 //! probability (0.02 weak / 0.4 strong at paper scale).
 //!
 //! Sampling is **stateless and ownership-independent**: the random roll of a
-//! cell at a given iteration is a hash of `(seed, iteration, col, row)`.
-//! Re-partitioning therefore never changes the physics — every LB policy
-//! faces *exactly* the same erosion trajectory for a given seed, which
-//! removes run-to-run physics noise from the Fig. 4/5 comparisons (the
-//! paper's physical runs needed the median of 5 runs for the same reason).
+//! cell at a given iteration is a hash of `(seed, iteration, col, row)`, so
+//! which rank owns a cell never changes what it rolls, and a fixed
+//! partitioning replays the same trajectory whatever the backend, pool or
+//! wire format (the paper's physical runs needed the median of 5 runs to
+//! average that noise out). What does *not* follow is that every LB policy
+//! sees the same erosion: only cells on a column's exposure list roll, and
+//! the two columns at a join between segments that [`crate::stripe::migrate`]
+//! brought together from different owners keep lists that miss the other
+//! side's erosions of that very iteration — boundary columns are refreshed
+//! from halos only while they *are* boundary columns. A rock cell there can
+//! sit unlisted, and never roll, so totals differ by a few cells between
+//! policies on some seeds (ROADMAP item 4(a) has the cause, the fix and the
+//! numbers).
+//!
+//! Host cost: the step is `O(frontier)`. The decision pass hashes once per
+//! exposed cell; everything that is constant over the step (`seed ^
+//! mix(iteration)`) or down a column (its key, its `p`, its neighbours'
+//! cell slices, the four thresholds `1 − (1 − p)^k`) is computed once there.
+//! The apply pass is per eroded cell.
 
 use crate::cell::Cell;
 use crate::column::Column;
@@ -24,24 +38,51 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Deterministic uniform roll in `[0, 1)` for cell `(col, row)` at
-/// `iteration` under `seed`.
+/// The part of a cell's hash that is constant over one erosion step.
 #[inline]
-pub fn roll(seed: u64, iteration: u64, col: u64, row: u64) -> f64 {
-    let h = mix(seed ^ mix(iteration) ^ mix(col).rotate_left(17) ^ mix(row).rotate_left(41));
+fn step_key(seed: u64, iteration: u64) -> u64 {
+    seed ^ mix(iteration)
+}
+
+/// The part of a cell's hash that is constant down one column of a step.
+#[inline]
+fn column_key(step_key: u64, col: u64) -> u64 {
+    step_key ^ mix(col).rotate_left(17)
+}
+
+/// Finish a [`column_key`] with the row into the uniform roll in `[0, 1)`.
+#[inline]
+fn roll_in_column(column_key: u64, row: u64) -> f64 {
+    let h = mix(column_key ^ mix(row).rotate_left(41));
     // 53 high-quality bits → [0, 1).
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// Deterministic uniform roll in `[0, 1)` for cell `(col, row)` at
+/// `iteration` under `seed`: a hash of the four, keyed step → column → row
+/// so that [`erosion_step`] computes each prefix once.
+#[inline]
+pub fn roll(seed: u64, iteration: u64, col: u64, row: u64) -> f64 {
+    roll_in_column(column_key(step_key(seed, iteration), col), row)
+}
+
+/// The roll below which an exposed rock cell with `fluid_neighbors` fluid
+/// 4-neighbours erodes: `1 − (1 − p)^k`, and 0 (no roll is below it) for an
+/// unexposed cell or a non-positive `p`.
+#[inline]
+fn erosion_threshold(fluid_neighbors: u32, p: f64) -> f64 {
+    if fluid_neighbors == 0 || p <= 0.0 {
+        return 0.0;
+    }
+    let survive = (1.0 - p).powi(fluid_neighbors as i32);
+    1.0 - survive
 }
 
 /// Does an exposed rock cell with `fluid_neighbors` fluid 4-neighbours erode
 /// this iteration? (`p` = its disc's per-neighbour erosion probability.)
 #[inline]
 pub fn erodes(seed: u64, iteration: u64, col: u64, row: u64, fluid_neighbors: u32, p: f64) -> bool {
-    if fluid_neighbors == 0 || p <= 0.0 {
-        return false;
-    }
-    let survive = (1.0 - p).powi(fluid_neighbors as i32);
-    roll(seed, iteration, col, row) < 1.0 - survive
+    roll(seed, iteration, col, row) < erosion_threshold(fluid_neighbors, p)
 }
 
 /// Outcome of one erosion step over a stripe.
@@ -76,39 +117,41 @@ pub fn erosion_step(
     prob_of: &dyn Fn(usize) -> f64,
 ) -> ErosionDelta {
     let height = cols.first().map_or(0, |c| c.height());
-    // Phase 1: read-only decision pass over the exposed frontier.
+    // Phase 1: read-only decision pass over the exposed frontier — the
+    // same `roll < threshold` as [`erodes`], with everything that does not
+    // depend on the row computed once per step or per column.
+    let step_key = step_key(seed, iteration);
+    // Thresholds by fluid-neighbour count, for the last `p` seen: columns
+    // of one disc share it, so it changes a handful of times per stripe.
+    let mut thresholds: Option<(f64, [f64; 5])> = None;
     let mut decisions: Vec<(usize, usize)> = Vec::new();
     for (ci, col) in cols.iter().enumerate() {
+        if col.exposed().is_empty() {
+            continue;
+        }
+        let global_col = first_col + ci;
+        let column_key = column_key(step_key, global_col as u64);
+        let p = prob_of(global_col);
+        let by_neighbors = match thresholds {
+            Some((cached_p, by_neighbors)) if cached_p == p => by_neighbors,
+            _ => {
+                let by_neighbors = [0, 1, 2, 3, 4].map(|k| erosion_threshold(k, p));
+                thresholds = Some((p, by_neighbors));
+                by_neighbors
+            }
+        };
+        // The neighbouring columns' cells: the halo at either stripe edge.
+        let west = if ci > 0 { Some(cols[ci - 1].cells()) } else { left };
+        let east = if ci + 1 < cols.len() { Some(cols[ci + 1].cells()) } else { right };
+        let cells = col.cells();
         for &row16 in col.exposed() {
             let row = row16 as usize;
-            let mut k = 0u32;
-            // Left neighbour.
-            let left_fluid = if ci > 0 {
-                cols[ci - 1].cell(row).is_fluid()
-            } else {
-                left.is_some_and(|h| h[row].is_fluid())
-            };
-            if left_fluid {
-                k += 1;
-            }
-            // Right neighbour.
-            let right_fluid = if ci + 1 < cols.len() {
-                cols[ci + 1].cell(row).is_fluid()
-            } else {
-                right.is_some_and(|h| h[row].is_fluid())
-            };
-            if right_fluid {
-                k += 1;
-            }
-            if row > 0 && col.cell(row - 1).is_fluid() {
-                k += 1;
-            }
-            if row + 1 < height && col.cell(row + 1).is_fluid() {
-                k += 1;
-            }
-            debug_assert!(col.cell(row).is_rock(), "exposed rows are rock");
-            let p = prob_of(first_col + ci);
-            if erodes(seed, iteration, (first_col + ci) as u64, row as u64, k, p) {
+            debug_assert!(cells[row].is_rock(), "exposed rows are rock");
+            let k = usize::from(west.is_some_and(|c| c[row].is_fluid()))
+                + usize::from(east.is_some_and(|c| c[row].is_fluid()))
+                + usize::from(row > 0 && cells[row - 1].is_fluid())
+                + usize::from(row + 1 < height && cells[row + 1].is_fluid());
+            if roll_in_column(column_key, row as u64) < by_neighbors[k] {
                 decisions.push((ci, row));
             }
         }

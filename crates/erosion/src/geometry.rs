@@ -6,7 +6,11 @@
 //! Because the initial layout is analytic, any cell's initial state — and
 //! the initial exposure of any rock cell — can be computed without
 //! materializing neighbouring columns, which lets each rank build exactly
-//! its own stripe.
+//! its own stripe. A disc meets a column in exactly one row interval
+//! ([`Geometry::rock_rows`]), which is all [`crate::column::Column::initial`]
+//! reads; the per-cell predicates below it ([`Geometry::initial_cell`],
+//! [`Geometry::initially_exposed`]) are the definition that interval is
+//! tested against.
 
 use crate::cell::Cell;
 use serde::{Deserialize, Serialize};
@@ -61,6 +65,44 @@ impl Geometry {
         let dy = row as f64 + 0.5 - cy;
         let r = self.radius as f64;
         (dx * dx + dy * dy <= r * r).then_some(k)
+    }
+
+    /// The rows of column `col` that are initially rock: one interval,
+    /// possibly empty, equal to `{row : rock_at(col, row).is_some()}`.
+    ///
+    /// [`rock_at`](Self::rock_at) is monotone in `|dy|` (`dy` is exact,
+    /// squaring and adding a constant round monotonically), so the rock rows
+    /// are contiguous around the row nearest the disc centre. The closed
+    /// form `cy ± √(r² − dx²)` only *estimates* the two ends; each is then
+    /// walked to where the exact predicate flips, so the interval agrees
+    /// with the per-cell scan to the cell whatever the square root rounds to.
+    pub fn rock_rows(&self, col: usize) -> std::ops::Range<usize> {
+        // `height / 2` is a row of minimal |dy| (0 for odd heights, ½ for
+        // even): if it is fluid, the whole column is.
+        let mid = self.height / 2;
+        if self.rock_at(col, mid).is_none() {
+            return mid..mid;
+        }
+        let (cx, cy) = self.rock_center(col / self.cols_per_stripe);
+        let dx = col as f64 + 0.5 - cx;
+        let r = self.radius as f64;
+        let half = (r * r - dx * dx).max(0.0).sqrt();
+        // Float → usize casts saturate, so a negative estimate is row 0.
+        let mut start = ((cy - 0.5 - half).ceil() as usize).min(mid);
+        while start > 0 && self.rock_at(col, start - 1).is_some() {
+            start -= 1;
+        }
+        while self.rock_at(col, start).is_none() {
+            start += 1;
+        }
+        let mut end = ((cy + 0.5 + half).floor() as usize).clamp(mid + 1, self.height);
+        while end < self.height && self.rock_at(col, end).is_some() {
+            end += 1;
+        }
+        while self.rock_at(col, end - 1).is_none() {
+            end -= 1;
+        }
+        start..end
     }
 
     /// Initial cell at `(col, row)`.

@@ -198,7 +198,7 @@ pub async fn exchange_halos_reusing(
     assert!(!stripe.is_empty(), "halo exchange requires a non-empty stripe");
     let rank = ctx.rank();
     let size = ctx.size();
-    let height_bytes = stripe.cols()[0].height() * Cell::BYTES;
+    let height_bytes = stripe.cols()[0].height() * Cell::WIRE_BYTES;
     if rank > 0 {
         let mut cells = scratch.take();
         cells.extend_from_slice(stripe.cols()[0].cells());
@@ -354,6 +354,37 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// The host representation of a cell and its modelled wire size are
+    /// separate: a one-byte `Cell` is still charged two bytes per cell, so
+    /// editing the cell type cannot move a virtual cost.
+    #[test]
+    fn wire_model_is_pinned_apart_from_the_cell_layout() {
+        use ulba_runtime::{EventKind, Tracer};
+        assert_eq!(std::mem::size_of::<Cell>(), 1);
+        let g = std::sync::Arc::new(geometry(2));
+        // Through disc 0's centre: 32 cells, 2 frontier rows, 8 header bytes.
+        assert_eq!(Column::initial(&g, 16).wire_bytes(), 32 * 2 + 2 * 2 + 8);
+
+        let tracer = std::sync::Arc::new(Tracer::new(64));
+        run(RunConfig::new(2).with_tracer(std::sync::Arc::clone(&tracer)), |mut ctx| {
+            let g = std::sync::Arc::clone(&g);
+            async move {
+                let rank = ctx.rank();
+                let stripe = Stripe::initial(&g, rank * 32..(rank + 1) * 32);
+                exchange_halos_reusing(&mut ctx, &stripe, &mut HaloScratch::new()).await;
+            }
+        });
+        let halo_bytes: Vec<usize> = tracer
+            .timeline()
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Send { tag: HALO_TAG, bytes, .. } => Some(bytes),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(halo_bytes, [32 * 2, 32 * 2], "a halo is charged height × 2 bytes");
     }
 
     #[test]

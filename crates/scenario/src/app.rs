@@ -394,8 +394,10 @@ mod tests {
 
     /// Regression: the batch used to launch configs 0..k before it looked
     /// at config k, stranding them on the pool when k was invalid — and a
-    /// zero gossip fanout or a one-sample WIR window used to pass `validate`
-    /// and panic inside every rank future on the pool workers instead.
+    /// zero gossip fanout, a one-sample WIR window or a `NaN` cost (which
+    /// every `x <= 0.0` check lets through) used to pass `validate` and
+    /// panic inside every rank future on the pool workers instead, while an
+    /// infinite one ran to an infinite makespan.
     #[test]
     fn batch_rejects_a_bad_config_by_index_before_launching_any() {
         let good = ScenarioConfig::tiny(ScenarioKind::Scatter, 4);
@@ -406,9 +408,15 @@ mod tests {
                 "fanout",
             ),
             (ScenarioConfig { wir_window: 1, ..good.clone() }, "wir_window"),
+            (ScenarioConfig { flop_per_unit: f64::NAN, ..good.clone() }, "flop_per_unit"),
+            (
+                ScenarioConfig { lb_fixed_cost_factor: f64::INFINITY, ..good.clone() },
+                "lb_fixed_cost_factor",
+            ),
         ];
+        let count = bad.len();
         for (index, (bad, names)) in bad.into_iter().enumerate() {
-            let mut cfgs = vec![good.clone(); 3];
+            let mut cfgs = vec![good.clone(); count];
             cfgs[index] = bad;
             let panic = std::panic::catch_unwind(|| run_scenario_batch(&cfgs)).expect_err(names);
             let message = panic.downcast_ref::<String>().expect("a formatted panic message");

@@ -2,7 +2,7 @@
 
 use crate::generator::{ScenarioKind, MIN_AVG_UNITS};
 use serde::{Deserialize, Serialize};
-use ulba_core::driver::{LbParams, Placement};
+use ulba_core::driver::{require_non_negative, require_positive, LbParams, Placement};
 use ulba_core::gossip::{GossipMode, GossipWire};
 use ulba_core::policy::LbPolicy;
 use ulba_runtime::{Backend, JobServer};
@@ -153,9 +153,7 @@ impl ScenarioConfig {
                 self.avg_units_per_rank
             ));
         }
-        if self.flop_per_unit <= 0.0 {
-            return Err("flop_per_unit must be positive".into());
-        }
+        require_positive("flop_per_unit", self.flop_per_unit)?;
         if self.kind == ScenarioKind::TaskGraph {
             if self.traffic_fanout == 0 || self.traffic_fanout >= self.ranks.max(2) {
                 return Err(format!(
@@ -167,9 +165,7 @@ impl ScenarioConfig {
                 return Err("traffic_payload_len must be positive for task-graph".into());
             }
         }
-        if self.lb_fixed_cost_factor < 0.0 {
-            return Err("LB cost factors must be non-negative".into());
-        }
+        require_non_negative("lb_fixed_cost_factor", self.lb_fixed_cost_factor)?;
         self.lb_params().validate()
     }
 
@@ -261,6 +257,20 @@ mod tests {
         let mut c = ScenarioConfig::tiny(ScenarioKind::Scatter, 4);
         c.hub_shards = Some(0);
         assert!(c.validate().is_err());
+        // Non-finite costs: `NaN` passes any `x <= 0.0` test.
+        for bad in [f64::NAN, f64::INFINITY] {
+            let good = ScenarioConfig::tiny(ScenarioKind::Scatter, 4);
+            for (cfg, field) in [
+                (ScenarioConfig { flop_per_unit: bad, ..good.clone() }, "flop_per_unit"),
+                (
+                    ScenarioConfig { lb_fixed_cost_factor: bad, ..good.clone() },
+                    "lb_fixed_cost_factor",
+                ),
+            ] {
+                let err = cfg.validate().expect_err(field);
+                assert!(err.contains(field), "{field} = {bad}: {err}");
+            }
+        }
     }
 
     #[test]
