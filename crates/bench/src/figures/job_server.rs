@@ -150,6 +150,7 @@ pub fn run(workers: usize, gate_pes: &[usize], smoke: bool, json: Option<&Path>)
          {batch_wall_s:.2}s — speedup {speedup:.2}x",
         specs.len()
     );
+    println!("shared pool, batched pass: {:?}", shared.stats());
 
     let summary = Summary {
         jobs: Some(specs.len() as u64),

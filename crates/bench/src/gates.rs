@@ -258,10 +258,13 @@ fn wall_sum(rows: &[PerfRow], backend: &str) -> f64 {
     rows.iter().filter(|r| r.backend == backend).filter_map(|r| r.sim_wall_s).sum()
 }
 
-/// The wall trajectory of `report`'s parallel rows: warn if not faster than
-/// its sequential rows; warn if slower (beyond slack) than the parallel rows
-/// of one of `others` (the single-shard hub run); HARD if slower (beyond
-/// slack) than the seed's.
+/// The wall trajectory of `report`'s parallel rows. Not faster than its
+/// sequential rows: HARD when every timed parallel row ran as two or more
+/// blocks (`hub_shards ≥ 2`, i.e. on two or more workers) — a same-run,
+/// same-machine ratio the pool must win — and a warning on one core, where
+/// it cannot. Warn if slower (beyond slack) than the parallel rows of one
+/// of `others` (the whole job as one block); HARD if slower (beyond slack)
+/// than the seed's.
 pub fn wall(report: &Report, others: &[&Report], seed: &[PerfRow]) -> Vec<Finding> {
     let seq = wall_sum(&report.rows, "sequential");
     let par = wall_sum(&report.rows, "parallel");
@@ -271,8 +274,11 @@ pub fn wall(report: &Report, others: &[&Report], seed: &[PerfRow]) -> Vec<Findin
         seq / par
     ))];
     if par >= seq {
+        let mut timed =
+            report.rows.iter().filter(|r| r.backend == "parallel" && r.sim_wall_s.is_some());
+        let multi_worker = seq > 0.0 && timed.all(|r| r.hub_shards >= 2);
         let message = format!("parallel was not faster than sequential ({par:.2}s vs {seq:.2}s)");
-        out.push(finding(Warn, message));
+        out.push(finding(if multi_worker { Hard } else { Warn }, message));
     }
     for other in others {
         let other_par = wall_sum(&other.rows, "parallel");
@@ -457,8 +463,19 @@ mod tests {
         assert_eq!(
             verdict(&wall(&with(9.0, 9.0), &[], &seed())),
             (0, 1),
-            "not faster than sequential"
+            "not faster than sequential, as one block: a warning"
         );
+        let two_blocks = |seq: f64, par: f64| {
+            let mut report = with(seq, par);
+            report.rows.iter_mut().for_each(|r| r.hub_shards = 2);
+            report
+        };
+        assert_eq!(
+            verdict(&wall(&two_blocks(9.0, 9.0), &[], &seed())),
+            (1, 0),
+            "not faster than sequential on two workers: hard"
+        );
+        assert_eq!(verdict(&wall(&two_blocks(12.0, 9.0), &[], &seed())), (0, 0));
         assert_eq!(
             verdict(&wall(&with(12.0, 10.6), &[&with(0.0, 10.0)], &seed())),
             (0, 1),
@@ -471,10 +488,13 @@ mod tests {
             "exactly the allowed slack"
         );
         assert_eq!(verdict(&wall(&with(13.0, 12.0), &[], &seed())), (1, 0), "1.2× the seed's");
-        // Batch rows carry no wall: nothing to sum, only the not-faster warning.
-        let batch =
-            report(vec![PerfRow { sim_wall_s: None, ..row("parallel", "ulba", 16384, 0.125) }]);
-        assert_eq!(verdict(&wall(&batch, &[], &seed())), (0, 1));
+        // Batch rows carry no wall: nothing to sum, only the not-faster
+        // warning — whatever their block count.
+        for hub_shards in [1, 2] {
+            let untimed =
+                PerfRow { sim_wall_s: None, hub_shards, ..row("parallel", "ulba", 16384, 0.125) };
+            assert_eq!(verdict(&wall(&report(vec![untimed]), &[], &seed())), (0, 1));
+        }
     }
 
     #[test]

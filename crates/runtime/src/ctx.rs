@@ -32,7 +32,7 @@ use crate::cost::MachineSpec;
 use crate::engine::RunShared;
 use crate::hub::{payload_mismatch, ExchangeRound, RoundValues};
 use crate::mailbox::{Received, Tag};
-use crate::metrics::{RankMetrics, TimeKind};
+use crate::metrics::{IterationMark, RankMetrics, TimeKind};
 use crate::time::VirtualTime;
 use crate::trace::{Event, EventKind, Tracer};
 use std::future::Future;
@@ -53,6 +53,8 @@ pub struct SpmdCtx {
     send_seq: u64,
     mark_busy: f64,
     mark_lb: f64,
+    /// Iteration marks so far; handed to the collector once, on drop.
+    marks: Vec<IterationMark>,
     lb_depth: u32,
     tracer: Option<Arc<Tracer>>,
 }
@@ -75,6 +77,7 @@ impl SpmdCtx {
             send_seq: 0,
             mark_busy: 0.0,
             mark_lb: 0.0,
+            marks: Vec::new(),
             lb_depth: 0,
             tracer,
         }
@@ -191,7 +194,7 @@ impl SpmdCtx {
     /// message's virtual arrival.
     pub async fn recv<T: Send + 'static>(&mut self, from: usize, tag: Tag) -> T {
         let got = RecvFuture::<T> {
-            shared: Arc::clone(&self.shared),
+            shared: &self.shared,
             me: self.rank,
             from,
             tag,
@@ -225,9 +228,9 @@ impl SpmdCtx {
     // --- collectives --------------------------------------------------------
 
     /// One hub rendezvous.
-    fn exchange<T>(&mut self, op: &'static str, value: T) -> ExchangeFuture<T> {
+    fn exchange<T>(&mut self, op: &'static str, value: T) -> ExchangeFuture<'_, T> {
         ExchangeFuture {
-            shared: Arc::clone(&self.shared),
+            shared: &self.shared,
             rank: self.rank,
             shard: self.hub_shard,
             op,
@@ -399,7 +402,7 @@ impl SpmdCtx {
         let lb_delta = self.mark_lb;
         self.mark_busy = 0.0;
         self.mark_lb = 0.0;
-        self.shared.collector.push_mark(iter, self.rank, busy_delta, lb_delta, self.clock);
+        self.marks.push(IterationMark { iter, busy_delta, lb_delta, end_clock: self.clock });
         self.trace(EventKind::Iteration { iter });
     }
 
@@ -416,7 +419,8 @@ impl Drop for SpmdCtx {
     /// them into the [`crate::engine::RunReport`]) or during unwinding (in
     /// which case the engine re-raises the panic and never reads them).
     fn drop(&mut self) {
-        self.shared.record_final(self.rank, self.clock, self.metrics);
+        let marks = std::mem::take(&mut self.marks);
+        self.shared.record_final(self.rank, self.clock, self.metrics, marks);
     }
 }
 
@@ -425,9 +429,10 @@ impl Drop for SpmdCtx {
 /// parked in the hub, so a wake-driven executor (the job server) re-polls
 /// exactly when the blocking state transition happens;
 /// the sequential scheduler passes a no-op waker and re-polls by
-/// round-robin instead.
-struct ExchangeFuture<T> {
-    shared: Arc<RunShared>,
+/// round-robin instead. Borrows the run's shared state from the ctx it was
+/// created from, so a rendezvous bumps no reference count.
+struct ExchangeFuture<'a, T> {
+    shared: &'a RunShared,
     rank: usize,
     /// The rank's leaf shard in the hub (cached by the ctx).
     shard: usize,
@@ -437,9 +442,9 @@ struct ExchangeFuture<T> {
 }
 
 // Purely data, never self-referential, so polling through `&mut` is fine.
-impl<T> Unpin for ExchangeFuture<T> {}
+impl<T> Unpin for ExchangeFuture<'_, T> {}
 
-impl<T: Clone + Send + Sync + 'static> Future for ExchangeFuture<T> {
+impl<T: Clone + Send + Sync + 'static> Future for ExchangeFuture<'_, T> {
     type Output = ExchangeRound<T>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
@@ -473,17 +478,17 @@ impl<T: Clone + Send + Sync + 'static> Future for ExchangeFuture<T> {
 
 /// The receive: resolves once a matching message is posted
 /// (the posting rank wakes the parked receiver).
-struct RecvFuture<T> {
-    shared: Arc<RunShared>,
+struct RecvFuture<'a, T> {
+    shared: &'a RunShared,
     me: usize,
     from: usize,
     tag: Tag,
     _payload: std::marker::PhantomData<fn() -> T>,
 }
 
-impl<T> Unpin for RecvFuture<T> {}
+impl<T> Unpin for RecvFuture<'_, T> {}
 
-impl<T: Send + 'static> Future for RecvFuture<T> {
+impl<T: Send + 'static> Future for RecvFuture<'_, T> {
     type Output = Received<T>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {

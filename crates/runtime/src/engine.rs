@@ -11,9 +11,11 @@
 //!   work-stealing [`JobServer`]: the one targeted by
 //!   [`RunConfig::with_server`], the process-wide default
 //!   ([`JobServer::global`]) when no worker count is forced, or a transient
-//!   private pool when one is. Blocked ranks park wakers in their job's
-//!   hub/mailbox and are re-queued on wake-up; one shared pool drives many
-//!   concurrent jobs.
+//!   private pool when one is. The job is cut into contiguous blocks of
+//!   ranks (one per hub shard); a worker drives a whole block until every
+//!   rank of it is parked — wakers left in the job's hub/mailbox — and a
+//!   wake flags the rank and re-queues its block. One shared pool drives
+//!   many concurrent jobs.
 //! * [`Backend::Sequential`] — a single-threaded round-robin scheduler,
 //!   driven on the thread that joins the handle. The deterministic oracle
 //!   of every equivalence suite, and the faster way to use one core.
@@ -36,7 +38,7 @@ use crate::exec::sequential::SequentialJob;
 use crate::exec::server::{effective_workers, JobServer, PoolJob, Priority};
 use crate::hub::Hub;
 use crate::mailbox::MailboxSet;
-use crate::metrics::{Collector, IterationStats, RankMetrics};
+use crate::metrics::{Collector, IterationMark, IterationStats, RankMetrics};
 use crate::time::VirtualTime;
 use crate::trace::Tracer;
 use parking_lot::Mutex;
@@ -104,12 +106,16 @@ pub struct RunConfig {
     /// machine's available parallelism. Defaults to the `ULBA_WORKERS`
     /// environment variable.
     pub workers: usize,
-    /// Leaf shard count of the collective rendezvous hub; `0` (the
-    /// default) resolves to `min(effective workers, 64)` (capped at
-    /// `ranks`), so a parallel run spreads rendezvous contention over one
-    /// shard per worker while the sequential backend keeps the degenerate
-    /// single shard. Defaults to the `ULBA_HUB_SHARDS` environment
-    /// variable. Reports are bit-identical for **any** shard count.
+    /// How many contiguous rank ranges the job is cut into: the leaf shards
+    /// of the collective rendezvous hub (one lock each) *and*, on a
+    /// [`JobServer`], the job's schedulable blocks — one worker drives a
+    /// whole block at a time, so `1` means one worker drives the whole job
+    /// at a time. `0` (the default) resolves to `min(workers, 64)` (capped
+    /// at `ranks`), where `workers` are those of the pool the job runs on
+    /// (see [`RunConfig::effective_hub_shards`]); the sequential backend
+    /// keeps the degenerate single shard. Defaults to the
+    /// `ULBA_HUB_SHARDS` environment variable. Reports are bit-identical
+    /// for **any** value.
     pub hub_shards: usize,
     /// Existing [`JobServer`] to submit to when the backend is
     /// [`Backend::Parallel`]; `None` (the default) uses the process-wide
@@ -197,10 +203,11 @@ impl RunConfig {
         self
     }
 
-    /// Set the leaf shard count of the rendezvous hub (`0` = automatic:
-    /// `min(effective workers, 64)`; overrides `ULBA_HUB_SHARDS`). Any
-    /// value produces bit-identical reports; the count only tunes lock
-    /// contention at the collective rendezvous.
+    /// Set the number of hub leaf shards = schedulable blocks of the job
+    /// (`0` = automatic: one per worker of the pool it runs on, at most 64;
+    /// `1` = one worker drives the whole job at a time; overrides
+    /// `ULBA_HUB_SHARDS`). Any value produces bit-identical reports; the
+    /// count only decides how the host work is cut up.
     pub fn with_hub_shards(mut self, shards: usize) -> Self {
         self.hub_shards = shards;
         self
@@ -245,17 +252,20 @@ impl RunConfig {
         self
     }
 
-    /// The hub shard count this configuration resolves to: the explicit
-    /// [`RunConfig::hub_shards`] if nonzero, otherwise
-    /// `min(effective workers, 64)` — one shard per worker of the parallel
-    /// backend (the single-threaded sequential scheduler keeps the
+    /// The shard (= block) count this configuration resolves to: the
+    /// explicit [`RunConfig::hub_shards`] if nonzero, otherwise one per
+    /// worker of the pool the job runs on, at most 64 — the workers of
+    /// [`RunConfig::server`] when a server is targeted, else the
+    /// [`RunConfig::workers`] / machine-parallelism count the engine sizes
+    /// its own pool by (the single-threaded sequential scheduler keeps the
     /// degenerate single shard). Always clamped to `[1, ranks]`.
     pub fn effective_hub_shards(&self) -> usize {
-        let auto = || match self.backend {
-            Backend::Sequential => 1,
-            Backend::Parallel => effective_workers(self).min(64),
+        let auto = || match (self.backend, &self.server) {
+            (Backend::Sequential, _) => 1,
+            (Backend::Parallel, Some(server)) => server.workers(),
+            (Backend::Parallel, None) => effective_workers(self),
         };
-        let shards = if self.hub_shards > 0 { self.hub_shards } else { auto() };
+        let shards = if self.hub_shards > 0 { self.hub_shards } else { auto().min(64) };
         shards.clamp(1, self.ranks.max(1))
     }
 }
@@ -380,15 +390,19 @@ pub(crate) struct RunShared {
     job: u64,
     finals: Vec<Mutex<Option<(VirtualTime, RankMetrics)>>>,
     /// Bumped on every deposit/post/receive so the sequential scheduler can
-    /// distinguish "still converging" from "deadlocked".
-    progress: AtomicU64,
+    /// distinguish "still converging" from "deadlocked". `None` on a job
+    /// server, which never reads it: there the per-rank path must not
+    /// write a cache line every worker shares.
+    progress: Option<AtomicU64>,
 }
 
 /// Source of [`RunShared::job_id`]s: every run of either backend draws one.
 static NEXT_JOB_ID: AtomicU64 = AtomicU64::new(1);
 
 impl RunShared {
-    pub(crate) fn new(config: &RunConfig) -> Arc<Self> {
+    /// Shared state of one run of `config`; `counts_progress` is whether
+    /// the scheduler about to drive it reads [`RunShared::progress_count`].
+    pub(crate) fn new(config: &RunConfig, counts_progress: bool) -> Arc<Self> {
         let job = NEXT_JOB_ID.fetch_add(1, Ordering::Relaxed);
         Arc::new(Self {
             hub: Hub::for_job(job, config.ranks, config.effective_hub_shards()),
@@ -397,7 +411,7 @@ impl RunShared {
             spec: config.spec.clone(),
             job,
             finals: (0..config.ranks).map(|_| Mutex::new(None)).collect(),
-            progress: AtomicU64::new(0),
+            progress: counts_progress.then(|| AtomicU64::new(0)),
         })
     }
 
@@ -406,16 +420,28 @@ impl RunShared {
         self.job
     }
 
+    #[inline]
     pub(crate) fn note_progress(&self) {
-        self.progress.fetch_add(1, Ordering::Relaxed);
+        if let Some(progress) = &self.progress {
+            progress.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     pub(crate) fn progress_count(&self) -> u64 {
-        self.progress.load(Ordering::Relaxed)
+        self.progress.as_ref().map_or(0, |progress| progress.load(Ordering::Relaxed))
     }
 
-    pub(crate) fn record_final(&self, rank: usize, clock: VirtualTime, metrics: RankMetrics) {
+    /// A rank's last word: its final clock and accounting, and every
+    /// iteration mark it recorded.
+    pub(crate) fn record_final(
+        &self,
+        rank: usize,
+        clock: VirtualTime,
+        metrics: RankMetrics,
+        marks: Vec<IterationMark>,
+    ) {
         *self.finals[rank].lock() = Some((clock, metrics));
+        self.collector.record_marks(rank, marks);
     }
 
     /// Build the structured deadlock error for `blocked` (sorted by rank),

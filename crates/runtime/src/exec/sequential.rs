@@ -12,11 +12,20 @@
 //!
 //! Why this file exists beside the job server: it is the deterministic
 //! oracle every equivalence suite compares the pool against, and it is
-//! measurably the faster way to use one core. At e17654a on a 2-core box,
-//! `weak_scaling --smoke --ranks 16384 --backends sequential,parallel
-//! --workers 1`, three invocations, `sim_wall_s` standard / ULBA:
-//! 1.78–1.98 / 1.84–1.86 s here against 1.98–2.47 / 2.75–3.60 s on a
-//! one-worker server.
+//! still the cheaper way to use one core — by less than it used to be. A
+//! one-worker server now drives the job as one block with this file's pass
+//! structure, plus a waker, a ready flag and a queue round trip per phase.
+//! At PR 18 on a 2-core box, the `erosion_wide` leg alternated in one
+//! process (sequential, then a `JobServer::new(1)`, 15 and 7 timed runs):
+//! 0.31 vs 0.34 s at `P = 4096` (+9 %; +20 % at the parent, 0.29 vs 0.34 s)
+//! and 2.13 vs 2.15 s at `P = 16384` (+1 %; +7 % at the parent). The
+//! command this paragraph used to quote, `weak_scaling --smoke --ranks
+//! 16384 --backends sequential,parallel --workers 1`, no longer separates
+//! them: six invocations, `sim_wall_s` standard / ULBA 1.62–2.16 /
+//! 1.56–2.32 s here against 1.80–2.52 / 1.66–2.21 s on the one-worker
+//! server (a noisier box than at e17654a, where it read 1.78–1.98 /
+//! 1.84–1.86 s against 1.98–2.47 / 2.75–3.60 s). On two workers the pool
+//! is the faster one (`results/BENCH_weak_scaling.json`, `gates::wall`).
 //!
 //! Deadlock detection: a full pass in which no rank completed and no
 //! deposit/post/receive happened ([`RunShared::progress_count`] unchanged)
@@ -47,7 +56,7 @@ impl SequentialJob {
         Fut: Future<Output = ()> + Send + 'static,
     {
         assert!(config.ranks >= 1, "need at least one rank");
-        let shared = RunShared::new(config);
+        let shared = RunShared::new(config, true);
         let tasks = (0..config.ranks)
             .map(|rank| {
                 let ctx =

@@ -1,12 +1,12 @@
 //! The job server: a long-lived work-stealing pool that admits many
-//! concurrent SPMD jobs.
+//! concurrent SPMD jobs and schedules them **a block of ranks at a time**.
 //!
 //! A [`JobServer`] owns `M` worker threads for its whole lifetime and
 //! multiplexes any number of submitted jobs over them:
 //!
 //! * [`JobServer::submit`] turns a [`RunConfig`] + rank body into a [`Job`]
 //!   — one future per rank, a per-job [`RunShared`] (hub, mailboxes,
-//!   collector), and a per-job task-state table — and seeds the run queues.
+//!   collector) — cuts its ranks into **blocks**, and seeds the run queues.
 //!   It returns a [`JobHandle`] immediately; [`JobHandle::join`] blocks for
 //!   the job's [`RunReport`].
 //! * Each job gets its *own* hub/mailbox namespace (its `RunShared`), so
@@ -14,26 +14,56 @@
 //!   for diagnostics.
 //! * Admission is priority-ordered and starvation-free: run queues hold one
 //!   lane per [`Priority`]; workers drain higher lanes first, and a job's
-//!   initial tasks are scattered round-robin over all workers so a huge
-//!   P=16384 job interleaves with a batch of small ablations instead of
-//!   walling them off.
+//!   blocks are scattered round-robin over the workers, so a huge P=16384
+//!   job interleaves with a batch of small ablations — block run by block
+//!   run — instead of walling them off.
 //!
-//! Task lifecycle: each rank future carries an atomic state so that a task
-//! is never in a run queue twice and never polled by two workers at once. A
-//! wake during a poll sets [`NOTIFIED`], and the polling worker reschedules
-//! the task itself after `Poll::Pending` — the standard executor handshake
-//! that closes the wake-while-polling race.
+//! # Blocks
+//!
+//! A block is a contiguous range of ranks, one per leaf shard of the job's
+//! hub and read *from the hub* ([`crate::hub::Hub::shard_range`]), so
+//! [`RunConfig::hub_shards`] sizes both. Queue entries, the state machine,
+//! the live count and stealing are per block; a rank only owns a *ready
+//! flag*. One worker at a time drives a block, so its shard lock is
+//! uncontended, a halo between two of its ranks never leaves the worker,
+//! and a rendezvous costs `O(blocks)` queue operations, not `O(ranks)`.
+//!
+//! A block sits in one run queue ([`SCHEDULED`]), is being run by one
+//! worker ([`RUNNING`], [`NOTIFIED`]), or is parked ([`WAITING`]). The
+//! worker that pops it polls its flagged ranks in rank order, pass after
+//! pass — as the sequential scheduler drives a whole job — until a pass
+//! ends with no wake having arrived since it began, then parks it. A
+//! rank's waker sets the rank's flag, then makes at most one block
+//! transition. `RUNNING → NOTIFIED` costs no queue traffic: the running
+//! worker makes another pass. `WAITING → SCHEDULED` queues the block on
+//! the *waking* worker's own queue once that poll returns (`WOKEN`), and
+//! idle workers steal whole blocks from there. Both choices are measured:
+//! queueing on the worker that last ran the block loses 10–18 % on batches
+//! of small jobs (it drags every small job across all workers at every
+//! rendezvous, where this rule lets it settle on one); queueing at once
+//! lets a thief run the block dry and park it between two wakes of the
+//! hub's wake loop, again and again — `O(ranks)` queue round trips per
+//! rendezvous. Flag and state are two words, so the handshake is
+//! store-then-load on both sides, all `SeqCst`: the waker stores the flag
+//! and reads the state, the runner stores `RUNNING` and reads the flags —
+//! either the pass sees the flag, or the waker sees `RUNNING` and leaves
+//! `NOTIFIED`, which fails the runner's `RUNNING → WAITING` exchange and
+//! buys the flag another pass.
 //!
 //! Deadlock detection is exact *and per job* (pool-wide "all workers idle"
 //! would blame every in-flight job at once): each job counts its **live**
-//! tasks — those queued ([`SCHEDULED`]), being polled ([`RUNNING`]), or
-//! woken mid-poll ([`NOTIFIED`]). Wakes for a job only originate from polls
-//! of that same job's tasks (the hub and mailboxes are per-job), and a wake
-//! increments the counter *inside* the waking poll, before that poll's own
-//! decrement. So when a job's live count hits zero with unfinished tasks
-//! remaining, no wake can ever arrive: the job is reported as a
-//! [`RunError::Deadlock`] tagged with its job id, while unrelated jobs on
-//! the same pool keep running.
+//! blocks — queued, being run, or woken mid-run. A rank is polled only
+//! inside a run of its own block, wakes for a job only originate from
+//! polls of that job's ranks (hub and mailboxes are per-job), and a wake
+//! that takes a block out of `WAITING` increments the counter *inside* the
+//! waking poll, before the waking block's own decrement. So a live count
+//! of zero with unfinished blocks means no poll is in progress and none is
+//! queued, hence no wake can ever arrive: the job fails with a
+//! [`RunError::Deadlock`] naming the ranks whose futures are still there,
+//! while unrelated jobs on the pool keep running. Counting blocks instead
+//! of ranks loses nothing: a parked rank of a live block is either flagged
+//! (the run in progress will poll it) or waiting for a wake that only a
+//! live block can deliver.
 
 use crate::ctx::SpmdCtx;
 use crate::engine::{JobHandle, Launched, RunConfig, RunError, RunReport, RunShared};
@@ -44,28 +74,33 @@ use std::collections::VecDeque;
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::task::{Context, Poll, Wake, Waker};
 
-/// Task is blocked; not queued, not being polled. A wake moves it to
-/// [`SCHEDULED`] and enqueues it.
+/// Every rank of the block is parked; not queued, not being run. A wake
+/// moves it to [`SCHEDULED`] and enqueues it.
 const WAITING: u8 = 0;
-/// Task sits in exactly one run queue. Wakes are no-ops (a poll is coming).
+/// The block sits in exactly one run queue. Wakes only set the rank's flag
+/// (a run is coming).
 const SCHEDULED: u8 = 1;
-/// A worker is polling the task. A wake moves it to [`NOTIFIED`].
+/// A worker is running the block. A wake moves it to [`NOTIFIED`].
 const RUNNING: u8 = 2;
-/// Woken *during* its poll: the polling worker re-enqueues it if the poll
-/// returns `Pending`.
+/// Woken *during* a pass: the running worker makes another pass instead of
+/// parking the block.
 const NOTIFIED: u8 = 3;
-/// Completed (or abandoned after a panic/deadlock). Terminal.
+/// Every rank finished (or was abandoned after a panic/deadlock). Terminal.
 const DONE: u8 = 4;
 
 /// Admission priority of a job on a shared [`JobServer`]: queue lanes are
-/// drained strictly high-to-low, so a `High` job's ready tasks always run
-/// before a `Normal` job's. Within one lane, jobs interleave (a job's
-/// initial tasks are scattered over all workers), which keeps one huge job
-/// from starving a batch of small ones at equal priority.
+/// drained strictly high-to-low, so whenever a worker picks its next block
+/// a `High` job's ready blocks go before a `Normal` job's. The promise
+/// holds at **block-run granularity**: a block, once picked, runs until
+/// every rank of it is parked (or finished), whatever arrives meanwhile —
+/// a single-block job, once started, runs until it parks or completes.
+/// Within one lane jobs interleave block run by block run (a job's blocks
+/// are scattered over the workers), which keeps one huge job from starving
+/// a batch of small ones at equal priority.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum Priority {
     /// Drained first — small interactive jobs riding along a big sweep.
@@ -116,13 +151,13 @@ impl std::str::FromStr for Priority {
 /// share one pool ([`JobServer::submit`] boxes each rank's future).
 pub(crate) type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send>>;
 
-/// One queue entry: which job, which of its tasks.
-type TaskRef = (Arc<Job>, usize);
+/// One queue entry: which job, which of its blocks.
+type BlockRef = (Arc<Job>, usize);
 
 /// One run queue: a FIFO lane per [`Priority`].
-type Lanes = [VecDeque<TaskRef>; LANES];
+type Lanes = [VecDeque<BlockRef>; LANES];
 
-fn pop_lanes(lanes: &mut Lanes) -> Option<TaskRef> {
+fn pop_lanes(lanes: &mut Lanes) -> Option<BlockRef> {
     lanes.iter_mut().find_map(VecDeque::pop_front)
 }
 
@@ -138,6 +173,43 @@ struct SleepState {
     shutdown: bool,
 }
 
+/// What a pool's scheduler did since it started, summed over its workers
+/// ([`JobServer::stats`]). Counts, not times: they say how much queue
+/// traffic and polling a workload cost, independent of the machine's load.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Blocks taken off a run queue and run.
+    pub block_runs: u64,
+    /// Passes over a block's ready flags, all block runs together.
+    pub passes: u64,
+    /// Polls of rank futures.
+    pub rank_polls: u64,
+    /// Blocks pushed onto a run queue (a job's initial blocks and every
+    /// wake that found its block parked).
+    pub enqueues: u64,
+    /// Blocks a worker took from another worker's queue.
+    pub steals: u64,
+    /// Block runs that ended with the block parked: every unfinished rank
+    /// of it waiting for a wake.
+    pub parks: u64,
+}
+
+/// The counters behind [`PoolStats`], in field order.
+#[derive(Clone, Copy)]
+enum Stat {
+    BlockRuns,
+    Passes,
+    RankPolls,
+    Enqueues,
+    Steals,
+    Parks,
+}
+
+/// One writer's counters, on a cache line of their own.
+#[derive(Default)]
+#[repr(align(64))]
+struct StatCell([AtomicU64; 6]);
+
 /// Scheduler state shared between the server's workers, its wakers, and
 /// every outstanding [`JobHandle`].
 pub(crate) struct ServerCore {
@@ -148,35 +220,52 @@ pub(crate) struct ServerCore {
     /// Worker threads actually running (spawn failures reduce it; `0`
     /// makes [`JobHandle::join`] drive the job on the joining thread).
     spawned: AtomicUsize,
-    /// Rotates the worker a job's initial tasks start scattering from, so
+    /// Rotates the worker a job's blocks start scattering from, so
     /// concurrent submissions don't all pile onto worker 0.
     seed_cursor: AtomicUsize,
+    /// One cell per worker, written only by that worker, plus a last one
+    /// every other thread (submitters, foreign help-drivers) shares.
+    stats: Vec<StatCell>,
     sleep: Mutex<SleepState>,
     wakeup: Condvar,
 }
 
+/// One schedulable unit of a job: the ranks of one hub shard.
+struct Block {
+    /// First rank of the block; its ranks are `base..base + futures.len()`.
+    base: usize,
+    state: AtomicU8,
+    /// The block's rank futures in rank order, `None` once finished. Held
+    /// for a whole block run by the one worker the state machine admits,
+    /// so never contended.
+    futures: Mutex<Vec<Option<BoxFuture>>>,
+}
+
 /// One submitted run: per-job shared state (hub/mailboxes), the rank
-/// futures, and the task-state/liveness accounting that drives per-job
-/// completion and deadlock detection.
+/// futures in their blocks, and the block-state/liveness accounting that
+/// drives per-job completion and deadlock detection.
 struct Job {
     shared: Arc<RunShared>,
     priority: Priority,
-    slots: Vec<Mutex<Option<BoxFuture>>>,
-    states: Vec<AtomicU8>,
-    /// Unfinished tasks; `0` means the job completed successfully.
+    /// One block per hub shard, in rank order.
+    blocks: Vec<Block>,
+    /// Per rank, "poll me": set by the rank's waker, cleared by the worker
+    /// running its block just before the poll.
+    ready: Vec<AtomicBool>,
+    /// One waker per rank for the whole run (polls and hub/mailbox parks
+    /// only clone it), keeping Arc churn off the hottest scheduler path.
+    wakers: Vec<Waker>,
+    /// Unfinished blocks; `0` means the job completed successfully.
     remaining: AtomicUsize,
-    /// Tasks in [`SCHEDULED`]/[`RUNNING`]/[`NOTIFIED`]. Hitting `0` with
+    /// Blocks in [`SCHEDULED`]/[`RUNNING`]/[`NOTIFIED`]. Hitting `0` with
     /// `remaining > 0` proves the job can never progress (see module docs).
     live: AtomicUsize,
-    /// Set on the first rank panic: queued siblings are reaped, not polled.
+    /// Set on the first rank panic: its siblings are reaped, not polled.
     cancelled: AtomicBool,
     /// Guards [`finalize`] against the benign last-decrement races.
     finalized: AtomicBool,
-    /// First panic payload observed (lowest task id wins).
+    /// First panic payload observed (lowest rank wins).
     panics: Mutex<Option<(usize, Box<dyn Any + Send>)>>,
-    /// One waker per task for the whole run (polls and hub/mailbox parks
-    /// only clone it), keeping Arc churn off the hottest scheduler path.
-    wakers: Vec<Waker>,
     /// Lock-free "result is in" flag for help-driving joiners.
     done: AtomicBool,
     result: Mutex<Option<Result<RunReport, JobFailure>>>,
@@ -196,61 +285,10 @@ thread_local! {
     static CURRENT_WORKER: RefCell<Option<(Weak<ServerCore>, usize)>> =
         const { RefCell::new(None) };
 
-    /// Shard-affine wake batching: while `Some`, a [`JobTaskWaker`] wake
-    /// that wins its WAITING→SCHEDULED transition defers the queue push
-    /// into this buffer instead of locking a run queue per task. The
-    /// sharded hub wakes whole shards at once (round completion, entry
-    /// reopening); [`wake_batched`] flushes each batch under a single
-    /// queue lock.
-    static WAKE_BATCH: RefCell<Option<Vec<DeferredWake>>> = const { RefCell::new(None) };
-}
-
-/// One deferred wake: the server and job whose task was marked SCHEDULED,
-/// and the task index awaiting its queue push.
-type DeferredWake = (Arc<ServerCore>, Arc<Job>, usize);
-
-/// Wake a set of wakers, batching the pushes of tasks that belong to a job
-/// server: the state transitions (which deduplicate concurrent wakes) still
-/// happen one by one, but all resulting run-queue insertions of one server
-/// land under a single queue lock, and sleeping workers are roused once per
-/// batch instead of once per task. Other wakers (the sequential
-/// scheduler's no-op waker) are simply woken in order.
-pub(crate) fn wake_batched(wakers: Vec<Waker>) {
-    if wakers.len() <= 1 {
-        for waker in wakers {
-            waker.wake();
-        }
-        return;
-    }
-    let previous = WAKE_BATCH.with(|b| b.borrow_mut().replace(Vec::new()));
-    for waker in wakers {
-        waker.wake();
-    }
-    // The slot was installed above, so `take()` only yields `None` if a
-    // waker cleared it behind our back; treating that as an empty batch
-    // (every such wake already ran unbatched through its state
-    // transition) beats panicking mid-wake with shard locks released.
-    let mut batch = WAKE_BATCH.with(|b| {
-        let mut slot = b.borrow_mut();
-        let batch = slot.take();
-        *slot = previous;
-        batch.unwrap_or_default()
-    });
-    // Flush per server (in practice one), preserving FIFO order so batched
-    // wakes are polled in the order the hub issued them (shard by shard).
-    while !batch.is_empty() {
-        let core = Arc::clone(&batch[0].0);
-        let mut entries = Vec::new();
-        batch.retain(|(c, job, task)| {
-            if Arc::ptr_eq(c, &core) {
-                entries.push((Arc::clone(job), *task));
-                false
-            } else {
-                true
-            }
-        });
-        core.push_batch(entries);
-    }
+    /// Blocks the poll in progress on this worker thread has woken out of
+    /// [`WAITING`], in wake order; [`run_block`] queues them the moment that
+    /// poll returns (see the module docs for why not before).
+    static WOKEN: RefCell<Vec<BlockRef>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Marks the current thread as worker `idx` of `core` for the duration of
@@ -273,103 +311,120 @@ impl Drop for WorkerRegistration {
     }
 }
 
-/// Waker of one task of one job. Holds the job weakly: parked wakers live
+/// Waker of one rank of one job. Holds the job weakly: parked wakers live
 /// inside the job's own hub/mailboxes, and a strong reference would keep a
 /// finished job (and its rank futures) alive through its own shared state.
 /// A stale wake after the job is gone simply fails the upgrade.
-struct JobTaskWaker {
+struct RankWaker {
     core: Arc<ServerCore>,
     job: Weak<Job>,
-    task: usize,
+    block: usize,
+    rank: usize,
 }
 
-impl Wake for JobTaskWaker {
+impl Wake for RankWaker {
     fn wake(self: Arc<Self>) {
         self.wake_by_ref();
     }
 
     fn wake_by_ref(self: &Arc<Self>) {
         if let Some(job) = self.job.upgrade() {
-            schedule(&self.core, &job, self.task);
+            // Flag first, block transition second (see the module docs).
+            job.ready[self.rank].store(true, Ordering::SeqCst);
+            schedule(&self.core, &job, self.block);
         }
     }
 }
 
-/// Transition `task` of `job` towards a poll after a wake. Guarantees at
-/// most one queue entry and one poller per task, and counts the task live
-/// the moment it wins the WAITING→SCHEDULED transition — synchronously
-/// inside the waking poll, which is what makes the per-job live counter an
-/// exact quiescence detector.
-fn schedule(core: &Arc<ServerCore>, job: &Arc<Job>, task: usize) {
+/// Transition `block` of `job` towards a pass after one of its ranks was
+/// flagged. Guarantees at most one queue entry and one runner per block,
+/// and counts the block live the moment it wins the WAITING→SCHEDULED
+/// transition — synchronously inside the waking poll, which is what makes
+/// the per-job live counter an exact quiescence detector.
+fn schedule(core: &Arc<ServerCore>, job: &Arc<Job>, block: usize) {
+    let state = &job.blocks[block].state;
     loop {
-        match job.states[task].load(Ordering::Acquire) {
-            WAITING => {
-                if job.states[task]
-                    .compare_exchange(WAITING, SCHEDULED, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    job.live.fetch_add(1, Ordering::AcqRel);
-                    enqueue(core, job, task);
-                    return;
-                }
-            }
-            RUNNING => {
-                if job.states[task]
-                    .compare_exchange(RUNNING, NOTIFIED, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    return;
-                }
-            }
-            // SCHEDULED | NOTIFIED: a poll is already due. DONE: stale.
+        let (seen, next) = match state.load(Ordering::SeqCst) {
+            WAITING => (WAITING, SCHEDULED),
+            RUNNING => (RUNNING, NOTIFIED),
+            // SCHEDULED | NOTIFIED: a pass is already due. DONE: stale.
             _ => return,
+        };
+        if state.compare_exchange(seen, next, Ordering::SeqCst, Ordering::SeqCst).is_ok() {
+            if next == SCHEDULED {
+                job.live.fetch_add(1, Ordering::AcqRel);
+                core.push(job, block);
+            }
+            return;
         }
-    }
-}
-
-/// Route a freshly [`SCHEDULED`] task to the active wake batch if one is
-/// open on this thread, else push it immediately.
-fn enqueue(core: &Arc<ServerCore>, job: &Arc<Job>, task: usize) {
-    let deferred = WAKE_BATCH.with(|b| match b.borrow_mut().as_mut() {
-        Some(batch) => {
-            batch.push((Arc::clone(core), Arc::clone(job), task));
-            true
-        }
-        None => false,
-    });
-    if !deferred {
-        core.push_batch(vec![(Arc::clone(job), task)]);
     }
 }
 
 impl ServerCore {
-    /// Enqueue a batch of [`SCHEDULED`] tasks under one queue lock (the
-    /// shard-affine wake path of the reduction-tree hub), rousing as many
-    /// sleeping workers as there are tasks to run.
-    fn push_batch(self: &Arc<Self>, entries: Vec<TaskRef>) {
-        if entries.is_empty() {
-            return;
-        }
-        let single = entries.len() == 1;
-        let local = CURRENT_WORKER.with(|cw| {
+    /// This thread's worker index on *this* server, if it is one.
+    fn current_worker(self: &Arc<Self>) -> Option<usize> {
+        CURRENT_WORKER.with(|cw| {
             cw.borrow().as_ref().and_then(|(core, idx)| {
                 core.upgrade().filter(|c| Arc::ptr_eq(c, self)).map(|_| *idx)
             })
-        });
-        let queue = match local {
-            Some(worker) => &self.locals[worker],
-            None => &self.injector,
-        };
-        {
-            let mut lanes = queue.lock();
-            for (job, task) in entries {
-                let lane = job.priority.lane();
-                lanes[lane].push_back((job, task));
+        })
+    }
+
+    /// Add `n` to `stat` on behalf of worker `me` (`None`: any other
+    /// thread). A worker's cell has a single writer, so a plain load and
+    /// store do; the shared cell needs the read-modify-write.
+    fn count(&self, me: Option<usize>, stat: Stat, n: u64) {
+        match me {
+            Some(worker) => {
+                let counter = &self.stats[worker].0[stat as usize];
+                counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+            }
+            None => {
+                self.stats[self.locals.len()].0[stat as usize].fetch_add(n, Ordering::Relaxed);
             }
         }
+    }
+
+    /// Route a freshly [`SCHEDULED`] block towards a run queue. A worker
+    /// thread only ever wakes from inside a poll (it runs nothing else), so
+    /// its wakes are staged in [`WOKEN`] until that poll returns; any other
+    /// thread pushes to the injector at once.
+    fn push(self: &Arc<Self>, job: &Arc<Job>, block: usize) {
+        let entry = (Arc::clone(job), block);
+        if self.current_worker().is_some() {
+            WOKEN.with(|woken| woken.borrow_mut().push(entry));
+        } else {
+            self.injector.lock()[job.priority.lane()].push_back(entry);
+            self.count(None, Stat::Enqueues, 1);
+            self.rouse(1);
+        }
+    }
+
+    /// Queue what the poll that just returned on worker `me` woke — on
+    /// that worker's own queue (idle workers steal from there).
+    fn publish_woken(&self, me: usize) {
+        WOKEN.with(|woken| {
+            let mut woken = woken.borrow_mut();
+            if woken.is_empty() {
+                return;
+            }
+            let blocks = woken.len();
+            {
+                let mut lanes = self.locals[me].lock();
+                for (job, block) in woken.drain(..) {
+                    lanes[job.priority.lane()].push_back((job, block));
+                }
+            }
+            self.count(Some(me), Stat::Enqueues, blocks as u64);
+            self.rouse(blocks);
+        });
+    }
+
+    /// Wake sleeping workers for `blocks` newly queued blocks.
+    fn rouse(&self, blocks: usize) {
         let sleep = self.sleep.lock();
         if sleep.idle > 0 {
-            if single {
+            if blocks == 1 {
                 self.wakeup.notify_one();
             } else {
                 self.wakeup.notify_all();
@@ -377,34 +432,28 @@ impl ServerCore {
         }
     }
 
-    /// Scatter a fresh job's initial tasks round-robin over all workers
+    /// Scatter a fresh job's blocks round-robin over all workers
     /// (interleaving it with already-resident jobs) and rouse everyone.
     fn seed(self: &Arc<Self>, job: &Arc<Job>) {
-        let tasks = job.slots.len();
         let lane = job.priority.lane();
-        if self.locals.is_empty() || self.spawned.load(Ordering::Acquire) == 0 {
-            let mut lanes = self.injector.lock();
-            for task in 0..tasks {
-                lanes[lane].push_back((Arc::clone(job), task));
-            }
+        let entries = (0..job.blocks.len()).map(|block| (Arc::clone(job), block));
+        if self.spawned.load(Ordering::Acquire) == 0 {
+            self.injector.lock()[lane].extend(entries);
         } else {
             let workers = self.locals.len();
             let start = self.seed_cursor.fetch_add(1, Ordering::Relaxed) % workers;
-            for task in 0..tasks {
-                let mut lanes = self.locals[(start + task) % workers].lock();
-                lanes[lane].push_back((Arc::clone(job), task));
+            for (block, entry) in entries.enumerate() {
+                self.locals[(start + block) % workers].lock()[lane].push_back(entry);
             }
         }
-        let sleep = self.sleep.lock();
-        if sleep.idle > 0 {
-            self.wakeup.notify_all();
-        }
+        self.count(self.current_worker(), Stat::Enqueues, job.blocks.len() as u64);
+        self.rouse(job.blocks.len());
     }
 
-    /// Next task for this thread: own queue (workers only), then the
+    /// Next block for this thread: own queue (workers only), then the
     /// injector, then steal from the first non-empty sibling queue —
     /// always highest-priority lane first.
-    fn find_task(&self, me: Option<usize>) -> Option<TaskRef> {
+    fn find_block(&self, me: Option<usize>) -> Option<BlockRef> {
         if let Some(me) = me {
             if let Some(entry) = pop_lanes(&mut self.locals[me].lock()) {
                 return Some(entry);
@@ -420,7 +469,7 @@ impl ServerCore {
             if Some(victim) == me {
                 continue;
             }
-            let stolen: Vec<TaskRef> = {
+            let stolen: Vec<BlockRef> = {
                 let mut lanes = self.locals[victim].lock();
                 match lanes.iter_mut().find(|q| !q.is_empty()) {
                     // Steal half of the victim's best non-empty lane; the
@@ -436,6 +485,7 @@ impl ServerCore {
             };
             let mut stolen = stolen.into_iter();
             if let Some(first) = stolen.next() {
+                self.count(me, Stat::Steals, 1 + stolen.len() as u64);
                 if let Some(me) = me {
                     let lane = first.0.priority.lane();
                     let mut lanes = self.locals[me].lock();
@@ -478,16 +528,6 @@ impl ServerCore {
     }
 }
 
-/// Mark `task` finished (any reason), and finalize the job if it was the
-/// last live task.
-fn complete_task(core: &Arc<ServerCore>, job: &Arc<Job>, task: usize) {
-    job.states[task].store(DONE, Ordering::Release);
-    job.remaining.fetch_sub(1, Ordering::AcqRel);
-    if job.live.fetch_sub(1, Ordering::AcqRel) == 1 {
-        finalize(core, job);
-    }
-}
-
 /// The job's live count hit zero: nothing of it is queued, running, or
 /// wakeable, so its outcome is decided. Exactly one caller proceeds past
 /// the `finalized` guard (the counter can hand "last decrement" to two
@@ -503,13 +543,9 @@ fn finalize(core: &Arc<ServerCore>, job: &Arc<Job>) {
     } else if job.remaining.load(Ordering::Acquire) == 0 {
         Ok(job.shared.build_report())
     } else {
-        // Quiescent with unfinished tasks: a deadlock. Name the blocked
-        // ranks (all of them are WAITING — live == 0 excludes the rest).
-        let blocked: Vec<usize> = (0..job.states.len())
-            .filter(|&rank| job.states[rank].load(Ordering::Acquire) != DONE)
-            .collect();
-        reap_unfinished(job);
-        Err(JobFailure::Error(job.shared.deadlock(blocked)))
+        // Quiescent with unfinished blocks: a deadlock. The blocked ranks
+        // are exactly those whose futures are still there.
+        Err(JobFailure::Error(job.shared.deadlock(reap_unfinished(job))))
     };
     {
         let mut result = job.result.lock();
@@ -523,86 +559,116 @@ fn finalize(core: &Arc<ServerCore>, job: &Arc<Job>) {
     core.wakeup.notify_all();
 }
 
-/// Drop the futures of every unfinished task (safe at live == 0: nothing
-/// polls them anymore). Their `SpmdCtx` drop handlers record final clocks,
-/// which is harmless — the job's outcome is already decided.
-fn reap_unfinished(job: &Arc<Job>) {
-    for task in 0..job.states.len() {
-        if job.states[task].load(Ordering::Acquire) != DONE {
-            *job.slots[task].lock() = None;
-            job.states[task].store(DONE, Ordering::Release);
+/// Drop the future of every unfinished rank and return those ranks, in rank
+/// order (safe at live == 0: no block is being run, so every block lock is
+/// free). Their `SpmdCtx` drop handlers record final clocks, which is
+/// harmless — the job's outcome is already decided.
+fn reap_unfinished(job: &Job) -> Vec<usize> {
+    let mut unfinished = Vec::new();
+    for block in &job.blocks {
+        for (slot, rank) in block.futures.lock().iter_mut().zip(block.base..) {
+            if slot.take().is_some() {
+                unfinished.push(rank);
+            }
         }
+        block.state.store(DONE, Ordering::Release);
     }
+    unfinished
 }
 
-/// Poll one queued task of one job.
-fn run_task(core: &Arc<ServerCore>, entry: TaskRef) {
-    let (job, task) = entry;
-    if job.cancelled.load(Ordering::Acquire) {
-        // A sibling rank panicked: reap instead of polling, so the whole
-        // job winds down without running half-broken collectives.
-        *job.slots[task].lock() = None;
-        complete_task(core, &job, task);
-        return;
-    }
-    // The task came out of a queue, so its state is SCHEDULED; wakes from
-    // here until the poll finishes are folded into NOTIFIED.
-    job.states[task].store(RUNNING, Ordering::Release);
-    let mut slot = job.slots[task].lock();
-    let Some(future) = slot.as_mut() else {
-        drop(slot);
-        complete_task(core, &job, task);
-        return;
+/// Run one queued block of one job on behalf of worker `me`: poll its
+/// flagged ranks in rank order, pass after pass, until every rank of it is
+/// parked or finished.
+fn run_block(core: &Arc<ServerCore>, me: Option<usize>, entry: BlockRef) {
+    let (job, index) = entry;
+    let block = &job.blocks[index];
+    let mut futures = block.futures.lock();
+    let (mut passes, mut polls) = (0, 0);
+    let end = 'run: loop {
+        // The block came out of a queue (SCHEDULED) or was woken during the
+        // previous pass (NOTIFIED). Every flag stored before this store is
+        // seen by the pass below; every later one finds RUNNING and leaves
+        // NOTIFIED behind (see the module docs).
+        block.state.store(RUNNING, Ordering::SeqCst);
+        if job.cancelled.load(Ordering::Acquire) {
+            // A rank of the job panicked: reap instead of polling, so the
+            // whole job winds down without running half-broken collectives.
+            futures.iter_mut().for_each(|slot| *slot = None);
+            break DONE;
+        }
+        passes += 1;
+        let mut unfinished = 0;
+        for (slot, rank) in futures.iter_mut().zip(block.base..) {
+            let Some(future) = slot.as_mut() else { continue };
+            if job.ready[rank].load(Ordering::SeqCst) {
+                // Cleared before the poll, so a wake the poll itself
+                // provokes (or races with) flags the rank again.
+                job.ready[rank].store(false, Ordering::Relaxed);
+                polls += 1;
+                let mut cx = Context::from_waker(&job.wakers[rank]);
+                let polled = catch_unwind(AssertUnwindSafe(|| future.as_mut().poll(&mut cx)));
+                if let Some(me) = me {
+                    core.publish_woken(me);
+                }
+                match polled {
+                    Ok(Poll::Pending) => {}
+                    Ok(Poll::Ready(())) => {
+                        *slot = None;
+                        continue;
+                    }
+                    Err(payload) => {
+                        // Record the payload (lowest rank wins) and cancel
+                        // the job; join() re-raises it.
+                        *slot = None;
+                        let mut first = job.panics.lock();
+                        if first.as_ref().is_none_or(|(prior, _)| rank < *prior) {
+                            *first = Some((rank, payload));
+                        }
+                        job.cancelled.store(true, Ordering::Release);
+                        continue 'run;
+                    }
+                }
+            }
+            unfinished += 1;
+        }
+        if unfinished == 0 {
+            break DONE;
+        }
+        // Every unfinished rank returned `Pending` with its waker parked.
+        // If no wake arrived since the pass began, park the block; else
+        // (NOTIFIED) some flag may have been set behind the scan.
+        if block
+            .state
+            .compare_exchange(RUNNING, WAITING, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
+        {
+            break WAITING;
+        }
     };
-    let mut cx = Context::from_waker(&job.wakers[task]);
-    match catch_unwind(AssertUnwindSafe(|| future.as_mut().poll(&mut cx))) {
-        Ok(Poll::Ready(())) => {
-            *slot = None;
-            drop(slot);
-            complete_task(core, &job, task);
-        }
-        Ok(Poll::Pending) => {
-            drop(slot);
-            if job.states[task]
-                .compare_exchange(RUNNING, WAITING, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                // Parked. If this was the job's last live task, no wake can
-                // ever arrive (wakes only come from this job's own polls):
-                // report the deadlock instead of sleeping forever.
-                if job.live.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    finalize(core, &job);
-                }
-            } else {
-                // Woken while polling: the wake was swallowed into
-                // NOTIFIED, so the re-poll is on us. Still live.
-                job.states[task].store(SCHEDULED, Ordering::Release);
-                core.push_batch(vec![(Arc::clone(&job), task)]);
-            }
-        }
-        Err(payload) => {
-            // Record the payload (lowest task id wins), cancel the job's
-            // siblings, and wind the job down; join() re-raises it.
-            *slot = None;
-            drop(slot);
-            {
-                let mut first = job.panics.lock();
-                match first.as_ref() {
-                    Some((prior, _)) if *prior <= task => {}
-                    _ => *first = Some((task, payload)),
-                }
-            }
-            job.cancelled.store(true, Ordering::Release);
-            complete_task(core, &job, task);
-        }
+    drop(futures);
+    core.count(me, Stat::BlockRuns, 1);
+    core.count(me, Stat::Passes, passes);
+    core.count(me, Stat::RankPolls, polls);
+    if end == DONE {
+        block.state.store(DONE, Ordering::Release);
+        job.remaining.fetch_sub(1, Ordering::AcqRel);
+    } else {
+        core.count(me, Stat::Parks, 1);
+    }
+    // Parked or done, the block is no longer live. If it was the job's last
+    // live block, no wake can ever arrive (wakes only come from this job's
+    // own polls): the job is complete, or deadlocked — report it instead of
+    // sleeping forever.
+    if job.live.fetch_sub(1, Ordering::AcqRel) == 1 {
+        finalize(core, &job);
     }
 }
 
 fn worker_loop(core: Arc<ServerCore>, me: usize) {
     let _registration = WorkerRegistration::enter(&core, me);
     loop {
-        while let Some(entry) = core.find_task(Some(me)) {
-            run_task(&core, entry);
+        while let Some(entry) = core.find_block(Some(me)) {
+            run_block(&core, Some(me), entry);
         }
         if !core.park() {
             return;
@@ -658,6 +724,7 @@ impl JobServer {
             injector: Mutex::new(Lanes::default()),
             spawned: AtomicUsize::new(0),
             seed_cursor: AtomicUsize::new(0),
+            stats: (0..=workers).map(|_| StatCell::default()).collect(),
             sleep: Mutex::new(SleepState { idle: 0, shutdown: false }),
             wakeup: Condvar::new(),
         });
@@ -696,11 +763,29 @@ impl JobServer {
         self.core.locals.len()
     }
 
+    /// What this pool's scheduler has done since it started: every
+    /// worker's counters (and those of non-worker threads) summed. Always
+    /// on; a worker only ever writes its own cache line.
+    pub fn stats(&self) -> PoolStats {
+        let sum = |stat: Stat| {
+            self.core.stats.iter().map(|cell| cell.0[stat as usize].load(Ordering::Relaxed)).sum()
+        };
+        PoolStats {
+            block_runs: sum(Stat::BlockRuns),
+            passes: sum(Stat::Passes),
+            rank_polls: sum(Stat::RankPolls),
+            enqueues: sum(Stat::Enqueues),
+            steals: sum(Stat::Steals),
+            parks: sum(Stat::Parks),
+        }
+    }
+
     /// Submit `body` as an SPMD job over `config.ranks` ranks; returns
     /// immediately with a handle. The job runs on this server's workers
     /// regardless of `config.backend`, at `config.priority`, with its own
-    /// hub/mailbox namespace and job id. See [`crate::submit`] for the body
-    /// contract; the future must be `'static` because it outlives the
+    /// hub/mailbox namespace and job id, cut into one block per hub shard
+    /// ([`RunConfig::effective_hub_shards`]). See [`crate::submit`] for the
+    /// body contract; the future must be `'static` because it outlives the
     /// submitting stack frame.
     pub fn submit<F, Fut>(&self, config: RunConfig, body: F) -> JobHandle
     where
@@ -708,32 +793,43 @@ impl JobServer {
         Fut: Future<Output = ()> + Send + 'static,
     {
         assert!(config.ranks >= 1, "need at least one rank");
-        let shared = RunShared::new(&config);
+        let shared = RunShared::new(&config, false);
         let ranks = config.ranks;
         let core = Arc::clone(&self.core);
+        let blocks: Vec<Block> = (0..shared.hub.shard_count())
+            .map(|shard| {
+                let range = shared.hub.shard_range(shard);
+                let base = range.start;
+                let futures = range
+                    .map(|rank| {
+                        let ctx =
+                            SpmdCtx::new(rank, ranks, Arc::clone(&shared), config.tracer.clone());
+                        Some(Box::pin(body(ctx)) as BoxFuture)
+                    })
+                    .collect();
+                Block { base, state: AtomicU8::new(SCHEDULED), futures: Mutex::new(futures) }
+            })
+            .collect();
         let job = Arc::new_cyclic(|weak: &Weak<Job>| Job {
             priority: config.priority,
-            slots: (0..ranks)
-                .map(|rank| {
-                    let ctx = SpmdCtx::new(rank, ranks, Arc::clone(&shared), config.tracer.clone());
-                    Mutex::new(Some(Box::pin(body(ctx)) as BoxFuture))
-                })
-                .collect(),
-            states: (0..ranks).map(|_| AtomicU8::new(SCHEDULED)).collect(),
-            remaining: AtomicUsize::new(ranks),
-            live: AtomicUsize::new(ranks),
-            cancelled: AtomicBool::new(false),
-            finalized: AtomicBool::new(false),
-            panics: Mutex::new(None),
+            // Every rank starts flagged and every block queued.
+            ready: (0..ranks).map(|_| AtomicBool::new(true)).collect(),
             wakers: (0..ranks)
-                .map(|task| {
-                    Waker::from(Arc::new(JobTaskWaker {
+                .map(|rank| {
+                    Waker::from(Arc::new(RankWaker {
                         core: Arc::clone(&core),
                         job: weak.clone(),
-                        task,
+                        block: shared.hub.shard_of(rank),
+                        rank,
                     }))
                 })
                 .collect(),
+            remaining: AtomicUsize::new(blocks.len()),
+            live: AtomicUsize::new(blocks.len()),
+            blocks,
+            cancelled: AtomicBool::new(false),
+            finalized: AtomicBool::new(false),
+            panics: Mutex::new(None),
             done: AtomicBool::new(false),
             result: Mutex::new(None),
             joined: Condvar::new(),
@@ -767,11 +863,7 @@ impl PoolJob {
     /// submitting nested jobs), it helps drive the pool instead of
     /// blocking it.
     pub(crate) fn join(self) -> Result<RunReport, RunError> {
-        let me = CURRENT_WORKER.with(|cw| {
-            cw.borrow().as_ref().and_then(|(core, idx)| {
-                core.upgrade().filter(|c| Arc::ptr_eq(c, &self.core)).map(|_| *idx)
-            })
-        });
+        let me = self.core.current_worker();
         if me.is_some() || self.core.spawned.load(Ordering::Acquire) == 0 {
             self.help_drive(me);
         } else {
@@ -799,14 +891,14 @@ impl PoolJob {
         }
     }
 
-    /// Run pool tasks (any job's) until our job finishes.
+    /// Run pool blocks (any job's) until our job finishes.
     fn help_drive(&self, me: Option<usize>) {
         loop {
             if self.job.done.load(Ordering::Acquire) {
                 return;
             }
-            if let Some(entry) = self.core.find_task(me) {
-                run_task(&self.core, entry);
+            if let Some(entry) = self.core.find_block(me) {
+                run_block(&self.core, me, entry);
                 continue;
             }
             let mut sleep = self.core.sleep.lock();
@@ -825,8 +917,9 @@ impl PoolJob {
 
 /// Worker count a [`RunConfig`] resolves to: the explicit
 /// [`RunConfig::workers`] if nonzero, otherwise the machine's available
-/// parallelism; never more than `ranks`. Also the basis of the default hub
-/// shard count ([`RunConfig::effective_hub_shards`]).
+/// parallelism; never more than `ranks`. Also the basis of the default
+/// shard (= block) count of a run that targets no server
+/// ([`RunConfig::effective_hub_shards`]).
 pub(crate) fn effective_workers(config: &RunConfig) -> usize {
     let requested = if config.workers > 0 {
         config.workers

@@ -31,12 +31,13 @@
 //! [`Hub::poll_collect`] pair. A caller leaves its [`Waker`] behind in its
 //! shard whenever it cannot progress; the state transition that unblocks
 //! it — the round completing on the last deposit, or entry reopening on
-//! the last drain — wakes every parked waker of every shard (batched
-//! shard-by-shard through [`crate::exec::server::wake_batched`], so the
-//! job server moves a whole shard's worth of ranks onto a run queue under
-//! one lock), which is what lets the job server sleep blocked ranks
-//! instead of spinning them (the sequential scheduler passes a no-op waker
-//! and keeps round-robining).
+//! the last drain — wakes every parked waker of every shard, directly and
+//! outside every shard lock (as the mailbox does), which is what lets the
+//! job server sleep blocked ranks instead of spinning them (the sequential
+//! scheduler passes a no-op waker and keeps round-robining). On the job
+//! server a shard is also the unit of scheduling — its ranks
+//! ([`Hub::shard_range`]) form one block that one worker drives at a time,
+//! so a shard lock is uncontended and a wake is one flag store.
 //!
 //! The completed round is **one shared object** ([`RoundValues`]): every
 //! rank collects a handle to it, not a copy. It carries a compute-once
@@ -50,7 +51,6 @@
 //! misbehaved. The standalone constructors ([`Hub::new`],
 //! [`Hub::with_shards`]) use job id 0, which suppresses the tag.
 
-use crate::exec::server::wake_batched;
 use crate::time::VirtualTime;
 use parking_lot::Mutex;
 use std::any::{Any, TypeId};
@@ -541,6 +541,13 @@ impl Hub {
         rank / self.shard_width
     }
 
+    /// The contiguous ranks of leaf shard `shard` — the job server takes
+    /// its schedulable blocks from here, so a block is exactly a shard.
+    pub fn shard_range(&self, shard: usize) -> std::ops::Range<usize> {
+        let base = self.shards[shard].base;
+        base..(base + self.shard_width).min(self.size)
+    }
+
     /// Walk one fan-in counter from `start` towards the root; returns
     /// `true` when the walk completed the root (i.e. every shard reported).
     /// Counters self-reset on the last report — safe because the next
@@ -648,8 +655,7 @@ impl Hub {
         if st.deposit(local, rank, op_name, value, clock) {
             drop(st);
             if self.propagate(shard.parent, |n| &n.arrived) {
-                let to_wake = self.complete_round::<T>(op_name);
-                wake_batched(to_wake);
+                self.complete_round::<T>(op_name).into_iter().for_each(Waker::wake);
             }
         }
         Ok(())
@@ -673,8 +679,7 @@ impl Hub {
             Some((round, shard_drained)) => {
                 drop(st);
                 if shard_drained && self.propagate(shard.parent, |n| &n.drained) {
-                    let to_wake = self.reopen_entry();
-                    wake_batched(to_wake);
+                    self.reopen_entry().into_iter().for_each(Waker::wake);
                 }
                 Some(round)
             }
@@ -742,6 +747,15 @@ mod tests {
                     prev = s;
                 }
                 assert_eq!(hub.shard_of(size - 1), hub.shard_count() - 1);
+                // The ranges tile `0..size` and agree with `shard_of`.
+                let mut next = 0;
+                for s in 0..hub.shard_count() {
+                    let range = hub.shard_range(s);
+                    assert_eq!(range.start, next);
+                    assert!(range.clone().all(|rank| hub.shard_of(rank) == s));
+                    next = range.end;
+                }
+                assert_eq!(next, size);
             }
         }
     }

@@ -26,16 +26,20 @@
 //! One [`JobServer`] admits **many concurrent jobs**: each gets its own
 //! hub/mailbox namespace and job id, admission is priority-ordered
 //! ([`RunConfig::with_priority`]), and deadlock is judged per job by a
-//! live-task counter, so a stuck job is reported (tagged with its id)
+//! live-block counter, so a stuck job is reported (tagged with its id)
 //! while unrelated jobs keep running. Batch clients create one server,
 //! [`JobServer::submit`] their whole sweep, and join the
 //! [`JobHandle`]s.
 //!
 //! Collectives rendezvous at a **sharded** hub: ranks deposit into
 //! `S` leaf shards (one lock each, [`RunConfig::with_hub_shards`] /
-//! `ULBA_HUB_SHARDS`; default `min(workers, 64)`) whose completions
-//! combine up a fixed-arity reduction tree, so at `P = 16384` a deposit
-//! contends with `P/S` ranks instead of all of them.
+//! `ULBA_HUB_SHARDS`; default `min(workers of the pool, 64)`) whose
+//! completions combine up a fixed-arity reduction tree. On a job server
+//! the ranks of a shard are also the job's unit of scheduling — a
+//! **block**, driven by one worker at a time — so a shard lock is
+//! uncontended, a rendezvous costs queue operations per block rather than
+//! per rank, and a rank's own path writes no cache line every worker
+//! shares ([`JobServer::stats`] counts what the scheduler did).
 //!
 //! Both backends drive the same accounting, collective semantics, and
 //! message matching, so they produce **bit-identical** [`RunReport`]s —
@@ -76,7 +80,7 @@ pub mod trace;
 pub use cost::MachineSpec;
 pub use ctx::SpmdCtx;
 pub use engine::{run, submit, try_run, Backend, JobHandle, RunConfig, RunError, RunReport};
-pub use exec::server::{JobServer, Priority};
+pub use exec::server::{JobServer, PoolStats, Priority};
 pub use hub::RoundValues;
 pub use mailbox::Tag;
 pub use metrics::{IterationStats, RankMetrics, TimeKind};
@@ -533,6 +537,23 @@ mod tests {
         assert_eq!(wide.effective_hub_shards(), 64, "auto sharding caps at 64");
         let tiny = RunConfig::new(2).with_backend(Backend::Parallel).with_workers(200);
         assert!(tiny.with_hub_shards(0).effective_hub_shards() <= 2);
+    }
+
+    /// The shard (= block) count follows the pool the job runs on, not the
+    /// machine or a `workers` wish that pool ignores: it used to read 2 on
+    /// a two-core box for a 1-, 3- and 8-worker server alike.
+    #[test]
+    fn hub_shards_follow_the_targeted_server() {
+        for workers in [1usize, 3, 8] {
+            let server = JobServer::new(workers);
+            let config = RunConfig::defaults(64).with_workers(5).with_server(server.clone());
+            assert_eq!(config.effective_hub_shards(), workers, "unforced, W = {workers}");
+            assert_eq!(config.clone().with_hub_shards(4).effective_hub_shards(), 4, "forced wins");
+            let few_ranks = RunConfig::defaults(2).with_server(server.clone());
+            assert_eq!(few_ranks.effective_hub_shards(), workers.min(2), "clamped to the ranks");
+            let sequential = config.with_backend(Backend::Sequential);
+            assert_eq!(sequential.effective_hub_shards(), 1, "the lockstep scheduler has no pool");
+        }
     }
 
     #[test]

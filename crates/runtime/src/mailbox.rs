@@ -9,9 +9,8 @@
 //! Like the [`crate::hub`], the mailbox never blocks a thread:
 //! [`MailboxSet::poll_recv`] parks the rank's [`Waker`] under the inbox
 //! lock so that the `post` making a message available can wake exactly the
-//! rank suspended on it — at most one waker per post, so the mailbox wakes
-//! directly; only the sharded hub's shard-sized wake sets go through the
-//! job server's batched path ([`crate::exec::server::wake_batched`]).
+//! rank suspended on it — at most one waker per post, woken directly once
+//! the inbox lock is released.
 
 use crate::time::VirtualTime;
 use parking_lot::Mutex;

@@ -63,15 +63,14 @@ impl RankMetrics {
     }
 }
 
-/// One rank's report for one application iteration (pushed by
+/// One rank's report for one application iteration (recorded by
 /// `SpmdCtx::mark_iteration`).
 #[derive(Debug, Clone, Copy)]
-struct IterationMark {
-    iter: u64,
-    rank: usize,
-    busy_delta: f64,
-    lb_delta: f64,
-    end_clock: VirtualTime,
+pub(crate) struct IterationMark {
+    pub(crate) iter: u64,
+    pub(crate) busy_delta: f64,
+    pub(crate) lb_delta: f64,
+    pub(crate) end_clock: VirtualTime,
 }
 
 /// Aggregated statistics of one application iteration across all ranks.
@@ -91,26 +90,25 @@ pub struct IterationStats {
 
 /// Thread-safe collector of iteration marks and LB events.
 pub struct Collector {
-    size: usize,
-    marks: Mutex<Vec<IterationMark>>,
+    /// One slot per rank. A rank accumulates its marks privately and hands
+    /// them over once, when it finishes, so marking an iteration writes no
+    /// cache line another rank touches.
+    marks: Vec<Mutex<Vec<IterationMark>>>,
     lb_events: Mutex<Vec<u64>>,
 }
 
 impl Collector {
     /// Create a collector for `size` ranks.
     pub fn new(size: usize) -> Self {
-        Self { size, marks: Mutex::new(Vec::new()), lb_events: Mutex::new(Vec::new()) }
+        Self {
+            marks: (0..size).map(|_| Mutex::new(Vec::new())).collect(),
+            lb_events: Mutex::new(Vec::new()),
+        }
     }
 
-    pub(crate) fn push_mark(
-        &self,
-        iter: u64,
-        rank: usize,
-        busy_delta: f64,
-        lb_delta: f64,
-        end_clock: VirtualTime,
-    ) {
-        self.marks.lock().push(IterationMark { iter, rank, busy_delta, lb_delta, end_clock });
+    /// Hand over every mark `rank` recorded, in the order it recorded them.
+    pub(crate) fn record_marks(&self, rank: usize, marks: Vec<IterationMark>) {
+        *self.marks[rank].lock() = marks;
     }
 
     pub(crate) fn push_lb_event(&self, iter: u64) {
@@ -131,37 +129,37 @@ impl Collector {
     /// Iterations are returned sorted; an iteration only appears once every
     /// rank has reported it (partial iterations are dropped).
     pub fn iteration_stats(&self) -> Vec<IterationStats> {
-        let mut marks = self.marks.lock().clone();
-        if marks.is_empty() {
+        let size = self.marks.len();
+        let max_iter =
+            self.marks.iter().filter_map(|slot| slot.lock().iter().map(|m| m.iter).max()).max();
+        let Some(max_iter) = max_iter else {
             return Vec::new();
-        }
-        // Marks arrive in thread-scheduling order; sort so the floating-point
-        // folds below are order-independent across runs (determinism).
-        marks.sort_by_key(|m| (m.iter, m.rank));
-        let max_iter = marks.iter().map(|m| m.iter).max().expect("non-empty");
+        };
         let mut busy = vec![0.0f64; (max_iter + 1) as usize];
         let mut lb = vec![0.0f64; (max_iter + 1) as usize];
         let mut end = vec![VirtualTime::ZERO; (max_iter + 1) as usize];
         let mut count = vec![0usize; (max_iter + 1) as usize];
-        for m in marks.iter() {
-            let i = m.iter as usize;
-            busy[i] += m.busy_delta;
-            lb[i] += m.lb_delta;
-            end[i] = end[i].max(m.end_clock);
-            count[i] += 1;
+        // Rank by rank: each iteration's floating-point sums then add their
+        // terms in rank order whatever order the ranks finished in
+        // (determinism), with nothing to sort.
+        for slot in &self.marks {
+            for m in slot.lock().iter() {
+                let i = m.iter as usize;
+                busy[i] += m.busy_delta;
+                lb[i] += m.lb_delta;
+                end[i] = end[i].max(m.end_clock);
+                count[i] += 1;
+            }
         }
         let mut stats = Vec::new();
         let mut prev_end = VirtualTime::ZERO;
         for i in 0..=max_iter as usize {
-            if count[i] != self.size {
+            if count[i] != size {
                 continue; // incomplete iteration (some rank did not mark it)
             }
             let wall = end[i].since(prev_end);
-            let mean_utilization = if wall > 0.0 {
-                (busy[i] / (self.size as f64 * wall)).clamp(0.0, 1.0)
-            } else {
-                1.0
-            };
+            let mean_utilization =
+                if wall > 0.0 { (busy[i] / (size as f64 * wall)).clamp(0.0, 1.0) } else { 1.0 };
             stats.push(IterationStats {
                 iter: i as u64,
                 wall_time: wall,
@@ -194,15 +192,19 @@ mod tests {
         assert_eq!(RankMetrics::default().utilization(), 1.0);
     }
 
+    fn mark(iter: u64, busy_delta: f64, lb_delta: f64, end_secs: f64) -> IterationMark {
+        IterationMark { iter, busy_delta, lb_delta, end_clock: VirtualTime::from_secs(end_secs) }
+    }
+
     #[test]
     fn iteration_stats_aggregate_two_ranks() {
         let c = Collector::new(2);
         // Iteration 0: both ranks busy 1.0s, ending at t=1.0 → 100 % util.
-        c.push_mark(0, 0, 1.0, 0.0, VirtualTime::from_secs(1.0));
-        c.push_mark(0, 1, 1.0, 0.0, VirtualTime::from_secs(1.0));
         // Iteration 1: rank 0 busy 2.0, rank 1 busy 1.0, wall 2.0 → 75 %.
-        c.push_mark(1, 0, 2.0, 0.0, VirtualTime::from_secs(3.0));
-        c.push_mark(1, 1, 1.0, 0.5, VirtualTime::from_secs(3.0));
+        // Rank 1 hands its marks over first: the fold is by rank, not by
+        // arrival.
+        c.record_marks(1, vec![mark(0, 1.0, 0.0, 1.0), mark(1, 1.0, 0.5, 3.0)]);
+        c.record_marks(0, vec![mark(0, 1.0, 0.0, 1.0), mark(1, 2.0, 0.0, 3.0)]);
         let stats = c.iteration_stats();
         assert_eq!(stats.len(), 2);
         assert!((stats[0].mean_utilization - 1.0).abs() < 1e-12);
@@ -215,7 +217,7 @@ mod tests {
     #[test]
     fn incomplete_iterations_are_dropped() {
         let c = Collector::new(2);
-        c.push_mark(0, 0, 1.0, 0.0, VirtualTime::from_secs(1.0));
+        c.record_marks(0, vec![mark(0, 1.0, 0.0, 1.0)]);
         assert!(c.iteration_stats().is_empty());
     }
 
@@ -233,7 +235,7 @@ mod tests {
         let c = Collector::new(1);
         // busy > wall would be an accounting bug upstream; the collector
         // still reports a sane value.
-        c.push_mark(0, 0, 5.0, 0.0, VirtualTime::from_secs(1.0));
+        c.record_marks(0, vec![mark(0, 5.0, 0.0, 1.0)]);
         let stats = c.iteration_stats();
         assert_eq!(stats[0].mean_utilization, 1.0);
     }
