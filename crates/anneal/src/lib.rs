@@ -7,7 +7,7 @@
 //! simulated-annealing procedure:
 //!
 //! * geometric (exponential) cooling from `t_max` to `t_min` over a fixed
-//!   number of steps (the `simanneal` default), plus a linear schedule;
+//!   number of steps (the `simanneal` default);
 //! * Metropolis acceptance: downhill moves always accepted, uphill moves with
 //!   probability `exp(-ΔE / T)`;
 //! * best-state tracking (the returned solution is the best ever visited, not
@@ -16,25 +16,42 @@
 //!   `auto()` heuristic (target initial/final acceptance rates);
 //! * fully deterministic under a fixed seed.
 //!
+//! # The propose / commit protocol
+//!
 //! The engine is problem-agnostic: implement [`AnnealProblem`] for your state
-//! space. The LB-schedule instantiation lives in `ulba-model::search`.
+//! space. A step is [`AnnealProblem::propose`] — draw a move and return the
+//! energy the state *would* have, without touching it — then the Metropolis
+//! decision, then [`AnnealProblem::commit`] only if the move was accepted; the
+//! state is cloned only when it becomes the new best. A move therefore costs
+//! what it changes. For the LB-schedule problem (`ulba-model::search`) that is
+//! a binary search, at most two closed-form interval costs and one pass of
+//! adds over at most γ cached costs, with no allocation per move.
+//!
+//! `propose` returns the candidate's *energy*, not ΔE (`simanneal`'s `move()`
+//! may return either): an energy re-summed in the order [`AnnealProblem::energy`]
+//! sums it is bit-identical to evaluating the candidate from scratch, which
+//! `current + Δ` is not, and a trajectory decided on equal bits is the same
+//! trajectory.
 //!
 //! # Example
 //!
 //! ```
 //! use ulba_anneal::{AnnealProblem, Annealer, CoolingSchedule};
-//! use rand::Rng;
 //!
 //! /// Minimize x^2 over integers in [-100, 100].
 //! struct Parabola;
 //!
 //! impl AnnealProblem for Parabola {
 //!     type State = i64;
+//!     /// The move is the candidate state itself; committing assigns it.
+//!     type Move = i64;
 //!     fn energy(&self, s: &i64) -> f64 { (*s as f64) * (*s as f64) }
-//!     fn neighbor(&self, s: &i64, rng: &mut dyn rand::RngCore) -> i64 {
+//!     fn propose(&self, s: &i64, rng: &mut dyn rand::RngCore) -> (i64, f64) {
 //!         let step = (rand::Rng::random_range(&mut *rng, 0..=2)) as i64 - 1;
-//!         (s + step).clamp(-100, 100)
+//!         let cand = (s + step).clamp(-100, 100);
+//!         (cand, self.energy(&cand))
 //!     }
+//!     fn commit(&self, s: &mut i64, cand: i64) { *s = cand; }
 //! }
 //!
 //! let annealer = Annealer::new(CoolingSchedule::geometric(25_000.0, 2.5), 20_000).with_seed(42);
@@ -50,17 +67,26 @@ use rand::{Rng, RngCore, SeedableRng};
 
 /// A combinatorial optimization problem solvable by simulated annealing.
 ///
-/// Energies are minimized. States must be cheaply cloneable; the engine clones
-/// the state only when a new best is found and when generating neighbors.
+/// Energies are minimized. The engine clones the state only when a new best
+/// is found; see the module docs for the propose / commit protocol.
 pub trait AnnealProblem {
     /// The state-space element type.
     type State: Clone;
 
+    /// A drawn move, carrying whatever [`AnnealProblem::commit`] needs to
+    /// apply it (for a small state, the candidate state itself).
+    type Move;
+
     /// The objective to minimize.
     fn energy(&self, state: &Self::State) -> f64;
 
-    /// Produce a random neighbor of `state`.
-    fn neighbor(&self, state: &Self::State, rng: &mut dyn RngCore) -> Self::State;
+    /// Draw a random move from `state` and return it with the energy the
+    /// state would have after it, to the bit what [`AnnealProblem::energy`]
+    /// returns once the move is committed. `state` is not touched.
+    fn propose(&self, state: &Self::State, rng: &mut dyn RngCore) -> (Self::Move, f64);
+
+    /// Apply a move that [`AnnealProblem::propose`] drew from this `state`.
+    fn commit(&self, state: &mut Self::State, mv: Self::Move);
 }
 
 /// Temperature trajectory followed during the anneal.
@@ -72,13 +98,6 @@ pub enum CoolingSchedule {
         /// Initial temperature (> 0).
         t_max: f64,
         /// Final temperature (> 0, < `t_max`).
-        t_min: f64,
-    },
-    /// Linear interpolation from `t_max` down to `t_min`.
-    Linear {
-        /// Initial temperature (> 0).
-        t_max: f64,
-        /// Final temperature (>= 0, < `t_max`).
         t_min: f64,
     },
 }
@@ -93,22 +112,11 @@ impl CoolingSchedule {
         Self::Geometric { t_max, t_min }
     }
 
-    /// Linear cooling between the two temperatures (panics if invalid).
-    pub fn linear(t_max: f64, t_min: f64) -> Self {
-        assert!(
-            t_max > 0.0 && t_min >= 0.0 && t_min <= t_max,
-            "linear cooling requires 0 <= t_min <= t_max, got t_min={t_min}, t_max={t_max}"
-        );
-        Self::Linear { t_max, t_min }
-    }
-
     /// Temperature after a fraction `progress` in `[0, 1]` of the anneal.
     pub fn temperature(&self, progress: f64) -> f64 {
         let p = progress.clamp(0.0, 1.0);
-        match *self {
-            Self::Geometric { t_max, t_min } => t_max * (t_min / t_max).powf(p),
-            Self::Linear { t_max, t_min } => t_max + (t_min - t_max) * p,
-        }
+        let Self::Geometric { t_max, t_min } = *self;
+        t_max * (t_min / t_max).powf(p)
     }
 }
 
@@ -161,29 +169,18 @@ pub struct Annealer {
     schedule: CoolingSchedule,
     steps: u64,
     seed: u64,
-    /// Restart from the best-known state when the current state has drifted
-    /// this many accepted-but-worse moves away. 0 disables restarts.
-    restart_patience: u64,
 }
 
 impl Annealer {
-    /// Create an annealer with an explicit cooling schedule and step budget.
+    /// Create an annealer with an explicit cooling schedule and step budget
+    /// (zero steps is legal: the outcome is the initial state).
     pub fn new(schedule: CoolingSchedule, steps: u64) -> Self {
-        assert!(steps > 0, "annealing requires at least one step");
-        Self { schedule, steps, seed: 0xA11EA1ED, restart_patience: 0 }
+        Self { schedule, steps, seed: 0xA11EA1ED }
     }
 
     /// Set the RNG seed (runs are deterministic given a seed).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Enable best-state restarts after `patience` consecutive non-improving
-    /// accepted moves. `simanneal` does not restart; this is an optional
-    /// extension that is off by default.
-    pub fn with_restart_patience(mut self, patience: u64) -> Self {
-        self.restart_patience = patience;
         self
     }
 
@@ -214,14 +211,13 @@ impl Annealer {
         let mut energy = problem.energy(&state);
         let mut uphill = Vec::new();
         for _ in 0..probe_moves.max(8) {
-            let cand = problem.neighbor(&state, &mut rng);
-            let e = problem.energy(&cand);
+            let (mv, e) = problem.propose(&state, &mut rng);
             let delta = e - energy;
             if delta > 0.0 {
                 uphill.push(delta);
             }
             // Random-walk regardless of direction to explore the landscape.
-            state = cand;
+            problem.commit(&mut state, mv);
             energy = e;
         }
         let (t_max, t_min) = if uphill.is_empty() {
@@ -251,14 +247,12 @@ impl Annealer {
         let mut evaluated = 0u64;
         let mut accepted = 0u64;
         let mut improvements = 0u64;
-        let mut since_improvement = 0u64;
 
         for step in 0..self.steps {
             let progress = step as f64 / self.steps as f64;
             let temperature = self.schedule.temperature(progress);
 
-            let candidate = problem.neighbor(&current, &mut rng);
-            let candidate_energy = problem.energy(&candidate);
+            let (mv, candidate_energy) = problem.propose(&current, &mut rng);
             evaluated += 1;
 
             let delta = candidate_energy - current_energy;
@@ -269,23 +263,12 @@ impl Annealer {
                 if delta < 0.0 {
                     improvements += 1;
                 }
-                current = candidate;
+                problem.commit(&mut current, mv);
                 current_energy = candidate_energy;
                 if current_energy < best_energy {
                     best_energy = current_energy;
                     best = current.clone();
-                    since_improvement = 0;
-                } else {
-                    since_improvement += 1;
                 }
-            } else {
-                since_improvement += 1;
-            }
-
-            if self.restart_patience > 0 && since_improvement >= self.restart_patience {
-                current = best.clone();
-                current_energy = best_energy;
-                since_improvement = 0;
             }
         }
 
@@ -297,31 +280,6 @@ impl Annealer {
             moves_accepted: accepted,
             improvements,
         }
-    }
-
-    /// Run several independent anneals with derived seeds and keep the best.
-    pub fn run_multistart<P: AnnealProblem>(
-        &self,
-        problem: &P,
-        initial: P::State,
-        restarts: u32,
-    ) -> AnnealOutcome<P::State> {
-        assert!(restarts >= 1, "need at least one start");
-        let mut best: Option<AnnealOutcome<P::State>> = None;
-        for i in 0..restarts {
-            // Start 0 reuses the base seed so a multistart strictly
-            // dominates the corresponding single run.
-            let run = self
-                .clone()
-                .with_seed(self.seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64)))
-                .run(problem, initial.clone());
-            best = Some(match best {
-                None => run,
-                Some(prev) if run.best_energy < prev.best_energy => run,
-                Some(prev) => prev,
-            });
-        }
-        best.expect("restarts >= 1")
     }
 }
 
@@ -336,13 +294,18 @@ mod tests {
 
     impl AnnealProblem for Bowl {
         type State = i64;
+        type Move = i64;
         fn energy(&self, s: &i64) -> f64 {
             let d = (s - self.target) as f64;
             d * d
         }
-        fn neighbor(&self, s: &i64, rng: &mut dyn RngCore) -> i64 {
+        fn propose(&self, s: &i64, rng: &mut dyn RngCore) -> (i64, f64) {
             let step: i64 = rng.random_range(-3..=3);
-            (s + step).clamp(-1000, 1000)
+            let cand = (s + step).clamp(-1000, 1000);
+            (cand, self.energy(&cand))
+        }
+        fn commit(&self, s: &mut i64, cand: i64) {
+            *s = cand;
         }
     }
 
@@ -352,11 +315,16 @@ mod tests {
 
     impl AnnealProblem for Rugged {
         type State = f64;
+        type Move = f64;
         fn energy(&self, s: &f64) -> f64 {
             (s - 7.0).powi(2) + 10.0 * (3.0 * s).cos() + 10.0
         }
-        fn neighbor(&self, s: &f64, rng: &mut dyn RngCore) -> f64 {
-            (s + rng.random_range(-0.5..0.5)).clamp(-50.0, 50.0)
+        fn propose(&self, s: &f64, rng: &mut dyn RngCore) -> (f64, f64) {
+            let cand = (s + rng.random_range(-0.5..0.5)).clamp(-50.0, 50.0);
+            (cand, self.energy(&cand))
+        }
+        fn commit(&self, s: &mut f64, cand: f64) {
+            *s = cand;
         }
     }
 
@@ -372,14 +340,6 @@ mod tests {
             assert!(t <= prev);
             prev = t;
         }
-    }
-
-    #[test]
-    fn linear_schedule_endpoints_and_midpoint() {
-        let s = CoolingSchedule::linear(10.0, 0.0);
-        assert!((s.temperature(0.0) - 10.0).abs() < 1e-12);
-        assert!((s.temperature(0.5) - 5.0).abs() < 1e-12);
-        assert!((s.temperature(1.0) - 0.0).abs() < 1e-12);
     }
 
     #[test]
@@ -445,33 +405,19 @@ mod tests {
     #[test]
     fn calibration_produces_valid_schedule() {
         let annealer = Annealer::calibrated(&Bowl { target: 5 }, &800, 10_000, 200, 11);
-        match annealer.schedule() {
-            CoolingSchedule::Geometric { t_max, t_min } => {
-                assert!(t_max > 0.0 && t_min > 0.0 && t_min <= t_max);
-            }
-            other => panic!("expected geometric schedule, got {other:?}"),
-        }
+        let CoolingSchedule::Geometric { t_max, t_min } = annealer.schedule();
+        assert!(t_max > 0.0 && t_min > 0.0 && t_min <= t_max);
         let out = annealer.run(&Bowl { target: 5 }, 800);
         assert!(out.best_energy < 100.0, "calibrated run should converge near 5");
     }
 
     #[test]
-    fn multistart_keeps_best() {
-        let annealer = Annealer::new(CoolingSchedule::geometric(10.0, 0.01), 2_000).with_seed(17);
-        let single = annealer.run(&Rugged, -40.0);
-        let multi = annealer.run_multistart(&Rugged, -40.0, 5);
-        assert!(multi.best_energy <= single.best_energy + 1e-9);
-    }
-
-    #[test]
-    fn restart_patience_returns_to_best() {
-        let annealer = Annealer::new(CoolingSchedule::geometric(1e5, 1e4), 10_000)
-            .with_seed(23)
-            .with_restart_patience(50);
-        // Very hot anneal wanders; restarts keep pulling it back, so the best
-        // state should still beat the initial one comfortably.
-        let out = annealer.run(&Bowl { target: 0 }, 700);
-        assert!(out.best_energy < 700.0 * 700.0);
+    fn zero_steps_returns_the_initial_state() {
+        // `ULBA_SA_STEPS=0 fig2` reaches here: no move is drawn, nothing panics.
+        let out = Annealer::calibrated(&Bowl { target: 5 }, &800, 0, 200, 11)
+            .run(&Bowl { target: 5 }, 800);
+        assert_eq!((out.best_state, out.moves_evaluated), (800, 0));
+        assert_eq!(out.best_energy, out.initial_energy);
     }
 
     #[test]

@@ -16,7 +16,7 @@ fn main() {
     // Every study writes its own `BENCH_<study>.json`, whatever `--json` says.
     let out = |study: &str| Cli { json: None, ..cli.clone() }.study_output(study);
     figures::table2::run(n, 2019, &cli.results);
-    figures::fig2::run(n, sa_steps as u64, 2019, &cli.results);
+    figures::fig2::run(n, sa_steps as u64, 2019, &cli.results).expect("fig2 in-run check");
     figures::fig3::run(n, 100, 2019, &cli.results);
     figures::fig4::run_4a(&pes, &rocks, &MEDIAN_SEEDS[..seeds], &out("fig4a"));
     figures::fig4::run_4b(32, 11, &out("fig4b"));

@@ -14,7 +14,16 @@ use ulba_model::search::AnnealSearchConfig;
 use ulba_model::study::{fig2_study, Fig2Point};
 
 /// Run the Fig. 2 study and print the histogram; the CSV goes under `out`.
-pub fn run(instances: usize, sa_steps: u64, seed: u64, out: &Path) -> Vec<Fig2Point> {
+///
+/// `Err` names the first instance on which the SA or the σ⁺ schedule lands
+/// below the exact DP optimum by more than 1e-9 relative: a schedule cannot
+/// beat the optimum, so one of the three evaluations is wrong.
+pub fn run(
+    instances: usize,
+    sa_steps: u64,
+    seed: u64,
+    out: &Path,
+) -> Result<Vec<Fig2Point>, String> {
     println!(
         "Fig. 2 — σ⁺ vs simulated-annealing schedules on {instances} Table II \
          instances (SA budget: {sa_steps} moves)"
@@ -71,7 +80,16 @@ pub fn run(instances: usize, sa_steps: u64, seed: u64, out: &Path) -> Vec<Fig2Po
         &["sa_time_s", "sigma_time_s", "optimal_time_s", "gain_vs_sa_pct", "gain_vs_optimal_pct"],
         &csv_rows,
     );
-    points
+    for (i, p) in points.iter().enumerate() {
+        let floor = p.optimal_time * (1.0 - 1e-9);
+        if p.sa_time < floor || p.sigma_time < floor {
+            return Err(format!(
+                "fig2 instance {i}: SA {} s / σ⁺ {} s below the DP optimum {} s",
+                p.sa_time, p.sigma_time, p.optimal_time
+            ));
+        }
+    }
+    Ok(points)
 }
 
 #[cfg(test)]
@@ -80,7 +98,8 @@ mod tests {
 
     #[test]
     fn small_fig2_run_has_paper_shape() {
-        let points = run(12, 3_000, 7, &std::env::temp_dir().join("ulba-fig2-test"));
+        let points = run(12, 3_000, 7, &std::env::temp_dir().join("ulba-fig2-test"))
+            .expect("no schedule beats the DP optimum");
         assert_eq!(points.len(), 12);
         // σ⁺ never beats the exact optimum; averages are small in magnitude.
         for p in &points {

@@ -12,7 +12,7 @@
 use crate::params::ModelParams;
 use crate::schedule::{segment_time, total_time, Method, Schedule};
 use rand::Rng;
-use ulba_anneal::{AnnealOutcome, AnnealProblem, Annealer};
+use ulba_anneal::{AnnealProblem, Annealer};
 
 /// Result of a schedule search.
 #[derive(Debug, Clone)]
@@ -78,12 +78,47 @@ pub fn exhaustive_schedule(params: &ModelParams, method: Method) -> SearchResult
     best.expect("at least the empty schedule was evaluated")
 }
 
-/// The §III-B simulated-annealing state space: a boolean activation vector of
-/// length γ; a move flips the LB state of one random iteration; the energy is
-/// Eq. (4).
+/// The §III-B simulated-annealing state space: one LB flag per iteration; a
+/// move flips the flag of one random iteration; the energy is Eq. (4).
 pub struct ScheduleProblem<'a> {
     params: &'a ModelParams,
     method: Method,
+}
+
+/// A schedule as the annealer holds it: the sorted boundaries
+/// `[0, s₁ … s_k, γ]` and, kept in step, the [`segment_time`] of each interval
+/// (`costs[i]` is that of `bounds[i]..bounds[i + 1]`), whose left-to-right sum
+/// is [`total_time`] to the bit.
+#[derive(Debug, Clone)]
+pub struct ScheduleState {
+    bounds: Vec<u32>,
+    costs: Vec<f64>,
+}
+
+impl ScheduleState {
+    /// Segment boundaries `[0, s₁, …, s_k, γ]`.
+    pub fn boundaries(&self) -> &[u32] {
+        &self.bounds
+    }
+}
+
+/// A drawn flip of one iteration's LB flag.
+#[derive(Debug, Clone, Copy)]
+pub struct Flip {
+    iteration: u32,
+    /// Where `iteration` sits in (`Ok`) or would enter (`Err`) the boundaries.
+    at: Result<usize, usize>,
+    /// `Ok`: the cost of the interval the two around `iteration` merge into
+    /// (second entry unused); `Err`: of the two the interval around it splits
+    /// into.
+    costs: [f64; 2],
+}
+
+impl Flip {
+    /// The iteration whose LB flag this move flips.
+    pub fn iteration(&self) -> u32 {
+        self.iteration
+    }
 }
 
 impl<'a> ScheduleProblem<'a> {
@@ -96,21 +131,57 @@ impl<'a> ScheduleProblem<'a> {
     pub fn method(&self) -> Method {
         self.method
     }
+
+    /// The annealing state of `schedule`.
+    pub fn state(&self, schedule: &Schedule) -> ScheduleState {
+        let bounds = schedule.boundaries();
+        let costs = bounds.windows(2).map(|w| self.segment(w[0], w[1])).collect();
+        ScheduleState { bounds, costs }
+    }
+
+    fn segment(&self, start: u32, end: u32) -> f64 {
+        segment_time(self.params, start, end, self.method)
+    }
 }
 
 impl AnnealProblem for ScheduleProblem<'_> {
-    type State = Vec<bool>;
+    type State = ScheduleState;
+    type Move = Flip;
 
-    fn energy(&self, state: &Vec<bool>) -> f64 {
-        total_time(self.params, &Schedule::from_flags(state), self.method)
+    fn energy(&self, state: &ScheduleState) -> f64 {
+        state.costs.iter().sum()
     }
 
-    fn neighbor(&self, state: &Vec<bool>, rng: &mut dyn rand::RngCore) -> Vec<bool> {
-        let mut next = state.clone();
-        // Iteration 0 is not a valid LB point (balanced start); flip in 1..γ.
-        let idx = rng.random_range(1..next.len());
-        next[idx] = !next[idx];
-        next
+    fn propose(&self, state: &ScheduleState, rng: &mut dyn rand::RngCore) -> (Flip, f64) {
+        let ScheduleState { bounds, costs } = state;
+        // Iteration 0 is not a valid LB point (balanced start); flip in 1..γ,
+        // so 1 ≤ pos ≤ k + 1 on either arm.
+        let iteration = rng.random_range(1..self.params.gamma);
+        let at = bounds.binary_search(&iteration);
+        let (Ok(pos) | Err(pos)) = at;
+        let left = bounds[pos - 1];
+        let (new, used, tail) = match at {
+            Ok(_) => ([self.segment(left, bounds[pos + 1]), 0.0], 1, pos + 1),
+            Err(_) => {
+                ([self.segment(left, iteration), self.segment(iteration, bounds[pos])], 2, pos)
+            }
+        };
+        // Re-summed left to right, never `current + Δ`: the same fold over
+        // the same bits as `total_time` of the candidate from scratch.
+        let energy = costs[..pos - 1].iter().chain(&new[..used]).chain(&costs[tail..]).sum();
+        (Flip { iteration, at, costs: new }, energy)
+    }
+
+    fn commit(&self, state: &mut ScheduleState, flip: Flip) {
+        let (Ok(pos) | Err(pos)) = flip.at;
+        state.costs[pos - 1] = flip.costs[0];
+        if flip.at.is_ok() {
+            state.bounds.remove(pos);
+            state.costs.remove(pos);
+        } else {
+            state.bounds.insert(pos, flip.iteration);
+            state.costs.insert(pos, flip.costs[1]);
+        }
     }
 }
 
@@ -128,8 +199,8 @@ pub struct AnnealSearchConfig {
 impl Default for AnnealSearchConfig {
     fn default() -> Self {
         // ~20k moves converges to within noise of the DP optimum on γ = 100
-        // Table II instances (see tests); the paper's Python runs used far
-        // more wall-clock for the same quality.
+        // Table II instances (see tests) in ≈ 3 ms per anneal; the paper's
+        // Python runs used far more wall-clock for the same quality.
         Self { steps: 20_000, seed: 0x5EED, probe_moves: 200 }
     }
 }
@@ -143,12 +214,18 @@ pub fn anneal_schedule(
     method: Method,
     config: AnnealSearchConfig,
 ) -> SearchResult {
+    let empty = Schedule::empty(params.gamma);
+    if params.gamma == 1 {
+        // One iteration has no LB point to flip: the only schedule, no draw.
+        return SearchResult { time: total_time(params, &empty, method), schedule: empty };
+    }
     let problem = ScheduleProblem::new(params, method);
-    let initial = vec![false; params.gamma as usize];
+    let initial = problem.state(&empty);
     let annealer =
         Annealer::calibrated(&problem, &initial, config.steps, config.probe_moves, config.seed);
-    let outcome: AnnealOutcome<Vec<bool>> = annealer.run(&problem, initial);
-    let schedule = Schedule::from_flags(&outcome.best_state);
+    let outcome = annealer.run(&problem, initial);
+    // `Schedule::new` drops the two end boundaries, 0 and γ.
+    let schedule = Schedule::new(outcome.best_state.bounds, params.gamma);
     SearchResult { time: outcome.best_energy, schedule }
 }
 
@@ -228,6 +305,17 @@ mod tests {
         let b = anneal_schedule(&p, Method::Standard, cfg);
         assert_eq!(a.schedule, b.schedule);
         assert_eq!(a.time, b.time);
+    }
+
+    #[test]
+    fn anneal_on_one_iteration_is_the_empty_schedule() {
+        // γ = 1 passes `validate` and the DP answers it; the SA used to panic
+        // drawing from `1..1`.
+        let p = ModelParams { gamma: 1, ..ModelParams::example() };
+        p.validate().unwrap();
+        let sa = anneal_schedule(&p, Method::Ulba { alpha: 0.4 }, AnnealSearchConfig::default());
+        assert_eq!(sa.schedule, Schedule::empty(1));
+        assert_eq!(sa.time, optimal_schedule(&p, Method::Ulba { alpha: 0.4 }).time);
     }
 
     #[test]

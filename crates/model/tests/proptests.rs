@@ -90,6 +90,25 @@ proptest! {
         prop_assert!((a - b).abs() <= 1e-12 * a.max(1.0));
     }
 
+    /// `total_time` walks the steps without building `boundaries()`: same
+    /// intervals, same left-to-right order, so the same bits.
+    #[test]
+    fn total_time_is_the_sum_over_boundaries(
+        params in params_strategy(),
+        steps in proptest::collection::vec(1u32..150, 0..12),
+        alpha in 0.0f64..1.0,
+    ) {
+        let schedule = Schedule::new(steps, params.gamma);
+        for method in [Method::Standard, Method::Ulba { alpha }] {
+            let windows: f64 = schedule
+                .boundaries()
+                .windows(2)
+                .map(|w| segment_time(&params, w[0], w[1], method))
+                .sum();
+            prop_assert_eq!(total_time(&params, &schedule, method).to_bits(), windows.to_bits());
+        }
+    }
+
     /// The DP optimum is never beaten by the σ⁺ schedule, the Menon
     /// schedule, or the empty schedule.
     #[test]
