@@ -9,7 +9,7 @@ fn main() {
     let started = std::time::Instant::now();
     let n = cli.instances.unwrap_or(if cli.smoke { 100 } else { 1000 });
     let sa_steps = cli.sa_steps.unwrap_or(if cli.smoke { 5_000 } else { 20_000 });
-    let seeds = cli.seeds.unwrap_or(if cli.smoke { 1 } else { 5 }).clamp(1, 5);
+    let seeds = cli.seeds.unwrap_or(if cli.smoke { 1 } else { 5 });
     let pes: Vec<usize> = if cli.smoke { vec![32, 64] } else { PAPER_PE_COUNTS.to_vec() };
     let rocks: Vec<usize> = if cli.smoke { vec![1] } else { vec![1, 2, 3] };
 

@@ -6,7 +6,7 @@ use ulba_bench::figures::{MEDIAN_SEEDS, PAPER_PE_COUNTS};
 
 fn main() {
     let cli = Cli::from_env(EROSION_STUDY_FLAGS);
-    let seeds = cli.seeds.unwrap_or(if cli.smoke { 1 } else { 5 }).clamp(1, 5);
+    let seeds = cli.seeds.unwrap_or(if cli.smoke { 1 } else { 5 });
     let pes: Vec<usize> = cli.ranks.clone().unwrap_or_else(|| {
         if cli.smoke {
             vec![32, 64]

@@ -8,6 +8,7 @@
 //! the offender — the wrong behaviour for a benchmark is to quietly run the
 //! default study.
 
+use crate::figures::MEDIAN_SEEDS;
 use crate::output::StudyOutput;
 use std::path::PathBuf;
 use ulba_core::gossip::GossipWire;
@@ -40,7 +41,7 @@ pub struct Cli {
     pub gossip_wire: Option<GossipWire>,
     /// `ULBA_INSTANCES`.
     pub instances: Option<usize>,
-    /// `ULBA_SEEDS`.
+    /// `ULBA_SEEDS`: how many of the [`MEDIAN_SEEDS`] to run, `1..=5`.
     pub seeds: Option<usize>,
     /// `ULBA_SA_STEPS`.
     pub sa_steps: Option<usize>,
@@ -87,6 +88,13 @@ impl Cli {
             if let Some(raw) = env(var) {
                 *knob = Some(number(var, &raw)?);
             }
+        }
+        let most = MEDIAN_SEEDS.len();
+        if let Some(seeds) = cli.seeds.filter(|s| !(1..=most).contains(s)) {
+            return Err(format!(
+                "invalid ULBA_SEEDS `{seeds}` (expected 1..={most}: the studies draw from \
+                 {most} median seeds)"
+            ));
         }
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
@@ -209,6 +217,21 @@ mod tests {
         {
             let err = parse(&[], &[(var, raw)], &[]).unwrap_err();
             assert!(err.contains(var) && err.contains(&format!("`{raw}`")), "{err}");
+        }
+    }
+
+    #[test]
+    fn seed_counts_outside_the_median_seeds_are_rejected_not_clamped() {
+        // Regression: `ULBA_SEEDS=0` used to run one seed and `ULBA_SEEDS=9`
+        // five, without a word.
+        for raw in ["0", "6", "9"] {
+            let err = parse(&[], &[("ULBA_SEEDS", raw)], &[]).unwrap_err();
+            assert!(err.contains("ULBA_SEEDS") && err.contains(&format!("`{raw}`")), "{err}");
+            assert!(err.contains(&format!("1..={}", MEDIAN_SEEDS.len())), "{err}");
+        }
+        for seeds in 1..=MEDIAN_SEEDS.len() {
+            let cli = parse(&[], &[("ULBA_SEEDS", &seeds.to_string())], &[]).unwrap();
+            assert_eq!(cli.seeds, Some(seeds));
         }
     }
 

@@ -128,6 +128,9 @@ struct ErosionWorkload {
     /// Halo send buffers, refilled from the halos received the previous
     /// iteration so the steady-state exchange allocates nothing.
     halo_scratch: HaloScratch,
+    /// Running [`Stripe::fluid_weight`] / [`Stripe::exposed_count`], re-derived on migration.
+    fluid_weight: u64,
+    exposed: usize,
     eroded_total: u64,
     /// Anticipatory partitioning only: the stripe's per-column weights as
     /// of `history_iter` (the construction or the last migration — the
@@ -142,10 +145,12 @@ impl Workload for ErosionWorkload {
     async fn step(&mut self, ctx: &mut SpmdCtx, iter: u64) -> f64 {
         let Inputs { cfg, strong, .. } = &*self.inputs;
         let halos = exchange_halos_reusing(ctx, &self.stripe, &mut self.halo_scratch).await;
+        self.exposed -= self.stripe.boundary_exposed_count();
         self.stripe.refresh_boundary_exposure(halos.left.as_deref(), halos.right.as_deref());
+        self.exposed += self.stripe.boundary_exposed_count();
 
-        let workload_flops = self.stripe.fluid_weight() as f64 * cfg.flop_per_cell;
-        ctx.compute(workload_flops + self.stripe.exposed_count() as f64 * FRONTIER_FLOP);
+        let workload_flops = self.fluid_weight as f64 * cfg.flop_per_cell;
+        ctx.compute(workload_flops + self.exposed as f64 * FRONTIER_FLOP);
 
         // Disc membership is positional (one disc per initial stripe);
         // rock cells carry no id — see `cell.rs`.
@@ -167,6 +172,10 @@ impl Workload for ErosionWorkload {
             &prob_of,
         );
         self.eroded_total += delta.eroded as u64;
+        self.fluid_weight += u64::from(crate::cell::REFINED_WEIGHT) * delta.eroded as u64;
+        self.exposed = self.exposed + delta.newly_exposed - delta.eroded;
+        debug_assert_eq!(self.fluid_weight, self.stripe.fluid_weight());
+        debug_assert_eq!(self.exposed, self.stripe.exposed_count());
         // The halos are fully consumed: feed their buffers back into the
         // next iteration's sends.
         halos.recycle_into(&mut self.halo_scratch);
@@ -206,6 +215,8 @@ impl Workload for ErosionWorkload {
         // nothing is folded out of it and no rank copies it.
         ctx.allgather_with((self.stripe.first_col(), self.stripe.len()), 16, |_| ()).await;
         self.stripe = migrate(ctx, std::mem::take(&mut self.stripe), old, new).await;
+        self.fluid_weight = self.stripe.fluid_weight();
+        self.exposed = self.stripe.exposed_count();
         if self.inputs.cfg.anticipatory_partitioning {
             self.stripe.col_weights_into(&mut self.history);
             self.history_iter = iter;
@@ -213,7 +224,7 @@ impl Workload for ErosionWorkload {
     }
 
     async fn finish(self, ctx: &mut SpmdCtx) -> (u64, u64) {
-        let final_weight = ctx.allreduce_sum(self.stripe.fluid_weight() as f64).await as u64;
+        let final_weight = ctx.allreduce_sum(self.fluid_weight as f64).await as u64;
         let eroded = ctx.allreduce_sum(self.eroded_total as f64).await as u64;
         (final_weight, eroded)
     }
@@ -239,10 +250,14 @@ fn prepare(
     let make = move |ctx: &SpmdCtx| {
         let cols = inputs.cfg.cols_per_pe;
         let stripe = Stripe::initial(&inputs.geometry, ctx.rank() * cols..(ctx.rank() + 1) * cols);
-        let history =
-            if inputs.cfg.anticipatory_partitioning { stripe.col_weights() } else { Vec::new() };
+        let mut history = Vec::new();
+        if inputs.cfg.anticipatory_partitioning {
+            stripe.col_weights_into(&mut history);
+        }
         ErosionWorkload {
             inputs: Arc::clone(&inputs),
+            fluid_weight: stripe.fluid_weight(),
+            exposed: stripe.exposed_count(),
             stripe,
             halo_scratch: HaloScratch::new(),
             eroded_total: 0,

@@ -8,14 +8,16 @@
 //! unchanged index space).
 //!
 //! A cell is one byte holding one of three states: `0` = plain fluid
-//! (weight 1), `1` = refined fluid (weight 4), `2` = rock. Stripes are the
-//! dominant resident memory of an erosion run (1 MB per PE at paper scale,
-//! the largest single term of the `P = 2²⁰` leg's budget), so the cell is as
-//! small as its state space. A rock cell does *not* store its disc id —
-//! discs fit strictly inside their home stripe, so the id is always
-//! derivable as `global_col / cols_per_stripe`
-//! ([`crate::geometry::Geometry::rock_at`]), which is what lets one cell
-//! type serve any `P`.
+//! (weight 1), `1` = refined fluid (weight 4), `2` = rock. Bit 7 is not
+//! state but the column's list bit ([`crate::column`]): equality, weight and
+//! the rock/fluid tests ignore it, and halos and migrations carry it for
+//! free. Stripes are the dominant resident memory of an erosion run (1 MB
+//! per PE at paper scale, the largest single term of the `P = 2²⁰` leg's
+//! budget), so the cell is as small as its state space. A rock cell does
+//! *not* store its disc id — discs fit strictly inside their home stripe, so
+//! the id is always derivable as `global_col / cols_per_stripe`
+//! ([`crate::geometry::Geometry::rock_at`]), which lets one cell type serve
+//! any `P`.
 //!
 //! What a cell occupies in host memory and what it is *charged* on the
 //! modelled wire are separate numbers: halo and migration messages cost
@@ -29,8 +31,17 @@ use serde::{Deserialize, Serialize};
 pub const REFINED_WEIGHT: u32 = 4;
 
 /// One mesh cell, packed into one byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Eq, Serialize, Deserialize)]
 pub struct Cell(u8);
+
+/// Bit 7: the cell is on its column's exposure list.
+const LISTED: u8 = 0x80;
+
+impl PartialEq for Cell {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 & !LISTED == other.0 & !LISTED
+    }
+}
 
 impl Cell {
     /// A plain fluid cell (weight 1).
@@ -42,18 +53,28 @@ impl Cell {
 
     /// Is this a fluid cell (plain or refined)?
     pub fn is_fluid(self) -> bool {
-        self.0 <= 1
+        self.0 & !LISTED <= 1
     }
 
     /// Is this a rock cell?
     pub fn is_rock(self) -> bool {
-        self.0 >= 2
+        self.0 & !LISTED >= 2
+    }
+
+    /// Is this cell on its column's exposure list?
+    pub fn is_listed(self) -> bool {
+        self.0 & LISTED != 0
+    }
+
+    /// This cell with the list bit set (`true`) or cleared.
+    pub(crate) fn with_listed(self, listed: bool) -> Cell {
+        Cell(self.0 & !LISTED | if listed { LISTED } else { 0 })
     }
 
     /// Compute/partition weight: 1 for plain fluid, 4 for refined fluid,
     /// 0 for rock ("rock cells involve no computation").
     pub fn weight(self) -> u32 {
-        match self.0 {
+        match self.0 & !LISTED {
             0 => 1,
             1 => REFINED_WEIGHT,
             _ => 0,
@@ -104,5 +125,21 @@ mod tests {
     #[should_panic(expected = "only rock cells can erode")]
     fn fluid_cannot_erode() {
         Cell::FLUID.eroded();
+    }
+
+    #[test]
+    fn the_list_bit_is_not_state() {
+        for cell in [Cell::FLUID, Cell::REFINED, Cell::ROCK] {
+            let listed = cell.with_listed(true);
+            assert!(listed.is_listed() && !cell.is_listed());
+            assert_eq!(listed, cell);
+            assert_eq!(listed.weight(), cell.weight());
+            assert_eq!(listed.is_rock(), cell.is_rock());
+            assert_eq!(listed.is_fluid(), cell.is_fluid());
+            assert_eq!(listed.with_listed(false).0, cell.0);
+        }
+        assert_ne!(Cell::ROCK.with_listed(true), Cell::REFINED);
+        assert_eq!(Cell::ROCK.with_listed(true).eroded(), Cell::REFINED);
+        assert!(!Cell::ROCK.with_listed(true).eroded().is_listed());
     }
 }

@@ -17,14 +17,20 @@
 //! side's erosions of that very iteration — boundary columns are refreshed
 //! from halos only while they *are* boundary columns. A rock cell there can
 //! sit unlisted, and never roll, so totals differ by a few cells between
-//! policies on some seeds (ROADMAP item 4(a) has the cause, the fix and the
+//! policies on some seeds (ROADMAP item 1(a) has the cause, the fix and the
 //! numbers).
 //!
-//! Host cost: the step is `O(frontier)`. The decision pass hashes once per
-//! exposed cell; everything that is constant over the step (`seed ^
-//! mix(iteration)`) or down a column (its key, its `p`, its neighbours'
-//! cell slices, the four thresholds `1 − (1 − p)^k`) is computed once there.
-//! The apply pass is per eroded cell.
+//! Host cost: `O(frontier + erosions)`. The decision pass hashes once per
+//! exposed cell; what is constant over the step (`seed ^ mix(iteration)`)
+//! or down a column (its key, `p`, neighbour slices, the thresholds
+//! `t = 1 − (1 − p)^k`) is computed once. Thresholds are integers: the roll
+//! is `x · 2⁻⁵³` for the hash's 53 bits `x`, and scaling by 2⁵³ is exact,
+//! so `x · 2⁻⁵³ < t ⇔ x < ⌈t · 2⁵³⌉`. The neighbour count is lazy: a roll
+//! not below the largest threshold cannot erode (≈ 92 % of the frontier at
+//! `p = 0.02`), so only the rest read their four neighbours. The pass
+//! compacts each column's list in place, dropping the rows that erode; the
+//! apply pass refines them and [`Column::expose`]s their neighbours in
+//! `O(1)` through the cell's list bit, with no search.
 
 use crate::cell::Cell;
 use crate::column::Column;
@@ -50,12 +56,13 @@ fn column_key(step_key: u64, col: u64) -> u64 {
     step_key ^ mix(col).rotate_left(17)
 }
 
-/// Finish a [`column_key`] with the row into the uniform roll in `[0, 1)`.
+/// `2⁵³`: the roll has 53 bits.
+const ROLL_SCALE: f64 = (1u64 << 53) as f64;
+
+/// Finish a [`column_key`] with the row into the roll's 53 bits `x` (roll = `x · 2⁻⁵³`).
 #[inline]
-fn roll_in_column(column_key: u64, row: u64) -> f64 {
-    let h = mix(column_key ^ mix(row).rotate_left(41));
-    // 53 high-quality bits → [0, 1).
-    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+fn roll_bits(column_key: u64, row: u64) -> u64 {
+    mix(column_key ^ mix(row).rotate_left(41)) >> 11
 }
 
 /// Deterministic uniform roll in `[0, 1)` for cell `(col, row)` at
@@ -63,7 +70,7 @@ fn roll_in_column(column_key: u64, row: u64) -> f64 {
 /// so that [`erosion_step`] computes each prefix once.
 #[inline]
 pub fn roll(seed: u64, iteration: u64, col: u64, row: u64) -> f64 {
-    roll_in_column(column_key(step_key(seed, iteration), col), row)
+    roll_bits(column_key(step_key(seed, iteration), col), row) as f64 * (1.0 / ROLL_SCALE)
 }
 
 /// The roll below which an exposed rock cell with `fluid_neighbors` fluid
@@ -117,15 +124,16 @@ pub fn erosion_step(
     prob_of: &dyn Fn(usize) -> f64,
 ) -> ErosionDelta {
     let height = cols.first().map_or(0, |c| c.height());
-    // Phase 1: read-only decision pass over the exposed frontier — the
-    // same `roll < threshold` as [`erodes`], with everything that does not
-    // depend on the row computed once per step or per column.
+    // Phase 1: decide on the pre-step cells — [`erodes`]'s `roll < threshold`
+    // with row-independent work hoisted; eroding rows leave their list here.
     let step_key = step_key(seed, iteration);
-    // Thresholds by fluid-neighbour count, for the last `p` seen: columns
-    // of one disc share it, so it changes a handful of times per stripe.
-    let mut thresholds: Option<(f64, [f64; 5])> = None;
+    // Integer thresholds by fluid-neighbour count, for the last `p` seen:
+    // columns of one disc share it, so it changes a handful of times per stripe.
+    let mut thresholds: Option<(f64, [u64; 5])> = None;
     let mut decisions: Vec<(usize, usize)> = Vec::new();
-    for (ci, col) in cols.iter().enumerate() {
+    for ci in 0..cols.len() {
+        let (west_cols, rest) = cols.split_at_mut(ci);
+        let (col, east_cols) = rest.split_first_mut().expect("ci < cols.len()");
         if col.exposed().is_empty() {
             continue;
         }
@@ -135,53 +143,46 @@ pub fn erosion_step(
         let by_neighbors = match thresholds {
             Some((cached_p, by_neighbors)) if cached_p == p => by_neighbors,
             _ => {
-                let by_neighbors = [0, 1, 2, 3, 4].map(|k| erosion_threshold(k, p));
+                let by_neighbors =
+                    [0, 1, 2, 3, 4].map(|k| (erosion_threshold(k, p) * ROLL_SCALE).ceil() as u64);
                 thresholds = Some((p, by_neighbors));
                 by_neighbors
             }
         };
+        let max = by_neighbors.into_iter().max().unwrap_or(0);
         // The neighbouring columns' cells: the halo at either stripe edge.
-        let west = if ci > 0 { Some(cols[ci - 1].cells()) } else { left };
-        let east = if ci + 1 < cols.len() { Some(cols[ci + 1].cells()) } else { right };
-        let cells = col.cells();
-        for &row16 in col.exposed() {
-            let row = row16 as usize;
+        let west = west_cols.last().map_or(left, |c| Some(c.cells()));
+        let east = east_cols.first().map_or(right, |c| Some(c.cells()));
+        col.retain_exposed(|cells, row| {
             debug_assert!(cells[row].is_rock(), "exposed rows are rock");
+            let x = roll_bits(column_key, row as u64);
+            if x >= max {
+                return true;
+            }
             let k = usize::from(west.is_some_and(|c| c[row].is_fluid()))
                 + usize::from(east.is_some_and(|c| c[row].is_fluid()))
                 + usize::from(row > 0 && cells[row - 1].is_fluid())
                 + usize::from(row + 1 < height && cells[row + 1].is_fluid());
-            if roll_in_column(column_key, row as u64) < by_neighbors[k] {
+            let erodes = x < by_neighbors[k];
+            if erodes {
                 decisions.push((ci, row));
             }
-        }
+            !erodes
+        });
     }
 
     // Phase 2a: apply all erosions.
     for &(ci, row) in &decisions {
-        cols[ci].erode(row);
+        cols[ci].refine(row);
     }
     // Phase 2b: expose surviving rock neighbours (own stripe only).
     let mut newly_exposed = 0usize;
-    let mut try_expose = |cols: &mut [Column], ci: usize, row: usize| {
-        let before = cols[ci].exposed().len();
-        cols[ci].expose(row);
-        if cols[ci].exposed().len() > before {
-            newly_exposed += 1;
-        }
-    };
     for &(ci, row) in &decisions {
-        if ci > 0 {
-            try_expose(cols, ci - 1, row);
-        }
-        if ci + 1 < cols.len() {
-            try_expose(cols, ci + 1, row);
-        }
-        if row > 0 {
-            try_expose(cols, ci, row - 1);
-        }
-        if row + 1 < height {
-            try_expose(cols, ci, row + 1);
+        let (west, up) = (ci.wrapping_sub(1), row.wrapping_sub(1));
+        for (c, r) in [(west, row), (ci + 1, row), (ci, up), (ci, row + 1)] {
+            if c < cols.len() && r < height {
+                newly_exposed += usize::from(cols[c].expose(r));
+            }
         }
     }
 

@@ -84,18 +84,8 @@ impl Stripe {
         self.cols.iter().map(|c| c.fluid_weight() as u64).sum()
     }
 
-    /// Per-column weights, in global column order (the partitioner's items).
-    pub fn col_weights(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.len());
-        self.col_weights_into(&mut out);
-        out
-    }
-
-    /// Fill `out` with the per-column weights (global column order),
-    /// clearing it first — the allocation-free form of [`col_weights`]
-    /// for callers that keep a scratch vector across LB steps.
-    ///
-    /// [`col_weights`]: Self::col_weights
+    /// Fill `out` with the per-column weights in global column order (the
+    /// partitioner's items), clearing it first.
     pub fn col_weights_into(&self, out: &mut Vec<u64>) {
         out.clear();
         out.extend(self.cols.iter().map(|c| c.fluid_weight() as u64));
@@ -104,6 +94,16 @@ impl Stripe {
     /// Total number of currently exposed rock cells.
     pub fn exposed_count(&self) -> usize {
         self.cols.iter().map(|c| c.exposed().len()).sum()
+    }
+
+    /// Exposed cells listed on the boundary columns, the only lists that
+    /// [`refresh_boundary_exposure`](Self::refresh_boundary_exposure) rewrites.
+    pub fn boundary_exposed_count(&self) -> usize {
+        match self.cols.as_slice() {
+            [] => 0,
+            [only] => only.exposed().len(),
+            [first, .., last] => first.exposed().len() + last.exposed().len(),
+        }
     }
 
     /// Refresh the exposure lists of the boundary columns using the halo

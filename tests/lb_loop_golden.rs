@@ -66,6 +66,28 @@ fn erosion_cases() -> Vec<(String, ErosionConfig)> {
     cases
 }
 
+/// The same loop at the paper's geometry: 1000-row (and 250-row) columns
+/// whose frontier lists hold long vertical runs, a strong disc eroding
+/// through its neighbours' halos, and migrations that join columns across
+/// whole discs — none of which a 64 × 64 stripe reaches.
+fn erosion_at_scale_cases() -> Vec<(String, ErosionConfig)> {
+    let presets = [
+        ("paper(4, 1)", ErosionConfig::paper(4, 1), 80),
+        ("scaled(8, 2)", ErosionConfig::scaled(8, 2), 120),
+    ];
+    let mut cases = Vec::new();
+    for (name, preset, iterations) in presets {
+        for policy in [LbPolicy::Standard, detecting(UlbaConfig::fixed(0.4))] {
+            let mut cfg = preset.clone();
+            cfg.policy = policy;
+            cfg.iterations = iterations;
+            cfg.initial_lb_cost_factor = 0.05;
+            cases.push((format!("{name} {policy} x{iterations}"), cfg));
+        }
+    }
+    cases
+}
+
 fn scenario_cases() -> Vec<(String, ScenarioConfig)> {
     let policies = [LbPolicy::Standard, detecting(UlbaConfig::fixed(0.4))];
     let mut cases = Vec::new();
@@ -94,8 +116,8 @@ fn scenario_cases() -> Vec<(String, ScenarioConfig)> {
 /// One measured row, owned (the committed ones are `'static`).
 type Measured = (u64, Vec<u64>, u64, (u64, u64));
 
-fn measure_erosion() -> Vec<(String, Measured)> {
-    let (labels, cfgs): (Vec<_>, Vec<_>) = erosion_cases().into_iter().unzip();
+fn measure_erosion(cases: Vec<(String, ErosionConfig)>) -> Vec<(String, Measured)> {
+    let (labels, cfgs): (Vec<_>, Vec<_>) = cases.into_iter().unzip();
     let results = run_erosion_batch(&cfgs);
     labels
         .into_iter()
@@ -136,7 +158,12 @@ fn check(name: &str, measured: Vec<(String, Measured)>, golden: &[Row]) {
 
 #[test]
 fn erosion_runs_match_the_golden_table() {
-    check("erosion", measure_erosion(), EROSION_GOLDEN);
+    check("erosion", measure_erosion(erosion_cases()), EROSION_GOLDEN);
+}
+
+#[test]
+fn erosion_runs_at_scale_match_the_golden_table() {
+    check("erosion at scale", measure_erosion(erosion_at_scale_cases()), EROSION_AT_SCALE_GOLDEN);
 }
 
 #[test]
@@ -148,7 +175,11 @@ fn scenario_runs_match_the_golden_table() {
 /// rows never reach the LB step would let the loop's second half drift.
 #[test]
 fn golden_table_exercises_the_lb_step() {
-    for (name, table) in [("erosion", EROSION_GOLDEN), ("scenario", SCENARIO_GOLDEN)] {
+    for (name, table) in [
+        ("erosion", EROSION_GOLDEN),
+        ("erosion at scale", EROSION_AT_SCALE_GOLDEN),
+        ("scenario", SCENARIO_GOLDEN),
+    ] {
         let with_lb = table.iter().filter(|row| !row.1.is_empty()).count();
         assert!(with_lb * 2 > table.len(), "{name}: only {with_lb} rows balance at all");
     }
@@ -157,9 +188,11 @@ fn golden_table_exercises_the_lb_step() {
 #[test]
 #[ignore = "prints the golden table for pasting; not a check"]
 fn print_golden_table() {
-    for (name, rows) in
-        [("EROSION_GOLDEN", measure_erosion()), ("SCENARIO_GOLDEN", measure_scenarios())]
-    {
+    for (name, rows) in [
+        ("EROSION_GOLDEN", measure_erosion(erosion_cases())),
+        ("EROSION_AT_SCALE_GOLDEN", measure_erosion(erosion_at_scale_cases())),
+        ("SCENARIO_GOLDEN", measure_scenarios()),
+    ] {
         println!("#[rustfmt::skip]\nconst {name}: &[Row] = &[");
         for (label, (bits, lb, db, extras)) in rows {
             println!("    ({bits:#018x}, &{lb:?}, {db}, {extras:?}), // {label}");
@@ -242,6 +275,14 @@ const EROSION_GOLDEN: &[Row] = &[
     (0x3fd582790041d046, &[1, 22, 47], 49, (30772, 1603)), // P=7 ulba-zscaled:0.8 Menon { max_interval: 25 } full antic=true
     (0x3fd50afa0af1c135, &[1, 22, 47], 49, (30772, 1603)), // P=7 ulba-zscaled:0.8 Menon { max_interval: 25 } delta:3 antic=false
     (0x3fd582790041d046, &[1, 22, 47], 49, (30772, 1603)), // P=7 ulba-zscaled:0.8 Menon { max_interval: 25 } delta:3 antic=true
+];
+
+#[rustfmt::skip]
+const EROSION_AT_SCALE_GOLDEN: &[Row] = &[
+    (0x402e846f42e863b0, &[6, 33, 66], 16, (3539900, 81339)), // paper(4, 1) standard x80
+    (0x402e2a81e58e5db0, &[10], 16, (3539900, 81339)), // paper(4, 1) ulba-fixed:0.4 x80
+    (0x4037d0daa62cb9b0, &[6, 32, 62, 95], 64, (472900, 17417)), // scaled(8, 2) standard x120
+    (0x4036c4d679d78406, &[10], 64, (472900, 17417)), // scaled(8, 2) ulba-fixed:0.4 x120
 ];
 
 #[rustfmt::skip]
