@@ -1,7 +1,7 @@
-//! The one parse of argv + environment every binary of this crate starts
-//! with. Library code (`figures`, `output`, `report`, `gates`) reads neither:
-//! it takes what it needs from its caller, so tests pass a temp directory
-//! and never touch the process environment.
+//! The one parse of argv + environment every study of the `ulba-bench`
+//! binary starts with. Library code (`figures`, `output`, `report`,
+//! `gates`) reads neither: it takes what it needs from its caller, so tests
+//! pass a temp directory and never touch the process environment.
 //!
 //! Nothing defaults silently: a misspelled flag, a flag without its value
 //! and an unparsable environment knob (`ULBA_SEEDS=five`) all exit 2 naming
@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use ulba_core::gossip::GossipWire;
 use ulba_runtime::Backend;
 
-/// Value-taking flags every erosion-driven study binary accepts.
+/// Value-taking flags the erosion figure and ablation studies accept.
 pub const EROSION_STUDY_FLAGS: &[&str] =
     &["--backend", "--workers", "--hub-shards", "--ranks", "--json"];
 
@@ -65,9 +65,9 @@ fn list<T>(raw: &str, item: impl Fn(&str) -> Result<T, String>) -> Result<Vec<T>
 }
 
 impl Cli {
-    /// Pure core of [`from_env`](Self::from_env): `args` is argv without
-    /// the binary name, `env` looks a variable up, `value_flags` are the
-    /// value-taking flags this binary accepts (`--smoke` always is).
+    /// Pure core of [`from_env`](Self::from_env): `args` is argv after the
+    /// binary and study names, `env` looks a variable up, `value_flags` are
+    /// the value-taking flags the study accepts (`--smoke` always is).
     pub fn parse(
         args: impl IntoIterator<Item = String>,
         env: impl Fn(&str) -> Option<String>,
@@ -132,19 +132,20 @@ impl Cli {
                     cli.hub_shards = Some(shards);
                 }
                 "--gossip-wire" => cli.gossip_wire = Some(value.parse()?),
-                other => unreachable!("`{other}` is in a binary's flag list but not parsed"),
+                other => unreachable!("`{other}` is in a study's flag list but not parsed"),
             }
         }
         Ok(cli)
     }
 
-    /// Parse this process's argv and environment, exiting 2 with the
-    /// diagnostic on any error. `--backend`, `--workers` and `--hub-shards`
-    /// are exported as `ULBA_BACKEND` / `ULBA_WORKERS` / `ULBA_HUB_SHARDS`,
-    /// which is where the runtime's `RunConfig::new` and its global pool
-    /// take their defaults from — so they reach every run of the study.
+    /// Parse this process's argv (after the binary and study names) and
+    /// environment, exiting 2 with the diagnostic on any error. `--backend`,
+    /// `--workers` and `--hub-shards` are exported as `ULBA_BACKEND` /
+    /// `ULBA_WORKERS` / `ULBA_HUB_SHARDS`, which is where the runtime's
+    /// `RunConfig::new` and its global pool take their defaults from — so
+    /// they reach every run of the study.
     pub fn from_env(value_flags: &[&str]) -> Self {
-        let cli = Self::parse(std::env::args().skip(1), |var| std::env::var(var).ok(), value_flags)
+        let cli = Self::parse(std::env::args().skip(2), |var| std::env::var(var).ok(), value_flags)
             .unwrap_or_else(|err| {
                 eprintln!("{err}");
                 std::process::exit(2);
@@ -162,7 +163,7 @@ impl Cli {
     }
 
     /// The report of `study`: `--json`, else `<results>/BENCH_<study>.json`
-    /// — every erosion-driven binary emits its report unconditionally.
+    /// — every erosion-driven study emits its report unconditionally.
     pub fn report_path(&self, study: &str) -> PathBuf {
         self.json.clone().unwrap_or_else(|| self.results.join(format!("BENCH_{study}.json")))
     }

@@ -1,7 +1,8 @@
-//! One module per paper artifact; each `run` prints the figure's/table's
-//! rows and writes a CSV under `results/`. The binaries in `src/bin/` are
-//! thin wrappers so `cargo run --bin fig3` regenerates exactly one artifact
-//! and `--bin all_figures` regenerates everything.
+//! One module per study; each `run` prints the figure's/table's rows and
+//! writes a CSV under `results/`. `ulba-bench <study>` (`src/main.rs`) picks
+//! a study's defaults and flags and calls its `run`, so `ulba-bench fig3`
+//! regenerates exactly one artifact and `ulba-bench all` every paper
+//! artifact and ablation.
 
 pub mod ablations;
 pub mod fig2;

@@ -19,10 +19,11 @@
 //! not booked against the first timed leg's `sim_wall_s`.
 //! CSV: `<out>/weak_scaling_<backend>.csv` — one file per backend, so runs
 //! on different backends can be compared side by side instead of
-//! overwriting each other; its columns are the report's. The binary
-//! additionally writes one schema-3 [`Report`](crate::report::Report)
-//! covering all backends of an invocation (the CI perf-trajectory artifacts
-//! `BENCH_weak_scaling.json` and `BENCH_p65536.json`).
+//! overwriting each other; its columns are the report's. `ulba-bench
+//! weak_scaling --json` additionally writes one schema-3
+//! [`Report`](crate::report::Report) covering all backends of an invocation
+//! (the CI perf-trajectory artifacts `BENCH_weak_scaling.json` and
+//! `BENCH_p65536.json`).
 
 use crate::output::{print_table, write_csv};
 use crate::report::{perf_row, PerfRow};

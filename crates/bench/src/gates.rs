@@ -1,6 +1,6 @@
 //! The CI gates over schema-3 reports, as pure functions from a [`Report`]
-//! (and the committed seed rows) to [`Finding`]s. The `bench_gate` binary is
-//! a thin shell over [`run`]; the studies call the same functions on the
+//! (and the committed seed rows) to [`Finding`]s. `ulba-bench gate` is a
+//! thin shell over [`run`]; the studies call the same functions on the
 //! report they are about to write. Every threshold lives here and nowhere
 //! else.
 
@@ -64,7 +64,7 @@ pub fn failed(findings: &[Finding]) -> bool {
     findings.iter().any(|f| f.severity == Hard)
 }
 
-/// A gate the `bench_gate` binary accepts by name.
+/// A gate `ulba-bench gate` accepts by name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Gate {
     /// [`drift`]

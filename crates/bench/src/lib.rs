@@ -1,8 +1,8 @@
 //! `ulba-bench` — the benchmark harness regenerating every table and figure
-//! of Boulmier et al. (IEEE CLUSTER 2019), plus ablation studies and
-//! Criterion microbenchmarks.
+//! of Boulmier et al. (IEEE CLUSTER 2019), plus ablation studies and the CI
+//! gates. One binary, `ulba-bench <study>`, runs them:
 //!
-//! | artifact | binary | library entry |
+//! | artifact | study | library entry |
 //! |---|---|---|
 //! | Table II | `table2` | [`figures::table2::run`] |
 //! | Fig. 2 | `fig2` | [`figures::fig2::run`] |
@@ -14,12 +14,12 @@
 //! | weak scaling, P ≤ 2^20 | `weak_scaling` | [`figures::weak_scaling::run`] |
 //! | batched vs one-pool-per-run | `job_server` | [`figures::job_server::run`] |
 //! | adversarial-scenario sweep | `scenarios` | [`figures::scenarios::run`] |
-//! | everything | `all_figures` | — |
-//! | CI gates over `BENCH_*.json` | `bench_gate` | [`gates::run`] |
+//! | every paper artifact and ablation | `all` | — |
+//! | CI gates over `BENCH_*.json` | `gate` | [`gates::run`] |
 //!
 //! The erosion-driven studies emit a schema-3 [`report::Report`]
 //! (`results/BENCH_<study>.json`); [`gates`] holds every check CI runs on
-//! one. Only the binaries read argv and the environment, once, through
+//! one. Only the binary reads argv and the environment, once, through
 //! [`cli::Cli`]: `ULBA_QUICK=1` (or `--smoke`) shrinks instance counts and
 //! seeds; `ULBA_RESULTS=<dir>` redirects the output; `ULBA_INSTANCES`,
 //! `ULBA_SEEDS`, `ULBA_SA_STEPS`, `ULBA_ALPHA_SAMPLES` override study sizes.

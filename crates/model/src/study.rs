@@ -1,6 +1,6 @@
 //! Reusable experiment procedures behind Figs. 2 and 3 of the paper.
 //!
-//! The `ulba-bench` binaries call these and print the series; keeping the
+//! The `ulba-bench` studies call these and print the series; keeping the
 //! logic here makes the studies unit-testable and reusable from examples.
 
 use crate::instance::{Instance, InstanceDistribution};

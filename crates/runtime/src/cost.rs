@@ -11,12 +11,9 @@ use serde::{Deserialize, Serialize};
 /// model for MPI implementations.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MachineSpec {
-    /// Homogeneous PE speed in FLOP/s (`ω` in the paper, 1 GFLOPS by
-    /// default as in Table II). Per-rank overrides may be set with
-    /// [`MachineSpec::with_speeds`].
+    /// PE speed in FLOP/s, the same on every rank (`ω` in the paper,
+    /// 1 GFLOPS by default as in Table II).
     pub base_speed: f64,
-    /// Optional per-rank speeds (heterogeneous machines); indexed by rank.
-    speeds: Option<Vec<f64>>,
     /// Network latency `α` in seconds per message.
     pub latency: f64,
     /// Network bandwidth in bytes/second.
@@ -27,7 +24,7 @@ impl Default for MachineSpec {
     fn default() -> Self {
         // ω = 1 GFLOPS (Table II); α = 5 µs, bw = 5 GB/s — typical of the
         // FDR-InfiniBand generation of the paper's Baobab cluster.
-        Self { base_speed: 1.0e9, speeds: None, latency: 5.0e-6, bandwidth: 5.0e9 }
+        Self { base_speed: 1.0e9, latency: 5.0e-6, bandwidth: 5.0e9 }
     }
 }
 
@@ -36,13 +33,6 @@ impl MachineSpec {
     pub fn homogeneous(speed: f64) -> Self {
         assert!(speed > 0.0 && speed.is_finite());
         Self { base_speed: speed, ..Default::default() }
-    }
-
-    /// Override per-rank speeds (lengths must match the run's rank count).
-    pub fn with_speeds(mut self, speeds: Vec<f64>) -> Self {
-        assert!(speeds.iter().all(|&s| s > 0.0 && s.is_finite()));
-        self.speeds = Some(speeds);
-        self
     }
 
     /// Set the network parameters.
@@ -54,11 +44,8 @@ impl MachineSpec {
     }
 
     /// Speed of `rank` in FLOP/s.
-    pub fn speed(&self, rank: usize) -> f64 {
-        match &self.speeds {
-            Some(v) => v[rank],
-            None => self.base_speed,
-        }
+    pub fn speed(&self, _rank: usize) -> f64 {
+        self.base_speed
     }
 
     /// Seconds to compute `flops` on `rank`.
@@ -127,13 +114,6 @@ mod tests {
     fn compute_time_scales_with_speed() {
         let spec = MachineSpec::homogeneous(2.0e9);
         assert_eq!(spec.compute_secs(0, 4.0e9), 2.0);
-    }
-
-    #[test]
-    fn heterogeneous_speeds() {
-        let spec = MachineSpec::homogeneous(1.0e9).with_speeds(vec![1.0e9, 2.0e9]);
-        assert_eq!(spec.compute_secs(0, 1.0e9), 1.0);
-        assert_eq!(spec.compute_secs(1, 1.0e9), 0.5);
     }
 
     #[test]

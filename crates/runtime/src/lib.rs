@@ -291,16 +291,6 @@ mod tests {
         });
     }
 
-    #[test]
-    fn heterogeneous_speeds_shift_balance() {
-        let spec = MachineSpec::homogeneous(1.0e9).with_speeds(vec![1.0e9, 4.0e9]);
-        let report = run(RunConfig::new(2).with_spec(spec), |mut ctx| async move {
-            ctx.compute(4.0e9);
-        });
-        assert!((report.final_clocks[0].as_secs() - 4.0).abs() < 1e-9);
-        assert!((report.final_clocks[1].as_secs() - 1.0).abs() < 1e-9);
-    }
-
     // --- backend-specific behaviour ------------------------------------
 
     /// A BSP body exercising compute, p2p, collectives, LB sections, and

@@ -49,11 +49,11 @@ fn lb_sections_book_time_as_lb() {
 
 #[test]
 fn utilization_reflects_speed_heterogeneity() {
-    // Two ranks, one twice as fast: same FLOPs → the fast one idles half
-    // the time at the barrier.
-    let spec = MachineSpec::homogeneous(1.0e9).with_speeds(vec![1.0e9, 2.0e9]);
+    // Two ranks, one with half the work of the other (what a twice-as-fast
+    // PE sees): the light one idles half the time at the barrier.
+    let spec = MachineSpec::homogeneous(1.0e9);
     let report = run(RunConfig::new(2).with_spec(spec), |mut ctx| async move {
-        ctx.compute(2.0e9);
+        ctx.compute(if ctx.rank() == 0 { 2.0e9 } else { 1.0e9 });
         ctx.barrier().await;
         ctx.mark_iteration(0);
     });
