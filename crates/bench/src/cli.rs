@@ -15,8 +15,7 @@ use ulba_core::gossip::GossipWire;
 use ulba_runtime::Backend;
 
 /// Value-taking flags the erosion figure and ablation studies accept.
-pub const EROSION_STUDY_FLAGS: &[&str] =
-    &["--backend", "--workers", "--hub-shards", "--ranks", "--json"];
+pub const EROSION_STUDY_FLAGS: &[&str] = &["--backend", "--workers", "--ranks", "--json"];
 
 /// What the command line and the environment asked for.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -33,10 +32,9 @@ pub struct Cli {
     pub backend: Option<Backend>,
     /// `--backends sequential,parallel`: one sweep per backend.
     pub backends: Option<Vec<Backend>>,
-    /// `--workers <n>`, else `ULBA_WORKERS`: pool size.
+    /// `--workers <n>`, else `ULBA_WORKERS`: pool size, and so the block
+    /// count of every job on it.
     pub workers: Option<usize>,
-    /// `--hub-shards <s ≥ 1>`.
-    pub hub_shards: Option<usize>,
     /// `--gossip-wire full|delta|delta:<N>`.
     pub gossip_wire: Option<GossipWire>,
     /// `ULBA_INSTANCES`.
@@ -124,13 +122,6 @@ impl Cli {
                 "--backend" => cli.backend = Some(backend(&value)?),
                 "--backends" => cli.backends = Some(list(&value, backend)?),
                 "--workers" => cli.workers = Some(number("--workers", &value)?),
-                "--hub-shards" => {
-                    let shards = number("--hub-shards", &value)?;
-                    if shards == 0 {
-                        return Err("invalid --hub-shards `0` (expected a shard count >= 1)".into());
-                    }
-                    cli.hub_shards = Some(shards);
-                }
                 "--gossip-wire" => cli.gossip_wire = Some(value.parse()?),
                 other => unreachable!("`{other}` is in a study's flag list but not parsed"),
             }
@@ -139,9 +130,9 @@ impl Cli {
     }
 
     /// Parse this process's argv (after the binary and study names) and
-    /// environment, exiting 2 with the diagnostic on any error. `--backend`,
-    /// `--workers` and `--hub-shards` are exported as `ULBA_BACKEND` /
-    /// `ULBA_WORKERS` / `ULBA_HUB_SHARDS`, which is where the runtime's
+    /// environment, exiting 2 with the diagnostic on any error. `--backend`
+    /// and `--workers` are exported as `ULBA_BACKEND` / `ULBA_WORKERS`,
+    /// which is where the runtime's
     /// `RunConfig::new` and its global pool take their defaults from — so
     /// they reach every run of the study.
     pub fn from_env(value_flags: &[&str]) -> Self {
@@ -153,7 +144,6 @@ impl Cli {
         for (var, value) in [
             ("ULBA_BACKEND", cli.backend.map(|b| b.to_string())),
             ("ULBA_WORKERS", cli.workers.map(|w| w.to_string())),
-            ("ULBA_HUB_SHARDS", cli.hub_shards.map(|s| s.to_string())),
         ] {
             if let Some(value) = value {
                 std::env::set_var(var, value);
@@ -258,14 +248,14 @@ mod tests {
 
     #[test]
     fn rejects_missing_or_malformed_values_and_stray_positionals() {
-        let flags = ["--ranks", "--hub-shards"];
+        let flags = ["--ranks"];
         let err = parse(&["--ranks"], &[], &flags).unwrap_err();
         assert!(err.contains("missing its value"), "{err}");
         let err = parse(&["detla"], &[], &flags).unwrap_err();
         assert!(err.contains("detla"), "{err}");
         let err = parse(&["--smoke=1"], &[], &flags).unwrap_err();
         assert!(err.contains("takes no value"), "{err}");
-        for bad in [["--ranks", "8,x"], ["--ranks", ""], ["--hub-shards", "0"]] {
+        for bad in [["--ranks", "8,x"], ["--ranks", ""]] {
             assert!(parse(&bad, &[], &flags).is_err(), "{bad:?} must be rejected");
         }
     }

@@ -11,8 +11,8 @@
 //!   and both values land in the report rows;
 //! * **backend/shard invariance** — every parallel row is asserted
 //!   bit-identical to its sequential twin in the grid, and one ULBA leg
-//!   per family is additionally re-run serially with a different
-//!   hub-shard count;
+//!   per family is additionally re-run alone on a private three-worker
+//!   pool (three blocks, a hub-shard count of its own);
 //! * **perf trajectory** — `gate_pes` appends the
 //!   [`weak_scaling::gate_legs`], proving the scenario batch shares the
 //!   pool without perturbing the seed numbers.
@@ -152,16 +152,16 @@ pub fn run(
         assert_identical(&pair[0].0, &twin_res[0], &twin_res[1]);
     }
 
-    // Shard invariance: one ULBA leg per family, re-run serially with a
-    // different hub-shard count.
+    // Shard invariance: one ULBA leg per family, re-run alone on a private
+    // three-worker pool (three blocks, a hub-shard count of its own).
     for (i, ((label, _, cfg), batched)) in specs.iter().zip(&results).enumerate() {
         if !label.ends_with("ulba-fixed:0.4") || i % (2 * BACKENDS.len()) != 0 {
             continue;
         }
         let mut check = cfg.clone();
         check.server = None;
-        check.backend = Some(Backend::Sequential);
-        check.hub_shards = Some(3);
+        check.backend = Some(Backend::Parallel);
+        check.workers = Some(3);
         let serial = run_scenario(&check);
         assert_identical(label, batched, &serial);
     }

@@ -20,9 +20,7 @@ const LAMBDA_TOLERANCE: f64 = ulba_scenario::LAMBDA_TOLERANCE;
 const GRID_MIN_ROWS: usize = 40;
 /// A report with fewer scenario families lost part of the sweep.
 const GRID_MIN_FAMILIES: usize = 4;
-/// Slack on the parallel wall against another report of the same run
-/// (warn) and against the committed seed (hard).
-const WALL_SLACK_VS_OTHER: f64 = 1.05;
+/// Slack on the parallel wall against the committed seed (hard).
 const WALL_SLACK_VS_SEED: f64 = 1.10;
 
 /// How much a [`Finding`] matters.
@@ -111,14 +109,11 @@ impl std::str::FromStr for Gate {
 }
 
 /// Run `gates` over `reports` (`(label, report)`, the label prefixes each
-/// message). Every gate checks each report on its own, except `wall`, which
-/// judges the first report and compares it against the others.
+/// message). Every gate checks each report on its own.
 pub fn run(gates: &[Gate], reports: &[(String, Report)], seed: &[PerfRow]) -> Vec<Finding> {
-    let others: Vec<&Report> = reports.iter().skip(1).map(|(_, report)| report).collect();
     let mut out = Vec::new();
     for gate in gates {
-        let subjects = if *gate == Gate::Wall { &reports[..reports.len().min(1)] } else { reports };
-        for (label, report) in subjects {
+        for (label, report) in reports {
             let findings = match gate {
                 Gate::Drift => drift(report, seed),
                 Gate::Rss => rss(report),
@@ -126,7 +121,7 @@ pub fn run(gates: &[Gate], reports: &[(String, Report)], seed: &[PerfRow]) -> Ve
                 Gate::Lambda => lambda(report),
                 Gate::ScenarioGrid => scenario_grid(report),
                 Gate::Ranks(pes) => ranks(report, *pes),
-                Gate::Wall => wall(report, &others, seed),
+                Gate::Wall => wall(report, seed),
                 Gate::BatchSpeedup => batch_speedup(report),
             };
             out.extend(
@@ -262,10 +257,8 @@ fn wall_sum(rows: &[PerfRow], backend: &str) -> f64 {
 /// sequential rows: HARD when every timed parallel row ran as two or more
 /// blocks (`hub_shards ≥ 2`, i.e. on two or more workers) — a same-run,
 /// same-machine ratio the pool must win — and a warning on one core, where
-/// it cannot. Warn if slower (beyond slack) than the parallel rows of one
-/// of `others` (the whole job as one block); HARD if slower (beyond slack)
-/// than the seed's.
-pub fn wall(report: &Report, others: &[&Report], seed: &[PerfRow]) -> Vec<Finding> {
+/// it cannot. HARD if slower (beyond slack) than the seed's.
+pub fn wall(report: &Report, seed: &[PerfRow]) -> Vec<Finding> {
     let seq = wall_sum(&report.rows, "sequential");
     let par = wall_sum(&report.rows, "parallel");
     let seed_par = wall_sum(seed, "parallel");
@@ -279,14 +272,6 @@ pub fn wall(report: &Report, others: &[&Report], seed: &[PerfRow]) -> Vec<Findin
         let multi_worker = seq > 0.0 && timed.all(|r| r.hub_shards >= 2);
         let message = format!("parallel was not faster than sequential ({par:.2}s vs {seq:.2}s)");
         out.push(finding(if multi_worker { Hard } else { Warn }, message));
-    }
-    for other in others {
-        let other_par = wall_sum(&other.rows, "parallel");
-        if other_par > 0.0 && par > other_par * WALL_SLACK_VS_OTHER {
-            let message =
-                format!("parallel {par:.2}s is slower than the other report's {other_par:.2}s");
-            out.push(finding(Warn, message));
-        }
     }
     let allowed = seed_par * WALL_SLACK_VS_SEED;
     if seed_par > 0.0 && par > allowed {
@@ -459,9 +444,9 @@ mod tests {
             report(vec![wall("sequential", seq), wall("parallel", par)])
         };
         // The seed's parallel sum is 10 s.
-        assert_eq!(verdict(&wall(&with(12.0, 9.0), &[&with(12.0, 9.0)], &seed())), (0, 0));
+        assert_eq!(verdict(&wall(&with(12.0, 9.0), &seed())), (0, 0));
         assert_eq!(
-            verdict(&wall(&with(9.0, 9.0), &[], &seed())),
+            verdict(&wall(&with(9.0, 9.0), &seed())),
             (0, 1),
             "not faster than sequential, as one block: a warning"
         );
@@ -471,29 +456,19 @@ mod tests {
             report
         };
         assert_eq!(
-            verdict(&wall(&two_blocks(9.0, 9.0), &[], &seed())),
+            verdict(&wall(&two_blocks(9.0, 9.0), &seed())),
             (1, 0),
             "not faster than sequential on two workers: hard"
         );
-        assert_eq!(verdict(&wall(&two_blocks(12.0, 9.0), &[], &seed())), (0, 0));
-        assert_eq!(
-            verdict(&wall(&with(12.0, 10.6), &[&with(0.0, 10.0)], &seed())),
-            (0, 1),
-            "vs the other report"
-        );
-        assert_eq!(verdict(&wall(&with(12.0, 10.5), &[&with(0.0, 10.0)], &seed())), (0, 0));
-        assert_eq!(
-            verdict(&wall(&with(13.0, 11.0), &[], &seed())),
-            (0, 0),
-            "exactly the allowed slack"
-        );
-        assert_eq!(verdict(&wall(&with(13.0, 12.0), &[], &seed())), (1, 0), "1.2× the seed's");
+        assert_eq!(verdict(&wall(&two_blocks(12.0, 9.0), &seed())), (0, 0));
+        assert_eq!(verdict(&wall(&with(13.0, 11.0), &seed())), (0, 0), "exactly the allowed slack");
+        assert_eq!(verdict(&wall(&with(13.0, 12.0), &seed())), (1, 0), "1.2× the seed's");
         // Batch rows carry no wall: nothing to sum, only the not-faster
         // warning — whatever their block count.
         for hub_shards in [1, 2] {
             let untimed =
                 PerfRow { sim_wall_s: None, hub_shards, ..row("parallel", "ulba", 16384, 0.125) };
-            assert_eq!(verdict(&wall(&report(vec![untimed]), &[], &seed())), (0, 1));
+            assert_eq!(verdict(&wall(&report(vec![untimed]), &seed())), (0, 1));
         }
     }
 
@@ -543,8 +518,8 @@ mod tests {
         assert_eq!(verdict(&findings), (1, 0));
         let hard = findings.iter().find(|f| f.severity == Hard).unwrap();
         assert!(hard.message.starts_with("[bad.json] "), "{}", hard.message);
-        // `wall` judges the first report only.
-        assert_eq!(verdict(&run(&[Gate::Wall], &reports, &seed())), (0, 1));
+        // `wall` judges every report too: neither has a sequential row.
+        assert_eq!(verdict(&run(&[Gate::Wall], &reports, &seed())), (0, 2));
     }
 
     #[test]

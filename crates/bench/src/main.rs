@@ -1,7 +1,8 @@
 //! `ulba-bench <study> [--smoke] [flags]` — the one entry point of the
 //! harness, one row of [`STUDIES`] per study. An `Err` from a study prints
-//! `::error::<msg>` and exits 1; a flag the study does not read, no study
-//! name or an unknown one exits 2.
+//! `::error::<msg>` and exits 1; a flag the study does not read, a
+//! `--ranks` list given to a study that runs one PE count, no study name or
+//! an unknown one exits 2.
 //!
 //! `ulba-bench gate <gate>[,<gate>…] <report.json>…` runs the CI gates of
 //! `ulba_bench::gates` over schema-3 reports, against the seed baseline
@@ -40,31 +41,36 @@ const STUDIES: &[Study] = &[
     Study { name: "ablation_anticipation", flags: EROSION_STUDY_FLAGS, run: ablation_anticipation },
     Study {
         name: "weak_scaling",
-        flags: &[
-            "--backend",
-            "--backends",
-            "--workers",
-            "--hub-shards",
-            "--ranks",
-            "--gossip-wire",
-            "--json",
-        ],
+        flags: &["--backend", "--backends", "--workers", "--ranks", "--gossip-wire", "--json"],
         run: weak_scaling,
     },
-    Study {
-        name: "job_server",
-        flags: &["--workers", "--hub-shards", "--ranks", "--json"],
-        run: job_server,
-    },
+    Study { name: "job_server", flags: &["--workers", "--ranks", "--json"], run: job_server },
     Study {
         name: "scenarios",
-        flags: &["--workers", "--hub-shards", "--ranks", "--gossip-wire", "--json"],
+        flags: &["--workers", "--ranks", "--gossip-wire", "--json"],
         run: scenarios,
     },
     // Each row writes its own report at its own PE counts, so `all` takes
     // neither `--json` nor `--ranks`.
-    Study { name: "all", flags: &["--backend", "--workers", "--hub-shards"], run: all },
+    Study { name: "all", flags: &["--backend", "--workers"], run: all },
 ];
+
+/// The studies that run at one PE count: `--ranks <p>` replaces it, and a
+/// list is refused rather than cut to its first entry.
+const ONE_PE_STUDIES: &[&str] = &["fig4b", "ablation_gossip", "ablation_trigger"];
+
+/// What a study row adds to [`Cli::parse`]'s checks: a one-PE study takes
+/// one `--ranks` entry.
+fn check(study: &Study, cli: &Cli) -> Result<(), String> {
+    match &cli.ranks {
+        Some(pes) if pes.len() > 1 && ONE_PE_STUDIES.contains(&study.name) => Err(format!(
+            "{} takes one PE count (`--ranks <p>`), got {} entries: {pes:?}",
+            study.name,
+            pes.len()
+        )),
+        _ => Ok(()),
+    }
+}
 
 /// Table II, Figs. 2–5 and the ablations E-A1…E-A4. `weak_scaling` is a
 /// runtime-scaling study with CI legs of its own, so `all` stops before it.
@@ -94,7 +100,9 @@ fn main() {
         gate(std::env::args().skip(2))
     } else {
         let study = lookup(&name).unwrap_or_else(|usage| usage_error(&usage));
-        (study.run)(&Cli::from_env(study.flags))
+        let cli = Cli::from_env(study.flags);
+        check(study, &cli).unwrap_or_else(|err| usage_error(&err));
+        (study.run)(&cli)
     };
     if let Err(err) = result {
         println!("::error::{err}");
@@ -127,6 +135,7 @@ fn pes(cli: &Cli, default: &[usize]) -> Vec<usize> {
     cli.ranks.clone().unwrap_or_else(|| default.to_vec())
 }
 
+/// The one PE count of a [`ONE_PE_STUDIES`] row ([`check`] refused a list).
 fn pe_count(cli: &Cli, default: usize) -> usize {
     cli.ranks.as_ref().map_or(default, |pes| pes[0])
 }
@@ -289,16 +298,18 @@ mod tests {
     fn parse(study: &str, args: &[&str], env: &[(&str, &str)]) -> Result<Cli, String> {
         let lookup_env =
             |var: &str| env.iter().find(|(k, _)| *k == var).map(|(_, v)| v.to_string());
-        Cli::parse(args.iter().map(|s| s.to_string()), lookup_env, lookup(study)?.flags)
+        let study = lookup(study)?;
+        let cli = Cli::parse(args.iter().map(|s| s.to_string()), lookup_env, study.flags)?;
+        check(study, &cli)?;
+        Ok(cli)
     }
 
     /// A valid value for each value flag a row may list.
-    const SAMPLES: [(&str, &str); 7] = [
+    const SAMPLES: [(&str, &str); 6] = [
         ("--backend", "parallel"),
         ("--backends", "sequential,parallel"),
         ("--workers", "2"),
-        ("--hub-shards", "1"),
-        ("--ranks", "32,64"),
+        ("--ranks", "64"),
         ("--gossip-wire", "delta:4"),
         ("--json", "x.json"),
     ];
@@ -343,6 +354,17 @@ mod tests {
             let names: Vec<&str> = STUDIES.iter().map(|s| s.name).chain(["gate"]).collect();
             assert!(err.starts_with(what) && listed == names, "`{name}`: {err}");
         }
+    }
+
+    #[test]
+    fn one_pe_studies_refuse_a_ranks_list() {
+        // Regression: these ran on the first entry and ignored the rest.
+        for study in ONE_PE_STUDIES {
+            let err = parse(study, &["--ranks", "32,64"], &[]).unwrap_err();
+            assert!(err.starts_with(study) && err.contains("takes one PE count"), "{err}");
+            assert_eq!(pe_count(&parse(study, &["--ranks", "48"], &[]).unwrap(), 32), 48);
+        }
+        assert_eq!(parse("fig4a", &["--ranks", "32,64"], &[]).unwrap().ranks, Some(vec![32, 64]));
     }
 
     #[test]

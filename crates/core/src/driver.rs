@@ -168,7 +168,7 @@ impl LbParams {
 }
 
 /// Where a run executes: the knobs [`RunConfig::resolve`] turns into an
-/// effective backend, pool and shard count.
+/// effective backend and pool (whose workers set the job's block count).
 #[derive(Debug, Clone)]
 pub struct Placement {
     /// Number of PEs.
@@ -177,8 +177,6 @@ pub struct Placement {
     pub backend: Option<Backend>,
     /// Worker threads of the parallel backend.
     pub workers: Option<usize>,
-    /// Leaf shard count of the rendezvous hub.
-    pub hub_shards: Option<usize>,
     /// Pool to submit to.
     pub server: Option<JobServer>,
 }
@@ -187,7 +185,7 @@ impl Placement {
     /// `ranks` PEs wherever the runtime's defaults put them (`ULBA_*`
     /// environment, else the global pool).
     pub fn new(ranks: usize) -> Self {
-        Self { ranks, backend: None, workers: None, hub_shards: None, server: None }
+        Self { ranks, backend: None, workers: None, server: None }
     }
 
     /// The checks every application config shares on these fields.
@@ -197,9 +195,6 @@ impl Placement {
         }
         if self.workers == Some(0) {
             return Err("workers must be positive when set (None = all cores)".into());
-        }
-        if self.hub_shards == Some(0) {
-            return Err("hub_shards must be positive when set (None = runtime default)".into());
         }
         Ok(())
     }
@@ -245,9 +240,10 @@ pub struct LbRun<X> {
     /// The backend that drove the run — what the [`Placement`] and
     /// `ULBA_BACKEND` resolved to. Pure metadata, like the shard count.
     pub backend: Backend,
-    /// Leaf shard count the rendezvous hub actually ran with (the resolved
-    /// [`Placement::hub_shards`]). Pure contention metadata: it never
-    /// influences the measurements above.
+    /// The resolved block count: leaf shards of the rendezvous hub, one per
+    /// worker of the pool the run went to (at most 64; 1 on the sequential
+    /// backend). Pure contention metadata: it never influences the
+    /// measurements above.
     pub hub_shards: usize,
     /// Sum over ranks of WIR-database entries resident at run end — the
     /// sparse database's aggregate footprint. Bounded by what gossip
@@ -307,8 +303,8 @@ where
     pub fn submit<R>(self, pool: Option<&JobServer>) -> LbJob<W::Extras, R> {
         self.validate().unwrap_or_else(|err| panic!("invalid LB launch: {err}"));
         let Self { lb, placement, initial, make } = self;
-        let Placement { ranks, backend, workers, hub_shards, server } = placement;
-        let mut run_cfg = RunConfig::resolve(ranks, backend, workers, hub_shards, server)
+        let Placement { ranks, backend, workers, server } = placement;
+        let mut run_cfg = RunConfig::resolve(ranks, backend, workers, server)
             .with_spec(MachineSpec::homogeneous(lb.omega));
         if let Some(pool) = pool {
             run_cfg.server = Some(pool.clone());

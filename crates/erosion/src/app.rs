@@ -62,7 +62,7 @@ pub struct ExperimentResult {
     /// [`ErosionConfig::server`] and `ULBA_BACKEND` resolved to.
     pub backend: Backend,
     /// Leaf shard count the rendezvous hub actually ran with (the resolved
-    /// [`ErosionConfig::hub_shards`]); see [`LbRun::hub_shards`].
+    /// block count); see [`LbRun::hub_shards`].
     pub hub_shards: usize,
     /// Sum over ranks of WIR-database entries resident at run end; see
     /// [`LbRun::db_entries_total`].

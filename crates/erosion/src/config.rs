@@ -92,11 +92,6 @@ pub struct ErosionConfig {
     /// the `ULBA_WORKERS` environment variable, falling back to all
     /// available cores). Ignored by the sequential backend.
     pub workers: Option<usize>,
-    /// Leaf shard count of the runtime's collective rendezvous hub
-    /// (`None` = runtime default: the `ULBA_HUB_SHARDS` environment
-    /// variable, falling back to `min(effective workers, 64)`). Purely a
-    /// contention knob — results are bit-identical for any value.
-    pub hub_shards: Option<usize>,
     /// Submit the run to this existing [`JobServer`] instead of standing up
     /// (or routing to) a pool of its own — unless an explicit
     /// [`ErosionConfig::backend`] says sequential. Not serialized — a server is a live handle, not a
@@ -136,7 +131,6 @@ impl ErosionConfig {
             omega: 1.0e9,
             backend: None,
             workers: None,
-            hub_shards: None,
             server: None,
         }
     }
@@ -242,7 +236,6 @@ impl ErosionConfig {
             ranks: self.ranks,
             backend: self.backend,
             workers: self.workers,
-            hub_shards: self.hub_shards,
             server: self.server.clone(),
         }
     }
@@ -319,9 +312,6 @@ mod tests {
         c.workers = Some(0);
         assert!(c.validate().is_err());
         let mut c = ErosionConfig::tiny(4, 1);
-        c.hub_shards = Some(0);
-        assert!(c.validate().is_err());
-        let mut c = ErosionConfig::tiny(4, 1);
         c.gossip_wire = GossipWire::Delta { full_every: 0 };
         assert!(c.validate().is_err());
         let mut c = ErosionConfig::tiny(4, 1);
@@ -364,8 +354,6 @@ mod tests {
         c.validate().unwrap();
         c.backend = Some(Backend::Parallel);
         c.workers = Some(2);
-        c.validate().unwrap();
-        c.hub_shards = Some(8);
         c.validate().unwrap();
     }
 }

@@ -361,14 +361,12 @@ mod tests {
     /// editing the cell type cannot move a virtual cost.
     #[test]
     fn wire_model_is_pinned_apart_from_the_cell_layout() {
-        use ulba_runtime::{EventKind, Tracer};
         assert_eq!(std::mem::size_of::<Cell>(), 1);
         let g = std::sync::Arc::new(geometry(2));
         // Through disc 0's centre: 32 cells, 2 frontier rows, 8 header bytes.
         assert_eq!(Column::initial(&g, 16).wire_bytes(), 32 * 2 + 2 * 2 + 8);
 
-        let tracer = std::sync::Arc::new(Tracer::new(64));
-        run(RunConfig::new(2).with_tracer(std::sync::Arc::clone(&tracer)), |mut ctx| {
+        let report = run(RunConfig::new(2), |mut ctx| {
             let g = std::sync::Arc::clone(&g);
             async move {
                 let rank = ctx.rank();
@@ -376,15 +374,14 @@ mod tests {
                 exchange_halos_reusing(&mut ctx, &stripe, &mut HaloScratch::new()).await;
             }
         });
-        let halo_bytes: Vec<usize> = tracer
-            .timeline()
-            .iter()
-            .filter_map(|e| match e.kind {
-                EventKind::Send { tag: HALO_TAG, bytes, .. } => Some(bytes),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(halo_bytes, [32 * 2, 32 * 2], "a halo is charged height × 2 bytes");
+        // Each rank ends when its neighbour's halo arrives: one message of
+        // height × 2 bytes, not height × size_of::<Cell>().
+        let spec = ulba_runtime::MachineSpec::default();
+        let halo = spec.p2p_secs(32 * 2);
+        assert_ne!(halo, spec.p2p_secs(32));
+        for clock in &report.final_clocks {
+            assert_eq!(clock.as_secs(), halo, "a halo is charged height × 2 bytes");
+        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! virtual makespan, same per-rank clocks and time accounting, same
 //! iteration statistics, same LB activations — for the full erosion
 //! application, not just micro-programs.
-//! The rendezvous hub's shard count rides along as a second free
-//! dimension: any `S` (degenerate 1, ragged, one-rank-per-shard) must be
+//! The pool size rides along as a second free dimension: a pool of `W`
+//! workers cuts the job into `min(W, 64)` blocks, one per rendezvous hub
+//! shard, and any count (degenerate 1, ragged, one rank per shard) must be
 //! invisible in the results.
 
 use proptest::prelude::*;
@@ -14,20 +15,21 @@ use ulba_core::policy::LbPolicy;
 use ulba_erosion::{run_erosion, ErosionConfig, ExperimentResult};
 use ulba_runtime::Backend;
 
-/// Run `cfg` on the given backend (the parallel backend with an explicit
-/// small worker count, so the test is meaningful on a single-core machine).
-fn on_backend(cfg: &ErosionConfig, backend: Backend) -> ExperimentResult {
+/// Run `cfg` on a private pool of `workers` threads (an explicit count, so
+/// the test is meaningful on a single-core machine): `min(workers, 64)`
+/// blocks, clamped to the rank count.
+fn on_pool(cfg: &ErosionConfig, workers: usize) -> ExperimentResult {
     let mut cfg = cfg.clone();
-    cfg.backend = Some(backend);
-    if backend == Backend::Parallel {
-        cfg.workers = Some(3);
-    }
-    run_erosion(&cfg)
+    cfg.backend = Some(Backend::Parallel);
+    cfg.workers = Some(workers);
+    let result = run_erosion(&cfg);
+    assert_eq!(result.hub_shards, workers.min(64).min(cfg.ranks), "one block per worker");
+    result
 }
 
 /// Assert that two experiment results are identical down to the last f64
 /// bit.
-fn assert_bit_identical(reference: &ExperimentResult, other: &ExperimentResult, backend: Backend) {
+fn assert_bit_identical(reference: &ExperimentResult, other: &ExperimentResult, backend: &str) {
     assert_eq!(
         reference.makespan.to_bits(),
         other.makespan.to_bits(),
@@ -59,48 +61,36 @@ fn assert_bit_identical(reference: &ExperimentResult, other: &ExperimentResult, 
 }
 
 /// The oracle every comparison is anchored on: `cfg` on the sequential
-/// backend over the degenerate single-shard hub.
+/// backend, whose hub is the degenerate single shard.
 fn reference_run(cfg: &ErosionConfig) -> ExperimentResult {
     let mut cfg = cfg.clone();
-    cfg.hub_shards = Some(1);
-    let reference = on_backend(&cfg, Backend::Sequential);
+    cfg.backend = Some(Backend::Sequential);
+    let reference = run_erosion(&cfg);
     assert_eq!(reference.hub_shards, 1);
     reference
 }
 
-/// Compare both backends (at `cfg`'s own shard count) against the
-/// reference.
-fn assert_backends_equivalent(cfg: &ErosionConfig) {
+/// Compare a pool of `workers` against the sequential reference.
+fn assert_backends_equivalent(cfg: &ErosionConfig, workers: usize) {
     let reference = reference_run(cfg);
-    for backend in [Backend::Sequential, Backend::Parallel] {
-        let other = on_backend(cfg, backend);
-        assert_bit_identical(&reference, &other, backend);
-    }
+    let other = on_pool(cfg, workers);
+    assert_bit_identical(&reference, &other, &format!("parallel W={workers}"));
 }
 
-/// Compare the single-shard reference against the hub shard sweep of the
-/// acceptance criterion — `S ∈ {1, 2, 7, P}` — on every backend.
+/// Compare the sequential reference against pools of the acceptance
+/// criterion's sweep — `W ∈ {1, 2, 7, min(P, 64)}` workers, as many blocks.
 fn assert_shard_counts_equivalent(cfg: &ErosionConfig) {
     let reference = reference_run(cfg);
-    for backend in [Backend::Sequential, Backend::Parallel] {
-        for shards in [1usize, 2, 7, cfg.ranks] {
-            let mut sharded = cfg.clone();
-            sharded.hub_shards = Some(shards);
-            let other = on_backend(&sharded, backend);
-            assert!(
-                other.hub_shards >= 1 && other.hub_shards <= cfg.ranks,
-                "{backend}: resolved shard count {} out of range",
-                other.hub_shards
-            );
-            assert_bit_identical(&reference, &other, backend);
-        }
+    for workers in [1usize, 2, 7, cfg.ranks.min(64)] {
+        let other = on_pool(cfg, workers);
+        assert_bit_identical(&reference, &other, &format!("parallel W={workers}"));
     }
 }
 
 /// The tentpole acceptance criterion at application scale: a 128-rank
-/// erosion run (LB steps included) is bit-identical across
-/// `S ∈ {1, 2, 7, 128}` × both backends. 128 ranks over `S = 7`
-/// leaves a ragged last shard (6 × 19 + 14).
+/// erosion run (LB steps included) is bit-identical on the sequential
+/// oracle and on pools of `W ∈ {1, 2, 7, 64}` workers. 128 ranks over 7
+/// blocks leaves a ragged last one (6 × 19 + 14).
 #[test]
 fn shard_counts_equivalent_at_128_ranks() {
     let mut cfg = ErosionConfig::tiny(128, 4);
@@ -108,7 +98,7 @@ fn shard_counts_equivalent_at_128_ranks() {
     assert_shard_counts_equivalent(&cfg);
 }
 
-/// Non-power-of-two P: every shard width divides 90 unevenly somewhere in
+/// Non-power-of-two P: some block width divides 90 unevenly somewhere in
 /// the sweep, exercising the ragged-shard assembly path under real LB
 /// migrations.
 #[test]
@@ -125,7 +115,7 @@ fn shard_counts_equivalent_at_ragged_90_ranks() {
 fn equivalent_at_128_ranks() {
     let mut cfg = ErosionConfig::tiny(128, 4);
     cfg.iterations = 30;
-    assert_backends_equivalent(&cfg);
+    assert_backends_equivalent(&cfg, 3);
 }
 
 /// The gossip wire format as a free dimension: for each format (full
@@ -142,7 +132,7 @@ fn wire_formats_equivalent_across_backends_at_ragged_97_ranks() {
         cfg.iterations = 15;
         cfg.initial_lb_cost_factor = 0.05; // make the trigger actually fire
         cfg.gossip_wire = wire;
-        assert_backends_equivalent(&cfg);
+        assert_backends_equivalent(&cfg, 3);
     }
 }
 
@@ -156,10 +146,8 @@ fn equivalent_under_both_policies() {
         cfg.initial_lb_cost_factor = 0.05; // make the trigger actually fire
         let reference = reference_run(&cfg);
         assert!(reference.lb_calls > 0 || matches!(cfg.policy, LbPolicy::Standard));
-        for backend in [Backend::Sequential, Backend::Parallel] {
-            let other = on_backend(&cfg, backend);
-            assert_bit_identical(&reference, &other, backend);
-        }
+        assert_bit_identical(&reference, &reference_run(&cfg), "sequential");
+        assert_bit_identical(&reference, &on_pool(&cfg, 3), "parallel W=3");
     }
 }
 
@@ -167,8 +155,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Randomized erosion configurations: ranks, rocks, iterations, seed,
-    /// policy, gossip mode, anticipation, hub shard count — always
-    /// bit-identical on both backends.
+    /// policy, gossip mode, anticipation, pool size (= block count) —
+    /// always bit-identical on both backends.
     #[test]
     fn equivalent_on_random_configs(
         ranks in 2usize..12,
@@ -178,7 +166,7 @@ proptest! {
         ulba in any::<bool>(),
         anticipate in any::<bool>(),
         ring_gossip in any::<bool>(),
-        hub_shards in 1usize..16,
+        workers in 1usize..16,
         delta_wire in any::<bool>(),
         full_every in 1u64..20,
     ) {
@@ -197,31 +185,23 @@ proptest! {
         } else {
             GossipWire::Full
         };
-        cfg.hub_shards = Some(hub_shards);
-        assert_backends_equivalent(&cfg);
+        assert_backends_equivalent(&cfg, workers);
     }
 
-    /// Randomized shard sweeps on the full application: any two shard
-    /// counts agree on any backend.
+    /// Randomized shard sweeps on the full application: pools of any two
+    /// sizes — as many blocks — agree.
     #[test]
     fn equivalent_on_random_shard_pairs(
         ranks in 3usize..24,
         iterations in 15u64..35,
         seed in any::<u64>(),
-        s_a in 1usize..26,
-        s_b in 1usize..26,
-        parallel in any::<bool>(),
+        w_a in 1usize..26,
+        w_b in 1usize..26,
     ) {
         let mut cfg = ErosionConfig::tiny(ranks, 1);
         cfg.iterations = iterations;
         cfg.seed = seed;
-        let backend = if parallel { Backend::Parallel } else { Backend::Sequential };
-        let mut a = cfg.clone();
-        a.hub_shards = Some(s_a);
-        let mut b = cfg;
-        b.hub_shards = Some(s_b);
-        let ra = on_backend(&a, backend);
-        let rb = on_backend(&b, backend);
-        assert_bit_identical(&ra, &rb, backend);
+        let (ra, rb) = (on_pool(&cfg, w_a), on_pool(&cfg, w_b));
+        assert_bit_identical(&ra, &rb, &format!("W={w_a} vs W={w_b}"));
     }
 }

@@ -34,7 +34,6 @@ use crate::hub::{payload_mismatch, ExchangeRound, RoundValues};
 use crate::mailbox::{Received, Tag};
 use crate::metrics::{IterationMark, RankMetrics, TimeKind};
 use crate::time::VirtualTime;
-use crate::trace::{Event, EventKind, Tracer};
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::Arc;
@@ -56,16 +55,10 @@ pub struct SpmdCtx {
     /// Iteration marks so far; handed to the collector once, on drop.
     marks: Vec<IterationMark>,
     lb_depth: u32,
-    tracer: Option<Arc<Tracer>>,
 }
 
 impl SpmdCtx {
-    pub(crate) fn new(
-        rank: usize,
-        size: usize,
-        shared: Arc<RunShared>,
-        tracer: Option<Arc<Tracer>>,
-    ) -> Self {
+    pub(crate) fn new(rank: usize, size: usize, shared: Arc<RunShared>) -> Self {
         let hub_shard = shared.hub.shard_of(rank);
         Self {
             rank,
@@ -79,14 +72,6 @@ impl SpmdCtx {
             mark_lb: 0.0,
             marks: Vec::new(),
             lb_depth: 0,
-            tracer,
-        }
-    }
-
-    #[inline]
-    fn trace(&self, kind: EventKind) {
-        if let Some(t) = &self.tracer {
-            t.record(Event { rank: self.rank, at: self.clock, kind });
         }
     }
 
@@ -130,7 +115,6 @@ impl SpmdCtx {
     pub fn compute(&mut self, flops: f64) {
         let secs = self.shared.spec.compute_secs(self.rank, flops);
         self.elapse(TimeKind::Busy, secs);
-        self.trace(EventKind::Compute { flops });
     }
 
     /// Advance the clock by `secs`, booked as `kind`.
@@ -161,14 +145,12 @@ impl SpmdCtx {
     /// [`TimeKind::Lb`]. Sections may nest.
     pub fn begin_lb(&mut self) {
         self.lb_depth += 1;
-        self.trace(EventKind::LbBegin);
     }
 
     /// Leave a load-balancing section (panics on unmatched calls).
     pub fn end_lb(&mut self) {
         assert!(self.lb_depth > 0, "end_lb without begin_lb");
         self.lb_depth -= 1;
-        self.trace(EventKind::LbEnd);
     }
 
     // --- point-to-point ---------------------------------------------------
@@ -187,7 +169,6 @@ impl SpmdCtx {
         self.shared.note_progress();
         // Injection overhead on the sender.
         self.elapse(TimeKind::Comm, self.shared.spec.latency);
-        self.trace(EventKind::Send { to, tag, bytes });
     }
 
     /// Receive from `from` under `tag`; waits (idle time) until the
@@ -204,7 +185,6 @@ impl SpmdCtx {
         let wait = got.arrival.since(self.clock);
         self.metrics.charge(TimeKind::Idle, wait);
         self.clock = self.clock.max(got.arrival);
-        self.trace(EventKind::Recv { from, tag });
         got.value
     }
 
@@ -238,16 +218,13 @@ impl SpmdCtx {
         }
     }
 
-    fn sync(&mut self, max_clock: VirtualTime, cost: f64, kind: TimeKind) {
+    /// Close a collective: idle up to the round's latest clock, then pay
+    /// its communication cost.
+    fn sync(&mut self, max_clock: VirtualTime, cost: f64) {
         let wait = max_clock.since(self.clock);
         self.metrics.charge(TimeKind::Idle, wait);
         self.clock = self.clock.max(max_clock);
-        self.elapse(kind, cost);
-    }
-
-    fn sync_traced(&mut self, op: &'static str, max_clock: VirtualTime, cost: f64) {
-        self.sync(max_clock, cost, TimeKind::Comm);
-        self.trace(EventKind::Collective { op });
+        self.elapse(TimeKind::Comm, cost);
     }
 
     /// Synchronize all ranks (clocks meet at the global maximum plus the
@@ -255,7 +232,7 @@ impl SpmdCtx {
     pub async fn barrier(&mut self) {
         let round = self.exchange("barrier", ()).await;
         let cost = self.shared.spec.barrier_secs(self.size);
-        self.sync_traced("barrier", round.max_clock, cost);
+        self.sync(round.max_clock, cost);
     }
 
     /// Gather `value` from every rank onto every rank (rank-indexed).
@@ -271,16 +248,16 @@ impl SpmdCtx {
     ) -> Vec<T> {
         let round = self.exchange("allgather", value).await;
         let cost = self.shared.spec.allgather_secs(self.size, bytes_per_rank);
-        self.sync_traced("allgather", round.max_clock, cost);
+        self.sync(round.max_clock, cost);
         round.values.to_vec()
     }
 
     /// An [`allgather`](SpmdCtx::allgather) whose result every rank only
-    /// needs `fold`ed: same rendezvous, same charge and same trace event,
-    /// but `fold` runs **once per round** over the shared rank-indexed
-    /// values (in rank order) and every rank receives a clone of its
-    /// result — `O(P)` host work per round instead of `O(P)` per rank, and
-    /// no per-rank copy of the vector.
+    /// needs `fold`ed: same rendezvous and same charge, but `fold` runs
+    /// **once per round** over the shared rank-indexed values (in rank
+    /// order) and every rank receives a clone of its result — `O(P)` host
+    /// work per round instead of `O(P)` per rank, and no per-rank copy of
+    /// the vector.
     ///
     /// `fold` must be a pure function of the round's values, and every
     /// rank must pass the same one: it executes on whichever rank asks
@@ -297,7 +274,7 @@ impl SpmdCtx {
     {
         let round = self.exchange("allgather", value).await;
         let cost = self.shared.spec.allgather_secs(self.size, bytes_per_rank);
-        self.sync_traced("allgather", round.max_clock, cost);
+        self.sync(round.max_clock, cost);
         self.reduce_once("allgather", &round.values, fold)
     }
 
@@ -322,7 +299,7 @@ impl SpmdCtx {
     {
         let round = self.exchange("allreduce", value).await;
         let cost = self.shared.spec.allreduce_secs(self.size, bytes);
-        self.sync_traced("allreduce", round.max_clock, cost);
+        self.sync(round.max_clock, cost);
         self.reduce_once("allreduce", &round.values, |values| {
             let mut values = values.iter();
             let mut acc = values.next().expect("at least one rank deposited").clone();
@@ -354,7 +331,7 @@ impl SpmdCtx {
         debug_assert_eq!(value.is_some(), self.rank == root, "only the root supplies a value");
         let round = self.exchange("broadcast", value).await;
         let cost = self.shared.spec.broadcast_secs(self.size, bytes);
-        self.sync_traced("broadcast", round.max_clock, cost);
+        self.sync(round.max_clock, cost);
         round.values[root].clone().expect("root deposited a value")
     }
 
@@ -368,7 +345,7 @@ impl SpmdCtx {
     ) -> Option<Vec<T>> {
         let round = self.exchange("gather", value).await;
         let cost = self.shared.spec.gather_secs(self.size, bytes_per_rank);
-        self.sync_traced("gather", round.max_clock, cost);
+        self.sync(round.max_clock, cost);
         (self.rank == root).then(|| round.values.to_vec())
     }
 
@@ -386,7 +363,7 @@ impl SpmdCtx {
         }
         let round = self.exchange("scatter", values).await;
         let cost = self.shared.spec.scatter_secs(self.size, bytes_per_rank);
-        self.sync_traced("scatter", round.max_clock, cost);
+        self.sync(round.max_clock, cost);
         round.values[root].as_ref().expect("root deposited values")[self.rank].clone()
     }
 
@@ -403,7 +380,6 @@ impl SpmdCtx {
         self.mark_busy = 0.0;
         self.mark_lb = 0.0;
         self.marks.push(IterationMark { iter, busy_delta, lb_delta, end_clock: self.clock });
-        self.trace(EventKind::Iteration { iter });
     }
 
     /// Record that a load-balancing step happened at iteration `iter`

@@ -12,10 +12,11 @@
 //!   [`RunConfig::with_server`], the process-wide default
 //!   ([`JobServer::global`]) when no worker count is forced, or a transient
 //!   private pool when one is. The job is cut into contiguous blocks of
-//!   ranks (one per hub shard); a worker drives a whole block until every
-//!   rank of it is parked — wakers left in the job's hub/mailbox — and a
-//!   wake flags the rank and re-queues its block. One shared pool drives
-//!   many concurrent jobs.
+//!   ranks, one per hub shard and one per worker of the pool, at most 64
+//!   ([`RunConfig::effective_hub_shards`]); a worker drives a whole block
+//!   until every rank of it is parked — wakers left in the job's
+//!   hub/mailbox — and a wake flags the rank and re-queues its block. One
+//!   shared pool drives many concurrent jobs.
 //! * [`Backend::Sequential`] — a single-threaded round-robin scheduler,
 //!   driven on the thread that joins the handle. The deterministic oracle
 //!   of every equivalence suite, and the faster way to use one core.
@@ -35,12 +36,11 @@
 use crate::cost::MachineSpec;
 use crate::ctx::SpmdCtx;
 use crate::exec::sequential::SequentialJob;
-use crate::exec::server::{effective_workers, JobServer, PoolJob, Priority};
+use crate::exec::server::{effective_workers, JobServer, PoolJob};
 use crate::hub::Hub;
 use crate::mailbox::MailboxSet;
 use crate::metrics::{Collector, IterationMark, IterationStats, RankMetrics};
 use crate::time::VirtualTime;
-use crate::trace::Tracer;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::future::Future;
@@ -70,6 +70,29 @@ fn warn_unknown_backend(raw: &str) {
     });
 }
 
+/// The `ULBA_WORKERS` environment variable, parsed — the one reader of it,
+/// shared by [`RunConfig::from_env`] and [`JobServer::global`].
+pub(crate) fn env_workers() -> Option<usize> {
+    parse_workers(std::env::var("ULBA_WORKERS").ok().as_deref())
+}
+
+/// A raw `ULBA_WORKERS` value as a worker count: `None` when unset, and
+/// when unparsable, which warns once per process.
+fn parse_workers(raw: Option<&str>) -> Option<usize> {
+    let raw = raw?;
+    let workers = raw.parse().ok();
+    if workers.is_none() {
+        static WARN_ONCE: std::sync::Once = std::sync::Once::new();
+        WARN_ONCE.call_once(|| {
+            eprintln!(
+                "ulba-runtime: ignoring unparsable ULBA_WORKERS value `{raw}` \
+                 (expected a worker count; 0 = all cores)"
+            );
+        });
+    }
+    workers
+}
+
 impl std::str::FromStr for Backend {
     type Err = ();
     fn from_str(s: &str) -> Result<Self, ()> {
@@ -97,34 +120,19 @@ pub struct RunConfig {
     pub ranks: usize,
     /// Machine cost model driving the virtual clocks.
     pub spec: MachineSpec,
-    /// Optional event tracer shared by all ranks (free in virtual time).
-    pub tracer: Option<Arc<Tracer>>,
     /// Execution backend. Defaults to the `ULBA_BACKEND` environment
     /// variable, falling back to [`Backend::Parallel`].
     pub backend: Backend,
     /// Worker threads of the parallel backend; `0` (the default) means the
     /// machine's available parallelism. Defaults to the `ULBA_WORKERS`
-    /// environment variable.
+    /// environment variable. Also sizes the job's blocks: one per worker
+    /// of the pool it runs on (see [`RunConfig::effective_hub_shards`]).
     pub workers: usize,
-    /// How many contiguous rank ranges the job is cut into: the leaf shards
-    /// of the collective rendezvous hub (one lock each) *and*, on a
-    /// [`JobServer`], the job's schedulable blocks — one worker drives a
-    /// whole block at a time, so `1` means one worker drives the whole job
-    /// at a time. `0` (the default) resolves to `min(workers, 64)` (capped
-    /// at `ranks`), where `workers` are those of the pool the job runs on
-    /// (see [`RunConfig::effective_hub_shards`]); the sequential backend
-    /// keeps the degenerate single shard. Defaults to the
-    /// `ULBA_HUB_SHARDS` environment variable. Reports are bit-identical
-    /// for **any** value.
-    pub hub_shards: usize,
     /// Existing [`JobServer`] to submit to when the backend is
     /// [`Backend::Parallel`]; `None` (the default) uses the process-wide
     /// default server ([`JobServer::global`]), or a transient private pool
     /// when [`RunConfig::workers`] is forced nonzero.
     pub server: Option<JobServer>,
-    /// Admission priority of the job on its server (parallel backend
-    /// only). Defaults to [`Priority::Normal`].
-    pub priority: Priority,
 }
 
 impl RunConfig {
@@ -136,17 +144,14 @@ impl RunConfig {
     }
 
     /// A run with `ranks` ranks on the default machine, ignoring the
-    /// environment: the global pool, automatic workers and hub shards.
+    /// environment: the global pool, automatic workers.
     pub fn defaults(ranks: usize) -> Self {
         Self {
             ranks,
             spec: MachineSpec::default(),
-            tracer: None,
             backend: Backend::Parallel,
             workers: 0,
-            hub_shards: 0,
             server: None,
-            priority: Priority::Normal,
         }
     }
 
@@ -156,8 +161,8 @@ impl RunConfig {
     ///
     /// * `ULBA_BACKEND` → [`RunConfig::backend`] (`sequential`,
     ///   `parallel`; unknown values warn once and are ignored),
-    /// * `ULBA_WORKERS` → [`RunConfig::workers`],
-    /// * `ULBA_HUB_SHARDS` → [`RunConfig::hub_shards`].
+    /// * `ULBA_WORKERS` → [`RunConfig::workers`] (unparsable values warn
+    ///   once and are ignored).
     ///
     /// Unset (or unparsable) variables leave the corresponding field
     /// untouched, so explicit `with_*` calls made *after* this step win,
@@ -169,11 +174,8 @@ impl RunConfig {
                 Err(()) => warn_unknown_backend(&raw),
             }
         }
-        if let Some(workers) = env_usize("ULBA_WORKERS") {
+        if let Some(workers) = env_workers() {
             self.workers = workers;
-        }
-        if let Some(shards) = env_usize("ULBA_HUB_SHARDS") {
-            self.hub_shards = shards;
         }
         self
     }
@@ -181,12 +183,6 @@ impl RunConfig {
     /// Override the machine model.
     pub fn with_spec(mut self, spec: MachineSpec) -> Self {
         self.spec = spec;
-        self
-    }
-
-    /// Attach an event tracer.
-    pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> Self {
-        self.tracer = Some(tracer);
         self
     }
 
@@ -203,16 +199,6 @@ impl RunConfig {
         self
     }
 
-    /// Set the number of hub leaf shards = schedulable blocks of the job
-    /// (`0` = automatic: one per worker of the pool it runs on, at most 64;
-    /// `1` = one worker drives the whole job at a time; overrides
-    /// `ULBA_HUB_SHARDS`). Any value produces bit-identical reports; the
-    /// count only decides how the host work is cut up.
-    pub fn with_hub_shards(mut self, shards: usize) -> Self {
-        self.hub_shards = shards;
-        self
-    }
-
     /// Submit this run to an existing [`JobServer`] instead of the default
     /// global one. Implies [`Backend::Parallel`] (the sequential scheduler
     /// uses no pool); a later [`RunConfig::with_backend`] overrides that.
@@ -226,18 +212,16 @@ impl RunConfig {
     /// the one place `Option<Backend>` + server target + environment become
     /// an effective backend (see the [module docs](self)): an explicit
     /// `backend` wins; otherwise a `server` target means that pool;
-    /// otherwise `ULBA_BACKEND`; else the global pool. `workers` and
-    /// `hub_shards` override their `ULBA_*` variables when set.
+    /// otherwise `ULBA_BACKEND`; else the global pool. `workers` overrides
+    /// `ULBA_WORKERS` when set.
     pub fn resolve(
         ranks: usize,
         backend: Option<Backend>,
         workers: Option<usize>,
-        hub_shards: Option<usize>,
         server: Option<JobServer>,
     ) -> Self {
         let mut config = Self::new(ranks);
         config.workers = workers.unwrap_or(config.workers);
-        config.hub_shards = hub_shards.unwrap_or(config.hub_shards);
         if let Some(server) = server {
             config = config.with_server(server);
         }
@@ -245,34 +229,23 @@ impl RunConfig {
         config
     }
 
-    /// Set the job's admission priority on its server (parallel backend
-    /// only; see [`Priority`]).
-    pub fn with_priority(mut self, priority: Priority) -> Self {
-        self.priority = priority;
-        self
-    }
-
-    /// The shard (= block) count this configuration resolves to: the
-    /// explicit [`RunConfig::hub_shards`] if nonzero, otherwise one per
-    /// worker of the pool the job runs on, at most 64 — the workers of
-    /// [`RunConfig::server`] when a server is targeted, else the
-    /// [`RunConfig::workers`] / machine-parallelism count the engine sizes
-    /// its own pool by (the single-threaded sequential scheduler keeps the
-    /// degenerate single shard). Always clamped to `[1, ranks]`.
+    /// How many contiguous rank ranges the job is cut into: the leaf shards
+    /// of the collective rendezvous hub (one lock each) *and*, on a
+    /// [`JobServer`], the job's schedulable blocks (one worker drives a
+    /// whole block at a time). One per worker of the pool the job runs on,
+    /// at most 64 — the workers of [`RunConfig::server`] when a server is
+    /// targeted, else the [`RunConfig::workers`] / machine-parallelism
+    /// count the engine sizes its own pool by; the single-threaded
+    /// sequential scheduler keeps the degenerate single shard. Always
+    /// clamped to `[1, ranks]`. Reports are bit-identical for any count.
     pub fn effective_hub_shards(&self) -> usize {
-        let auto = || match (self.backend, &self.server) {
+        let workers = match (self.backend, &self.server) {
             (Backend::Sequential, _) => 1,
             (Backend::Parallel, Some(server)) => server.workers(),
             (Backend::Parallel, None) => effective_workers(self),
         };
-        let shards = if self.hub_shards > 0 { self.hub_shards } else { auto().min(64) };
-        shards.clamp(1, self.ranks.max(1))
+        workers.min(64).clamp(1, self.ranks.max(1))
     }
-}
-
-/// Parse a `usize` environment variable; `None` when unset or unparsable.
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
 }
 
 /// A structured run failure (instead of a panic deep inside the engine).
@@ -590,4 +563,16 @@ where
     Fut: Future<Output = ()> + Send + 'static,
 {
     submit(config, body).join()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_workers;
+
+    #[test]
+    fn workers_variable_parses_or_is_ignored() {
+        assert_eq!(parse_workers(None), None, "unset");
+        assert_eq!(parse_workers(Some("3")), Some(3));
+        assert_eq!(parse_workers(Some("abc")), None, "garbage warns and is ignored");
+    }
 }

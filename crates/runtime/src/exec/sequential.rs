@@ -59,8 +59,7 @@ impl SequentialJob {
         let shared = RunShared::new(config, true);
         let tasks = (0..config.ranks)
             .map(|rank| {
-                let ctx =
-                    SpmdCtx::new(rank, config.ranks, Arc::clone(&shared), config.tracer.clone());
+                let ctx = SpmdCtx::new(rank, config.ranks, Arc::clone(&shared));
                 Some(Box::pin(body(ctx)) as BoxFuture)
             })
             .collect();

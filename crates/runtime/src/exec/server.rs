@@ -12,17 +12,17 @@
 //! * Each job gets its *own* hub/mailbox namespace (its `RunShared`), so
 //!   two jobs' collective rendezvous can never alias, and its own job id
 //!   for diagnostics.
-//! * Admission is priority-ordered and starvation-free: run queues hold one
-//!   lane per [`Priority`]; workers drain higher lanes first, and a job's
-//!   blocks are scattered round-robin over the workers, so a huge P=16384
-//!   job interleaves with a batch of small ablations — block run by block
-//!   run — instead of walling them off.
+//! * Admission is FIFO and starvation-free: each worker has one run queue,
+//!   and a job's blocks are scattered round-robin over the workers, so a
+//!   huge P=16384 job interleaves with a batch of small ablations — block
+//!   run by block run — instead of walling them off.
 //!
 //! # Blocks
 //!
 //! A block is a contiguous range of ranks, one per leaf shard of the job's
-//! hub and read *from the hub* ([`crate::hub::Hub::shard_range`]), so
-//! [`RunConfig::hub_shards`] sizes both. Queue entries, the state machine,
+//! hub and read *from the hub* ([`crate::hub::Hub::shard_range`]); the
+//! count is one per worker of the pool, at most 64
+//! ([`RunConfig::effective_hub_shards`]). Queue entries, the state machine,
 //! the live count and stealing are per block; a rank only owns a *ready
 //! flag*. One worker at a time drives a block, so its shard lock is
 //! uncontended, a halo between two of its ranks never leaves the worker,
@@ -66,7 +66,7 @@
 //! live block can deliver.
 
 use crate::ctx::SpmdCtx;
-use crate::engine::{JobHandle, Launched, RunConfig, RunError, RunReport, RunShared};
+use crate::engine::{env_workers, JobHandle, Launched, RunConfig, RunError, RunReport, RunShared};
 use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::cell::RefCell;
@@ -92,78 +92,12 @@ const NOTIFIED: u8 = 3;
 /// Every rank finished (or was abandoned after a panic/deadlock). Terminal.
 const DONE: u8 = 4;
 
-/// Admission priority of a job on a shared [`JobServer`]: queue lanes are
-/// drained strictly high-to-low, so whenever a worker picks its next block
-/// a `High` job's ready blocks go before a `Normal` job's. The promise
-/// holds at **block-run granularity**: a block, once picked, runs until
-/// every rank of it is parked (or finished), whatever arrives meanwhile —
-/// a single-block job, once started, runs until it parks or completes.
-/// Within one lane jobs interleave block run by block run (a job's blocks
-/// are scattered over the workers), which keeps one huge job from starving
-/// a batch of small ones at equal priority.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub enum Priority {
-    /// Drained first — small interactive jobs riding along a big sweep.
-    High,
-    /// The default lane.
-    #[default]
-    Normal,
-    /// Background work: only runs when the other lanes are empty.
-    Low,
-}
-
-/// Number of queue lanes (one per [`Priority`] variant).
-const LANES: usize = 3;
-
-impl Priority {
-    fn lane(self) -> usize {
-        match self {
-            Priority::High => 0,
-            Priority::Normal => 1,
-            Priority::Low => 2,
-        }
-    }
-}
-
-impl std::fmt::Display for Priority {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Priority::High => "high",
-            Priority::Normal => "normal",
-            Priority::Low => "low",
-        })
-    }
-}
-
-impl std::str::FromStr for Priority {
-    type Err = ();
-    fn from_str(s: &str) -> Result<Self, ()> {
-        match s.to_ascii_lowercase().as_str() {
-            "high" => Ok(Priority::High),
-            "normal" => Ok(Priority::Normal),
-            "low" => Ok(Priority::Low),
-            _ => Err(()),
-        }
-    }
-}
-
 /// A rank future of one job, type-erased so jobs of different body types
 /// share one pool ([`JobServer::submit`] boxes each rank's future).
 pub(crate) type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send>>;
 
 /// One queue entry: which job, which of its blocks.
 type BlockRef = (Arc<Job>, usize);
-
-/// One run queue: a FIFO lane per [`Priority`].
-type Lanes = [VecDeque<BlockRef>; LANES];
-
-fn pop_lanes(lanes: &mut Lanes) -> Option<BlockRef> {
-    lanes.iter_mut().find_map(VecDeque::pop_front)
-}
-
-fn lanes_empty(lanes: &Lanes) -> bool {
-    lanes.iter().all(VecDeque::is_empty)
-}
 
 struct SleepState {
     /// Workers/help-drivers currently parked (or about to park) on
@@ -214,9 +148,9 @@ struct StatCell([AtomicU64; 6]);
 /// every outstanding [`JobHandle`].
 pub(crate) struct ServerCore {
     /// Per-worker run queues (owner pops the front; thieves steal half).
-    locals: Vec<Mutex<Lanes>>,
+    locals: Vec<Mutex<VecDeque<BlockRef>>>,
     /// Queue for submissions and wakes arriving from outside any worker.
-    injector: Mutex<Lanes>,
+    injector: Mutex<VecDeque<BlockRef>>,
     /// Worker threads actually running (spawn failures reduce it; `0`
     /// makes [`JobHandle::join`] drive the job on the joining thread).
     spawned: AtomicUsize,
@@ -246,7 +180,6 @@ struct Block {
 /// drives per-job completion and deadlock detection.
 struct Job {
     shared: Arc<RunShared>,
-    priority: Priority,
     /// One block per hub shard, in rank order.
     blocks: Vec<Block>,
     /// Per rank, "poll me": set by the rank's waker, cleared by the worker
@@ -394,7 +327,7 @@ impl ServerCore {
         if self.current_worker().is_some() {
             WOKEN.with(|woken| woken.borrow_mut().push(entry));
         } else {
-            self.injector.lock()[job.priority.lane()].push_back(entry);
+            self.injector.lock().push_back(entry);
             self.count(None, Stat::Enqueues, 1);
             self.rouse(1);
         }
@@ -409,12 +342,7 @@ impl ServerCore {
                 return;
             }
             let blocks = woken.len();
-            {
-                let mut lanes = self.locals[me].lock();
-                for (job, block) in woken.drain(..) {
-                    lanes[job.priority.lane()].push_back((job, block));
-                }
-            }
+            self.locals[me].lock().extend(woken.drain(..));
             self.count(Some(me), Stat::Enqueues, blocks as u64);
             self.rouse(blocks);
         });
@@ -435,15 +363,14 @@ impl ServerCore {
     /// Scatter a fresh job's blocks round-robin over all workers
     /// (interleaving it with already-resident jobs) and rouse everyone.
     fn seed(self: &Arc<Self>, job: &Arc<Job>) {
-        let lane = job.priority.lane();
         let entries = (0..job.blocks.len()).map(|block| (Arc::clone(job), block));
         if self.spawned.load(Ordering::Acquire) == 0 {
-            self.injector.lock()[lane].extend(entries);
+            self.injector.lock().extend(entries);
         } else {
             let workers = self.locals.len();
             let start = self.seed_cursor.fetch_add(1, Ordering::Relaxed) % workers;
             for (block, entry) in entries.enumerate() {
-                self.locals[(start + block) % workers].lock()[lane].push_back(entry);
+                self.locals[(start + block) % workers].lock().push_back(entry);
             }
         }
         self.count(self.current_worker(), Stat::Enqueues, job.blocks.len() as u64);
@@ -451,15 +378,14 @@ impl ServerCore {
     }
 
     /// Next block for this thread: own queue (workers only), then the
-    /// injector, then steal from the first non-empty sibling queue —
-    /// always highest-priority lane first.
+    /// injector, then steal from the first non-empty sibling queue.
     fn find_block(&self, me: Option<usize>) -> Option<BlockRef> {
         if let Some(me) = me {
-            if let Some(entry) = pop_lanes(&mut self.locals[me].lock()) {
+            if let Some(entry) = self.locals[me].lock().pop_front() {
                 return Some(entry);
             }
         }
-        if let Some(entry) = pop_lanes(&mut self.injector.lock()) {
+        if let Some(entry) = self.injector.lock().pop_front() {
             return Some(entry);
         }
         let n = self.locals.len();
@@ -469,27 +395,19 @@ impl ServerCore {
             if Some(victim) == me {
                 continue;
             }
+            // Steal half of the victim's queue; the victim lock is released
+            // before touching our own queue, so two workers stealing from
+            // each other cannot deadlock.
             let stolen: Vec<BlockRef> = {
-                let mut lanes = self.locals[victim].lock();
-                match lanes.iter_mut().find(|q| !q.is_empty()) {
-                    // Steal half of the victim's best non-empty lane; the
-                    // victim lock is released before touching our own
-                    // queue, so two workers stealing from each other
-                    // cannot deadlock.
-                    Some(queue) => {
-                        let take = if me.is_some() { queue.len().div_ceil(2) } else { 1 };
-                        queue.drain(..take).collect()
-                    }
-                    None => Vec::new(),
-                }
+                let mut queue = self.locals[victim].lock();
+                let take = if me.is_some() { queue.len().div_ceil(2) } else { queue.len().min(1) };
+                queue.drain(..take).collect()
             };
             let mut stolen = stolen.into_iter();
             if let Some(first) = stolen.next() {
                 self.count(me, Stat::Steals, 1 + stolen.len() as u64);
                 if let Some(me) = me {
-                    let lane = first.0.priority.lane();
-                    let mut lanes = self.locals[me].lock();
-                    lanes[lane].extend(stolen);
+                    self.locals[me].lock().extend(stolen);
                 }
                 return Some(first);
             }
@@ -498,7 +416,7 @@ impl ServerCore {
     }
 
     fn has_queued(&self) -> bool {
-        !lanes_empty(&self.injector.lock()) || self.locals.iter().any(|q| !lanes_empty(&q.lock()))
+        !self.injector.lock().is_empty() || self.locals.iter().any(|q| !q.lock().is_empty())
     }
 
     /// Sleep until work may be available. Returns `false` when the worker
@@ -720,8 +638,8 @@ impl JobServer {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         };
         let core = Arc::new(ServerCore {
-            locals: (0..workers).map(|_| Mutex::new(Lanes::default())).collect(),
-            injector: Mutex::new(Lanes::default()),
+            locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+            injector: Mutex::new(VecDeque::new()),
             spawned: AtomicUsize::new(0),
             seed_cursor: AtomicUsize::new(0),
             stats: (0..=workers).map(|_| StatCell::default()).collect(),
@@ -751,11 +669,7 @@ impl JobServer {
     /// parallelism; lives for the rest of the process.
     pub fn global() -> &'static JobServer {
         static GLOBAL: OnceLock<JobServer> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let workers =
-                std::env::var("ULBA_WORKERS").ok().and_then(|v| v.parse().ok()).unwrap_or(0);
-            JobServer::new(workers)
-        })
+        GLOBAL.get_or_init(|| JobServer::new(env_workers().unwrap_or(0)))
     }
 
     /// Worker threads of this server.
@@ -782,7 +696,7 @@ impl JobServer {
 
     /// Submit `body` as an SPMD job over `config.ranks` ranks; returns
     /// immediately with a handle. The job runs on this server's workers
-    /// regardless of `config.backend`, at `config.priority`, with its own
+    /// regardless of `config.backend`, with its own
     /// hub/mailbox namespace and job id, cut into one block per hub shard
     /// ([`RunConfig::effective_hub_shards`]). See [`crate::submit`] for the
     /// body contract; the future must be `'static` because it outlives the
@@ -802,8 +716,7 @@ impl JobServer {
                 let base = range.start;
                 let futures = range
                     .map(|rank| {
-                        let ctx =
-                            SpmdCtx::new(rank, ranks, Arc::clone(&shared), config.tracer.clone());
+                        let ctx = SpmdCtx::new(rank, ranks, Arc::clone(&shared));
                         Some(Box::pin(body(ctx)) as BoxFuture)
                     })
                     .collect();
@@ -811,7 +724,6 @@ impl JobServer {
             })
             .collect();
         let job = Arc::new_cyclic(|weak: &Weak<Job>| Job {
-            priority: config.priority,
             // Every rank starts flagged and every block queued.
             ready: (0..ranks).map(|_| AtomicBool::new(true)).collect(),
             wakers: (0..ranks)

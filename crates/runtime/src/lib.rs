@@ -24,17 +24,16 @@
 //! [`engine`] for both and for the rule that picks one.
 //!
 //! One [`JobServer`] admits **many concurrent jobs**: each gets its own
-//! hub/mailbox namespace and job id, admission is priority-ordered
-//! ([`RunConfig::with_priority`]), and deadlock is judged per job by a
-//! live-block counter, so a stuck job is reported (tagged with its id)
+//! hub/mailbox namespace and job id, admission is one FIFO run queue per
+//! worker, and deadlock is judged per job by a live-block counter, so a stuck job is reported (tagged with its id)
 //! while unrelated jobs keep running. Batch clients create one server,
 //! [`JobServer::submit`] their whole sweep, and join the
 //! [`JobHandle`]s.
 //!
 //! Collectives rendezvous at a **sharded** hub: ranks deposit into
-//! `S` leaf shards (one lock each, [`RunConfig::with_hub_shards`] /
-//! `ULBA_HUB_SHARDS`; default `min(workers of the pool, 64)`) whose
-//! completions combine up a fixed-arity reduction tree. On a job server
+//! `S` leaf shards (one lock each; `S = min(workers of the pool, 64)`,
+//! see [`RunConfig::effective_hub_shards`]) whose completions combine up a
+//! fixed-arity reduction tree. On a job server
 //! the ranks of a shard are also the job's unit of scheduling — a
 //! **block**, driven by one worker at a time — so a shard lock is
 //! uncontended, a rendezvous costs queue operations per block rather than
@@ -43,7 +42,7 @@
 //!
 //! Both backends drive the same accounting, collective semantics, and
 //! message matching, so they produce **bit-identical** [`RunReport`]s —
-//! for either backend **and any hub shard count** — and both detect a
+//! for either backend **and any pool size** — and both detect a
 //! deadlocked program exactly, reporting it as [`RunError::Deadlock`] (or
 //! a panic from [`run`]).
 //!
@@ -75,17 +74,15 @@ pub mod hub;
 pub mod mailbox;
 pub mod metrics;
 pub mod time;
-pub mod trace;
 
 pub use cost::MachineSpec;
 pub use ctx::SpmdCtx;
 pub use engine::{run, submit, try_run, Backend, JobHandle, RunConfig, RunError, RunReport};
-pub use exec::server::{JobServer, PoolStats, Priority};
+pub use exec::server::{JobServer, PoolStats};
 pub use hub::RoundValues;
 pub use mailbox::Tag;
 pub use metrics::{IterationStats, RankMetrics, TimeKind};
 pub use time::VirtualTime;
-pub use trace::{Event, EventKind, Tracer};
 
 #[cfg(test)]
 mod tests {
@@ -323,7 +320,8 @@ mod tests {
     fn backends_produce_bit_identical_reports() {
         let reference = run(RunConfig::new(9).with_backend(Backend::Sequential), mixed_body);
         for backend in [Backend::Sequential, Backend::Parallel] {
-            let other = run(RunConfig::new(9).with_backend(backend).with_hub_shards(3), mixed_body);
+            // Three blocks on the pool; the lockstep scheduler ignores it.
+            let other = run(RunConfig::new(9).with_backend(backend).with_workers(3), mixed_body);
             assert_eq!(
                 reference.makespan().as_secs().to_bits(),
                 other.makespan().as_secs().to_bits(),
@@ -382,16 +380,14 @@ mod tests {
     /// joins the barrier) must surface as a structured
     /// [`RunError::Deadlock`] through [`try_run`] naming the stuck ranks —
     /// on both backends, which share one reporting path, and for every
-    /// hub shard count (the blocked set must not
-    /// depend on how the rendezvous is sharded).
+    /// pool size, which is the job's block (= hub shard) count (the blocked
+    /// set must not depend on how the rendezvous is sharded).
     #[test]
     fn try_run_reports_deadlock_on_mismatched_collective() {
         for backend in [Backend::Sequential, Backend::Parallel] {
-            for hub_shards in [1usize, 2, 4] {
-                let config = RunConfig::new(4)
-                    .with_backend(backend)
-                    .with_workers(2)
-                    .with_hub_shards(hub_shards);
+            for workers in [1usize, 2, 4] {
+                let config = RunConfig::new(4).with_backend(backend).with_workers(workers);
+                let hub_shards = config.effective_hub_shards();
                 let result = try_run(config, |mut ctx| async move {
                     if ctx.rank() != 0 {
                         // Rank 0 never joins: the barrier can never complete.
@@ -486,15 +482,14 @@ mod tests {
     fn resolve_lets_an_explicit_backend_win_then_a_server_then_the_default() {
         let pool = JobServer::new(1);
         let resolve = |backend, server: bool| {
-            let config = RunConfig::resolve(4, backend, None, None, server.then(|| pool.clone()));
+            let config = RunConfig::resolve(4, backend, None, server.then(|| pool.clone()));
             (config.backend, config.server.is_some())
         };
         assert_eq!(resolve(Some(Backend::Sequential), true), (Backend::Sequential, true));
         assert_eq!(resolve(Some(Backend::Parallel), false), (Backend::Parallel, false));
         assert_eq!(resolve(None, true), (Backend::Parallel, true), "a server target is that pool");
         assert_eq!(resolve(None, false).0, RunConfig::new(4).backend, "else ULBA_BACKEND/global");
-        let knobs = RunConfig::resolve(8, None, Some(3), Some(2), None);
-        assert_eq!((knobs.workers, knobs.hub_shards), (3, 2));
+        assert_eq!(RunConfig::resolve(8, None, Some(3), None).workers, 3);
     }
 
     #[test]
@@ -512,21 +507,16 @@ mod tests {
 
     #[test]
     fn hub_shard_resolution() {
-        // Explicit counts win and are clamped to [1, ranks].
-        let cfg = RunConfig::new(16).with_backend(Backend::Parallel);
-        assert_eq!(cfg.clone().with_hub_shards(4).effective_hub_shards(), 4);
-        assert_eq!(cfg.clone().with_hub_shards(64).effective_hub_shards(), 16);
-        assert_eq!(cfg.clone().with_hub_shards(1).effective_hub_shards(), 1);
-        // Automatic: the sequential scheduler keeps one shard; parallel
-        // shards by worker count, capped at 64 and at the rank count.
-        let seq = RunConfig::new(16).with_backend(Backend::Sequential).with_hub_shards(0);
+        // The sequential scheduler keeps one shard; parallel shards by
+        // worker count, capped at 64 and at the rank count.
+        let seq = RunConfig::new(16).with_backend(Backend::Sequential);
         assert_eq!(seq.effective_hub_shards(), 1);
         let par = RunConfig::new(512).with_backend(Backend::Parallel).with_workers(3);
-        assert_eq!(par.clone().with_hub_shards(0).effective_hub_shards(), 3);
-        let wide = par.with_workers(200).with_hub_shards(0);
-        assert_eq!(wide.effective_hub_shards(), 64, "auto sharding caps at 64");
+        assert_eq!(par.effective_hub_shards(), 3);
+        let wide = par.with_workers(200);
+        assert_eq!(wide.effective_hub_shards(), 64, "sharding caps at 64");
         let tiny = RunConfig::new(2).with_backend(Backend::Parallel).with_workers(200);
-        assert!(tiny.with_hub_shards(0).effective_hub_shards() <= 2);
+        assert!(tiny.effective_hub_shards() <= 2);
     }
 
     /// The shard (= block) count follows the pool the job runs on, not the
@@ -537,8 +527,7 @@ mod tests {
         for workers in [1usize, 3, 8] {
             let server = JobServer::new(workers);
             let config = RunConfig::defaults(64).with_workers(5).with_server(server.clone());
-            assert_eq!(config.effective_hub_shards(), workers, "unforced, W = {workers}");
-            assert_eq!(config.clone().with_hub_shards(4).effective_hub_shards(), 4, "forced wins");
+            assert_eq!(config.effective_hub_shards(), workers, "W = {workers}");
             let few_ranks = RunConfig::defaults(2).with_server(server.clone());
             assert_eq!(few_ranks.effective_hub_shards(), workers.min(2), "clamped to the ranks");
             let sequential = config.with_backend(Backend::Sequential);

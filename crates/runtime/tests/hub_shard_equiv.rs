@@ -1,24 +1,26 @@
 //! Shard-count equivalence of the reduction-tree rendezvous hub.
 //!
-//! The hub shard count is a pure contention knob: for **any** `S` —
-//! degenerate (`S = 1`, the old single-mutex hub), even, ragged
-//! (`S` not dividing `P`, so the last shard holds fewer ranks), or fully
-//! sharded (`S = P`) — and **any** execution backend, a program's
-//! [`RunReport`] must be bit-identical. These tests are the proof the
-//! sharded hub ships with: randomized programs and topologies across the
-//! full `S × backend` matrix, plus deadlock reporting when the stuck ranks
-//! span several shards.
+//! A job on a pool of `W` workers is cut into `S = min(W, 64)` blocks, one
+//! per leaf shard of its hub (the sequential scheduler keeps `S = 1`). The
+//! count is pure contention: for **any** pool — one worker (the old
+//! single-mutex hub), even, ragged (`S` not dividing `P`, so the last
+//! shard holds fewer ranks), or one rank per shard — a program's
+//! [`RunReport`] must be bit-identical to the sequential oracle's. These
+//! tests are the proof the sharded hub ships with: randomized programs and
+//! topologies across the pool-size sweep, plus deadlock reporting when the
+//! stuck ranks span several shards. (`hub.rs`'s unit tests sweep `S`
+//! beyond the 64-block cap, single-threaded.)
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use ulba_runtime::{run, try_run, Backend, RunConfig, RunError, RunReport, SpmdCtx};
 
-/// Shard counts every equivalence case sweeps: degenerate, small, a prime
-/// that leaves the last shard ragged for most `P`, and one-rank-per-shard.
+/// Pool sizes (= shard counts) every equivalence case sweeps: degenerate,
+/// small, a prime that leaves the last shard ragged for most `P`, and one
+/// rank per shard up to the 64-block cap.
 fn shard_sweep(ranks: usize) -> Vec<usize> {
-    let mut sweep = vec![1usize, 2, 7, ranks];
-    sweep.retain(|&s| s >= 1);
+    let mut sweep = vec![1usize, 2, 7, ranks.min(64)];
     sweep.dedup();
     sweep
 }
@@ -52,17 +54,20 @@ async fn mixed_body(mut ctx: SpmdCtx, rounds: u64, flops_scale: f64) {
     }
 }
 
+/// The sequential oracle's config, or a private pool of `workers` (= the
+/// job's shard count).
+fn config_for(ranks: usize, backend: Backend, workers: usize) -> RunConfig {
+    RunConfig::new(ranks).with_backend(backend).with_workers(workers)
+}
+
 fn report_for(
     ranks: usize,
     backend: Backend,
-    shards: usize,
     workers: usize,
     rounds: u64,
     flops_scale: f64,
 ) -> RunReport {
-    let config =
-        RunConfig::new(ranks).with_backend(backend).with_workers(workers).with_hub_shards(shards);
-    run(config, move |ctx| mixed_body(ctx, rounds, flops_scale))
+    run(config_for(ranks, backend, workers), move |ctx| mixed_body(ctx, rounds, flops_scale))
 }
 
 /// Bit-level comparison of two [`RunReport`]s.
@@ -87,11 +92,11 @@ fn assert_reports_identical(reference: &RunReport, other: &RunReport, label: &st
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Randomized (P, S, workers, program): the single-shard sequential
-    /// report is the reference; every shard count of the sweep and every
-    /// backend must reproduce it bit-identically. `ranks` is drawn from a
-    /// range full of non-powers-of-two, so the `S = 7` leg regularly
-    /// leaves a ragged last shard.
+    /// Randomized (P, pool size, program): the single-shard sequential
+    /// report is the reference; a pool of every size of the sweep must
+    /// reproduce it bit-identically. `ranks` is drawn from a range full of
+    /// non-powers-of-two, so the `W = 7` leg regularly leaves a ragged
+    /// last shard.
     #[test]
     fn reports_identical_across_shards_and_backends(
         ranks in 2usize..20,
@@ -100,18 +105,13 @@ proptest! {
         flops_scale in 1.0e5f64..1.0e8,
         extra_shards in 1usize..32,
     ) {
-        let reference = report_for(ranks, Backend::Sequential, 1, workers, rounds, flops_scale);
+        let reference = report_for(ranks, Backend::Sequential, workers, rounds, flops_scale);
         let mut sweep = shard_sweep(ranks);
-        sweep.push(extra_shards); // an arbitrary count on top of the fixed sweep
-        for backend in [Backend::Sequential, Backend::Parallel] {
-            for &shards in &sweep {
-                let other = report_for(ranks, backend, shards, workers, rounds, flops_scale);
-                assert_reports_identical(
-                    &reference,
-                    &other,
-                    &format!("P={ranks} {backend} S={shards} workers={workers}"),
-                );
-            }
+        sweep.push(workers);
+        sweep.push(extra_shards); // an arbitrary pool on top of the fixed sweep
+        for &shards in &sweep {
+            let other = report_for(ranks, Backend::Parallel, shards, rounds, flops_scale);
+            assert_reports_identical(&reference, &other, &format!("P={ranks} W={shards}"));
         }
     }
 }
@@ -167,9 +167,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Randomized chunked-vs-monolithic payload equivalence: `ranks` drawn
-    /// from a non-power-of-two-rich range (the `S = 7` leg regularly
-    /// leaves a ragged last shard) across both backends. The body
-    /// asserts exact payloads internally; any failure panics the run.
+    /// from a non-power-of-two-rich range (the `W = 7` leg regularly
+    /// leaves a ragged last shard), the sequential oracle and pools of
+    /// every size of the sweep. The body asserts exact payloads
+    /// internally; any failure panics the run.
     #[test]
     fn collective_payloads_survive_chunked_assembly(
         ranks in 2usize..24,
@@ -177,16 +178,13 @@ proptest! {
         rounds in 2u64..5,
         extra_shards in 1usize..32,
     ) {
+        run(config_for(ranks, Backend::Sequential, 1), move |ctx| payload_body(ctx, rounds));
         let mut sweep = shard_sweep(ranks);
+        sweep.push(workers);
         sweep.push(extra_shards);
-        for backend in [Backend::Sequential, Backend::Parallel] {
-            for &shards in &sweep {
-                let config = RunConfig::new(ranks)
-                    .with_backend(backend)
-                    .with_workers(workers)
-                    .with_hub_shards(shards);
-                run(config, move |ctx| payload_body(ctx, rounds));
-            }
+        for &shards in &sweep {
+            let config = config_for(ranks, Backend::Parallel, shards);
+            run(config, move |ctx| payload_body(ctx, rounds));
         }
     }
 }
@@ -249,15 +247,14 @@ async fn fold_body(mut ctx: SpmdCtx, rounds: u64, shared: bool, out: Arc<Mutex<V
 }
 
 /// `allgather_with(v, fold)` ≡ `fold(allgather(v))` on **every** rank and
-/// round — values, virtual time and metrics — for 2 backends ×
-/// S ∈ {1, 2, 7, P} × ragged P.
+/// round — values, virtual time and metrics — for the sequential oracle
+/// and pools of W ∈ {1, 2, 7, min(P, 64)} workers × ragged P.
 #[test]
 fn allgather_with_equals_fold_of_allgather_everywhere() {
     let rounds = 4;
-    let run_fold = |ranks: usize, backend: Backend, shards: usize, shared: bool| {
+    let run_fold = |ranks: usize, backend: Backend, workers: usize, shared: bool| {
         let out = Arc::new(Mutex::new(Vec::new()));
-        let config =
-            RunConfig::new(ranks).with_backend(backend).with_workers(3).with_hub_shards(shards);
+        let config = config_for(ranks, backend, workers);
         let sink = Arc::clone(&out);
         let report = run(config, move |ctx| fold_body(ctx, rounds, shared, Arc::clone(&sink)));
         let mut seen = std::mem::take(&mut *out.lock().expect("run finished"));
@@ -267,13 +264,12 @@ fn allgather_with_equals_fold_of_allgather_everywhere() {
     };
     for ranks in [5usize, 23, 97] {
         let (ref_report, ref_seen) = run_fold(ranks, Backend::Sequential, 1, false);
-        for backend in [Backend::Sequential, Backend::Parallel] {
-            for shards in shard_sweep(ranks) {
-                let label = format!("P={ranks} {backend} S={shards}");
-                let (report, seen) = run_fold(ranks, backend, shards, true);
-                assert_eq!(seen, ref_seen, "{label}: folded values");
-                assert_reports_identical(&ref_report, &report, &label);
-            }
+        let sweep = shard_sweep(ranks).into_iter().map(|w| (Backend::Parallel, w));
+        for (backend, workers) in std::iter::once((Backend::Sequential, 1)).chain(sweep) {
+            let label = format!("P={ranks} {backend} W={workers}");
+            let (report, seen) = run_fold(ranks, backend, workers, true);
+            assert_eq!(seen, ref_seen, "{label}: folded values");
+            assert_reports_identical(&ref_report, &report, &label);
         }
     }
 }
@@ -283,38 +279,36 @@ fn allgather_with_equals_fold_of_allgather_everywhere() {
 #[test]
 fn fold_runs_once_per_round() {
     let (ranks, rounds) = (23usize, 6usize);
-    for backend in [Backend::Sequential, Backend::Parallel] {
-        for shards in shard_sweep(ranks) {
-            let folds = Arc::new(AtomicUsize::new(0));
-            let combines = Arc::new(AtomicUsize::new(0));
-            let config =
-                RunConfig::new(ranks).with_backend(backend).with_workers(3).with_hub_shards(shards);
-            let (f, c) = (Arc::clone(&folds), Arc::clone(&combines));
-            run(config, move |mut ctx| {
-                let (f, c) = (Arc::clone(&f), Arc::clone(&c));
-                async move {
-                    for _ in 0..rounds {
-                        let n = ctx
-                            .allgather_with(ctx.rank(), 8, |v| {
-                                f.fetch_add(1, Ordering::Relaxed);
-                                v.len()
-                            })
-                            .await;
-                        assert_eq!(n, ranks);
-                        let total = ctx
-                            .allreduce(1usize, 8, |a, b| {
-                                c.fetch_add(1, Ordering::Relaxed);
-                                a + b
-                            })
-                            .await;
-                        assert_eq!(total, ranks);
-                    }
+    let sweep = shard_sweep(ranks).into_iter().map(|w| (Backend::Parallel, w));
+    for (backend, workers) in std::iter::once((Backend::Sequential, 1)).chain(sweep) {
+        let folds = Arc::new(AtomicUsize::new(0));
+        let combines = Arc::new(AtomicUsize::new(0));
+        let config = config_for(ranks, backend, workers);
+        let (f, c) = (Arc::clone(&folds), Arc::clone(&combines));
+        run(config, move |mut ctx| {
+            let (f, c) = (Arc::clone(&f), Arc::clone(&c));
+            async move {
+                for _ in 0..rounds {
+                    let n = ctx
+                        .allgather_with(ctx.rank(), 8, |v| {
+                            f.fetch_add(1, Ordering::Relaxed);
+                            v.len()
+                        })
+                        .await;
+                    assert_eq!(n, ranks);
+                    let total = ctx
+                        .allreduce(1usize, 8, |a, b| {
+                            c.fetch_add(1, Ordering::Relaxed);
+                            a + b
+                        })
+                        .await;
+                    assert_eq!(total, ranks);
                 }
-            });
-            let label = format!("{backend} S={shards}");
-            assert_eq!(folds.load(Ordering::Relaxed), rounds, "{label}: folds");
-            assert_eq!(combines.load(Ordering::Relaxed), rounds * (ranks - 1), "{label}: combines");
-        }
+            }
+        });
+        let label = format!("{backend} W={workers}");
+        assert_eq!(folds.load(Ordering::Relaxed), rounds, "{label}: folds");
+        assert_eq!(combines.load(Ordering::Relaxed), rounds * (ranks - 1), "{label}: combines");
     }
 }
 
@@ -323,7 +317,7 @@ fn fold_runs_once_per_round() {
 #[test]
 #[should_panic(expected = "collective `allgather`: payload type mismatch across ranks [job #")]
 fn mismatched_reduction_type_panics_with_job_tag() {
-    let config = RunConfig::new(3).with_backend(Backend::Sequential).with_hub_shards(2);
+    let config = RunConfig::new(3).with_backend(Backend::Parallel).with_workers(2);
     run(config, |mut ctx| async move {
         if ctx.rank() == 0 {
             ctx.allgather_with(1u8, 1, |v| v.len() as u64).await;
@@ -333,31 +327,27 @@ fn mismatched_reduction_type_panics_with_job_tag() {
     });
 }
 
-/// The acceptance-criterion scale: `P = 128` across the full
-/// `S ∈ {1, 2, 7, 128} × backend` matrix (7 leaves a ragged last shard:
-/// 128 = 6·19 + 14).
+/// The acceptance-criterion scale: `P = 128` on pools of
+/// `W ∈ {1, 2, 7, 64}` workers (7 leaves a ragged last shard:
+/// 128 = 6·19 + 14; 64 is the block cap, two ranks per shard).
 #[test]
 fn identical_at_128_ranks_all_shard_counts() {
-    let reference = report_for(128, Backend::Sequential, 1, 3, 3, 2.0e6);
-    for backend in [Backend::Sequential, Backend::Parallel] {
-        for shards in shard_sweep(128) {
-            let other = report_for(128, backend, shards, 3, 3, 2.0e6);
-            assert_reports_identical(&reference, &other, &format!("P=128 {backend} S={shards}"));
-        }
+    let reference = report_for(128, Backend::Sequential, 1, 3, 2.0e6);
+    for workers in shard_sweep(128) {
+        let other = report_for(128, Backend::Parallel, workers, 3, 2.0e6);
+        assert_reports_identical(&reference, &other, &format!("P=128 W={workers}"));
     }
 }
 
-/// Non-power-of-two `P` with every shard count: the ragged last shard
-/// (e.g. 97 ranks over width-14 shards → 6×14 + 13) must behave exactly
-/// like the full ones.
+/// Non-power-of-two `P` on pools of every size: the ragged last shard
+/// (e.g. 97 ranks over width-14 shards → 6×14 + 13, or width-3 shards →
+/// 32×3 + 1) must behave exactly like the full ones.
 #[test]
 fn identical_at_ragged_97_ranks() {
-    let reference = report_for(97, Backend::Sequential, 1, 2, 2, 5.0e5);
-    for backend in [Backend::Sequential, Backend::Parallel] {
-        for shards in [1usize, 2, 7, 13, 96, 97] {
-            let other = report_for(97, backend, shards, 2, 2, 5.0e5);
-            assert_reports_identical(&reference, &other, &format!("P=97 {backend} S={shards}"));
-        }
+    let reference = report_for(97, Backend::Sequential, 1, 2, 5.0e5);
+    for workers in [1usize, 2, 7, 13, 48, 64] {
+        let other = report_for(97, Backend::Parallel, workers, 2, 5.0e5);
+        assert_reports_identical(&reference, &other, &format!("P=97 W={workers}"));
     }
 }
 
@@ -367,10 +357,11 @@ fn identical_at_ragged_97_ranks() {
 /// the shard list must cover every shard holding one.
 #[test]
 fn deadlock_report_spans_multiple_shards() {
-    for backend in [Backend::Sequential, Backend::Parallel] {
-        // P = 8 over 4 width-2 shards; every odd rank joins a barrier the
-        // even ranks skip, so one rank per shard hangs.
-        let config = RunConfig::new(8).with_backend(backend).with_workers(2).with_hub_shards(4);
+    // P = 8; on four workers that is 4 width-2 shards. Every odd rank joins
+    // a barrier the even ranks skip, so one rank per shard hangs.
+    for (backend, expect) in [(Backend::Sequential, vec![0]), (Backend::Parallel, vec![0, 1, 2, 3])]
+    {
+        let config = config_for(8, backend, 4);
         let result = try_run(config, |mut ctx| async move {
             if ctx.rank() % 2 == 1 {
                 ctx.barrier().await;
@@ -380,7 +371,7 @@ fn deadlock_report_spans_multiple_shards() {
             Err(RunError::Deadlock { job: _, blocked, ranks, shards }) => {
                 assert_eq!(ranks, 8, "{backend}");
                 assert_eq!(blocked, vec![1, 3, 5, 7], "{backend}");
-                assert_eq!(shards, vec![0, 1, 2, 3], "{backend}: every shard holds a stuck rank");
+                assert_eq!(shards, expect, "{backend}: every shard holds a stuck rank");
             }
             other => panic!("{backend}: expected a deadlock, got {other:?}"),
         }
@@ -391,10 +382,10 @@ fn deadlock_report_spans_multiple_shards() {
 /// those shards (the whole point of carrying shard ids at large `P`).
 #[test]
 fn deadlock_report_names_only_affected_shards() {
-    for backend in [Backend::Sequential, Backend::Parallel] {
-        // P = 12 over 4 width-3 shards; only ranks 6..9 (shards 2 and 3)
-        // wait on messages nobody sends.
-        let config = RunConfig::new(12).with_backend(backend).with_workers(2).with_hub_shards(4);
+    // P = 12; on four workers that is 4 width-3 shards. Only ranks 6..9
+    // (shards 2 and 3) wait on messages nobody sends.
+    for (backend, expect) in [(Backend::Sequential, vec![0]), (Backend::Parallel, vec![2, 3])] {
+        let config = config_for(12, backend, 4);
         let result = try_run(config, |mut ctx| async move {
             if (6..=9).contains(&ctx.rank()) {
                 let _: u8 = ctx.recv((ctx.rank() + 1) % ctx.size(), 99).await;
@@ -404,7 +395,7 @@ fn deadlock_report_names_only_affected_shards() {
             Err(RunError::Deadlock { job: _, blocked, ranks, shards }) => {
                 assert_eq!(ranks, 12, "{backend}");
                 assert_eq!(blocked, vec![6, 7, 8, 9], "{backend}");
-                assert_eq!(shards, vec![2, 3], "{backend}");
+                assert_eq!(shards, expect, "{backend}");
             }
             other => panic!("{backend}: expected a deadlock, got {other:?}"),
         }
@@ -417,7 +408,7 @@ fn deadlock_report_names_only_affected_shards() {
 /// carry the hub shard ids alongside the blocked ranks.
 #[test]
 fn deadlock_panic_message_names_shard_ids() {
-    let config = RunConfig::new(6).with_backend(Backend::Sequential).with_hub_shards(3);
+    let config = RunConfig::new(6).with_backend(Backend::Parallel).with_workers(3);
     let err = try_run(config, |mut ctx| async move {
         if ctx.rank() >= 4 {
             // Ranks 4 and 5 — both in shard 2 of the width-2 layout.

@@ -5,9 +5,7 @@
 //! the pool.
 
 use proptest::prelude::*;
-use ulba_runtime::{
-    run, Backend, JobServer, MachineSpec, Priority, RunConfig, RunError, RunReport, SpmdCtx,
-};
+use ulba_runtime::{run, Backend, JobServer, MachineSpec, RunConfig, RunError, RunReport, SpmdCtx};
 
 /// A BSP round mixing compute, ring p2p, and collectives, parameterized so
 /// different jobs run genuinely different programs.
@@ -43,26 +41,32 @@ fn assert_reports_identical(pooled: &RunReport, serial: &RunReport) {
     }
 }
 
+/// The pool a job targets: its workers are the job's block count.
+fn on(server: &JobServer, ranks: usize) -> RunConfig {
+    RunConfig::new(ranks).with_server(server.clone())
+}
+
 #[test]
 fn eight_concurrent_jobs_match_serial_runs() {
-    let server = JobServer::new(3);
     let params: Vec<(usize, u64, u64)> =
         (0..8u64).map(|i| (2 + (i as usize % 4), 3 + i % 3, 0xC0FFEE + i)).collect();
-    let handles: Vec<_> = params
-        .iter()
-        .map(|&(ranks, rounds, salt)| {
-            let config = RunConfig::new(ranks).with_hub_shards(1 + salt as usize % 4);
-            server.submit(config, move |ctx| bsp_body(ctx, rounds, salt))
-        })
-        .collect();
-    // Job ids are process-unique even while all jobs are in flight.
-    let mut ids: Vec<u64> = handles.iter().map(|h| h.id()).collect();
-    ids.sort_unstable();
-    ids.dedup();
-    assert_eq!(ids.len(), handles.len(), "job ids must be unique");
-    for (handle, &(ranks, rounds, salt)) in handles.into_iter().zip(&params) {
-        let pooled = handle.join().expect("healthy job");
-        assert_reports_identical(&pooled, &serial_reference(ranks, rounds, salt));
+    for workers in 1..=4 {
+        let server = JobServer::new(workers);
+        let handles: Vec<_> = params
+            .iter()
+            .map(|&(ranks, rounds, salt)| {
+                server.submit(on(&server, ranks), move |ctx| bsp_body(ctx, rounds, salt))
+            })
+            .collect();
+        // Job ids are process-unique even while all jobs are in flight.
+        let mut ids: Vec<u64> = handles.iter().map(|h| h.id()).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), handles.len(), "job ids must be unique");
+        for (handle, &(ranks, rounds, salt)) in handles.into_iter().zip(&params) {
+            let pooled = handle.join().expect("healthy job");
+            assert_reports_identical(&pooled, &serial_reference(ranks, rounds, salt));
+        }
     }
 }
 
@@ -116,25 +120,6 @@ fn deadlocked_jobs_fail_independently_without_cross_contamination() {
 }
 
 #[test]
-fn priority_lanes_admit_every_job() {
-    let server = JobServer::new(2);
-    let low: Vec<_> = (0..4u64)
-        .map(|i| {
-            let config = RunConfig::new(2).with_priority(Priority::Low);
-            server.submit(config, move |ctx| bsp_body(ctx, 2, i))
-        })
-        .collect();
-    let high = server
-        .submit(RunConfig::new(4).with_priority(Priority::High), move |ctx| bsp_body(ctx, 3, 99));
-    let pooled = high.join().expect("high-priority job");
-    assert_reports_identical(&pooled, &serial_reference(4, 3, 99));
-    for (i, job) in low.into_iter().enumerate() {
-        let pooled = job.join().expect("low-priority job");
-        assert_reports_identical(&pooled, &serial_reference(2, 2, i as u64));
-    }
-}
-
-#[test]
 fn nested_submission_help_drives_instead_of_blocking_the_pool() {
     // One worker: if the outer rank blocked on the inner join instead of
     // helping, the pool would deadlock.
@@ -174,27 +159,21 @@ async fn block_body(mut ctx: SpmdCtx, rounds: u64) {
     }
 }
 
-/// The block protocol against the lockstep oracle, over every block shape:
-/// one block, a ragged last block, more blocks than workers, one rank per
-/// block — and the pool's own default.
+/// The block protocol against the lockstep oracle, over every block shape
+/// a pool cuts: one block, a ragged last block, one rank per block, and
+/// the 64-block cap.
 #[test]
 fn every_block_shape_matches_the_sequential_oracle() {
     for ranks in [1usize, 2, 5, 17, 64, 257] {
         let oracle = run(RunConfig::defaults(ranks).with_backend(Backend::Sequential), |ctx| {
             block_body(ctx, 4)
         });
-        for workers in 1..=3 {
+        for workers in [1, 2, 3, 5, ranks.min(64)] {
             let server = JobServer::new(workers);
-            for hub_shards in [None, Some(1), Some(5), Some(ranks)] {
-                let mut config = RunConfig::defaults(ranks).with_server(server.clone());
-                if let Some(shards) = hub_shards {
-                    config = config.with_hub_shards(shards);
-                }
-                let pooled = server.submit(config, |ctx| block_body(ctx, 4)).join();
-                let pooled = pooled
-                    .unwrap_or_else(|err| panic!("P={ranks} W={workers} S={hub_shards:?}: {err}"));
-                assert_reports_identical(&pooled, &oracle);
-            }
+            let config = RunConfig::defaults(ranks).with_server(server.clone());
+            let pooled = server.submit(config, |ctx| block_body(ctx, 4)).join();
+            let pooled = pooled.unwrap_or_else(|err| panic!("P={ranks} W={workers}: {err}"));
+            assert_reports_identical(&pooled, &oracle);
         }
     }
 }
@@ -209,7 +188,7 @@ fn a_panic_among_parked_ranks_fails_only_its_own_job() {
     let healthy_a = server.submit(RunConfig::new(6), |ctx| bsp_body(ctx, 6, 0xA));
     // Blocks {0..4} and {4..8}. Ranks 5 and 6 wait for rank 0's word and
     // then panic; everyone else goes straight to the second barrier.
-    let bad = server.submit(RunConfig::new(8).with_hub_shards(2), |mut ctx| async move {
+    let bad = server.submit(on(&server, 8), |mut ctx| async move {
         ctx.barrier().await;
         match ctx.rank() {
             0 => {
@@ -251,7 +230,7 @@ fn a_panic_among_parked_ranks_fails_only_its_own_job() {
 #[test]
 fn a_deadlock_inside_one_block_names_its_ranks_and_shard() {
     let server = JobServer::new(2);
-    let handle = server.submit(RunConfig::new(8).with_hub_shards(2), |mut ctx| async move {
+    let handle = server.submit(on(&server, 8), |mut ctx| async move {
         match ctx.rank() {
             0 | 1 | 3 => ctx.barrier().await,
             2 => {
@@ -299,7 +278,7 @@ fn ping_pong_across_a_block_boundary_keeps_every_wake() {
         }
     };
     let server = JobServer::new(2);
-    let config = RunConfig::defaults(2).with_server(server.clone()).with_hub_shards(2);
+    let config = RunConfig::defaults(2).with_server(server.clone());
     let pooled = server.submit(config, body).join().expect("ping-pong finishes");
     let oracle = run(RunConfig::defaults(2).with_backend(Backend::Sequential), body);
     assert_reports_identical(&pooled, &oracle);
@@ -340,43 +319,25 @@ fn a_rendezvous_costs_queue_operations_per_block_not_per_rank() {
     assert!(stats.passes >= stats.block_runs && stats.steals <= stats.enqueues, "{stats:?}");
 }
 
-#[test]
-fn priority_round_trips_through_strings() {
-    for priority in [Priority::High, Priority::Normal, Priority::Low] {
-        let rendered = priority.to_string();
-        let parsed: Priority = rendered.parse().expect("round-trip");
-        assert_eq!(parsed, priority, "{rendered}");
-    }
-    assert!("urgent".parse::<Priority>().is_err());
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random batches of jobs (random rank counts, program lengths, salts,
-    /// hub shard counts, priorities) on one shared pool: every report is
-    /// bit-identical to the job's serial reference run.
+    /// Random batches of jobs (random rank counts, program lengths, salts)
+    /// on one shared pool of random size — the jobs' block count: every
+    /// report is bit-identical to the job's serial reference run.
     #[test]
     fn concurrent_batches_match_serial(
-        jobs in proptest::collection::vec(
-            (2usize..6, 1u64..5, 0u64..1000, 1usize..6, 0usize..3),
-            2..6,
-        ),
-        workers in 1usize..4,
+        jobs in proptest::collection::vec((2usize..6, 1u64..5, 0u64..1000), 2..6),
+        workers in 1usize..6,
     ) {
         let server = JobServer::new(workers);
         let handles: Vec<_> = jobs
             .iter()
-            .map(|&(ranks, rounds, salt, hub_shards, prio)| {
-                let priority =
-                    [Priority::High, Priority::Normal, Priority::Low][prio];
-                let config = RunConfig::new(ranks)
-                    .with_hub_shards(hub_shards)
-                    .with_priority(priority);
-                server.submit(config, move |ctx| bsp_body(ctx, rounds, salt))
+            .map(|&(ranks, rounds, salt)| {
+                server.submit(on(&server, ranks), move |ctx| bsp_body(ctx, rounds, salt))
             })
             .collect();
-        for (handle, &(ranks, rounds, salt, _, _)) in handles.into_iter().zip(&jobs) {
+        for (handle, &(ranks, rounds, salt)) in handles.into_iter().zip(&jobs) {
             let pooled = handle.join().expect("healthy job");
             assert_reports_identical(&pooled, &serial_reference(ranks, rounds, salt));
         }

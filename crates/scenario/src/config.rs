@@ -69,9 +69,6 @@ pub struct ScenarioConfig {
     pub backend: Option<Backend>,
     /// Worker threads of the parallel backend (`None` = default).
     pub workers: Option<usize>,
-    /// Leaf shard count of the rendezvous hub (`None` = runtime default).
-    /// Purely a contention knob — results are bit-identical for any value.
-    pub hub_shards: Option<usize>,
     /// Submit the run to this existing [`JobServer`] (unless an explicit
     /// `backend` says sequential). Not serialized — a live handle, not a parameter.
     #[serde(skip)]
@@ -108,7 +105,6 @@ impl ScenarioConfig {
             omega: 1.0e9,
             backend: None,
             workers: None,
-            hub_shards: None,
             server: None,
         }
     }
@@ -190,7 +186,6 @@ impl ScenarioConfig {
             ranks: self.ranks,
             backend: self.backend,
             workers: self.workers,
-            hub_shards: self.hub_shards,
             server: self.server.clone(),
         }
     }
@@ -253,9 +248,6 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = ScenarioConfig::tiny(ScenarioKind::Scatter, 4);
         c.tasks_per_rank = 0;
-        assert!(c.validate().is_err());
-        let mut c = ScenarioConfig::tiny(ScenarioKind::Scatter, 4);
-        c.hub_shards = Some(0);
         assert!(c.validate().is_err());
         // Non-finite costs: `NaN` passes any `x <= 0.0` test.
         for bad in [f64::NAN, f64::INFINITY] {

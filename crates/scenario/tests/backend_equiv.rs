@@ -1,6 +1,8 @@
 //! Cross-backend equivalence for the scenario application — the
 //! acceptance criterion: per-scenario results are bit-identical across the
-//! sequential and parallel backends and across hub-shard counts, for every scenario family, policy, and gossip wire format.
+//! sequential and parallel backends and across pool sizes (a pool of `W`
+//! workers cuts a job into `min(W, 64)` blocks, one per hub shard), for
+//! every scenario family, policy, and gossip wire format.
 
 use proptest::prelude::*;
 use ulba_core::gossip::GossipWire;
@@ -8,19 +10,20 @@ use ulba_core::policy::LbPolicy;
 use ulba_runtime::Backend;
 use ulba_scenario::{run_scenario, ScenarioConfig, ScenarioKind, ScenarioResult};
 
-/// Run `cfg` on the given backend (explicit small worker count for the
-/// parallel backend, so the test is meaningful on a single-core machine).
-fn on_backend(cfg: &ScenarioConfig, backend: Backend) -> ScenarioResult {
+/// Run `cfg` on a private pool of `workers` threads (an explicit count, so
+/// the test is meaningful on a single-core machine): `min(workers, 64)`
+/// blocks, clamped to the rank count.
+fn on_pool(cfg: &ScenarioConfig, workers: usize) -> ScenarioResult {
     let mut cfg = cfg.clone();
-    cfg.backend = Some(backend);
-    if backend == Backend::Parallel {
-        cfg.workers = Some(3);
-    }
-    run_scenario(&cfg)
+    cfg.backend = Some(Backend::Parallel);
+    cfg.workers = Some(workers);
+    let result = run_scenario(&cfg);
+    assert_eq!(result.hub_shards, workers.min(64).min(cfg.ranks), "one block per worker");
+    result
 }
 
 /// Assert two scenario results are identical down to the last f64 bit.
-fn assert_bit_identical(reference: &ScenarioResult, other: &ScenarioResult, backend: Backend) {
+fn assert_bit_identical(reference: &ScenarioResult, other: &ScenarioResult, backend: &str) {
     assert_eq!(
         reference.makespan.to_bits(),
         other.makespan.to_bits(),
@@ -53,36 +56,29 @@ fn assert_bit_identical(reference: &ScenarioResult, other: &ScenarioResult, back
 }
 
 /// The oracle every comparison is anchored on: `cfg` on the sequential
-/// backend over the degenerate single-shard hub.
+/// backend, whose hub is the degenerate single shard.
 fn reference_run(cfg: &ScenarioConfig) -> ScenarioResult {
     let mut cfg = cfg.clone();
-    cfg.hub_shards = Some(1);
-    let reference = on_backend(&cfg, Backend::Sequential);
+    cfg.backend = Some(Backend::Sequential);
+    let reference = run_scenario(&cfg);
     assert_eq!(reference.hub_shards, 1);
     reference
 }
 
-/// Compare both backends (at `cfg`'s own shard count) against the
-/// reference.
-fn assert_backends_equivalent(cfg: &ScenarioConfig) {
+/// Compare a pool of `workers` against the sequential reference.
+fn assert_backends_equivalent(cfg: &ScenarioConfig, workers: usize) {
     let reference = reference_run(cfg);
-    for backend in [Backend::Sequential, Backend::Parallel] {
-        let other = on_backend(cfg, backend);
-        assert_bit_identical(&reference, &other, backend);
-    }
+    let other = on_pool(cfg, workers);
+    assert_bit_identical(&reference, &other, &format!("parallel W={workers}"));
 }
 
-/// Compare the single-shard reference against `S ∈ {1, 2, 7, P}` on every
-/// backend.
+/// Compare the sequential reference against pools of `W ∈ {1, 2, 7, P}`
+/// workers, as many blocks.
 fn assert_shard_counts_equivalent(cfg: &ScenarioConfig) {
     let reference = reference_run(cfg);
-    for backend in [Backend::Sequential, Backend::Parallel] {
-        for shards in [1usize, 2, 7, cfg.ranks] {
-            let mut sharded = cfg.clone();
-            sharded.hub_shards = Some(shards);
-            let other = on_backend(&sharded, backend);
-            assert_bit_identical(&reference, &other, backend);
-        }
+    for workers in [1usize, 2, 7, cfg.ranks.min(64)] {
+        let other = on_pool(cfg, workers);
+        assert_bit_identical(&reference, &other, &format!("parallel W={workers}"));
     }
 }
 
@@ -94,12 +90,12 @@ fn every_family_equivalent_across_backends() {
         let mut cfg = ScenarioConfig::tiny(kind, 6);
         cfg.iterations = 24;
         cfg.initial_lb_cost_factor = 0.05; // make the trigger actually fire
-        assert_backends_equivalent(&cfg);
+        assert_backends_equivalent(&cfg, 3);
     }
 }
 
 /// The task-graph scenario (irregular point-to-point traffic on top of
-/// gossip) across the hub-shard sweep: the checksum and every f64 must be
+/// gossip) across the pool-size sweep: the checksum and every f64 must be
 /// invariant.
 #[test]
 fn task_graph_equivalent_across_shard_counts() {
@@ -119,7 +115,7 @@ fn policy_wire_grid_equivalent_on_drifting_hotspot() {
             cfg.policy = policy;
             cfg.gossip_wire = wire;
             cfg.initial_lb_cost_factor = 0.05;
-            assert_backends_equivalent(&cfg);
+            assert_backends_equivalent(&cfg, 3);
         }
     }
 }
@@ -128,8 +124,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Randomized scenario configurations: family, ranks, λ, phases, seed,
-    /// policy, wire, hub shards — always bit-identical on both
-    /// backends.
+    /// policy, wire, pool size (= block count) — always bit-identical on
+    /// both backends.
     #[test]
     fn equivalent_on_random_configs(
         kind_idx in 0usize..5,
@@ -139,7 +135,7 @@ proptest! {
         seed in any::<u64>(),
         ulba in any::<bool>(),
         delta_wire in any::<bool>(),
-        hub_shards in 1usize..12,
+        workers in 1usize..12,
     ) {
         let kind = ScenarioKind::ALL[kind_idx];
         let mut cfg = ScenarioConfig::tiny(kind, ranks);
@@ -148,31 +144,24 @@ proptest! {
         cfg.seed = seed;
         cfg.policy = if ulba { LbPolicy::ulba_fixed(0.4) } else { LbPolicy::Standard };
         cfg.gossip_wire = if delta_wire { GossipWire::delta() } else { GossipWire::Full };
-        cfg.hub_shards = Some(hub_shards);
-        assert_backends_equivalent(&cfg);
+        assert_backends_equivalent(&cfg, workers);
     }
 
-    /// Randomized shard pairs: any two shard counts agree on any backend.
+    /// Randomized pool pairs: pools of any two sizes — as many blocks —
+    /// agree.
     #[test]
     fn equivalent_on_random_shard_pairs(
         kind_idx in 0usize..5,
         ranks in 2usize..12,
         iterations in 10u64..24,
         seed in any::<u64>(),
-        s_a in 1usize..14,
-        s_b in 1usize..14,
-        parallel in any::<bool>(),
+        w_a in 1usize..14,
+        w_b in 1usize..14,
     ) {
         let mut cfg = ScenarioConfig::tiny(ScenarioKind::ALL[kind_idx], ranks);
         cfg.iterations = iterations;
         cfg.seed = seed;
-        let backend = if parallel { Backend::Parallel } else { Backend::Sequential };
-        let mut a = cfg.clone();
-        a.hub_shards = Some(s_a);
-        let mut b = cfg;
-        b.hub_shards = Some(s_b);
-        let ra = on_backend(&a, backend);
-        let rb = on_backend(&b, backend);
-        assert_bit_identical(&ra, &rb, backend);
+        let (ra, rb) = (on_pool(&cfg, w_a), on_pool(&cfg, w_b));
+        assert_bit_identical(&ra, &rb, &format!("W={w_a} vs W={w_b}"));
     }
 }

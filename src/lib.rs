@@ -90,8 +90,8 @@ pub mod prelude {
         InstanceDistribution, Method, ModelParams, Schedule,
     };
     pub use ulba_runtime::{
-        run, submit, try_run, Backend, JobHandle, JobServer, MachineSpec, Priority, RunConfig,
-        RunError, RunReport, SpmdCtx,
+        run, submit, try_run, Backend, JobHandle, JobServer, MachineSpec, RunConfig, RunError,
+        RunReport, SpmdCtx,
     };
     pub use ulba_scenario::{
         run_scenario, run_scenario_batch, submit_scenario, ScenarioConfig, ScenarioJob,

@@ -1,7 +1,7 @@
 //! Batch-vs-serial equivalence of whole erosion experiments on a shared
-//! [`JobServer`]: for any mix of backend, hub shard count, and gossip wire
-//! format, submitting a sweep to one pool must reproduce the serial
-//! results bit for bit.
+//! [`JobServer`]: for any mix of backend, pool size (a job's block count),
+//! and gossip wire format, submitting a sweep to one pool must reproduce
+//! the serial results bit for bit.
 
 use proptest::prelude::*;
 use ulba::core::gossip::GossipWire;
@@ -10,18 +10,20 @@ use ulba::runtime::{Backend, JobServer};
 
 /// One generated experiment: which backend the config pins (None = eligible
 /// for the pool), plus the free dimensions that must never move a result.
+/// `workers` sizes the private pool — and so the block count — of the
+/// serial run; in the batch, the shared pool's size wins.
 fn build_config(
     seed: u64,
     ranks: usize,
     wire: GossipWire,
-    hub_shards: usize,
+    workers: usize,
     backend: Option<Backend>,
 ) -> ErosionConfig {
     let mut cfg = ErosionConfig::tiny(ranks, 1);
     cfg.iterations = 15;
     cfg.seed = seed;
     cfg.gossip_wire = wire;
-    cfg.hub_shards = Some(hub_shards);
+    cfg.workers = Some(workers);
     cfg.backend = backend;
     cfg
 }
@@ -44,10 +46,10 @@ proptest! {
         let server = JobServer::new(workers);
         let cfgs: Vec<ErosionConfig> = sweep
             .iter()
-            .map(|&(seed, ranks, wire, hub_shards, backend)| {
+            .map(|&(seed, ranks, wire, serial_workers, backend)| {
                 let wire = [GossipWire::Full, GossipWire::delta(), GossipWire::Delta { full_every: 3 }][wire];
                 let backend = [None, Some(Backend::Sequential), Some(Backend::Parallel)][backend];
-                build_config(seed, ranks, wire, hub_shards, backend)
+                build_config(seed, ranks, wire, serial_workers, backend)
                     .with_server(server.clone())
             })
             .collect();

@@ -3,8 +3,7 @@
 //! sections, many ranks, and full determinism.
 
 use parking_lot::Mutex;
-use std::sync::Arc;
-use ulba::runtime::{run, Backend, EventKind, MachineSpec, RunConfig, TimeKind, Tracer};
+use ulba::runtime::{run, Backend, MachineSpec, RunConfig, TimeKind};
 
 #[test]
 fn mixed_collectives_and_p2p_many_rounds() {
@@ -107,36 +106,6 @@ fn elapse_kinds_accumulate_correctly() {
     assert_eq!(m.lb, 0.25);
     assert_eq!(m.idle, 0.25);
     assert_eq!(report.makespan().as_secs(), 2.0);
-}
-
-#[test]
-fn tracer_captures_the_whole_protocol() {
-    let tracer = Arc::new(Tracer::new(100_000));
-    run(RunConfig::new(3).with_tracer(Arc::clone(&tracer)), |mut ctx| async move {
-        ctx.compute(1.0e9);
-        if ctx.rank() == 0 {
-            ctx.send(1, 4, 42u8, 1);
-        } else if ctx.rank() == 1 {
-            let _: u8 = ctx.recv(0, 4).await;
-        }
-        ctx.begin_lb();
-        ctx.barrier().await;
-        ctx.end_lb();
-        ctx.mark_iteration(0);
-    });
-    let timeline = tracer.timeline();
-    let count =
-        |pred: &dyn Fn(&EventKind) -> bool| timeline.iter().filter(|e| pred(&e.kind)).count();
-    assert_eq!(count(&|k| matches!(k, EventKind::Compute { .. })), 3);
-    assert_eq!(count(&|k| matches!(k, EventKind::Send { to: 1, tag: 4, .. })), 1);
-    assert_eq!(count(&|k| matches!(k, EventKind::Recv { from: 0, tag: 4 })), 1);
-    assert_eq!(count(&|k| matches!(k, EventKind::Collective { op: "barrier" })), 3);
-    assert_eq!(count(&|k| matches!(k, EventKind::LbBegin)), 3);
-    assert_eq!(count(&|k| matches!(k, EventKind::LbEnd)), 3);
-    assert_eq!(count(&|k| matches!(k, EventKind::Iteration { iter: 0 })), 3);
-    // Events are virtual-time ordered.
-    assert!(timeline.windows(2).all(|w| w[0].at <= w[1].at));
-    assert_eq!(tracer.dropped(), 0);
 }
 
 #[test]
