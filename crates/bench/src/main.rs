@@ -357,6 +357,15 @@ mod tests {
     }
 
     #[test]
+    fn no_study_takes_a_block_count() {
+        // The block count follows `--workers`; the flag that set it is gone.
+        for study in STUDIES {
+            let err = parse(study.name, &["--hub-shards", "4"], &[]).unwrap_err();
+            assert!(err.starts_with("unknown argument `--hub-shards`"), "{}: {err}", study.name);
+        }
+    }
+
+    #[test]
     fn one_pe_studies_refuse_a_ranks_list() {
         // Regression: these ran on the first entry and ignored the rest.
         for study in ONE_PE_STUDIES {

@@ -294,6 +294,19 @@ fn schedule(core: &Arc<ServerCore>, job: &Arc<Job>, block: usize) {
 }
 
 impl ServerCore {
+    /// Empty queues for `workers` workers, none of them started yet.
+    fn new(workers: usize) -> Self {
+        Self {
+            locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+            injector: Mutex::new(VecDeque::new()),
+            spawned: AtomicUsize::new(0),
+            seed_cursor: AtomicUsize::new(0),
+            stats: (0..=workers).map(|_| StatCell::default()).collect(),
+            sleep: Mutex::new(SleepState { idle: 0, shutdown: false }),
+            wakeup: Condvar::new(),
+        }
+    }
+
     /// This thread's worker index on *this* server, if it is one.
     fn current_worker(self: &Arc<Self>) -> Option<usize> {
         CURRENT_WORKER.with(|cw| {
@@ -637,15 +650,7 @@ impl JobServer {
         } else {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         };
-        let core = Arc::new(ServerCore {
-            locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            injector: Mutex::new(VecDeque::new()),
-            spawned: AtomicUsize::new(0),
-            seed_cursor: AtomicUsize::new(0),
-            stats: (0..=workers).map(|_| StatCell::default()).collect(),
-            sleep: Mutex::new(SleepState { idle: 0, shutdown: false }),
-            wakeup: Condvar::new(),
-        });
+        let core = Arc::new(ServerCore::new(workers));
         let mut spawned = 0;
         for worker in 0..workers {
             let spawn = std::thread::Builder::new().name(format!("ulba-server-{worker}")).spawn({
@@ -866,5 +871,61 @@ mod tests {
             Err(RunError::ResultMissing { job }) => assert!(job >= 1),
             other => panic!("expected ResultMissing, got {other:?}"),
         }
+    }
+
+    /// A server with `workers` run queues whose threads never start, so the
+    /// queues can be inspected before anything runs.
+    fn unstarted(workers: usize) -> JobServer {
+        let core = Arc::new(ServerCore::new(workers));
+        core.spawned.store(workers, Ordering::Release);
+        let guard = Arc::new(ServerGuard { core: Arc::clone(&core) });
+        JobServer { core, guard }
+    }
+
+    /// Admission is FIFO: each job's blocks are dealt round-robin over the
+    /// workers' queues, starting one worker further on per job, behind every
+    /// block of the jobs submitted before it — no lane lets a later job
+    /// overtake.
+    #[test]
+    fn blocks_are_dealt_round_robin_behind_earlier_jobs() {
+        let server = unstarted(3);
+        let body = |mut ctx: SpmdCtx| async move { ctx.barrier().await };
+        let jobs: Vec<JobHandle> = [3usize, 6, 2]
+            .iter()
+            .map(|&ranks| server.submit(RunConfig::new(ranks).with_server(server.clone()), body))
+            .collect();
+        let &[a, b, c] = &jobs.iter().map(JobHandle::id).collect::<Vec<_>>()[..] else {
+            unreachable!("three jobs")
+        };
+        let queued: Vec<Vec<(u64, usize)>> = server
+            .core
+            .locals
+            .iter()
+            .map(|queue| queue.lock().iter().map(|(job, i)| (job.shared.job_id(), *i)).collect())
+            .collect();
+        let expected =
+            vec![vec![(a, 0), (b, 2), (c, 1)], vec![(a, 1), (b, 0)], vec![(a, 2), (b, 1), (c, 0)]];
+        assert_eq!(queued, expected, "one block per worker, min(3, ranks) per job");
+        // Drive the queues from this thread, as a joiner with no workers
+        // does: every job completes.
+        while let Some(entry) = server.core.find_block(None) {
+            run_block(&server.core, None, entry);
+        }
+        for (job, ranks) in jobs.into_iter().zip([3, 6, 2]) {
+            assert_eq!(job.join().expect("completes").rank_metrics.len(), ranks);
+        }
+    }
+
+    /// Without a server or a worker count, a run sizes its private pool —
+    /// and so its blocks — by the machine, never beyond its ranks.
+    #[test]
+    fn an_unsized_pool_is_the_machine_and_never_outnumbers_the_ranks() {
+        let machine = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let wide = RunConfig::defaults(4096);
+        assert_eq!(effective_workers(&wide), machine);
+        assert_eq!(wide.effective_hub_shards(), machine.min(64));
+        assert_eq!(effective_workers(&RunConfig::defaults(1)), 1);
+        assert_eq!(effective_workers(&RunConfig::defaults(16).with_workers(3)), 3);
+        assert_eq!(effective_workers(&RunConfig::defaults(2).with_workers(8)), 2);
     }
 }

@@ -119,6 +119,45 @@ fn deadlocked_jobs_fail_independently_without_cross_contamination() {
     assert_reports_identical(&pooled, &serial_reference(4, 4, 0xFEED));
 }
 
+/// FIFO admission starves nothing: a job submitted behind a backlog of
+/// small ones, and joined first, completes, and so does the backlog.
+#[test]
+fn a_late_job_finishes_behind_a_backlog() {
+    let server = JobServer::new(2);
+    let backlog: Vec<_> =
+        (0..6u64).map(|i| server.submit(on(&server, 2), move |ctx| bsp_body(ctx, 2, i))).collect();
+    let late = server.submit(on(&server, 4), move |ctx| bsp_body(ctx, 3, 99));
+    assert_reports_identical(&late.join().expect("late job"), &serial_reference(4, 3, 99));
+    for (i, job) in backlog.into_iter().enumerate() {
+        let pooled = job.join().expect("backlog job");
+        assert_reports_identical(&pooled, &serial_reference(2, 2, i as u64));
+    }
+}
+
+/// A job is cut into one block per worker of its server, fewer when it has
+/// fewer ranks: a body that never waits costs one seeding enqueue and one
+/// run per block, and one poll per rank.
+#[test]
+fn a_job_is_cut_into_one_block_per_worker_of_its_server() {
+    for workers in [1usize, 3, 4] {
+        for ranks in [2usize, 10] {
+            let server = JobServer::new(workers);
+            let job =
+                server.submit(on(&server, ranks), |mut ctx| async move { ctx.compute(1.0e6) });
+            job.join().expect("completes");
+            let blocks = workers.min(ranks) as u64;
+            let stats = server.stats();
+            let label = format!("W={workers} P={ranks}: {stats:?}");
+            assert_eq!(
+                (stats.enqueues, stats.block_runs, stats.parks),
+                (blocks, blocks, 0),
+                "{label}"
+            );
+            assert_eq!(stats.rank_polls, ranks as u64, "{label}");
+        }
+    }
+}
+
 #[test]
 fn nested_submission_help_drives_instead_of_blocking_the_pool() {
     // One worker: if the outer rank blocked on the inner join instead of

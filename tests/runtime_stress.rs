@@ -109,6 +109,33 @@ fn elapse_kinds_accumulate_correctly() {
 }
 
 #[test]
+fn a_collective_books_its_wait_as_idle_and_its_cost_as_comm_or_lb() {
+    // Rank 1 arrives at each barrier one second before rank 0 (first
+    // round) or rank 0 one second before rank 1 (second round, inside an
+    // LB section). The wait is idle either way; the barrier's own cost is
+    // communication outside the section and LB work inside it.
+    let spec = MachineSpec::homogeneous(1.0e9);
+    let cost = spec.barrier_secs(2);
+    assert!(cost > 0.0);
+    let report = run(RunConfig::new(2).with_spec(spec), |mut ctx| async move {
+        ctx.compute(if ctx.rank() == 0 { 2.0e9 } else { 1.0e9 });
+        ctx.barrier().await;
+        ctx.begin_lb();
+        if ctx.rank() == 1 {
+            ctx.compute(1.0e9);
+        }
+        ctx.barrier().await;
+        ctx.end_lb();
+    });
+    let [r0, r1] = &report.rank_metrics[..] else { panic!("two ranks") };
+    assert_eq!((r0.busy, r1.busy), (2.0, 1.0));
+    assert_eq!((r0.comm, r1.comm), (cost, cost), "outside the section");
+    assert_eq!((r0.lb, r1.lb), (cost, 1.0 + cost), "inside the section");
+    assert!((r0.idle - 1.0).abs() < 1e-12 && r1.idle == 1.0, "{r0:?} {r1:?}");
+    assert!((report.makespan().as_secs() - (3.0 + 2.0 * cost)).abs() < 1e-12);
+}
+
+#[test]
 fn halo_only_stress_without_the_hub() {
     // Satellite baseline for the sharded-hub numbers: a pure
     // neighbor-exchange (halo) workload with **no global collective per
