@@ -210,7 +210,7 @@ record! {
         pub pes: usize,
         /// Policy (or study-arm) label.
         pub policy: String,
-        /// The resolved block count: leaf shards of the rendezvous hub, one
+        /// The resolved block count: shards of the rendezvous hub, one
         /// per worker of the pool the run went to.
         pub hub_shards: usize,
         /// Gossip wire-format label (`full` / `delta:<N>`).

@@ -240,7 +240,7 @@ pub struct LbRun<X> {
     /// The backend that drove the run — what the [`Placement`] and
     /// `ULBA_BACKEND` resolved to. Pure metadata, like the shard count.
     pub backend: Backend,
-    /// The resolved block count: leaf shards of the rendezvous hub, one per
+    /// The resolved block count: shards of the rendezvous hub, one per
     /// worker of the pool the run went to (at most 64; 1 on the sequential
     /// backend). Pure contention metadata: it never influences the
     /// measurements above.

@@ -15,7 +15,7 @@
 //!
 //! # Host cost of a collective
 //!
-//! All ranks of a round share one [`RoundValues`] object, so what a
+//! All ranks of a round share one rank-ordered vector, so what a
 //! collective costs the *simulator* depends on what each rank takes out of
 //! it. A reduction — [`SpmdCtx::allreduce`] and its `_sum`/`_max`
 //! shorthands, [`SpmdCtx::allgather_with`] — is folded **once per round**
@@ -44,7 +44,7 @@ pub struct SpmdCtx {
     rank: usize,
     size: usize,
     shared: Arc<RunShared>,
-    /// This rank's leaf shard in the rendezvous hub, resolved once per run
+    /// This rank's shard in the rendezvous hub, resolved once per run
     /// so the per-collective hot path never recomputes the mapping.
     hub_shard: usize,
     clock: VirtualTime,
@@ -266,7 +266,7 @@ impl SpmdCtx {
         &mut self,
         value: T,
         bytes_per_rank: usize,
-        fold: impl FnOnce(&RoundValues<T>) -> R,
+        fold: impl FnOnce(&[T]) -> R,
     ) -> R
     where
         T: Clone + Send + Sync + 'static,
@@ -284,7 +284,7 @@ impl SpmdCtx {
         &self,
         op: &'static str,
         values: &RoundValues<T>,
-        fold: impl FnOnce(&RoundValues<T>) -> R,
+        fold: impl FnOnce(&[T]) -> R,
     ) -> R {
         values.reduce_once(fold).unwrap_or_else(|| payload_mismatch(op, self.shared.hub.job()))
     }
@@ -410,7 +410,7 @@ impl Drop for SpmdCtx {
 struct ExchangeFuture<'a, T> {
     shared: &'a RunShared,
     rank: usize,
-    /// The rank's leaf shard in the hub (cached by the ctx).
+    /// The rank's shard in the hub (cached by the ctx).
     shard: usize,
     op: &'static str,
     /// `Some` until the deposit was accepted.

@@ -22,7 +22,7 @@
 //!   of every equivalence suite, and the faster way to use one core.
 //!
 //! Both drive the same [`crate::ctx::SpmdCtx`] accounting and the same
-//! [`crate::hub::Hub`]/[`crate::mailbox::MailboxSet`] state machines, so a
+//! rendezvous-hub and mailbox state machines, so a
 //! program's virtual-time behaviour is bit-identical across backends — and,
 //! on the job server, independent of which other jobs share the pool. Both
 //! detect deadlocks exactly ([`RunError::Deadlock`]).
@@ -229,7 +229,7 @@ impl RunConfig {
         config
     }
 
-    /// How many contiguous rank ranges the job is cut into: the leaf shards
+    /// How many contiguous rank ranges the job is cut into: the shards
     /// of the collective rendezvous hub (one lock each) *and*, on a
     /// [`JobServer`], the job's schedulable blocks (one worker drives a
     /// whole block at a time). One per worker of the pool the job runs on,
@@ -265,9 +265,9 @@ pub enum RunError {
         /// Total ranks in the run.
         ranks: usize,
         /// The distinct hub shards holding blocked ranks, in shard order —
-        /// a stuck collective often spans several shards of the reduction
-        /// tree, and knowing which narrows the mismatched ranks down fast
-        /// at large `P`.
+        /// a stuck collective often spans several shards of the hub, and
+        /// knowing which narrows the mismatched ranks down fast at large
+        /// `P`.
         shards: Vec<usize>,
     },
     /// A [`JobHandle`] observed its pool job as finished

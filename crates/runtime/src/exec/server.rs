@@ -19,7 +19,7 @@
 //!
 //! # Blocks
 //!
-//! A block is a contiguous range of ranks, one per leaf shard of the job's
+//! A block is a contiguous range of ranks, one per shard of the job's
 //! hub and read *from the hub* ([`crate::hub::Hub::shard_range`]); the
 //! count is one per worker of the pool, at most 64
 //! ([`RunConfig::effective_hub_shards`]). Queue entries, the state machine,

@@ -10,20 +10,19 @@
 //!
 //! # Sharding
 //!
-//! The hub is **sharded**: the `P` ranks are split over `S` leaf shards
+//! The hub is **sharded**: the `P` ranks are split over `S` shards
 //! (shard = `rank / ceil(P/S)`, so the last shard may be ragged), each with
-//! its own lock, value slots, and parked-waker list. A deposit touches only
-//! its own shard — the global single-mutex serialization of the pre-shard
-//! hub becomes `O(P/S)` contention per shard. Shard completions combine up
-//! a fixed-arity reduction tree of atomic fan-in counters; the deposit that
-//! completes the last shard walks its root path, and on reaching the root
-//! it assembles the rank-indexed result from the shards (in shard order, so
-//! the vector and the clock maximum are bit-identical for **any** shard
-//! count, including the `S = 1` degenerate case, which is exactly the old
-//! single-mutex hub) and distributes it back to every shard, waking the
-//! shard-local waiters. Draining mirrors the same tree: the last rank out
-//! of a shard propagates up, and the globally last drain reopens entry on
-//! every shard for the next generation.
+//! its own lock, deposit slots, and parked-waker list. A deposit touches only
+//! its own shard. Two counters tie the shards together. The deposit that
+//! completes a shard bumps the *completion* counter; the one that completes
+//! the last shard moves every shard's deposits, in shard order (which is
+//! rank order), into one vector — so the round and its clock maximum are
+//! bit-identical for **any** shard count, `S = 1` included — and hands it
+//! to every shard, waking the shard-local waiters. The last rank out of a
+//! shard bumps the *drain* counter, and the last shard to drain reopens
+//! entry on every shard for the next generation. Only the last shard of a
+//! round passes a counter, and it resets it: the next round's reports
+//! cannot start before this round has fully drained.
 //!
 //! The hub never blocks a thread: the shard state machine
 //! ([`ShardState::deposit`] / [`ShardState::collect`]) is pure bookkeeping
@@ -39,54 +38,35 @@
 //! ([`Hub::shard_range`]) form one block that one worker drives at a time,
 //! so a shard lock is uncontended and a wake is one flag store.
 //!
-//! The completed round is **one shared object** ([`RoundValues`]): every
+//! The completed round is **one shared vector** ([`RoundValues`]): every
 //! rank collects a handle to it, not a copy. It carries a compute-once
 //! slot ([`RoundValues::reduce_once`]), so a reduction over the round is
 //! folded by the first rank that asks and merely cloned by the others —
-//! `O(P)` host work per round rather than per rank.
+//! `O(P)` host work per round rather than per rank. Nothing is recycled:
+//! a round costs a constant number of allocations, one of them `O(P)`.
 //!
 //! A hub belongs to exactly one run (its *job*): [`Hub::for_job`] stamps
 //! the job id into every collective-mismatch diagnostic, so when many jobs
 //! share one [`crate::exec::server::JobServer`] a panic names which job
-//! misbehaved. The standalone constructors ([`Hub::new`],
-//! [`Hub::with_shards`]) use job id 0, which suppresses the tag.
+//! misbehaved. Job id 0 suppresses the tag.
 
 use crate::time::VirtualTime;
 use parking_lot::Mutex;
-use std::any::{Any, TypeId};
-use std::collections::HashMap;
-use std::ops::Index;
+use std::any::Any;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::task::Waker;
 
-/// Fan-in of the reduction tree combining shard completions: each internal
-/// node waits for up to this many children before notifying its parent.
-const TREE_ARITY: usize = 4;
-
-/// Rank-indexed values of one completed round, stored as the per-shard
-/// chunks the reduction tree assembled them in — never concatenated into
-/// one `O(P)` vector. Chunk `s` holds the deposits of ranks
-/// `s * width .. s * width + chunk.len()` in rank order, so indexing,
-/// iteration and [`RoundValues::to_vec`] observe exactly the monolithic
-/// rank-indexed vector of the pre-chunk hub, for any shard count.
-///
-/// Every rank of the round holds a handle to the *same* object, which is
-/// what lets a reduction run once per round instead of once per rank: see
-/// [`RoundValues::reduce_once`].
-pub struct RoundValues<T> {
-    /// The round's one shared object; a handle clone is a reference bump.
-    round: Arc<SharedRound<T>>,
-    /// Ranks per chunk (the last chunk may be ragged).
-    width: usize,
-    /// Total rank count.
-    len: usize,
-}
+/// The values of one completed round, in rank order. Every rank of the
+/// round holds a handle to the *same* vector (a clone is a reference
+/// bump), which is what lets a reduction run once per round instead of
+/// once per rank: see [`RoundValues::reduce_once`].
+pub struct RoundValues<T>(Arc<SharedRound<T>>);
 
 /// What all `P` handles of one round share.
 struct SharedRound<T> {
-    /// Per-shard chunks in shard (= rank) order; `O(S)` handles.
-    chunks: Vec<Arc<Vec<T>>>,
+    values: Vec<T>,
     /// The round's compute-once slot ([`RoundValues::reduce_once`]). Born
     /// empty with the round and dropped with it, so it needs no reset
     /// between generations.
@@ -95,85 +75,35 @@ struct SharedRound<T> {
 
 impl<T> Clone for RoundValues<T> {
     fn clone(&self) -> Self {
-        Self { round: Arc::clone(&self.round), width: self.width, len: self.len }
+        Self(Arc::clone(&self.0))
+    }
+}
+
+impl<T> Deref for RoundValues<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.0.values
     }
 }
 
 impl<T> RoundValues<T> {
-    fn from_chunks(chunks: Vec<Arc<Vec<T>>>, width: usize, len: usize) -> Self {
-        Self { round: Arc::new(SharedRound { chunks, reduced: OnceLock::new() }), width, len }
-    }
-
-    /// Wrap an already rank-indexed vector as a single-chunk round (the
-    /// `S = 1` shape); used by tests and single-shard assembly alike.
-    pub fn from_vec(values: Vec<T>) -> Self {
-        let len = values.len();
-        Self::from_chunks(vec![Arc::new(values)], len.max(1), len)
-    }
-
-    /// Number of participating ranks.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the round is empty (never true for a live hub: `P ≥ 1`).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Iterate the values in rank order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.round.chunks.iter().flat_map(|chunk| chunk.iter())
-    }
-
-    /// Copy the values out into one rank-indexed vector.
-    pub fn to_vec(&self) -> Vec<T>
-    where
-        T: Clone,
-    {
-        let mut out = Vec::with_capacity(self.len);
-        for chunk in self.round.chunks.iter() {
-            out.extend_from_slice(chunk);
-        }
-        out
-    }
-
     /// Reduce the round **once**: the first handle to ask runs `fold` over
-    /// the values (rank order is chunk order, so an `f64` sum is
-    /// bit-identical for any shard count); every other handle of the same
-    /// round gets a clone of the cached result, and handles asking
-    /// concurrently wait for the one fold rather than starting their own.
-    /// A reduction therefore costs `O(P)` per round, `O(1)` per rank.
+    /// the values (in rank order, so an `f64` sum is bit-identical for any
+    /// shard count); every other handle of the same round gets a clone of
+    /// the cached result, and handles asking concurrently wait for the one
+    /// fold rather than starting their own. A reduction therefore costs
+    /// `O(P)` per round, `O(1)` per rank.
     ///
     /// `fold` must be a pure function of the round's values and the same
     /// on every rank — it runs on whichever rank asks first. Returns
     /// `None` when the round was already reduced to a different result
     /// type (a collective-ordering bug in the caller).
-    pub fn reduce_once<R>(&self, fold: impl FnOnce(&Self) -> R) -> Option<R>
+    pub fn reduce_once<R>(&self, fold: impl FnOnce(&[T]) -> R) -> Option<R>
     where
         R: Clone + Send + Sync + 'static,
     {
-        self.round.reduced.get_or_init(|| Box::new(fold(self))).downcast_ref::<R>().cloned()
-    }
-}
-
-impl<T> Index<usize> for RoundValues<T> {
-    type Output = T;
-
-    fn index(&self, rank: usize) -> &T {
-        &self.round.chunks[rank / self.width][rank % self.width]
-    }
-}
-
-impl<T: PartialEq> PartialEq<Vec<T>> for RoundValues<T> {
-    fn eq(&self, other: &Vec<T>) -> bool {
-        self.len == other.len() && self.iter().zip(other.iter()).all(|(a, b)| a == b)
-    }
-}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for RoundValues<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
+        self.0.reduced.get_or_init(|| Box::new(fold(&self.0.values))).downcast_ref::<R>().cloned()
     }
 }
 
@@ -186,68 +116,28 @@ pub struct ExchangeRound<T> {
     pub max_clock: VirtualTime,
 }
 
-impl<T> Clone for ExchangeRound<T> {
-    fn clone(&self) -> Self {
-        Self { values: self.values.clone(), max_clock: self.max_clock }
-    }
-}
-
-/// A type-erased chunk handle a shard keeps after distributing its round,
-/// so the underlying buffer can be recycled once every consumer has
-/// dropped its copy (steady-state rounds then allocate nothing
-/// proportional to `P`).
-trait ReclaimChunk: Send {
-    /// Recover the chunk's buffer if this is the last handle: returns the
-    /// cleared `Vec<T>` (capacity intact) keyed by its element type.
-    fn reclaim(self: Box<Self>) -> Option<(TypeId, Box<dyn Any + Send>)>;
-}
-
-impl<T: Send + Sync + 'static> ReclaimChunk for Arc<Vec<T>> {
-    fn reclaim(self: Box<Self>) -> Option<(TypeId, Box<dyn Any + Send>)> {
-        Arc::try_unwrap(*self).ok().map(|mut buf| {
-            buf.clear();
-            (TypeId::of::<T>(), Box::new(buf) as Box<dyn Any + Send>)
-        })
-    }
-}
-
-/// Lock-protected state of one leaf shard: the deposit slots of its ranks,
-/// the entry guard, and the distributed copy of the completed round.
+/// Lock-protected state of one shard: the deposit slots of its ranks, the
+/// entry guard, and the shard's handle to the completed round.
 struct ShardState {
-    /// Id of the owning job (0 for standalone hubs), for diagnostics.
+    /// Id of the owning job (0 suppresses the diagnostic tag).
     job: u64,
     generation: u64,
     op_name: Option<&'static str>,
     /// Number of ranks in this shard.
     width: usize,
     /// Typed deposit slots of this shard's ranks (`Vec<Option<T>>`,
-    /// indexed locally by `rank - base`), created by the round's first
-    /// deposit and drained into the shard's chunk by the root assembly.
-    /// Recycled per element type across generations, so steady-state
-    /// deposits box nothing.
+    /// indexed locally), allocated by the round's first deposit and
+    /// consumed by the round's assembly.
     deposits: Option<Box<dyn Any + Send>>,
     arrived: usize,
     max_clock: VirtualTime,
     /// Whether a new deposit may enter. Closed when the shard completes
     /// locally; reopened by the globally last drain of the round.
     entry_open: bool,
-    /// Type-erased [`RoundValues<T>`] of the completed round, distributed
-    /// to every shard by the completing rank.
-    result: Option<Box<dyn Any + Send>>,
+    /// The completed round (a type-erased `SharedRound<T>`), handed to
+    /// every shard by the completing rank.
+    result: Option<Arc<dyn Any + Send + Sync>>,
     result_max_clock: VirtualTime,
-    /// This shard's own chunk of the distributed round, retained so the
-    /// buffer can be recycled once consumers drop their round handles.
-    own_chunk: Option<Box<dyn ReclaimChunk>>,
-    /// Last generation's chunk handle, awaiting reclamation at the next
-    /// assembly (by then every rank has re-entered, so its round handles
-    /// — which pin all chunks through the shared chunk list — are gone).
-    graveyard: Option<Box<dyn ReclaimChunk>>,
-    /// Cleared, capacity-bearing chunk buffers keyed by element type; the
-    /// collective mix of an application is a handful of types, so this
-    /// stays O(types × shard width).
-    spare_chunks: HashMap<TypeId, Box<dyn Any + Send>>,
-    /// Cleared `Vec<Option<T>>` deposit buffers keyed by element type.
-    spare_deposits: HashMap<TypeId, Box<dyn Any + Send>>,
     departed: usize,
     /// Wakers of the ranks parked at the rendezvous (waiting either for
     /// the round to complete or for entry to reopen),
@@ -256,8 +146,7 @@ struct ShardState {
     wakers: Vec<Option<Waker>>,
 }
 
-/// Diagnostic suffix naming the owning job; empty for standalone hubs
-/// (job id 0), so single-run panic messages stay unchanged.
+/// Diagnostic suffix naming the owning job; empty for job id 0.
 fn job_tag(job: u64) -> String {
     if job == 0 {
         String::new()
@@ -285,10 +174,6 @@ impl ShardState {
             entry_open: true,
             result: None,
             result_max_clock: VirtualTime::ZERO,
-            own_chunk: None,
-            graveyard: None,
-            spare_chunks: HashMap::new(),
-            spare_deposits: HashMap::new(),
             departed: 0,
             wakers: (0..width).map(|_| None).collect(),
         }
@@ -298,7 +183,7 @@ impl ShardState {
     /// into the current round; the caller must have checked
     /// [`ShardState::entry_open`]. Returns `true` when this deposit
     /// completed the shard (all of its ranks arrived), which closes entry
-    /// and obliges the caller to propagate the completion up the tree.
+    /// and obliges the caller to report the shard as completed.
     fn deposit<T: Send + Sync + 'static>(
         &mut self,
         local: usize,
@@ -319,26 +204,18 @@ impl ShardState {
                 job_tag(self.job)
             ),
         }
-        let job = self.job;
-        let slots = match &mut self.deposits {
-            Some(buf) => buf
-                .downcast_mut::<Vec<Option<T>>>()
-                .unwrap_or_else(|| payload_mismatch(op_name, job)),
-            none => {
-                let mut buf: Vec<Option<T>> = match self.spare_deposits.remove(&TypeId::of::<T>()) {
-                    Some(spare) => *spare.downcast().expect("spare deposit buffer keyed by type"),
-                    None => Vec::with_capacity(self.width),
-                };
-                buf.resize_with(self.width, || None);
-                none.insert(Box::new(buf)).downcast_mut::<Vec<Option<T>>>().expect("just inserted")
-            }
-        };
+        let (job, width) = (self.job, self.width);
+        let slots = self
+            .deposits
+            .get_or_insert_with(|| Box::new((0..width).map(|_| None).collect::<Vec<Option<T>>>()))
+            .downcast_mut::<Vec<Option<T>>>()
+            .unwrap_or_else(|| payload_mismatch(op_name, job));
         assert!(
             slots[local].is_none(),
             "rank {rank} deposited twice in collective `{op_name}` \
              (generation {}){}",
             self.generation,
-            job_tag(self.job)
+            job_tag(job)
         );
         slots[local] = Some(value);
         self.arrived += 1;
@@ -351,173 +228,61 @@ impl ShardState {
         }
     }
 
-    /// Drain this shard's typed deposit slots into a chunk in local-rank
-    /// order, recycling both the chunk buffer and the deposit buffer from
-    /// previous generations of the same element type. Called by the root
-    /// assembly with the shard complete.
-    fn assemble_chunk<T: Send + Sync + 'static>(&mut self, op_name: &'static str) -> Vec<T> {
-        // A full generation has passed since the graveyard chunk was
-        // distributed, so every consumer handle is normally gone and the
-        // buffer comes back; if a rank body still pins it, the handle is
-        // simply dropped and the next round allocates afresh.
-        if let Some(grave) = self.graveyard.take() {
-            if let Some((tid, buf)) = grave.reclaim() {
-                self.spare_chunks.insert(tid, buf);
-            }
-        }
-        let mut chunk: Vec<T> = match self.spare_chunks.remove(&TypeId::of::<T>()) {
-            Some(spare) => *spare.downcast().expect("spare chunk keyed by type"),
-            None => Vec::with_capacity(self.width),
-        };
-        let mut slots: Vec<Option<T>> = *self
-            .deposits
-            .take()
-            .expect("completed shard has deposits")
-            .downcast::<Vec<Option<T>>>()
-            .unwrap_or_else(|_| payload_mismatch(op_name, self.job));
-        chunk.extend(
-            slots.iter_mut().map(|s| s.take().expect("all ranks of a completed round deposited")),
-        );
-        slots.clear();
-        self.spare_deposits.insert(TypeId::of::<T>(), Box::new(slots));
-        chunk
-    }
-
-    /// Read the distributed round result, if present. Returns the round
-    /// plus whether this caller was the last of the *shard* to depart
-    /// (which obliges the caller to propagate the drain up the tree). Must
-    /// be called at most once per depositing rank.
+    /// Read the shard's handle to the completed round, if present. Returns
+    /// the round plus whether this caller was the last of the *shard* to
+    /// depart (which obliges the caller to report the shard as drained).
+    /// Must be called at most once per depositing rank.
     fn collect<T: Send + Sync + 'static>(
         &mut self,
         op_name: &'static str,
     ) -> Option<(ExchangeRound<T>, bool)> {
-        let values = self
-            .result
-            .as_ref()?
-            .downcast_ref::<RoundValues<T>>()
-            .unwrap_or_else(|| payload_mismatch(op_name, self.job))
-            .clone();
+        let round = Arc::clone(self.result.as_ref()?)
+            .downcast::<SharedRound<T>>()
+            .unwrap_or_else(|_| payload_mismatch(op_name, self.job));
         let max_clock = self.result_max_clock;
         self.departed += 1;
         let shard_drained = self.departed == self.width;
-        Some((ExchangeRound { values, max_clock }, shard_drained))
-    }
-
-    /// Take every parked waker (to be woken after the shard lock is
-    /// released).
-    fn take_wakers(&mut self) -> Vec<Waker> {
-        self.wakers.iter_mut().filter_map(Option::take).collect()
+        Some((ExchangeRound { values: RoundValues(round), max_clock }, shard_drained))
     }
 }
 
-/// One leaf shard: `O(P/S)` ranks behind one lock, plus its position in the
-/// reduction tree.
-struct Shard {
-    /// First global rank of this shard (`ranks = base..base + width`).
-    base: usize,
-    /// Parent node index in [`Hub::nodes`], `None` when the shard is the
-    /// tree root (single-shard hub).
-    parent: Option<usize>,
-    state: Mutex<ShardState>,
-}
-
-/// Internal reduction-tree node: fan-in counters for round completion and
-/// drain. Only one rank per child touches a node per round (the one that
-/// completed/drained the child), so plain atomics suffice — the counter
-/// resets itself when the last child reports, ready for the next
-/// generation (the next round cannot reach the node before the current one
-/// fully drains).
-struct TreeNode {
-    parent: Option<usize>,
-    children: usize,
-    arrived: AtomicUsize,
-    drained: AtomicUsize,
-}
-
-/// Rendezvous coordinator shared by all ranks of one run: `S` leaf shards
-/// combined by a fixed-arity reduction tree.
+/// Rendezvous coordinator shared by all ranks of one run: `S` shards and
+/// the two counters that complete and drain a round across them.
 pub struct Hub {
     size: usize,
-    /// Id of the owning job (0 for standalone hubs), for diagnostics.
+    /// Id of the owning job (0 suppresses the diagnostic tag).
     job: u64,
     /// Ranks per shard (`ceil(size / shard_count)`); the last shard may
     /// hold fewer ("ragged").
     shard_width: usize,
-    shards: Vec<Shard>,
-    /// Internal tree nodes, leaves-to-root; empty for a single shard.
-    nodes: Vec<TreeNode>,
+    shards: Vec<Mutex<ShardState>>,
+    /// Shards whose ranks have all deposited into the current round.
+    completed: AtomicUsize,
+    /// Shards whose ranks have all collected the current round.
+    drained: AtomicUsize,
 }
 
 impl Hub {
-    /// Create a single-shard hub for `size` ranks (the degenerate
-    /// configuration, equivalent to the pre-shard global-mutex hub).
-    pub fn new(size: usize) -> Self {
-        Self::with_shards(size, 1)
-    }
-
-    /// Create a hub for `size` ranks over (up to) `shards` leaf shards.
-    /// The effective shard count is clamped to `[1, size]`; ranks map to
-    /// shards by `rank / ceil(size / shards)`.
-    pub fn with_shards(size: usize, shards: usize) -> Self {
-        Self::for_job(0, size, shards)
-    }
-
-    /// [`Hub::with_shards`] for the hub of job `job`: collective-mismatch
-    /// diagnostics are tagged with the id, so concurrent jobs on one
+    /// Create the hub of job `job` for `size` ranks over (up to) `shards`
+    /// shards. The effective shard count is clamped to `[1, size]`; ranks
+    /// map to shards by `rank / ceil(size / shards)`. Collective-mismatch
+    /// diagnostics are tagged with the job id, so concurrent jobs on one
     /// [`crate::exec::server::JobServer`] stay distinguishable (`0`
     /// suppresses the tag).
     pub fn for_job(job: u64, size: usize, shards: usize) -> Self {
         assert!(size >= 1, "a run needs at least one rank");
         let shard_width = size.div_ceil(shards.clamp(1, size));
-        let shard_count = size.div_ceil(shard_width);
-
-        let mut shards: Vec<Shard> = (0..shard_count)
-            .map(|s| {
-                let base = s * shard_width;
-                let width = shard_width.min(size - base);
-                Shard { base, parent: None, state: Mutex::new(ShardState::new(width, job)) }
-            })
+        let shards = (0..size.div_ceil(shard_width))
+            .map(|s| Mutex::new(ShardState::new(shard_width.min(size - s * shard_width), job)))
             .collect();
-
-        // Build the reduction tree bottom-up: group the shards (then each
-        // node level) by TREE_ARITY until a single root remains.
-        let mut nodes: Vec<TreeNode> = Vec::new();
-        if shard_count > 1 {
-            let mut level_len = shard_count.div_ceil(TREE_ARITY);
-            for j in 0..level_len {
-                let children = TREE_ARITY.min(shard_count - j * TREE_ARITY);
-                nodes.push(TreeNode {
-                    parent: None,
-                    children,
-                    arrived: AtomicUsize::new(0),
-                    drained: AtomicUsize::new(0),
-                });
-            }
-            for (s, shard) in shards.iter_mut().enumerate() {
-                shard.parent = Some(s / TREE_ARITY);
-            }
-            let mut level_start = 0;
-            while level_len > 1 {
-                let next_start = nodes.len();
-                let next_len = level_len.div_ceil(TREE_ARITY);
-                for j in 0..next_len {
-                    let children = TREE_ARITY.min(level_len - j * TREE_ARITY);
-                    nodes.push(TreeNode {
-                        parent: None,
-                        children,
-                        arrived: AtomicUsize::new(0),
-                        drained: AtomicUsize::new(0),
-                    });
-                }
-                for j in 0..level_len {
-                    nodes[level_start + j].parent = Some(next_start + j / TREE_ARITY);
-                }
-                level_start = next_start;
-                level_len = next_len;
-            }
+        Self {
+            size,
+            job,
+            shard_width,
+            shards,
+            completed: AtomicUsize::new(0),
+            drained: AtomicUsize::new(0),
         }
-
-        Self { size, job, shard_width, shards, nodes }
     }
 
     /// Number of participating ranks.
@@ -525,57 +290,51 @@ impl Hub {
         self.size
     }
 
-    /// Id of the owning job (0 for standalone hubs).
+    /// Id of the owning job.
     pub fn job(&self) -> u64 {
         self.job
     }
 
-    /// Number of leaf shards.
+    /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
-    /// The leaf shard holding `rank`.
+    /// The shard holding `rank`.
     pub fn shard_of(&self, rank: usize) -> usize {
         debug_assert!(rank < self.size);
         rank / self.shard_width
     }
 
-    /// The contiguous ranks of leaf shard `shard` — the job server takes
-    /// its schedulable blocks from here, so a block is exactly a shard.
+    /// The contiguous ranks of shard `shard` — the job server takes its
+    /// schedulable blocks from here, so a block is exactly a shard.
     pub fn shard_range(&self, shard: usize) -> std::ops::Range<usize> {
-        let base = self.shards[shard].base;
+        let base = shard * self.shard_width;
         base..(base + self.shard_width).min(self.size)
     }
 
-    /// Walk one fan-in counter from `start` towards the root; returns
-    /// `true` when the walk completed the root (i.e. every shard reported).
-    /// Counters self-reset on the last report — safe because the next
-    /// round's reports are gated behind the current round's full drain.
-    fn propagate(&self, start: Option<usize>, which: impl Fn(&TreeNode) -> &AtomicUsize) -> bool {
-        let mut cur = start;
-        while let Some(i) = cur {
-            let node = &self.nodes[i];
-            if which(node).fetch_add(1, Ordering::AcqRel) + 1 < node.children {
-                return false;
-            }
-            which(node).store(0, Ordering::Release);
-            cur = node.parent;
+    /// Report one shard to `counter`; returns `true` for the last shard of
+    /// the round, which resets the counter for the next generation — safe
+    /// because the next round's reports are gated behind this round's full
+    /// drain. The counter only elects the last shard: the shards' data is
+    /// read under their own locks, which carry the happens-before edges.
+    fn last_shard(&self, counter: &AtomicUsize) -> bool {
+        if counter.fetch_add(1, Ordering::AcqRel) + 1 < self.shards.len() {
+            return false;
         }
+        counter.store(0, Ordering::Release);
         true
     }
 
-    /// Root of the reduction: every shard completed, so assemble one chunk
-    /// per shard — each drained under its own lock into a recycled buffer,
-    /// never concatenated into an `O(P)` vector — and distribute the
-    /// chunked, rank-indexed [`RoundValues`] back to the shards (chunk
-    /// order = shard order = rank order, hence bit-identical for any shard
-    /// count). Returns the parked wakers to wake once no locks are held.
+    /// Every shard completed: move the deposits of every shard, in shard
+    /// order (= rank order, hence bit-identical for any shard count), into
+    /// one vector, and hand the shared round to every shard. Returns every
+    /// parked waker, to be woken once no locks are held.
     fn complete_round<T: Send + Sync + 'static>(&self, op_name: &'static str) -> Vec<Waker> {
-        let mut chunks: Vec<Arc<Vec<T>>> = Vec::with_capacity(self.shards.len());
+        let mut values = Vec::with_capacity(self.size);
         let mut max_clock = VirtualTime::ZERO;
         for (idx, shard) in self.shards.iter().enumerate() {
-            let mut st = shard.state.lock();
+            let mut st = shard.lock();
             let shard_op = st.op_name.expect("completed shard has an op");
             assert_eq!(
                 shard_op,
@@ -587,43 +346,45 @@ impl Hub {
                 job_tag(self.job)
             );
             debug_assert_eq!(st.arrived, st.width, "shard {idx} incomplete at assembly");
-            let chunk = Arc::new(st.assemble_chunk::<T>(op_name));
-            st.own_chunk = Some(Box::new(Arc::clone(&chunk)));
-            chunks.push(chunk);
+            let slots: Vec<Option<T>> = *st
+                .deposits
+                .take()
+                .expect("completed shard has deposits")
+                .downcast()
+                .unwrap_or_else(|_| payload_mismatch(op_name, self.job));
+            values.extend(
+                slots.into_iter().map(|s| s.expect("all ranks of a completed round deposited")),
+            );
             max_clock = max_clock.max(st.max_clock);
         }
-        let values = RoundValues::from_chunks(chunks, self.shard_width, self.size);
-        let mut to_wake = Vec::new();
+        let round: Arc<dyn Any + Send + Sync> =
+            Arc::new(SharedRound { values, reduced: OnceLock::new() });
+        let mut to_wake = Vec::with_capacity(self.size);
         for shard in &self.shards {
-            let mut st = shard.state.lock();
-            st.result = Some(Box::new(values.clone()));
+            let mut st = shard.lock();
+            st.result = Some(Arc::clone(&round));
             st.result_max_clock = max_clock;
-            to_wake.extend(st.take_wakers());
+            to_wake.extend(st.wakers.iter_mut().filter_map(Option::take));
         }
         to_wake
     }
 
-    /// Root of the drain reduction: every shard fully departed, so reset
-    /// all shards for the next generation and reopen entry. Each shard's
-    /// chunk handle moves to its graveyard, to be recycled by the next
-    /// assembly once consumers have dropped their round handles. Returns
-    /// the parked wakers (entry-guard waiters) to wake once no locks are
-    /// held.
+    /// Every shard fully departed: reset all shards for the next generation
+    /// and reopen entry. Returns every parked waker (entry-guard waiters),
+    /// to be woken once no locks are held.
     fn reopen_entry(&self) -> Vec<Waker> {
-        let mut to_wake = Vec::new();
+        let mut to_wake = Vec::with_capacity(self.size);
         for shard in &self.shards {
-            let mut st = shard.state.lock();
+            let mut st = shard.lock();
             debug_assert!(st.deposits.is_none());
             st.result = None;
-            let retired = st.own_chunk.take();
-            st.graveyard = retired;
             st.arrived = 0;
             st.departed = 0;
             st.max_clock = VirtualTime::ZERO;
             st.op_name = None;
             st.generation += 1;
             st.entry_open = true;
-            to_wake.extend(st.take_wakers());
+            to_wake.extend(st.wakers.iter_mut().filter_map(Option::take));
         }
         to_wake
     }
@@ -645,16 +406,15 @@ impl Hub {
         waker: &Waker,
     ) -> Result<(), T> {
         assert!(rank < self.size, "rank {rank} out of range (size {})", self.size);
-        let shard = &self.shards[shard_idx];
-        let local = rank - shard.base;
-        let mut st = shard.state.lock();
+        let local = rank - shard_idx * self.shard_width;
+        let mut st = self.shards[shard_idx].lock();
         if !st.entry_open {
             st.wakers[local] = Some(waker.clone());
             return Err(value);
         }
         if st.deposit(local, rank, op_name, value, clock) {
             drop(st);
-            if self.propagate(shard.parent, |n| &n.arrived) {
+            if self.last_shard(&self.completed) {
                 self.complete_round::<T>(op_name).into_iter().for_each(Waker::wake);
             }
         }
@@ -672,13 +432,12 @@ impl Hub {
         op_name: &'static str,
         waker: &Waker,
     ) -> Option<ExchangeRound<T>> {
-        let shard = &self.shards[shard_idx];
-        let local = rank - shard.base;
-        let mut st = shard.state.lock();
+        let local = rank - shard_idx * self.shard_width;
+        let mut st = self.shards[shard_idx].lock();
         match st.collect(op_name) {
             Some((round, shard_drained)) => {
                 drop(st);
-                if shard_drained && self.propagate(shard.parent, |n| &n.drained) {
+                if shard_drained && self.last_shard(&self.drained) {
                     self.reopen_entry().into_iter().for_each(Waker::wake);
                 }
                 Some(round)
@@ -719,16 +478,15 @@ mod tests {
     /// split, ragged (non-dividing), and fully sharded (one rank each).
     fn shard_sweep(size: usize) -> Vec<usize> {
         let mut s = vec![1, 2, 7, size];
-        s.retain(|&c| c >= 1);
         s.dedup();
         s
     }
 
     #[test]
     fn single_rank_exchange_is_immediate() {
-        let hub = Hub::new(1);
+        let hub = Hub::for_job(0, 1, 1);
         let rounds = exchange_all(&hub, "test", [(42u32, VirtualTime::from_secs(1.0))]);
-        assert_eq!(rounds[0].values, vec![42]);
+        assert_eq!(*rounds[0].values, [42]);
         assert_eq!(rounds[0].max_clock.as_secs(), 1.0);
     }
 
@@ -736,7 +494,7 @@ mod tests {
     fn shard_layout_covers_all_ranks() {
         for size in [1usize, 2, 5, 8, 10, 17, 64, 100] {
             for shards in [1usize, 2, 3, 4, 7, 16, 100] {
-                let hub = Hub::with_shards(size, shards);
+                let hub = Hub::for_job(0, size, shards);
                 assert!(hub.shard_count() >= 1 && hub.shard_count() <= shards.clamp(1, size));
                 // Every rank maps to a valid shard; shard ids are monotone.
                 let mut prev = 0;
@@ -763,10 +521,10 @@ mod tests {
     #[test]
     fn values_are_rank_indexed() {
         for shards in shard_sweep(8) {
-            let hub = Hub::with_shards(8, shards);
+            let hub = Hub::for_job(0, 8, shards);
             let deposits = (0..8usize).map(|r| (r * 10, VirtualTime::from_secs(r as f64)));
             for round in exchange_all(&hub, "gather-ranks", deposits) {
-                assert_eq!(round.values, (0..8).map(|r| r * 10).collect::<Vec<_>>());
+                assert_eq!(*round.values, (0..8).map(|r| r * 10).collect::<Vec<_>>());
                 assert_eq!(round.max_clock.as_secs(), 7.0);
             }
         }
@@ -775,18 +533,18 @@ mod tests {
     #[test]
     fn ragged_last_shard_exchanges_correctly() {
         // 10 ranks over width-3 shards: 3 + 3 + 3 + 1.
-        let hub = Hub::with_shards(10, 4);
+        let hub = Hub::for_job(0, 10, 4);
         assert_eq!(hub.shard_count(), 4);
         assert_eq!(hub.shard_of(9), 3);
         for round in exchange_all(&hub, "ragged", (0..10u64).map(|r| (r, VirtualTime::ZERO))) {
-            assert_eq!(round.values, (0..10u64).collect::<Vec<_>>());
+            assert_eq!(*round.values, (0..10u64).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn consecutive_rounds_do_not_mix() {
         for shards in shard_sweep(4) {
-            let hub = Hub::with_shards(4, shards);
+            let hub = Hub::for_job(0, 4, shards);
             for round_idx in 0..100u64 {
                 let clock = VirtualTime::from_secs(round_idx as f64);
                 let deposits = (0..4u64).map(|r| ((r, round_idx), clock));
@@ -803,7 +561,7 @@ mod tests {
     #[test]
     fn max_clock_is_maximum_of_deposits() {
         for shards in shard_sweep(3) {
-            let hub = Hub::with_shards(3, shards);
+            let hub = Hub::for_job(0, 3, shards);
             let deposits = [0.5, 9.25, 3.0].map(|secs| ((), VirtualTime::from_secs(secs)));
             for round in exchange_all(&hub, "clocks", deposits) {
                 assert_eq!(round.max_clock.as_secs(), 9.25);
@@ -812,9 +570,9 @@ mod tests {
     }
 
     #[test]
-    fn many_ranks_heavy_payloads_multi_level_tree() {
-        // 64 ranks over 32 shards: two internal tree levels (32 → 8 → 2 → 1).
-        let hub = Hub::with_shards(64, 32);
+    fn many_ranks_heavy_payloads_over_many_shards() {
+        // 64 ranks over 32 two-rank shards: 32 reports per counter per round.
+        let hub = Hub::for_job(0, 64, 32);
         assert_eq!(hub.shard_count(), 32);
         let deposits = (0..64usize).map(|r| (vec![r as u8; 1024], VirtualTime::ZERO));
         for round in exchange_all(&hub, "heavy", deposits) {
@@ -826,7 +584,7 @@ mod tests {
     #[test]
     fn nonblocking_protocol_completes_a_round() {
         for shards in shard_sweep(3) {
-            let hub = Hub::with_shards(3, shards);
+            let hub = Hub::for_job(0, 3, shards);
             let noop = Waker::noop();
             for rank in 0..3usize {
                 let s = hub.shard_of(rank);
@@ -850,7 +608,7 @@ mod tests {
             for rank in 0..3usize {
                 let s = hub.shard_of(rank);
                 let round = hub.poll_collect::<u32>(s, rank, "poll", noop).expect("round complete");
-                assert_eq!(round.values, vec![0, 1, 2]);
+                assert_eq!(*round.values, [0, 1, 2]);
                 assert_eq!(round.max_clock.as_secs(), 2.0);
             }
             // Fully drained: the next round may start.
@@ -863,7 +621,7 @@ mod tests {
     #[test]
     fn nonblocking_deposit_rejected_until_drained() {
         for shards in shard_sweep(2) {
-            let hub = Hub::with_shards(2, shards);
+            let hub = Hub::for_job(0, 2, shards);
             let noop = Waker::noop();
             let s0 = hub.shard_of(0);
             let s1 = hub.shard_of(1);
@@ -893,7 +651,7 @@ mod tests {
         for shards in shard_sweep(2) {
             let wakes = Arc::new(AtomicUsize::new(0));
             let waker = std::task::Waker::from(Arc::new(CountingWaker(Arc::clone(&wakes))));
-            let hub = Hub::with_shards(2, shards);
+            let hub = Hub::for_job(0, 2, shards);
             let s0 = hub.shard_of(0);
             let s1 = hub.shard_of(1);
 
@@ -918,8 +676,8 @@ mod tests {
     #[should_panic(expected = "collective mismatch")]
     fn cross_shard_op_mismatch_panics_at_assembly() {
         // Two single-rank shards: neither shard sees the other's op name
-        // at deposit time, so the mismatch is caught by the root assembly.
-        let hub = Hub::with_shards(2, 2);
+        // at deposit time, so the mismatch is caught by the assembly.
+        let hub = Hub::for_job(0, 2, 2);
         let noop = Waker::noop();
         assert!(hub.poll_deposit(0, 0, "barrier", (), VirtualTime::ZERO, noop).is_ok());
         let _ = hub.poll_deposit(1, 1, "allreduce", (), VirtualTime::ZERO, noop);
@@ -928,25 +686,38 @@ mod tests {
     #[test]
     fn sharded_and_unsharded_agree_over_many_generations() {
         // The degenerate S = 1 hub is the reference; every shard count must
-        // produce byte-identical rounds for the same deposits.
-        let size = 10usize;
+        // produce byte-identical rounds for the same deposits. Generations
+        // alternate between a `u64` and a `(u64, u32)` payload under two op
+        // names, so a counter that is not reset or a deposit buffer left
+        // over from the previous round's type fails here.
         let rounds = 25u64;
-        let run = |shards: usize| -> Vec<(Vec<u64>, f64)> {
-            let hub = Hub::with_shards(size, shards);
+        let run = |size: usize, shards: usize| -> Vec<(Vec<(u64, u32)>, f64)> {
+            let hub = Hub::for_job(0, size, shards);
             (0..rounds)
                 .map(|g| {
-                    let deposits = (0..size).map(|rank| {
-                        let clock = VirtualTime::from_secs((rank as f64) * 0.25 + g as f64);
-                        (rank as u64 * 1000 + g, clock)
-                    });
-                    let round = exchange_all(&hub, "agree", deposits).swap_remove(0);
-                    (round.values.to_vec(), round.max_clock.as_secs())
+                    let word = |rank: usize| rank as u64 * 1000 + g;
+                    let clock =
+                        |rank: usize| VirtualTime::from_secs((rank as f64) * 0.25 + g as f64);
+                    let (values, max_clock) = if g % 2 == 0 {
+                        let deposits = (0..size).map(|rank| (word(rank), clock(rank)));
+                        let round = exchange_all(&hub, "agree", deposits).swap_remove(0);
+                        (round.values.iter().map(|&w| (w, 0)).collect(), round.max_clock)
+                    } else {
+                        let deposits =
+                            (0..size).map(|rank| ((word(rank), rank as u32 + 1), clock(rank)));
+                        let round = exchange_all(&hub, "agree-pair", deposits).swap_remove(0);
+                        (round.values.to_vec(), round.max_clock)
+                    };
+                    (values, max_clock.as_secs())
                 })
                 .collect()
         };
-        let reference = run(1);
-        for shards in [2usize, 3, 4, 7, 10] {
-            assert_eq!(run(shards), reference, "shards = {shards}");
+        for size in [10usize, 100] {
+            let reference = run(size, 1);
+            assert_eq!(reference[1].0[size - 1], ((size as u64 - 1) * 1000 + 1, size as u32));
+            for shards in [2usize, 3, 4, 7, 10, 64, 100] {
+                assert_eq!(run(size, shards), reference, "P = {size}, shards = {shards}");
+            }
         }
     }
 }

@@ -31,9 +31,11 @@
 //! [`JobHandle`]s.
 //!
 //! Collectives rendezvous at a **sharded** hub: ranks deposit into
-//! `S` leaf shards (one lock each; `S = min(workers of the pool, 64)`,
-//! see [`RunConfig::effective_hub_shards`]) whose completions combine up a
-//! fixed-arity reduction tree. On a job server
+//! `S` shards (one lock each; `S = min(workers of the pool, 64)`,
+//! see [`RunConfig::effective_hub_shards`]), one counter tells the last
+//! shard to complete a round, which moves every deposit into one shared
+//! vector in rank order, and one counter tells the last shard to drain it,
+//! which reopens the hub. On a job server
 //! the ranks of a shard are also the job's unit of scheduling — a
 //! **block**, driven by one worker at a time — so a shard lock is
 //! uncontended, a rendezvous costs queue operations per block rather than
@@ -70,8 +72,8 @@ pub mod cost;
 pub mod ctx;
 pub mod engine;
 pub(crate) mod exec;
-pub mod hub;
-pub mod mailbox;
+pub(crate) mod hub;
+pub(crate) mod mailbox;
 pub mod metrics;
 pub mod time;
 
@@ -79,7 +81,6 @@ pub use cost::MachineSpec;
 pub use ctx::SpmdCtx;
 pub use engine::{run, submit, try_run, Backend, JobHandle, RunConfig, RunError, RunReport};
 pub use exec::server::{JobServer, PoolStats};
-pub use hub::RoundValues;
 pub use mailbox::Tag;
 pub use metrics::{IterationStats, RankMetrics, TimeKind};
 pub use time::VirtualTime;

@@ -63,11 +63,6 @@ impl MailboxSet {
         }
     }
 
-    /// Number of ranks.
-    pub fn size(&self) -> usize {
-        self.boxes.len()
-    }
-
     /// Deposit a message for `to`. `seq` must be monotonically increasing per
     /// sender (the [`crate::ctx::SpmdCtx`] manages this). Wakes the
     /// destination rank if it is suspended in a receive.
@@ -164,11 +159,6 @@ impl MailboxSet {
         out.sort_by_key(|r| (r.from, r.seq));
         out
     }
-
-    /// Number of messages currently waiting in `me`'s mailbox (all tags).
-    pub fn pending(&self, me: usize) -> usize {
-        self.boxes[me].lock().envelopes.len()
-    }
 }
 
 #[cfg(test)]
@@ -221,7 +211,9 @@ mod tests {
         let order: Vec<(usize, u64, u32)> =
             drained.iter().map(|r| (r.from, r.seq, r.value)).collect();
         assert_eq!(order, vec![(1, 0, 10), (1, 1, 11), (2, 0, 20)]);
-        assert_eq!(mail.pending(0), 1, "other tag remains");
+        let rest: Vec<(usize, u32)> =
+            mail.drain::<u32>(0, 8).iter().map(|r| (r.from, r.value)).collect();
+        assert_eq!(rest, vec![(3, 99)], "other tag remains");
     }
 
     #[test]

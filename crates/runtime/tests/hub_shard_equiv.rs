@@ -1,7 +1,7 @@
-//! Shard-count equivalence of the reduction-tree rendezvous hub.
+//! Shard-count equivalence of the sharded rendezvous hub.
 //!
 //! A job on a pool of `W` workers is cut into `S = min(W, 64)` blocks, one
-//! per leaf shard of its hub (the sequential scheduler keeps `S = 1`). The
+//! per shard of its hub (the sequential scheduler keeps `S = 1`). The
 //! count is pure contention: for **any** pool — one worker (the old
 //! single-mutex hub), even, ragged (`S` not dividing `P`, so the last
 //! shard holds fewer ranks), or one rank per shard — a program's
@@ -27,7 +27,7 @@ fn shard_sweep(ranks: usize) -> Vec<usize> {
 
 /// A BSP program exercising the full ctx surface: rank-skewed compute,
 /// ring p2p, two collectives per round, and an LB section on one round —
-/// every hub generation runs deposit → tree combine → assemble → drain.
+/// every hub generation runs deposit → complete → assemble → drain.
 async fn mixed_body(mut ctx: SpmdCtx, rounds: u64, flops_scale: f64) {
     for iter in 0..rounds {
         ctx.compute(flops_scale * ((ctx.rank() % 5 + 1) as f64));
@@ -116,25 +116,23 @@ proptest! {
     }
 }
 
-/// Chunked-assembly payload correctness: every collective's *contents*
-/// (not just the report's timing) checked against the exact expected
-/// value, on every rank, every round. With `S = 1` the round's
-/// [`RoundValues`] holds a single chunk — the monolithic layout the hub
-/// used to build — while `S > 1` stitches per-shard chunks; running the
-/// same program across the sweep proves chunked assembly is
-/// bit-identical to monolithic. Repeating for several rounds drives the
-/// hub's buffer-recycling path (graveyard chunk reclaim + deposit-slab
-/// reuse), so a stale or mis-cleared recycled buffer fails the exact
-/// equality immediately.
+/// Payload correctness: every collective's *contents* (not just the
+/// report's timing) checked against the exact expected value, on every
+/// rank, every round. With `S = 1` one shard holds every deposit, while
+/// `S > 1` assembles the round from several shards' slots; running the
+/// same program across the sweep proves the assembly is bit-identical for
+/// every pool size. Repeating for several rounds, with a different payload
+/// type per collective, makes a deposit slot left over from an earlier
+/// round fail the exact equality immediately.
 async fn payload_body(mut ctx: SpmdCtx, rounds: u64) {
     let (rank, size) = (ctx.rank(), ctx.size());
     for iter in 0..rounds {
-        // allgather: the exact rank-indexed vector (catches chunk
-        // stitching order and stale recycled slots).
+        // allgather: the exact rank-indexed vector (catches assembly
+        // order and stale slots).
         let gathered = ctx.allgather((rank as u64) << 32 | iter, 8).await;
         let expect: Vec<u64> = (0..size).map(|r| (r as u64) << 32 | iter).collect();
         assert_eq!(gathered, expect, "allgather payload, iter {iter}");
-        // allreduce: the fold must walk ranks in order across chunk
+        // allreduce: the fold must walk ranks in order across shard
         // boundaries — compare bit patterns of the same-order fold.
         let total = ctx.allreduce_sum(1.0 / (rank as f64 + 3.0 + iter as f64)).await;
         let mut reference = 1.0 / (3.0 + iter as f64);
@@ -143,9 +141,9 @@ async fn payload_body(mut ctx: SpmdCtx, rounds: u64) {
         }
         assert_eq!(total.to_bits(), reference.to_bits(), "allreduce fold order, iter {iter}");
         // broadcast / gather / scatter from a rotating root: indexing
-        // into a single chunk of the stitched round, with a different
-        // payload type per collective so the recycled deposit slabs are
-        // exercised across `TypeId`s.
+        // into one shard's part of the round, with a different payload
+        // type per collective so the deposit slots change type from one
+        // round to the next.
         let root = (iter as usize + 1) % size;
         let word = ctx.broadcast(root, (rank == root).then(|| iter * 7 + 1), 8).await;
         assert_eq!(word, iter * 7 + 1, "broadcast payload, iter {iter}");
@@ -166,13 +164,13 @@ async fn payload_body(mut ctx: SpmdCtx, rounds: u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Randomized chunked-vs-monolithic payload equivalence: `ranks` drawn
+    /// Randomized exact payloads for every pool size: `ranks` drawn
     /// from a non-power-of-two-rich range (the `W = 7` leg regularly
     /// leaves a ragged last shard), the sequential oracle and pools of
     /// every size of the sweep. The body asserts exact payloads
     /// internally; any failure panics the run.
     #[test]
-    fn collective_payloads_survive_chunked_assembly(
+    fn collective_payloads_are_exact_for_every_pool_size(
         ranks in 2usize..24,
         workers in 1usize..4,
         rounds in 2u64..5,
@@ -217,7 +215,7 @@ fn mixed_magnitude(rank: usize, iter: u64) -> f64 {
 
 /// Three reductions per round, each to a different result type `R`
 /// (consecutive rounds therefore alternate the once-cell's type and the
-/// recycled chunk's element type). `shared = true` reduces once per round
+/// round's element type). `shared = true` reduces once per round
 /// through `allgather_with`; `shared = false` is the reference — the plain
 /// `allgather` folded by every rank for itself. Each rank returns what it
 /// computed, through `out`.
@@ -352,7 +350,7 @@ fn identical_at_ragged_97_ranks() {
 }
 
 /// Deadlock regression for the sharded hub: when the ranks stuck in a
-/// mismatched collective span several leaf shards, the structured
+/// mismatched collective span several shards, the structured
 /// [`RunError::Deadlock`] must still name exactly the blocked ranks — and
 /// the shard list must cover every shard holding one.
 #[test]
