@@ -21,11 +21,12 @@
 //!    workload (sum);
 //! 4. drains and merges the gossip it received, then runs
 //!    [`Workload::after_sync`];
-//! 5. learns, by broadcast from rank 0, whether the trigger fired;
-//! 6. if so (and this is not the last iteration): charges the modelled
-//!    overhead, derives its α from its outlier score, hands its item
-//!    weights to [`centralized_rebalance`], migrates, and the measured cost
-//!    (max over ranks) updates the trigger's LB-cost model.
+//! 5. learns, by broadcast from rank 0, whether its [`Trigger`] fired
+//!    (it never fires on the last iteration);
+//! 6. if so: charges the modelled overhead, derives its α from its
+//!    outlier score, hands its item weights to [`centralized_rebalance`],
+//!    migrates, and the measured cost (max over ranks) updates the
+//!    trigger's LB-cost estimate.
 //!
 //! # The bit-identity contract
 //!
@@ -43,7 +44,7 @@ use crate::db::{wire_bytes, WirDatabase, WirEntry};
 use crate::gossip::{select_peers, GossipMode, GossipOutbox, GossipWire};
 use crate::partition::Partition;
 use crate::policy::{estimate_ulba_overhead, outlier_score, LbPolicy};
-use crate::trigger::{AnyTrigger, LbTrigger, TriggerKind};
+use crate::trigger::{Trigger, TriggerKind};
 use crate::wir::WirEstimator;
 use serde::{Deserialize, Serialize};
 use std::future::Future;
@@ -162,6 +163,7 @@ impl LbParams {
                 self.wir_window
             ));
         }
+        self.trigger.validate()?;
         self.gossip.validate()?;
         self.gossip_wire.validate()
     }
@@ -430,7 +432,7 @@ where
     let mut outbox = GossipOutbox::new();
     // The trigger lives on rank 0 (decisions are broadcast); it is created
     // at iteration 0, once the first wall time seeds the LB-cost estimate.
-    let mut trigger: Option<AnyTrigger> = None;
+    let mut trigger: Option<Trigger> = None;
     let mut lb_steps: Vec<LbStepRecord> = Vec::new();
     // Reused across LB steps: cleared and refilled in place.
     let mut weights: Vec<u64> = Vec::new();
@@ -473,20 +475,19 @@ where
         // LB decision on rank 0, broadcast to everyone.
         let mut overhead_estimate = 0.0;
         let my_flag = if rank == LB_ROOT {
-            let trig =
-                trigger.get_or_insert_with(|| lb.trigger.build(lb.initial_lb_cost_factor * t_iter));
+            let trig = trigger.get_or_insert_with(|| {
+                lb.trigger.build(lb.initial_lb_cost_factor * t_iter, lb.iterations)
+            });
             overhead_estimate = estimate_ulba_overhead(&lb.policy, &db, wtot_flops, lb.omega, p);
-            trig.set_overhead_estimate(overhead_estimate);
-            Some(trig.observe(iter, t_iter))
+            Some(trig.observe(iter, t_iter, overhead_estimate))
         } else {
             None
         };
         let lb_now = ctx.broadcast(LB_ROOT, my_flag, 1).await;
         ctx.mark_iteration(iter);
 
-        // The LB step (Algorithms 1–2 + migration); pointless after the
-        // last iteration.
-        if lb_now && iter + 1 < lb.iterations {
+        // The LB step (Algorithms 1–2 + migration).
+        if lb_now {
             ctx.begin_lb();
             let lb_started = ctx.now();
             workload.charge_lb_overhead(&mut ctx);

@@ -17,9 +17,9 @@
 //!   epidemic push, hybrid) over full-snapshot or delta payloads;
 //! * [`outlier`] — z-score overloading detection (threshold 3.0) plus a
 //!   robust median/MAD variant;
-//! * [`trigger`] — adaptive LB activation: the Zhai-style cumulative
-//!   degradation trigger used by the paper, with Menon-interval, periodic
-//!   and never-balance baselines;
+//! * [`trigger`] — adaptive LB activation: one [`Trigger`] type runs the
+//!   Zhai-style cumulative-degradation rule used by the paper, or the
+//!   Menon-interval, periodic and never-balance baselines;
 //! * [`shares`] — Algorithm 2's target shares with the ≥ 50 % majority
 //!   fallback;
 //! * [`partition`] — weighted contiguous 1-D (stripe) partitioning;
@@ -29,7 +29,9 @@
 //! * [`driver`] — the one LB loop that strings all of the above together
 //!   as a generic rank program: an application implements the six-method
 //!   [`Workload`] trait and is launched, joined and
-//!   batched through [`LbLaunch`].
+//!   batched through [`LbLaunch`];
+//! * [`model_loop`] — the same [`Trigger`] run on the analytical model's
+//!   iteration times, yielding the schedule it would produce.
 //!
 //! # Example: one ULBA decision cycle (no runtime needed)
 //!
@@ -78,10 +80,7 @@ pub use outlier::{detect_overloading, z_scores, DetectionStat, DEFAULT_Z_THRESHO
 pub use partition::{partition_by_shares, partition_evenly, Partition};
 pub use policy::{AlphaRule, LbPolicy, UlbaConfig};
 pub use shares::{compute_shares, ShareDecision};
-pub use trigger::{
-    AnyTrigger, LbCostModel, LbTrigger, MenonTrigger, NeverTrigger, PeriodicTrigger, TriggerKind,
-    ZhaiTrigger,
-};
+pub use trigger::{Trigger, TriggerKind};
 pub use wir::WirEstimator;
 
 /// Convenient glob import of the most used items.
@@ -94,9 +93,6 @@ pub mod prelude {
     pub use crate::partition::{partition_by_shares, partition_evenly, Partition};
     pub use crate::policy::{AlphaRule, LbPolicy, UlbaConfig};
     pub use crate::shares::{compute_shares, ShareDecision};
-    pub use crate::trigger::{
-        AnyTrigger, LbCostModel, LbTrigger, MenonTrigger, NeverTrigger, PeriodicTrigger,
-        TriggerKind, ZhaiTrigger,
-    };
+    pub use crate::trigger::{Trigger, TriggerKind};
     pub use crate::wir::WirEstimator;
 }

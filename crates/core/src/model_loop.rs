@@ -1,6 +1,7 @@
-//! Closing the loop between the mechanism and the theory: drive an
-//! [`LbTrigger`](crate::trigger::LbTrigger) with the *analytical* model's
-//! iteration times (Eq. (2)/(5)) and emit the schedule it would produce.
+//! Closing the loop between the mechanism and the theory: drive the
+//! simulator's [`Trigger`](crate::trigger::Trigger) with the *analytical*
+//! model's iteration times (Eq. (2)/(5)) and emit the schedule it would
+//! produce.
 //!
 //! The paper argues (§III-B) that triggering an LB step whenever the
 //! accumulated degradation reaches `C` + overhead approximates the optimal
@@ -9,23 +10,23 @@
 //! σ⁺ schedule's total time on the very model that derived σ⁺ — see the
 //! tests and the root integration suite.
 
-use crate::trigger::LbTrigger;
+use crate::trigger::TriggerKind;
 use ulba_model::schedule::{Method, Schedule};
 use ulba_model::{standard, ulba, ModelParams};
 
-/// Simulate `trigger` against the model's iteration times and return the
+/// Run a `kind` trigger against the model's iteration times and return the
 /// schedule of LB activations it produces.
 ///
-/// Semantics match the application loop: the trigger observes iteration
-/// `i`'s wall time; on a positive decision the LB step happens before
-/// iteration `i + 1` (an LB after the final iteration is pointless and
-/// suppressed). The measured LB cost reported back to the trigger is the
-/// model's `C`.
+/// Semantics match the application loop: the trigger, seeded with the
+/// model's `C`, observes iteration `i`'s wall time; on a positive decision
+/// the LB step happens before iteration `i + 1`. The anticipated overhead
+/// is zero and the measured LB cost reported back is the model's `C`.
 pub fn trigger_driven_schedule(
     params: &ModelParams,
     method: Method,
-    trigger: &mut dyn LbTrigger,
+    kind: TriggerKind,
 ) -> Schedule {
+    let mut trigger = kind.build(params.c, params.gamma as u64);
     let mut steps = Vec::new();
     let mut last_lb: u32 = 0;
     let mut balanced_start = true; // before the first LB, Eq. (2) from i = 0
@@ -39,7 +40,7 @@ pub fn trigger_driven_schedule(
                 Method::Ulba { alpha } => ulba::iteration_time(params, last_lb, t_rel, alpha),
             }
         };
-        if trigger.observe(i as u64, secs) && i + 1 < params.gamma {
+        if trigger.observe(i as u64, secs, 0.0) {
             steps.push(i + 1);
             trigger.lb_completed(i as u64, params.c);
             last_lb = i + 1;
@@ -52,7 +53,6 @@ pub fn trigger_driven_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trigger::{LbCostModel, PeriodicTrigger, ZhaiTrigger};
     use ulba_model::schedule::{menon_schedule, sigma_plus_schedule, total_time};
 
     fn params() -> ModelParams {
@@ -62,8 +62,7 @@ mod tests {
     #[test]
     fn periodic_trigger_reproduces_periodic_schedule() {
         let p = params();
-        let mut trig = PeriodicTrigger::new(10);
-        let sched = trigger_driven_schedule(&p, Method::Standard, &mut trig);
+        let sched = trigger_driven_schedule(&p, Method::Standard, TriggerKind::Periodic(10));
         // Fires after iterations 9, 19, … → LB at 10, 20, …
         assert_eq!(sched.steps()[0], 10);
         assert_eq!(sched.steps()[1], 20);
@@ -76,8 +75,7 @@ mod tests {
         // the Zhai rule should fire within a small factor of τ.
         let p = params();
         let tau = standard::menon_tau(&p).unwrap();
-        let mut trig = ZhaiTrigger::new(LbCostModel::default().with_initial(p.c));
-        let sched = trigger_driven_schedule(&p, Method::Standard, &mut trig);
+        let sched = trigger_driven_schedule(&p, Method::Standard, TriggerKind::Zhai);
         assert!(!sched.steps().is_empty(), "imbalance growth must trigger");
         let first = sched.steps()[0] as f64;
         assert!(
@@ -92,8 +90,7 @@ mod tests {
         // like the analytic σ⁺ schedule.
         let p = params();
         for method in [Method::Standard, Method::Ulba { alpha: 0.4 }] {
-            let mut trig = ZhaiTrigger::new(LbCostModel::default().with_initial(p.c));
-            let triggered = trigger_driven_schedule(&p, method, &mut trig);
+            let triggered = trigger_driven_schedule(&p, method, TriggerKind::Zhai);
             let t_trig = total_time(&p, &triggered, method);
             let sigma = sigma_plus_schedule(&p, method.alpha());
             let t_sigma = total_time(&p, &sigma, method);
@@ -110,10 +107,9 @@ mod tests {
         // Anticipation on the model: with α > 0 the post-LB max grows slower
         // (σ⁻ plateau), so the same trigger fires fewer times.
         let p = params();
-        let mut trig_std = ZhaiTrigger::new(LbCostModel::default().with_initial(p.c));
-        let std_sched = trigger_driven_schedule(&p, Method::Standard, &mut trig_std);
-        let mut trig_ulba = ZhaiTrigger::new(LbCostModel::default().with_initial(p.c));
-        let ulba_sched = trigger_driven_schedule(&p, Method::Ulba { alpha: 0.4 }, &mut trig_ulba);
+        let std_sched = trigger_driven_schedule(&p, Method::Standard, TriggerKind::Zhai);
+        let ulba_sched =
+            trigger_driven_schedule(&p, Method::Ulba { alpha: 0.4 }, TriggerKind::Zhai);
         assert!(
             ulba_sched.num_calls() < std_sched.num_calls(),
             "ULBA {} calls vs standard {} calls",
@@ -127,8 +123,7 @@ mod tests {
         let mut p = params();
         p.m = 0.0;
         p.a = 0.0;
-        let mut trig = ZhaiTrigger::new(LbCostModel::default().with_initial(p.c));
-        let sched = trigger_driven_schedule(&p, Method::Standard, &mut trig);
+        let sched = trigger_driven_schedule(&p, Method::Standard, TriggerKind::Zhai);
         assert_eq!(sched.num_calls(), 0);
     }
 
@@ -142,8 +137,7 @@ mod tests {
         let mut p = params();
         p.m = 0.0;
         p.a = 5.0e7; // every PE grows identically
-        let mut trig = ZhaiTrigger::new(LbCostModel::default().with_initial(p.c));
-        let sched = trigger_driven_schedule(&p, Method::Standard, &mut trig);
+        let sched = trigger_driven_schedule(&p, Method::Standard, TriggerKind::Zhai);
         assert!(
             sched.num_calls() > 0,
             "the degradation rule conflates balanced growth with imbalance"
@@ -153,13 +147,27 @@ mod tests {
     #[test]
     fn trigger_schedule_beats_never_balancing() {
         let p = params();
-        let mut trig = ZhaiTrigger::new(LbCostModel::default().with_initial(p.c));
-        let sched = trigger_driven_schedule(&p, Method::Standard, &mut trig);
+        let sched = trigger_driven_schedule(&p, Method::Standard, TriggerKind::Zhai);
         let with = total_time(&p, &sched, Method::Standard);
         let without = total_time(&p, &Schedule::empty(p.gamma), Method::Standard);
         assert!(with < without);
         // And is in the same league as the Menon schedule.
         let menon = total_time(&p, &menon_schedule(&p), Method::Standard);
         assert!(with <= menon * 1.10);
+    }
+
+    #[test]
+    fn menon_trigger_reproduces_menon_schedule() {
+        // The online Menon rule, fed the model's exact times and cost,
+        // lands on the analytic Menon schedule step for step.
+        let p = params();
+        let kind = TriggerKind::Menon { max_interval: u64::from(p.gamma) };
+        let sched = trigger_driven_schedule(&p, Method::Standard, kind);
+        let menon = menon_schedule(&p);
+        assert_eq!(sched.steps(), menon.steps());
+        assert_eq!(
+            total_time(&p, &sched, Method::Standard),
+            total_time(&p, &menon, Method::Standard)
+        );
     }
 }

@@ -1,405 +1,232 @@
-//! Adaptive load-balancing triggers.
+//! The LB decision rule: one [`Trigger`] per run, fed every iteration's
+//! wall time, answering "balance before the next iteration?".
 //!
 //! The paper activates an LB step "every time the degradation due to load
 //! imbalance overcomes the average LB cost plus the overhead of ULBA",
 //! implemented "using the approach proposed by Zhai et al. [7] that computes
 //! the exact degradation of each iteration w.r.t. a reference iteration (in
-//! our case, the one just after the last LB call)" — Algorithm 1.
+//! our case, the one just after the last LB call)" — Algorithm 1 and
+//! Eq. (9). [`TriggerKind::Zhai`] is that rule; the Menon interval
+//! `τ = sqrt(2ωC/m̂)` re-estimated online, a fixed period and "never" are
+//! the baselines of the ablation studies.
 //!
-//! [`ZhaiTrigger`] is that mechanism. [`MenonTrigger`] (fixed interval
-//! `τ = sqrt(2ωC/m̂)` re-estimated online), [`PeriodicTrigger`] and
-//! [`NeverTrigger`] are the baselines used by the ablation studies.
+//! Two callers run the same type: rank 0 of the simulator's LB loop
+//! ([`crate::driver`]) and the analytical model's
+//! [`trigger_driven_schedule`](crate::model_loop::trigger_driven_schedule).
+//! Both observe iteration `i` and balance before `i + 1`; a trigger never
+//! fires on the run's last iteration, where an LB step would be pointless.
 
 use crate::wir::WirEstimator;
 use std::collections::VecDeque;
 
-/// Exponentially weighted moving average of the measured LB cost
-/// ("the average LB cost C" of Eq. (9), estimated online like Meta-Balancer
-/// does from runtime instrumentation).
-#[derive(Debug, Clone)]
-pub struct LbCostModel {
-    value: Option<f64>,
-    weight: f64,
-}
+/// Smoothing weight of the EWMA over measured LB costs ("the average LB
+/// cost C" of Eq. (9), estimated online like Meta-Balancer does from
+/// runtime instrumentation).
+const COST_WEIGHT: f64 = 0.5;
 
-impl LbCostModel {
-    /// EWMA with smoothing `weight` in (0, 1]; higher = more reactive.
-    pub fn new(weight: f64) -> Self {
-        assert!(weight > 0.0 && weight <= 1.0);
-        Self { value: None, weight }
-    }
-
-    /// Seed the model with an a-priori estimate (before any LB happened).
-    pub fn with_initial(mut self, estimate: f64) -> Self {
-        assert!(estimate >= 0.0);
-        self.value = Some(estimate);
-        self
-    }
-
-    /// Fold in a measured LB cost (seconds).
-    pub fn record(&mut self, measured: f64) {
-        debug_assert!(measured >= 0.0 && measured.is_finite());
-        self.value = Some(match self.value {
-            None => measured,
-            Some(v) => self.weight * measured + (1.0 - self.weight) * v,
-        });
-    }
-
-    /// Current average-cost estimate (seconds); `None` before any data.
-    pub fn estimate(&self) -> Option<f64> {
-        self.value
-    }
-}
-
-impl Default for LbCostModel {
-    fn default() -> Self {
-        Self::new(0.5)
-    }
-}
-
-/// Common interface of all LB triggers: feed the per-iteration wall time,
-/// get back "balance now" decisions.
-pub trait LbTrigger: Send {
-    /// Observe the wall time (seconds) of completed iteration `iter`;
-    /// returns `true` when an LB step should run before the next iteration.
-    fn observe(&mut self, iter: u64, iter_time: f64) -> bool;
-
-    /// Notify that an LB step ran after iteration `iter` at `measured_cost`
-    /// seconds.
-    fn lb_completed(&mut self, iter: u64, measured_cost: f64);
-
-    /// Human-readable name for reports.
-    fn name(&self) -> &'static str;
-}
-
-/// The Zhai-style cumulative-degradation trigger of Algorithm 1.
-///
-/// * the reference time is the first iteration after the last LB step;
-/// * each iteration's time is smoothed by the median of the last ≤ 3
-///   iteration times (Algorithm 1 line 14);
-/// * `degradation += (median − ref_time)` (line 15);
-/// * trigger when `degradation ≥ avg LB cost + overhead` (line 16 and
-///   Eq. (9); the overhead term is zero for the standard method and set by
-///   the ULBA policy via [`ZhaiTrigger::set_overhead_estimate`]).
-#[derive(Debug, Clone)]
-pub struct ZhaiTrigger {
-    cost_model: LbCostModel,
-    overhead_estimate: f64,
-    ref_time: Option<f64>,
-    recent: VecDeque<f64>,
-    degradation: f64,
-    /// First iteration of the current LB interval (`lb_step` in Alg. 1).
-    interval_start: u64,
-}
-
-impl ZhaiTrigger {
-    /// Build with an LB-cost model (seed it with an initial estimate if no
-    /// LB has run yet — an unseeded model never triggers).
-    pub fn new(cost_model: LbCostModel) -> Self {
-        Self {
-            cost_model,
-            overhead_estimate: 0.0,
-            ref_time: None,
-            recent: VecDeque::with_capacity(3),
-            degradation: 0.0,
-            interval_start: 0,
-        }
-    }
-
-    /// Update the anticipated ULBA overhead (Eq. (11)) for the *next* LB
-    /// step; the standard method leaves this at 0.
-    pub fn set_overhead_estimate(&mut self, overhead: f64) {
-        debug_assert!(overhead >= 0.0 && overhead.is_finite());
-        self.overhead_estimate = overhead;
-    }
-
-    /// Accumulated degradation (seconds) since the reference iteration.
-    pub fn degradation(&self) -> f64 {
-        self.degradation
-    }
-
-    /// Current LB-cost estimate, if any.
-    pub fn lb_cost(&self) -> Option<f64> {
-        self.cost_model.estimate()
-    }
-
-    fn median_recent(&self) -> f64 {
-        let mut v: Vec<f64> = self.recent.iter().copied().collect();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-        // Lower-middle median: with only two samples, prefer the smaller one
-        // so a single spike cannot fire the trigger by itself.
-        v[(v.len() - 1) / 2]
-    }
-}
-
-impl LbTrigger for ZhaiTrigger {
-    fn observe(&mut self, iter: u64, iter_time: f64) -> bool {
-        if self.recent.len() == 3 {
-            self.recent.pop_front();
-        }
-        self.recent.push_back(iter_time);
-        if iter == self.interval_start || self.ref_time.is_none() {
-            self.ref_time = Some(iter_time);
-        }
-        let reference = self.ref_time.expect("set above");
-        let smoothed = self.median_recent();
-        self.degradation += smoothed - reference;
-        match self.cost_model.estimate() {
-            Some(cost) => self.degradation >= cost + self.overhead_estimate,
-            None => false,
-        }
-    }
-
-    fn lb_completed(&mut self, iter: u64, measured_cost: f64) {
-        self.cost_model.record(measured_cost);
-        self.interval_start = iter + 1;
-        self.ref_time = None;
-        self.recent.clear();
-        self.degradation = 0.0;
-    }
-
-    fn name(&self) -> &'static str {
-        "zhai-degradation"
-    }
-}
-
-/// The Menon et al. fixed-interval trigger: balance every
-/// `τ = sqrt(2C/ṁ_sec)` iterations, with `C` the (EWMA) LB cost and
-/// `ṁ_sec` the slope of iteration *times* (s/iteration, i.e. `m̂/ω`),
-/// both re-estimated online after every LB step.
-#[derive(Debug, Clone)]
-pub struct MenonTrigger {
-    cost_model: LbCostModel,
-    slope: WirEstimator,
-    last_lb: u64,
-    /// Fallback interval while the slope is unknown or non-positive.
-    max_interval: u64,
-}
-
-impl MenonTrigger {
-    /// Build with a cost model and a fallback interval used until the
-    /// iteration-time slope is measurable.
-    pub fn new(cost_model: LbCostModel, max_interval: u64) -> Self {
-        assert!(max_interval >= 1);
-        Self { cost_model, slope: WirEstimator::new(8), last_lb: 0, max_interval }
-    }
-
-    /// The current interval estimate `τ`.
-    pub fn tau(&self) -> f64 {
-        match (self.cost_model.estimate(), self.slope.rate()) {
-            (Some(c), Some(m_sec)) if m_sec > 0.0 && c > 0.0 => (2.0 * c / m_sec).sqrt(),
-            _ => self.max_interval as f64,
-        }
-    }
-}
-
-impl LbTrigger for MenonTrigger {
-    fn observe(&mut self, iter: u64, iter_time: f64) -> bool {
-        self.slope.push(iter, iter_time);
-        let since = iter.saturating_sub(self.last_lb) + 1;
-        since as f64 >= self.tau().min(self.max_interval as f64)
-    }
-
-    fn lb_completed(&mut self, iter: u64, measured_cost: f64) {
-        self.cost_model.record(measured_cost);
-        self.slope.reset();
-        self.last_lb = iter + 1;
-    }
-
-    fn name(&self) -> &'static str {
-        "menon-interval"
-    }
-}
-
-/// Balance every `period` iterations regardless of measurements (the
-/// "straightforward way" the paper criticizes in §II-A).
-#[derive(Debug, Clone)]
-pub struct PeriodicTrigger {
-    period: u64,
-}
-
-impl PeriodicTrigger {
-    /// Trigger every `period ≥ 1` iterations.
-    pub fn new(period: u64) -> Self {
-        assert!(period >= 1);
-        Self { period }
-    }
-}
-
-impl LbTrigger for PeriodicTrigger {
-    fn observe(&mut self, iter: u64, _iter_time: f64) -> bool {
-        (iter + 1).is_multiple_of(self.period)
-    }
-
-    fn lb_completed(&mut self, _iter: u64, _measured_cost: f64) {}
-
-    fn name(&self) -> &'static str {
-        "periodic"
-    }
-}
-
-/// Never balance (the "static" baseline).
-#[derive(Debug, Clone, Default)]
-pub struct NeverTrigger;
-
-impl LbTrigger for NeverTrigger {
-    fn observe(&mut self, _iter: u64, _iter_time: f64) -> bool {
-        false
-    }
-
-    fn lb_completed(&mut self, _iter: u64, _measured_cost: f64) {}
-
-    fn name(&self) -> &'static str {
-        "never"
-    }
-}
-
-/// Which adaptive trigger drives LB activation — the config-level selector
-/// shared by every workload (erosion, synthetic scenarios).
+/// Which rule drives LB activation — the config-level selector shared by
+/// every workload (erosion, synthetic scenarios) and by the model.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum TriggerKind {
     /// The Zhai et al. cumulative-degradation trigger (the paper's choice).
     Zhai,
     /// The Menon fixed-interval trigger re-estimated online (ablation).
     Menon {
-        /// Fallback/maximum interval in iterations.
+        /// Fallback/maximum interval in iterations (≥ 1).
         max_interval: u64,
     },
-    /// Balance every `period` iterations (ablation).
+    /// Balance every `period ≥ 1` iterations (ablation).
     Periodic(u64),
     /// Never balance (static baseline).
     Never,
 }
 
 impl TriggerKind {
-    /// Instantiate the trigger, seeding adaptive variants' LB-cost model
-    /// with `initial_cost` seconds.
-    pub fn build(self, initial_cost: f64) -> AnyTrigger {
+    /// An interval of zero iterations is a config error, caught here rather
+    /// than as a panic inside rank 0 when the trigger is built.
+    pub fn validate(&self) -> Result<(), String> {
         match self {
-            TriggerKind::Zhai => AnyTrigger::Zhai(ZhaiTrigger::new(
-                LbCostModel::default().with_initial(initial_cost),
-            )),
-            TriggerKind::Menon { max_interval } => AnyTrigger::Menon(MenonTrigger::new(
-                LbCostModel::default().with_initial(initial_cost),
-                max_interval,
-            )),
-            TriggerKind::Periodic(p) => AnyTrigger::Periodic(PeriodicTrigger::new(p)),
-            TriggerKind::Never => AnyTrigger::Never(NeverTrigger),
+            TriggerKind::Menon { max_interval: 0 } | TriggerKind::Periodic(0) => {
+                Err(format!("trigger interval must be at least 1 iteration, got {self:?}"))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// The trigger of a run of `iterations` iterations, its LB-cost
+    /// estimate seeded with `initial_cost` seconds.
+    pub fn build(self, initial_cost: f64, iterations: u64) -> Trigger {
+        assert!(initial_cost >= 0.0, "LB cost estimate must be non-negative");
+        self.validate().expect("valid trigger");
+        let rule = match self {
+            TriggerKind::Zhai => {
+                Rule::Zhai { ref_time: None, recent: VecDeque::with_capacity(3), degradation: 0.0 }
+            }
+            TriggerKind::Menon { max_interval } => {
+                Rule::Menon { slope: WirEstimator::new(8), last_lb: 0, max_interval }
+            }
+            TriggerKind::Periodic(period) => Rule::Periodic(period),
+            TriggerKind::Never => Rule::Never,
+        };
+        Trigger { cost: initial_cost, iterations, rule }
+    }
+}
+
+/// A running trigger: the EWMA of measured LB costs, the run length, and
+/// the state of its [`TriggerKind`]'s rule. Built by [`TriggerKind::build`].
+#[derive(Debug, Clone)]
+pub struct Trigger {
+    cost: f64,
+    iterations: u64,
+    rule: Rule,
+}
+
+#[derive(Debug, Clone)]
+enum Rule {
+    /// Algorithm 1: the reference time is the first iteration after the
+    /// last LB step; each iteration's time is smoothed by the median of the
+    /// last ≤ 3 (line 14); `degradation += median − reference` (line 15);
+    /// fire when `degradation ≥ C + overhead` (line 16, Eq. (9)).
+    Zhai {
+        ref_time: Option<f64>,
+        recent: VecDeque<f64>,
+        degradation: f64,
+    },
+    /// Balance every `τ = sqrt(2C/ṁ_sec)` iterations, with `ṁ_sec` the
+    /// slope of iteration *times* (s/iteration, i.e. `m̂/ω`) since the last
+    /// LB step, capped at (and falling back to) `max_interval`.
+    Menon {
+        slope: WirEstimator,
+        last_lb: u64,
+        max_interval: u64,
+    },
+    /// Balance every `period` iterations (the "straightforward way" the
+    /// paper criticizes in §II-A).
+    Periodic(u64),
+    Never,
+}
+
+impl Trigger {
+    /// Observe the wall time `t_iter` (seconds) of completed iteration
+    /// `iter`, with `overhead` seconds of anticipated ULBA overhead
+    /// (Eq. (11); zero for the standard method, read only by the Zhai
+    /// rule). Returns `true` when an LB step should run before the next
+    /// iteration — never on the run's last iteration.
+    pub fn observe(&mut self, iter: u64, t_iter: f64, overhead: f64) -> bool {
+        debug_assert!(overhead >= 0.0 && overhead.is_finite());
+        let fire = match &mut self.rule {
+            Rule::Zhai { ref_time, recent, degradation } => {
+                if recent.len() == 3 {
+                    recent.pop_front();
+                }
+                recent.push_back(t_iter);
+                let reference = *ref_time.get_or_insert(t_iter);
+                *degradation += lower_median(recent) - reference;
+                *degradation >= self.cost + overhead
+            }
+            Rule::Menon { slope, last_lb, max_interval } => {
+                slope.push(iter, t_iter);
+                let cap = *max_interval as f64;
+                let tau = match slope.rate() {
+                    Some(m_sec) if m_sec > 0.0 && self.cost > 0.0 => {
+                        (2.0 * self.cost / m_sec).sqrt().min(cap)
+                    }
+                    _ => cap,
+                };
+                (iter.saturating_sub(*last_lb) + 1) as f64 >= tau
+            }
+            Rule::Periodic(period) => (iter + 1).is_multiple_of(*period),
+            Rule::Never => false,
+        };
+        fire && iter + 1 < self.iterations
+    }
+
+    /// An LB step ran after iteration `iter` and cost `cost` seconds: fold
+    /// the cost into the estimate and start a new interval.
+    pub fn lb_completed(&mut self, iter: u64, cost: f64) {
+        debug_assert!(cost >= 0.0 && cost.is_finite());
+        self.cost = COST_WEIGHT * cost + (1.0 - COST_WEIGHT) * self.cost;
+        match &mut self.rule {
+            Rule::Zhai { ref_time, recent, degradation } => {
+                *ref_time = None;
+                recent.clear();
+                *degradation = 0.0;
+            }
+            Rule::Menon { slope, last_lb, .. } => {
+                slope.reset();
+                *last_lb = iter + 1;
+            }
+            Rule::Periodic(_) | Rule::Never => {}
+        }
+    }
+
+    /// Current LB-cost estimate (seconds).
+    pub fn lb_cost(&self) -> f64 {
+        self.cost
+    }
+
+    /// The Zhai rule's accumulated degradation (seconds) since the
+    /// reference iteration; zero for the other rules.
+    pub fn degradation(&self) -> f64 {
+        match self.rule {
+            Rule::Zhai { degradation, .. } => degradation,
+            _ => 0.0,
         }
     }
 }
 
-/// Enum dispatch over the trigger implementations — what an application's
-/// rank 0 holds when the trigger choice is a runtime config value. Cheaper
-/// and `Clone`-friendlier than a `Box<dyn LbTrigger>`, and it exposes the
-/// Zhai-only overhead hook without downcasting.
-pub enum AnyTrigger {
-    /// [`ZhaiTrigger`].
-    Zhai(ZhaiTrigger),
-    /// [`MenonTrigger`].
-    Menon(MenonTrigger),
-    /// [`PeriodicTrigger`].
-    Periodic(PeriodicTrigger),
-    /// [`NeverTrigger`].
-    Never(NeverTrigger),
-}
-
-impl AnyTrigger {
-    /// Forward the ULBA overhead estimate (Eq. (11)) to the Zhai trigger;
-    /// the other triggers do not consume it.
-    pub fn set_overhead_estimate(&mut self, overhead: f64) {
-        if let AnyTrigger::Zhai(t) = self {
-            t.set_overhead_estimate(overhead);
-        }
-    }
-}
-
-impl LbTrigger for AnyTrigger {
-    fn observe(&mut self, iter: u64, iter_time: f64) -> bool {
-        match self {
-            AnyTrigger::Zhai(t) => t.observe(iter, iter_time),
-            AnyTrigger::Menon(t) => t.observe(iter, iter_time),
-            AnyTrigger::Periodic(t) => t.observe(iter, iter_time),
-            AnyTrigger::Never(t) => t.observe(iter, iter_time),
-        }
-    }
-
-    fn lb_completed(&mut self, iter: u64, measured_cost: f64) {
-        match self {
-            AnyTrigger::Zhai(t) => t.lb_completed(iter, measured_cost),
-            AnyTrigger::Menon(t) => t.lb_completed(iter, measured_cost),
-            AnyTrigger::Periodic(t) => t.lb_completed(iter, measured_cost),
-            AnyTrigger::Never(t) => t.lb_completed(iter, measured_cost),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            AnyTrigger::Zhai(t) => t.name(),
-            AnyTrigger::Menon(t) => t.name(),
-            AnyTrigger::Periodic(t) => t.name(),
-            AnyTrigger::Never(t) => t.name(),
-        }
-    }
+/// Lower-middle median: with only two samples, prefer the smaller one so
+/// a single spike cannot fire the trigger by itself.
+fn lower_median(recent: &VecDeque<f64>) -> f64 {
+    let mut v: Vec<f64> = recent.iter().copied().collect();
+    v.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
+    v[(v.len() - 1) / 2]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Iteration of the first firing over `times`, or `None`.
+    fn first_fire(t: &mut Trigger, times: impl Fn(u64) -> f64, overhead: f64) -> Option<u64> {
+        (0..t.iterations).find(|&iter| t.observe(iter, times(iter), overhead))
+    }
+
     #[test]
-    fn ewma_cost_model_converges() {
-        let mut m = LbCostModel::new(0.5);
-        assert!(m.estimate().is_none());
-        m.record(2.0);
-        assert_eq!(m.estimate(), Some(2.0));
-        m.record(4.0);
-        assert_eq!(m.estimate(), Some(3.0));
-        for _ in 0..20 {
-            m.record(10.0);
+    fn ewma_cost_converges() {
+        let mut t = TriggerKind::Zhai.build(2.0, 100);
+        assert_eq!(t.lb_cost(), 2.0);
+        t.lb_completed(0, 4.0);
+        assert_eq!(t.lb_cost(), 3.0);
+        for iter in 1..21 {
+            t.lb_completed(iter, 10.0);
         }
-        assert!((m.estimate().unwrap() - 10.0).abs() < 0.01);
+        assert!((t.lb_cost() - 10.0).abs() < 0.01);
     }
 
     #[test]
     fn zhai_triggers_when_degradation_exceeds_cost() {
-        let mut t = ZhaiTrigger::new(LbCostModel::default().with_initial(1.0));
         // Iteration times grow by 0.25s/iter from a 1.0s reference:
         // degradation after k iters ≈ Σ (median−ref).
-        let mut fired_at = None;
-        for iter in 0..20u64 {
-            let time = 1.0 + 0.25 * iter as f64;
-            if t.observe(iter, time) {
-                fired_at = Some(iter);
-                break;
-            }
-        }
+        let mut t = TriggerKind::Zhai.build(1.0, 20);
+        let fired = first_fire(&mut t, |i| 1.0 + 0.25 * i as f64, 0.0).expect("must fire");
         // Cumulative degradation reaches 1.0 around iteration 3-4 (median
         // smoothing lags one step).
-        let fired = fired_at.expect("must fire");
         assert!((3..=5).contains(&fired), "fired at {fired}");
     }
 
     #[test]
     fn zhai_never_fires_on_flat_times() {
-        let mut t = ZhaiTrigger::new(LbCostModel::default().with_initial(0.5));
-        for iter in 0..100u64 {
-            assert!(!t.observe(iter, 2.0), "flat iteration times must not trigger");
-        }
+        let mut t = TriggerKind::Zhai.build(0.5, 100);
+        assert_eq!(first_fire(&mut t, |_| 2.0, 0.0), None, "flat times must not trigger");
         assert_eq!(t.degradation(), 0.0);
     }
 
     #[test]
     fn zhai_overhead_delays_trigger() {
         let run = |overhead: f64| {
-            let mut t = ZhaiTrigger::new(LbCostModel::default().with_initial(1.0));
-            t.set_overhead_estimate(overhead);
-            for iter in 0..100u64 {
-                if t.observe(iter, 1.0 + 0.2 * iter as f64) {
-                    return iter;
-                }
-            }
-            u64::MAX
+            let mut t = TriggerKind::Zhai.build(1.0, 100);
+            first_fire(&mut t, |i| 1.0 + 0.2 * i as f64, overhead).unwrap_or(u64::MAX)
         };
         assert!(
             run(2.0) > run(0.0),
@@ -409,10 +236,10 @@ mod tests {
 
     #[test]
     fn zhai_resets_after_lb() {
-        let mut t = ZhaiTrigger::new(LbCostModel::default().with_initial(0.4));
+        let mut t = TriggerKind::Zhai.build(0.4, 100);
         let mut fired = 0;
         for iter in 0..6u64 {
-            if t.observe(iter, 1.0 + 0.5 * iter as f64) {
+            if t.observe(iter, 1.0 + 0.5 * iter as f64, 0.0) {
                 fired += 1;
                 t.lb_completed(iter, 0.4);
             }
@@ -422,23 +249,12 @@ mod tests {
     }
 
     #[test]
-    fn zhai_unseeded_cost_never_triggers() {
-        let mut t = ZhaiTrigger::new(LbCostModel::default());
-        for iter in 0..10u64 {
-            assert!(!t.observe(iter, 1.0 + iter as f64));
-        }
-        // After the first (externally decided) LB the measured cost seeds it.
-        t.lb_completed(9, 0.1);
-        assert!(t.lb_cost().is_some());
-    }
-
-    #[test]
     fn zhai_median_smoothing_ignores_single_spike() {
-        let mut t = ZhaiTrigger::new(LbCostModel::default().with_initial(10.0));
-        assert!(!t.observe(0, 1.0));
+        let mut t = TriggerKind::Zhai.build(10.0, 100);
+        assert!(!t.observe(0, 1.0, 0.0));
         let d0 = t.degradation();
-        assert!(!t.observe(1, 100.0)); // spike
-        assert!(!t.observe(2, 1.0));
+        assert!(!t.observe(1, 100.0, 0.0)); // spike
+        assert!(!t.observe(2, 1.0, 0.0));
         // Median of {1, 100, 1} is 1 → the spike contributes once via the
         // median of {1,100} at iter 1 but is suppressed at iter 2.
         assert!(t.degradation() < 100.0, "degradation {}", t.degradation());
@@ -447,38 +263,55 @@ mod tests {
 
     #[test]
     fn menon_tau_from_measurements() {
-        let mut t = MenonTrigger::new(LbCostModel::default().with_initial(2.0), 1000);
         // slope 0.01 s/iter → τ = sqrt(2·2/0.01) = 20.
-        let mut fired_at = None;
-        for iter in 0..100u64 {
-            if t.observe(iter, 1.0 + 0.01 * iter as f64) {
-                fired_at = Some(iter);
-                break;
-            }
-        }
-        let fired = fired_at.expect("fires");
-        assert!((15..=25).contains(&fired), "fired at {fired}, tau {}", t.tau());
+        let mut t = TriggerKind::Menon { max_interval: 1000 }.build(2.0, 100);
+        let fired = first_fire(&mut t, |i| 1.0 + 0.01 * i as f64, 0.0).expect("fires");
+        assert!((15..=25).contains(&fired), "fired at {fired}");
     }
 
     #[test]
     fn menon_falls_back_without_slope() {
-        let mut t = MenonTrigger::new(LbCostModel::default().with_initial(1.0), 10);
-        let mut fired_at = None;
-        for iter in 0..50u64 {
-            if t.observe(iter, 5.0) {
-                fired_at = Some(iter);
-                break;
-            }
-        }
-        assert_eq!(fired_at, Some(9), "flat times: fallback interval applies");
+        let mut t = TriggerKind::Menon { max_interval: 10 }.build(1.0, 50);
+        assert_eq!(first_fire(&mut t, |_| 5.0, 0.0), Some(9), "flat times: fallback interval");
     }
 
     #[test]
     fn periodic_and_never() {
-        let mut p = PeriodicTrigger::new(4);
-        let fires: Vec<u64> = (0..12).filter(|&i| p.observe(i, 1.0)).collect();
+        let mut p = TriggerKind::Periodic(4).build(0.0, 100);
+        let fires: Vec<u64> = (0..12).filter(|&i| p.observe(i, 1.0, 0.0)).collect();
         assert_eq!(fires, vec![3, 7, 11]);
-        let mut n = NeverTrigger;
-        assert!((0..100).all(|i| !n.observe(i, 1.0e9)));
+        let mut n = TriggerKind::Never.build(0.0, 100);
+        assert!((0..100).all(|i| !n.observe(i, 1.0e9, 0.0)));
+    }
+
+    #[test]
+    fn no_trigger_fires_on_the_last_iteration() {
+        let times = |i: u64| 1.0 + 0.1 * i as f64;
+        for kind in
+            [TriggerKind::Zhai, TriggerKind::Menon { max_interval: 10 }, TriggerKind::Periodic(5)]
+        {
+            let fire = first_fire(&mut kind.build(1.0, u64::MAX), times, 0.0).expect("fires");
+            assert_eq!(
+                first_fire(&mut kind.build(1.0, fire + 2), times, 0.0),
+                Some(fire),
+                "{kind:?}"
+            );
+            assert_eq!(first_fire(&mut kind.build(1.0, fire + 1), times, 0.0), None, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn zero_intervals_are_config_errors() {
+        for kind in [TriggerKind::Periodic(0), TriggerKind::Menon { max_interval: 0 }] {
+            let err = kind.validate().expect_err("zero interval");
+            assert!(err.contains("trigger"), "{err}");
+        }
+        assert!(TriggerKind::Menon { max_interval: 0 }
+            .validate()
+            .unwrap_err()
+            .contains("max_interval"));
+        for kind in [TriggerKind::Zhai, TriggerKind::Never, TriggerKind::Periodic(1)] {
+            kind.validate().unwrap();
+        }
     }
 }

@@ -314,6 +314,13 @@ mod tests {
         let mut c = ErosionConfig::tiny(4, 1);
         c.gossip_wire = GossipWire::Delta { full_every: 0 };
         assert!(c.validate().is_err());
+        // A zero trigger interval is a config error, not a panic in rank 0.
+        for kind in [TriggerKind::Periodic(0), TriggerKind::Menon { max_interval: 0 }] {
+            let mut c = ErosionConfig::tiny(4, 1);
+            c.trigger = kind;
+            let err = c.validate().expect_err("zero interval");
+            assert!(err.contains("trigger"), "{kind:?}: {err}");
+        }
         let mut c = ErosionConfig::tiny(4, 1);
         c.height = (1 << 16) + 1; // row indices of the frontier are u16
         assert!(c.validate().is_err());

@@ -246,6 +246,13 @@ mod tests {
         let mut c = ScenarioConfig::tiny(ScenarioKind::Scatter, 4);
         c.gossip_wire = GossipWire::Delta { full_every: 0 };
         assert!(c.validate().is_err());
+        // A zero trigger interval is a config error, not a panic in rank 0.
+        for kind in [TriggerKind::Periodic(0), TriggerKind::Menon { max_interval: 0 }] {
+            let mut c = ScenarioConfig::tiny(ScenarioKind::Scatter, 4);
+            c.trigger = kind;
+            let err = c.validate().expect_err("zero interval");
+            assert!(err.contains("trigger"), "{kind:?}: {err}");
+        }
         let mut c = ScenarioConfig::tiny(ScenarioKind::Scatter, 4);
         c.tasks_per_rank = 0;
         assert!(c.validate().is_err());
