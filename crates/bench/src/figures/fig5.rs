@@ -26,7 +26,7 @@ pub struct Fig5Series {
 
 impl Fig5Series {
     /// Spread between the worst and best α, as a percentage of the worst.
-    pub fn spread_percent(&self) -> f64 {
+    fn spread_percent(&self) -> f64 {
         let best = self.points.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
         let worst = self.points.iter().map(|p| p.1).fold(f64::NEG_INFINITY, f64::max);
         (worst - best) / worst * 100.0

@@ -2,7 +2,7 @@
 //! summaries, histograms).
 
 /// Quantile of a *sorted* slice using linear interpolation (`q ∈ [0, 1]`).
-pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
+fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty(), "quantile of empty data");
     assert!((0.0..=1.0).contains(&q));
     let pos = q * (sorted.len() - 1) as f64;

@@ -18,25 +18,19 @@ pub fn mean(values: &[f64]) -> f64 {
     mean_iter(values.iter().copied(), values.len())
 }
 
-/// Population standard deviation (0 for fewer than two values).
-pub fn std_dev(values: &[f64]) -> f64 {
-    std_dev_iter(values.iter().copied(), values.len())
-}
-
 /// Streaming [`mean`] over a population of `n` values — the identical
 /// left-to-right summation, so the result is bit-identical to the slice
 /// version without materializing the slice.
-pub fn mean_iter<I: Iterator<Item = f64>>(values: I, n: usize) -> f64 {
+fn mean_iter<I: Iterator<Item = f64>>(values: I, n: usize) -> f64 {
     if n == 0 {
         return 0.0;
     }
     values.sum::<f64>() / n as f64
 }
 
-/// Streaming [`std_dev`] over a population of `n` values; the iterator is
-/// replayed (`Clone`) for the two passes, preserving the dense version's
-/// exact evaluation order.
-pub fn std_dev_iter<I: Iterator<Item = f64> + Clone>(values: I, n: usize) -> f64 {
+/// Population standard deviation of `n` values (0 for fewer than two); the
+/// iterator is replayed (`Clone`) for the two passes.
+fn std_dev_iter<I: Iterator<Item = f64> + Clone>(values: I, n: usize) -> f64 {
     if n < 2 {
         return 0.0;
     }
@@ -75,18 +69,6 @@ pub fn median(values: &[f64]) -> f64 {
     } else {
         (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
     }
-}
-
-/// z-score of `value` within the population described by `values`.
-///
-/// Returns 0 when the population has zero spread (all equal: nobody is an
-/// outlier).
-pub fn z_score(value: f64, values: &[f64]) -> f64 {
-    let sd = std_dev(values);
-    if sd == 0.0 {
-        return 0.0;
-    }
-    (value - mean(values)) / sd
 }
 
 /// z-scores of every element of `values` within `values`.
@@ -132,6 +114,16 @@ pub fn detect_overloading(wirs: &[f64], threshold: f64, stat: DetectionStat) -> 
 mod tests {
     use super::*;
 
+    /// The dense, two-pass population standard deviation the streaming
+    /// version must match bit for bit.
+    fn std_dev(values: &[f64]) -> f64 {
+        if values.len() < 2 {
+            return 0.0;
+        }
+        let m = mean(values);
+        (values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / values.len() as f64).sqrt()
+    }
+
     #[test]
     fn basic_statistics() {
         let v = [1.0, 2.0, 3.0, 4.0];
@@ -147,7 +139,7 @@ mod tests {
         assert_eq!(std_dev(&[]), 0.0);
         assert_eq!(std_dev(&[5.0]), 0.0);
         assert_eq!(median(&[]), 0.0);
-        assert_eq!(z_score(1.0, &[1.0]), 0.0);
+        assert_eq!(z_scores(&[1.0]), vec![0.0]);
     }
 
     #[test]

@@ -261,12 +261,6 @@ impl ErosionConfig {
     pub fn lb_root_walk_secs(&self) -> f64 {
         self.lb_root_walk_flop_per_cell * (self.width() * self.height) as f64 / self.omega
     }
-
-    /// Total modelled LB cost per call in seconds (fixed + root walk),
-    /// before the (small) real collective/migration costs.
-    pub fn lb_modelled_cost_secs(&self) -> f64 {
-        self.lb_fixed_cost_secs() + self.lb_root_walk_secs()
-    }
 }
 
 #[cfg(test)]

@@ -41,11 +41,6 @@ impl Geometry {
         Self { width: stripes * cols_per_stripe, height, cols_per_stripe, radius }
     }
 
-    /// Number of discs (= number of initial stripes).
-    pub fn num_rocks(&self) -> usize {
-        self.width / self.cols_per_stripe
-    }
-
     /// Disc centre of rock `k` (x in columns, y in rows).
     pub fn rock_center(&self, k: usize) -> (f64, f64) {
         ((k as f64 + 0.5) * self.cols_per_stripe as f64, self.height as f64 / 2.0)
@@ -149,7 +144,6 @@ mod tests {
     #[test]
     fn disc_centers_are_stripe_centers() {
         let g = small();
-        assert_eq!(g.num_rocks(), 4);
         assert_eq!(g.rock_center(0), (16.0, 16.0));
         assert_eq!(g.rock_center(3), (112.0, 16.0));
     }
@@ -222,7 +216,6 @@ mod tests {
         // 32 PEs at paper scale: 32 000 × 1000 cells, radius 250.
         let g = Geometry::new(32, 1000, 1000, 250);
         assert_eq!(g.width, 32_000);
-        assert_eq!(g.num_rocks(), 32);
         assert_eq!(g.rock_at(500, 500), Some(0));
     }
 }

@@ -33,7 +33,6 @@ pub mod column;
 pub mod config;
 pub mod erode;
 pub mod geometry;
-pub mod snapshot;
 pub mod stripe;
 
 pub use app::{

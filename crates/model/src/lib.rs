@@ -11,8 +11,8 @@
 //!   per-iteration time with underloading (Eq. (5)), the catch-up bound `σ⁻`
 //!   (Eq. (8)) and the adaptive-trigger bound `σ⁺` (Eq. (9)–(12));
 //! * **schedule optimizers** (§III-B): the paper's simulated-annealing search
-//!   (via [`ulba_anneal`]), an exhaustive oracle, and an exact `O(γ²)`
-//!   dynamic program exploiting the separability of Eq. (4) — a ground truth
+//!   (via [`ulba_anneal`]) and an exact `O(γ²)` dynamic program
+//!   (checked against exhaustive enumeration in tests) exploiting the separability of Eq. (4) — a ground truth
 //!   the paper approximated;
 //! * the **Table II instance sampler** and the **Fig. 2 / Fig. 3 study
 //!   procedures** (§III-B, §IV-A).
@@ -41,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod efficiency;
 pub mod instance;
 pub mod params;
 pub mod schedule;

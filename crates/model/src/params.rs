@@ -65,12 +65,6 @@ impl ModelParams {
         self.w0 + iteration as f64 * self.delta_w()
     }
 
-    /// `â = a + m·N/P` — average workload-increase rate (Menon et al. mapping
-    /// given in §II-C of the paper).
-    pub fn a_hat(&self) -> f64 {
-        self.a + self.m * self.n as f64 / self.p as f64
-    }
-
     /// `m̂ = m·(P − N)/P` — extra workload-increase rate of the most loaded
     /// PEs (Menon et al. mapping given in §II-C of the paper).
     ///
@@ -82,13 +76,6 @@ impl ModelParams {
             return 0.0;
         }
         self.m * (self.p - self.n) as f64 / self.p as f64
-    }
-
-    /// Whether the application creates load imbalance over time
-    /// (`m > 0` on at least one PE). Without imbalance growth there is no
-    /// reason to use ULBA (§III-A).
-    pub fn has_imbalance_growth(&self) -> bool {
-        self.m > 0.0 && self.n > 0
     }
 
     /// Time to compute one perfectly balanced iteration of the *initial*
@@ -129,14 +116,14 @@ mod tests {
 
     #[test]
     fn menon_mapping_identities() {
-        // ΔW = âP + m̂P/(P−N)·(P−N) decomposition: âP + m̂·? — instead check
-        // the two published identities directly.
+        // §II-C maps the model onto Menon et al.'s: m̂ = m·(P − N)/P, and
+        // with â = a + m·N/P the most loaded PE's rate decomposes as
+        // â + m̂ = a + m.
         let p = ModelParams::example();
         let (pf, nf) = (p.p as f64, p.n as f64);
-        assert!((p.a_hat() - (p.a + p.m * nf / pf)).abs() < 1e-12);
         assert!((p.m_hat() - p.m * (pf - nf) / pf).abs() < 1e-9);
-        // â + m̂ = a + m (the most loaded PE's total rate decomposes).
-        assert!(((p.a_hat() + p.m_hat()) - (p.a + p.m)).abs() < 1e-6);
+        let a_hat = p.a + p.m * nf / pf;
+        assert!(((a_hat + p.m_hat()) - (p.a + p.m)).abs() < 1e-6);
     }
 
     #[test]
@@ -153,16 +140,5 @@ mod tests {
         let mut p = ModelParams::example();
         p.gamma = 0;
         assert!(p.validate().is_err());
-    }
-
-    #[test]
-    fn imbalance_growth_flag() {
-        let mut p = ModelParams::example();
-        assert!(p.has_imbalance_growth());
-        p.m = 0.0;
-        assert!(!p.has_imbalance_growth());
-        let mut p = ModelParams::example();
-        p.n = 0;
-        assert!(!p.has_imbalance_growth());
     }
 }

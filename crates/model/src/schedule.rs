@@ -72,7 +72,8 @@ impl Schedule {
     }
 
     /// The boolean activation-vector encoding of this schedule.
-    pub fn to_flags(&self) -> Vec<bool> {
+    #[cfg(test)]
+    fn to_flags(&self) -> Vec<bool> {
         let mut flags = vec![false; self.gamma as usize];
         for &s in &self.steps {
             flags[s as usize] = true;

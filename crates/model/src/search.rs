@@ -62,8 +62,9 @@ pub fn optimal_schedule(params: &ModelParams, method: Method) -> SearchResult {
 }
 
 /// Exhaustive enumeration of all `2^(γ−1)` schedules. Only usable for tiny γ
-/// (`γ ≤ 20` enforced); kept as an oracle for testing the DP and the SA.
-pub fn exhaustive_schedule(params: &ModelParams, method: Method) -> SearchResult {
+/// (`γ ≤ 20` enforced); the oracle the DP is tested against.
+#[cfg(test)]
+fn exhaustive_schedule(params: &ModelParams, method: Method) -> SearchResult {
     assert!(params.gamma <= 20, "exhaustive search is O(2^gamma); use optimal_schedule instead");
     let slots = params.gamma - 1; // iterations 1..gamma
     let mut best: Option<SearchResult> = None;

@@ -126,7 +126,7 @@ impl Fig3Bucket {
 /// The ten overloading percentages on Fig. 3's x-axis, exactly as labelled in
 /// the paper: 1.0 %, 1.6 %, 2.4 %, 3.4 %, 4.8 %, 6.5 %, 8.7 %, 11.5 %,
 /// 15.2 %, 20.0 %.
-pub fn fig3_percentages() -> Vec<f64> {
+fn fig3_percentages() -> Vec<f64> {
     vec![1.0, 1.6, 2.4, 3.4, 4.8, 6.5, 8.7, 11.5, 15.2, 20.0]
 }
 

@@ -35,14 +35,6 @@ impl MachineSpec {
         Self { base_speed: speed, ..Default::default() }
     }
 
-    /// Set the network parameters.
-    pub fn with_network(mut self, latency: f64, bandwidth: f64) -> Self {
-        assert!(latency >= 0.0 && bandwidth > 0.0);
-        self.latency = latency;
-        self.bandwidth = bandwidth;
-        self
-    }
-
     /// Speed of `rank` in FLOP/s.
     pub fn speed(&self, _rank: usize) -> f64 {
         self.base_speed
@@ -146,7 +138,7 @@ mod tests {
 
     #[test]
     fn log_tree_rounds() {
-        let spec = MachineSpec::default().with_network(1.0, 1.0e18);
+        let spec = MachineSpec { latency: 1.0, bandwidth: 1.0e18, ..Default::default() };
         // With unit latency and effectively infinite bandwidth the barrier
         // cost counts exactly the tree rounds.
         assert_eq!(spec.barrier_secs(2), 1.0);

@@ -190,11 +190,6 @@ impl ScenarioConfig {
         }
     }
 
-    /// Global task count.
-    pub fn total_tasks(&self) -> usize {
-        self.ranks * self.tasks_per_rank
-    }
-
     /// The balanced per-PE compute time of one iteration (seconds) — the
     /// unit of the fixed LB overhead.
     pub fn base_iteration_secs(&self) -> f64 {

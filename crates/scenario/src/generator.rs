@@ -277,7 +277,7 @@ impl WorkTable {
     /// Weight of global task `task` in `phase`: its home region's units
     /// spread evenly over the region's `tasks_per_rank` tasks (the first
     /// `units % tasks_per_rank` local tasks absorb the remainder).
-    pub fn task_units(&self, phase: usize, task: usize, tasks_per_rank: usize) -> u64 {
+    fn task_units(&self, phase: usize, task: usize, tasks_per_rank: usize) -> u64 {
         let region = task / tasks_per_rank;
         let local = task % tasks_per_rank;
         let units = self.per_phase_units[phase][region];
