@@ -63,9 +63,10 @@ mod tests {
     fn periodic_trigger_reproduces_periodic_schedule() {
         let p = params();
         let sched = trigger_driven_schedule(&p, Method::Standard, TriggerKind::Periodic(10));
-        // Fires after iterations 9, 19, … → LB at 10, 20, …
-        assert_eq!(sched.steps()[0], 10);
-        assert_eq!(sched.steps()[1], 20);
+        // Fires after iterations 9, 19, … → LB at 10, 20, …, 90: the slot
+        // after iteration 99 ends the run (γ = 100) and is dropped.
+        assert_eq!(sched, Schedule::periodic(10, p.gamma));
+        assert_eq!(sched.steps().last(), Some(&90));
     }
 
     #[test]

@@ -276,6 +276,42 @@ mod tests {
     }
 
     #[test]
+    fn menon_interval_is_capped_by_max_interval() {
+        // An expensive LB on a shallow slope: τ = sqrt(2·10⁶/0.01) ≫ 10.
+        let mut t = TriggerKind::Menon { max_interval: 10 }.build(1.0e6, 100);
+        assert_eq!(first_fire(&mut t, |i| 1.0 + 0.01 * i as f64, 0.0), Some(9));
+    }
+
+    #[test]
+    fn menon_interval_restarts_after_lb() {
+        let mut t = TriggerKind::Menon { max_interval: 10 }.build(1.0, 100);
+        assert_eq!(first_fire(&mut t, |_| 5.0, 0.0), Some(9));
+        t.lb_completed(9, 1.0);
+        let next = (10..100).find(|&iter| t.observe(iter, 5.0, 0.0));
+        assert_eq!(next, Some(19), "the interval counts from the iteration after the LB step");
+    }
+
+    #[test]
+    fn measured_cost_moves_the_zhai_threshold() {
+        let fire_after = |measured: f64| {
+            let mut t = TriggerKind::Zhai.build(0.1, 100);
+            t.lb_completed(0, measured);
+            (1..100).find(|&iter| t.observe(iter, 1.0 + 0.1 * iter as f64, 0.0))
+        };
+        let (cheap, dear) = (fire_after(0.1), fire_after(10.0));
+        assert!(dear > cheap, "a dearer LB step must wait longer: {dear:?} vs {cheap:?}");
+    }
+
+    #[test]
+    fn periodic_phase_is_fixed_by_iteration_zero() {
+        // Unlike Menon's interval, the period does not restart at an LB step.
+        let mut t = TriggerKind::Periodic(4).build(1.0, 100);
+        t.lb_completed(5, 1.0);
+        let fires: Vec<u64> = (6..16).filter(|&i| t.observe(i, 1.0, 0.0)).collect();
+        assert_eq!(fires, vec![7, 11, 15]);
+    }
+
+    #[test]
     fn periodic_and_never() {
         let mut p = TriggerKind::Periodic(4).build(0.0, 100);
         let fires: Vec<u64> = (0..12).filter(|&i| p.observe(i, 1.0, 0.0)).collect();

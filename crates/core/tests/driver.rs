@@ -161,6 +161,14 @@ fn periodic_balances_on_schedule_and_suppresses_the_last_slot() {
 }
 
 #[test]
+fn a_zero_trigger_interval_is_a_config_error() {
+    for kind in [TriggerKind::Periodic(0), TriggerKind::Menon { max_interval: 0 }] {
+        let err = params(kind).validate().expect_err("a zero interval must not reach rank 0");
+        assert!(err.contains("trigger"), "{kind:?}: {err}");
+    }
+}
+
+#[test]
 fn after_sync_runs_once_per_rank_iteration_and_defaults_to_a_no_op() {
     let plain = run(TriggerKind::Periodic(10), Backend::Sequential);
     let calls = Arc::new(AtomicUsize::new(0));
