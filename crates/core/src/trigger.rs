@@ -3,7 +3,7 @@
 //!
 //! The paper activates an LB step "every time the degradation due to load
 //! imbalance overcomes the average LB cost plus the overhead of ULBA",
-//! implemented "using the approach proposed by Zhai et al. [7] that computes
+//! implemented "using the approach proposed by Zhai et al. \[7\] that computes
 //! the exact degradation of each iteration w.r.t. a reference iteration (in
 //! our case, the one just after the last LB call)" — Algorithm 1 and
 //! Eq. (9). [`TriggerKind::Zhai`] is that rule; the Menon interval

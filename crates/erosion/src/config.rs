@@ -31,11 +31,9 @@ pub struct ErosionConfig {
     /// Number of application iterations (Fig. 4b runs ~400).
     pub iterations: u64,
     /// Master seed: strong-rock placement and erosion sampling derive from
-    /// it, so a (config, seed) pair is fully reproducible. Sampling is
-    /// ownership-independent, so every LB policy faces the same rolls — but
-    /// not quite the same physics: exposure at a just-migrated join can lag
-    /// (see [`crate::erode`]), which moves eroded totals by a few cells
-    /// between policies on some seeds.
+    /// it, so a (config, seed) pair is fully reproducible. Sampling and
+    /// exposure are ownership-independent (see [`crate::erode`]), so every
+    /// LB policy erodes the same cells on a given seed.
     pub seed: u64,
     /// Load-balancing policy under test.
     pub policy: LbPolicy,

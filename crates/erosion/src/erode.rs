@@ -10,15 +10,14 @@
 //! which rank owns a cell never changes what it rolls, and a fixed
 //! partitioning replays the same trajectory whatever the backend, pool or
 //! wire format (the paper's physical runs needed the median of 5 runs to
-//! average that noise out). What does *not* follow is that every LB policy
-//! sees the same erosion: only cells on a column's exposure list roll, and
-//! the two columns at a join between segments that [`crate::stripe::migrate`]
-//! brought together from different owners keep lists that miss the other
-//! side's erosions of that very iteration — boundary columns are refreshed
-//! from halos only while they *are* boundary columns. A rock cell there can
-//! sit unlisted, and never roll, so totals differ by a few cells between
-//! policies on some seeds (ROADMAP item 1(a) has the cause, the fix and the
-//! numbers).
+//! average that noise out). Every LB policy also sees the same erosion,
+//! although only cells on a column's exposure list roll: a boundary column's
+//! list is refreshed from the halos before each step, and when a migration
+//! makes two former boundary columns neighbours inside one stripe,
+//! [`crate::stripe::Stripe::from_segments`] refreshes both lists against
+//! each other, so no rock cell next to fluid sits unlisted.
+//! `crates/erosion/tests/policy_invariance.rs` checks that standard and
+//! ULBA, with and without anticipatory partitioning, erode the same cells.
 //!
 //! Host cost: `O(frontier + erosions)`. The decision pass hashes once per
 //! exposed cell; what is constant over the step (`seed ^ mix(iteration)`)

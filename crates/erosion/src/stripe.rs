@@ -30,16 +30,32 @@ impl Stripe {
 
     /// Assemble a stripe from (global start, columns) segments; segments
     /// must tile a contiguous range.
+    ///
+    /// The two columns at each join between non-empty segments come from
+    /// different owners, whose boundary refresh saw the other side only in
+    /// its pre-step state. Now interior, no halo refresh would visit them
+    /// again, so their exposure lists are refreshed here from the stripe's
+    /// own columns (`None` at a stripe edge, which the next halo refresh
+    /// repairs).
     pub fn from_segments(mut segments: Vec<(usize, Vec<Column>)>) -> Self {
         assert!(!segments.is_empty(), "a stripe needs at least one segment");
         segments.sort_by_key(|(start, _)| *start);
         let first_col = segments[0].0;
-        let mut cols = Vec::new();
+        let mut cols: Vec<Column> = Vec::new();
+        let mut joins = Vec::new();
         let mut expected = first_col;
         for (start, seg) in segments {
             assert_eq!(start, expected, "segments must tile a contiguous range");
+            if !cols.is_empty() && !seg.is_empty() {
+                joins.push(cols.len());
+            }
             expected += seg.len();
             cols.extend(seg);
+        }
+        for c in joins.into_iter().flat_map(|j| [j - 1, j]) {
+            let (west, rest) = cols.split_at_mut(c);
+            let (col, east) = rest.split_first_mut().expect("a join column is in range");
+            col.refresh_exposure(west.last().map(Column::cells), east.first().map(Column::cells));
         }
         Self { first_col, cols }
     }
@@ -320,6 +336,42 @@ mod tests {
         let b: Vec<Column> = (8..16).map(|c| Column::initial(&g, c)).collect();
         let s = Stripe::from_segments(vec![(8, b), (0, a)]);
         assert_eq!(s.range(), 0..16);
+    }
+
+    /// Segments `0..16` and `16..32` of disc 0, with the cell at the disc's
+    /// centre eroded on the east side only: the west column's list, built
+    /// apart, does not know its neighbour turned to fluid.
+    fn stale_join(g: &Geometry) -> (Vec<Column>, Vec<Column>) {
+        let west: Vec<Column> = (0..16).map(|c| Column::initial(g, c)).collect();
+        let mut east: Vec<Column> = (16..32).map(|c| Column::initial(g, c)).collect();
+        assert!(east[0].cell(16).is_rock() && !east[0].cell(16).is_listed(), "a buried cell");
+        east[0].erode(16);
+        assert!(!west[15].exposed().contains(&16));
+        (west, east)
+    }
+
+    #[test]
+    fn from_segments_refreshes_both_columns_at_a_join() {
+        let g = geometry(2);
+        let (west, east) = stale_join(&g);
+        let s = Stripe::from_segments(vec![(16, east), (0, west)]);
+        s.check_invariants().unwrap();
+        let cols = s.cols();
+        assert!(cols[15].exposed().contains(&16), "the west side sees the eroded cell");
+        for row in [15, 17] {
+            assert!(cols[16].exposed().contains(&row), "row {row} lies under fluid now");
+        }
+    }
+
+    #[test]
+    fn from_segments_refreshes_nothing_without_a_join() {
+        let g = geometry(2);
+        let (_, east) = stale_join(&g);
+        // Within one segment the rows above and below the eroded cell stay
+        // unlisted: only the step's apply pass exposes them.
+        let s = Stripe::from_segments(vec![(16, east.clone()), (32, Vec::new())]);
+        assert_eq!(s.cols(), east.as_slice());
+        assert!(!s.cols()[0].exposed().contains(&15));
     }
 
     #[test]

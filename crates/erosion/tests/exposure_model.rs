@@ -7,8 +7,8 @@
 //! multi-rank loop — halos from the neighbouring pieces, a boundary
 //! refresh, a step per piece — and between iterations the domain is cut
 //! into new pieces and reassembled through [`Stripe::from_segments`], which
-//! refreshes nothing at the joins: the lists there stay as stale as the
-//! model's.
+//! refreshes both columns at every join between old pieces; the model
+//! refreshes the same columns.
 
 use proptest::prelude::*;
 use ulba_erosion::erode::{erodes, erosion_step, roll};
@@ -310,6 +310,22 @@ proptest! {
                     Stripe::from_segments(segments)
                 })
                 .collect();
+            // Both columns at every old boundary strictly inside a new piece
+            // are refreshed, with neighbours from that piece only.
+            for w in bounds.windows(2) {
+                let (lo, hi) = (w[0], w[1]);
+                for (start, _) in &old {
+                    let b = start - first;
+                    if b <= lo || b >= hi {
+                        continue;
+                    }
+                    for c in [b - 1, b] {
+                        let west = (c > lo).then(|| model[c - 1].cells.clone());
+                        let east = (c + 1 < hi).then(|| model[c + 1].cells.clone());
+                        model[c].refresh_exposure(west.as_deref(), east.as_deref());
+                    }
+                }
+            }
             if let Err(err) = compare(&pieces, &model) {
                 prop_assert!(false, "after re-cutting iteration {iter}: {err}");
             }
