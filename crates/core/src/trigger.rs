@@ -193,7 +193,7 @@ mod tests {
     }
 
     #[test]
-    fn ewma_cost_converges() {
+    fn ewma_cost_model_converges() {
         let mut t = TriggerKind::Zhai.build(2.0, 100);
         assert_eq!(t.lb_cost(), 2.0);
         t.lb_completed(0, 4.0);
@@ -300,6 +300,16 @@ mod tests {
         };
         let (cheap, dear) = (fire_after(0.1), fire_after(10.0));
         assert!(dear > cheap, "a dearer LB step must wait longer: {dear:?} vs {cheap:?}");
+    }
+
+    #[test]
+    fn measured_cost_moves_the_menon_interval() {
+        // ṁ = 0.01 s/iter; the EWMA costs 2 and 10 give τ = sqrt(2C/ṁ) ≈ 20 and ≈ 44.7.
+        for (measured, fires) in [(2.0, Some(21)), (18.0, Some(45))] {
+            let mut t = TriggerKind::Menon { max_interval: 1000 }.build(2.0, 1000);
+            t.lb_completed(0, measured);
+            assert_eq!((1..1000).find(|&i| t.observe(i, 1.0 + 0.01 * i as f64, 0.0)), fires);
+        }
     }
 
     #[test]
