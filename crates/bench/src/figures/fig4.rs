@@ -7,6 +7,7 @@
 //! * **4b**: per-iteration average PE utilization for 32 PEs / 1 rock, both
 //!   methods; ULBA shows fewer utilization drops and 62.5 % fewer LB calls.
 
+use super::check_same_erosion;
 use crate::output::{bar, print_table, write_csv, StudyOutput};
 use crate::report::perf_row;
 use std::time::Instant;
@@ -43,18 +44,20 @@ fn config_for(ranks: usize, strong: usize, policy: LbPolicy) -> ErosionConfig {
 /// combination is submitted to the shared job server at once, then reduced
 /// to per-cell medians. The schema-3 report has one row per median (policy
 /// `standard` / `ulba`, in sweep order — rows repeat per rock count).
+/// `Err` if the two policies eroded different cell counts on a seed.
 pub fn run_4a(
     pe_counts: &[usize],
     rock_counts: &[usize],
     seeds: &[u64],
     out: &StudyOutput,
-) -> Vec<Fig4aCell> {
+) -> Result<Vec<Fig4aCell>, String> {
     println!(
         "Fig. 4a — erosion app: standard(+Zhai) vs ULBA (α = 0.4), median of \
          {} seed(s)",
         seeds.len()
     );
     let policies = [("standard", LbPolicy::Standard), ("ulba", LbPolicy::ulba_fixed(0.4))];
+    let labels = policies.map(|(label, _)| label);
     let mut specs = Vec::new();
     for &strong in rock_counts {
         for &ranks in pe_counts {
@@ -74,8 +77,14 @@ pub fn run_4a(
         })
         .collect();
     let started = Instant::now();
-    let mut results = run_erosion_batch(&cfgs).into_iter();
+    let results = run_erosion_batch(&cfgs);
     let sweep_wall = started.elapsed().as_secs_f64();
+    let eroded: Vec<u64> = results.iter().map(|r| r.total_eroded).collect();
+    for (cell, spec) in eroded.chunks(labels.len() * seeds.len()).zip(specs.chunks(labels.len())) {
+        let (strong, ranks, ..) = spec[0];
+        check_same_erosion(&format!("P={ranks} rocks={strong}"), &labels, seeds, cell)?;
+    }
+    let mut results = results.into_iter();
     let medians: Vec<ExperimentResult> =
         specs.iter().map(|_| median_result(results.by_ref().take(seeds.len()).collect())).collect();
 
@@ -141,13 +150,17 @@ pub fn run_4a(
         .map(|(&(_, ranks, label, _), res)| perf_row(label, ranks, wire, res, None))
         .collect();
     out.write_batch_report("fig4a", sweep_wall, rows);
-    cells
+    Ok(cells)
 }
 
 /// Run the Fig. 4b utilization study (32 PEs, 1 strong rock by default).
 /// The standard and ULBA runs are submitted to the shared job server as
-/// one batch of two.
-pub fn run_4b(ranks: usize, seed: u64, out: &StudyOutput) -> (ExperimentResult, ExperimentResult) {
+/// one batch of two; `Err` if they eroded different cell counts.
+pub fn run_4b(
+    ranks: usize,
+    seed: u64,
+    out: &StudyOutput,
+) -> Result<(ExperimentResult, ExperimentResult), String> {
     println!("Fig. 4b — average PE utilization, {ranks} PEs, 1 strongly erodible rock");
     let mut std_cfg = config_for(ranks, 1, LbPolicy::Standard);
     std_cfg.seed = seed;
@@ -157,6 +170,8 @@ pub fn run_4b(ranks: usize, seed: u64, out: &StudyOutput) -> (ExperimentResult, 
     let started = Instant::now();
     let mut results = run_erosion_batch(&[std_cfg, ulba_cfg]);
     let sweep_wall = started.elapsed().as_secs_f64();
+    let eroded: Vec<u64> = results.iter().map(|r| r.total_eroded).collect();
+    check_same_erosion(&format!("P={ranks} rocks=1"), &["standard", "ulba"], &[seed], &eroded)?;
     let ulba_res = results.pop().expect("two results");
     let std_res = results.pop().expect("two results");
 
@@ -216,7 +231,7 @@ pub fn run_4b(ranks: usize, seed: u64, out: &StudyOutput) -> (ExperimentResult, 
         perf_row("ulba", ranks, wire, &ulba_res, None),
     ];
     out.write_batch_report("fig4b", sweep_wall, rows);
-    (std_res, ulba_res)
+    Ok((std_res, ulba_res))
 }
 
 #[cfg(test)]
@@ -236,7 +251,7 @@ mod tests {
         let out = StudyOutput { dir, smoke: true, json: Some(json.clone()) };
         // Tiny scale smoke: 8 PEs, 1 rock, 1 seed — checks plumbing, not
         // magnitudes.
-        let cells = run_4a(&[8], &[1], &[11], &out);
+        let cells = run_4a(&[8], &[1], &[11], &out).unwrap();
         assert_eq!(cells.len(), 1);
         assert!(cells[0].standard > 0.0 && cells[0].ulba > 0.0);
         // A batch study: the sweep wall once, no per-row wall.

@@ -6,6 +6,7 @@
 //! significant gain above α = 0.4 for 32–128 PEs, while 256 PEs still
 //! improves from 0.4 to 0.5 (larger P − N supports a larger α, Eq. (11)).
 
+use super::check_same_erosion;
 use crate::output::{print_table, write_csv, StudyOutput};
 use crate::report::perf_row;
 use std::time::Instant;
@@ -35,8 +36,13 @@ impl Fig5Series {
 
 /// Run the α sweep as one batch: every (P, α, seed) combination is
 /// submitted to the shared job server at once, then reduced to per-(P, α)
-/// medians. The schema-3 report labels its rows `ulba-fixed:<α>`.
-pub fn run(pe_counts: &[usize], seeds: &[u64], out: &StudyOutput) -> Vec<Fig5Series> {
+/// medians. The schema-3 report labels its rows `ulba-fixed:<α>`. `Err` if
+/// two α values eroded different cell counts on a seed.
+pub fn run(
+    pe_counts: &[usize],
+    seeds: &[u64],
+    out: &StudyOutput,
+) -> Result<Vec<Fig5Series>, String> {
     println!(
         "Fig. 5 — α tuning on the erosion app (1 strong rock, median of {} seed(s))",
         seeds.len()
@@ -57,8 +63,14 @@ pub fn run(pe_counts: &[usize], seeds: &[u64], out: &StudyOutput) -> Vec<Fig5Ser
         })
         .collect();
     let started = Instant::now();
-    let mut results = run_erosion_batch(&cfgs).into_iter();
+    let results = run_erosion_batch(&cfgs);
     let sweep_wall = started.elapsed().as_secs_f64();
+    let eroded: Vec<u64> = results.iter().map(|r| r.total_eroded).collect();
+    let labels = ALPHAS.map(|alpha| format!("ulba-fixed:{alpha}"));
+    for (cell, &ranks) in eroded.chunks(ALPHAS.len() * seeds.len()).zip(pe_counts) {
+        check_same_erosion(&format!("P={ranks} rocks=1"), &labels, seeds, cell)?;
+    }
+    let mut results = results.into_iter();
     let medians: Vec<ExperimentResult> =
         specs.iter().map(|_| median_result(results.by_ref().take(seeds.len()).collect())).collect();
 
@@ -108,7 +120,7 @@ pub fn run(pe_counts: &[usize], seeds: &[u64], out: &StudyOutput) -> Vec<Fig5Ser
         })
         .collect();
     out.write_batch_report("fig5", sweep_wall, rows);
-    series
+    Ok(series)
 }
 
 #[cfg(test)]

@@ -160,26 +160,24 @@ fn fig3(cli: &Cli) -> Result<(), String> {
 }
 
 /// Fig. 4a (erosion app: standard vs ULBA, P × rock sweep); `--ranks`
-/// overrides the PE sweep.
+/// overrides the PE sweep. `Err` if the two policies erode differently.
 fn fig4a(cli: &Cli) -> Result<(), String> {
     let pes = pes(cli, if cli.smoke { &[32, 64] } else { &PAPER_PE_COUNTS });
     let rocks: &[usize] = if cli.smoke { &[1] } else { &[1, 2, 3] };
-    figures::fig4::run_4a(&pes, rocks, seeds(cli, 5), &cli.study_output("fig4a"));
-    Ok(())
+    figures::fig4::run_4a(&pes, rocks, seeds(cli, 5), &cli.study_output("fig4a")).map(drop)
 }
 
 /// Fig. 4b (average PE utilization timeline, 1 rock); `--ranks <p>`
-/// overrides the 32 PEs.
+/// overrides the 32 PEs. `Err` if the two policies erode differently.
 fn fig4b(cli: &Cli) -> Result<(), String> {
-    figures::fig4::run_4b(pe_count(cli, 32), 11, &cli.study_output("fig4b"));
-    Ok(())
+    figures::fig4::run_4b(pe_count(cli, 32), 11, &cli.study_output("fig4b")).map(drop)
 }
 
-/// Fig. 5 (α tuning); `--ranks` overrides the PE sweep.
+/// Fig. 5 (α tuning); `--ranks` overrides the PE sweep. `Err` if two α
+/// values erode differently.
 fn fig5(cli: &Cli) -> Result<(), String> {
     let pes = pes(cli, if cli.smoke { &[32, 64] } else { &PAPER_PE_COUNTS });
-    figures::fig5::run(&pes, seeds(cli, 3), &cli.study_output("fig5"));
-    Ok(())
+    figures::fig5::run(&pes, seeds(cli, 3), &cli.study_output("fig5")).map(drop)
 }
 
 /// Ablation E-A2: α rule (fixed vs dynamic z-scaled vs robust detection).

@@ -5,20 +5,84 @@
 //! carries its cells, a cached fluid weight (the partitioner's item weight)
 //! and rock count, and the list of its exposed rock cells (the erosion
 //! frontier): each row once, in unspecified order, marked by the list bit.
+//!
+//! The list lives inside the column while it has at most 15 rows
+//! (`INLINE_ROWS`) and spills to the heap past that, so the erosion step's
+//! decision pass reads a column's rows from the cache line that holds its
+//! header instead of missing cache on one heap buffer per column. Longer
+//! lists are rare (the disc's flank columns). The cells are a boxed slice
+//! (their count never changes), which pays for the inline rows: a `Column`
+//! is 56 bytes on a 64-bit target, as it was with a `Vec` of cells and a
+//! heap list.
 
 use crate::cell::{Cell, REFINED_WEIGHT};
 use crate::geometry::Geometry;
 use serde::{Deserialize, Serialize};
 
+/// The most exposed rows a column holds inline: the largest count that
+/// keeps [`Column`] at 56 bytes.
+const INLINE_ROWS: usize = 15;
+
+/// A column's exposure list: inline up to [`INLINE_ROWS`] rows, a heap
+/// vector from the first push past that on (it stays one when it shrinks).
+#[derive(Debug, Clone)]
+enum ExposedRows {
+    Inline { len: u8, rows: [u16; INLINE_ROWS] },
+    Spilled(Vec<u16>),
+}
+
+impl ExposedRows {
+    const EMPTY: Self = Self::Inline { len: 0, rows: [0; INLINE_ROWS] };
+
+    fn as_slice(&self) -> &[u16] {
+        match self {
+            Self::Inline { len, rows } => &rows[..usize::from(*len)],
+            Self::Spilled(rows) => rows,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [u16] {
+        match self {
+            Self::Inline { len, rows } => &mut rows[..usize::from(*len)],
+            Self::Spilled(rows) => rows,
+        }
+    }
+
+    fn push(&mut self, row: u16) {
+        match self {
+            Self::Inline { len, rows } if usize::from(*len) < INLINE_ROWS => {
+                rows[usize::from(*len)] = row;
+                *len += 1;
+            }
+            Self::Inline { rows, .. } => {
+                let mut spilled = Vec::with_capacity(2 * INLINE_ROWS);
+                spilled.extend_from_slice(rows);
+                spilled.push(row);
+                *self = Self::Spilled(spilled);
+            }
+            Self::Spilled(rows) => rows.push(row),
+        }
+    }
+
+    /// Keep the first `kept` rows (all of them if there are no more).
+    fn truncate(&mut self, kept: usize) {
+        match self {
+            Self::Inline { len, .. } if kept < usize::from(*len) => *len = kept as u8,
+            Self::Inline { .. } => {}
+            Self::Spilled(rows) => rows.truncate(kept),
+        }
+    }
+}
+
 /// A single mesh column.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Column {
-    cells: Vec<Cell>,
+    cells: Box<[Cell]>,
     fluid_weight: u32,
     /// Rock cells left: a column without any has no frontier to refresh.
     rock: u32,
     /// Rows of rock cells with a fluid 4-neighbour; exactly these carry the list bit.
-    exposed: Vec<u16>,
+    exposed: ExposedRows,
 }
 
 /// Equal cells, weights and exposure sets (marked by the bits, so in any order).
@@ -42,7 +106,7 @@ impl Column {
         cells[rock.clone()].fill(Cell::ROCK);
         let fluid_weight = (height - rock.len()) as u32;
 
-        let mut exposed = Vec::new();
+        let mut exposed = ExposedRows::EMPTY;
         if !rock.is_empty() {
             // A rock row is buried when all four neighbours are non-fluid,
             // and the domain border counts as non-fluid: vertically that is
@@ -66,7 +130,7 @@ impl Column {
                 exposed.push(row as u16);
             }
         }
-        Self { cells, fluid_weight, rock: rock.len() as u32, exposed }
+        Self { cells: cells.into_boxed_slice(), fluid_weight, rock: rock.len() as u32, exposed }
     }
 
     /// Number of rows.
@@ -91,7 +155,7 @@ impl Column {
 
     /// Currently exposed rock rows, each once, in unspecified order.
     pub fn exposed(&self) -> &[u16] {
-        &self.exposed
+        self.exposed.as_slice()
     }
 
     /// Erode the rock cell at `row` (must currently be rock): it becomes a
@@ -99,8 +163,11 @@ impl Column {
     /// the exposure list.
     pub fn erode(&mut self, row: usize) {
         if self.cells[row].is_listed() {
-            let pos = self.exposed.iter().position(|&r| usize::from(r) == row);
-            self.exposed.swap_remove(pos.expect("a listed cell is on the list"));
+            let rows = self.exposed.as_mut_slice();
+            let pos = rows.iter().position(|&r| usize::from(r) == row);
+            let last = rows.len() - 1;
+            rows.swap(pos.expect("a listed cell is on the list"), last);
+            self.exposed.truncate(last);
         }
         self.refine(row);
     }
@@ -127,11 +194,12 @@ impl Column {
     /// Keep the rows for which `keep(cells, row)` holds, compacting the list in
     /// place (`Vec::retain` ran ≈ 10 % slower); a dropped row keeps its bit until `refine`.
     pub(crate) fn retain_exposed(&mut self, mut keep: impl FnMut(&[Cell], usize) -> bool) {
+        let rows = self.exposed.as_mut_slice();
         let mut kept = 0;
-        for i in 0..self.exposed.len() {
-            let row = self.exposed[i];
+        for i in 0..rows.len() {
+            let row = rows[i];
             if keep(&self.cells, usize::from(row)) {
-                self.exposed[kept] = row;
+                rows[kept] = row;
                 kept += 1;
             }
         }
@@ -145,9 +213,10 @@ impl Column {
         if self.rock == 0 {
             return; // only rock is ever listed: the list is empty
         }
-        for row in self.exposed.drain(..) {
+        for &row in self.exposed.as_slice() {
             self.cells[usize::from(row)] = self.cells[usize::from(row)].with_listed(false);
         }
+        self.exposed.truncate(0);
         let h = self.cells.len();
         for row in 0..h {
             if !self.cells[row].is_rock() {
@@ -166,7 +235,7 @@ impl Column {
 
     /// Wire size of this column when migrated or sent as a halo.
     pub fn wire_bytes(&self) -> usize {
-        self.cells.len() * Cell::WIRE_BYTES + self.exposed.len() * 2 + 8
+        self.cells.len() * Cell::WIRE_BYTES + self.exposed.as_slice().len() * 2 + 8
     }
 
     /// Internal consistency check (test/debug aid): the cached weight and
@@ -181,13 +250,13 @@ impl Column {
         if rock != self.rock as usize {
             return Err(format!("cached rock count {} != actual {rock}", self.rock));
         }
-        let mut rows = self.exposed.clone();
+        let mut rows = self.exposed.as_slice().to_vec();
         rows.sort_unstable();
         let marked = (0..self.cells.len()).filter(|&r| self.cells[r].is_listed());
         if rows.iter().map(|&r| usize::from(r)).eq(marked.filter(|&r| self.cells[r].is_rock())) {
             return Ok(());
         }
-        Err(format!("exposure list {:?} is not the rock rows carrying the bit", self.exposed))
+        Err(format!("exposure list {:?} is not the rock rows carrying the bit", self.exposed()))
     }
 }
 
@@ -310,5 +379,78 @@ mod tests {
         c.refresh_exposure(Some(&[Cell::FLUID; 32]), None);
         assert_eq!(c, before);
         assert!(c.exposed().is_empty());
+    }
+
+    #[test]
+    fn a_column_is_no_larger_than_with_a_heap_list() {
+        assert!(std::mem::size_of::<Column>() <= 56, "{} bytes", std::mem::size_of::<Column>());
+    }
+
+    /// Sorted rows of `c`'s list.
+    fn sorted_rows(c: &Column) -> Vec<u16> {
+        let mut rows = c.exposed().to_vec();
+        rows.sort_unstable();
+        rows
+    }
+
+    /// `spilled` holds what `twin`, whose list never left the column, holds.
+    fn assert_same_as_inline(spilled: &Column, twin: &Column) {
+        spilled.check_invariants().unwrap();
+        twin.check_invariants().unwrap();
+        assert!(matches!(spilled.exposed, ExposedRows::Spilled(_)));
+        assert!(matches!(twin.exposed, ExposedRows::Inline { .. }));
+        assert_eq!(spilled, twin);
+        assert_eq!(sorted_rows(spilled), sorted_rows(twin));
+        assert_eq!(spilled.wire_bytes(), twin.wire_bytes());
+    }
+
+    #[test]
+    fn a_spilled_list_shrinks_back_and_matches_one_that_never_spilled() {
+        let g = Geometry::new(1, 64, 64, 20);
+        let mut a = Column::initial(&g, 32); // through the disc's centre
+        let mut b = a.clone();
+        let rock: Vec<usize> = (0..64).filter(|&r| a.cell(r).is_rock()).collect();
+        assert!(rock.len() > 2 * INLINE_ROWS, "{} rock rows", rock.len());
+        let initial = sorted_rows(&a);
+
+        // Up past the inline rows one `expose` at a time.
+        let mut listed = initial.len();
+        for &row in &rock {
+            listed += usize::from(a.expose(row));
+            a.check_invariants().unwrap();
+            assert_eq!(a.exposed().len(), listed);
+        }
+        assert_eq!(a.exposed().len(), rock.len());
+        assert!(matches!(a.exposed, ExposedRows::Spilled(_)));
+
+        // Back down through `retain_exposed`: keep the initial frontier and
+        // ten buried rows, refine the rest as the erosion step does.
+        let extra: Vec<usize> = rock[5..15].to_vec();
+        let keep = |row: usize| initial.contains(&(row as u16)) || extra.contains(&row);
+        a.retain_exposed(|_, row| keep(row));
+        let dropped: Vec<usize> = rock.iter().copied().filter(|&r| !keep(r)).collect();
+        for &row in &dropped {
+            a.refine(row);
+        }
+        for &row in &extra {
+            assert!(b.expose(row));
+        }
+        for &row in &dropped {
+            b.erode(row); // unlisted in `b`: only refined
+        }
+        assert_same_as_inline(&a, &b);
+
+        // `erode`'s swap-remove, from the middle of the list.
+        let row = usize::from(a.exposed()[a.exposed().len() / 2]);
+        a.erode(row);
+        b.erode(row);
+        assert_same_as_inline(&a, &b);
+
+        // `refresh_exposure`'s clear-and-refill against rock neighbours.
+        let rock_beside = vec![Cell::ROCK; 64];
+        a.refresh_exposure(Some(&rock_beside), Some(&rock_beside));
+        b.refresh_exposure(Some(&rock_beside), Some(&rock_beside));
+        assert!(a.exposed().len() <= INLINE_ROWS);
+        assert_same_as_inline(&a, &b);
     }
 }

@@ -29,7 +29,10 @@
 //! `p = 0.02`), so only the rest read their four neighbours. The pass
 //! compacts each column's list in place, dropping the rows that erode; the
 //! apply pass refines them and [`Column::expose`]s their neighbours in
-//! `O(1)` through the cell's list bit, with no search.
+//! `O(1)` through the cell's list bit, with no search. A short list is
+//! stored inside its [`Column`], on the cache line the pass reads the
+//! column's header from, so a column's rows cost no extra miss and a cell
+//! line is touched only for a roll that can erode.
 
 use crate::cell::Cell;
 use crate::column::Column;

@@ -332,3 +332,39 @@ proptest! {
         }
     }
 }
+
+/// More rows than a column can keep inline: `Column` is held to 56 bytes,
+/// 24 of them the cells' slice and two counts, so at most 15 rows of two
+/// bytes fit beside the list's length and variant.
+const INLINE_MAX: usize = 15;
+
+#[test]
+fn a_list_longer_than_the_inline_rows_follows_the_sorted_model() {
+    // The piece starts at the disc's centre column, whose 29-row rock run
+    // has a fully fluid halo on its west side: every one of its rows is listed.
+    let g = Geometry::new(1, 40, 40, 14);
+    let (first, seed) = (20, 5);
+    let fluid = vec![Cell::FLUID; g.height];
+    let (left, right) = (Some(fluid.as_slice()), None);
+    let prob_of = |_: usize| 0.3;
+    let mut piece = Stripe::initial(&g, first..g.width);
+    let mut model: Vec<ModelColumn> =
+        (first..g.width).map(|c| ModelColumn::initial(&g, c)).collect();
+
+    piece.refresh_boundary_exposure(left, right);
+    model_refresh_boundary(&mut model, left, right);
+    let longest = piece.cols().iter().map(|c| c.exposed().len()).max().unwrap_or(0);
+    assert!(longest > INLINE_MAX, "the longest list has {longest} rows");
+    compare(std::slice::from_ref(&piece), &model).unwrap();
+
+    for iter in 0..30 {
+        piece.refresh_boundary_exposure(left, right);
+        model_refresh_boundary(&mut model, left, right);
+        let delta = erosion_step(piece.cols_mut(), first, left, right, seed, iter, &prob_of);
+        let want = model_step(&mut model, first, left, right, seed, iter, &prob_of);
+        assert_eq!((delta.eroded, delta.newly_exposed), want, "iteration {iter}");
+        if let Err(err) = compare(std::slice::from_ref(&piece), &model) {
+            panic!("iteration {iter}: {err}");
+        }
+    }
+}
