@@ -3,10 +3,10 @@
 //! `gates`) reads neither: it takes what it needs from its caller, so tests
 //! pass a temp directory and never touch the process environment.
 //!
-//! Nothing defaults silently: a misspelled flag, a flag without its value
-//! and an unparsable environment knob (`ULBA_SEEDS=five`) all exit 2 naming
-//! the offender — the wrong behaviour for a benchmark is to quietly run the
-//! default study.
+//! Nothing defaults silently: a misspelled flag, a flag without its value,
+//! a zero `--ranks` entry and an unparsable environment knob
+//! (`ULBA_SEEDS=five`) all exit 2 naming the offender — the wrong behaviour
+//! for a benchmark is to quietly run the default study.
 
 use crate::figures::MEDIAN_SEEDS;
 use crate::output::StudyOutput;
@@ -49,6 +49,14 @@ pub struct Cli {
 
 fn number(what: &str, raw: &str) -> Result<usize, String> {
     raw.trim().parse().map_err(|_| format!("invalid {what} `{raw}` (expected an unsigned integer)"))
+}
+
+/// One `--ranks` entry: a PE count, so at least 1.
+fn rank_count(raw: &str) -> Result<usize, String> {
+    match number("--ranks entry", raw)? {
+        0 => Err(format!("invalid --ranks entry `{raw}` (a run needs at least one rank)")),
+        ranks => Ok(ranks),
+    }
 }
 
 fn backend(raw: &str) -> Result<Backend, String> {
@@ -118,7 +126,7 @@ impl Cli {
                 .ok_or_else(|| format!("flag `{flag}` is missing its value"))?;
             match flag {
                 "--json" => cli.json = Some(PathBuf::from(value)),
-                "--ranks" => cli.ranks = Some(list(&value, |p| number("--ranks entry", p))?),
+                "--ranks" => cli.ranks = Some(list(&value, rank_count)?),
                 "--backend" => cli.backend = Some(backend(&value)?),
                 "--backends" => cli.backends = Some(list(&value, backend)?),
                 "--workers" => cli.workers = Some(number("--workers", &value)?),
@@ -257,6 +265,12 @@ mod tests {
         assert!(err.contains("takes no value"), "{err}");
         for bad in [["--ranks", "8,x"], ["--ranks", ""]] {
             assert!(parse(&bad, &[], &flags).is_err(), "{bad:?} must be rejected");
+        }
+        // Regression: a zero entry used to start the study and panic inside
+        // the first batch (`need at least one rank`, exit 101).
+        for bad in ["0", "4,0"] {
+            let err = parse(&["--ranks", bad], &[], &flags).unwrap_err();
+            assert!(err.contains("--ranks entry `0`"), "{bad}: {err}");
         }
     }
 }

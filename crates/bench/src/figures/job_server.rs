@@ -21,7 +21,7 @@ use crate::report::{perf_row, PerfRow, Report, Summary};
 use std::path::Path;
 use std::time::Instant;
 use ulba_core::policy::LbPolicy;
-use ulba_erosion::{run_erosion_batch, submit_erosion, ErosionConfig, ExperimentResult};
+use ulba_erosion::{run_erosion, run_erosion_batch, ErosionConfig, ExperimentResult};
 use ulba_runtime::{Backend, JobServer};
 
 /// The base sweep: ≥ 8 jobs mixing PE counts, policies and seeds, every
@@ -91,18 +91,14 @@ pub fn run(workers: usize, gate_pes: &[usize], smoke: bool, json: Option<&Path>)
         let mut warm = cfg.clone();
         warm.iterations = 1;
         eprintln!("  [warmup P={ranks}] one untimed job before the timed passes");
-        let pool = JobServer::new(workers);
-        let _ = submit_erosion(&pool, &warm).join();
+        let _ = run_erosion(&warm.with_server(JobServer::new(workers)));
     }
 
     // Pass 1: one transient pool per run, joined before the next starts.
     let serial_started = Instant::now();
     let serial: Vec<ExperimentResult> = specs
         .iter()
-        .map(|(_, _, cfg)| {
-            let pool = JobServer::new(workers);
-            submit_erosion(&pool, cfg).join()
-        })
+        .map(|(_, _, cfg)| run_erosion(&cfg.clone().with_server(JobServer::new(workers))))
         .collect();
     let serial_wall_s = serial_started.elapsed().as_secs_f64();
 

@@ -29,7 +29,7 @@ use ulba_erosion::{run_erosion_batch, ErosionConfig};
 use ulba_runtime::{Backend, JobServer};
 use ulba_scenario::config::TriggerKind;
 use ulba_scenario::{
-    run_scenario, run_scenario_batch, submit_scenario, ScenarioConfig, ScenarioKind, ScenarioResult,
+    run_scenario, run_scenario_batch, ScenarioConfig, ScenarioKind, ScenarioResult,
 };
 
 /// The policy arms of the sweep.
@@ -128,7 +128,7 @@ pub fn run(
         let mut warm = specs[0].2.clone();
         warm.iterations = 1;
         warm.backend = Some(Backend::Parallel);
-        let _ = submit_scenario(&shared, &warm).join();
+        let _ = run_scenario(&warm.with_server(shared.clone()));
     }
 
     // Parallel arms share the pool; sequential arms keep their explicit
@@ -169,7 +169,11 @@ pub fn run(
     let mut rows: Vec<PerfRow> = specs
         .iter()
         .zip(&results)
-        .map(|((label, _, cfg), res)| perf_row(label, cfg.ranks, cfg.gossip_wire, res, None))
+        .map(|((label, _, cfg), res)| PerfRow {
+            lambda_target: Some(res.lambda_target),
+            lambda_achieved: Some(res.lambda_achieved),
+            ..perf_row(label, cfg.ranks, cfg.gossip_wire, res, None)
+        })
         .collect();
 
     // The erosion weak-scaling drift-gate legs, batched on the same pool.

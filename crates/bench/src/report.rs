@@ -18,6 +18,7 @@
 
 use std::fmt::Write as _;
 use std::path::Path;
+use ulba_core::driver::LbRun;
 use ulba_core::gossip::GossipWire;
 
 /// A scalar of the report format.
@@ -549,63 +550,19 @@ pub fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// The measurements every run of the LB driver shares, borrowed from an
-/// application's flat result — what [`perf_row`] reads.
-pub struct RunView<'a> {
-    backend: ulba_runtime::Backend,
-    hub_shards: usize,
-    makespan: f64,
-    lb_calls: usize,
-    mean_utilization: f64,
-    db_entries_total: u64,
-    rank_metrics: &'a [ulba_runtime::RankMetrics],
-    /// The generator's `(target, achieved)` λ (scenario runs only).
-    lambda: Option<(f64, f64)>,
-}
-
-impl<'a> From<&'a ulba_erosion::ExperimentResult> for RunView<'a> {
-    fn from(r: &'a ulba_erosion::ExperimentResult) -> Self {
-        Self {
-            backend: r.backend,
-            hub_shards: r.hub_shards,
-            makespan: r.makespan,
-            lb_calls: r.lb_calls,
-            mean_utilization: r.mean_utilization,
-            db_entries_total: r.db_entries_total,
-            rank_metrics: &r.rank_metrics,
-            lambda: None,
-        }
-    }
-}
-
-impl<'a> From<&'a ulba_scenario::ScenarioResult> for RunView<'a> {
-    fn from(r: &'a ulba_scenario::ScenarioResult) -> Self {
-        Self {
-            backend: r.backend,
-            hub_shards: r.hub_shards,
-            makespan: r.makespan,
-            lb_calls: r.lb_calls,
-            mean_utilization: r.mean_utilization,
-            db_entries_total: r.db_entries_total,
-            rank_metrics: &r.rank_metrics,
-            lambda: Some((r.lambda_target, r.lambda_achieved)),
-        }
-    }
-}
-
-/// Build a [`PerfRow`] from one experiment (erosion or scenario), deriving
-/// the imbalance statistics from the per-rank metrics; scenario rows carry
-/// the generator's λ accounting. The backend label is the one the run
-/// resolved to, never a raw flag or environment string. `sim_wall_s` is
-/// `None` for a job of a batched sweep.
-pub fn perf_row<'a>(
+/// Build a [`PerfRow`] from one run's record (erosion or scenario),
+/// deriving the imbalance statistics from the per-rank metrics. The
+/// backend label is the one the run resolved to, never a raw flag or
+/// environment string. `sim_wall_s` is `None` for a job of a batched
+/// sweep. The λ columns stay empty: a scenario study fills them from its
+/// own totals.
+pub fn perf_row<X>(
     policy: &str,
     pes: usize,
     gossip_wire: GossipWire,
-    res: impl Into<RunView<'a>>,
+    res: &LbRun<X>,
     sim_wall_s: Option<f64>,
 ) -> PerfRow {
-    let res: RunView<'a> = res.into();
     let busy_sum: f64 = res.rank_metrics.iter().map(|m| m.busy).sum();
     let busy_mean = busy_sum / res.rank_metrics.len().max(1) as f64;
     let busy_max = res.rank_metrics.iter().map(|m| m.busy).fold(0.0f64, f64::max);
@@ -630,8 +587,8 @@ pub fn perf_row<'a>(
         idle_fraction,
         db_entries_total: res.db_entries_total,
         peak_rss_bytes: peak_rss_bytes(),
-        lambda_target: res.lambda.map(|l| l.0),
-        lambda_achieved: res.lambda.map(|l| l.1),
+        lambda_target: None,
+        lambda_achieved: None,
     }
 }
 
@@ -722,6 +679,33 @@ mod tests {
         broken.rows[0].makespan_virtual_s = f64::NAN;
         let err = Report::parse(&broken.to_json()).unwrap_err();
         assert!(err.contains("`makespan_virtual_s` is missing or has the wrong type"), "{err}");
+    }
+
+    #[test]
+    fn perf_row_reads_the_record() {
+        use ulba_runtime::{Backend, RankMetrics};
+        let rank = |busy, idle| RankMetrics { busy, idle, ..RankMetrics::default() };
+        let run = LbRun {
+            makespan: 4.0,
+            lb_calls: 2,
+            lb_iterations: vec![3, 7],
+            lb_steps: Vec::new(),
+            iterations: Vec::new(),
+            mean_utilization: 0.5,
+            rank_metrics: vec![rank(3.0, 1.0), rank(1.0, 3.0)],
+            backend: Backend::Sequential,
+            hub_shards: 1,
+            db_entries_total: 9,
+            gossip_watermarks_total: 0,
+            extras: (),
+        };
+        let row = perf_row("ulba", 2, GossipWire::Full, &run, Some(0.25));
+        assert_eq!((row.backend.as_str(), row.policy.as_str()), ("sequential", "ulba"));
+        assert_eq!((row.pes, row.hub_shards, row.lb_calls, row.db_entries_total), (2, 1, 2, 9));
+        assert_eq!((row.makespan_virtual_s, row.sim_wall_s), (4.0, Some(0.25)));
+        assert_eq!(row.busy_max_over_mean, 1.5, "max busy 3 over mean busy 2");
+        assert_eq!(row.idle_fraction, 0.5, "4 idle seconds of 8 accounted");
+        assert_eq!((row.lambda_target, row.lambda_achieved), (None, None));
     }
 
     #[test]

@@ -28,6 +28,12 @@
 //!    migrates, and the measured cost (max over ranks) updates the
 //!    trigger's LB-cost estimate.
 //!
+//! # One record, one launch path
+//!
+//! [`LbLaunch::run`] runs one launch and [`run_batch`] a sweep of them;
+//! both return an [`LbRun`], the only record of a run. Its LB schedule is
+//! rank 0's [`LbStepRecord`]s: the runtime keeps no LB log of its own.
+//!
 //! # The bit-identity contract
 //!
 //! Virtual time is the paper's measurement and it is an `f64`: the
@@ -48,7 +54,7 @@ use crate::trigger::{Trigger, TriggerKind};
 use crate::wir::WirEstimator;
 use serde::{Deserialize, Serialize};
 use std::future::Future;
-use std::marker::PhantomData;
+use std::ops::Deref;
 use std::sync::{Arc, Mutex};
 use ulba_runtime::{
     Backend, IterationStats, JobHandle, JobServer, MachineSpec, RankMetrics, RunConfig, SpmdCtx,
@@ -221,19 +227,22 @@ pub struct LbStepRecord {
     pub root_alpha: f64,
 }
 
-/// Everything the driver measures over one run, plus the workload's
-/// rank-0 extras.
+/// The one record of an LB run: everything the driver measures, plus the
+/// workload's rank-0 extras. Applications name it for their extras type
+/// (`ExperimentResult`, `ScenarioResult`); through [`Deref`] the extras'
+/// fields read like the run's own (`result.total_eroded`).
 #[derive(Debug, Clone)]
 pub struct LbRun<X> {
-    /// Virtual makespan in seconds.
+    /// Virtual makespan in seconds (the paper's "Time \[s\]" axis).
     pub makespan: f64,
-    /// Number of LB steps performed.
+    /// Number of LB steps performed (`lb_steps.len()`).
     pub lb_calls: usize,
-    /// Iterations at which LB steps happened.
+    /// Iterations at which LB steps happened (`lb_steps[i].iteration`).
     pub lb_iterations: Vec<u64>,
-    /// One record per executed LB step, in order.
+    /// What rank 0 knew at each executed LB step (cost, α, share
+    /// decision), in schedule order.
     pub lb_steps: Vec<LbStepRecord>,
-    /// Per-iteration wall time / mean utilization series.
+    /// Per-iteration wall time / mean utilization series (Fig. 4b).
     pub iterations: Vec<IterationStats>,
     /// Average PE utilization over the whole run.
     pub mean_utilization: f64,
@@ -258,6 +267,14 @@ pub struct LbRun<X> {
     pub gossip_watermarks_total: u64,
     /// What [`Workload::finish`] returned on rank 0.
     pub extras: X,
+}
+
+impl<X> Deref for LbRun<X> {
+    type Target = X;
+
+    fn deref(&self) -> &X {
+        &self.extras
+    }
 }
 
 /// Out-of-band results a run records on its way out: a side channel, not a
@@ -302,7 +319,7 @@ where
     /// Launch without waiting. `pool`, when given, is where a pool job goes
     /// (instead of the placement's own server); which backend the placement
     /// *means* never depends on it. Panics on invalid parameters.
-    pub fn submit<R>(self, pool: Option<&JobServer>) -> LbJob<W::Extras, R> {
+    fn submit(self, pool: Option<&JobServer>) -> LbJob<W::Extras> {
         self.validate().unwrap_or_else(|err| panic!("invalid LB launch: {err}"));
         let Self { lb, placement, initial, make } = self;
         let Placement { ranks, backend, workers, server } = placement;
@@ -316,45 +333,39 @@ where
         let shared = Arc::new(Shared { lb, initial, make, side: Arc::clone(&side) });
         let handle =
             ulba_runtime::submit(run_cfg, move |ctx| rank_program(ctx, Arc::clone(&shared)));
-        LbJob { handle, side, hub_shards, into_result: PhantomData }
+        LbJob { handle, side, hub_shards }
     }
 
-    /// [`submit`](Self::submit) to the placement's own pool and join.
-    pub fn run<R: From<LbRun<W::Extras>>>(self) -> R {
+    /// Run on the placement's own pool and wait for the record. Panics on
+    /// invalid parameters, a deadlock or a rank panic.
+    pub fn run(self) -> LbRun<W::Extras> {
         self.submit(None).join()
     }
 }
 
-/// A launched run; join it for the [`LbRun`], or for the application's own
-/// result type `R` built from it.
-pub struct LbJob<X, R = LbRun<X>> {
+/// A launched run, joined for its [`LbRun`]. A [`Backend::Parallel`] job
+/// is already running on its server; a [`Backend::Sequential`] one
+/// occupies no pool worker and runs inside [`LbJob::join`].
+struct LbJob<X> {
     handle: JobHandle,
     side: Arc<Mutex<Side<X>>>,
     hub_shards: usize,
-    into_result: PhantomData<fn(LbRun<X>) -> R>,
 }
 
-impl<X, R: From<LbRun<X>>> LbJob<X, R> {
-    /// The backend driving the run: a [`Backend::Parallel`] job is already
-    /// running on its server; a [`Backend::Sequential`] one occupies no
-    /// pool worker and runs inside [`LbJob::join`].
-    pub fn backend(&self) -> Backend {
-        self.handle.backend()
-    }
-
+impl<X> LbJob<X> {
     /// Block until the run finishes and combine the runtime's report with
-    /// what the ranks recorded on their way out. Panics if the job
-    /// deadlocked or a rank panicked.
-    pub fn join(self) -> R {
+    /// what the ranks recorded on their way out; the LB schedule is rank
+    /// 0's step records. Panics if the job deadlocked or a rank panicked.
+    fn join(self) -> LbRun<X> {
         let backend = self.handle.backend();
         let report = self.handle.join().unwrap_or_else(|err| panic!("{err}"));
         let mut side = self.side.lock().expect("no rank panics while recording");
         let (extras, lb_steps) = side.root.take().expect("rank 0 recorded its results");
-        R::from(LbRun {
+        LbRun {
             makespan: report.makespan().as_secs(),
             mean_utilization: report.mean_utilization(),
-            lb_calls: report.lb_call_count(),
-            lb_iterations: report.lb_iterations,
+            lb_calls: lb_steps.len(),
+            lb_iterations: lb_steps.iter().map(|step| step.iteration).collect(),
             lb_steps,
             iterations: report.iterations,
             rank_metrics: report.rank_metrics,
@@ -363,26 +374,27 @@ impl<X, R: From<LbRun<X>>> LbJob<X, R> {
             db_entries_total: side.footprint.0,
             gossip_watermarks_total: side.footprint.1,
             extras,
-        })
+        }
     }
 }
 
-/// Run a whole sweep concurrently and return the results in input order.
+/// Run a whole sweep concurrently and return the records in input order.
 ///
 /// Every config is prepared and validated **before the first job is
 /// submitted** — a bad config mid-sweep must not strand the jobs before it
 /// on a shared pool — and the panic names the offending index. Each launch
 /// routes to its placement's server when set, else to
-/// [`JobServer::global`]. Determinism makes every result bit-identical to
-/// a serial run of the same launch; batching only buys wall time.
-pub fn run_batch<C, W, F, R>(
+/// [`JobServer::global`]; its backend is resolved exactly as
+/// [`LbLaunch::run`] resolves it. Determinism makes every record
+/// bit-identical to a serial run of the same launch; batching only buys
+/// wall time.
+pub fn run_batch<C, W, F>(
     cfgs: &[C],
     prepare: impl Fn(&C) -> Result<LbLaunch<F>, String>,
-) -> Vec<R>
+) -> Vec<LbRun<W::Extras>>
 where
     W: Workload,
     F: Fn(&SpmdCtx) -> W + Send + Sync + 'static,
-    R: From<LbRun<W::Extras>>,
 {
     let launches: Vec<LbLaunch<F>> = cfgs
         .iter()
@@ -393,7 +405,7 @@ where
                 .unwrap_or_else(|err| panic!("invalid config at batch index {index}: {err}"))
         })
         .collect();
-    let jobs: Vec<LbJob<W::Extras, R>> = launches
+    let jobs: Vec<LbJob<W::Extras>> = launches
         .into_iter()
         .map(|launch| {
             let pool =
@@ -505,7 +517,6 @@ where
             ctx.end_lb();
             if let Some(trig) = trigger.as_mut() {
                 trig.lb_completed(iter, cost);
-                ctx.mark_lb_event(iter);
                 lb_steps.push(LbStepRecord {
                     iteration: iter,
                     cost_secs: cost,

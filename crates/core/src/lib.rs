@@ -28,8 +28,9 @@
 //! * [`policy`] — standard vs. ULBA (fixed α) vs. the dynamic-α extension;
 //! * [`driver`] — the one LB loop that strings all of the above together
 //!   as a generic rank program: an application implements the six-method
-//!   [`Workload`] trait and is launched, joined and
-//!   batched through [`LbLaunch`];
+//!   [`Workload`] trait, runs through [`LbLaunch::run`] or
+//!   [`driver::run_batch`], and gets back an [`LbRun`], the one record of
+//!   the run;
 //! * [`model_loop`] — the same [`Trigger`] run on the analytical model's
 //!   iteration times, yielding the schedule it would produce.
 //!
@@ -73,11 +74,11 @@ pub mod wir;
 
 pub use balancer::{centralized_rebalance, RebalanceOutcome, LB_ROOT};
 pub use db::{wire_bytes, WirDatabase, WirEntry};
-pub use driver::{LbJob, LbLaunch, LbParams, LbRun, LbStepRecord, Placement, Workload};
+pub use driver::{LbLaunch, LbParams, LbRun, LbStepRecord, Placement, Workload};
 pub use gossip::{select_peers, GossipMode, GossipOutbox, GossipWire};
 pub use model_loop::trigger_driven_schedule;
-pub use outlier::{detect_overloading, z_scores, DetectionStat, DEFAULT_Z_THRESHOLD};
-pub use partition::{partition_by_shares, partition_evenly, Partition};
+pub use outlier::{z_scores, DetectionStat, DEFAULT_Z_THRESHOLD};
+pub use partition::{partition_by_shares, Partition};
 pub use policy::{AlphaRule, LbPolicy, UlbaConfig};
 pub use shares::{compute_shares, ShareDecision};
 pub use trigger::{Trigger, TriggerKind};
@@ -87,10 +88,10 @@ pub use wir::WirEstimator;
 pub mod prelude {
     pub use crate::balancer::{centralized_rebalance, RebalanceOutcome, LB_ROOT};
     pub use crate::db::{wire_bytes, WirDatabase, WirEntry};
-    pub use crate::driver::{LbJob, LbLaunch, LbParams, LbRun, LbStepRecord, Placement, Workload};
+    pub use crate::driver::{LbLaunch, LbParams, LbRun, LbStepRecord, Placement, Workload};
     pub use crate::gossip::{select_peers, GossipMode, GossipOutbox, GossipWire};
-    pub use crate::outlier::{detect_overloading, z_scores, DetectionStat, DEFAULT_Z_THRESHOLD};
-    pub use crate::partition::{partition_by_shares, partition_evenly, Partition};
+    pub use crate::outlier::{z_scores, DetectionStat, DEFAULT_Z_THRESHOLD};
+    pub use crate::partition::{partition_by_shares, Partition};
     pub use crate::policy::{AlphaRule, LbPolicy, UlbaConfig};
     pub use crate::shares::{compute_shares, ShareDecision};
     pub use crate::trigger::{Trigger, TriggerKind};

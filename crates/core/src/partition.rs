@@ -172,8 +172,10 @@ pub fn partition_by_shares(weights: &[u64], shares: &[f64]) -> Partition {
     Partition::from_bounds(bounds, weights.len())
 }
 
-/// Convenience: an even split (`shares = 1/P`), the standard-method target.
-pub fn partition_evenly(weights: &[u64], p: usize) -> Partition {
+/// An even split (`shares = 1/P`), the standard-method target, for the
+/// tests below.
+#[cfg(test)]
+fn partition_evenly(weights: &[u64], p: usize) -> Partition {
     partition_by_shares(weights, &vec![1.0 / p as f64; p])
 }
 

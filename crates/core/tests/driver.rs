@@ -160,6 +160,19 @@ fn periodic_balances_on_schedule_and_suppresses_the_last_slot() {
     }
 }
 
+/// The run's LB schedule is rank 0's step records, in order, and the
+/// workload's extras read through the record itself.
+#[test]
+fn the_schedule_is_the_step_records() {
+    let run = run(TriggerKind::Zhai, Backend::Sequential);
+    assert!(run.lb_calls > 1, "the growing rank must trip the trigger more than once");
+    assert_eq!(run.lb_calls, run.lb_steps.len());
+    let steps: Vec<u64> = run.lb_steps.iter().map(|step| step.iteration).collect();
+    assert_eq!(run.lb_iterations, steps);
+    assert!(steps.windows(2).all(|w| w[0] < w[1]), "one step per iteration at most: {steps:?}");
+    assert_eq!(*run, run.extras);
+}
+
 #[test]
 fn a_zero_trigger_interval_is_a_config_error() {
     for kind in [TriggerKind::Periodic(0), TriggerKind::Menon { max_interval: 0 }] {

@@ -15,9 +15,10 @@
 //! anticipatory partitioning), what an LB call costs on top of its
 //! collectives, and how columns migrate.
 //!
-//! [`run_erosion`], [`submit_erosion`] and [`run_erosion_batch`] are the
-//! driver's run / submit / batch over an [`ErosionConfig`]; determinism
-//! makes all three bit-identical for the same config.
+//! [`run_erosion`] and [`run_erosion_batch`] are the driver's run and
+//! batch over an [`ErosionConfig`]; determinism makes both bit-identical
+//! for the same config. Either returns the driver's record,
+//! [`ExperimentResult`].
 
 use crate::config::ErosionConfig;
 use crate::erode::erosion_step;
@@ -25,75 +26,28 @@ use crate::geometry::Geometry;
 use crate::stripe::{exchange_halos_reusing, migrate, HaloScratch, Stripe};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use ulba_core::balancer::LB_ROOT;
-use ulba_core::driver::{run_batch, LbJob, LbLaunch, LbRun, LbStepRecord, Workload};
+use ulba_core::driver::{run_batch, LbLaunch, LbRun, Workload};
 use ulba_core::partition::{predicted_weights, Partition};
-use ulba_runtime::{Backend, IterationStats, JobServer, RankMetrics, SpmdCtx};
+use ulba_runtime::SpmdCtx;
 
 /// FLOP charged per exposed frontier cell per iteration (neighbour scan +
 /// probability sampling).
 pub const FRONTIER_FLOP: f64 = 16.0;
 
-/// Everything measured over one experiment run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ExperimentResult {
-    /// Virtual makespan in seconds (the paper's "Time [s]" axis).
-    pub makespan: f64,
-    /// Number of LB steps performed.
-    pub lb_calls: usize,
-    /// Iterations at which LB steps happened.
-    pub lb_iterations: Vec<u64>,
-    /// What rank 0 knew at each executed LB step (cost, α, share decision),
-    /// parallel to [`lb_iterations`](Self::lb_iterations).
-    pub lb_steps: Vec<LbStepRecord>,
-    /// Per-iteration wall time / mean utilization series (Fig. 4b).
-    pub iterations: Vec<IterationStats>,
-    /// Average PE utilization over the whole run.
-    pub mean_utilization: f64,
+/// What an erosion run reduces to on its way out ([`Workload::finish`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ErosionTotals {
     /// Final total fluid weight (workload units) across ranks.
     pub final_total_weight: u64,
     /// Total rock cells eroded.
     pub total_eroded: u64,
-    /// Final per-rank time accounting.
-    pub rank_metrics: Vec<RankMetrics>,
-    /// The backend that drove the run — what [`ErosionConfig::backend`],
-    /// [`ErosionConfig::server`] and `ULBA_BACKEND` resolved to.
-    pub backend: Backend,
-    /// Leaf shard count the rendezvous hub actually ran with (the resolved
-    /// block count); see [`LbRun::hub_shards`].
-    pub hub_shards: usize,
-    /// Sum over ranks of WIR-database entries resident at run end; see
-    /// [`LbRun::db_entries_total`].
-    pub db_entries_total: u64,
-    /// Sum over ranks of delta-gossip peer watermarks resident at run end
-    /// (0 under the full-snapshot wire).
-    pub gossip_watermarks_total: u64,
 }
 
-/// The driver's measurements plus the workload's
-/// `(final total weight, total eroded)`, flattened.
-impl From<LbRun<(u64, u64)>> for ExperimentResult {
-    fn from(run: LbRun<(u64, u64)>) -> Self {
-        let (final_total_weight, total_eroded) = run.extras;
-        Self {
-            makespan: run.makespan,
-            lb_calls: run.lb_calls,
-            lb_iterations: run.lb_iterations,
-            lb_steps: run.lb_steps,
-            iterations: run.iterations,
-            mean_utilization: run.mean_utilization,
-            final_total_weight,
-            total_eroded,
-            rank_metrics: run.rank_metrics,
-            backend: run.backend,
-            hub_shards: run.hub_shards,
-            db_entries_total: run.db_entries_total,
-            gossip_watermarks_total: run.gossip_watermarks_total,
-        }
-    }
-}
+/// Everything measured over one experiment run: the driver's record, whose
+/// [`ErosionTotals`] read as its own fields (`result.total_eroded`).
+pub type ExperimentResult = LbRun<ErosionTotals>;
 
 /// Deterministically pick which rock discs are strongly erodible
 /// ("It is not known in advance where the rocks with a high eroding
@@ -140,7 +94,7 @@ struct ErosionWorkload {
 }
 
 impl Workload for ErosionWorkload {
-    type Extras = (u64, u64);
+    type Extras = ErosionTotals;
 
     async fn step(&mut self, ctx: &mut SpmdCtx, iter: u64) -> f64 {
         let Inputs { cfg, strong, .. } = &*self.inputs;
@@ -223,10 +177,10 @@ impl Workload for ErosionWorkload {
         }
     }
 
-    async fn finish(self, ctx: &mut SpmdCtx) -> (u64, u64) {
-        let final_weight = ctx.allreduce_sum(self.fluid_weight as f64).await as u64;
-        let eroded = ctx.allreduce_sum(self.eroded_total as f64).await as u64;
-        (final_weight, eroded)
+    async fn finish(self, ctx: &mut SpmdCtx) -> ErosionTotals {
+        let final_total_weight = ctx.allreduce_sum(self.fluid_weight as f64).await as u64;
+        let total_eroded = ctx.allreduce_sum(self.eroded_total as f64).await as u64;
+        ErosionTotals { final_total_weight, total_eroded }
     }
 }
 
@@ -268,37 +222,17 @@ fn prepare(
     Ok(LbLaunch { lb, placement, initial, make })
 }
 
-/// Validate, prepare and launch `cfg`; `pool` as in [`LbLaunch::submit`].
-fn start(cfg: &ErosionConfig, pool: Option<&JobServer>) -> ErosionJob {
-    prepare(cfg).unwrap_or_else(|err| panic!("invalid erosion config: {err}")).submit(pool)
-}
-
-/// Run one erosion experiment and collect its measurements.
+/// Run one erosion experiment and collect its measurements. A config that
+/// names a [`ErosionConfig::server`] runs on that pool.
 pub fn run_erosion(cfg: &ErosionConfig) -> ExperimentResult {
-    start(cfg, None).join()
-}
-
-/// A launched erosion experiment; see [`submit_erosion`]. A
-/// [`Backend::Parallel`] job is already running on its server; a
-/// [`Backend::Sequential`] one runs inside `join`.
-pub type ErosionJob = LbJob<(u64, u64), ExperimentResult>;
-
-/// Launch one experiment without waiting for it; a pooled job goes to
-/// `server`.
-///
-/// Which backend the config means is decided exactly as in [`run_erosion`]
-/// (see [`ErosionConfig::with_server`]) — `server` only names the pool. A
-/// config that means the sequential backend (explicitly, or through
-/// `ULBA_BACKEND`) occupies no pool worker and runs serially when the job
-/// is joined. Either way the measurements are bit-identical.
-pub fn submit_erosion(server: &JobServer, cfg: &ErosionConfig) -> ErosionJob {
-    start(cfg, Some(server))
+    prepare(cfg).unwrap_or_else(|err| panic!("invalid erosion config: {err}")).run()
 }
 
 /// Run a whole sweep concurrently and return the results in input order
 /// ([`run_batch`]): each config routes to its own [`ErosionConfig::server`]
-/// when set, else to [`JobServer::global`], and every config is validated
-/// before the first job is submitted (the panic names the offending index).
+/// when set, else to the global pool, with the backend [`run_erosion`]
+/// would resolve; every config is validated before the first job is
+/// submitted (the panic names the offending index).
 pub fn run_erosion_batch(cfgs: &[ErosionConfig]) -> Vec<ExperimentResult> {
     run_batch(cfgs, prepare)
 }
@@ -329,6 +263,7 @@ mod tests {
     use crate::config::TriggerKind;
     use ulba_core::gossip::GossipMode;
     use ulba_core::policy::LbPolicy;
+    use ulba_runtime::{Backend, JobServer};
 
     /// One record per executed LB step, in schedule order.
     fn assert_lb_steps_match(res: &ExperimentResult) {
@@ -510,7 +445,7 @@ mod tests {
     }
 
     #[test]
-    fn submitted_jobs_match_serial_runs() {
+    fn batch_on_a_shared_server_matches_serial_runs() {
         // One shared pool, several concurrent experiments: every result
         // must be bit-identical to the serial run of the same config.
         let server = JobServer::new(2);
@@ -522,9 +457,9 @@ mod tests {
                 c
             })
             .collect();
-        let jobs: Vec<ErosionJob> = cfgs.iter().map(|c| submit_erosion(&server, c)).collect();
-        for (job, cfg) in jobs.into_iter().zip(&cfgs) {
-            let batched = job.join();
+        let shared: Vec<ErosionConfig> =
+            cfgs.iter().map(|c| c.clone().with_server(server.clone())).collect();
+        for (batched, cfg) in run_erosion_batch(&shared).into_iter().zip(&cfgs) {
             let serial = run_erosion(cfg);
             assert_eq!(batched.makespan.to_bits(), serial.makespan.to_bits());
             assert_eq!(batched.lb_iterations, serial.lb_iterations);
@@ -535,13 +470,11 @@ mod tests {
 
     #[test]
     fn explicit_backend_defers_instead_of_pooling() {
-        let server = JobServer::new(1);
-        let mut cfg = ErosionConfig::tiny(2, 1);
+        let mut cfg = ErosionConfig::tiny(2, 1).with_server(JobServer::new(1));
         cfg.iterations = 10;
         cfg.backend = Some(Backend::Sequential);
-        let job = submit_erosion(&server, &cfg);
-        assert_eq!(job.backend(), Backend::Sequential, "sequential runs must not be pooled");
-        let res = job.join();
+        let res = run_erosion_batch(std::slice::from_ref(&cfg)).remove(0);
+        assert_eq!(res.backend, Backend::Sequential, "sequential runs must not be pooled");
         assert_eq!(run_erosion(&cfg).makespan.to_bits(), res.makespan.to_bits());
     }
 
@@ -578,12 +511,11 @@ mod tests {
         }
     }
 
-    /// `run_erosion` and `submit_erosion` mean the same backend by the
+    /// `run_erosion` and `run_erosion_batch` mean the same backend by the
     /// same config, for every way of (not) naming one — `Sequential` +
-    /// server used to be pooled by the former and deferred by the latter.
+    /// server was once pooled by one launch path and deferred by another.
     #[test]
-    fn run_and_submit_resolve_the_same_backend() {
-        let pool = JobServer::new(1);
+    fn run_and_batch_resolve_the_same_backend() {
         for backend in [None, Some(Backend::Sequential), Some(Backend::Parallel)] {
             for server in [None, Some(JobServer::new(1))] {
                 let mut cfg = ErosionConfig::tiny(2, 1);
@@ -592,21 +524,21 @@ mod tests {
                 cfg.server = server;
                 let label = format!("{backend:?} + {:?}", cfg.server);
                 let ran = run_erosion(&cfg);
-                let submitted = submit_erosion(&pool, &cfg).join();
-                assert_eq!(ran.backend, submitted.backend, "{label}");
+                let batched = run_erosion_batch(std::slice::from_ref(&cfg)).remove(0);
+                assert_eq!(ran.backend, batched.backend, "{label}");
                 if let Some(explicit) = backend {
                     assert_eq!(ran.backend, explicit, "{label}: an explicit backend wins");
                 } else if cfg.server.is_some() {
                     assert_eq!(ran.backend, Backend::Parallel, "{label}: a server is that pool");
                 }
-                assert_eq!(ran.makespan.to_bits(), submitted.makespan.to_bits(), "{label}");
-                assert_eq!(ran.lb_iterations, submitted.lb_iterations, "{label}");
-                assert_eq!(ran.total_eroded, submitted.total_eroded, "{label}");
+                assert_eq!(ran.makespan.to_bits(), batched.makespan.to_bits(), "{label}");
+                assert_eq!(ran.lb_iterations, batched.lb_iterations, "{label}");
+                assert_eq!(ran.total_eroded, batched.total_eroded, "{label}");
                 // The shard (= block) count follows the pool a job runs on:
-                // with no server named, `run` goes to the machine-sized
-                // global pool and `submit` to `pool`, which may differ.
+                // with no server named, `run` sizes it by the machine (or
+                // `ULBA_WORKERS`) and the batch by the global pool.
                 if backend == Some(Backend::Sequential) || cfg.server.is_some() {
-                    assert_eq!(ran.hub_shards, submitted.hub_shards, "{label}");
+                    assert_eq!(ran.hub_shards, batched.hub_shards, "{label}");
                 }
             }
         }

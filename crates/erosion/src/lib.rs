@@ -11,6 +11,10 @@
 //! erodible rocks keep gaining workload — the anticipatable imbalance ULBA
 //! exploits.
 //!
+//! A run is launched one of two ways, [`run_erosion`] or
+//! [`run_erosion_batch`], and either returns the LB driver's record of it,
+//! [`ExperimentResult`] (`LbRun<ErosionTotals>`).
+//!
 //! # Example
 //!
 //! ```
@@ -37,7 +41,7 @@ pub mod stripe;
 
 pub use app::{
     choose_strong_rocks, median_result, run_erosion, run_erosion_batch, run_erosion_median,
-    submit_erosion, ErosionJob, ExperimentResult,
+    ErosionTotals, ExperimentResult,
 };
 pub use cell::Cell;
 pub use column::Column;

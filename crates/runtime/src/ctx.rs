@@ -381,12 +381,6 @@ impl SpmdCtx {
         self.mark_lb = 0.0;
         self.marks.push(IterationMark { iter, busy_delta, lb_delta, end_clock: self.clock });
     }
-
-    /// Record that a load-balancing step happened at iteration `iter`
-    /// (typically called by rank 0 only). Free in virtual time.
-    pub fn mark_lb_event(&mut self, iter: u64) {
-        self.shared.collector.push_lb_event(iter);
-    }
 }
 
 impl Drop for SpmdCtx {

@@ -321,8 +321,6 @@ pub struct RunReport {
     pub final_clocks: Vec<VirtualTime>,
     /// Per-iteration aggregates (only iterations marked by every rank).
     pub iterations: Vec<IterationStats>,
-    /// Iterations at which an LB step was recorded.
-    pub lb_iterations: Vec<u64>,
 }
 
 impl RunReport {
@@ -341,11 +339,6 @@ impl RunReport {
         }
         let busy: f64 = self.rank_metrics.iter().map(|m| m.busy).sum();
         (busy / (self.rank_metrics.len() as f64 * makespan)).clamp(0.0, 1.0)
-    }
-
-    /// Number of LB steps recorded.
-    pub fn lb_call_count(&self) -> usize {
-        self.lb_iterations.len()
     }
 }
 
@@ -434,12 +427,7 @@ impl RunShared {
             .enumerate()
             .map(|(rank, slot)| slot.lock().unwrap_or_else(|| panic!("rank {rank} never finished")))
             .unzip();
-        RunReport {
-            rank_metrics,
-            final_clocks,
-            iterations: self.collector.iteration_stats(),
-            lb_iterations: self.collector.lb_iterations(),
-        }
+        RunReport { rank_metrics, final_clocks, iterations: self.collector.iteration_stats() }
     }
 }
 

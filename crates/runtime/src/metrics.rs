@@ -1,9 +1,12 @@
 //! Per-rank time accounting and per-iteration utilization collection.
 //!
 //! Fig. 4b of the paper plots the *average PE utilization* per iteration and
-//! the LB activations; this module provides the instrumentation that
-//! reproduces both. Recording is free in virtual time (it models an external
-//! tracing facility, not application work).
+//! the LB activations; this module provides the first, and which iterations
+//! did LB work ([`IterationStats::lb_active`], from the time charged inside
+//! LB sections). Which iterations an LB step *ran after*, and what it cost,
+//! is the LB driver's record, not the runtime's: it keeps no LB log.
+//! Recording is free in virtual time (it models an external tracing
+//! facility, not application work).
 
 use crate::time::VirtualTime;
 use parking_lot::Mutex;
@@ -88,40 +91,23 @@ pub struct IterationStats {
     pub lb_active: bool,
 }
 
-/// Thread-safe collector of iteration marks and LB events.
+/// Thread-safe collector of iteration marks.
 pub struct Collector {
     /// One slot per rank. A rank accumulates its marks privately and hands
     /// them over once, when it finishes, so marking an iteration writes no
     /// cache line another rank touches.
     marks: Vec<Mutex<Vec<IterationMark>>>,
-    lb_events: Mutex<Vec<u64>>,
 }
 
 impl Collector {
     /// Create a collector for `size` ranks.
     pub fn new(size: usize) -> Self {
-        Self {
-            marks: (0..size).map(|_| Mutex::new(Vec::new())).collect(),
-            lb_events: Mutex::new(Vec::new()),
-        }
+        Self { marks: (0..size).map(|_| Mutex::new(Vec::new())).collect() }
     }
 
     /// Hand over every mark `rank` recorded, in the order it recorded them.
     pub(crate) fn record_marks(&self, rank: usize, marks: Vec<IterationMark>) {
         *self.marks[rank].lock() = marks;
-    }
-
-    pub(crate) fn push_lb_event(&self, iter: u64) {
-        self.lb_events.lock().push(iter);
-    }
-
-    /// Iterations at which a load-balancing step was recorded (sorted,
-    /// deduplicated).
-    pub fn lb_iterations(&self) -> Vec<u64> {
-        let mut v = self.lb_events.lock().clone();
-        v.sort_unstable();
-        v.dedup();
-        v
     }
 
     /// Fold the per-rank marks into per-iteration aggregates.
@@ -219,15 +205,6 @@ mod tests {
         let c = Collector::new(2);
         c.record_marks(0, vec![mark(0, 1.0, 0.0, 1.0)]);
         assert!(c.iteration_stats().is_empty());
-    }
-
-    #[test]
-    fn lb_iterations_deduplicated_sorted() {
-        let c = Collector::new(1);
-        c.push_lb_event(7);
-        c.push_lb_event(3);
-        c.push_lb_event(7);
-        assert_eq!(c.lb_iterations(), vec![3, 7]);
     }
 
     #[test]

@@ -14,52 +14,25 @@
 //! current phase and charges the modelled migration cost of the tasks that
 //! changed owner.
 //!
-//! [`run_scenario`], [`submit_scenario`] and [`run_scenario_batch`] are the
-//! driver's run / submit / batch over a [`ScenarioConfig`] — all
-//! bit-identical for the same config.
+//! [`run_scenario`] and [`run_scenario_batch`] are the driver's run and
+//! batch over a [`ScenarioConfig`] — bit-identical for the same config.
+//! Either returns the driver's record, [`ScenarioResult`].
 
 use crate::config::ScenarioConfig;
 use crate::generator::{ScenarioKind, WorkTable};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::Arc;
-use ulba_core::driver::{run_batch, LbJob, LbLaunch, LbRun, LbStepRecord, Workload};
+use ulba_core::driver::{run_batch, LbLaunch, LbRun, Workload};
 use ulba_core::gossip::{select_peers, GossipMode};
 use ulba_core::partition::Partition;
-use ulba_runtime::{Backend, IterationStats, JobServer, RankMetrics, SpmdCtx, Tag};
+use ulba_runtime::{SpmdCtx, Tag};
 
 /// Message tag of task-graph traffic payloads.
 pub const TRAFFIC_TAG: Tag = 0x5C54;
 
-/// Everything measured over one scenario run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ScenarioResult {
-    /// Virtual makespan in seconds.
-    pub makespan: f64,
-    /// Number of LB steps performed.
-    pub lb_calls: usize,
-    /// Iterations at which LB steps happened.
-    pub lb_iterations: Vec<u64>,
-    /// What rank 0 knew at each executed LB step, parallel to
-    /// [`lb_iterations`](Self::lb_iterations).
-    pub lb_steps: Vec<LbStepRecord>,
-    /// Per-iteration wall time / mean utilization series.
-    pub iterations: Vec<IterationStats>,
-    /// Average PE utilization over the whole run.
-    pub mean_utilization: f64,
-    /// Final per-rank time accounting.
-    pub rank_metrics: Vec<RankMetrics>,
-    /// The backend that drove the run — what [`ScenarioConfig::backend`],
-    /// [`ScenarioConfig::server`] and `ULBA_BACKEND` resolved to.
-    pub backend: Backend,
-    /// Leaf shard count the rendezvous hub actually ran with; see
-    /// [`LbRun::hub_shards`].
-    pub hub_shards: usize,
-    /// Sum over ranks of WIR-database entries resident at run end.
-    pub db_entries_total: u64,
-    /// Sum over ranks of delta-gossip peer watermarks resident at run end
-    /// (0 under the full-snapshot wire).
-    pub gossip_watermarks_total: u64,
+/// What a scenario run reduces to on its way out ([`Workload::finish`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ScenarioTotals {
     /// Work units executed across all ranks and iterations — must equal
     /// `iterations · ranks · avg_units_per_rank` whatever the balancer did
     /// (work conservation; asserted by the run).
@@ -75,33 +48,9 @@ pub struct ScenarioResult {
     pub lambda_achieved: f64,
 }
 
-/// What the workload's `finish` hands back from rank 0:
-/// `(total work units, traffic checksum, λ target, λ achieved)`.
-type Extras = (u64, u64, f64, f64);
-
-/// The driver's measurements plus the workload's extras, flattened.
-impl From<LbRun<Extras>> for ScenarioResult {
-    fn from(run: LbRun<Extras>) -> Self {
-        let (total_work_units, traffic_checksum, lambda_target, lambda_achieved) = run.extras;
-        Self {
-            makespan: run.makespan,
-            lb_calls: run.lb_calls,
-            lb_iterations: run.lb_iterations,
-            lb_steps: run.lb_steps,
-            iterations: run.iterations,
-            mean_utilization: run.mean_utilization,
-            rank_metrics: run.rank_metrics,
-            backend: run.backend,
-            hub_shards: run.hub_shards,
-            db_entries_total: run.db_entries_total,
-            gossip_watermarks_total: run.gossip_watermarks_total,
-            total_work_units,
-            traffic_checksum,
-            lambda_target,
-            lambda_achieved,
-        }
-    }
-}
+/// Everything measured over one scenario run: the driver's record, whose
+/// [`ScenarioTotals`] read as its own fields (`result.lambda_achieved`).
+pub type ScenarioResult = LbRun<ScenarioTotals>;
 
 /// Deterministic traffic payload pushed by `rank` at `iter` — a keyed
 /// counter stream, cheap to generate and summing to an order-independent
@@ -134,7 +83,7 @@ struct ScenarioWorkload {
 }
 
 impl Workload for ScenarioWorkload {
-    type Extras = Extras;
+    type Extras = ScenarioTotals;
 
     async fn step(&mut self, ctx: &mut SpmdCtx, iter: u64) -> f64 {
         let (cfg, table) = &*self.inputs;
@@ -199,7 +148,7 @@ impl Workload for ScenarioWorkload {
 
     /// Work conservation across whatever partitions the balancer produced,
     /// plus the order-independent traffic checksum.
-    async fn finish(self, ctx: &mut SpmdCtx) -> Extras {
+    async fn finish(self, ctx: &mut SpmdCtx) -> ScenarioTotals {
         let (cfg, table) = &*self.inputs;
         let total_work_units = ctx.allreduce(self.units_done, 8, |a, b| a.wrapping_add(*b)).await;
         assert_eq!(
@@ -209,7 +158,12 @@ impl Workload for ScenarioWorkload {
         );
         let traffic_checksum =
             ctx.allreduce(self.traffic_checksum, 8, |a, b| a.wrapping_add(*b)).await;
-        (total_work_units, traffic_checksum, table.lambda_target, table.lambda_achieved)
+        ScenarioTotals {
+            total_work_units,
+            traffic_checksum,
+            lambda_target: table.lambda_target,
+            lambda_achieved: table.lambda_achieved,
+        }
     }
 }
 
@@ -242,37 +196,17 @@ fn prepare(
     Ok(LbLaunch { lb, placement, initial, make })
 }
 
-/// Validate, prepare and launch `cfg`; `pool` as in [`LbLaunch::submit`].
-fn start(cfg: &ScenarioConfig, pool: Option<&JobServer>) -> ScenarioJob {
-    prepare(cfg).unwrap_or_else(|err| panic!("invalid scenario config: {err}")).submit(pool)
-}
-
-/// Run one scenario experiment and collect its measurements.
+/// Run one scenario experiment and collect its measurements. A config
+/// that names a [`ScenarioConfig::server`] runs on that pool.
 pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
-    start(cfg, None).join()
-}
-
-/// A launched scenario experiment; see [`submit_scenario`]. A
-/// [`Backend::Sequential`] one occupies no pool worker and runs inside
-/// `join`.
-pub type ScenarioJob = LbJob<Extras, ScenarioResult>;
-
-/// Launch one experiment without waiting for it; a pooled job goes to
-/// `server`.
-///
-/// Same contract as the erosion app's `submit_erosion`: which backend the
-/// config means is decided exactly as in [`run_scenario`] (see
-/// [`ScenarioConfig::with_server`]), and one that means the sequential
-/// backend runs serially at join time. Either way the measurements are
-/// bit-identical.
-pub fn submit_scenario(server: &JobServer, cfg: &ScenarioConfig) -> ScenarioJob {
-    start(cfg, Some(server))
+    prepare(cfg).unwrap_or_else(|err| panic!("invalid scenario config: {err}")).run()
 }
 
 /// Run a whole sweep concurrently and return the results in input order
 /// ([`run_batch`]): each config routes to its own
-/// [`ScenarioConfig::server`] when set, else to [`JobServer::global`], and
-/// every config is validated before the first job is submitted.
+/// [`ScenarioConfig::server`] when set, else to the global pool, with the
+/// backend [`run_scenario`] would resolve; every config is validated before
+/// the first job is submitted.
 pub fn run_scenario_batch(cfgs: &[ScenarioConfig]) -> Vec<ScenarioResult> {
     run_batch(cfgs, prepare)
 }
@@ -282,6 +216,7 @@ mod tests {
     use super::*;
     use crate::config::TriggerKind;
     use ulba_core::policy::LbPolicy;
+    use ulba_runtime::{Backend, JobServer};
 
     #[test]
     fn tiny_run_completes_for_every_kind() {
@@ -360,7 +295,7 @@ mod tests {
     }
 
     #[test]
-    fn submitted_jobs_match_serial_runs() {
+    fn batch_on_a_shared_server_matches_serial_runs() {
         let server = JobServer::new(2);
         let cfgs: Vec<ScenarioConfig> = ScenarioKind::ALL
             .iter()
@@ -370,9 +305,9 @@ mod tests {
                 c
             })
             .collect();
-        let jobs: Vec<ScenarioJob> = cfgs.iter().map(|c| submit_scenario(&server, c)).collect();
-        for (job, cfg) in jobs.into_iter().zip(&cfgs) {
-            let batched = job.join();
+        let shared: Vec<ScenarioConfig> =
+            cfgs.iter().map(|c| c.clone().with_server(server.clone())).collect();
+        for (batched, cfg) in run_scenario_batch(&shared).into_iter().zip(&cfgs) {
             let serial = run_scenario(cfg);
             assert_eq!(batched.makespan.to_bits(), serial.makespan.to_bits(), "{}", cfg.kind);
             assert_eq!(batched.lb_iterations, serial.lb_iterations);
@@ -382,13 +317,11 @@ mod tests {
 
     #[test]
     fn explicit_backend_defers_instead_of_pooling() {
-        let server = JobServer::new(1);
-        let mut cfg = ScenarioConfig::tiny(ScenarioKind::Scatter, 2);
+        let mut cfg = ScenarioConfig::tiny(ScenarioKind::Scatter, 2).with_server(JobServer::new(1));
         cfg.iterations = 8;
         cfg.backend = Some(Backend::Sequential);
-        let job = submit_scenario(&server, &cfg);
-        assert_eq!(job.backend(), Backend::Sequential, "sequential runs must not be pooled");
-        let res = job.join();
+        let res = run_scenario_batch(std::slice::from_ref(&cfg)).remove(0);
+        assert_eq!(res.backend, Backend::Sequential, "sequential runs must not be pooled");
         assert_eq!(run_scenario(&cfg).makespan.to_bits(), res.makespan.to_bits());
     }
 
@@ -425,12 +358,11 @@ mod tests {
         }
     }
 
-    /// `run_scenario` and `submit_scenario` mean the same backend by the
-    /// same config, for every way of (not) naming one — `Sequential` +
-    /// server used to be pooled by the former and deferred by the latter.
+    /// `run_scenario` and `run_scenario_batch` mean the same backend by
+    /// the same config, for every way of (not) naming one — `Sequential` +
+    /// server was once pooled by one launch path and deferred by another.
     #[test]
-    fn run_and_submit_resolve_the_same_backend() {
-        let pool = JobServer::new(1);
+    fn run_and_batch_resolve_the_same_backend() {
         for backend in [None, Some(Backend::Sequential), Some(Backend::Parallel)] {
             for server in [None, Some(JobServer::new(1))] {
                 let mut cfg = ScenarioConfig::tiny(ScenarioKind::TaskGraph, 3);
@@ -439,21 +371,21 @@ mod tests {
                 cfg.server = server;
                 let label = format!("{backend:?} + {:?}", cfg.server);
                 let ran = run_scenario(&cfg);
-                let submitted = submit_scenario(&pool, &cfg).join();
-                assert_eq!(ran.backend, submitted.backend, "{label}");
+                let batched = run_scenario_batch(std::slice::from_ref(&cfg)).remove(0);
+                assert_eq!(ran.backend, batched.backend, "{label}");
                 if let Some(explicit) = backend {
                     assert_eq!(ran.backend, explicit, "{label}: an explicit backend wins");
                 } else if cfg.server.is_some() {
                     assert_eq!(ran.backend, Backend::Parallel, "{label}: a server is that pool");
                 }
-                assert_eq!(ran.makespan.to_bits(), submitted.makespan.to_bits(), "{label}");
-                assert_eq!(ran.lb_iterations, submitted.lb_iterations, "{label}");
-                assert_eq!(ran.traffic_checksum, submitted.traffic_checksum, "{label}");
+                assert_eq!(ran.makespan.to_bits(), batched.makespan.to_bits(), "{label}");
+                assert_eq!(ran.lb_iterations, batched.lb_iterations, "{label}");
+                assert_eq!(ran.traffic_checksum, batched.traffic_checksum, "{label}");
                 // The shard (= block) count follows the pool a job runs on:
-                // with no server named, `run` goes to the machine-sized
-                // global pool and `submit` to `pool`, which may differ.
+                // with no server named, `run` sizes it by the machine (or
+                // `ULBA_WORKERS`) and the batch by the global pool.
                 if backend == Some(Backend::Sequential) || cfg.server.is_some() {
-                    assert_eq!(ran.hub_shards, submitted.hub_shards, "{label}");
+                    assert_eq!(ran.hub_shards, batched.hub_shards, "{label}");
                 }
             }
         }

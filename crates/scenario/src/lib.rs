@@ -13,15 +13,13 @@
 //!   reject infeasible requests up front;
 //! * [`config`] — the experiment configuration ([`ScenarioConfig`]);
 //! * [`app`] — the rank program driving the tables through the SPMD
-//!   runtime, plus the blocking/submitted/batched entry points mirroring
-//!   the erosion app's.
+//!   runtime, plus the run and batch entry points mirroring the erosion
+//!   app's; both return the LB driver's record, [`ScenarioResult`].
 
 pub mod app;
 pub mod config;
 pub mod generator;
 
-pub use app::{
-    run_scenario, run_scenario_batch, submit_scenario, ScenarioJob, ScenarioResult, TRAFFIC_TAG,
-};
+pub use app::{run_scenario, run_scenario_batch, ScenarioResult, ScenarioTotals, TRAFFIC_TAG};
 pub use config::ScenarioConfig;
 pub use generator::{split_capped, ScenarioKind, WorkTable, LAMBDA_TOLERANCE, MIN_AVG_UNITS};

@@ -25,7 +25,8 @@
 //!   trigger, Algorithm 2 target shares, weighted stripe partitioning, the
 //!   centralized balancer, and `core::driver` — the one LB loop that runs
 //!   them as a generic rank program behind the six-method `Workload` trait
-//!   (see `examples/adaptive_runtime.rs` for plugging in an application);
+//!   and records each run in one `LbRun` (see
+//!   `examples/adaptive_runtime.rs` for plugging in an application);
 //! * [`erosion`] (`ulba-erosion`) — the §IV-B fluid-with-erosion proxy
 //!   application, a `Workload` of that driver;
 //! * [`scenario`] (`ulba-scenario`) — adversarial imbalance scenario
@@ -82,8 +83,8 @@ pub use ulba_scenario as scenario;
 pub mod prelude {
     pub use ulba_core::prelude::*;
     pub use ulba_erosion::{
-        median_result, run_erosion, run_erosion_batch, run_erosion_median, submit_erosion,
-        ErosionConfig, ErosionJob, TriggerKind,
+        median_result, run_erosion, run_erosion_batch, run_erosion_median, ErosionConfig,
+        TriggerKind,
     };
     pub use ulba_model::{
         schedule::{menon_schedule, sigma_plus_schedule, total_time},
@@ -94,7 +95,6 @@ pub mod prelude {
         RunReport, SpmdCtx,
     };
     pub use ulba_scenario::{
-        run_scenario, run_scenario_batch, submit_scenario, ScenarioConfig, ScenarioJob,
-        ScenarioKind, ScenarioResult, WorkTable,
+        run_scenario, run_scenario_batch, ScenarioConfig, ScenarioKind, ScenarioResult, WorkTable,
     };
 }
