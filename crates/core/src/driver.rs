@@ -251,10 +251,11 @@ pub struct LbRun<X> {
     /// The backend that drove the run — what the [`Placement`] and
     /// `ULBA_BACKEND` resolved to. Pure metadata, like the shard count.
     pub backend: Backend,
-    /// The resolved block count: shards of the rendezvous hub, one per
-    /// worker of the pool the run went to (at most 64; 1 on the sequential
-    /// backend). Pure contention metadata: it never influences the
-    /// measurements above.
+    /// The block count the run was admitted with: shards of the rendezvous
+    /// hub, its rank share of the workers of the pool it went to (one per
+    /// worker when alone there, at most 64; 1 on the sequential backend).
+    /// Pure contention metadata: it never influences the measurements
+    /// above.
     pub hub_shards: usize,
     /// Sum over ranks of WIR-database entries resident at run end — the
     /// sparse database's aggregate footprint. Bounded by what gossip
@@ -328,12 +329,11 @@ where
         if let Some(pool) = pool {
             run_cfg.server = Some(pool.clone());
         }
-        let hub_shards = run_cfg.effective_hub_shards();
         let side = Arc::new(Mutex::new(Side { root: None, footprint: (0, 0) }));
         let shared = Arc::new(Shared { lb, initial, make, side: Arc::clone(&side) });
         let handle =
             ulba_runtime::submit(run_cfg, move |ctx| rank_program(ctx, Arc::clone(&shared)));
-        LbJob { handle, side, hub_shards }
+        LbJob { handle, side }
     }
 
     /// Run on the placement's own pool and wait for the record. Panics on
@@ -349,7 +349,6 @@ where
 struct LbJob<X> {
     handle: JobHandle,
     side: Arc<Mutex<Side<X>>>,
-    hub_shards: usize,
 }
 
 impl<X> LbJob<X> {
@@ -357,7 +356,7 @@ impl<X> LbJob<X> {
     /// what the ranks recorded on their way out; the LB schedule is rank
     /// 0's step records. Panics if the job deadlocked or a rank panicked.
     fn join(self) -> LbRun<X> {
-        let backend = self.handle.backend();
+        let (backend, hub_shards) = (self.handle.backend(), self.handle.blocks());
         let report = self.handle.join().unwrap_or_else(|err| panic!("{err}"));
         let mut side = self.side.lock().expect("no rank panics while recording");
         let (extras, lb_steps) = side.root.take().expect("rank 0 recorded its results");
@@ -370,7 +369,7 @@ impl<X> LbJob<X> {
             iterations: report.iterations,
             rank_metrics: report.rank_metrics,
             backend,
-            hub_shards: self.hub_shards,
+            hub_shards,
             db_entries_total: side.footprint.0,
             gossip_watermarks_total: side.footprint.1,
             extras,

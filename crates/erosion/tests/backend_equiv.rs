@@ -5,8 +5,8 @@
 //! iteration statistics, same LB activations — for the full erosion
 //! application, not just micro-programs.
 //! The pool size rides along as a second free dimension: a pool of `W`
-//! workers cuts the job into `min(W, 64)` blocks, one per rendezvous hub
-//! shard, and any count (degenerate 1, ragged, one rank per shard) must be
+//! workers cuts a job alone on it into `min(W, 64)` blocks, one per
+//! rendezvous hub shard, and any count (degenerate 1, ragged, one rank per shard) must be
 //! invisible in the results.
 
 use proptest::prelude::*;
@@ -16,14 +16,16 @@ use ulba_erosion::{run_erosion, ErosionConfig, ExperimentResult};
 use ulba_runtime::Backend;
 
 /// Run `cfg` on a private pool of `workers` threads (an explicit count, so
-/// the test is meaningful on a single-core machine): `min(workers, 64)`
-/// blocks, clamped to the rank count.
+/// the test is meaningful on a single-core machine): alone there, it asks
+/// for `min(workers, 64)` blocks, clamped to the rank count.
 fn on_pool(cfg: &ErosionConfig, workers: usize) -> ExperimentResult {
     let mut cfg = cfg.clone();
     cfg.backend = Some(Backend::Parallel);
     cfg.workers = Some(workers);
     let result = run_erosion(&cfg);
-    assert_eq!(result.hub_shards, workers.min(64).min(cfg.ranks), "one block per worker");
+    // One block per worker, in hub shards of `ceil(P / S)` ranks each.
+    let width = cfg.ranks.div_ceil(workers.min(64).min(cfg.ranks));
+    assert_eq!(result.hub_shards, cfg.ranks.div_ceil(width), "the blocks it ran as");
     result
 }
 

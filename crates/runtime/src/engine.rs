@@ -12,7 +12,8 @@
 //!   [`RunConfig::with_server`], the process-wide default
 //!   ([`JobServer::global`]) when no worker count is forced, or a transient
 //!   private pool when one is. The job is cut into contiguous blocks of
-//!   ranks, one per hub shard and one per worker of the pool, at most 64
+//!   ranks, one per hub shard: its rank share of the pool's workers when
+//!   it is admitted, one per worker when it is alone there, at most 64
 //!   ([`RunConfig::effective_hub_shards`]); a worker drives a whole block
 //!   until every rank of it is parked — wakers left in the job's
 //!   hub/mailbox — and a wake flags the rank and re-queues its block. One
@@ -125,8 +126,9 @@ pub struct RunConfig {
     pub backend: Backend,
     /// Worker threads of the parallel backend; `0` (the default) means the
     /// machine's available parallelism. Defaults to the `ULBA_WORKERS`
-    /// environment variable. Also sizes the job's blocks: one per worker
-    /// of the pool it runs on (see [`RunConfig::effective_hub_shards`]).
+    /// environment variable. Also caps the job's blocks: at most one per
+    /// worker of the pool it runs on, exactly that when it runs alone there
+    /// (see [`RunConfig::effective_hub_shards`]).
     pub workers: usize,
     /// Existing [`JobServer`] to submit to when the backend is
     /// [`Backend::Parallel`]; `None` (the default) uses the process-wide
@@ -229,7 +231,7 @@ impl RunConfig {
         config
     }
 
-    /// How many contiguous rank ranges the job is cut into: the shards
+    /// The most contiguous rank ranges the job may be cut into: the shards
     /// of the collective rendezvous hub (one lock each) *and*, on a
     /// [`JobServer`], the job's schedulable blocks (one worker drives a
     /// whole block at a time). One per worker of the pool the job runs on,
@@ -237,7 +239,11 @@ impl RunConfig {
     /// targeted, else the [`RunConfig::workers`] / machine-parallelism
     /// count the engine sizes its own pool by; the single-threaded
     /// sequential scheduler keeps the degenerate single shard. Always
-    /// clamped to `[1, ranks]`. Reports are bit-identical for any count.
+    /// clamped to `[1, ranks]`. The cap, not the count: [`JobServer::submit`]
+    /// gives a job its rank share of the workers at admission,
+    /// `ceil(W · ranks / resident ranks)`, within `[1, cap]` — the cap when
+    /// the job is alone on its pool ([`JobHandle::blocks`] reads what it
+    /// got). Reports are bit-identical for any count.
     pub fn effective_hub_shards(&self) -> usize {
         let workers = match (self.backend, &self.server) {
             (Backend::Sequential, _) => 1,
@@ -366,12 +372,13 @@ pub(crate) struct RunShared {
 static NEXT_JOB_ID: AtomicU64 = AtomicU64::new(1);
 
 impl RunShared {
-    /// Shared state of one run of `config`; `counts_progress` is whether
-    /// the scheduler about to drive it reads [`RunShared::progress_count`].
-    pub(crate) fn new(config: &RunConfig, counts_progress: bool) -> Arc<Self> {
+    /// Shared state of one run of `config` whose hub is cut into `shards`
+    /// shards; `counts_progress` is whether the scheduler about to drive it
+    /// reads [`RunShared::progress_count`].
+    pub(crate) fn new(config: &RunConfig, shards: usize, counts_progress: bool) -> Arc<Self> {
         let job = NEXT_JOB_ID.fetch_add(1, Ordering::Relaxed);
         Arc::new(Self {
-            hub: Hub::for_job(job, config.ranks, config.effective_hub_shards()),
+            hub: Hub::for_job(job, config.ranks, shards),
             mail: MailboxSet::new(config.ranks),
             collector: Collector::new(config.ranks),
             spec: config.spec.clone(),
@@ -470,6 +477,15 @@ impl JobHandle {
         match &self.job {
             Launched::Pool(_) => Backend::Parallel,
             Launched::Sequential(_) => Backend::Sequential,
+        }
+    }
+
+    /// How many blocks (= hub shards) the job was cut into: what
+    /// [`JobServer::submit`] admitted it with, 1 for a sequential job.
+    pub fn blocks(&self) -> usize {
+        match &self.job {
+            Launched::Pool(job) => job.blocks(),
+            Launched::Sequential(_) => 1,
         }
     }
 

@@ -56,7 +56,8 @@ impl SequentialJob {
         Fut: Future<Output = ()> + Send + 'static,
     {
         assert!(config.ranks >= 1, "need at least one rank");
-        let shared = RunShared::new(config, true);
+        // One thread polls every rank: the hub's degenerate single shard.
+        let shared = RunShared::new(config, 1, true);
         let tasks = (0..config.ranks)
             .map(|rank| {
                 let ctx = SpmdCtx::new(rank, config.ranks, Arc::clone(&shared));

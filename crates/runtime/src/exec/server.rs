@@ -15,18 +15,32 @@
 //! * Admission is FIFO and starvation-free: each worker has one run queue,
 //!   and a job's blocks are scattered round-robin over the workers, so a
 //!   huge P=16384 job interleaves with a batch of small ablations — block
-//!   run by block run — instead of walling them off.
+//!   run by block run — instead of walling them off. How many blocks a job
+//!   gets is its share of the pool when it is admitted (see below).
 //!
 //! # Blocks
 //!
 //! A block is a contiguous range of ranks, one per shard of the job's
-//! hub and read *from the hub* ([`crate::hub::Hub::shard_range`]); the
-//! count is one per worker of the pool, at most 64
-//! ([`RunConfig::effective_hub_shards`]). Queue entries, the state machine,
-//! the live count and stealing are per block; a rank only owns a *ready
-//! flag*. One worker at a time drives a block, so its shard lock is
-//! uncontended, a halo between two of its ranks never leaves the worker,
-//! and a rendezvous costs `O(blocks)` queue operations, not `O(ranks)`.
+//! hub and read *from the hub* ([`crate::hub::Hub::shard_range`]). The
+//! count is the job's rank share of the pool at admission: a job of
+//! `P_job` ranks on `W` workers gets `ceil(W · P_job / P_resident)`
+//! blocks, `P_resident` being the ranks of every unfinished job on the
+//! pool, this one included; at least 1, at most
+//! [`RunConfig::effective_hub_shards`] (one per worker, 64). A job alone
+//! on its pool gets one block per worker; a batch of equal jobs runs its
+//! first one across the pool and each later one as a single block, which
+//! never parks, instead of splitting every job into blocks that park and
+//! wake each other at each rendezvous. [`finalize`] releases the job's
+//! ranks before it publishes the outcome, so a caller that joins and
+//! resubmits finds the pool empty again. A running job is never re-split,
+//! and an idle worker cannot help a running block: it only steals queued
+//! ones.
+//!
+//! Queue entries, the state machine, the live count and stealing are per
+//! block; a rank only owns a *ready flag*. One worker at a time drives a
+//! block, so its shard lock is uncontended, a halo between two of its
+//! ranks never leaves the worker, and a rendezvous costs `O(blocks)` queue
+//! operations, not `O(ranks)`.
 //!
 //! A block sits in one run queue ([`SCHEDULED`]), is being run by one
 //! worker ([`RUNNING`], [`NOTIFIED`]), or is parked ([`WAITING`]). The
@@ -157,6 +171,9 @@ pub(crate) struct ServerCore {
     /// Rotates the worker a job's blocks start scattering from, so
     /// concurrent submissions don't all pile onto worker 0.
     seed_cursor: AtomicUsize,
+    /// Ranks of every admitted job not yet finalized: the denominator of a
+    /// newcomer's share of the workers ([`ServerCore::admit`]).
+    resident: AtomicUsize,
     /// One cell per worker, written only by that worker, plus a last one
     /// every other thread (submitters, foreign help-drivers) shares.
     stats: Vec<StatCell>,
@@ -301,6 +318,7 @@ impl ServerCore {
             injector: Mutex::new(VecDeque::new()),
             spawned: AtomicUsize::new(0),
             seed_cursor: AtomicUsize::new(0),
+            resident: AtomicUsize::new(0),
             stats: (0..=workers).map(|_| StatCell::default()).collect(),
             sleep: Mutex::new(SleepState { idle: 0, shutdown: false }),
             wakeup: Condvar::new(),
@@ -371,6 +389,14 @@ impl ServerCore {
                 self.wakeup.notify_all();
             }
         }
+    }
+
+    /// Count a job of `ranks` ranks resident until [`finalize`] and return
+    /// its block count: its rank share of the workers, `ceil(W · ranks /
+    /// resident)` with this job counted in, within `1..=cap`.
+    fn admit(&self, ranks: usize, cap: usize) -> usize {
+        let resident = self.resident.fetch_add(ranks, Ordering::AcqRel) + ranks;
+        (self.locals.len() * ranks).div_ceil(resident).clamp(1, cap)
     }
 
     /// Scatter a fresh job's blocks round-robin over all workers
@@ -467,6 +493,9 @@ fn finalize(core: &Arc<ServerCore>, job: &Arc<Job>) {
     if job.finalized.swap(true, Ordering::AcqRel) {
         return;
     }
+    // Released before the outcome is published, so a caller that joins and
+    // resubmits finds the pool's share free again.
+    core.resident.fetch_sub(job.ready.len(), Ordering::AcqRel);
     let panic = job.panics.lock().take();
     let outcome = if let Some((_, payload)) = panic {
         reap_unfinished(job);
@@ -701,19 +730,21 @@ impl JobServer {
 
     /// Submit `body` as an SPMD job over `config.ranks` ranks; returns
     /// immediately with a handle. The job runs on this server's workers
-    /// regardless of `config.backend`, with its own
-    /// hub/mailbox namespace and job id, cut into one block per hub shard
-    /// ([`RunConfig::effective_hub_shards`]). See [`crate::submit`] for the
-    /// body contract; the future must be `'static` because it outlives the
-    /// submitting stack frame.
+    /// regardless of `config.backend`, with its own hub/mailbox namespace
+    /// and job id, cut into one block per hub shard: its rank share of the
+    /// workers at admission, at most [`RunConfig::effective_hub_shards`]
+    /// (see the module docs; [`JobHandle::blocks`] reads the count). See
+    /// [`crate::submit`] for the body contract; the future must be
+    /// `'static` because it outlives the submitting stack frame.
     pub fn submit<F, Fut>(&self, config: RunConfig, body: F) -> JobHandle
     where
         F: Fn(SpmdCtx) -> Fut,
         Fut: Future<Output = ()> + Send + 'static,
     {
         assert!(config.ranks >= 1, "need at least one rank");
-        let shared = RunShared::new(&config, false);
         let ranks = config.ranks;
+        let shards = self.core.admit(ranks, config.effective_hub_shards());
+        let shared = RunShared::new(&config, shards, false);
         let core = Arc::clone(&self.core);
         let blocks: Vec<Block> = (0..shared.hub.shard_count())
             .map(|shard| {
@@ -775,6 +806,10 @@ impl PoolJob {
         self.job.done.load(Ordering::Acquire)
     }
 
+    pub(crate) fn blocks(&self) -> usize {
+        self.job.blocks.len()
+    }
+
     /// Block until the job finishes and return its report. If the joining
     /// thread is itself one of this server's workers (a rank body
     /// submitting nested jobs), it helps drive the pool instead of
@@ -834,9 +869,8 @@ impl PoolJob {
 
 /// Worker count a [`RunConfig`] resolves to: the explicit
 /// [`RunConfig::workers`] if nonzero, otherwise the machine's available
-/// parallelism; never more than `ranks`. Also the basis of the default
-/// shard (= block) count of a run that targets no server
-/// ([`RunConfig::effective_hub_shards`]).
+/// parallelism; never more than `ranks`. Also the basis of the block cap
+/// of a run that targets no server ([`RunConfig::effective_hub_shards`]).
 pub(crate) fn effective_workers(config: &RunConfig) -> usize {
     let requested = if config.workers > 0 {
         config.workers
@@ -882,6 +916,51 @@ mod tests {
         JobServer { core, guard }
     }
 
+    /// The `(job id, block)` entries of each worker's run queue, in order.
+    fn queued(server: &JobServer) -> Vec<Vec<(u64, usize)>> {
+        let entries = |queue: &Mutex<VecDeque<BlockRef>>| {
+            queue.lock().iter().map(|(job, i)| (job.shared.job_id(), *i)).collect()
+        };
+        server.core.locals.iter().map(entries).collect()
+    }
+
+    /// Submit one barrier job per entry of `ranks` to `server`.
+    fn submit_all(server: &JobServer, ranks: &[usize]) -> Vec<JobHandle> {
+        let body = |mut ctx: SpmdCtx| async move { ctx.barrier().await };
+        ranks
+            .iter()
+            .map(|&ranks| server.submit(RunConfig::new(ranks).with_server(server.clone()), body))
+            .collect()
+    }
+
+    /// Drive the queues from this thread, as a joiner with no workers does,
+    /// and check every job completes with all its ranks.
+    fn drain_and_join(server: &JobServer, jobs: Vec<JobHandle>, ranks: &[usize]) {
+        while let Some(entry) = server.core.find_block(None) {
+            run_block(&server.core, None, entry);
+        }
+        for (job, &ranks) in jobs.into_iter().zip(ranks) {
+            assert_eq!(job.join().expect("completes").rank_metrics.len(), ranks);
+        }
+    }
+
+    /// A job's blocks are its rank share of the workers at admission,
+    /// `ceil(W · P_job / P_resident)`: alone it gets one per worker, behind
+    /// a resident job of its size half that, and a larger job more.
+    #[test]
+    fn a_job_is_admitted_with_its_rank_share_of_the_workers() {
+        let server = unstarted(2);
+        let ranks = [16, 16, 48];
+        let jobs = submit_all(&server, &ranks);
+        assert_eq!(jobs.iter().map(JobHandle::blocks).collect::<Vec<_>>(), [2, 1, 2]);
+        let mut per_job = [0; 3];
+        for (id, _) in queued(&server).into_iter().flatten() {
+            per_job[jobs.iter().position(|job| job.id() == id).expect("a submitted job")] += 1;
+        }
+        assert_eq!(per_job, [2, 1, 2], "blocks() counts the queued entries");
+        drain_and_join(&server, jobs, &ranks);
+    }
+
     /// Admission is FIFO: each job's blocks are dealt round-robin over the
     /// workers' queues, starting one worker further on per job, behind every
     /// block of the jobs submitted before it — no lane lets a later job
@@ -889,31 +968,14 @@ mod tests {
     #[test]
     fn blocks_are_dealt_round_robin_behind_earlier_jobs() {
         let server = unstarted(3);
-        let body = |mut ctx: SpmdCtx| async move { ctx.barrier().await };
-        let jobs: Vec<JobHandle> = [3usize, 6, 2]
-            .iter()
-            .map(|&ranks| server.submit(RunConfig::new(ranks).with_server(server.clone()), body))
-            .collect();
+        let ranks = [3, 6, 2];
+        let jobs = submit_all(&server, &ranks);
         let &[a, b, c] = &jobs.iter().map(JobHandle::id).collect::<Vec<_>>()[..] else {
             unreachable!("three jobs")
         };
-        let queued: Vec<Vec<(u64, usize)>> = server
-            .core
-            .locals
-            .iter()
-            .map(|queue| queue.lock().iter().map(|(job, i)| (job.shared.job_id(), *i)).collect())
-            .collect();
-        let expected =
-            vec![vec![(a, 0), (b, 2), (c, 1)], vec![(a, 1), (b, 0)], vec![(a, 2), (b, 1), (c, 0)]];
-        assert_eq!(queued, expected, "one block per worker, min(3, ranks) per job");
-        // Drive the queues from this thread, as a joiner with no workers
-        // does: every job completes.
-        while let Some(entry) = server.core.find_block(None) {
-            run_block(&server.core, None, entry);
-        }
-        for (job, ranks) in jobs.into_iter().zip([3, 6, 2]) {
-            assert_eq!(job.join().expect("completes").rank_metrics.len(), ranks);
-        }
+        let expected = vec![vec![(a, 0)], vec![(a, 1), (b, 0)], vec![(a, 2), (b, 1), (c, 0)]];
+        assert_eq!(queued(&server), expected, "3, 2 and 1 blocks: each job's share of 3 workers");
+        drain_and_join(&server, jobs, &ranks);
     }
 
     /// Without a server or a worker count, a run sizes its private pool —

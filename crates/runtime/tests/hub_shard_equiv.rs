@@ -1,8 +1,8 @@
 //! Shard-count equivalence of the sharded rendezvous hub.
 //!
-//! A job on a pool of `W` workers is cut into `S = min(W, 64)` blocks, one
-//! per shard of its hub (the sequential scheduler keeps `S = 1`). The
-//! count is pure contention: for **any** pool — one worker (the old
+//! A job alone on a pool of `W` workers is cut into `S = min(W, 64)`
+//! blocks, one per shard of its hub (the sequential scheduler keeps
+//! `S = 1`). The count is pure contention: for **any** pool — one worker (the old
 //! single-mutex hub), even, ragged (`S` not dividing `P`, so the last
 //! shard holds fewer ranks), or one rank per shard — a program's
 //! [`RunReport`] must be bit-identical to the sequential oracle's. These

@@ -134,9 +134,9 @@ fn a_late_job_finishes_behind_a_backlog() {
     }
 }
 
-/// A job is cut into one block per worker of its server, fewer when it has
-/// fewer ranks: a body that never waits costs one seeding enqueue and one
-/// run per block, and one poll per rank.
+/// A job alone on its server is cut into one block per worker, fewer when
+/// it has fewer ranks: a body that never waits costs one seeding enqueue
+/// and one run per block, and one poll per rank.
 #[test]
 fn a_job_is_cut_into_one_block_per_worker_of_its_server() {
     for workers in [1usize, 3, 4] {
@@ -144,8 +144,10 @@ fn a_job_is_cut_into_one_block_per_worker_of_its_server() {
             let server = JobServer::new(workers);
             let job =
                 server.submit(on(&server, ranks), |mut ctx| async move { ctx.compute(1.0e6) });
+            let blocks = workers.min(ranks);
+            assert_eq!(job.blocks(), blocks, "W={workers} P={ranks}");
             job.join().expect("completes");
-            let blocks = workers.min(ranks) as u64;
+            let blocks = blocks as u64;
             let stats = server.stats();
             let label = format!("W={workers} P={ranks}: {stats:?}");
             assert_eq!(
@@ -156,6 +158,37 @@ fn a_job_is_cut_into_one_block_per_worker_of_its_server() {
             assert_eq!(stats.rank_polls, ranks as u64, "{label}");
         }
     }
+}
+
+/// A job's ranks stop counting against the pool's share once its outcome
+/// is out — success, deadlock or panic alike — so a job submitted after
+/// joining them finds the pool empty and gets one block per worker.
+#[test]
+fn a_finished_job_releases_its_share_on_every_outcome() {
+    let server = JobServer::new(2);
+    // A fresh 16-rank job's block count, joined before the next submission.
+    let fresh = || {
+        let job = server.submit(on(&server, 16), |ctx| bsp_body(ctx, 2, 0xD));
+        let blocks = job.blocks();
+        assert_reports_identical(&job.join().expect("healthy"), &serial_reference(16, 2, 0xD));
+        blocks
+    };
+    let finished = server.submit(on(&server, 16), |ctx| bsp_body(ctx, 2, 0xA));
+    finished.join().expect("completes");
+    assert_eq!(fresh(), 2, "after a finished job");
+    let deadlocked = server.submit(on(&server, 16), |mut ctx| async move {
+        if ctx.rank() != 0 {
+            ctx.barrier().await;
+        }
+    });
+    assert!(matches!(deadlocked.join(), Err(RunError::Deadlock { .. })));
+    assert_eq!(fresh(), 2, "after a deadlocked job");
+    let panicking = server.submit(on(&server, 16), |ctx| async move {
+        assert_ne!(ctx.rank(), 3, "rank 3 gives up");
+    });
+    let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| panicking.join()));
+    assert!(joined.is_err(), "the rank panic resumes on the joining thread");
+    assert_eq!(fresh(), 2, "after a panicking job");
 }
 
 #[test]
@@ -342,13 +375,13 @@ fn a_rendezvous_costs_queue_operations_per_block_not_per_rank() {
     const ROUNDS: u64 = 50;
     let server = JobServer::new(2);
     let config = RunConfig::defaults(RANKS).with_server(server.clone());
-    let blocks = config.effective_hub_shards() as u64;
-    assert_eq!(blocks, 2, "one block per worker by default");
     let job = server.submit(config, |mut ctx| async move {
         for _ in 0..ROUNDS {
             ctx.barrier().await;
         }
     });
+    let blocks = job.blocks() as u64;
+    assert_eq!(blocks, 2, "one block per worker for a job alone on its pool");
     job.join().expect("barriers complete");
     let stats = server.stats();
     assert!(stats.enqueues >= blocks && stats.enqueues <= 8 * blocks * ROUNDS, "{stats:?}");

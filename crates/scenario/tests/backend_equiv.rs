@@ -1,7 +1,8 @@
 //! Cross-backend equivalence for the scenario application — the
 //! acceptance criterion: per-scenario results are bit-identical across the
 //! sequential and parallel backends and across pool sizes (a pool of `W`
-//! workers cuts a job into `min(W, 64)` blocks, one per hub shard), for
+//! workers cuts a job alone on it into `min(W, 64)` blocks, one per hub
+//! shard), for
 //! every scenario family, policy, and gossip wire format.
 
 use proptest::prelude::*;
@@ -11,14 +12,16 @@ use ulba_runtime::Backend;
 use ulba_scenario::{run_scenario, ScenarioConfig, ScenarioKind, ScenarioResult};
 
 /// Run `cfg` on a private pool of `workers` threads (an explicit count, so
-/// the test is meaningful on a single-core machine): `min(workers, 64)`
-/// blocks, clamped to the rank count.
+/// the test is meaningful on a single-core machine): alone there, it asks
+/// for `min(workers, 64)` blocks, clamped to the rank count.
 fn on_pool(cfg: &ScenarioConfig, workers: usize) -> ScenarioResult {
     let mut cfg = cfg.clone();
     cfg.backend = Some(Backend::Parallel);
     cfg.workers = Some(workers);
     let result = run_scenario(&cfg);
-    assert_eq!(result.hub_shards, workers.min(64).min(cfg.ranks), "one block per worker");
+    // One block per worker, in hub shards of `ceil(P / S)` ranks each.
+    let width = cfg.ranks.div_ceil(workers.min(64).min(cfg.ranks));
+    assert_eq!(result.hub_shards, cfg.ranks.div_ceil(width), "the blocks it ran as");
     result
 }
 
