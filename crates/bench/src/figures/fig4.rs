@@ -9,7 +9,7 @@
 
 use super::check_same_erosion;
 use crate::output::{bar, print_table, write_csv, StudyOutput};
-use crate::report::perf_row;
+use crate::report::{perf_row, PerfRow};
 use std::time::Instant;
 use ulba_core::policy::LbPolicy;
 use ulba_erosion::{median_result, run_erosion_batch, ErosionConfig, ExperimentResult};
@@ -147,7 +147,10 @@ pub fn run_4a(
     let rows = specs
         .iter()
         .zip(&medians)
-        .map(|(&(_, ranks, label, _), res)| perf_row(label, ranks, wire, res, None))
+        .map(|(&(strong, ranks, label, _), res)| PerfRow {
+            strong_rocks: Some(strong),
+            ..perf_row(label, ranks, wire, res, None)
+        })
         .collect();
     out.write_batch_report("fig4a", sweep_wall, rows);
     Ok(cells)
@@ -166,7 +169,7 @@ pub fn run_4b(
     std_cfg.seed = seed;
     let mut ulba_cfg = config_for(ranks, 1, LbPolicy::ulba_fixed(0.4));
     ulba_cfg.seed = seed;
-    let wire = std_cfg.gossip_wire;
+    let (wire, strong) = (std_cfg.gossip_wire, std_cfg.strong_rocks);
     let started = Instant::now();
     let mut results = run_erosion_batch(&[std_cfg, ulba_cfg]);
     let sweep_wall = started.elapsed().as_secs_f64();
@@ -226,10 +229,11 @@ pub fn run_4b(
         &csv_rows,
     );
 
-    let rows = vec![
-        perf_row("standard", ranks, wire, &std_res, None),
-        perf_row("ulba", ranks, wire, &ulba_res, None),
-    ];
+    let row = |label, res| PerfRow {
+        strong_rocks: Some(strong),
+        ..perf_row(label, ranks, wire, res, None)
+    };
+    let rows = vec![row("standard", &std_res), row("ulba", &ulba_res)];
     out.write_batch_report("fig4b", sweep_wall, rows);
     Ok((std_res, ulba_res))
 }
@@ -249,16 +253,23 @@ mod tests {
         let dir = std::env::temp_dir().join("ulba-fig4-test");
         let json = dir.join("BENCH_fig4a.json");
         let out = StudyOutput { dir, smoke: true, json: Some(json.clone()) };
-        // Tiny scale smoke: 8 PEs, 1 rock, 1 seed — checks plumbing, not
-        // magnitudes.
-        let cells = run_4a(&[8], &[1], &[11], &out).unwrap();
-        assert_eq!(cells.len(), 1);
-        assert!(cells[0].standard > 0.0 && cells[0].ulba > 0.0);
+        // Tiny scale smoke: 8 PEs, 1 and 2 rocks, 1 seed — checks
+        // plumbing, not magnitudes.
+        let cells = run_4a(&[8], &[1, 2], &[11], &out).unwrap();
+        assert_eq!(cells.len(), 2);
+        assert!(cells.iter().all(|c| c.standard > 0.0 && c.ulba > 0.0));
         // A batch study: the sweep wall once, no per-row wall.
         let report = crate::report::Report::read(&json).unwrap();
         assert!(report.smoke && report.summary.batch_wall_s > Some(0.0));
         let spans: Vec<f64> = report.rows.iter().map(|r| r.makespan_virtual_s).collect();
-        assert_eq!(spans, [cells[0].standard, cells[0].ulba]);
+        let expected: Vec<f64> = cells.iter().flat_map(|c| [c.standard, c.ulba]).collect();
+        assert_eq!(spans, expected);
         assert!(report.rows.iter().all(|r| r.sim_wall_s.is_none()));
+        // The rock count tells the rows of one (P, policy) apart.
+        let keys: Vec<_> =
+            report.rows.iter().map(|r| (r.strong_rocks, r.pes, r.policy.as_str())).collect();
+        assert!(keys.iter().all(|k| k.0.is_some()), "{keys:?}");
+        let distinct: std::collections::BTreeSet<_> = keys.iter().collect();
+        assert_eq!(distinct.len(), keys.len(), "{keys:?}");
     }
 }

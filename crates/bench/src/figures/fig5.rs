@@ -8,7 +8,7 @@
 
 use super::check_same_erosion;
 use crate::output::{print_table, write_csv, StudyOutput};
-use crate::report::perf_row;
+use crate::report::{perf_row, PerfRow};
 use std::time::Instant;
 use ulba_core::policy::LbPolicy;
 use ulba_erosion::{median_result, run_erosion_batch, ErosionConfig, ExperimentResult};
@@ -111,12 +111,13 @@ pub fn run(
         .collect();
     write_csv(&out.dir, "fig5_alpha_tuning", &["pes", "alpha", "time_s"], &csv_rows);
 
-    let wire = cfgs[0].gossip_wire;
+    let (wire, strong) = (cfgs[0].gossip_wire, cfgs[0].strong_rocks);
     let rows = specs
         .iter()
         .zip(&medians)
-        .map(|(&(ranks, alpha), res)| {
-            perf_row(&format!("ulba-fixed:{alpha}"), ranks, wire, res, None)
+        .map(|(&(ranks, alpha), res)| PerfRow {
+            strong_rocks: Some(strong),
+            ..perf_row(&format!("ulba-fixed:{alpha}"), ranks, wire, res, None)
         })
         .collect();
     out.write_batch_report("fig5", sweep_wall, rows);

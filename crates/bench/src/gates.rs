@@ -318,6 +318,7 @@ mod tests {
             peak_rss_bytes: Some(1 << 30),
             lambda_target: None,
             lambda_achieved: None,
+            strong_rocks: None,
         }
     }
 

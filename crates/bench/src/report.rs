@@ -242,6 +242,8 @@ record! {
         /// Achieved λ of the generated work tables, verified analytically
         /// by the generator (scenario rows only).
         pub lambda_achieved: Option<f64> => omitted,
+        /// Strongly erodible rocks of the erosion run (Fig. 4/5 rows only).
+        pub strong_rocks: Option<usize> => omitted,
     }
 }
 
@@ -589,6 +591,7 @@ pub fn perf_row<X>(
         peak_rss_bytes: peak_rss_bytes(),
         lambda_target: None,
         lambda_achieved: None,
+        strong_rocks: None,
     }
 }
 
@@ -640,6 +643,7 @@ mod tests {
             peak_rss_bytes: maybe(rng, |rng| rng.random()),
             lambda_target: maybe(rng, float),
             lambda_achieved: maybe(rng, float),
+            strong_rocks: maybe(rng, |rng| rng.random_range(0..=1 << 20)),
         }
     }
 
@@ -706,6 +710,7 @@ mod tests {
         assert_eq!(row.busy_max_over_mean, 1.5, "max busy 3 over mean busy 2");
         assert_eq!(row.idle_fraction, 0.5, "4 idle seconds of 8 accounted");
         assert_eq!((row.lambda_target, row.lambda_achieved), (None, None));
+        assert_eq!(row.strong_rocks, None);
     }
 
     #[test]
