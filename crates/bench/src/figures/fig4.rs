@@ -7,112 +7,51 @@
 //! * **4b**: per-iteration average PE utilization for 32 PEs / 1 rock, both
 //!   methods; ULBA shows fewer utilization drops and 62.5 % fewer LB calls.
 
-use super::check_same_erosion;
+use super::{gain_pct, sweep, Arm};
 use crate::output::{bar, print_table, write_csv, StudyOutput};
-use crate::report::{perf_row, PerfRow};
-use std::time::Instant;
 use ulba_core::policy::LbPolicy;
-use ulba_erosion::{median_result, run_erosion_batch, ErosionConfig, ExperimentResult};
+use ulba_erosion::{ErosionConfig, ExperimentResult};
 
-/// One Fig. 4a cell.
-#[derive(Debug, Clone)]
-pub struct Fig4aCell {
-    /// PE count.
-    pub ranks: usize,
-    /// Strongly erodible rocks.
-    pub strong: usize,
-    /// Median standard-method makespan (s).
-    pub standard: f64,
-    /// Median ULBA makespan (s).
-    pub ulba: f64,
+/// The two arms of a Fig. 4 cell: standard and ULBA (α = 0.4).
+fn arms(ranks: usize, strong: usize) -> Vec<Arm> {
+    [("standard", LbPolicy::Standard), ("ulba", LbPolicy::ulba_fixed(0.4))]
+        .map(|(label, policy)| {
+            (label.into(), ErosionConfig { policy, ..ErosionConfig::scaled(ranks, strong) })
+        })
+        .into()
 }
 
-impl Fig4aCell {
-    /// ULBA gain over the standard method, in percent.
-    pub fn gain(&self) -> f64 {
-        (self.standard - self.ulba) / self.standard * 100.0
-    }
-}
-
-fn config_for(ranks: usize, strong: usize, policy: LbPolicy) -> ErosionConfig {
-    let mut cfg = ErosionConfig::scaled(ranks, strong);
-    cfg.policy = policy;
-    cfg
-}
-
-/// Run the Fig. 4a sweep as one batch: every (rocks, P, policy, seed)
-/// combination is submitted to the shared job server at once, then reduced
-/// to per-cell medians. The schema-3 report has one row per median (policy
-/// `standard` / `ulba`, in sweep order — rows repeat per rock count).
+/// Run the Fig. 4a sweep (cells in rocks-major order), print the
+/// median-time table and return each cell's `[standard, ulba]` medians;
 /// `Err` if the two policies eroded different cell counts on a seed.
 pub fn run_4a(
     pe_counts: &[usize],
     rock_counts: &[usize],
     seeds: &[u64],
     out: &StudyOutput,
-) -> Result<Vec<Fig4aCell>, String> {
+) -> Result<Vec<Vec<ExperimentResult>>, String> {
     println!(
         "Fig. 4a — erosion app: standard(+Zhai) vs ULBA (α = 0.4), median of \
          {} seed(s)",
         seeds.len()
     );
-    let policies = [("standard", LbPolicy::Standard), ("ulba", LbPolicy::ulba_fixed(0.4))];
-    let labels = policies.map(|(label, _)| label);
-    let mut specs = Vec::new();
-    for &strong in rock_counts {
-        for &ranks in pe_counts {
-            for (label, policy) in policies {
-                specs.push((strong, ranks, label, policy));
-            }
-        }
-    }
-    let cfgs: Vec<ErosionConfig> = specs
+    let cells: Vec<Vec<Arm>> = rock_counts
         .iter()
-        .flat_map(|&(strong, ranks, _, policy)| {
-            seeds.iter().map(move |&seed| {
-                let mut cfg = config_for(ranks, strong, policy);
-                cfg.seed = seed;
-                cfg
-            })
-        })
+        .flat_map(|&strong| pe_counts.iter().map(move |&ranks| arms(ranks, strong)))
         .collect();
-    let started = Instant::now();
-    let results = run_erosion_batch(&cfgs);
-    let sweep_wall = started.elapsed().as_secs_f64();
-    let eroded: Vec<u64> = results.iter().map(|r| r.total_eroded).collect();
-    for (cell, spec) in eroded.chunks(labels.len() * seeds.len()).zip(specs.chunks(labels.len())) {
-        let (strong, ranks, ..) = spec[0];
-        check_same_erosion(&format!("P={ranks} rocks={strong}"), &labels, seeds, cell)?;
-    }
-    let mut results = results.into_iter();
-    let medians: Vec<ExperimentResult> =
-        specs.iter().map(|_| median_result(results.by_ref().take(seeds.len()).collect())).collect();
-
-    let mut cells = Vec::new();
-    for (pair, spec) in medians.chunks(2).zip(specs.chunks(2)) {
-        let (std_res, ulba_res) = (&pair[0], &pair[1]);
-        let (strong, ranks, ..) = spec[0];
-        eprintln!(
-            "  [P={ranks} rocks={strong}] std {:.2}s ({} LB) vs ulba {:.2}s ({} LB)",
-            std_res.makespan, std_res.lb_calls, ulba_res.makespan, ulba_res.lb_calls
-        );
-        cells.push(Fig4aCell {
-            ranks,
-            strong,
-            standard: std_res.makespan,
-            ulba: ulba_res.makespan,
-        });
-    }
-
+    let medians = sweep("fig4a", &cells, seeds, out)?;
+    let gains: Vec<f64> = medians.iter().map(|m| gain_pct(m[0].makespan, m[1].makespan)).collect();
     let rows: Vec<Vec<String>> = cells
         .iter()
-        .map(|c| {
+        .zip(&medians)
+        .zip(&gains)
+        .map(|((arms, m), gain)| {
             vec![
-                c.strong.to_string(),
-                c.ranks.to_string(),
-                format!("{:.2}", c.standard),
-                format!("{:.2}", c.ulba),
-                format!("{:+.1}%", c.gain()),
+                arms[0].1.strong_rocks.to_string(),
+                arms[0].1.ranks.to_string(),
+                format!("{:.2}", m[0].makespan),
+                format!("{:.2}", m[1].makespan),
+                format!("{gain:+.1}%"),
             ]
         })
         .collect();
@@ -121,62 +60,34 @@ pub fn run_4a(
         &["erodible rocks", "PEs", "standard", "ULBA", "gain"],
         &rows,
     );
-    let max_gain = cells.iter().map(Fig4aCell::gain).fold(f64::NEG_INFINITY, f64::max);
+    let max_gain = gains.into_iter().fold(f64::NEG_INFINITY, f64::max);
     println!("\nmaximum gain: {max_gain:+.1}% (paper: up to 16%)");
-
-    let csv_rows: Vec<Vec<String>> = cells
-        .iter()
-        .map(|c| {
-            vec![
-                c.strong.to_string(),
-                c.ranks.to_string(),
-                format!("{:.4}", c.standard),
-                format!("{:.4}", c.ulba),
-                format!("{:.3}", c.gain()),
-            ]
-        })
-        .collect();
-    write_csv(
-        &out.dir,
-        "fig4a_performance",
-        &["strong_rocks", "pes", "standard_s", "ulba_s", "gain_pct"],
-        &csv_rows,
-    );
-
-    let wire = cfgs[0].gossip_wire;
-    let rows = specs
-        .iter()
-        .zip(&medians)
-        .map(|(&(strong, ranks, label, _), res)| PerfRow {
-            strong_rocks: Some(strong),
-            ..perf_row(label, ranks, wire, res, None)
-        })
-        .collect();
-    out.write_batch_report("fig4a", sweep_wall, rows);
-    Ok(cells)
+    Ok(medians)
 }
 
-/// Run the Fig. 4b utilization study (32 PEs, 1 strong rock by default).
-/// The standard and ULBA runs are submitted to the shared job server as
-/// one batch of two; `Err` if they eroded different cell counts.
+/// LB calls ULBA saves over the standard method, in percent of the
+/// standard method's (negative when ULBA makes more).
+fn lb_call_reduction(standard: usize, ulba: usize) -> f64 {
+    if standard > 0 {
+        100.0 * (standard as f64 - ulba as f64) / standard as f64
+    } else {
+        0.0
+    }
+}
+
+/// Run the Fig. 4b utilization study (32 PEs, 1 strong rock by default) as
+/// one sweep cell and print the per-iteration utilization of both arms,
+/// also written to `fig4b_utilization.csv`; `Err` if they eroded
+/// different cell counts.
 pub fn run_4b(
     ranks: usize,
     seed: u64,
     out: &StudyOutput,
 ) -> Result<(ExperimentResult, ExperimentResult), String> {
     println!("Fig. 4b — average PE utilization, {ranks} PEs, 1 strongly erodible rock");
-    let mut std_cfg = config_for(ranks, 1, LbPolicy::Standard);
-    std_cfg.seed = seed;
-    let mut ulba_cfg = config_for(ranks, 1, LbPolicy::ulba_fixed(0.4));
-    ulba_cfg.seed = seed;
-    let (wire, strong) = (std_cfg.gossip_wire, std_cfg.strong_rocks);
-    let started = Instant::now();
-    let mut results = run_erosion_batch(&[std_cfg, ulba_cfg]);
-    let sweep_wall = started.elapsed().as_secs_f64();
-    let eroded: Vec<u64> = results.iter().map(|r| r.total_eroded).collect();
-    check_same_erosion(&format!("P={ranks} rocks=1"), &["standard", "ulba"], &[seed], &eroded)?;
-    let ulba_res = results.pop().expect("two results");
-    let std_res = results.pop().expect("two results");
+    let mut medians = sweep("fig4b", &[arms(ranks, 1)], &[seed], out)?.remove(0);
+    let ulba_res = medians.pop().expect("two arms");
+    let std_res = medians.pop().expect("two arms");
 
     println!("\niter   standard util          ULBA util");
     for (a, b) in std_res.iterations.iter().zip(&ulba_res.iterations) {
@@ -193,14 +104,11 @@ pub fn run_4b(
             );
         }
     }
-    let reduction = if std_res.lb_calls > 0 {
-        100.0 * (std_res.lb_calls - ulba_res.lb_calls) as f64 / std_res.lb_calls as f64
-    } else {
-        0.0
-    };
     println!(
-        "\nLB calls: standard {} vs ULBA {} ({reduction:.1}% fewer; paper: 62.5% fewer)",
-        std_res.lb_calls, ulba_res.lb_calls
+        "\nLB calls: standard {} vs ULBA {} ({:.1}% fewer; paper: 62.5% fewer)",
+        std_res.lb_calls,
+        ulba_res.lb_calls,
+        lb_call_reduction(std_res.lb_calls, ulba_res.lb_calls)
     );
     println!(
         "mean utilization: standard {:.1}% vs ULBA {:.1}% (ULBA higher, as in the paper)",
@@ -228,13 +136,6 @@ pub fn run_4b(
         &["iter", "std_utilization", "std_lb", "ulba_utilization", "ulba_lb"],
         &csv_rows,
     );
-
-    let row = |label, res| PerfRow {
-        strong_rocks: Some(strong),
-        ..perf_row(label, ranks, wire, res, None)
-    };
-    let rows = vec![row("standard", &std_res), row("ulba", &ulba_res)];
-    out.write_batch_report("fig4b", sweep_wall, rows);
     Ok((std_res, ulba_res))
 }
 
@@ -243,9 +144,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fig4a_cell_gain() {
-        let c = Fig4aCell { ranks: 32, strong: 1, standard: 100.0, ulba: 84.0 };
-        assert!((c.gain() - 16.0).abs() < 1e-12);
+    fn more_ulba_lb_calls_are_a_negative_reduction() {
+        // Regression: `3 - 5` in `usize` panicked in debug and wrapped in
+        // release.
+        assert_eq!(format!("{:.1}", lb_call_reduction(3, 5)), "-66.7");
+        assert_eq!(format!("{:.1}", lb_call_reduction(8, 3)), "62.5");
+        assert_eq!(lb_call_reduction(0, 2), 0.0);
     }
 
     #[test]
@@ -257,12 +161,12 @@ mod tests {
         // plumbing, not magnitudes.
         let cells = run_4a(&[8], &[1, 2], &[11], &out).unwrap();
         assert_eq!(cells.len(), 2);
-        assert!(cells.iter().all(|c| c.standard > 0.0 && c.ulba > 0.0));
+        assert!(cells.iter().flatten().all(|res| res.makespan > 0.0));
         // A batch study: the sweep wall once, no per-row wall.
         let report = crate::report::Report::read(&json).unwrap();
         assert!(report.smoke && report.summary.batch_wall_s > Some(0.0));
         let spans: Vec<f64> = report.rows.iter().map(|r| r.makespan_virtual_s).collect();
-        let expected: Vec<f64> = cells.iter().flat_map(|c| [c.standard, c.ulba]).collect();
+        let expected: Vec<f64> = cells.iter().flatten().map(|res| res.makespan).collect();
         assert_eq!(spans, expected);
         assert!(report.rows.iter().all(|r| r.sim_wall_s.is_none()));
         // The rock count tells the rows of one (P, policy) apart.

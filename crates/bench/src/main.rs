@@ -183,30 +183,26 @@ fn fig5(cli: &Cli) -> Result<(), String> {
 /// Ablation E-A2: α rule (fixed vs dynamic z-scaled vs robust detection).
 fn ablation_alpha(cli: &Cli) -> Result<(), String> {
     let out = cli.study_output("ablation_alpha");
-    figures::ablations::alpha_rule_ablation(&pes(cli, &[32, 64]), 11, &out);
-    Ok(())
+    figures::ablations::alpha_rule_ablation(&pes(cli, &[32, 64]), seeds(cli, 1), &out)
 }
 
 /// Ablation E-A4: anticipatory (predicted-weight) partitioning.
 fn ablation_anticipation(cli: &Cli) -> Result<(), String> {
     let out = cli.study_output("ablation_anticipation");
-    figures::ablations::anticipation_ablation(&pes(cli, &[32, 64, 128]), 11, &out);
-    Ok(())
+    figures::ablations::anticipation_ablation(&pes(cli, &[32, 64, 128]), seeds(cli, 1), &out)
 }
 
 /// Ablation E-A3: gossip dissemination mode; `--ranks <p>` overrides the
 /// 64 PEs.
 fn ablation_gossip(cli: &Cli) -> Result<(), String> {
     let out = cli.study_output("ablation_gossip");
-    figures::ablations::gossip_ablation(pe_count(cli, 64), 11, &out);
-    Ok(())
+    figures::ablations::gossip_ablation(pe_count(cli, 64), seeds(cli, 1), &out)
 }
 
 /// Ablation E-A1: LB trigger choice; `--ranks <p>` overrides the 64 PEs.
 fn ablation_trigger(cli: &Cli) -> Result<(), String> {
     let out = cli.study_output("ablation_trigger");
-    figures::ablations::trigger_ablation(pe_count(cli, 64), 11, &out);
-    Ok(())
+    figures::ablations::trigger_ablation(pe_count(cli, 64), seeds(cli, 1), &out)
 }
 
 /// Weak scaling: erosion at P ∈ {64, 256, 1024, 4096}, standard vs ULBA,
@@ -382,9 +378,12 @@ mod tests {
         let cli = parse("all", &["--smoke"], &env).unwrap();
         assert_eq!(alpha_samples(&cli), 7);
         assert_eq!(seeds(&cli, 3), MEDIAN_SEEDS);
-        // Without the knobs, the rows' own defaults.
+        // The ablations read the same knob: 5 seeds instead of their one.
+        assert_eq!(seeds(&cli, 1), MEDIAN_SEEDS);
+        // Without the knobs, the rows' own defaults; an ablation's is seed 11.
         let cli = parse("all", &[], &[]).unwrap();
         assert_eq!((alpha_samples(&cli), seeds(&cli, 3).len(), seeds(&cli, 5).len()), (100, 3, 5));
+        assert_eq!(seeds(&cli, 1), [11]);
     }
 
     #[test]

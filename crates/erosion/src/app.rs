@@ -237,20 +237,9 @@ pub fn run_erosion_batch(cfgs: &[ErosionConfig]) -> Vec<ExperimentResult> {
     run_batch(cfgs, prepare)
 }
 
-/// Run the same configuration under several seeds and return the median
-/// makespan result (the paper compares "the median running time among five
-/// runs"). The seeds run concurrently through [`run_erosion_batch`].
-pub fn run_erosion_median(cfg: &ErosionConfig, seeds: &[u64]) -> ExperimentResult {
-    assert!(!seeds.is_empty());
-    let cfgs: Vec<ErosionConfig> =
-        seeds.iter().map(|&seed| ErosionConfig { seed, ..cfg.clone() }).collect();
-    median_result(run_erosion_batch(&cfgs))
-}
-
-/// Median-by-makespan reduction of a batch of results (upper median for
-/// even counts) — the reduction step of [`run_erosion_median`], exposed so
-/// batch clients that submit a whole sweep at once can reduce per-seed
-/// chunks themselves.
+/// Median-by-makespan reduction of one configuration's runs over several
+/// seeds (upper median for even counts); the paper compares "the median
+/// running time among five runs".
 pub fn median_result(mut results: Vec<ExperimentResult>) -> ExperimentResult {
     assert!(!results.is_empty());
     results.sort_by(|a, b| a.makespan.partial_cmp(&b.makespan).expect("finite"));
@@ -437,11 +426,14 @@ mod tests {
     }
 
     #[test]
-    fn median_of_runs() {
+    fn median_result_takes_the_upper_median_for_even_counts() {
         let mut cfg = ErosionConfig::tiny(2, 1);
         cfg.iterations = 20;
-        let res = run_erosion_median(&cfg, &[1, 2, 3]);
-        assert!(res.makespan > 0.0);
+        let run = run_erosion(&cfg);
+        let with = |makespan| ExperimentResult { makespan, ..run.clone() };
+        assert_eq!(median_result(vec![with(4.0), with(1.0), with(3.0), with(2.0)]).makespan, 3.0);
+        assert_eq!(median_result(vec![with(2.0), with(1.0), with(3.0)]).makespan, 2.0);
+        assert_eq!(median_result(vec![with(5.0)]).makespan, 5.0);
     }
 
     #[test]

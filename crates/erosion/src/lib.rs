@@ -40,8 +40,8 @@ pub mod geometry;
 pub mod stripe;
 
 pub use app::{
-    choose_strong_rocks, median_result, run_erosion, run_erosion_batch, run_erosion_median,
-    ErosionTotals, ExperimentResult,
+    choose_strong_rocks, median_result, run_erosion, run_erosion_batch, ErosionTotals,
+    ExperimentResult,
 };
 pub use cell::Cell;
 pub use column::Column;

@@ -83,8 +83,7 @@ pub use ulba_scenario as scenario;
 pub mod prelude {
     pub use ulba_core::prelude::*;
     pub use ulba_erosion::{
-        median_result, run_erosion, run_erosion_batch, run_erosion_median, ErosionConfig,
-        TriggerKind,
+        median_result, run_erosion, run_erosion_batch, ErosionConfig, TriggerKind,
     };
     pub use ulba_model::{
         schedule::{menon_schedule, sigma_plus_schedule, total_time},
