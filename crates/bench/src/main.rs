@@ -180,7 +180,7 @@ fn fig5(cli: &Cli) -> Result<(), String> {
     figures::fig5::run(&pes, seeds(cli, 3), &cli.study_output("fig5")).map(drop)
 }
 
-/// Ablation E-A2: α rule (fixed vs dynamic z-scaled vs robust detection).
+/// Ablation E-A2: α rule (standard vs fixed α, z-score vs robust detection).
 fn ablation_alpha(cli: &Cli) -> Result<(), String> {
     let out = cli.study_output("ablation_alpha");
     figures::ablations::alpha_rule_ablation(&pes(cli, &[32, 64]), seeds(cli, 1), &out)

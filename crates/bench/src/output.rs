@@ -7,16 +7,29 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+/// One CSV line: cells joined by `,`, a cell that holds `,`, `"`, CR or LF
+/// quoted with its inner quotes doubled (RFC 4180).
+fn csv_line<S: AsRef<str>>(cells: &[S]) -> String {
+    let quote = |cell: &str| {
+        if cell.contains([',', '"', '\r', '\n']) {
+            format!("\"{}\"", cell.replace('"', "\"\""))
+        } else {
+            cell.to_string()
+        }
+    };
+    cells.iter().map(|c| quote(c.as_ref())).collect::<Vec<_>>().join(",")
+}
+
 /// Write a CSV file `<dir>/<name>.csv` (creating `dir`); returns the path.
 pub fn write_csv(dir: &Path, name: &str, header: &[&str], rows: &[Vec<String>]) -> PathBuf {
     fs::create_dir_all(dir).expect("cannot create results directory");
     let path = dir.join(format!("{name}.csv"));
     let mut f = fs::File::create(&path).expect("cannot create CSV file");
-    writeln!(f, "{}", header.join(",")).expect("write CSV header");
+    writeln!(f, "{}", csv_line(header)).expect("write CSV header");
     for row in rows {
         // Hard, not debug: release binaries are what write the CSVs.
         assert_eq!(row.len(), header.len(), "{name}.csv: row width mismatch");
-        writeln!(f, "{}", row.join(",")).expect("write CSV row");
+        writeln!(f, "{}", csv_line(row)).expect("write CSV row");
     }
     println!("wrote {}", path.display());
     path
@@ -93,9 +106,16 @@ mod tests {
     #[test]
     fn csv_roundtrip() {
         let dir = std::env::temp_dir().join("ulba-test-results").join("nested");
-        let rows = [vec!["1".into(), "2".into()], vec!["3".into(), "4".into()]];
+        let rows = [
+            vec!["1".into(), "2".into()],
+            vec!["{256,512}".into(), "4".into()],
+            vec!["5".into(), "say \"hi\"".into()],
+        ];
         let p = write_csv(&dir, "unit-test", &["a", "b"], &rows);
-        assert_eq!(std::fs::read_to_string(p).unwrap(), "a,b\n1,2\n3,4\n");
+        assert_eq!(
+            std::fs::read_to_string(p).unwrap(),
+            "a,b\n1,2\n\"{256,512}\",4\n5,\"say \"\"hi\"\"\"\n"
+        );
     }
 
     #[test]

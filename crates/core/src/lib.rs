@@ -25,7 +25,7 @@
 //! * [`partition`] — weighted contiguous 1-D (stripe) partitioning;
 //! * [`balancer`] — the centralized LB technique executed on
 //!   [`ulba_runtime`];
-//! * [`policy`] — standard vs. ULBA (fixed α) vs. the dynamic-α extension;
+//! * [`policy`] — standard vs. ULBA with a fixed, user-defined α;
 //! * [`driver`] — the one LB loop that strings all of the above together
 //!   as a generic rank program: an application implements the six-method
 //!   [`Workload`] trait, runs through [`LbLaunch::run`] or
@@ -79,7 +79,7 @@ pub use gossip::{select_peers, GossipMode, GossipOutbox, GossipWire};
 pub use model_loop::trigger_driven_schedule;
 pub use outlier::{z_scores, DetectionStat, DEFAULT_Z_THRESHOLD};
 pub use partition::{partition_by_shares, Partition};
-pub use policy::{AlphaRule, LbPolicy, UlbaConfig};
+pub use policy::{LbPolicy, UlbaConfig};
 pub use shares::{compute_shares, ShareDecision};
 pub use trigger::{Trigger, TriggerKind};
 pub use wir::WirEstimator;
@@ -92,7 +92,7 @@ pub mod prelude {
     pub use crate::gossip::{select_peers, GossipMode, GossipOutbox, GossipWire};
     pub use crate::outlier::{z_scores, DetectionStat, DEFAULT_Z_THRESHOLD};
     pub use crate::partition::{partition_by_shares, Partition};
-    pub use crate::policy::{AlphaRule, LbPolicy, UlbaConfig};
+    pub use crate::policy::{LbPolicy, UlbaConfig};
     pub use crate::shares::{compute_shares, ShareDecision};
     pub use crate::trigger::{Trigger, TriggerKind};
     pub use crate::wir::WirEstimator;

@@ -1,33 +1,17 @@
-//! Load-balancing policies: the standard method, ULBA with a fixed α
-//! (the paper), and ULBA with a z-score-scaled per-PE α (the paper's
-//! announced future work, provided here as an extension for the ablation
-//! study E-A2).
+//! Load-balancing policies: the standard method and ULBA with a constant,
+//! user-defined α (§III-A), optionally detecting overloaders with the
+//! robust median/MAD statistic instead of the paper's z-score.
 
 use crate::db::WirDatabase;
 use crate::outlier::{robust_z_scores, z_from, z_params, DetectionStat, DEFAULT_Z_THRESHOLD};
 use serde::{Deserialize, Serialize};
 
-/// How an overloading PE picks its α when calling the load balancer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum AlphaRule {
-    /// The paper's rule: a user-defined constant α for every overloading PE
-    /// (§III-A: "we consider that α is constant and user defined").
-    Fixed(f64),
-    /// Extension: scale α with how much of an outlier the PE is —
-    /// `α = α_max · min(1, (z − threshold)/threshold)` for `z > threshold`.
-    /// Stronger overloaders are unloaded more aggressively, as §IV-B's
-    /// discussion suggests α should be adapted at runtime.
-    ZScoreScaled {
-        /// Maximum α handed to an extreme outlier.
-        alpha_max: f64,
-    },
-}
-
 /// Full ULBA configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct UlbaConfig {
-    /// How α is chosen for overloading PEs.
-    pub rule: AlphaRule,
+    /// The α every overloading PE submits (§III-A: "we consider that α is
+    /// constant and user defined").
+    pub alpha: f64,
     /// Outlier threshold on the WIR z-score (paper: 3.0).
     pub z_threshold: f64,
     /// Which detection statistic to use (paper: plain z-score).
@@ -38,33 +22,15 @@ impl UlbaConfig {
     /// The paper's configuration: fixed α, z-score threshold 3.0.
     pub fn fixed(alpha: f64) -> Self {
         assert!((0.0..=1.0).contains(&alpha), "alpha must be in [0, 1]");
-        Self {
-            rule: AlphaRule::Fixed(alpha),
-            z_threshold: DEFAULT_Z_THRESHOLD,
-            stat: DetectionStat::ZScore,
-        }
-    }
-
-    /// The dynamic-α extension with the given cap.
-    pub fn z_scaled(alpha_max: f64) -> Self {
-        assert!((0.0..=1.0).contains(&alpha_max));
-        Self {
-            rule: AlphaRule::ZScoreScaled { alpha_max },
-            z_threshold: DEFAULT_Z_THRESHOLD,
-            stat: DetectionStat::ZScore,
-        }
+        Self { alpha, z_threshold: DEFAULT_Z_THRESHOLD, stat: DetectionStat::ZScore }
     }
 
     /// α this PE submits given its WIR z-score (0 when not overloading).
     pub fn alpha_for(&self, z: f64) -> f64 {
-        if z <= self.z_threshold {
-            return 0.0;
-        }
-        match self.rule {
-            AlphaRule::Fixed(alpha) => alpha,
-            AlphaRule::ZScoreScaled { alpha_max } => {
-                alpha_max * ((z - self.z_threshold) / self.z_threshold).min(1.0)
-            }
+        if z > self.z_threshold {
+            self.alpha
+        } else {
+            0.0
         }
     }
 }
@@ -91,66 +57,15 @@ impl LbPolicy {
             LbPolicy::Ulba(cfg) => cfg.alpha_for(z),
         }
     }
-
-    /// Short name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            LbPolicy::Standard => "standard",
-            LbPolicy::Ulba(UlbaConfig { rule: AlphaRule::Fixed(_), .. }) => "ulba-fixed",
-            LbPolicy::Ulba(UlbaConfig { rule: AlphaRule::ZScoreScaled { .. }, .. }) => {
-                "ulba-zscaled"
-            }
-        }
-    }
 }
 
-/// Renders the policy as its [`LbPolicy::name`] plus the α parameter:
-/// `standard`, `ulba-fixed:0.4`, `ulba-zscaled:0.8`. The output parses
-/// back with [`std::str::FromStr`] to an equal policy (at the default
-/// z-threshold and detection statistic).
+/// Renders the policy for reports and labels: `standard` or
+/// `ulba-fixed:0.4` (the threshold and detection statistic are not shown).
 impl std::fmt::Display for LbPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LbPolicy::Standard => f.write_str("standard"),
-            LbPolicy::Ulba(UlbaConfig { rule: AlphaRule::Fixed(alpha), .. }) => {
-                write!(f, "ulba-fixed:{alpha}")
-            }
-            LbPolicy::Ulba(UlbaConfig { rule: AlphaRule::ZScoreScaled { alpha_max }, .. }) => {
-                write!(f, "ulba-zscaled:{alpha_max}")
-            }
-        }
-    }
-}
-
-/// Parses [`Display`](LbPolicy#impl-Display-for-LbPolicy)'s output plus
-/// the bare shorthands `ulba` / `ulba-fixed` (the paper's α = 0.4) and
-/// `ulba-zscaled` (α_max = 0.4). Unknown names and out-of-range α are
-/// errors, not panics.
-impl std::str::FromStr for LbPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (name, alpha) = match s.split_once(':') {
-            Some((name, raw)) => {
-                let alpha: f64 =
-                    raw.parse().map_err(|_| format!("bad α {raw:?} in LB policy {s:?}"))?;
-                if !(0.0..=1.0).contains(&alpha) {
-                    return Err(format!("α must be in [0, 1], got {alpha} in {s:?}"));
-                }
-                (name, Some(alpha))
-            }
-            None => (s, None),
-        };
-        match name {
-            "standard" => match alpha {
-                None => Ok(LbPolicy::Standard),
-                Some(_) => Err(format!("the standard policy takes no α: {s:?}")),
-            },
-            "ulba" | "ulba-fixed" => Ok(LbPolicy::ulba_fixed(alpha.unwrap_or(0.4))),
-            "ulba-zscaled" => Ok(LbPolicy::Ulba(UlbaConfig::z_scaled(alpha.unwrap_or(0.4)))),
-            _ => Err(format!(
-                "unknown LB policy {s:?} (expected standard, ulba-fixed[:α] or ulba-zscaled[:α])"
-            )),
+            LbPolicy::Ulba(cfg) => write!(f, "ulba-fixed:{}", cfg.alpha),
         }
     }
 }
@@ -215,31 +130,20 @@ pub fn estimate_ulba_overhead(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::WirEntry;
 
     #[test]
     fn standard_always_zero() {
-        let p = LbPolicy::Standard;
-        assert_eq!(p.alpha_for(100.0), 0.0);
-        assert_eq!(p.name(), "standard");
+        assert_eq!(LbPolicy::Standard.alpha_for(100.0), 0.0);
     }
 
     #[test]
     fn fixed_alpha_gated_by_threshold() {
         let p = LbPolicy::ulba_fixed(0.4);
         assert_eq!(p.alpha_for(2.9), 0.0, "below threshold: not overloading");
+        assert_eq!(p.alpha_for(3.0), 0.0, "the threshold itself is not an outlier");
         assert_eq!(p.alpha_for(3.1), 0.4);
         assert_eq!(p.alpha_for(50.0), 0.4, "fixed rule ignores magnitude");
-    }
-
-    #[test]
-    fn z_scaled_grows_with_outlierness() {
-        let cfg = UlbaConfig::z_scaled(0.8);
-        assert_eq!(cfg.alpha_for(3.0), 0.0);
-        let a4 = cfg.alpha_for(4.0);
-        let a6 = cfg.alpha_for(6.0);
-        assert!(a4 > 0.0 && a4 < a6);
-        assert!((a6 - 0.8).abs() < 1e-12, "z = 2·threshold saturates at alpha_max");
-        assert_eq!(cfg.alpha_for(100.0), 0.8, "capped");
     }
 
     #[test]
@@ -248,37 +152,34 @@ mod tests {
         UlbaConfig::fixed(1.5);
     }
 
+    /// Two ranks at WIR 10 among fourteen at 1 inflate σ so that neither
+    /// clears z = 3, while the median/MAD statistic flags both; Eq. (11)
+    /// follows the flags.
     #[test]
-    fn names() {
-        assert_eq!(LbPolicy::ulba_fixed(0.4).name(), "ulba-fixed");
-        assert_eq!(LbPolicy::Ulba(UlbaConfig::z_scaled(0.5)).name(), "ulba-zscaled");
-    }
-
-    #[test]
-    fn display_round_trips_through_from_str() {
-        for policy in [
-            LbPolicy::Standard,
-            LbPolicy::ulba_fixed(0.4),
-            LbPolicy::ulba_fixed(0.25),
-            LbPolicy::Ulba(UlbaConfig::z_scaled(0.8)),
-        ] {
-            let rendered = policy.to_string();
-            let parsed: LbPolicy = rendered.parse().expect("round-trip");
-            assert_eq!(parsed, policy, "{rendered}");
+    fn overhead_estimate_follows_the_detection_statistic() {
+        let mut db = WirDatabase::new(16);
+        for rank in 0..16 {
+            db.update(WirEntry { rank, wir: if rank < 2 { 10.0 } else { 1.0 }, iteration: 1 });
         }
+        let fixed = LbPolicy::ulba_fixed(0.4);
+        let robust = UlbaConfig { stat: DetectionStat::RobustZScore, ..UlbaConfig::fixed(0.4) };
+        let robust = LbPolicy::Ulba(robust);
+        assert!(outlier_score(&fixed, &db, 0) < 3.0);
+        assert!(outlier_score(&robust, &db, 0) > 3.0);
+        assert_eq!(outlier_score(&robust, &db, 2), 0.0, "at the median");
+
+        let (wtot, omega) = (1.0e12, 1.0e9);
+        assert_eq!(estimate_ulba_overhead(&LbPolicy::Standard, &db, wtot, omega, 16), 0.0);
+        assert_eq!(estimate_ulba_overhead(&fixed, &db, wtot, omega, 16), 0.0);
+        let want = 0.4 * 2.0 / 14.0 * wtot / (omega * 16.0);
+        assert_eq!(estimate_ulba_overhead(&robust, &db, wtot, omega, 16), want);
     }
 
     #[test]
-    fn from_str_accepts_shorthands_and_rejects_junk() {
-        assert_eq!("ulba".parse::<LbPolicy>().unwrap(), LbPolicy::ulba_fixed(0.4));
-        assert_eq!("ulba-fixed".parse::<LbPolicy>().unwrap(), LbPolicy::ulba_fixed(0.4));
-        assert_eq!(
-            "ulba-zscaled".parse::<LbPolicy>().unwrap(),
-            LbPolicy::Ulba(UlbaConfig::z_scaled(0.4))
-        );
-        assert!("standard:0.4".parse::<LbPolicy>().is_err());
-        assert!("ulba-fixed:1.5".parse::<LbPolicy>().is_err());
-        assert!("ulba-fixed:x".parse::<LbPolicy>().is_err());
-        assert!("greedy".parse::<LbPolicy>().is_err());
+    fn display_names_the_policy_and_its_alpha() {
+        assert_eq!(LbPolicy::Standard.to_string(), "standard");
+        assert_eq!(LbPolicy::ulba_fixed(0.4).to_string(), "ulba-fixed:0.4");
+        let robust = UlbaConfig { stat: DetectionStat::RobustZScore, ..UlbaConfig::fixed(0.25) };
+        assert_eq!(LbPolicy::Ulba(robust).to_string(), "ulba-fixed:0.25");
     }
 }

@@ -71,17 +71,6 @@ impl std::fmt::Display for ScenarioKind {
     }
 }
 
-impl std::str::FromStr for ScenarioKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        ScenarioKind::ALL.iter().copied().find(|k| k.name() == s).ok_or_else(|| {
-            let names: Vec<&str> = ScenarioKind::ALL.iter().map(|k| k.name()).collect();
-            format!("unknown scenario {s:?} (expected one of {})", names.join(", "))
-        })
-    }
-}
-
 /// Bounded number of random-cut retries before [`split_capped`] falls back
 /// to the deterministic even split. The C exemplars retry unboundedly and
 /// hang on infeasible inputs; here infeasibility is rejected up front and
@@ -95,7 +84,7 @@ const SPLIT_RETRIES: usize = 16;
 /// unbounded retry loop. When the slack `m·cap − total` is smaller than
 /// `total`, the *slack* is split instead and mirrored (`piece = cap − s`),
 /// so tight requests (everyone near the cap) converge as fast as loose
-/// ones. After [`SPLIT_RETRIES`] failed draws the split degrades to the
+/// ones. After `SPLIT_RETRIES` (16) failed draws the split degrades to the
 /// deterministic even split, which always satisfies the cap.
 pub fn split_capped(m: usize, total: u64, cap: u64, rng: &mut StdRng) -> Result<Vec<u64>, String> {
     if m == 0 {
@@ -446,13 +435,5 @@ mod tests {
         t.task_weights_into(1, &range, 16, &mut w);
         assert_eq!(w.len(), 34);
         assert_eq!(w.iter().sum::<u64>(), t.range_units(1, &range, 16));
-    }
-
-    #[test]
-    fn kind_names_round_trip() {
-        for kind in ScenarioKind::ALL {
-            assert_eq!(kind.name().parse::<ScenarioKind>().unwrap(), kind);
-        }
-        assert!("halo".parse::<ScenarioKind>().is_err());
     }
 }

@@ -14,6 +14,7 @@
 //! ```
 
 use ulba::core::gossip::GossipWire;
+use ulba::core::outlier::DetectionStat;
 use ulba::core::policy::{LbPolicy, UlbaConfig};
 use ulba::erosion::{run_erosion_batch, ErosionConfig, TriggerKind};
 use ulba::scenario::{run_scenario_batch, ScenarioConfig, ScenarioKind};
@@ -33,17 +34,19 @@ fn detecting(cfg: UlbaConfig) -> LbPolicy {
 }
 
 fn erosion_cases() -> Vec<(String, ErosionConfig)> {
+    // `Display` does not show the detection statistic: the label names it.
+    let robust = UlbaConfig { stat: DetectionStat::RobustZScore, ..UlbaConfig::fixed(0.4) };
     let policies = [
-        LbPolicy::Standard,
-        detecting(UlbaConfig::fixed(0.4)),
-        detecting(UlbaConfig::z_scaled(0.8)),
+        (LbPolicy::Standard, ""),
+        (detecting(UlbaConfig::fixed(0.4)), ""),
+        (detecting(robust), " RobustZScore"),
     ];
     let triggers =
         [TriggerKind::Zhai, TriggerKind::Periodic(20), TriggerKind::Menon { max_interval: 25 }];
     let wires = [GossipWire::Full, GossipWire::Delta { full_every: 3 }];
     let mut cases = Vec::new();
     for ranks in [4, 7] {
-        for policy in policies {
+        for (policy, stat) in policies {
             for trigger in triggers {
                 for wire in wires {
                     for anticipatory in [false, true] {
@@ -55,8 +58,9 @@ fn erosion_cases() -> Vec<(String, ErosionConfig)> {
                         // Cheap enough for the degradation trigger to fire
                         // within a tiny run.
                         cfg.initial_lb_cost_factor = 0.05;
-                        let label =
-                            format!("P={ranks} {policy} {trigger:?} {wire} antic={anticipatory}");
+                        let label = format!(
+                            "P={ranks} {policy}{stat} {trigger:?} {wire} antic={anticipatory}"
+                        );
                         cases.push((label, cfg));
                     }
                 }
@@ -242,18 +246,18 @@ const EROSION_GOLDEN: &[Row] = &[
     (0x3fd3be831aed9033, &[1, 10, 35], 16, (18540, 1155)), // P=4 ulba-fixed:0.4 Menon { max_interval: 25 } full antic=true
     (0x3fd328a2ddfc4f3a, &[1, 9, 34], 16, (18540, 1155)), // P=4 ulba-fixed:0.4 Menon { max_interval: 25 } delta:3 antic=false
     (0x3fd3be831aed9033, &[1, 10, 35], 16, (18540, 1155)), // P=4 ulba-fixed:0.4 Menon { max_interval: 25 } delta:3 antic=true
-    (0x3fd521a00616dbbe, &[5, 23, 56], 16, (18540, 1155)), // P=4 ulba-zscaled:0.8 Zhai full antic=false
-    (0x3fd3e2e07788ff6c, &[5, 27], 16, (18540, 1155)), // P=4 ulba-zscaled:0.8 Zhai full antic=true
-    (0x3fd521a00616dbbe, &[5, 23, 56], 16, (18540, 1155)), // P=4 ulba-zscaled:0.8 Zhai delta:3 antic=false
-    (0x3fd3e2e07788ff6c, &[5, 27], 16, (18540, 1155)), // P=4 ulba-zscaled:0.8 Zhai delta:3 antic=true
-    (0x3fd3e48da7aba7a0, &[19, 39], 16, (18540, 1155)), // P=4 ulba-zscaled:0.8 Periodic(20) full antic=false
-    (0x3fd54bcc64d097ac, &[19, 39], 16, (18540, 1155)), // P=4 ulba-zscaled:0.8 Periodic(20) full antic=true
-    (0x3fd3e48da7aba7a0, &[19, 39], 16, (18540, 1155)), // P=4 ulba-zscaled:0.8 Periodic(20) delta:3 antic=false
-    (0x3fd54bcc64d097ac, &[19, 39], 16, (18540, 1155)), // P=4 ulba-zscaled:0.8 Periodic(20) delta:3 antic=true
-    (0x3fd3e591fa19e044, &[1, 9, 34], 16, (18540, 1155)), // P=4 ulba-zscaled:0.8 Menon { max_interval: 25 } full antic=false
-    (0x3fd4d800c9b3d087, &[1, 10, 35], 16, (18540, 1155)), // P=4 ulba-zscaled:0.8 Menon { max_interval: 25 } full antic=true
-    (0x3fd3e591fa19e044, &[1, 9, 34], 16, (18540, 1155)), // P=4 ulba-zscaled:0.8 Menon { max_interval: 25 } delta:3 antic=false
-    (0x3fd4d800c9b3d087, &[1, 10, 35], 16, (18540, 1155)), // P=4 ulba-zscaled:0.8 Menon { max_interval: 25 } delta:3 antic=true
+    (0x3fd33834d8577814, &[4, 33], 16, (18540, 1155)), // P=4 ulba-fixed:0.4 RobustZScore Zhai full antic=false
+    (0x3fd439ed9f70c237, &[4, 33], 16, (18540, 1155)), // P=4 ulba-fixed:0.4 RobustZScore Zhai full antic=true
+    (0x3fd33834d8577814, &[4, 33], 16, (18540, 1155)), // P=4 ulba-fixed:0.4 RobustZScore Zhai delta:3 antic=false
+    (0x3fd439ed9f70c237, &[4, 33], 16, (18540, 1155)), // P=4 ulba-fixed:0.4 RobustZScore Zhai delta:3 antic=true
+    (0x3fd3932cfd6af890, &[19, 39], 16, (18540, 1155)), // P=4 ulba-fixed:0.4 RobustZScore Periodic(20) full antic=false
+    (0x3fd44d03d8287fda, &[19, 39], 16, (18540, 1155)), // P=4 ulba-fixed:0.4 RobustZScore Periodic(20) full antic=true
+    (0x3fd3932cfd6af890, &[19, 39], 16, (18540, 1155)), // P=4 ulba-fixed:0.4 RobustZScore Periodic(20) delta:3 antic=false
+    (0x3fd44d03d8287fda, &[19, 39], 16, (18540, 1155)), // P=4 ulba-fixed:0.4 RobustZScore Periodic(20) delta:3 antic=true
+    (0x3fd328a2ddfc4f3a, &[1, 9, 34], 16, (18540, 1155)), // P=4 ulba-fixed:0.4 RobustZScore Menon { max_interval: 25 } full antic=false
+    (0x3fd3be831aed9033, &[1, 10, 35], 16, (18540, 1155)), // P=4 ulba-fixed:0.4 RobustZScore Menon { max_interval: 25 } full antic=true
+    (0x3fd328a2ddfc4f3a, &[1, 9, 34], 16, (18540, 1155)), // P=4 ulba-fixed:0.4 RobustZScore Menon { max_interval: 25 } delta:3 antic=false
+    (0x3fd3be831aed9033, &[1, 10, 35], 16, (18540, 1155)), // P=4 ulba-fixed:0.4 RobustZScore Menon { max_interval: 25 } delta:3 antic=true
     (0x3fd230d6cd6ec2b4, &[3, 13, 34], 49, (30772, 1603)), // P=7 standard Zhai full antic=false
     (0x3fd248f7900de26b, &[3, 17, 49], 49, (30772, 1603)), // P=7 standard Zhai full antic=true
     (0x3fd230d6cd6ec2b4, &[3, 13, 34], 49, (30772, 1603)), // P=7 standard Zhai delta:3 antic=false
@@ -278,18 +282,18 @@ const EROSION_GOLDEN: &[Row] = &[
     (0x3fd4527b355e0e62, &[1, 24, 49], 49, (30772, 1603)), // P=7 ulba-fixed:0.4 Menon { max_interval: 25 } full antic=true
     (0x3fd3df470f8072f7, &[1, 24, 49], 49, (30772, 1603)), // P=7 ulba-fixed:0.4 Menon { max_interval: 25 } delta:3 antic=false
     (0x3fd4527b355e0e62, &[1, 24, 49], 49, (30772, 1603)), // P=7 ulba-fixed:0.4 Menon { max_interval: 25 } delta:3 antic=true
-    (0x3fd3a37971e7ec0c, &[4, 14, 35], 49, (30772, 1603)), // P=7 ulba-zscaled:0.8 Zhai full antic=false
-    (0x3fd479e3b2f7a17e, &[4, 21, 55], 49, (30772, 1603)), // P=7 ulba-zscaled:0.8 Zhai full antic=true
-    (0x3fd3a37971e7ec0c, &[4, 14, 35], 49, (30772, 1603)), // P=7 ulba-zscaled:0.8 Zhai delta:3 antic=false
-    (0x3fd479e3b2f7a17e, &[4, 21, 55], 49, (30772, 1603)), // P=7 ulba-zscaled:0.8 Zhai delta:3 antic=true
-    (0x3fd37b6a7732b589, &[19, 39], 49, (30772, 1603)), // P=7 ulba-zscaled:0.8 Periodic(20) full antic=false
-    (0x3fd3a92624d0f178, &[19, 39], 49, (30772, 1603)), // P=7 ulba-zscaled:0.8 Periodic(20) full antic=true
-    (0x3fd37b6a7732b589, &[19, 39], 49, (30772, 1603)), // P=7 ulba-zscaled:0.8 Periodic(20) delta:3 antic=false
-    (0x3fd3a92624d0f178, &[19, 39], 49, (30772, 1603)), // P=7 ulba-zscaled:0.8 Periodic(20) delta:3 antic=true
-    (0x3fd50afa0af1c135, &[1, 22, 47], 49, (30772, 1603)), // P=7 ulba-zscaled:0.8 Menon { max_interval: 25 } full antic=false
-    (0x3fd582790041d046, &[1, 22, 47], 49, (30772, 1603)), // P=7 ulba-zscaled:0.8 Menon { max_interval: 25 } full antic=true
-    (0x3fd50afa0af1c135, &[1, 22, 47], 49, (30772, 1603)), // P=7 ulba-zscaled:0.8 Menon { max_interval: 25 } delta:3 antic=false
-    (0x3fd582790041d046, &[1, 22, 47], 49, (30772, 1603)), // P=7 ulba-zscaled:0.8 Menon { max_interval: 25 } delta:3 antic=true
+    (0x3fd36297fcd8d089, &[4, 19, 49], 49, (30772, 1603)), // P=7 ulba-fixed:0.4 RobustZScore Zhai full antic=false
+    (0x3fd447de63d69cbb, &[4, 23, 57], 49, (30772, 1603)), // P=7 ulba-fixed:0.4 RobustZScore Zhai full antic=true
+    (0x3fd36297fcd8d089, &[4, 19, 49], 49, (30772, 1603)), // P=7 ulba-fixed:0.4 RobustZScore Zhai delta:3 antic=false
+    (0x3fd447de63d69cbb, &[4, 23, 57], 49, (30772, 1603)), // P=7 ulba-fixed:0.4 RobustZScore Zhai delta:3 antic=true
+    (0x3fd306076fcfb57a, &[19, 39], 49, (30772, 1603)), // P=7 ulba-fixed:0.4 RobustZScore Periodic(20) full antic=false
+    (0x3fd37f35a3649964, &[19, 39], 49, (30772, 1603)), // P=7 ulba-fixed:0.4 RobustZScore Periodic(20) full antic=true
+    (0x3fd306076fcfb57a, &[19, 39], 49, (30772, 1603)), // P=7 ulba-fixed:0.4 RobustZScore Periodic(20) delta:3 antic=false
+    (0x3fd37f35a3649964, &[19, 39], 49, (30772, 1603)), // P=7 ulba-fixed:0.4 RobustZScore Periodic(20) delta:3 antic=true
+    (0x3fd32040dad71fb7, &[1, 9, 34], 49, (30772, 1603)), // P=7 ulba-fixed:0.4 RobustZScore Menon { max_interval: 25 } full antic=false
+    (0x3fd2dce611c5b9da, &[1, 10, 35], 49, (30772, 1603)), // P=7 ulba-fixed:0.4 RobustZScore Menon { max_interval: 25 } full antic=true
+    (0x3fd32040dad71fb7, &[1, 9, 34], 49, (30772, 1603)), // P=7 ulba-fixed:0.4 RobustZScore Menon { max_interval: 25 } delta:3 antic=false
+    (0x3fd2dce611c5b9da, &[1, 10, 35], 49, (30772, 1603)), // P=7 ulba-fixed:0.4 RobustZScore Menon { max_interval: 25 } delta:3 antic=true
 ];
 
 #[rustfmt::skip]
