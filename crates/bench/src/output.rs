@@ -119,6 +119,14 @@ mod tests {
     }
 
     #[test]
+    fn csv_quotes_line_breaks_and_header_cells() {
+        assert_eq!(csv_line(&["a\nb", "c\rd", "plain"]), "\"a\nb\",\"c\rd\",plain");
+        assert_eq!(csv_line(&["P", "α, robust"]), "P,\"α, robust\"");
+        assert_eq!(csv_line(&["\""]), "\"\"\"\"");
+        assert_eq!(csv_line::<&str>(&[]), "");
+    }
+
+    #[test]
     #[should_panic(expected = "row width mismatch")]
     fn csv_row_width_is_checked_in_release_too() {
         write_csv(

@@ -147,6 +147,28 @@ mod tests {
     }
 
     #[test]
+    fn threshold_is_the_configured_one() {
+        let cfg = UlbaConfig { z_threshold: 1.5, ..UlbaConfig::fixed(0.3) };
+        assert_eq!(cfg.alpha_for(1.5), 0.0);
+        assert_eq!(cfg.alpha_for(1.6), 0.3);
+        assert_eq!(LbPolicy::Ulba(cfg).alpha_for(2.9), 0.3, "below the paper's 3.0");
+    }
+
+    /// A balanced population flags no rank under either statistic, so
+    /// Eq. (11) anticipates no overhead.
+    #[test]
+    fn overhead_estimate_is_zero_without_an_overloader() {
+        let mut db = WirDatabase::new(8);
+        for rank in 0..8 {
+            db.update(WirEntry { rank, wir: 2.0, iteration: 1 });
+        }
+        let robust = UlbaConfig { stat: DetectionStat::RobustZScore, ..UlbaConfig::fixed(0.4) };
+        for policy in [LbPolicy::ulba_fixed(0.4), LbPolicy::Ulba(robust)] {
+            assert_eq!(estimate_ulba_overhead(&policy, &db, 1.0e12, 1.0e9, 8), 0.0, "{policy}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "alpha must be in [0, 1]")]
     fn rejects_out_of_range_alpha() {
         UlbaConfig::fixed(1.5);

@@ -359,6 +359,18 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// Reports key their rows by the family name, so names must be unique
+    /// and `Display` must print exactly the name.
+    #[test]
+    fn kind_names_are_distinct_and_displayed() {
+        let names: std::collections::BTreeSet<_> =
+            ScenarioKind::ALL.iter().map(|k| k.name()).collect();
+        assert_eq!(names.len(), ScenarioKind::ALL.len());
+        for kind in ScenarioKind::ALL {
+            assert_eq!(kind.to_string(), kind.name());
+        }
+    }
+
     #[test]
     fn tables_hit_lambda_for_every_kind() {
         for kind in ScenarioKind::ALL {
