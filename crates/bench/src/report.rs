@@ -716,7 +716,9 @@ mod tests {
     #[test]
     fn committed_reports_are_reproduced_to_the_byte() {
         // The writer's format did not move: write(read(f)) == f.
-        for name in ["seed", "weak_scaling", "p65536", "job_server", "scenarios"] {
+        for name in
+            ["seed", "weak_scaling", "p65536", "job_server", "scenarios", "fig4a", "fig4b", "fig5"]
+        {
             let path = format!("{}/../../results/BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
             let committed = std::fs::read_to_string(&path).unwrap();
             let report = Report::read(Path::new(&path)).unwrap();

@@ -21,8 +21,20 @@
 //! stamps the entry with the next clock tick, which is what delta gossip
 //! ([`crate::gossip::GossipOutbox`]) uses to send a peer only the entries
 //! it cannot have seen yet.
+//!
+//! A gossip message is a [`WirView`]: the sender's run, shared by
+//! reference (copy-on-write), plus the watermark below which its entries
+//! are not part of the message. Taking a view copies and allocates
+//! nothing; the run is copied only when its owner changes it while a view
+//! is still held, and [`WirDatabase::merge_view`] reads the entries where
+//! they lie. [`WirDatabase::snapshot`], [`WirDatabase::delta_since`] and
+//! [`WirDatabase::merge`] are the same code for callers that want entries
+//! as a slice.
 
 use serde::{Deserialize, Serialize};
+use std::fmt;
+use std::iter;
+use std::sync::Arc;
 
 /// One database entry: the WIR of `rank` as measured at `iteration`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -35,8 +47,9 @@ pub struct WirEntry {
     pub iteration: u64,
 }
 
-/// Wire size of a gossip payload of `entries`, in bytes (used to charge
-/// gossip communication — honest accounting for exactly what is sent).
+/// Wire size of a gossip message of `entries`, in bytes (used to charge
+/// gossip communication — honest accounting for exactly what is sent;
+/// [`WirView::wire_bytes`] charges a view the same).
 pub fn wire_bytes(entries: &[WirEntry]) -> usize {
     std::mem::size_of_val(entries)
 }
@@ -49,31 +62,115 @@ struct Slot {
 }
 
 impl Slot {
-    /// The freshness rule for a rank that already has a slot: a stale
-    /// (older-iteration) or identical `entry` changes nothing; anything
-    /// else overwrites and takes the next tick of `clock`.
+    /// The freshness rule for a rank that already has a slot: `entry`
+    /// changes it iff it is fresher, or as fresh with a `wir` that differs
+    /// under `f64` `!=` (so `-0.0` never replaces `0.0` and a `NaN` always
+    /// replaces). Stale and identical entries change nothing. Written with
+    /// `&`/`|` so the merge's decide pass evaluates it without a branch.
+    fn takes(&self, entry: &WirEntry) -> bool {
+        (entry.iteration > self.entry.iteration)
+            | ((entry.iteration == self.entry.iteration) & (entry.wir != self.entry.wir))
+    }
+
+    /// Apply [`takes`](Self::takes): overwrite with `entry` at the next
+    /// tick of `clock`, or leave the slot as it is.
     fn refresh(&mut self, entry: WirEntry, clock: &mut u64) {
-        if self.entry.iteration > entry.iteration || self.entry == entry {
-            return;
+        if self.takes(&entry) {
+            *clock += 1;
+            *self = Slot { entry, version: *clock };
         }
+    }
+}
+
+/// Filler of a run's spare room; never read as an entry.
+const SPARE: Slot =
+    Slot { entry: WirEntry { rank: usize::MAX, wir: 0.0, iteration: 0 }, version: 0 };
+
+/// A rank-sorted run of known slots, `buf[..len]`, in one allocation that
+/// the [`WirView`]s taken of it share copy-on-write; `buf[len..]` is spare
+/// room to insert into.
+#[derive(Clone, Default)]
+struct Run {
+    buf: Arc<[Slot]>,
+    len: usize,
+}
+
+impl Run {
+    /// The known slots.
+    fn slots(&self) -> &[Slot] {
+        &self.buf[..self.len]
+    }
+}
+
+impl fmt::Debug for Run {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.slots()).finish()
+    }
+}
+
+/// `buf`, unshared, with room for `room` more slots past `len`, as a
+/// mutable buffer. A run a [`WirView`] still holds is copied first, with
+/// room for `room.max(spare)` more (`spare`: what the change that caused
+/// the copy may still insert); an unshared run is reallocated, to at least
+/// twice `len`, only when `room` is missing. Either way it is one
+/// allocation, and none when the run is unshared and roomy enough.
+fn reserve(buf: &mut Arc<[Slot]>, len: usize, room: usize, spare: usize) -> &mut [Slot] {
+    // No `Weak` is ever made of a run, so a strong count of one means it is
+    // unshared. A count read while a holder drops its view can only be too
+    // high: that costs a needless copy, never a write to a shared run.
+    let shared = Arc::strong_count(buf) > 1;
+    if shared || buf.len() < len + room {
+        let capacity = if shared { len + room.max(spare) } else { (len + room).max(2 * len) };
+        *buf = buf[..len].iter().copied().chain(iter::repeat_n(SPARE, capacity - len)).collect();
+    }
+    Arc::make_mut(buf)
+}
+
+/// The decide pass of one chunk: bit `i` is set iff `theirs[i]` changed
+/// after `since` (it is part of the message) and changes `mine[i]` under
+/// [`Slot::takes`]. No branch: every slot is compared.
+fn decide(mine: &[Slot], theirs: &[Slot], since: u64) -> u64 {
+    let mut mask = 0u64;
+    for (bit, (mine, theirs)) in mine.iter().zip(theirs).enumerate() {
+        mask |= u64::from((theirs.version > since) & mine.takes(&theirs.entry)) << bit;
+    }
+    mask
+}
+
+/// The apply pass of one chunk: `theirs[i]` overwrites `mine[i]` for each
+/// set bit `i` of `mask`, in rank order, at the next tick of `clock`.
+fn apply(mine: &mut [Slot], theirs: &[Slot], mut mask: u64, clock: &mut u64) {
+    while mask != 0 {
+        let bit = mask.trailing_zeros() as usize;
+        mask &= mask - 1;
         *clock += 1;
-        *self = Slot { entry, version: *clock };
+        mine[bit] = Slot { entry: theirs[bit].entry, version: *clock };
+    }
+}
+
+/// Move the unread rest of the run, `slots[read..*len]`, down over what
+/// is left of the gap.
+fn close_gap(slots: &mut [Slot], len: &mut usize, write: usize, read: usize) {
+    if write != read {
+        slots.copy_within(read..*len, write);
+        *len -= read - write;
     }
 }
 
 /// A sparse, versioned WIR database with freshness-based merging.
 ///
 /// Stores only the entries this PE has heard about, as a run sorted by
-/// rank. Equality ([`PartialEq`]) compares *observable* state — the size
-/// and the entries — never the internal change clock, so two databases
-/// that heard the same facts through different message schedules compare
-/// equal.
+/// rank: one allocation, shared with the [`WirView`]s taken of it and
+/// copied by the first change made while one is held. Equality
+/// ([`PartialEq`]) compares *observable* state — the size and the entries
+/// — never the internal change clock, so two databases that heard the
+/// same facts through different message schedules compare equal.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WirDatabase {
     /// Number of ranks the database covers (the dense capacity).
     size: usize,
     /// Known entries, sorted by `entry.rank` (at most one per rank).
-    slots: Vec<Slot>,
+    run: Run,
     /// Local change clock: bumped on every observable change.
     clock: u64,
 }
@@ -81,16 +178,68 @@ pub struct WirDatabase {
 impl PartialEq for WirDatabase {
     fn eq(&self, other: &Self) -> bool {
         self.size == other.size
-            && self.slots.len() == other.slots.len()
-            && self.slots.iter().zip(&other.slots).all(|(a, b)| a.entry == b.entry)
+            && self.run.len == other.run.len
+            && self.entries().eq(other.entries())
     }
 }
+
+/// A gossip message by reference: the entries of a database's run that
+/// changed after change-clock tick `since`, in rank order, as of the
+/// moment the view was taken.
+///
+/// It holds the run itself (a reference count, no copy); the owner's next
+/// change copies the run first, so a view never sees later changes.
+/// [`len`](Self::len) was counted when the view was taken, and
+/// [`wire_bytes`](Self::wire_bytes) charges exactly what [`wire_bytes`]
+/// charges for the same entries as a slice.
+#[derive(Debug)]
+pub struct WirView {
+    run: Run,
+    since: u64,
+    len: usize,
+}
+
+impl WirView {
+    /// Number of entries in the message.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the message carries no entry.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The message's entries, in rank order, without allocating.
+    pub fn entries(&self) -> impl Iterator<Item = WirEntry> + '_ {
+        self.run.slots().iter().filter(|s| s.version > self.since).map(|s| s.entry)
+    }
+
+    /// The entries as a slice would carry them: one allocation of exactly
+    /// [`len`](Self::len) entries (none when empty).
+    pub fn to_vec(&self) -> Vec<WirEntry> {
+        let mut entries = Vec::with_capacity(self.len);
+        entries.extend(self.entries());
+        entries
+    }
+
+    /// Wire size of the message, in bytes: `len` entries of
+    /// `size_of::<WirEntry>()`, byte for byte [`wire_bytes`] of
+    /// [`to_vec`](Self::to_vec).
+    pub fn wire_bytes(&self) -> usize {
+        self.len * std::mem::size_of::<WirEntry>()
+    }
+}
+
+/// Entries per decide/apply chunk of [`WirDatabase::merge_view`]'s
+/// complete-run path: one bit of a `u64` mask each.
+const CHUNK: usize = 64;
 
 impl WirDatabase {
     /// An empty database for `size` ranks. Allocates nothing until entries
     /// arrive — the footprint is `O(known entries)`, not `O(size)`.
     pub fn new(size: usize) -> Self {
-        Self { size, slots: Vec::new(), clock: 0 }
+        Self { size, run: Run::default(), clock: 0 }
     }
 
     /// Number of ranks the database covers.
@@ -102,14 +251,24 @@ impl WirDatabase {
     /// stored entry) are ignored; equal-iteration updates overwrite (the
     /// newest local measurement wins). Only observable changes advance the
     /// change clock: re-learning an identical fact leaves the version
-    /// untouched, so deltas never resend it.
+    /// untouched, so deltas never resend it — and never copies a shared
+    /// run.
     pub fn update(&mut self, entry: WirEntry) {
         assert!(entry.rank < self.size, "rank {} out of range", entry.rank);
-        match self.slots.binary_search_by_key(&entry.rank, |s| s.entry.rank) {
-            Ok(i) => self.slots[i].refresh(entry, &mut self.clock),
+        let Run { buf, len } = &mut self.run;
+        match buf[..*len].binary_search_by_key(&entry.rank, |s| s.entry.rank) {
+            Ok(i) => {
+                if buf[i].takes(&entry) {
+                    self.clock += 1;
+                    reserve(buf, *len, 0, 0)[i] = Slot { entry, version: self.clock };
+                }
+            }
             Err(i) => {
                 self.clock += 1;
-                self.slots.insert(i, Slot { entry, version: self.clock });
+                let slots = reserve(buf, *len, 1, 1);
+                slots.copy_within(i..*len, i + 1);
+                slots[i] = Slot { entry, version: self.clock };
+                *len += 1;
             }
         }
     }
@@ -118,90 +277,146 @@ impl WirDatabase {
     /// [`version`](Self::version) and every later
     /// [`delta_since`](Self::delta_since) — the fold of
     /// [`update`](Self::update) over `payload` in slice order, change-clock
-    /// ticks included.
+    /// ticks included. The gap walk of [`merge_view`](Self::merge_view),
+    /// fed from the slice.
+    pub fn merge(&mut self, payload: &[WirEntry]) {
+        self.merge_walk(payload.iter().copied(), payload.len());
+    }
+
+    /// Merge a gossip message by reference: observably the fold of
+    /// [`update`](Self::update) over [`WirView::entries`], as
+    /// [`merge`](Self::merge) of [`WirView::to_vec`] would, without the
+    /// copy.
     ///
-    /// Gossip payloads are rank-ordered runs ([`snapshot`](Self::snapshot),
-    /// [`delta_since`](Self::delta_since)) and so is the database, so the
-    /// two are walked together: while `payload` ascends by rank (repeats
-    /// allowed) the whole merge costs `O(known + payload)` slot visits,
-    /// *including* when it brings new ranks — the first one opens a gap in
-    /// the run wide enough for every insert the rest of the payload can
+    /// When both runs are complete they are indexed by rank, so each chunk
+    /// of 64 ranks is first *decided* without a branch — a `u64` mask of
+    /// the slots the view changes under [`update`](Self::update)'s rule —
+    /// and only its set bits are then *applied*, in rank order, one clock
+    /// tick each. Nothing is written before the first chunk with news, so
+    /// a view that changes nothing never copies a shared run. Otherwise
+    /// the entries go through the gap walk [`merge`](Self::merge) uses.
+    pub fn merge_view(&mut self, view: &WirView) {
+        if view.is_empty() {
+            return;
+        }
+        let theirs = view.run.slots();
+        let both_complete = self.is_complete()
+            && theirs.len() == self.size
+            && theirs.last().is_some_and(|s| s.entry.rank == self.size - 1);
+        if !both_complete {
+            self.merge_walk(view.entries(), view.len);
+            return;
+        }
+        // Read-only up to the first chunk with news, so a view that changes
+        // nothing never copies a shared run; then one unshared run for the
+        // rest.
+        let (mine, since) = (self.run.slots(), view.since);
+        let first = theirs.chunks(CHUNK).enumerate().find_map(|(chunk, theirs)| {
+            let mask = decide(&mine[chunk * CHUNK..], theirs, since);
+            (mask != 0).then_some((chunk, mask))
+        });
+        let Some((first, mask)) = first else {
+            return;
+        };
+        let len = self.run.len;
+        let slots = &mut reserve(&mut self.run.buf, len, 0, 0)[..len];
+        let mut first_mask = Some(mask);
+        for (mine, theirs) in slots.chunks_mut(CHUNK).zip(theirs.chunks(CHUNK)).skip(first) {
+            let mask = first_mask.take().unwrap_or_else(|| decide(mine, theirs, since));
+            apply(mine, theirs, mask, &mut self.clock);
+        }
+    }
+
+    /// The one-pass run merge of `count` entries (the fold of `update`
+    /// over `entries`, in their order).
+    ///
+    /// Gossip messages are rank-ordered runs and so is the database, so the
+    /// two are walked together: while `entries` ascend by rank (repeats
+    /// allowed) the whole merge costs `O(known + count)` slot visits,
+    /// *including* when they bring new ranks — the first one opens a gap
+    /// in the run wide enough for every insert the rest of the entries can
     /// still make (at most one growth of the run, none when no rank is
     /// new), slots are moved down across the gap as the walk passes them,
     /// and the gap's unused rest is closed at the end. Order is not a
     /// precondition: an entry whose rank is below its predecessor's closes
-    /// the gap and restarts the walk from the front, so any slice merges
-    /// correctly and only pays one more `O(known)` walk per descent.
-    pub fn merge(&mut self, payload: &[WirEntry]) {
-        // `slots[..write]` is merged output, `slots[read..]` the part of the
-        // run the walk has not reached, and between them lies the gap
-        // (empty — `write == read` — until a new rank needs room).
+    /// the gap and restarts the walk from the front, so any sequence
+    /// merges correctly and only pays one more `O(known)` walk per descent.
+    fn merge_walk(&mut self, entries: impl Iterator<Item = WirEntry>, count: usize) {
+        if count == 0 {
+            return;
+        }
+        let (size, clock) = (self.size, &mut self.clock);
+        let Run { buf, len } = &mut self.run;
+        let mut known = *len;
+        // A shared run is copied with room for every insert the entries can
+        // make; an unshared one grows at the first new rank, if at all.
+        let mut slots = reserve(buf, known, 0, count.min(size - known));
+        // `slots[..write]` is merged output, `slots[read..known]` the part
+        // of the run the walk has not reached, and between them lies the
+        // gap (empty — `write == read` — until a new rank needs room).
         let (mut write, mut read) = (0, 0);
         let mut prev_rank = 0;
-        for (done, &entry) in payload.iter().enumerate() {
-            assert!(entry.rank < self.size, "rank {} out of range", entry.rank);
+        for (done, entry) in entries.enumerate() {
+            assert!(entry.rank < size, "rank {} out of range", entry.rank);
             if entry.rank < prev_rank {
-                self.close_gap(write, read);
+                close_gap(slots, &mut known, write, read);
                 (write, read) = (0, 0);
             }
             prev_rank = entry.rank;
-            while read < self.slots.len() && self.slots[read].entry.rank < entry.rank {
-                self.slots[write] = self.slots[read];
+            while read < known && slots[read].entry.rank < entry.rank {
+                slots[write] = slots[read];
                 write += 1;
                 read += 1;
             }
             // The slot of `entry.rank`, if it has one: the next of the run,
             // or (a rank new to the run, repeated) the one just written.
-            let known = if self.slots.get(read).is_some_and(|s| s.entry.rank == entry.rank) {
+            let slot_of = if read < known && slots[read].entry.rank == entry.rank {
                 Some(read)
             } else {
-                write.checked_sub(1).filter(|&last| self.slots[last].entry.rank == entry.rank)
+                write.checked_sub(1).filter(|&last| slots[last].entry.rank == entry.rank)
             };
-            match known {
-                Some(i) => self.slots[i].refresh(entry, &mut self.clock),
+            match slot_of {
+                Some(i) => slots[i].refresh(entry, clock),
                 None => {
-                    self.clock += 1;
-                    let slot = Slot { entry, version: self.clock };
+                    *clock += 1;
                     if write == read {
                         // Every later insert is a distinct unknown rank
-                        // brought by a later payload entry.
-                        let len = self.slots.len();
-                        let room = (payload.len() - done).min(self.size - len);
-                        self.slots.resize(len + room, slot);
-                        self.slots.copy_within(read..len, read + room);
+                        // brought by a later entry.
+                        let room = (count - done).min(size - known);
+                        // Unshared since the walk began: only grow it.
+                        if slots.len() < known + room {
+                            slots = reserve(buf, known, room, room);
+                        }
+                        slots.copy_within(read..known, read + room);
                         read += room;
+                        known += room;
                     }
-                    self.slots[write] = slot;
+                    slots[write] = Slot { entry, version: *clock };
                     write += 1;
                 }
             }
         }
-        self.close_gap(write, read);
-    }
-
-    /// Move the unread rest of the run down over what is left of the gap.
-    fn close_gap(&mut self, write: usize, read: usize) {
-        if write != read {
-            self.slots.copy_within(read.., write);
-            self.slots.truncate(self.slots.len() - (read - write));
-        }
+        close_gap(slots, &mut known, write, read);
+        *len = known;
     }
 
     /// The freshest entry known for `rank`.
     pub fn get(&self, rank: usize) -> Option<WirEntry> {
         assert!(rank < self.size, "rank {rank} out of range");
-        self.slots.binary_search_by_key(&rank, |s| s.entry.rank).ok().map(|i| self.slots[i].entry)
+        let slots = self.run.slots();
+        slots.binary_search_by_key(&rank, |s| s.entry.rank).ok().map(|i| slots[i].entry)
     }
 
     /// All known entries (rank order — deterministic), in one allocation
-    /// of exactly `known_count()` entries.
+    /// of exactly `known_count()` entries: [`view`](Self::view),
+    /// materialized.
     pub fn snapshot(&self) -> Vec<WirEntry> {
-        self.slots.iter().map(|s| s.entry).collect()
+        self.view().to_vec()
     }
 
     /// Iterate the known entries in rank order, without allocating.
     pub fn entries(&self) -> impl Iterator<Item = WirEntry> + '_ {
-        self.slots.iter().map(|s| s.entry)
+        self.run.slots().iter().map(|s| s.entry)
     }
 
     /// Current value of the local change clock. Strictly monotone: each
@@ -211,34 +426,40 @@ impl WirDatabase {
         self.clock
     }
 
+    /// Every known entry as a [`WirView`] (the full-snapshot message): no
+    /// pass over the run and no allocation.
+    pub fn view(&self) -> WirView {
+        WirView { run: self.run.clone(), since: 0, len: self.run.len }
+    }
+
+    /// The entries that changed *after* change-clock tick `since` as a
+    /// [`WirView`] (the delta message): one counting pass over the run, no
+    /// allocation.
+    pub fn view_since(&self, since: u64) -> WirView {
+        let len = self.run.slots().iter().filter(|s| s.version > since).count();
+        WirView { run: self.run.clone(), since, len }
+    }
+
     /// The entries that changed *after* change-clock tick `since`, in rank
     /// order. `delta_since(0)` is the full snapshot; `delta_since(version())`
-    /// is empty. This is the delta-gossip payload: a peer that merged
-    /// everything up to `since` needs exactly these entries.
+    /// is empty. A peer that merged everything up to `since` needs exactly
+    /// these entries.
     ///
-    /// Extraction scans the run twice — count, then copy — so the payload
-    /// is one allocation whose capacity equals its length (none at all for
-    /// an empty delta): `O(known)` CPU per call whatever the delta's size,
-    /// and about twice [`snapshot`](Self::snapshot)'s scan. The delta wire's
-    /// win is the *bytes charged on the wire*, not sender CPU. Growing the
-    /// payload entry by entry instead costs a handful of reallocations per
-    /// message, each later freed on whichever worker runs the receiver —
-    /// measured, that was most of this path's cost on two workers.
+    /// [`view_since`](Self::view_since), materialized: the run is scanned
+    /// twice — count, then copy — so the result is one allocation whose
+    /// capacity equals its length (none at all for an empty delta).
     pub fn delta_since(&self, since: u64) -> Vec<WirEntry> {
-        let changed = |s: &&Slot| s.version > since;
-        let mut delta = Vec::with_capacity(self.slots.iter().filter(changed).count());
-        delta.extend(self.slots.iter().filter(changed).map(|s| s.entry));
-        delta
+        self.view_since(since).to_vec()
     }
 
     /// Number of ranks with a known entry.
     pub fn known_count(&self) -> usize {
-        self.slots.len()
+        self.run.len
     }
 
     /// Whether every rank has an entry.
     pub fn is_complete(&self) -> bool {
-        self.slots.len() == self.size
+        self.run.len == self.size
     }
 
     /// Dense WIR vector: unknown ranks default to `default` (rank order).
@@ -256,18 +477,19 @@ impl WirDatabase {
     /// statistics folded over it (in order) are bit-identical to the dense
     /// path.
     pub fn wirs_iter(&self, default: f64) -> WirsIter<'_> {
-        WirsIter { slots: &self.slots, next_rank: 0, size: self.size, default }
+        WirsIter { slots: self.run.slots(), next_rank: 0, size: self.size, default }
     }
 
     /// Maximum staleness (in iterations) of any known entry relative to
     /// `current_iteration`; `None` if the database is empty.
     pub fn max_staleness(&self, current_iteration: u64) -> Option<u64> {
-        self.slots.iter().map(|s| current_iteration.saturating_sub(s.entry.iteration)).max()
+        self.entries().map(|e| current_iteration.saturating_sub(e.iteration)).max()
     }
 
     /// Wire size of a full snapshot of this database, in bytes (used to
-    /// charge gossip communication when sending full snapshots). For delta
-    /// payloads use [`wire_bytes`] on the delta actually sent.
+    /// charge gossip communication when sending full snapshots). For a
+    /// message use [`WirView::wire_bytes`], or [`wire_bytes`] on the slice
+    /// actually sent.
     pub fn snapshot_bytes(&self) -> usize {
         self.known_count() * std::mem::size_of::<WirEntry>()
     }
@@ -276,7 +498,7 @@ impl WirDatabase {
     /// (capacity of the slot run; the point of the sparse layout is that
     /// this is `O(known entries)`, not `O(size)`).
     pub fn resident_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<Slot>()
+        self.run.buf.len() * std::mem::size_of::<Slot>()
     }
 }
 
@@ -435,6 +657,19 @@ mod tests {
         assert_eq!(ranks, vec![1, 5], "delta is rank-ordered and minimal");
         assert_eq!(db.delta_since(0), db.snapshot(), "delta from zero is the full snapshot");
         assert_eq!(wire_bytes(&delta), 2 * std::mem::size_of::<WirEntry>());
+    }
+
+    #[test]
+    fn wire_model_is_pinned_apart_from_the_slot_layout() {
+        // Every committed makespan charges 24 bytes per gossiped entry,
+        // whatever a slot holds on the host beside it.
+        assert_eq!(std::mem::size_of::<WirEntry>(), 24);
+        let mut db = WirDatabase::new(8);
+        db.update(e(1, 1.0, 1));
+        db.update(e(6, 2.0, 1));
+        assert_eq!(db.view().wire_bytes(), 48);
+        assert_eq!(wire_bytes(&db.snapshot()), 48);
+        assert_eq!(db.view_since(1).wire_bytes(), 24);
     }
 
     #[test]

@@ -15,12 +15,13 @@
 //! 1. runs [`Workload::step`] (application sends, then charged compute);
 //! 2. pushes the step's workload into its [`WirEstimator`], updates its
 //!    own [`WirDatabase`] entry and sends one gossip message per selected
-//!    peer;
+//!    peer: a [`WirView`] of its database, shared by reference and charged
+//!    as the entries it carries;
 //! 3. joins the iteration-end reduction of `(elapsed, workload)`, folded
 //!    once per round to the iteration wall time (max) and the total
 //!    workload (sum);
-//! 4. drains and merges the gossip it received, then runs
-//!    [`Workload::after_sync`];
+//! 4. drains the gossip it received and merges each view in place
+//!    ([`WirDatabase::merge_view`]), then runs [`Workload::after_sync`];
 //! 5. learns, by broadcast from rank 0, whether its [`Trigger`] fired
 //!    (it never fires on the last iteration);
 //! 6. if so: charges the modelled overhead, derives its α from its
@@ -46,7 +47,7 @@
 //! hub-shard counts, pools and batching.
 
 use crate::balancer::{centralized_rebalance, RebalanceOutcome, LB_ROOT};
-use crate::db::{wire_bytes, WirDatabase, WirEntry};
+use crate::db::{WirDatabase, WirEntry, WirView};
 use crate::gossip::{select_peers, GossipMode, GossipOutbox, GossipWire};
 use crate::partition::Partition;
 use crate::policy::{estimate_ulba_overhead, outlier_score, LbPolicy};
@@ -61,7 +62,7 @@ use ulba_runtime::{
     Tag,
 };
 
-/// Message tag of gossip snapshots.
+/// Message tag of gossip views.
 pub const GOSSIP_TAG: Tag = 0x474F;
 
 /// An application kernel the LB loop can drive: a contiguous, rank-ordered
@@ -458,9 +459,9 @@ where
             db.update(WirEntry { rank, wir: rate, iteration: iter });
         }
         for peer in select_peers(lb.gossip, rank, p, iter, lb.seed) {
-            let payload = outbox.message(&db, peer, iter, lb.gossip_wire);
-            let payload_bytes = wire_bytes(&payload);
-            ctx.send(peer, GOSSIP_TAG, payload, payload_bytes);
+            let view = outbox.view(&db, peer, iter, lb.gossip_wire);
+            let view_bytes = view.wire_bytes();
+            ctx.send(peer, GOSSIP_TAG, view, view_bytes);
         }
 
         // Iteration-end sync: (elapsed, workload) reduce to the slowest
@@ -478,8 +479,8 @@ where
         // Drain gossip *after* the rendezvous: every message posted this
         // iteration is now guaranteed present, so the merged set (and with
         // it every LB decision) is deterministic.
-        for (_, snap) in ctx.drain::<Vec<WirEntry>>(GOSSIP_TAG) {
-            db.merge(&snap);
+        for (_, view) in ctx.drain::<WirView>(GOSSIP_TAG) {
+            db.merge_view(&view);
         }
         workload.after_sync(&mut ctx, iter);
 

@@ -16,12 +16,17 @@
 //! and merges are idempotent and monotone), so rounds-to-completion and
 //! final databases match exactly while the bytes on the wire drop from
 //! `O(known)` to `O(changed since last contact)` per message.
+//!
+//! Either way a message travels by reference: [`GossipOutbox::view`]
+//! hands out a [`WirView`] of the sender's run (copy-on-write, see
+//! [`crate::db`]) and the receiver merges it in place, so no entry is
+//! copied to send it.
 
-use crate::db::{WirDatabase, WirEntry};
+use crate::db::{WirDatabase, WirEntry, WirView};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 
@@ -112,22 +117,19 @@ fn random_peers(
         ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ round.wrapping_mul(0xD1B5_4A32_D192_ED03);
     let mut rng = StdRng::seed_from_u64(stream);
-    let mut peers: Vec<usize> = include.into_iter().collect();
     // At most size − 1 distinct peers exist (everyone but `rank`); an
     // `include` peer counts against the same pool, so the cap applies to
     // the whole list, not just the random part.
-    let want = (peers.len() + fanout).min(size - 1);
-    let mut seen: HashSet<usize> = peers.iter().copied().collect();
-    seen.insert(rank);
+    let want = (usize::from(include.is_some()) + fanout).min(size - 1);
+    let mut peers = Vec::with_capacity(want);
+    peers.extend(include);
     let mut draws = 0;
     while peers.len() < want && draws < 64 * size {
         draws += 1;
         let p = rng.random_range(0..size);
-        // `insert` is the membership test: false for `rank`, duplicates and
-        // anything in `include` — identical accept/reject (and therefore
-        // identical RNG consumption and output) to the old O(fanout²)
-        // `peers.contains` scan.
-        if seen.insert(p) {
+        // Membership by a linear scan of at most `fanout + 1` peers: it
+        // rejects `rank`, duplicates and `include`, and allocates nothing.
+        if p != rank && !peers.contains(&p) {
             peers.push(p);
         }
     }
@@ -236,6 +238,10 @@ impl FromStr for GossipWire {
 /// sent (and merges are idempotent and monotone, so resending would be a
 /// no-op anyway).
 ///
+/// A message is a [`WirView`] of the sender's run, taken by
+/// [`view`](Self::view) without copying an entry; [`message`](Self::message)
+/// is the same message materialized as a slice.
+///
 /// Memory is proportional to the number of *distinct peers actually
 /// contacted* (`O(1)` for Ring, `O(min(P, fanout · rounds))` for epidemic
 /// modes), never a dense `O(P)` table.
@@ -250,25 +256,18 @@ impl GossipOutbox {
         Self::default()
     }
 
-    /// Build the payload for one dissemination message to `peer` at
-    /// `round`, honoring the wire format, and advance the peer's watermark.
+    /// Take the view for one dissemination message to `peer` at `round`,
+    /// honoring the wire format, and advance the peer's watermark.
     ///
     /// Under [`GossipWire::Full`] this is the full snapshot (watermarks are
     /// not consulted — both formats can be mixed freely). Under
     /// [`GossipWire::Delta`] it is the entries changed since the last send
     /// to `peer`, or the full snapshot on first contact and on anti-entropy
-    /// rounds (`round % full_every == 0`). Either way the payload is one
-    /// allocation of exactly its length (none when the delta is empty): the
-    /// receiver frees it, usually on another worker.
-    pub fn message(
-        &mut self,
-        db: &WirDatabase,
-        peer: usize,
-        round: u64,
-        wire: GossipWire,
-    ) -> Vec<WirEntry> {
+    /// rounds (`round % full_every == 0`). A full view costs no pass over
+    /// the run, a delta view one counting pass; neither allocates.
+    pub fn view(&mut self, db: &WirDatabase, peer: usize, round: u64, wire: GossipWire) -> WirView {
         match wire {
-            GossipWire::Full => db.snapshot(),
+            GossipWire::Full => db.view(),
             GossipWire::Delta { full_every } => {
                 // Hard in every profile: `full_every = 0` would divide by
                 // zero below, and the old `debug_assert!` + `.max(1)` mask
@@ -281,13 +280,25 @@ impl GossipOutbox {
                 );
                 let anti_entropy = round.is_multiple_of(full_every);
                 match self.watermarks.insert(peer, db.version()) {
-                    Some(since) if !anti_entropy => db.delta_since(since),
+                    Some(since) if !anti_entropy => db.view_since(since),
                     // Everything changed "since" a first contact or an
-                    // anti-entropy round: no need to filter for it.
-                    _ => db.snapshot(),
+                    // anti-entropy round: no need to count it.
+                    _ => db.view(),
                 }
             }
         }
+    }
+
+    /// [`view`](Self::view), materialized: the payload as a slice, one
+    /// allocation of exactly its length (none when the delta is empty).
+    pub fn message(
+        &mut self,
+        db: &WirDatabase,
+        peer: usize,
+        round: u64,
+        wire: GossipWire,
+    ) -> Vec<WirEntry> {
+        self.view(db, peer, round, wire).to_vec()
     }
 
     /// Number of peers with a recorded watermark (the outbox's footprint).
@@ -309,8 +320,8 @@ pub struct GossipSim {
 }
 
 /// Round-based gossip simulation (no runtime needed): every rank starts
-/// knowing only its own entry; rounds are synchronous (all payloads are
-/// built from start-of-round state, then delivered). Runs until all
+/// knowing only its own entry; rounds are synchronous (every view is
+/// taken of the start-of-round state, then delivered). Runs until all
 /// databases are complete or `max_rounds` is hit.
 pub fn simulate_gossip(
     mode: GossipMode,
@@ -331,32 +342,17 @@ pub fn simulate_gossip(
         return GossipSim { rounds: Some(0), databases: dbs };
     }
     for round in 0..max_rounds {
-        // Synchronous rounds: build every payload from the start-of-round
-        // databases, then deliver.
-        match wire {
-            GossipWire::Full => {
-                // One snapshot per rank, merged by reference — senders are
-                // immutable within the round, so per-(rank, peer) snapshot
-                // clones would only burn O(P · known) extra allocations.
-                let snapshots: Vec<Vec<WirEntry>> = dbs.iter().map(|d| d.snapshot()).collect();
-                for (rank, snapshot) in snapshots.iter().enumerate() {
-                    for peer in select_peers(mode, rank, size, round as u64, seed) {
-                        dbs[peer].merge(snapshot);
-                    }
-                }
+        // Synchronous rounds: take every view of the start-of-round
+        // databases, then deliver. A view keeps its run as it was taken
+        // (copy-on-write), so merging one never leaks into another.
+        let mut deliveries: Vec<(usize, WirView)> = Vec::new();
+        for (rank, outbox) in outboxes.iter_mut().enumerate() {
+            for peer in select_peers(mode, rank, size, round as u64, seed) {
+                deliveries.push((peer, outbox.view(&dbs[rank], peer, round as u64, wire)));
             }
-            GossipWire::Delta { .. } => {
-                let mut deliveries: Vec<(usize, Vec<WirEntry>)> = Vec::new();
-                for (rank, outbox) in outboxes.iter_mut().enumerate() {
-                    for peer in select_peers(mode, rank, size, round as u64, seed) {
-                        deliveries
-                            .push((peer, outbox.message(&dbs[rank], peer, round as u64, wire)));
-                    }
-                }
-                for (peer, payload) in deliveries {
-                    dbs[peer].merge(&payload);
-                }
-            }
+        }
+        for (peer, view) in deliveries {
+            dbs[peer].merge_view(&view);
         }
         if dbs.iter().all(|d| d.is_complete()) {
             return GossipSim { rounds: Some(round + 1), databases: dbs };
@@ -581,6 +577,98 @@ mod tests {
             assert_eq!(full.rounds, delta.rounds, "{mode:?}");
             assert_eq!(full.databases, delta.databases, "{mode:?}");
         }
+    }
+
+    /// `random_peers` as it was when membership was a per-call hash set:
+    /// the oracle the linear scan must reproduce draw for draw.
+    fn hash_set_peers(
+        rank: usize,
+        size: usize,
+        round: u64,
+        seed: u64,
+        fanout: usize,
+        include: Option<usize>,
+    ) -> Vec<usize> {
+        let stream = seed
+            ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ round.wrapping_mul(0xD1B5_4A32_D192_ED03);
+        let mut rng = StdRng::seed_from_u64(stream);
+        let mut peers: Vec<usize> = include.into_iter().collect();
+        let want = (peers.len() + fanout).min(size - 1);
+        let mut seen: std::collections::HashSet<usize> = peers.iter().copied().collect();
+        seen.insert(rank);
+        let mut draws = 0;
+        while peers.len() < want && draws < 64 * size {
+            draws += 1;
+            let p = rng.random_range(0..size);
+            if seen.insert(p) {
+                peers.push(p);
+            }
+        }
+        peers
+    }
+
+    #[test]
+    fn peer_lists_match_the_hash_set_oracle() {
+        for size in [2usize, 3, 7, 64, 256] {
+            // Every fanout on the small sizes; the corners and a spread
+            // between them on the large ones.
+            let fanouts: Vec<usize> = if size <= 7 {
+                (1..size).collect()
+            } else {
+                vec![1, 2, 3, 4, 8, size / 2, size - 2, size - 1]
+            };
+            for fanout in fanouts {
+                for seed in [0u64, 7, 0xDEAD_BEEF] {
+                    for round in 0..6u64 {
+                        let rank = (seed as usize + round as usize * 5) % size;
+                        let ring_next = (rank + 1) % size;
+                        for (mode, include) in [
+                            (GossipMode::Ring, None),
+                            (GossipMode::RandomPush { fanout }, None),
+                            (GossipMode::Hybrid { fanout }, Some(ring_next)),
+                        ] {
+                            let expected = match mode {
+                                GossipMode::Ring => vec![ring_next],
+                                _ => hash_set_peers(rank, size, round, seed, fanout, include),
+                            };
+                            assert_eq!(
+                                select_peers(mode, rank, size, round, seed),
+                                expected,
+                                "{mode:?} rank {rank} size {size} round {round} seed {seed}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_view_is_charged_as_its_materialized_payload() {
+        // One sender, one outbox, each kind of message in turn: the charge
+        // the driver books for a view is `wire_bytes` of the same message
+        // as a slice, which a twin outbox builds.
+        let wire = GossipWire::Delta { full_every: 4 };
+        let mut db = WirDatabase::new(16);
+        for rank in [0, 3, 5, 9] {
+            db.update(WirEntry { rank, wir: rank as f64, iteration: 1 });
+        }
+        let (mut views, mut slices) = (GossipOutbox::new(), GossipOutbox::new());
+        let mut charged = |db: &WirDatabase, round: u64, wire: GossipWire| {
+            let view = views.view(db, 2, round, wire);
+            let payload = slices.message(db, 2, round, wire);
+            assert_eq!(view.to_vec(), payload, "round {round} {wire}");
+            assert_eq!(view.wire_bytes(), crate::db::wire_bytes(&payload), "round {round} {wire}");
+            view.len()
+        };
+        assert_eq!(charged(&db, 1, wire), 4, "first contact: the full snapshot");
+        db.update(WirEntry { rank: 3, wir: 7.0, iteration: 2 });
+        db.update(WirEntry { rank: 11, wir: 1.0, iteration: 2 });
+        assert_eq!(charged(&db, 2, wire), 2, "a delta: the two changes");
+        assert_eq!(charged(&db, 3, wire), 0, "an empty delta");
+        assert_eq!(charged(&db, 4, wire), 5, "anti-entropy: the full snapshot");
+        assert_eq!(charged(&db, 5, GossipWire::Full), 5, "the full wire");
     }
 
     #[test]

@@ -9,10 +9,16 @@
 //! rests on, with a counting global allocator: one allocation per non-empty
 //! payload, none for an empty one, none for a merge that learns no new
 //! rank, at most one growth of the slot run for a merge that does.
+//!
+//! The runtime sends views instead ([`WirView`]): the sender's run shared
+//! by reference, so taking one allocates nothing, and the run is copied
+//! only by its owner's first change while a view is held. The payload
+//! counts above now pin the materializing adapters (`message`,
+//! `snapshot`, `delta_since`, `merge`); the view counts are pinned below.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use ulba_core::db::{WirDatabase, WirEntry};
+use ulba_core::db::{WirDatabase, WirEntry, WirView};
 use ulba_core::gossip::{GossipOutbox, GossipWire};
 
 thread_local! {
@@ -128,5 +134,87 @@ fn a_merge_with_new_ranks_grows_the_run_at_most_once() {
         // … and the one growth is the amortised doubling `update` makes
         // too, not a reserve for the worst case.
         assert!(db.resident_bytes() <= 2 * db.known_count() * slot_bytes, "known {known}");
+    }
+}
+
+/// A complete database of `size` ranks, every entry at `iteration`.
+fn complete(size: usize, wir: f64, iteration: u64) -> WirDatabase {
+    let mut db = WirDatabase::new(size);
+    for rank in 0..size {
+        db.update(WirEntry { rank, wir, iteration });
+    }
+    db
+}
+
+#[test]
+fn taking_a_view_allocates_nothing() {
+    for known in KNOWN {
+        let mut db = half_known(known);
+        let mut outbox = GossipOutbox::new();
+        // First contact: creates the peer's watermark (the map may grow).
+        assert_eq!(outbox.view(&db, PEER, 1, DELTA).len(), known);
+        for i in (0..known).step_by(3) {
+            db.update(WirEntry { rank: 2 * i, wir: 2.0, iteration: 1 });
+        }
+        // A delta, an empty delta, an anti-entropy round, the full wire.
+        let (views, allocations): (Vec<WirView>, u64) = counted(|| {
+            [(3, DELTA), (4, DELTA), (32, DELTA), (33, GossipWire::Full)]
+                .map(|(round, wire)| outbox.view(&db, PEER, round, wire))
+                .into()
+        });
+        // (The `Vec` that holds the four views is the one allocation.)
+        assert_eq!(allocations, 1, "known {known}");
+        let lens: Vec<usize> = views.iter().map(WirView::len).collect();
+        assert_eq!(lens, [known.div_ceil(3), 0, known, known], "known {known}");
+    }
+}
+
+#[test]
+fn a_merge_into_an_unshared_complete_run_allocates_nothing() {
+    for known in KNOWN {
+        let mut db = complete(known, 1.0, 0);
+        // Half the ranks fresher: the decide/apply path writes in place.
+        let mut sender = complete(known, 1.0, 0);
+        for rank in (0..known).step_by(2) {
+            sender.update(WirEntry { rank, wir: 2.0, iteration: 1 });
+        }
+        let (full, delta) = (sender.view(), sender.view_since(known as u64));
+        let ((), allocations) = counted(|| {
+            db.merge_view(&delta);
+            db.merge_view(&full);
+        });
+        assert_eq!(allocations, 0, "known {known}");
+        assert_eq!(db.snapshot(), sender.snapshot());
+    }
+}
+
+#[test]
+fn a_shared_run_is_copied_once_by_its_owners_first_change() {
+    for known in KNOWN {
+        let mut db = complete(known, 1.0, 0);
+        let news = complete(known, 3.0, 2).view();
+        let held = db.view();
+        // Nothing changes: the shared run is not copied.
+        let ((), allocations) = counted(|| db.update(WirEntry { rank: 0, wir: 1.0, iteration: 0 }));
+        assert_eq!(allocations, 0, "known {known}: a no-op update");
+        // The first change copies the run, reference counts included, in
+        // one allocation.
+        let ((), allocations) = counted(|| db.update(WirEntry { rank: 0, wir: 2.0, iteration: 1 }));
+        assert_eq!(allocations, 1, "known {known}: the copy");
+        // The copy is the owner's alone: later changes write in place,
+        // though the view still holds the old run.
+        let ((), allocations) = counted(|| {
+            db.update(WirEntry { rank: 1, wir: 2.0, iteration: 1 });
+            db.merge_view(&news);
+        });
+        assert_eq!(allocations, 0, "known {known}: after the copy");
+        assert!(held.entries().all(|e| e.wir == 1.0 && e.iteration == 0));
+
+        // The same through a merge: one copy of a shared run.
+        let held = db.view();
+        let fresher = complete(known, 4.0, 3).view();
+        let ((), allocations) = counted(|| db.merge_view(&fresher));
+        assert_eq!(allocations, 1, "known {known}: the copy by a merge");
+        assert!(held.entries().all(|e| e.wir == 3.0));
     }
 }
