@@ -12,10 +12,9 @@
 //!   execution (recorded in `BENCH_job_server.json`; warn-only, since
 //!   runner load and core counts vary).
 //!
-//! `gate_pes` appends the [`weak_scaling::gate_legs`] — the drift check
-//! that proves the shared pool reproduces the seed numbers at `P = 16384`.
+//! `gate drift` holds every batched row to `results/BENCH_job_server.json`,
+//! so a pool that perturbed a job's numbers fails there too.
 
-use super::weak_scaling;
 use crate::output::print_table;
 use crate::report::{perf_row, PerfRow, Report, Summary};
 use std::path::Path;
@@ -42,6 +41,7 @@ fn base_sweep(smoke: bool) -> Vec<(&'static str, usize, ErosionConfig)> {
                 };
                 cfg.policy = policy;
                 cfg.seed = seed;
+                cfg.backend = Some(Backend::Parallel);
                 specs.push((label, ranks, cfg));
             }
         }
@@ -68,16 +68,11 @@ fn assert_identical(label: &str, serial: &ExperimentResult, batched: &Experiment
 }
 
 /// Run the serial-vs-batched comparison. `workers` sizes both pools (0 =
-/// all cores); `gate_pes` appends the weak-scaling drift-gate legs. Returns
-/// the report — the batched pass's rows (no per-row wall: the jobs ran
-/// concurrently) under the `jobs`, `serial_wall_s`, `batch_wall_s` and
-/// `speedup` summary keys — after writing it to `json`, if given.
-pub fn run(workers: usize, gate_pes: &[usize], smoke: bool, json: Option<&Path>) -> Report {
-    let mut specs = base_sweep(smoke);
-    specs.extend(weak_scaling::gate_legs(gate_pes, smoke));
-    for (_, _, cfg) in &mut specs {
-        cfg.backend = Some(Backend::Parallel);
-    }
+/// all cores). Returns the report — the batched pass's rows (no per-row
+/// wall: the jobs ran concurrently) under the `jobs`, `serial_wall_s`,
+/// `batch_wall_s` and `speedup` summary keys — after writing it to `json`.
+pub fn run(workers: usize, smoke: bool, json: &Path) -> Report {
+    let specs = base_sweep(smoke);
     println!(
         "Job-server study — {} jobs, serial one-pool-per-run vs one shared pool{}",
         specs.len(),
@@ -155,9 +150,7 @@ pub fn run(workers: usize, gate_pes: &[usize], smoke: bool, json: Option<&Path>)
         speedup: Some(speedup),
     };
     let report = Report { study: "job_server".into(), smoke, summary, rows };
-    if let Some(path) = json {
-        report.write(path);
-    }
+    report.write(json);
     report
 }
 
@@ -169,7 +162,7 @@ mod tests {
     fn smoke_sweep_is_bit_identical_and_reports() {
         let json = std::env::temp_dir().join("ulba-jobsrv-test").join("BENCH_job_server.json");
         // run() hard-asserts serial/batched bit-identity internally.
-        let report = run(2, &[], true, Some(&json));
+        let report = run(2, true, &json);
         assert!(report.summary.jobs >= Some(8), "the sweep must batch at least 8 jobs");
         assert_eq!(Some(report.rows.len() as u64), report.summary.jobs);
         assert!(

@@ -3,7 +3,7 @@
 //! policies and gossip wire formats, batched on one shared
 //! [`JobServer`] and recorded in `results/BENCH_scenarios.json`.
 //!
-//! Three claims are checked on every invocation:
+//! Two claims are checked on every invocation:
 //!
 //! * **λ fidelity** — each scenario's achieved imbalance factor (verified
 //!   analytically by the generator) stays within tolerance of the requested
@@ -12,12 +12,11 @@
 //! * **backend/shard invariance** — every parallel row is asserted
 //!   bit-identical to its sequential twin in the grid, and one ULBA leg
 //!   per family is additionally re-run alone on a private three-worker
-//!   pool (three blocks, a hub-shard count of its own);
-//! * **perf trajectory** — `gate_pes` appends the
-//!   [`weak_scaling::gate_legs`], proving the scenario batch shares the
-//!   pool without perturbing the seed numbers.
+//!   pool (three blocks, a hub-shard count of its own).
+//!
+//! `gate drift` then holds every row of a full-scale run to
+//! `results/BENCH_scenarios.json`.
 
-use super::weak_scaling;
 use crate::gates;
 use crate::output::print_table;
 use crate::report::{perf_row, PerfRow, Report, Summary};
@@ -25,7 +24,6 @@ use std::path::Path;
 use std::time::Instant;
 use ulba_core::gossip::GossipWire;
 use ulba_core::policy::LbPolicy;
-use ulba_erosion::{run_erosion_batch, ErosionConfig};
 use ulba_runtime::{Backend, JobServer};
 use ulba_scenario::config::TriggerKind;
 use ulba_scenario::{
@@ -101,17 +99,10 @@ fn assert_identical(label: &str, a: &ScenarioResult, b: &ScenarioResult) {
 }
 
 /// Run the scenario sweep. `workers` sizes the shared pool (0 = all
-/// cores); `gate_pes` appends the erosion weak-scaling drift-gate legs;
-/// `wire_override` restricts the wire dimension. Returns the report
+/// cores); `wire_override` restricts the wire dimension. Returns the report
 /// (scenario rows carry `lambda_target`/`lambda_achieved`; `jobs` and
-/// `batch_wall_s` summary keys) after writing it to `json`, if given.
-pub fn run(
-    workers: usize,
-    gate_pes: &[usize],
-    smoke: bool,
-    wire_override: Option<GossipWire>,
-    json: Option<&Path>,
-) -> Report {
+/// `batch_wall_s` summary keys) after writing it to `json`.
+pub fn run(workers: usize, smoke: bool, wire_override: Option<GossipWire>, json: &Path) -> Report {
     let specs = scenario_sweep(smoke, wire_override);
     println!(
         "Scenario study — {} scenario jobs ({} families × {} policies × wires × {} backends){}",
@@ -137,7 +128,7 @@ pub fn run(
         specs.iter().map(|(_, _, cfg)| cfg.clone().with_server(shared.clone())).collect();
     let batch_started = Instant::now();
     let results = run_scenario_batch(&cfgs);
-    let mut batch_wall_s = batch_started.elapsed().as_secs_f64();
+    let batch_wall_s = batch_started.elapsed().as_secs_f64();
 
     for ((label, backend, cfg), res) in specs.iter().zip(&results) {
         assert_eq!(res.backend, *backend, "[{label}] an explicit backend wins over the server");
@@ -166,7 +157,7 @@ pub fn run(
         assert_identical(label, batched, &serial);
     }
 
-    let mut rows: Vec<PerfRow> = specs
+    let rows: Vec<PerfRow> = specs
         .iter()
         .zip(&results)
         .map(|((label, _, cfg), res)| PerfRow {
@@ -175,27 +166,6 @@ pub fn run(
             ..perf_row(label, cfg.ranks, cfg.gossip_wire, res, None)
         })
         .collect();
-
-    // The erosion weak-scaling drift-gate legs, batched on the same pool.
-    if !gate_pes.is_empty() {
-        let legs = weak_scaling::gate_legs(gate_pes, smoke);
-        let cfgs: Vec<ErosionConfig> = legs
-            .iter()
-            .map(|(_, _, cfg)| {
-                let mut cfg = cfg.clone().with_server(shared.clone());
-                cfg.backend = Some(Backend::Parallel);
-                cfg
-            })
-            .collect();
-        let gate_started = Instant::now();
-        let gate_results = run_erosion_batch(&cfgs);
-        batch_wall_s += gate_started.elapsed().as_secs_f64();
-        rows.extend(
-            legs.iter().zip(&gate_results).map(|((label, ranks, cfg), res)| {
-                perf_row(label, *ranks, cfg.gossip_wire, res, None)
-            }),
-        );
-    }
 
     let table: Vec<Vec<String>> = rows
         .iter()
@@ -237,9 +207,7 @@ pub fn run(
     // file, so a row can never drift from the construction invariant.
     let lambda = gates::lambda(&report);
     assert!(!gates::failed(&lambda), "λ fidelity: {lambda:?}");
-    if let Some(path) = json {
-        report.write(path);
-    }
+    report.write(json);
     report
 }
 
@@ -251,7 +219,7 @@ mod tests {
     fn smoke_sweep_reports_lambda_and_verifies_invariance() {
         let json = std::env::temp_dir().join("ulba-scenarios-test").join("BENCH_scenarios.json");
         // run() hard-asserts λ fidelity and backend/shard bit-identity.
-        let report = run(2, &[], true, None, Some(&json));
+        let report = run(2, true, None, &json);
         assert_eq!(report.summary.jobs, Some(40), "5 families × 2 policies × 2 wires × 2 backends");
         assert!(report
             .rows

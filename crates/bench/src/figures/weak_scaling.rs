@@ -60,11 +60,8 @@ fn config_for(ranks: usize, policy: LbPolicy, smoke: bool) -> ErosionConfig {
 }
 
 /// The legs of the study, `(policy label, P, config)`: per PE count the
-/// standard method and ULBA (α = 0.4) on the default gossip wire. At
-/// `P = 16384 --smoke` these are the runs whose virtual makespans the
-/// `drift` gate compares against the committed `results/BENCH_seed.json`,
-/// which is why `job_server` and `scenarios` append them to their batches.
-pub fn gate_legs(pe_counts: &[usize], smoke: bool) -> Vec<(&'static str, usize, ErosionConfig)> {
+/// standard method and ULBA (α = 0.4) on the default gossip wire.
+fn legs(pe_counts: &[usize], smoke: bool) -> Vec<(&'static str, usize, ErosionConfig)> {
     let policies = [("standard", LbPolicy::Standard), ("ulba", LbPolicy::ulba_fixed(0.4))];
     pe_counts
         .iter()
@@ -89,7 +86,7 @@ pub fn run(
          (α = 0.4), backend: {backend_label}, gossip wire: {wire}{}",
         if smoke { ", smoke" } else { "" }
     );
-    let mut legs = gate_legs(pe_counts, smoke);
+    let mut legs = legs(pe_counts, smoke);
     for (_, _, cfg) in &mut legs {
         cfg.backend = backend;
         cfg.gossip_wire = wire;
@@ -174,7 +171,7 @@ mod tests {
         let out = std::env::temp_dir().join("ulba-weak-scaling-test");
         let rows = run(&[8], Some(Backend::Sequential), GossipWire::default(), true, &out);
         assert_eq!(rows.len(), 2, "standard + ULBA");
-        for (row, (label, ranks, mut cfg)) in rows.iter().zip(gate_legs(&[8], true)) {
+        for (row, (label, ranks, mut cfg)) in rows.iter().zip(legs(&[8], true)) {
             cfg.backend = Some(Backend::Sequential);
             let expected =
                 perf_row(label, ranks, cfg.gossip_wire, &run_erosion(&cfg), row.sim_wall_s);

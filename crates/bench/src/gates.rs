@@ -1,15 +1,18 @@
 //! The CI gates over schema-3 reports, as pure functions from a [`Report`]
-//! (and the committed seed rows) to [`Finding`]s. `ulba-bench gate` is a
-//! thin shell over [`run`]; the studies call the same functions on the
-//! report they are about to write. Every threshold lives here and nowhere
-//! else.
+//! (and, for `drift` and `wall`, the committed report of the same file
+//! name) to [`Finding`]s. `ulba-bench gate` is a thin shell over [`run`];
+//! the studies call the same functions on the report they are about to
+//! write. Every threshold lives here and nowhere else.
 
 use crate::report::{PerfRow, Report};
 use std::collections::BTreeSet;
 
-/// Virtual makespans must match the seed to this relative error: refactors
-/// change memory and scheduling, never semantics.
+/// Deterministic float columns must match the committed report to this
+/// relative error: refactors change memory and scheduling, never semantics.
 const DRIFT_TOLERANCE: f64 = 1e-9;
+/// The columns `drift` skips: they follow the machine and the pool's timing,
+/// not the simulation.
+const MACHINE_COLUMNS: [&str; 3] = ["hub_shards", "sim_wall_s", "peak_rss_bytes"];
 /// Whole-process peak-RSS ceiling. The measured peak at `P = 65536` is
 /// ~0.7 GiB and ~7.1 GiB at `P = 2^20`; dense per-rank databases would need
 /// ~103 GiB at 65536 alone, so any quadratic regression blows through it.
@@ -20,8 +23,8 @@ const LAMBDA_TOLERANCE: f64 = ulba_scenario::LAMBDA_TOLERANCE;
 const GRID_MIN_ROWS: usize = 40;
 /// A report with fewer scenario families lost part of the sweep.
 const GRID_MIN_FAMILIES: usize = 4;
-/// Slack on the parallel wall against the committed seed (hard).
-const WALL_SLACK_VS_SEED: f64 = 1.10;
+/// Slack on the parallel wall against the committed report's (hard).
+const WALL_SLACK: f64 = 1.10;
 
 /// How much a [`Finding`] matters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,19 +112,25 @@ impl std::str::FromStr for Gate {
 }
 
 /// Run `gates` over `reports` (`(label, report)`, the label prefixes each
-/// message). Every gate checks each report on its own.
-pub fn run(gates: &[Gate], reports: &[(String, Report)], seed: &[PerfRow]) -> Vec<Finding> {
+/// message). Every gate checks each report on its own; `drift` and `wall`
+/// judge it against `committed(label)`, the committed report of the same
+/// study and scale, and only they call it.
+pub fn run(
+    gates: &[Gate],
+    reports: &[(String, Report)],
+    committed: impl Fn(&str) -> Result<Report, String>,
+) -> Vec<Finding> {
     let mut out = Vec::new();
     for gate in gates {
         for (label, report) in reports {
             let findings = match gate {
-                Gate::Drift => drift(report, seed),
+                Gate::Drift => against(report, committed(label), drift),
                 Gate::Rss => rss(report),
                 Gate::Entries => entries(report),
                 Gate::Lambda => lambda(report),
                 Gate::ScenarioGrid => scenario_grid(report),
                 Gate::Ranks(pes) => ranks(report, *pes),
-                Gate::Wall => wall(report, seed),
+                Gate::Wall => against(report, committed(label), wall),
                 Gate::BatchSpeedup => batch_speedup(report),
             };
             out.extend(
@@ -134,29 +143,49 @@ pub fn run(gates: &[Gate], reports: &[(String, Report)], seed: &[PerfRow]) -> Ve
     out
 }
 
-/// HARD — every row whose `(backend, policy, pes)` is in the seed must
-/// reproduce the seed's virtual makespan, and at least one row must match a
-/// seed key (a report without the gate legs proves nothing).
-pub fn drift(report: &Report, seed: &[PerfRow]) -> Vec<Finding> {
+/// `gate(report, committed)`, or why `committed` is no baseline for
+/// `report`: it is missing, or of another study or scale.
+fn against(
+    report: &Report,
+    committed: Result<Report, String>,
+    gate: fn(&Report, &Report) -> Vec<Finding>,
+) -> Vec<Finding> {
+    match committed {
+        Err(err) => vec![hard(format!("no committed report to compare with: {err}"))],
+        Ok(c) if (&c.study, c.smoke) != (&report.study, report.smoke) => vec![hard(format!(
+            "the committed report is `{}` (smoke: {}), this one `{}` (smoke: {})",
+            c.study, c.smoke, report.study, report.smoke
+        ))],
+        Ok(c) => gate(report, &c),
+    }
+}
+
+/// What tells the runs of one report apart.
+fn id(r: &PerfRow) -> (&str, usize, &str, &str, Option<usize>) {
+    (&r.backend, r.pes, &r.policy, &r.gossip_wire, r.strong_rocks)
+}
+
+/// HARD — every row whose identity `(backend, pes, policy, gossip_wire,
+/// strong_rocks)` is in `committed` reproduces the committed row (the k-th
+/// repeat of an identity the k-th: a sweep may repeat one across seeds) in
+/// every column but `hub_shards`, `sim_wall_s` and `peak_rss_bytes`: floats
+/// within 1e-9 relative, the rest exactly. At least one row must match: a
+/// report that shares no run with its committed file proves nothing.
+pub fn drift(report: &Report, committed: &Report) -> Vec<Finding> {
     let mut out = Vec::new();
-    let mut matched = 0;
-    for row in &report.rows {
-        let key = (&row.backend, &row.policy, row.pes);
-        let Some(want) = seed.iter().find(|s| (&s.backend, &s.policy, s.pes) == key) else {
-            continue;
-        };
-        matched += 1;
-        let (got, want) = (row.makespan_virtual_s, want.makespan_virtual_s);
-        if (got - want).abs() > DRIFT_TOLERANCE * want.abs().max(1e-30) {
-            out.push(hard(format!(
-                "{key:?} virtual makespan drifted from the seed baseline: {got:?} vs {want:?}"
-            )));
+    let mut left: Vec<&PerfRow> = committed.rows.iter().collect();
+    for (i, row) in report.rows.iter().enumerate() {
+        let Some(j) = left.iter().position(|base| id(base) == id(row)) else { continue };
+        let diff = row.diff(left.remove(j), DRIFT_TOLERANCE).into_iter();
+        for (column, got, want) in diff.filter(|(c, ..)| !MACHINE_COLUMNS.contains(c)) {
+            out.push(hard(format!("row {i} {:?}: {column} {got}, committed {want}", id(row))));
         }
     }
+    let matched = committed.rows.len() - left.len();
     if matched == 0 {
-        out.push(hard("no row matched a seed-baseline key — the gate legs are missing".into()));
+        out.push(hard("no row matched a row of the committed report".into()));
     }
-    out.push(info(format!("{matched} rows checked against the seed baseline")));
+    out.push(info(format!("{matched} rows checked against the committed report")));
     out
 }
 
@@ -257,13 +286,13 @@ fn wall_sum(rows: &[PerfRow], backend: &str) -> f64 {
 /// sequential rows: HARD when every timed parallel row ran as two or more
 /// blocks (`hub_shards ≥ 2`, i.e. on two or more workers) — a same-run,
 /// same-machine ratio the pool must win — and a warning on one core, where
-/// it cannot. HARD if slower (beyond slack) than the seed's.
-pub fn wall(report: &Report, seed: &[PerfRow]) -> Vec<Finding> {
+/// it cannot. HARD if slower (beyond slack) than the committed report's.
+pub fn wall(report: &Report, committed: &Report) -> Vec<Finding> {
     let seq = wall_sum(&report.rows, "sequential");
     let par = wall_sum(&report.rows, "parallel");
-    let seed_par = wall_sum(seed, "parallel");
+    let base = wall_sum(&committed.rows, "parallel");
     let mut out = vec![info(format!(
-        "sequential {seq:.2}s, parallel {par:.2}s ({:.2}x), seed parallel {seed_par:.2}s",
+        "sequential {seq:.2}s, parallel {par:.2}s ({:.2}x), committed parallel {base:.2}s",
         seq / par
     ))];
     if par >= seq {
@@ -273,11 +302,11 @@ pub fn wall(report: &Report, seed: &[PerfRow]) -> Vec<Finding> {
         let message = format!("parallel was not faster than sequential ({par:.2}s vs {seq:.2}s)");
         out.push(finding(if multi_worker { Hard } else { Warn }, message));
     }
-    let allowed = seed_par * WALL_SLACK_VS_SEED;
-    if seed_par > 0.0 && par > allowed {
+    let allowed = base * WALL_SLACK;
+    if base > 0.0 && par > allowed {
         out.push(hard(format!(
-            "parallel run regressed against the committed seed baseline \
-             ({par:.2}s vs {seed_par:.2}s, allowed {allowed:.2}s)"
+            "parallel run regressed against the committed report \
+             ({par:.2}s vs {base:.2}s, allowed {allowed:.2}s)"
         )));
     }
     out
@@ -333,28 +362,100 @@ mod tests {
         (count(Hard), count(Warn))
     }
 
-    fn seed() -> Vec<PerfRow> {
-        vec![row("sequential", "ulba", 16384, 0.125), row("parallel", "ulba", 16384, 0.125)]
+    /// The committed report the fixtures are judged against: one P = 16384
+    /// run per backend, each parallel wall 10 s.
+    fn committed() -> Report {
+        report(vec![row("sequential", "ulba", 16384, 0.125), row("parallel", "ulba", 16384, 0.125)])
     }
 
     #[test]
-    fn drift_is_relative_to_the_seed_and_needs_a_matching_key() {
+    fn drift_is_relative_and_needs_a_matching_row() {
         let with = |makespan| report(vec![row("parallel", "ulba", 16384, makespan)]);
-        assert_eq!(verdict(&drift(&with(0.125), &seed())), (0, 0));
-        assert_eq!(verdict(&drift(&with(0.125 * (1.0 + 1e-10)), &seed())), (0, 0));
-        assert_eq!(verdict(&drift(&with(0.125 * (1.0 + 2e-9)), &seed())), (1, 0));
-        assert_eq!(verdict(&drift(&with(0.125 * (1.0 - 2e-9)), &seed())), (1, 0));
-        // Rows outside the seed's keys are not judged, but one must match.
+        assert_eq!(verdict(&drift(&with(0.125), &committed())), (0, 0));
+        assert_eq!(verdict(&drift(&with(0.125 * (1.0 + 1e-10)), &committed())), (0, 0));
+        assert_eq!(verdict(&drift(&with(0.125 * (1.0 + 2e-9)), &committed())), (1, 0));
+        assert_eq!(verdict(&drift(&with(0.125 * (1.0 - 2e-9)), &committed())), (1, 0));
+        // Rows outside the committed report are not judged, but one must match.
         let mut mixed = with(0.125);
         mixed.rows.push(row("parallel", "ulba", 8, 99.0));
-        assert_eq!(verdict(&drift(&mixed, &seed())), (0, 0));
-        for stranger in
-            [row("parallel", "ulba", 8, 0.125), row("parallel", "standard", 16384, 0.125)]
-        {
-            let findings = drift(&report(vec![stranger]), &seed());
+        assert_eq!(verdict(&drift(&mixed, &committed())), (0, 0));
+        let stranger = |change: fn(&mut PerfRow)| {
+            let mut row = row("parallel", "ulba", 16384, 0.125);
+            change(&mut row);
+            report(vec![row])
+        };
+        // Each identity column: the row is another run, so nothing matches.
+        let others: [fn(&mut PerfRow); 5] = [
+            |r| r.backend = "gpu".into(),
+            |r| r.pes = 8,
+            |r| r.policy = "standard".into(),
+            |r| r.gossip_wire = "full".into(),
+            |r| r.strong_rocks = Some(1),
+        ];
+        for other in others {
+            let findings = drift(&stranger(other), &committed());
             assert_eq!(verdict(&findings), (1, 0));
-            assert!(findings[0].message.contains("no row matched a seed-baseline key"));
+            assert!(findings[0].message.contains("no row matched a row of the committed"));
         }
+    }
+
+    #[test]
+    fn drift_checks_every_column_but_the_machine_dependent_ones() {
+        let base = row("parallel", "ulba", 16384, 0.125);
+        type Change = (&'static str, fn(&mut PerfRow));
+        let changed: [Change; 8] = [
+            ("makespan_virtual_s", |r| r.makespan_virtual_s *= 1.0 + 2e-9),
+            ("lb_calls", |r| r.lb_calls += 1),
+            ("mean_utilization", |r| r.mean_utilization += 1e-6),
+            ("busy_max_over_mean", |r| r.busy_max_over_mean += 1e-6),
+            ("idle_fraction", |r| r.idle_fraction -= 1e-6),
+            ("db_entries_total", |r| r.db_entries_total += 1),
+            ("lambda_target", |r| r.lambda_target = Some(4.0)),
+            ("lambda_achieved", |r| r.lambda_achieved = Some(4.0)),
+        ];
+        for (column, change) in changed {
+            let mut fresh = base.clone();
+            change(&mut fresh);
+            let findings = drift(&report(vec![fresh]), &committed());
+            assert_eq!(verdict(&findings), (1, 0), "{column}");
+            let message = &findings[0].message;
+            let row = r#"row 0 ("parallel", 16384, "ulba", "delta:32", None)"#;
+            assert!(message.starts_with(row) && message.contains(column), "{message}");
+        }
+        let machine = [
+            PerfRow { hub_shards: 2, ..base.clone() },
+            PerfRow { sim_wall_s: Some(99.0), ..base.clone() },
+            PerfRow { sim_wall_s: None, ..base.clone() },
+            PerfRow { peak_rss_bytes: None, ..base.clone() },
+            PerfRow { peak_rss_bytes: Some(1), ..base.clone() },
+        ];
+        for fresh in machine {
+            assert_eq!(verdict(&drift(&report(vec![fresh]), &committed())), (0, 0));
+        }
+        // Every column is an identity, a machine or a checked column.
+        let identities = ["backend", "pes", "policy", "gossip_wire", "strong_rocks"];
+        let mut named: Vec<&str> = changed.iter().map(|(c, _)| *c).collect();
+        named.extend(identities.iter().chain(&MACHINE_COLUMNS));
+        named.sort_unstable();
+        let mut columns = PerfRow::csv_header();
+        columns.sort_unstable();
+        assert_eq!(named, columns);
+    }
+
+    #[test]
+    fn drift_matches_repeated_identities_in_order() {
+        // Two seeds of one (backend, P, policy, wire, rocks): the k-th
+        // repeat is judged against the k-th.
+        let seeds =
+            |a, b| report(vec![row("parallel", "ulba", 8, a), row("parallel", "ulba", 8, b)]);
+        assert_eq!(verdict(&drift(&seeds(1.0, 2.0), &seeds(1.0, 2.0))), (0, 0));
+        assert_eq!(verdict(&drift(&seeds(2.0, 1.0), &seeds(1.0, 2.0))), (2, 0));
+        // A third repeat has no committed twin and is not judged.
+        let mut three = seeds(1.0, 2.0);
+        three.rows.push(row("parallel", "ulba", 8, 3.0));
+        let findings = drift(&three, &seeds(1.0, 2.0));
+        assert_eq!(verdict(&findings), (0, 0));
+        assert!(findings[0].message.starts_with("2 rows checked"), "{findings:?}");
     }
 
     #[test]
@@ -438,16 +539,17 @@ mod tests {
     }
 
     #[test]
-    fn wall_warns_within_the_run_and_fails_against_the_seed() {
+    fn wall_warns_within_the_run_and_fails_against_the_committed_report() {
         let with = |seq: f64, par: f64| {
             let wall =
                 |backend, s| PerfRow { sim_wall_s: Some(s), ..row(backend, "ulba", 16384, 0.125) };
             report(vec![wall("sequential", seq), wall("parallel", par)])
         };
-        // The seed's parallel sum is 10 s.
-        assert_eq!(verdict(&wall(&with(12.0, 9.0), &seed())), (0, 0));
+        // The committed parallel sum is 10 s.
+        let base = committed();
+        assert_eq!(verdict(&wall(&with(12.0, 9.0), &base)), (0, 0));
         assert_eq!(
-            verdict(&wall(&with(9.0, 9.0), &seed())),
+            verdict(&wall(&with(9.0, 9.0), &base)),
             (0, 1),
             "not faster than sequential, as one block: a warning"
         );
@@ -457,19 +559,19 @@ mod tests {
             report
         };
         assert_eq!(
-            verdict(&wall(&two_blocks(9.0, 9.0), &seed())),
+            verdict(&wall(&two_blocks(9.0, 9.0), &base)),
             (1, 0),
             "not faster than sequential on two workers: hard"
         );
-        assert_eq!(verdict(&wall(&two_blocks(12.0, 9.0), &seed())), (0, 0));
-        assert_eq!(verdict(&wall(&with(13.0, 11.0), &seed())), (0, 0), "exactly the allowed slack");
-        assert_eq!(verdict(&wall(&with(13.0, 12.0), &seed())), (1, 0), "1.2× the seed's");
+        assert_eq!(verdict(&wall(&two_blocks(12.0, 9.0), &base)), (0, 0));
+        assert_eq!(verdict(&wall(&with(13.0, 11.0), &base)), (0, 0), "exactly the allowed slack");
+        assert_eq!(verdict(&wall(&with(13.0, 12.0), &base)), (1, 0), "1.2× the committed wall");
         // Batch rows carry no wall: nothing to sum, only the not-faster
         // warning — whatever their block count.
         for hub_shards in [1, 2] {
             let untimed =
                 PerfRow { sim_wall_s: None, hub_shards, ..row("parallel", "ulba", 16384, 0.125) };
-            assert_eq!(verdict(&wall(&report(vec![untimed]), &seed())), (0, 1));
+            assert_eq!(verdict(&wall(&report(vec![untimed]), &base)), (0, 1));
         }
     }
 
@@ -515,28 +617,52 @@ mod tests {
         let good = report(vec![row("parallel", "ulba", 16384, 0.125)]);
         let bad = report(vec![row("parallel", "ulba", 16384, 0.25)]);
         let reports = [("good.json".to_string(), good), ("bad.json".to_string(), bad)];
-        let findings = run(&[Gate::Drift, Gate::Rss], &reports, &seed());
+        let findings = run(&[Gate::Drift, Gate::Rss], &reports, |_| Ok(committed()));
         assert_eq!(verdict(&findings), (1, 0));
         let hard = findings.iter().find(|f| f.severity == Hard).unwrap();
         assert!(hard.message.starts_with("[bad.json] "), "{}", hard.message);
         // `wall` judges every report too: neither has a sequential row.
-        assert_eq!(verdict(&run(&[Gate::Wall], &reports, &seed())), (0, 2));
+        assert_eq!(verdict(&run(&[Gate::Wall], &reports, |_| Ok(committed()))), (0, 2));
+    }
+
+    #[test]
+    fn only_drift_and_wall_need_a_committed_report_of_the_same_study_and_scale() {
+        let fresh = [("BENCH_x.json".to_string(), committed())];
+        let missing = |label: &str| Err(format!("results/{label}: No such file or directory"));
+        let others = [Gate::Rss, Gate::Entries, Gate::Lambda, Gate::Ranks(16384)];
+        assert_eq!(verdict(&run(&others, &fresh, |_| unreachable!("not read"))), (0, 0));
+        for gate in [Gate::Drift, Gate::Wall] {
+            let findings = run(&[gate], &fresh, missing);
+            assert_eq!(verdict(&findings), (1, 0), "{gate:?}");
+            let message = &findings[0].message;
+            assert!(message.contains("no committed report") && message.contains("BENCH_x"));
+            for base in [
+                Report { smoke: false, ..committed() },
+                Report { study: "fig4b".into(), ..committed() },
+            ] {
+                let findings = run(&[gate], &fresh, |_| Ok(base.clone()));
+                assert_eq!(verdict(&findings), (1, 0), "{gate:?} vs {base:?}");
+                assert!(findings[0].message.contains("the committed report is"));
+            }
+        }
     }
 
     #[test]
     fn committed_reports_pass_their_gates() {
         let read = |name: &str| {
             let path = format!("{}/../../results/BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
-            (name.to_string(), Report::read(Path::new(&path)).unwrap())
+            Report::read(Path::new(&path))
         };
-        let seed = read("seed").1.rows;
+        let label = |name: &str| (name.to_string(), read(name).unwrap());
+        let all = ["weak_scaling", "p65536", "job_server", "scenarios", "fig4a", "fig4b", "fig5"];
         for (gates, names) in [
-            (vec![Gate::Drift, Gate::Rss], vec!["weak_scaling", "job_server"]),
-            (vec![Gate::Rss, Gate::Entries], vec!["p65536"]),
-            (vec![Gate::Lambda, Gate::ScenarioGrid, Gate::Rss], vec!["scenarios"]),
+            // Against itself, a report is reproduced row for row.
+            (vec![Gate::Drift, Gate::Wall, Gate::Rss], &all[..]),
+            (vec![Gate::Entries], &["p65536"]),
+            (vec![Gate::Lambda, Gate::ScenarioGrid], &["scenarios"]),
         ] {
-            let reports: Vec<_> = names.iter().map(|name| read(name)).collect();
-            let findings = run(&gates, &reports, &seed);
+            let reports: Vec<_> = names.iter().map(|name| label(name)).collect();
+            let findings = run(&gates, &reports, read);
             assert!(!failed(&findings), "{findings:#?}");
         }
     }

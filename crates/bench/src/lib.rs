@@ -15,7 +15,7 @@
 //! | batched vs one-pool-per-run | `job_server` | [`figures::job_server::run`] |
 //! | adversarial-scenario sweep | `scenarios` | [`figures::scenarios::run`] |
 //! | every paper artifact and ablation | `all` | — |
-//! | CI gates over `BENCH_*.json` | `gate` | [`gates::run`] |
+//! | CI gates; `drift`, `wall` against the committed `BENCH_*.json` | `gate` | [`gates::run`] |
 //!
 //! The erosion-driven studies emit a schema-3 [`report::Report`]
 //! (`results/BENCH_<study>.json`); [`gates`] holds every check CI runs on

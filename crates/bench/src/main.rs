@@ -5,10 +5,11 @@
 //! an unknown one exits 2.
 //!
 //! `ulba-bench gate <gate>[,<gate>…] <report.json>…` runs the CI gates of
-//! `ulba_bench::gates` over schema-3 reports, against the seed baseline
-//! `results/BENCH_seed.json` (relative to the working directory). Findings
-//! print as GitHub annotations; exit 1 on any hard finding or unreadable
-//! report, 2 on a usage error or an unknown gate name.
+//! `ulba_bench::gates` over schema-3 reports; `drift` and `wall` compare
+//! each with the committed report of its file name, `results/<name>`
+//! (relative to the working directory). Findings print as GitHub
+//! annotations; exit 1 on any hard finding or unreadable report, 2 on a
+//! usage error or an unknown gate name.
 
 use std::path::Path;
 use ulba_bench::cli::{Cli, EROSION_STUDY_FLAGS};
@@ -44,12 +45,8 @@ const STUDIES: &[Study] = &[
         flags: &["--backend", "--backends", "--workers", "--ranks", "--gossip-wire", "--json"],
         run: weak_scaling,
     },
-    Study { name: "job_server", flags: &["--workers", "--ranks", "--json"], run: job_server },
-    Study {
-        name: "scenarios",
-        flags: &["--workers", "--ranks", "--gossip-wire", "--json"],
-        run: scenarios,
-    },
+    Study { name: "job_server", flags: &["--workers", "--json"], run: job_server },
+    Study { name: "scenarios", flags: &["--workers", "--gossip-wire", "--json"], run: scenarios },
     // Each row writes its own report at its own PE counts, so `all` takes
     // neither `--json` nor `--ranks`.
     Study { name: "all", flags: &["--backend", "--workers"], run: all },
@@ -229,18 +226,18 @@ fn weak_scaling(cli: &Cli) -> Result<(), String> {
 }
 
 /// Serial one-pool-per-run vs one shared pool. Every job pins the parallel
-/// backend, so no `--backend`; `--ranks` appends the drift-guard legs.
+/// backend, so no `--backend`.
 fn job_server(cli: &Cli) -> Result<(), String> {
     let json = cli.report_path("job_server");
-    figures::job_server::run(cli.workers.unwrap_or(0), &pes(cli, &[]), cli.smoke, Some(&json));
+    figures::job_server::run(cli.workers.unwrap_or(0), cli.smoke, &json);
     Ok(())
 }
 
 /// The adversarial-scenario sweep. Its grid pins both backends, so no
-/// `--backend`; `--ranks` appends the drift-guard legs.
+/// `--backend`.
 fn scenarios(cli: &Cli) -> Result<(), String> {
     let (workers, json) = (cli.workers.unwrap_or(0), cli.report_path("scenarios"));
-    figures::scenarios::run(workers, &pes(cli, &[]), cli.smoke, cli.gossip_wire, Some(&json));
+    figures::scenarios::run(workers, cli.smoke, cli.gossip_wire, &json);
     Ok(())
 }
 
@@ -265,12 +262,13 @@ fn gate(mut args: impl Iterator<Item = String>) -> Result<(), String> {
         Ok(gates) => gates,
         Err(err) => usage(&err),
     };
-    let seed = Report::read(Path::new("results/BENCH_seed.json"))?;
     let reports: Vec<(String, Report)> = paths
         .iter()
         .map(|path| Ok((path.clone(), Report::read(Path::new(path))?)))
         .collect::<Result<_, String>>()?;
-    let findings = gates::run(&gates, &reports, &seed.rows);
+    let findings = gates::run(&gates, &reports, |path| {
+        Report::read(&Path::new("results").join(Path::new(path).file_name().unwrap_or_default()))
+    });
     for finding in &findings {
         let prefix = match finding.severity {
             Severity::Info => "",
@@ -329,9 +327,12 @@ mod tests {
     fn ignored_flags_and_unknown_studies_are_rejected() {
         // Regression: `all_figures` took `--ranks` and `--json` and ignored
         // them; `job_server` and `scenarios` did the same with `--backend`.
+        // Their `--ranks` appended legs that only a deleted baseline read.
         for (study, args) in [
             ("scenarios", ["--backend", "parallel"]),
             ("job_server", ["--backend", "sequential"]),
+            ("scenarios", ["--ranks", "16384"]),
+            ("job_server", ["--ranks", "16384"]),
             ("all", ["--ranks", "64"]),
             ("all", ["--json", "x"]),
             ("fig2", ["--ranks", "8"]),

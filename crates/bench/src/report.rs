@@ -280,6 +280,19 @@ impl PerfRow {
     pub fn csv_row(&self) -> Vec<String> {
         self.cells().iter().map(Scalar::csv).collect()
     }
+
+    /// `(column, self's value, other's value)` as JSON for every column
+    /// where the rows differ: a float by more than `rel_tol` of `other`'s
+    /// magnitude, any other value at all.
+    pub fn diff(&self, other: &Self, rel_tol: f64) -> Vec<(&'static str, String, String)> {
+        let close = |a: &Scalar, b: &Scalar| match (a, b) {
+            (Scalar::Float(x), Scalar::Float(y)) => (x - y).abs() <= rel_tol * y.abs().max(1e-30),
+            _ => a == b,
+        };
+        let cells = Self::COLUMNS.iter().zip(self.cells().into_iter().zip(other.cells()));
+        let differ = cells.filter(|(_, (a, b))| !close(a, b));
+        differ.map(|(col, (a, b))| (col.name, a.json(), b.json())).collect()
+    }
 }
 
 /// A whole report document.
@@ -715,15 +728,21 @@ mod tests {
 
     #[test]
     fn committed_reports_are_reproduced_to_the_byte() {
-        // The writer's format did not move: write(read(f)) == f.
-        for name in
-            ["seed", "weak_scaling", "p65536", "job_server", "scenarios", "fig4a", "fig4b", "fig5"]
-        {
-            let path = format!("{}/../../results/BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
-            let committed = std::fs::read_to_string(&path).unwrap();
-            let report = Report::read(Path::new(&path)).unwrap();
-            assert_eq!(report.to_json(), committed, "{path}");
+        // The writer's format did not move: write(read(f)) == f, for every
+        // committed report.
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        let mut read = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy();
+            if name.starts_with("BENCH_") && name.ends_with(".json") {
+                let committed = std::fs::read_to_string(&path).unwrap();
+                let report = Report::read(&path).unwrap();
+                assert_eq!(report.to_json(), committed, "{}", path.display());
+                read += 1;
+            }
         }
+        assert!(read >= 7, "only {read} committed reports under {}", dir.display());
     }
 
     #[test]
