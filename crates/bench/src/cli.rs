@@ -169,7 +169,7 @@ impl Cli {
     /// Where `study` writes: CSVs under [`results`](Self::results), the
     /// report at [`report_path`](Self::report_path).
     pub fn study_output(&self, study: &str) -> StudyOutput {
-        let json = Some(self.report_path(study));
+        let json = self.report_path(study);
         StudyOutput { dir: self.results.clone(), smoke: self.smoke, json }
     }
 }
@@ -202,7 +202,7 @@ mod tests {
         let env = [("ULBA_QUICK", "1"), ("ULBA_RESULTS", "/tmp/x"), ("ULBA_SEEDS", "3")];
         let cli = parse(&[], &env, &[]).unwrap();
         assert_eq!((cli.smoke, cli.seeds, cli.instances), (true, Some(3), None));
-        assert_eq!(cli.study_output("fig5").json, Some("/tmp/x/BENCH_fig5.json".into()));
+        assert_eq!(cli.study_output("fig5").json, PathBuf::from("/tmp/x/BENCH_fig5.json"));
         assert!(!parse(&[], &[("ULBA_QUICK", "0")], &[]).unwrap().smoke);
         // A flag wins over its environment twin.
         let cli = parse(&["--workers", "2"], &[("ULBA_WORKERS", "7")], &["--workers"]).unwrap();

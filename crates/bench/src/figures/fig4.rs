@@ -156,7 +156,7 @@ mod tests {
     fn tiny_fig4a_runs() {
         let dir = std::env::temp_dir().join("ulba-fig4-test");
         let json = dir.join("BENCH_fig4a.json");
-        let out = StudyOutput { dir, smoke: true, json: Some(json.clone()) };
+        let out = StudyOutput { dir, smoke: true, json: json.clone() };
         // Tiny scale smoke: 8 PEs, 1 and 2 rocks, 1 seed — checks
         // plumbing, not magnitudes.
         let cells = run_4a(&[8], &[1, 2], &[11], &out).unwrap();
@@ -164,7 +164,7 @@ mod tests {
         assert!(cells.iter().flatten().all(|res| res.makespan > 0.0));
         // A batch study: the sweep wall once, no per-row wall.
         let report = crate::report::Report::read(&json).unwrap();
-        assert!(report.smoke && report.summary.batch_wall_s > Some(0.0));
+        assert!(report.smoke && report.batch_wall_s > Some(0.0));
         let spans: Vec<f64> = report.rows.iter().map(|r| r.makespan_virtual_s).collect();
         let expected: Vec<f64> = cells.iter().flatten().map(|res| res.makespan).collect();
         assert_eq!(spans, expected);

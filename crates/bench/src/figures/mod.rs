@@ -1,11 +1,13 @@
 //! One module per study; each `run` prints the figure's/table's rows and
-//! writes a CSV under `results/`. `ulba-bench <study>` (`src/main.rs`) picks
-//! a study's defaults and flags and calls its `run`, so `ulba-bench fig3`
-//! regenerates exactly one artifact and `ulba-bench all` every paper
-//! artifact and ablation. The erosion figures and ablations name their arms
-//! and print their tables; [`sweep`] runs them and writes their output.
+//! writes them under `results/`: the model studies (`table2`, `fig2`,
+//! `fig3`) as a CSV, the erosion-driven ones as a schema-3 report.
+//! `ulba-bench <study>` (`src/main.rs`) picks a study's defaults and flags
+//! and calls its `run`, so `ulba-bench fig3` regenerates exactly one
+//! artifact and `ulba-bench all` every paper artifact and ablation. The
+//! erosion figures and ablations name their arms and print their tables;
+//! [`sweep`] runs them and writes their report.
 
-use crate::output::{write_csv, StudyOutput};
+use crate::output::StudyOutput;
 use crate::report::{perf_row, PerfRow};
 use std::time::Instant;
 use ulba_erosion::{median_result, run_erosion_batch, ErosionConfig, ExperimentResult};
@@ -15,7 +17,6 @@ pub mod fig2;
 pub mod fig3;
 pub mod fig4;
 pub mod fig5;
-pub mod job_server;
 pub mod scenarios;
 pub mod table2;
 pub mod weak_scaling;
@@ -64,9 +65,8 @@ pub type Arm = (String, ErosionConfig);
 /// its arms must erode the same cells on every seed ([`check_same_erosion`]
 /// is the `Err`). Each arm reduces to its median-makespan run over `seeds`
 /// (the paper reports the median of five runs), returned per cell in arm
-/// order. The same medians are the rows of the schema-3 report (when
-/// `out.json` is set) and of `<out.dir>/<study>.csv`, whose columns are the
-/// report's.
+/// order. The same medians are the rows of the schema-3 report at
+/// `out.json`.
 pub fn sweep(
     study: &str,
     cells: &[Vec<Arm>],
@@ -97,8 +97,6 @@ pub fn sweep(
         }));
         medians.push(arm_medians);
     }
-    let csv: Vec<Vec<String>> = rows.iter().map(PerfRow::csv_row).collect();
-    write_csv(&out.dir, study, &PerfRow::csv_header(), &csv);
     out.write_batch_report(study, batch_wall_s, rows);
     Ok(medians)
 }
@@ -118,7 +116,7 @@ mod tests {
     fn a_sweep_reports_each_arms_median_and_refuses_arms_that_erode_differently() {
         let dir = std::env::temp_dir().join("ulba-sweep-test");
         let json = dir.join("BENCH_sweep.json");
-        let out = StudyOutput { dir: dir.clone(), smoke: true, json: Some(json.clone()) };
+        let out = StudyOutput { dir, smoke: true, json: json.clone() };
         let arm = |label: &str, rocks, policy| {
             let cfg = ErosionConfig { policy, iterations: 20, ..ErosionConfig::tiny(4, rocks) };
             (label.to_string(), cfg)
@@ -128,6 +126,7 @@ mod tests {
         let cell = vec![arm("standard", 1, standard), arm("ulba", 1, ulba)];
         let medians = sweep("sweep", std::slice::from_ref(&cell), &seeds, &out).unwrap();
         let report = crate::report::Report::read(&json).unwrap();
+        assert_eq!(report.rows.len(), cell.len(), "one row per arm");
         for (((label, cfg), median), row) in cell.iter().zip(&medians[0]).zip(&report.rows) {
             let runs = seeds.map(|seed| run_erosion(&ErosionConfig { seed, ..cfg.clone() }));
             assert_eq!(median.makespan, median_result(runs.into()).makespan, "{label}");
@@ -136,8 +135,6 @@ mod tests {
                 (label.as_str(), median.makespan)
             );
         }
-        let csv = std::fs::read_to_string(dir.join("sweep.csv")).unwrap();
-        assert_eq!(csv.lines().count(), 1 + report.rows.len());
 
         // Two rock counts in one cell erode differently: `Err`, and no
         // report is written.

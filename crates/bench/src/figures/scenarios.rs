@@ -19,7 +19,7 @@
 
 use crate::gates;
 use crate::output::print_table;
-use crate::report::{perf_row, PerfRow, Report, Summary};
+use crate::report::{perf_row, PerfRow, Report};
 use std::path::Path;
 use std::time::Instant;
 use ulba_core::gossip::GossipWire;
@@ -100,8 +100,8 @@ fn assert_identical(label: &str, a: &ScenarioResult, b: &ScenarioResult) {
 
 /// Run the scenario sweep. `workers` sizes the shared pool (0 = all
 /// cores); `wire_override` restricts the wire dimension. Returns the report
-/// (scenario rows carry `lambda_target`/`lambda_achieved`; `jobs` and
-/// `batch_wall_s` summary keys) after writing it to `json`.
+/// (scenario rows carry `lambda_target`/`lambda_achieved`, the sweep's wall
+/// is `batch_wall_s`) after writing it to `json`.
 pub fn run(workers: usize, smoke: bool, wire_override: Option<GossipWire>, json: &Path) -> Report {
     let specs = scenario_sweep(smoke, wire_override);
     println!(
@@ -200,8 +200,8 @@ pub fn run(workers: usize, smoke: bool, wire_override: Option<GossipWire>, json:
     );
     println!("\n{} jobs batched in {batch_wall_s:.2}s on one shared pool", rows.len());
 
-    let summary = Summary { jobs: Some(rows.len() as u64), ..Summary::batch(batch_wall_s) };
-    let report = Report { study: "scenarios".into(), smoke, summary, rows };
+    let batch_wall_s = Some(batch_wall_s);
+    let report = Report { study: "scenarios".into(), smoke, batch_wall_s, rows };
     // λ fidelity: the generator already asserts this at build time; the
     // study re-checks the *reported* values, with the gate CI runs on the
     // file, so a row can never drift from the construction invariant.
@@ -220,7 +220,7 @@ mod tests {
         let json = std::env::temp_dir().join("ulba-scenarios-test").join("BENCH_scenarios.json");
         // run() hard-asserts λ fidelity and backend/shard bit-identity.
         let report = run(2, true, None, &json);
-        assert_eq!(report.summary.jobs, Some(40), "5 families × 2 policies × 2 wires × 2 backends");
+        assert_eq!(report.rows.len(), 40, "5 families × 2 policies × 2 wires × 2 backends");
         assert!(report
             .rows
             .iter()

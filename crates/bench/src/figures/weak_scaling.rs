@@ -17,17 +17,13 @@
 //! leg. Every sweep starts with one explicit *untimed* single-iteration
 //! warmup run, so the process's one-time heap-growth/page-zeroing cost is
 //! not booked against the first timed leg's `sim_wall_s`.
-//! CSV: `<out>/weak_scaling_<backend>.csv` — one file per backend, so runs
-//! on different backends can be compared side by side instead of
-//! overwriting each other; its columns are the report's. `ulba-bench
-//! weak_scaling --json` additionally writes one schema-3
+//! `ulba-bench weak_scaling` writes one schema-3
 //! [`Report`](crate::report::Report) covering all backends of an invocation
 //! (the CI perf-trajectory artifacts `BENCH_weak_scaling.json` and
 //! `BENCH_p65536.json`).
 
-use crate::output::{print_table, write_csv};
+use crate::output::print_table;
 use crate::report::{perf_row, PerfRow};
-use std::path::Path;
 use std::time::Instant;
 use ulba_core::gossip::{GossipMode, GossipWire};
 use ulba_core::policy::LbPolicy;
@@ -72,13 +68,12 @@ fn legs(pe_counts: &[usize], smoke: bool) -> Vec<(&'static str, usize, ErosionCo
 }
 
 /// Run the weak-scaling sweep on `backend` (`None` = runtime default) with
-/// the given gossip wire format; the CSV goes under `out`.
+/// the given gossip wire format; one row per leg.
 pub fn run(
     pe_counts: &[usize],
     backend: Option<Backend>,
     wire: GossipWire,
     smoke: bool,
-    out: &Path,
 ) -> Vec<PerfRow> {
     let backend_label = backend.map_or_else(|| "default".to_string(), |b| b.to_string());
     println!(
@@ -156,20 +151,17 @@ pub fn run(
         ],
         &table,
     );
-    let csv_rows: Vec<Vec<String>> = rows.iter().map(PerfRow::csv_row).collect();
-    write_csv(out, &format!("weak_scaling_{backend_label}"), &PerfRow::csv_header(), &csv_rows);
     rows
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{Report, Summary};
+    use crate::report::Report;
 
     #[test]
     fn smoke_rows_are_what_perf_row_gives_and_the_report_round_trips() {
-        let out = std::env::temp_dir().join("ulba-weak-scaling-test");
-        let rows = run(&[8], Some(Backend::Sequential), GossipWire::default(), true, &out);
+        let rows = run(&[8], Some(Backend::Sequential), GossipWire::default(), true);
         assert_eq!(rows.len(), 2, "standard + ULBA");
         for (row, (label, ranks, mut cfg)) in rows.iter().zip(legs(&[8], true)) {
             cfg.backend = Some(Backend::Sequential);
@@ -182,11 +174,7 @@ mod tests {
                 "serial studies keep the per-run wall"
             );
         }
-        let csv = std::fs::read_to_string(out.join("weak_scaling_sequential.csv")).unwrap();
-        assert!(csv.starts_with("backend,pes,policy,"), "the CSV header is the column list: {csv}");
-        assert_eq!(csv.lines().count(), 3);
-        let report =
-            Report { study: "weak_scaling".into(), smoke: true, summary: Summary::default(), rows };
+        let report = Report { study: "weak_scaling".into(), smoke: true, batch_wall_s: None, rows };
         assert_eq!(Report::parse(&report.to_json()), Ok(report));
     }
 }

@@ -82,8 +82,6 @@ pub enum Gate {
     Ranks(usize),
     /// [`wall`]
     Wall,
-    /// [`batch_speedup`]
-    BatchSpeedup,
 }
 
 impl std::str::FromStr for Gate {
@@ -97,13 +95,12 @@ impl std::str::FromStr for Gate {
             "lambda" => Gate::Lambda,
             "scenario-grid" => Gate::ScenarioGrid,
             "wall" => Gate::Wall,
-            "batch-speedup" => Gate::BatchSpeedup,
             _ => match name.strip_prefix("ranks:").and_then(|p| p.parse().ok()) {
                 Some(pes) => Gate::Ranks(pes),
                 None => {
                     return Err(format!(
                         "unknown gate `{name}` (valid: drift, rss, entries, lambda, \
-                         scenario-grid, ranks:<P>, wall, batch-speedup)"
+                         scenario-grid, ranks:<P>, wall)"
                     ))
                 }
             },
@@ -131,7 +128,6 @@ pub fn run(
                 Gate::ScenarioGrid => scenario_grid(report),
                 Gate::Ranks(pes) => ranks(report, *pes),
                 Gate::Wall => against(report, committed(label), wall),
-                Gate::BatchSpeedup => batch_speedup(report),
             };
             out.extend(
                 findings
@@ -312,22 +308,9 @@ pub fn wall(report: &Report, committed: &Report) -> Vec<Finding> {
     out
 }
 
-/// Warn — the batched sweep should beat one-pool-per-run; an absent
-/// (`null`) speedup warns too.
-pub fn batch_speedup(report: &Report) -> Vec<Finding> {
-    let s = &report.summary;
-    let severity = if s.speedup.is_some_and(|x| x > 1.0) { Info } else { Warn };
-    let message = format!(
-        "batched sweep vs one-pool-per-run: speedup {:?} (serial {:?}s, batched {:?}s)",
-        s.speedup, s.serial_wall_s, s.batch_wall_s
-    );
-    vec![finding(severity, message)]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::Summary;
     use std::path::Path;
 
     fn row(backend: &str, policy: &str, pes: usize, makespan: f64) -> PerfRow {
@@ -352,7 +335,7 @@ mod tests {
     }
 
     fn report(rows: Vec<PerfRow>) -> Report {
-        Report { study: "fixture".into(), smoke: true, summary: Summary::default(), rows }
+        Report { study: "fixture".into(), smoke: true, batch_wall_s: None, rows }
     }
 
     /// `(hard, warn)` counts.
@@ -437,7 +420,7 @@ mod tests {
         let mut named: Vec<&str> = changed.iter().map(|(c, _)| *c).collect();
         named.extend(identities.iter().chain(&MACHINE_COLUMNS));
         named.sort_unstable();
-        let mut columns = PerfRow::csv_header();
+        let mut columns = PerfRow::columns();
         columns.sort_unstable();
         assert_eq!(named, columns);
     }
@@ -576,37 +559,19 @@ mod tests {
     }
 
     #[test]
-    fn batch_speedup_only_warns_even_when_null() {
-        let with = |speedup| {
-            let summary = Summary { speedup, ..Summary::default() };
-            Report { summary, ..report(vec![]) }
-        };
-        assert_eq!(verdict(&batch_speedup(&with(Some(1.18)))), (0, 0));
-        assert_eq!(verdict(&batch_speedup(&with(Some(1.0)))), (0, 1));
-        assert_eq!(verdict(&batch_speedup(&with(None))), (0, 1));
-    }
-
-    #[test]
     fn gate_names_parse_and_an_unknown_one_lists_the_valid_ones() {
         let parsed: Result<Vec<Gate>, String> =
-            "drift,rss,entries,lambda,scenario-grid,ranks:1048576,wall,batch-speedup"
+            "drift,rss,entries,lambda,scenario-grid,ranks:1048576,wall"
                 .split(',')
                 .map(str::parse)
                 .collect();
         assert_eq!(parsed.unwrap()[5], Gate::Ranks(1 << 20));
-        for bad in ["drfit", "", "ranks", "ranks:many"] {
+        // `batch-speedup` judged a deleted study's summary key.
+        for bad in ["drfit", "", "ranks", "ranks:many", "batch-speedup"] {
             let err = bad.parse::<Gate>().unwrap_err();
             assert!(err.contains(&format!("unknown gate `{bad}`")), "{err}");
-            for name in [
-                "drift",
-                "rss",
-                "entries",
-                "lambda",
-                "scenario-grid",
-                "ranks:<P>",
-                "wall",
-                "batch-speedup",
-            ] {
+            for name in ["drift", "rss", "entries", "lambda", "scenario-grid", "ranks:<P>", "wall"]
+            {
                 assert!(err.contains(name), "{err} must list {name}");
             }
         }
@@ -654,7 +619,7 @@ mod tests {
             Report::read(Path::new(&path))
         };
         let label = |name: &str| (name.to_string(), read(name).unwrap());
-        let all = ["weak_scaling", "p65536", "job_server", "scenarios", "fig4a", "fig4b", "fig5"];
+        let all = ["weak_scaling", "p65536", "scenarios", "fig4a", "fig4b", "fig5"];
         for (gates, names) in [
             // Against itself, a report is reproduced row for row.
             (vec![Gate::Drift, Gate::Wall, Gate::Rss], &all[..]),

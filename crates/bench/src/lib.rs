@@ -12,7 +12,6 @@
 //! | Fig. 5 | `fig5` | [`figures::fig5::run`] |
 //! | E-A1…E-A4 | `ablation_*` | [`figures::ablations`] |
 //! | weak scaling, P ≤ 2^20 | `weak_scaling` | [`figures::weak_scaling::run`] |
-//! | batched vs one-pool-per-run | `job_server` | [`figures::job_server::run`] |
 //! | adversarial-scenario sweep | `scenarios` | [`figures::scenarios::run`] |
 //! | every paper artifact and ablation | `all` | — |
 //! | CI gates; `drift`, `wall` against the committed `BENCH_*.json` | `gate` | [`gates::run`] |

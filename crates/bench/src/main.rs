@@ -16,7 +16,7 @@ use ulba_bench::cli::{Cli, EROSION_STUDY_FLAGS};
 use ulba_bench::figures::weak_scaling::WEAK_SCALING_PE_COUNTS;
 use ulba_bench::figures::{self, MEDIAN_SEEDS, PAPER_PE_COUNTS};
 use ulba_bench::gates::{self, Gate, Severity};
-use ulba_bench::report::{Report, Summary};
+use ulba_bench::report::Report;
 use ulba_runtime::Backend;
 
 /// One `ulba-bench <name>` command.
@@ -45,7 +45,6 @@ const STUDIES: &[Study] = &[
         flags: &["--backend", "--backends", "--workers", "--ranks", "--gossip-wire", "--json"],
         run: weak_scaling,
     },
-    Study { name: "job_server", flags: &["--workers", "--json"], run: job_server },
     Study { name: "scenarios", flags: &["--workers", "--gossip-wire", "--json"], run: scenarios },
     // Each row writes its own report at its own PE counts, so `all` takes
     // neither `--json` nor `--ranks`.
@@ -203,8 +202,8 @@ fn ablation_trigger(cli: &Cli) -> Result<(), String> {
 }
 
 /// Weak scaling: erosion at P ∈ {64, 256, 1024, 4096}, standard vs ULBA,
-/// once per `--backends` entry so their simulation wall-clocks compare;
-/// `--json` writes one schema-3 report covering every backend.
+/// once per `--backends` entry so their simulation wall-clocks compare,
+/// into one schema-3 report covering every backend.
 fn weak_scaling(cli: &Cli) -> Result<(), String> {
     // --backend is also the process default (ULBA_BACKEND); the per-run
     // backend below still wins.
@@ -216,20 +215,11 @@ fn weak_scaling(cli: &Cli) -> Result<(), String> {
     let wire = cli.gossip_wire.unwrap_or_default();
     let mut rows = Vec::new();
     for backend in backends {
-        rows.extend(figures::weak_scaling::run(&pes, backend, wire, cli.smoke, &cli.results));
+        rows.extend(figures::weak_scaling::run(&pes, backend, wire, cli.smoke));
     }
-    if let Some(path) = &cli.json {
-        let summary = Summary::default();
-        Report { study: "weak_scaling".into(), smoke: cli.smoke, summary, rows }.write(path);
-    }
-    Ok(())
-}
-
-/// Serial one-pool-per-run vs one shared pool. Every job pins the parallel
-/// backend, so no `--backend`.
-fn job_server(cli: &Cli) -> Result<(), String> {
-    let json = cli.report_path("job_server");
-    figures::job_server::run(cli.workers.unwrap_or(0), cli.smoke, &json);
+    let report =
+        Report { study: "weak_scaling".into(), smoke: cli.smoke, batch_wall_s: None, rows };
+    report.write(&cli.report_path("weak_scaling"));
     Ok(())
 }
 
@@ -326,13 +316,11 @@ mod tests {
     #[test]
     fn ignored_flags_and_unknown_studies_are_rejected() {
         // Regression: `all_figures` took `--ranks` and `--json` and ignored
-        // them; `job_server` and `scenarios` did the same with `--backend`.
-        // Their `--ranks` appended legs that only a deleted baseline read.
+        // them; `scenarios` did the same with `--backend`. Its `--ranks`
+        // appended legs that only a deleted baseline read.
         for (study, args) in [
             ("scenarios", ["--backend", "parallel"]),
-            ("job_server", ["--backend", "sequential"]),
             ("scenarios", ["--ranks", "16384"]),
-            ("job_server", ["--ranks", "16384"]),
             ("all", ["--ranks", "64"]),
             ("all", ["--json", "x"]),
             ("fig2", ["--ranks", "8"]),
@@ -340,9 +328,13 @@ mod tests {
             let err = parse(study, &args, &[]).unwrap_err();
             assert!(err.starts_with(&format!("unknown argument `{}`", args[0])), "{study}: {err}");
         }
-        for (name, what) in
-            [("fig6", "unknown study `fig6`"), ("all_figures", "unknown"), ("", "no study")]
-        {
+        // `job_server` was a study once; its claims live in the test suites.
+        for (name, what) in [
+            ("fig6", "unknown study `fig6`"),
+            ("all_figures", "unknown"),
+            ("job_server", "unknown study `job_server`"),
+            ("", "no study"),
+        ] {
             let err = parse(name, &[], &[]).unwrap_err();
             let listed: Vec<&str> =
                 err.lines().skip(2).filter_map(|l| l.split_whitespace().next()).collect();

@@ -2,7 +2,7 @@
 //! is the caller's decision (see [`Cli`](crate::cli::Cli)); nothing here
 //! reads the environment.
 
-use crate::report::{PerfRow, Report, Summary};
+use crate::report::{PerfRow, Report};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -35,26 +35,25 @@ pub fn write_csv(dir: &Path, name: &str, header: &[&str], rows: &[Vec<String>]) 
     path
 }
 
-/// Where an erosion-driven study writes: its CSVs under `dir` and, when
-/// `json` is set, its schema-3 report, labelled with `smoke`.
+/// Where an erosion-driven study writes: its schema-3 report at `json`,
+/// labelled with `smoke`, and any CSV under `dir` (`fig4b_utilization.csv`).
 #[derive(Debug, Clone)]
 pub struct StudyOutput {
     /// CSV directory.
     pub dir: PathBuf,
     /// Whether the study runs at smoke size.
     pub smoke: bool,
-    /// Report path, if one is wanted.
-    pub json: Option<PathBuf>,
+    /// Report path.
+    pub json: PathBuf,
 }
 
 impl StudyOutput {
-    /// Write the report of a batched sweep, if one is wanted: `rows` have no
-    /// per-row wall, the sweep's is the `batch_wall_s` summary key.
+    /// Write the report of a batched sweep: `rows` have no per-row wall,
+    /// the sweep's is [`Report::batch_wall_s`].
     pub fn write_batch_report(&self, study: &str, batch_wall_s: f64, rows: Vec<PerfRow>) {
-        if let Some(path) = &self.json {
-            let summary = Summary::batch(batch_wall_s);
-            Report { study: study.to_string(), smoke: self.smoke, summary, rows }.write(path);
-        }
+        let batch_wall_s = Some(batch_wall_s);
+        Report { study: study.to_string(), smoke: self.smoke, batch_wall_s, rows }
+            .write(&self.json);
     }
 }
 

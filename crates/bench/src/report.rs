@@ -1,11 +1,11 @@
 //! The schema-3 perf report (`results/BENCH_<study>.json`) every
 //! erosion-driven study emits and every CI gate reads.
 //!
-//! The row columns ([`PerfRow`]) and the summary keys ([`Summary`]) are each
-//! listed **once**, in the two `record!` tables below; the JSON writer, the
-//! JSON reader and the weak-scaling CSV are derived from those tables, so
-//! adding a column is one line here plus the line of [`perf_row`] that
-//! computes it.
+//! The row columns ([`PerfRow`]) are listed **once**, in the `record!`
+//! table below; the JSON writer and reader are derived from it, so adding a
+//! column is one line there plus the line of [`perf_row`] that computes it.
+//! Above the rows, a document holds `schema`, `study`, `smoke` and, in a
+//! batch study, `batch_wall_s`.
 //!
 //! The reader parses the documents this module writes — objects, arrays,
 //! strings with the escapes the writer emits, numbers keeping the
@@ -44,15 +44,6 @@ impl Scalar {
             Scalar::Float(x) if x.is_finite() => x.to_string(),
             Scalar::Null | Scalar::Float(_) => "null".to_string(),
             Scalar::Str(s) => format!("\"{}\"", json_escape(s)),
-        }
-    }
-
-    /// CSV cell: strings raw, `null` empty.
-    fn csv(&self) -> String {
-        match self {
-            Scalar::Str(s) => s.clone(),
-            Scalar::Null => String::new(),
-            other => other.json(),
         }
     }
 }
@@ -140,7 +131,7 @@ impl<T: Field> Field for Option<T> {
 
 /// One entry of a `record!` table.
 struct Column {
-    /// The JSON key and CSV header.
+    /// The JSON key.
     name: &'static str,
     /// `=> omitted` columns leave their key out when the value is `None`;
     /// the others write `null`.
@@ -218,8 +209,8 @@ record! {
         pub gossip_wire: String,
         /// Real wall-clock seconds spent simulating this run. `None` in
         /// batch studies: their jobs share one pool concurrently, so a
-        /// per-run wall does not exist — the sweep's wall is the
-        /// `batch_wall_s` summary key.
+        /// per-run wall does not exist — the sweep's wall is
+        /// [`Report::batch_wall_s`].
         pub sim_wall_s: Option<f64>,
         /// Virtual makespan in seconds.
         pub makespan_virtual_s: f64,
@@ -247,38 +238,10 @@ record! {
     }
 }
 
-record! {
-    /// The top-level keys between `smoke` and `rows`; a study writes the
-    /// ones it measures.
-    #[derive(Default)]
-    pub struct Summary {
-        /// Number of jobs in the batched sweep.
-        pub jobs: Option<u64> => omitted,
-        /// Wall seconds of the serial one-pool-per-run pass (`job_server`).
-        pub serial_wall_s: Option<f64> => omitted,
-        /// Wall seconds of the whole batched sweep (every batch study).
-        pub batch_wall_s: Option<f64> => omitted,
-        /// `serial_wall_s / batch_wall_s` (`job_server`).
-        pub speedup: Option<f64> => omitted,
-    }
-}
-
-impl Summary {
-    /// The summary of a batch study that measures only its sweep wall.
-    pub fn batch(batch_wall_s: f64) -> Self {
-        Self { batch_wall_s: Some(batch_wall_s), ..Self::default() }
-    }
-}
-
 impl PerfRow {
-    /// Header of the CSV rendering: the column names.
-    pub fn csv_header() -> Vec<&'static str> {
+    /// The column names, in writing order.
+    pub fn columns() -> Vec<&'static str> {
         Self::COLUMNS.iter().map(|c| c.name).collect()
-    }
-
-    /// This row as CSV cells (`null` is the empty cell).
-    pub fn csv_row(&self) -> Vec<String> {
-        self.cells().iter().map(Scalar::csv).collect()
     }
 
     /// `(column, self's value, other's value)` as JSON for every column
@@ -298,12 +261,14 @@ impl PerfRow {
 /// A whole report document.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Report {
-    /// Study name (`weak_scaling`, `job_server`, `fig4a`, …).
+    /// Study name (`weak_scaling`, `scenarios`, `fig4a`, …).
     pub study: String,
     /// Whether the study ran at smoke size.
     pub smoke: bool,
-    /// The study-level measurements.
-    pub summary: Summary,
+    /// Wall seconds of the whole batched sweep (every batch study; `None`
+    /// in `weak_scaling`, whose rows carry their own wall). Written only
+    /// when `Some`.
+    pub batch_wall_s: Option<f64>,
     /// One row per measured run.
     pub rows: Vec<PerfRow>,
 }
@@ -316,8 +281,8 @@ impl Report {
             self.study.to_scalar().json(),
             self.smoke
         );
-        for member in self.summary.members() {
-            doc.push_str(&format!("  {member},\n"));
+        if let Some(wall) = self.batch_wall_s {
+            doc.push_str(&format!("  \"batch_wall_s\": {},\n", wall.to_scalar().json()));
         }
         doc.push_str("  \"rows\": [\n");
         for (i, row) in self.rows.iter().enumerate() {
@@ -354,12 +319,13 @@ impl Report {
         if head.take::<u64>("schema")? != 3 {
             return Err(error_at(0, "`schema` is not 3"));
         }
-        Ok(Self {
+        let report = Self {
             study: head.take("study")?,
             smoke: head.take("smoke")?,
             rows: rows.ok_or_else(|| p.error("`rows` is missing"))?,
-            summary: Summary::from_pairs(head)?,
-        })
+            batch_wall_s: head.take("batch_wall_s")?,
+        };
+        head.finish().map(|()| report)
     }
 
     /// Write the document to `path`, creating parent directories.
@@ -667,12 +633,7 @@ mod tests {
             let report = Report {
                 study: label(&mut rng),
                 smoke: rng.random(),
-                summary: Summary {
-                    jobs: maybe(&mut rng, |rng| rng.random()),
-                    serial_wall_s: maybe(&mut rng, float),
-                    batch_wall_s: maybe(&mut rng, float),
-                    speedup: maybe(&mut rng, float),
-                },
+                batch_wall_s: maybe(&mut rng, float),
                 rows: (0..rng.random_range(0..4)).map(|_| row(&mut rng)).collect(),
             };
             let text = report.to_json();
@@ -684,12 +645,11 @@ mod tests {
     fn non_finite_floats_are_written_null_and_read_back_as_absent() {
         let mut rng = StdRng::seed_from_u64(1);
         let rows = vec![PerfRow { sim_wall_s: Some(f64::INFINITY), ..row(&mut rng) }];
-        let summary = Summary { speedup: Some(f64::NAN), jobs: Some(2), ..Summary::default() };
-        let report = Report { study: "s".into(), smoke: false, summary, rows };
+        let report = Report { study: "s".into(), smoke: false, batch_wall_s: Some(f64::NAN), rows };
         let text = report.to_json();
-        assert!(text.contains("\"speedup\": null") && text.contains("\"sim_wall_s\": null"));
+        assert!(text.contains("\"batch_wall_s\": null") && text.contains("\"sim_wall_s\": null"));
         let back = Report::parse(&text).unwrap();
-        assert_eq!((back.summary.speedup, back.summary.jobs), (None, Some(2)));
+        assert_eq!(back.batch_wall_s, None);
         assert_eq!(back.rows[0].sim_wall_s, None);
         // A non-finite *required* column makes the document unreadable.
         let mut broken = report;
@@ -742,14 +702,13 @@ mod tests {
                 read += 1;
             }
         }
-        assert!(read >= 7, "only {read} committed reports under {}", dir.display());
+        assert!(read >= 6, "only {read} committed reports under {}", dir.display());
     }
 
     #[test]
     fn malformed_documents_name_the_byte_offset() {
-        let good =
-            Report { study: "s".into(), smoke: true, summary: Summary::batch(1.5), rows: vec![] }
-                .to_json();
+        let good = Report { study: "s".into(), smoke: true, batch_wall_s: Some(1.5), rows: vec![] }
+            .to_json();
         assert!(Report::parse(&good).is_ok());
         // (document, where the error points — `$` = the end, what it says)
         for (broken, at, what) in [
@@ -766,7 +725,7 @@ mod tests {
             (good.replace("\"s\"", "\"\\/\""), "/", "unsupported escape"),
             (good.replace("\"s\"", "\"s"), "\n  \"smoke", "unterminated string or raw control"),
             (good.replace("\"rows\": [", "\"rows\": [{}"), "\n  ]", "`backend` is missing"),
-            (good.replace("\"rows\": [\n  ]", "\"jobs\": 1"), "$", "`rows` is missing"),
+            (good.replace("\"rows\": [\n  ]", "\"row\": 1"), "$", "`rows` is missing"),
             (good.replace("}\n", "} x"), "x", "trailing bytes"),
         ] {
             let offset = if at == "$" { broken.len() } else { broken.find(at).unwrap() };

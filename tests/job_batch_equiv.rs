@@ -1,11 +1,12 @@
 //! Batch-vs-serial equivalence of whole erosion experiments on a shared
 //! [`JobServer`]: for any mix of backend, pool size (a job's block count),
-//! and gossip wire format, submitting a sweep to one pool must reproduce
-//! the serial results bit for bit.
+//! gossip wire format and LB policy, submitting a sweep to one pool must
+//! reproduce the serial results bit for bit.
 
 use proptest::prelude::*;
 use ulba::core::gossip::GossipWire;
-use ulba::erosion::{run_erosion, run_erosion_batch, ErosionConfig};
+use ulba::core::policy::LbPolicy;
+use ulba::erosion::{run_erosion, run_erosion_batch, ErosionConfig, ExperimentResult};
 use ulba::runtime::{Backend, JobServer};
 
 /// One generated experiment: which backend the config pins (None = eligible
@@ -18,6 +19,7 @@ fn build_config(
     wire: GossipWire,
     workers: usize,
     backend: Option<Backend>,
+    policy: LbPolicy,
 ) -> ErosionConfig {
     let mut cfg = ErosionConfig::tiny(ranks, 1);
     cfg.iterations = 15;
@@ -25,7 +27,52 @@ fn build_config(
     cfg.gossip_wire = wire;
     cfg.workers = Some(workers);
     cfg.backend = backend;
+    cfg.policy = policy;
     cfg
+}
+
+/// The fields that tell two erosion runs apart, floats as bits.
+fn outcome(res: &ExperimentResult) -> (u64, &[u64], u64, u64, u64) {
+    (
+        res.makespan.to_bits(),
+        &res.lb_iterations,
+        res.total_eroded,
+        res.final_total_weight,
+        res.db_entries_total,
+    )
+}
+
+/// Standard and ULBA at mixed P on the parallel backend, batched on one
+/// two-worker pool, match runs on private two-worker pools: a job admitted
+/// behind others gets fewer blocks than the two a private pool gives it.
+#[test]
+fn mixed_policies_and_pe_counts_batch_like_private_pools() {
+    let policies = [LbPolicy::Standard, LbPolicy::ulba_fixed(0.4)];
+    let mut cfgs = Vec::new();
+    for ranks in [8, 16] {
+        for policy in policies {
+            for seed in [11, 23] {
+                let mut cfg = build_config(
+                    seed,
+                    ranks,
+                    GossipWire::default(),
+                    2,
+                    Some(Backend::Parallel),
+                    policy,
+                );
+                cfg.iterations = 40;
+                cfgs.push(cfg);
+            }
+        }
+    }
+    let server = JobServer::new(2);
+    let shared: Vec<ErosionConfig> =
+        cfgs.iter().map(|cfg| cfg.clone().with_server(server.clone())).collect();
+    let batched = run_erosion_batch(&shared);
+    for (cfg, batch_res) in cfgs.iter().zip(&batched) {
+        let label = format!("P={} {} seed {}", cfg.ranks, cfg.policy, cfg.seed);
+        assert_eq!(outcome(batch_res), outcome(&run_erosion(cfg)), "{label}");
+    }
 }
 
 proptest! {
@@ -49,7 +96,7 @@ proptest! {
             .map(|&(seed, ranks, wire, serial_workers, backend)| {
                 let wire = [GossipWire::Full, GossipWire::delta(), GossipWire::Delta { full_every: 3 }][wire];
                 let backend = [None, Some(Backend::Sequential), Some(Backend::Parallel)][backend];
-                build_config(seed, ranks, wire, serial_workers, backend)
+                build_config(seed, ranks, wire, serial_workers, backend, LbPolicy::ulba_fixed(0.4))
                     .with_server(server.clone())
             })
             .collect();
