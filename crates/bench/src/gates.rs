@@ -274,30 +274,51 @@ pub fn ranks(report: &Report, pes: usize) -> Vec<Finding> {
     stray.map(|r| hard(format!("unexpected row P={} in the P={pes} leg", r.pes))).collect()
 }
 
-fn wall_sum(rows: &[PerfRow], backend: &str) -> f64 {
-    rows.iter().filter(|r| r.backend == backend).filter_map(|r| r.sim_wall_s).sum()
+/// The `backend` rows' summed `sim_wall_s`, or `None` when none is timed
+/// (a batch row carries no wall of its own).
+fn wall_sum(rows: &[PerfRow], backend: &str) -> Option<f64> {
+    let walls = rows.iter().filter(|r| r.backend == backend).filter_map(|r| r.sim_wall_s);
+    walls.reduce(|a, b| a + b)
 }
 
 /// The wall trajectory of `report`'s parallel rows. Not faster than its
 /// sequential rows: HARD when every timed parallel row ran as two or more
 /// blocks (`hub_shards ≥ 2`, i.e. on two or more workers) — a same-run,
 /// same-machine ratio the pool must win — and a warning on one core, where
-/// it cannot. HARD if slower (beyond slack) than the committed report's.
+/// it cannot; a report without timed rows of both backends has no ratio
+/// to judge, and says so. HARD if slower (beyond slack) than the committed
+/// report's.
 pub fn wall(report: &Report, committed: &Report) -> Vec<Finding> {
-    let seq = wall_sum(&report.rows, "sequential");
+    let shown = |wall: Option<f64>| wall.map_or("untimed".into(), |w| format!("{w:.2}s"));
+    let committed = wall_sum(&committed.rows, "parallel");
     let par = wall_sum(&report.rows, "parallel");
-    let base = wall_sum(&committed.rows, "parallel");
-    let mut out = vec![info(format!(
-        "sequential {seq:.2}s, parallel {par:.2}s ({:.2}x), committed parallel {base:.2}s",
-        seq / par
-    ))];
-    if par >= seq {
-        let mut timed =
-            report.rows.iter().filter(|r| r.backend == "parallel" && r.sim_wall_s.is_some());
-        let multi_worker = seq > 0.0 && timed.all(|r| r.hub_shards >= 2);
-        let message = format!("parallel was not faster than sequential ({par:.2}s vs {seq:.2}s)");
-        out.push(finding(if multi_worker { Hard } else { Warn }, message));
-    }
+    let mut out = match (wall_sum(&report.rows, "sequential"), par) {
+        (Some(seq), Some(par)) => {
+            let mut out = vec![info(format!(
+                "sequential {seq:.2}s, parallel {par:.2}s ({:.2}x), committed parallel {}",
+                seq / par,
+                shown(committed)
+            ))];
+            if par >= seq {
+                let mut timed = report
+                    .rows
+                    .iter()
+                    .filter(|r| r.backend == "parallel" && r.sim_wall_s.is_some());
+                let multi_worker = seq > 0.0 && timed.all(|r| r.hub_shards >= 2);
+                let message =
+                    format!("parallel was not faster than sequential ({par:.2}s vs {seq:.2}s)");
+                out.push(finding(if multi_worker { Hard } else { Warn }, message));
+            }
+            out
+        }
+        _ => vec![info(format!(
+            "no timed rows of both backends, so no ratio within the run; \
+             parallel {}, committed parallel {}",
+            shown(par),
+            shown(committed)
+        ))],
+    };
+    let (par, base) = (par.unwrap_or(0.0), committed.unwrap_or(0.0));
     let allowed = base * WALL_SLACK;
     if base > 0.0 && par > allowed {
         out.push(hard(format!(
@@ -549,13 +570,35 @@ mod tests {
         assert_eq!(verdict(&wall(&two_blocks(12.0, 9.0), &base)), (0, 0));
         assert_eq!(verdict(&wall(&with(13.0, 11.0), &base)), (0, 0), "exactly the allowed slack");
         assert_eq!(verdict(&wall(&with(13.0, 12.0), &base)), (1, 0), "1.2× the committed wall");
-        // Batch rows carry no wall: nothing to sum, only the not-faster
-        // warning — whatever their block count.
+        // Batch rows carry no wall: nothing to compare, and one info line
+        // that says so — whatever their block count.
         for hub_shards in [1, 2] {
-            let untimed =
-                PerfRow { sim_wall_s: None, hub_shards, ..row("parallel", "ulba", 16384, 0.125) };
-            assert_eq!(verdict(&wall(&report(vec![untimed]), &base)), (0, 1));
+            let untimed = |backend| PerfRow {
+                sim_wall_s: None,
+                hub_shards,
+                ..row(backend, "ulba", 16384, 0.125)
+            };
+            let batch = report(vec![untimed("sequential"), untimed("parallel")]);
+            let findings = wall(&batch, &base);
+            assert_eq!(verdict(&findings), (0, 0));
+            assert_eq!(findings.len(), 1);
+            assert!(findings[0].message.contains("no timed rows of both backends"), "{findings:?}");
+            assert!(findings[0].message.contains("parallel untimed"), "{findings:?}");
         }
+    }
+
+    #[test]
+    fn wall_of_a_parallel_only_report_is_only_held_to_the_committed_one() {
+        let with = |par: f64| {
+            report(vec![PerfRow { sim_wall_s: Some(par), ..row("parallel", "ulba", 65536, 0.45) }])
+        };
+        let base = committed();
+        let findings = wall(&with(9.0), &base);
+        assert_eq!(verdict(&findings), (0, 0));
+        assert_eq!(findings.len(), 1, "no ratio, no warning: {findings:?}");
+        assert!(!findings[0].message.contains("NaN"), "{}", findings[0].message);
+        assert!(findings[0].message.contains("parallel 9.00s"), "{}", findings[0].message);
+        assert_eq!(verdict(&wall(&with(12.0), &base)), (1, 0), "1.2× the committed wall");
     }
 
     #[test]
@@ -586,8 +629,9 @@ mod tests {
         assert_eq!(verdict(&findings), (1, 0));
         let hard = findings.iter().find(|f| f.severity == Hard).unwrap();
         assert!(hard.message.starts_with("[bad.json] "), "{}", hard.message);
-        // `wall` judges every report too: neither has a sequential row.
-        assert_eq!(verdict(&run(&[Gate::Wall], &reports, |_| Ok(committed()))), (0, 2));
+        // `wall` judges every report too: neither has a sequential row, so
+        // neither has a ratio to warn about.
+        assert_eq!(verdict(&run(&[Gate::Wall], &reports, |_| Ok(committed()))), (0, 0));
     }
 
     #[test]

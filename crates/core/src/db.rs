@@ -26,14 +26,18 @@
 //! reference (copy-on-write), plus the watermark below which its entries
 //! are not part of the message. Taking a view copies and allocates
 //! nothing; the run is copied only when its owner changes it while a view
-//! is still held, and [`WirDatabase::merge_view`] reads the entries where
-//! they lie. [`WirDatabase::snapshot`], [`WirDatabase::delta_since`] and
+//! is still held — into the run the previous such copy left behind, once
+//! every view of that one has dropped, so a rank that gossips every
+//! iteration alternates between two runs and allocates none — and
+//! [`WirDatabase::merge_view`] reads the entries where they lie.
+//! [`WirDatabase::snapshot`], [`WirDatabase::delta_since`] and
 //! [`WirDatabase::merge`] are the same code for callers that want entries
 //! as a slice.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter;
+use std::mem;
 use std::sync::Arc;
 
 /// One database entry: the WIR of `rank` as measured at `iteration`.
@@ -111,19 +115,45 @@ impl fmt::Debug for Run {
 /// `buf`, unshared, with room for `room` more slots past `len`, as a
 /// mutable buffer. A run a [`WirView`] still holds is copied first, with
 /// room for `room.max(spare)` more (`spare`: what the change that caused
-/// the copy may still insert); an unshared run is reallocated, to at least
-/// twice `len`, only when `room` is missing. Either way it is one
-/// allocation, and none when the run is unshared and roomy enough.
-fn reserve(buf: &mut Arc<[Slot]>, len: usize, room: usize, spare: usize) -> &mut [Slot] {
+/// the copy may still insert), and the shared run is kept in `recycled`.
+/// The copy goes into the run kept there by the previous copy when every
+/// view of that one has dropped and it is large enough, else into a new
+/// allocation. An unshared run is reallocated, to at least twice `len`,
+/// only when `room` is missing. So it is at most one allocation, and none
+/// when the run is unshared and roomy enough or the kept run can be
+/// reused.
+fn reserve<'a>(
+    buf: &'a mut Arc<[Slot]>,
+    recycled: &mut Option<Arc<[Slot]>>,
+    len: usize,
+    room: usize,
+    spare: usize,
+) -> &'a mut [Slot] {
     // No `Weak` is ever made of a run, so a strong count of one means it is
     // unshared. A count read while a holder drops its view can only be too
     // high: that costs a needless copy, never a write to a shared run.
-    let shared = Arc::strong_count(buf) > 1;
-    if shared || buf.len() < len + room {
-        let capacity = if shared { len + room.max(spare) } else { (len + room).max(2 * len) };
-        *buf = buf[..len].iter().copied().chain(iter::repeat_n(SPARE, capacity - len)).collect();
+    if Arc::strong_count(buf) > 1 {
+        let capacity = len + room.max(spare);
+        let kept = recycled.take().filter(|r| r.len() >= capacity && Arc::strong_count(r) == 1);
+        let copy = match kept {
+            // Only the slots are copied: what lies past them is spare room,
+            // never read.
+            Some(mut run) => {
+                Arc::get_mut(&mut run).expect("unshared")[..len].copy_from_slice(&buf[..len]);
+                run
+            }
+            None => with_room(&buf[..len], capacity),
+        };
+        *recycled = Some(mem::replace(buf, copy));
+    } else if buf.len() < len + room {
+        *buf = with_room(&buf[..len], (len + room).max(2 * len));
     }
-    Arc::make_mut(buf)
+    Arc::get_mut(buf).expect("unshared")
+}
+
+/// A new run of `slots` with spare room up to `capacity`.
+fn with_room(slots: &[Slot], capacity: usize) -> Arc<[Slot]> {
+    slots.iter().copied().chain(iter::repeat_n(SPARE, capacity - slots.len())).collect()
 }
 
 /// The decide pass of one chunk: bit `i` is set iff `theirs[i]` changed
@@ -161,11 +191,13 @@ fn close_gap(slots: &mut [Slot], len: &mut usize, write: usize, read: usize) {
 ///
 /// Stores only the entries this PE has heard about, as a run sorted by
 /// rank: one allocation, shared with the [`WirView`]s taken of it and
-/// copied by the first change made while one is held. Equality
+/// copied by the first change made while one is held — into the run the
+/// previous such copy left behind, once its views have dropped. Equality
 /// ([`PartialEq`]) compares *observable* state — the size and the entries
-/// — never the internal change clock, so two databases that heard the
-/// same facts through different message schedules compare equal.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// — never the internal change clock or the kept run, so two databases
+/// that heard the same facts through different message schedules compare
+/// equal.
+#[derive(Clone, Serialize, Deserialize)]
 pub struct WirDatabase {
     /// Number of ranks the database covers (the dense capacity).
     size: usize,
@@ -173,6 +205,21 @@ pub struct WirDatabase {
     run: Run,
     /// Local change clock: bumped on every observable change.
     clock: u64,
+    /// The run the last copy of a shared run moved away from, reused by
+    /// the next such copy once no view holds it (state of this host, not
+    /// of the database: not serialised, not compared).
+    #[serde(skip)]
+    recycled: Option<Arc<[Slot]>>,
+}
+
+impl fmt::Debug for WirDatabase {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("WirDatabase")
+            .field("size", &self.size)
+            .field("run", &self.run)
+            .field("clock", &self.clock)
+            .finish_non_exhaustive()
+    }
 }
 
 impl PartialEq for WirDatabase {
@@ -239,7 +286,7 @@ impl WirDatabase {
     /// An empty database for `size` ranks. Allocates nothing until entries
     /// arrive — the footprint is `O(known entries)`, not `O(size)`.
     pub fn new(size: usize) -> Self {
-        Self { size, run: Run::default(), clock: 0 }
+        Self { size, run: Run::default(), clock: 0, recycled: None }
     }
 
     /// Number of ranks the database covers.
@@ -260,12 +307,13 @@ impl WirDatabase {
             Ok(i) => {
                 if buf[i].takes(&entry) {
                     self.clock += 1;
-                    reserve(buf, *len, 0, 0)[i] = Slot { entry, version: self.clock };
+                    reserve(buf, &mut self.recycled, *len, 0, 0)[i] =
+                        Slot { entry, version: self.clock };
                 }
             }
             Err(i) => {
                 self.clock += 1;
-                let slots = reserve(buf, *len, 1, 1);
+                let slots = reserve(buf, &mut self.recycled, *len, 1, 1);
                 slots.copy_within(i..*len, i + 1);
                 slots[i] = Slot { entry, version: self.clock };
                 *len += 1;
@@ -319,7 +367,7 @@ impl WirDatabase {
             return;
         };
         let len = self.run.len;
-        let slots = &mut reserve(&mut self.run.buf, len, 0, 0)[..len];
+        let slots = &mut reserve(&mut self.run.buf, &mut self.recycled, len, 0, 0)[..len];
         let mut first_mask = Some(mask);
         for (mine, theirs) in slots.chunks_mut(CHUNK).zip(theirs.chunks(CHUNK)).skip(first) {
             let mask = first_mask.take().unwrap_or_else(|| decide(mine, theirs, since));
@@ -345,12 +393,12 @@ impl WirDatabase {
         if count == 0 {
             return;
         }
-        let (size, clock) = (self.size, &mut self.clock);
+        let (size, clock, recycled) = (self.size, &mut self.clock, &mut self.recycled);
         let Run { buf, len } = &mut self.run;
         let mut known = *len;
         // A shared run is copied with room for every insert the entries can
         // make; an unshared one grows at the first new rank, if at all.
-        let mut slots = reserve(buf, known, 0, count.min(size - known));
+        let mut slots = reserve(buf, recycled, known, 0, count.min(size - known));
         // `slots[..write]` is merged output, `slots[read..known]` the part
         // of the run the walk has not reached, and between them lies the
         // gap (empty — `write == read` — until a new rank needs room).
@@ -385,7 +433,7 @@ impl WirDatabase {
                         let room = (count - done).min(size - known);
                         // Unshared since the walk began: only grow it.
                         if slots.len() < known + room {
-                            slots = reserve(buf, known, room, room);
+                            slots = reserve(buf, recycled, known, room, room);
                         }
                         slots.copy_within(read..known, read + room);
                         read += room;
@@ -414,8 +462,9 @@ impl WirDatabase {
         self.view().to_vec()
     }
 
-    /// Iterate the known entries in rank order, without allocating.
-    pub fn entries(&self) -> impl Iterator<Item = WirEntry> + '_ {
+    /// Iterate the known entries in rank order, without allocating
+    /// (`Clone`, so a two-pass statistic can replay them).
+    pub fn entries(&self) -> impl Iterator<Item = WirEntry> + Clone + '_ {
         self.run.slots().iter().map(|s| s.entry)
     }
 
@@ -464,20 +513,16 @@ impl WirDatabase {
 
     /// Dense WIR vector: unknown ranks default to `default` (rank order).
     ///
-    /// Materializes `O(size)` — prefer [`wirs_iter`](Self::wirs_iter) on
-    /// hot paths; this remains for consumers that genuinely need the dense
-    /// vector (e.g. the median/MAD robust detector, which sorts it anyway).
+    /// Materializes `O(size)`, for the one consumer that needs the dense
+    /// vector: the median/MAD robust detector, which sorts it anyway. The
+    /// z-score folds [`entries`](Self::entries) instead
+    /// ([`crate::outlier::z_params`]).
     pub fn wirs_or(&self, default: f64) -> Vec<f64> {
-        self.wirs_iter(default).collect()
-    }
-
-    /// Iterate the dense WIR view — `wir` for known ranks, `default` for
-    /// unknown ones, in rank order — without materializing it. Yields
-    /// exactly the same sequence as [`wirs_or`](Self::wirs_or), so
-    /// statistics folded over it (in order) are bit-identical to the dense
-    /// path.
-    pub fn wirs_iter(&self, default: f64) -> WirsIter<'_> {
-        WirsIter { slots: self.run.slots(), next_rank: 0, size: self.size, default }
+        let mut wirs = vec![default; self.size];
+        for entry in self.entries() {
+            wirs[entry.rank] = entry.wir;
+        }
+        wirs
     }
 
     /// Maximum staleness (in iterations) of any known entry relative to
@@ -501,43 +546,6 @@ impl WirDatabase {
         self.run.buf.len() * std::mem::size_of::<Slot>()
     }
 }
-
-/// Iterator of the dense default-filled WIR view (see
-/// [`WirDatabase::wirs_iter`]). `Clone` so two-pass statistics (mean, then
-/// deviation) can replay the identical sequence.
-#[derive(Debug, Clone)]
-pub struct WirsIter<'a> {
-    slots: &'a [Slot],
-    next_rank: usize,
-    size: usize,
-    default: f64,
-}
-
-impl Iterator for WirsIter<'_> {
-    type Item = f64;
-
-    fn next(&mut self) -> Option<f64> {
-        if self.next_rank >= self.size {
-            return None;
-        }
-        let rank = self.next_rank;
-        self.next_rank += 1;
-        match self.slots.first() {
-            Some(s) if s.entry.rank == rank => {
-                self.slots = &self.slots[1..];
-                Some(s.entry.wir)
-            }
-            _ => Some(self.default),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.size - self.next_rank;
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for WirsIter<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -584,20 +592,12 @@ mod tests {
 
     #[test]
     fn dense_vector_with_default() {
-        let mut db = WirDatabase::new(3);
-        db.update(e(1, 7.0, 1));
-        assert_eq!(db.wirs_or(0.0), vec![0.0, 7.0, 0.0]);
-    }
-
-    #[test]
-    fn wirs_iter_matches_dense_vector() {
         let mut db = WirDatabase::new(6);
         db.update(e(1, 7.0, 1));
         db.update(e(4, 2.0, 3));
         db.update(e(5, 9.0, 2));
-        let streamed: Vec<f64> = db.wirs_iter(-1.0).collect();
-        assert_eq!(streamed, db.wirs_or(-1.0));
-        assert_eq!(db.wirs_iter(0.0).len(), 6);
+        assert_eq!(db.wirs_or(0.0), vec![0.0, 7.0, 0.0, 0.0, 2.0, 9.0]);
+        assert_eq!(db.wirs_or(-1.0), vec![-1.0, 7.0, -1.0, -1.0, 2.0, 9.0]);
     }
 
     #[test]

@@ -503,8 +503,11 @@ where
             ctx.begin_lb();
             let lb_started = ctx.now();
             workload.charge_lb_overhead(&mut ctx);
-            let my_z = outlier_score(&lb.policy, &db, rank);
-            let my_alpha = lb.policy.alpha_for(my_z);
+            // The standard method submits α = 0 whatever the score.
+            let my_alpha = match lb.policy {
+                LbPolicy::Standard => 0.0,
+                LbPolicy::Ulba(cfg) => cfg.alpha_for(outlier_score(&lb.policy, &db, rank)),
+            };
             let range_start = workload.weights_into(iter, &mut weights);
             // Every range of the new partition is non-empty (repaired once,
             // on the root), and its bounds are one allocation shared by

@@ -18,35 +18,110 @@ pub const DEFAULT_Z_THRESHOLD: f64 = 3.0;
 
 /// Arithmetic mean (0 for an empty slice).
 pub fn mean(values: &[f64]) -> f64 {
-    mean_iter(values.iter().copied(), values.len())
+    if values.is_empty() {
+        return 0.0;
+    }
+    values.iter().sum::<f64>() / values.len() as f64
 }
 
-/// Streaming [`mean`] over a population of `n` values — the identical
-/// left-to-right summation, so the result is bit-identical to the slice
-/// version without materializing the slice.
-fn mean_iter<I: Iterator<Item = f64>>(values: I, n: usize) -> f64 {
+/// Fold a population of `n` values of which `known` lists the
+/// `(rank, value)` pairs, in ascending rank order; every other rank reads
+/// 0.0. `value` folds one listed value and `gap` a run of `g ≥ 1`
+/// consecutive unlisted ranks, so the fold visits what is listed, not `n`.
+pub(crate) fn fold_population<A>(
+    known: impl Iterator<Item = (usize, f64)>,
+    n: usize,
+    init: A,
+    mut value: impl FnMut(A, f64) -> A,
+    mut gap: impl FnMut(A, usize) -> A,
+) -> A {
+    let (mut acc, mut next) = (init, 0);
+    for (rank, v) in known {
+        if rank > next {
+            acc = gap(acc, rank - next);
+        }
+        acc = value(acc, v);
+        next = rank + 1;
+    }
+    if n > next {
+        acc = gap(acc, n - next);
+    }
+    acc
+}
+
+/// `acc` after `g` steps of `acc = acc + c`, bit for bit, in a few steps
+/// per binade crossed instead of `g`.
+///
+/// Inside one binade (same sign and exponent: one ulp) a step rounds on
+/// the same grid whatever the value, so it adds the same δ — provided the
+/// value it starts from came out of an in-binade step itself: a half-ulp
+/// tie leaves an even mantissa, which then ties the same way every time.
+/// So once three consecutive values share a binade, the rest of it is one
+/// exact jump of `k·δ` in the bit pattern, to the last value inside the
+/// binade (one ulp above its floor when the magnitude falls, which keeps
+/// the finer grid below out of reach). A step that leaves `acc` unchanged
+/// repeats for the rest of the run, and a non-finite value stays
+/// non-finite (NaN as a class, not a payload).
+pub(crate) fn repeat_add(mut acc: f64, c: f64, mut g: usize) -> f64 {
+    const MANTISSA: i64 = (1 << 52) - 1;
+    let mut from_binade = false;
+    while g > 0 {
+        let next = acc + c;
+        g -= 1;
+        if next.to_bits() == acc.to_bits() {
+            return acc;
+        }
+        if !next.is_finite() {
+            return if g > 0 { next + c } else { next };
+        }
+        let (was, now) = (acc.to_bits() as i64, next.to_bits() as i64);
+        let in_binade = was >> 52 == now >> 52;
+        acc = next;
+        if in_binade && from_binade {
+            // δ in ulps along the magnitude (both sides share the sign).
+            let step = now - was;
+            let mantissa = now & MANTISSA;
+            let room =
+                if step > 0 { (MANTISSA - mantissa) / step } else { (mantissa - 1).max(0) / -step };
+            let k = g.min(room as usize);
+            acc = f64::from_bits((now + k as i64 * step) as u64);
+            g -= k;
+        }
+        from_binade = in_binade;
+    }
+    acc
+}
+
+/// The `(mean, population σ)` pair parameterizing [`z_scores`], for a
+/// population of `n` values of which `known` lists the `(rank, value)`
+/// pairs in ascending rank order; every other rank reads 0.0.
+///
+/// Bit for bit the dense two-pass fold over the default-filled vector
+/// (`f64`'s `Sum`, which starts from −0.0, left to right), at the cost of
+/// the listed pairs plus, per gap of unlisted ranks, one add for the mean
+/// (`x + 0.0` is `x` for every `x` but −0.0, so one add stands for the
+/// whole gap) and a few steps per binade crossed for the deviation. With
+/// these, `z_from(x, mean, sd)` reproduces `z_scores`'s entry for any `x`
+/// of the population; a dense slice is the case without gaps
+/// (`values.iter().copied().enumerate()`).
+pub fn z_params<I: Iterator<Item = (usize, f64)> + Clone>(known: I, n: usize) -> (f64, f64) {
     if n == 0 {
-        return 0.0;
+        return (0.0, 0.0);
     }
-    values.sum::<f64>() / n as f64
-}
-
-/// Population standard deviation of `n` values (0 for fewer than two); the
-/// iterator is replayed (`Clone`) for the two passes.
-fn std_dev_iter<I: Iterator<Item = f64> + Clone>(values: I, n: usize) -> f64 {
+    let sum = fold_population(known.clone(), n, -0.0, |s, v| s + v, |s, _| s + 0.0);
+    let m = sum / n as f64;
     if n < 2 {
-        return 0.0;
+        return (m, 0.0);
     }
-    let m = mean_iter(values.clone(), n);
-    (values.map(|v| (v - m) * (v - m)).sum::<f64>() / n as f64).sqrt()
-}
-
-/// The `(mean, population σ)` pair parameterizing [`z_scores`], computed
-/// streaming. With these, `z_from(x, mean, sd)` reproduces `z_scores`'s
-/// entry for any `x` of the population bit-for-bit — the allocation-free
-/// path for sparse-database consumers scoring `O(P)` populations.
-pub fn z_params<I: Iterator<Item = f64> + Clone>(values: I, n: usize) -> (f64, f64) {
-    (mean_iter(values.clone(), n), std_dev_iter(values, n))
+    let unlisted = (0.0 - m) * (0.0 - m);
+    let squares = fold_population(
+        known,
+        n,
+        -0.0,
+        |s, v| s + (v - m) * (v - m),
+        |s, g| repeat_add(s, unlisted, g),
+    );
+    (m, (squares / n as f64).sqrt())
 }
 
 /// z-score of `value` given precomputed [`z_params`] (0 when the
@@ -76,7 +151,7 @@ pub fn median(values: &[f64]) -> f64 {
 
 /// z-scores of every element of `values` within `values`.
 pub fn z_scores(values: &[f64]) -> Vec<f64> {
-    let (m, sd) = z_params(values.iter().copied(), values.len());
+    let (m, sd) = z_params(values.iter().copied().enumerate(), values.len());
     values.iter().map(|&v| z_from(v, m, sd)).collect()
 }
 
@@ -199,15 +274,147 @@ mod tests {
         assert!(!flags[0]);
     }
 
+    /// A SplitMix64 stream: test inputs without a dependency.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// Equal bits, or both NaN.
+    fn same(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// A dense population, then sparse ones — at most 40 listed ranks
+    /// among up to a few thousand, gaps at both ends or none, values drawn
+    /// from signed zeros, subnormals, infinities, NaN and ordinary
+    /// magnitudes — fold to the dense statistics of the default-filled
+    /// vector, bit for bit.
     #[test]
     fn streaming_statistics_are_bit_identical_to_dense() {
         let v = [3.25, -1.5, 0.0, 7.0, 7.0, -2.75, 1e9, 0.125];
-        let it = || v.iter().copied();
-        assert_eq!(mean_iter(it(), v.len()).to_bits(), mean(&v).to_bits());
-        assert_eq!(std_dev_iter(it(), v.len()).to_bits(), std_dev(&v).to_bits());
-        let (m, sd) = z_params(it(), v.len());
+        let (m, sd) = z_params(v.iter().copied().enumerate(), v.len());
+        assert_eq!((m.to_bits(), sd.to_bits()), (mean(&v).to_bits(), std_dev(&v).to_bits()));
         for (x, z) in v.iter().zip(z_scores(&v)) {
             assert_eq!(z_from(*x, m, sd).to_bits(), z.to_bits());
+        }
+
+        let special = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE / 8.0,
+            -5e-324,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            1e300,
+        ];
+        let mut mix = Mix(44);
+        for case in 0..3000 {
+            let n = 1 + mix.below(if case % 10 == 0 { 4000 } else { 300 });
+            let listed = mix.below(41.min(n + 1));
+            let mut ranks: Vec<usize> = (0..listed).map(|_| mix.below(n)).collect();
+            match case % 4 {
+                0 => ranks.push(0),
+                1 => ranks.push(n - 1),
+                _ => {}
+            }
+            ranks.sort_unstable();
+            ranks.dedup();
+            let value = |mix: &mut Mix| match mix.below(6) {
+                0 if case % 3 == 0 => special[mix.below(special.len())],
+                0 | 1 => (mix.below(2001) as f64 - 1000.0) * 0.25,
+                2 => (mix.next() >> 11) as f64 * 1e-9 - 4e6,
+                _ => (mix.next() >> 11) as f64 / (1u64 << 53) as f64,
+            };
+            let known: Vec<(usize, f64)> = ranks.iter().map(|&r| (r, value(&mut mix))).collect();
+            let mut dense = vec![0.0; n];
+            known.iter().for_each(|&(r, v)| dense[r] = v);
+            let (m, sd) = z_params(known.iter().copied(), n);
+            let (dm, dsd) = (mean(&dense), std_dev(&dense));
+            assert!(same(m, dm) && same(sd, dsd), "case {case}: {known:?} of {n}");
+        }
+        assert_eq!(z_params(std::iter::empty(), 0), (0.0, 0.0));
+        assert_eq!(z_params(std::iter::empty(), 1).0.to_bits(), 0.0f64.to_bits());
+    }
+
+    /// `g` adds, one at a time.
+    fn naive_repeat_add(mut acc: f64, c: f64, g: usize) -> f64 {
+        for _ in 0..g {
+            acc += c;
+        }
+        acc
+    }
+
+    /// Targeted cases, then random ones, against the naive loop.
+    #[test]
+    fn repeat_add_matches_the_naive_loop() {
+        let half_ulp_of_one = f64::EPSILON / 2.0;
+        let cases = [
+            // Exactly half an ulp of `acc`: ties to even, then repeats.
+            (1.0, half_ulp_of_one, 10_000),
+            (1.0 + f64::EPSILON, half_ulp_of_one, 10_000),
+            (3.0, 1.5 * f64::EPSILON, 5_000),
+            (1.0, 3.0 * half_ulp_of_one, 5_000),
+            (-1.0, half_ulp_of_one, 5_000),
+            (2.0, -half_ulp_of_one, 5_000),
+            // Falling onto a binade's floor, whose lower neighbour is finer.
+            (2.0 + 20.0 * f64::EPSILON, -2.8 * f64::EPSILON, 40),
+            // c = 0 and signed zeros.
+            (5.0, 0.0, 100),
+            (-0.0, 0.0, 7),
+            (-0.0, -0.0, 7),
+            (0.0, -0.0, 7),
+            (-0.0, 0.1, 4096),
+            // Subnormals, across the normal boundary and down to zero.
+            (0.0, 5e-324, 9_000),
+            (-0.0, f64::MIN_POSITIVE / 1024.0, 5_000),
+            (f64::MIN_POSITIVE, -f64::MIN_POSITIVE / 1000.0, 3_000),
+            (-f64::MIN_POSITIVE / 2.0, f64::MIN_POSITIVE / 700.0, 2_000),
+            (-10.0 * 5e-324, 5e-324, 10),
+            // Long gaps through many binades, and into overflow.
+            (1e-3, 0.7, 100_000),
+            (0.0, 1.0 / 3.0, 65_536),
+            (-1e6, 1.0 / 7.0, 50_000),
+            (f64::MAX / 2.0, f64::MAX / 64.0, 100),
+            (1.0, f64::INFINITY, 3),
+            (f64::INFINITY, f64::NEG_INFINITY, 3),
+            (f64::NAN, 1.0, 3),
+            (1.0, f64::NAN, 3),
+        ];
+        for (acc, c, g) in cases {
+            for g in [0, 1, 2, 3, g / 2 + 1, g] {
+                let (got, want) = (repeat_add(acc, c, g), naive_repeat_add(acc, c, g));
+                assert!(same(got, want), "{acc:e} + {c:e} × {g}: {got:e} vs {want:e}");
+            }
+        }
+
+        // Random accumulators and addends, ulp-scaled ones and their
+        // half-ulp ties among them.
+        let mut mix = Mix(7);
+        for case in 0..20_000 {
+            let acc = f64::from_bits(mix.next() >> 2) * if case % 5 == 0 { -1.0 } else { 1.0 };
+            let ulp = f64::from_bits(acc.abs().to_bits() + 1) - acc.abs();
+            let c = match case % 4 {
+                0 => ulp * (mix.below(64) as f64 + 0.5),
+                1 => ulp * mix.below(1 << 20) as f64 / 1024.0,
+                2 => acc.abs() * (mix.below(1000) as f64 + 1.0) * 1e-7,
+                _ => f64::from_bits(mix.next() >> 2),
+            };
+            let g = mix.below(if case % 100 == 0 { 20_000 } else { 400 });
+            let (got, want) = (repeat_add(acc, c, g), naive_repeat_add(acc, c, g));
+            assert!(same(got, want), "case {case}: {acc:e} + {c:e} × {g}: {got:e} vs {want:e}");
         }
     }
 

@@ -3,7 +3,10 @@
 //! robust median/MAD statistic instead of the paper's z-score.
 
 use crate::db::WirDatabase;
-use crate::outlier::{robust_z_scores, z_from, z_params, DetectionStat, DEFAULT_Z_THRESHOLD};
+use crate::outlier::{
+    fold_population, repeat_add, robust_z_scores, z_from, z_params, DetectionStat,
+    DEFAULT_Z_THRESHOLD,
+};
 use serde::{Deserialize, Serialize};
 
 /// Full ULBA configuration.
@@ -72,38 +75,59 @@ impl std::fmt::Display for LbPolicy {
 
 /// Outlier score of `rank` for the policy's configured detection statistic
 /// in the dense WIR population implied by the database (unknown ranks
-/// default to 0.0). The paper's plain z-score streams over the known
-/// entries — bit-identical to scoring a materialized dense vector, without
-/// allocating one; the median/MAD robust variant still sorts a dense copy
-/// (it needs the order statistics anyway). Shared by every workload that
-/// consumes a policy (erosion, synthetic scenarios).
+/// default to 0.0). The paper's plain z-score folds the known entries only
+/// ([`z_params`]) — bit-identical to scoring the default-filled vector, at
+/// the cost of what the database knows; the median/MAD robust variant
+/// still sorts a dense copy (it needs the order statistics anyway). Shared
+/// by every workload that consumes a policy (erosion, synthetic scenarios).
 pub fn outlier_score(policy: &LbPolicy, db: &WirDatabase, rank: usize) -> f64 {
     match policy {
         LbPolicy::Ulba(cfg) if cfg.stat == DetectionStat::RobustZScore => {
             robust_z_scores(&db.wirs_or(0.0))[rank]
         }
         _ => {
-            let (m, sd) = z_params(db.wirs_iter(0.0), db.size());
+            let (m, sd) = z_params(known_wirs(db), db.size());
             z_from(db.get(rank).map_or(0.0, |e| e.wir), m, sd)
         }
     }
 }
 
-/// Count and sum the positive α of a z-score stream (rank order).
-fn fold_alphas(zs: impl Iterator<Item = f64>, cfg: &UlbaConfig) -> (usize, f64) {
-    zs.fold((0usize, 0.0f64), |(n, sum), z| {
-        let a = cfg.alpha_for(z);
-        if a > 0.0 {
-            (n + 1, sum + a)
-        } else {
-            (n, sum)
-        }
-    })
+/// The database's known `(rank, wir)` pairs, in rank order.
+fn known_wirs(db: &WirDatabase) -> impl Iterator<Item = (usize, f64)> + Clone + '_ {
+    db.entries().map(|e| (e.rank, e.wir))
+}
+
+/// Count and sum the positive α of a population of `n` z-scores: the
+/// listed `(rank, z)` pairs, in rank order, and `z0` at every other rank —
+/// each gap of those adds its count and its α `g` times at once
+/// ([`repeat_add`]), bit for bit the rank-order fold.
+fn fold_alphas(
+    zs: impl Iterator<Item = (usize, f64)>,
+    n: usize,
+    z0: f64,
+    cfg: &UlbaConfig,
+) -> (usize, f64) {
+    let a0 = cfg.alpha_for(z0);
+    fold_population(
+        zs,
+        n,
+        (0usize, 0.0f64),
+        |(count, sum), z| {
+            let a = cfg.alpha_for(z);
+            if a > 0.0 {
+                (count + 1, sum + a)
+            } else {
+                (count, sum)
+            }
+        },
+        |(count, sum), g| if a0 > 0.0 { (count + g, repeat_add(sum, a0, g)) } else { (count, sum) },
+    )
 }
 
 /// ULBA overhead anticipated for the next LB step (Eq. (11)), estimated on
 /// rank 0 from its gossip database: `ᾱ·N̂/(P − N̂) · Wtot/(ω·P)`. Zero for
-/// the standard policy and when no (or every) PE looks overloading.
+/// the standard policy and when no (or every) PE looks overloading. Under
+/// the z-score it costs what the database knows, like [`outlier_score`].
 pub fn estimate_ulba_overhead(
     policy: &LbPolicy,
     db: &WirDatabase,
@@ -114,11 +138,14 @@ pub fn estimate_ulba_overhead(
     let LbPolicy::Ulba(cfg) = policy else {
         return 0.0;
     };
+    let n = db.size();
     let (n_hat, alpha_sum) = if cfg.stat == DetectionStat::RobustZScore {
-        fold_alphas(robust_z_scores(&db.wirs_or(0.0)).into_iter(), cfg)
+        // A dense vector has no gap, so no unlisted z.
+        fold_alphas(robust_z_scores(&db.wirs_or(0.0)).into_iter().enumerate(), n, 0.0, cfg)
     } else {
-        let (m, sd) = z_params(db.wirs_iter(0.0), db.size());
-        fold_alphas(db.wirs_iter(0.0).map(|w| z_from(w, m, sd)), cfg)
+        let (m, sd) = z_params(known_wirs(db), n);
+        let zs = known_wirs(db).map(|(rank, w)| (rank, z_from(w, m, sd)));
+        fold_alphas(zs, n, z_from(0.0, m, sd), cfg)
     };
     if n_hat == 0 || n_hat >= p {
         return 0.0;

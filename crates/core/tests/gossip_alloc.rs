@@ -12,8 +12,9 @@
 //!
 //! The runtime sends views instead ([`WirView`]): the sender's run shared
 //! by reference, so taking one allocates nothing, and the run is copied
-//! only by its owner's first change while a view is held. The payload
-//! counts above now pin the materializing adapters (`message`,
+//! only by its owner's first change while a view is held — into the run
+//! the previous copy left behind, once every view of that one has dropped.
+//! The payload counts above now pin the materializing adapters (`message`,
 //! `snapshot`, `delta_since`, `merge`); the view counts are pinned below.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -216,5 +217,38 @@ fn a_shared_run_is_copied_once_by_its_owners_first_change() {
         let ((), allocations) = counted(|| db.merge_view(&fresher));
         assert_eq!(allocations, 1, "known {known}: the copy by a merge");
         assert!(held.entries().all(|e| e.wir == 3.0));
+    }
+}
+
+#[test]
+fn a_copy_reuses_the_run_whose_views_have_dropped() {
+    for known in KNOWN {
+        // One gossip iteration after another: views of the run go out, the
+        // owner merges news while they are held, then the views drain.
+        let mut db = complete(known, 1.0, 0);
+        let held = db.view();
+        let first = complete(known, 2.0, 1).view();
+        let ((), allocations) = counted(|| db.merge_view(&first));
+        assert_eq!(allocations, 1, "known {known}: nothing to reuse yet");
+        drop(held);
+
+        for iteration in 2..6u64 {
+            let held = db.view();
+            let news = complete(known, iteration as f64 + 1.0, iteration).view();
+            let ((), allocations) = counted(|| db.merge_view(&news));
+            assert_eq!(allocations, 0, "known {known}, iteration {iteration}: the copy");
+            assert_eq!(db.snapshot(), news.to_vec(), "known {known}, iteration {iteration}");
+            let before = iteration as f64;
+            assert!(held.entries().all(|e| e.wir == before), "the view keeps its own run");
+        }
+
+        // A run still held when the next copy is due is not reused.
+        let old = db.view();
+        db.update(WirEntry { rank: 0, wir: 9.0, iteration: 9 });
+        let held = db.view();
+        let ((), allocations) = counted(|| db.update(WirEntry { rank: 1, wir: 9.0, iteration: 9 }));
+        assert_eq!(allocations, 1, "known {known}: the kept run is still viewed");
+        assert!(old.entries().all(|e| e.wir == 6.0));
+        assert_eq!(held.entries().filter(|e| e.wir == 9.0).count(), 1);
     }
 }

@@ -4,8 +4,9 @@
 use proptest::prelude::*;
 use ulba_core::db::{WirDatabase, WirEntry};
 use ulba_core::gossip::{simulate_gossip, simulate_rounds_to_completion, GossipMode, GossipWire};
-use ulba_core::outlier::{robust_z_scores, z_scores};
+use ulba_core::outlier::{robust_z_scores, z_params, z_scores};
 use ulba_core::partition::{partition_by_shares, Partition};
+use ulba_core::policy::{estimate_ulba_overhead, outlier_score, LbPolicy, UlbaConfig};
 use ulba_core::shares::compute_shares;
 
 proptest! {
@@ -163,5 +164,84 @@ proptest! {
             let delta = simulate_gossip(mode, GossipWire::delta(), size, seed, bound);
             prop_assert_eq!(rounds, delta.rounds, "{:?}: wire formats converged apart", mode);
         }
+    }
+}
+
+/// Values the sparse detector must fold exactly as the dense one does.
+const SPECIAL: [f64; 8] =
+    [0.0, -0.0, 5e-324, -2.2e-310, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -1e300];
+
+/// Equal bits, or both NaN.
+fn same(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// The dense detector, written out over the default-filled WIR vector:
+/// `(mean, σ, every rank's z)`, each a left-to-right `f64` sum.
+fn dense_detector(dense: &[f64]) -> (f64, f64, Vec<f64>) {
+    let n = dense.len() as f64;
+    let m = dense.iter().sum::<f64>() / n;
+    let sd = if dense.len() < 2 {
+        0.0
+    } else {
+        (dense.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / n).sqrt()
+    };
+    let z = dense.iter().map(|&v| if sd == 0.0 { 0.0 } else { (v - m) / sd }).collect();
+    (m, sd, z)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// A sparse database — up to 40 known ranks among up to a few thousand,
+    /// with signed zeros, subnormals, infinities and NaN among the values —
+    /// gives the z-statistics, `outlier_score` and Eq. (11)'s estimate of
+    /// the dense fold over its default-filled vector, bit for bit. Small
+    /// populations and low thresholds make the unknown ranks themselves
+    /// overloaders, so the gaps' α fold is exercised too.
+    #[test]
+    fn the_sparse_detector_is_the_dense_fold(
+        small in 1usize..48,
+        large in 1usize..3000,
+        raw in proptest::collection::vec((0usize..1 << 20, 0usize..16, -1e3f64..1e3), 0..41),
+        threshold in -1.5f64..4.0,
+        alpha in 0.0f64..1.0,
+    ) {
+        let size = if raw.len() % 2 == 0 { small } else { large };
+        let mut db = WirDatabase::new(size);
+        for (i, &(rank, kind, value)) in raw.iter().enumerate() {
+            let wir = match kind {
+                0..=7 => SPECIAL[kind],
+                8..=11 => value,
+                _ => value.abs() * 1e-3 - 0.25,
+            };
+            db.update(WirEntry { rank: rank % size, wir, iteration: i as u64 });
+        }
+        let dense = db.wirs_or(0.0);
+        let (m, sd, z) = dense_detector(&dense);
+        let (sm, ssd) = z_params(db.entries().map(|e| (e.rank, e.wir)), size);
+        prop_assert!(same(sm, m) && same(ssd, sd), "({sm}, {ssd}) vs ({m}, {sd})");
+
+        let cfg = UlbaConfig { z_threshold: threshold, ..UlbaConfig::fixed(alpha) };
+        let policy = LbPolicy::Ulba(cfg);
+        let unknown = (0..size).filter(|&r| db.get(r).is_none()).take(3);
+        for rank in db.entries().map(|e| e.rank).chain(unknown) {
+            let score = outlier_score(&policy, &db, rank);
+            prop_assert!(same(score, z[rank]), "rank {rank}: {score} vs {}", z[rank]);
+        }
+
+        let (wtot, omega) = (1.0e12, 1.0e9);
+        let (n_hat, alpha_sum) = z.iter().fold((0usize, 0.0f64), |(n, sum), &z| {
+            let a = cfg.alpha_for(z);
+            if a > 0.0 { (n + 1, sum + a) } else { (n, sum) }
+        });
+        let want = if n_hat == 0 || n_hat >= size {
+            0.0
+        } else {
+            alpha_sum / n_hat as f64 * n_hat as f64 / (size - n_hat) as f64 * wtot
+                / (omega * size as f64)
+        };
+        let got = estimate_ulba_overhead(&policy, &db, wtot, omega, size);
+        prop_assert!(same(got, want), "{got} vs {want} ({n_hat} flagged of {size})");
     }
 }
