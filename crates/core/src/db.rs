@@ -600,6 +600,26 @@ mod tests {
         assert_eq!(db.wirs_or(-1.0), vec![-1.0, 7.0, -1.0, -1.0, 2.0, 9.0]);
     }
 
+    /// The sparse stream the z-score folds in place of the dense view —
+    /// `entries`, replayed through a clone for the second pass — carries
+    /// exactly the dense vector: scattered over `default`, it is `wirs_or`.
+    #[test]
+    fn wirs_iter_matches_dense_vector() {
+        let mut db = WirDatabase::new(6);
+        db.update(e(1, 7.0, 1));
+        db.update(e(4, 2.0, 3));
+        db.update(e(5, 9.0, 2));
+        let first = db.entries();
+        let replay = first.clone();
+        let mut streamed = vec![-1.0; db.size()];
+        for entry in first {
+            streamed[entry.rank] = entry.wir;
+        }
+        assert_eq!(streamed, db.wirs_or(-1.0));
+        assert_eq!(replay.collect::<Vec<_>>(), db.snapshot());
+        assert_eq!(db.wirs_or(0.0).len(), 6);
+    }
+
     #[test]
     fn staleness() {
         let mut db = WirDatabase::new(3);
