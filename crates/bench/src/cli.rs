@@ -32,8 +32,8 @@ pub struct Cli {
     pub backend: Option<Backend>,
     /// `--backends sequential,parallel`: one sweep per backend.
     pub backends: Option<Vec<Backend>>,
-    /// `--workers <n>`, else `ULBA_WORKERS`: pool size, and so the block
-    /// count of every job on it.
+    /// `--workers <n>`, else `ULBA_WORKERS`: the size of the pool a study
+    /// runs on, and so the block count of a job alone on it.
     pub workers: Option<usize>,
     /// `--gossip-wire full|delta|delta:<N>`.
     pub gossip_wire: Option<GossipWire>,
@@ -139,10 +139,11 @@ impl Cli {
 
     /// Parse this process's argv (after the binary and study names) and
     /// environment, exiting 2 with the diagnostic on any error. `--backend`
-    /// and `--workers` are exported as `ULBA_BACKEND` / `ULBA_WORKERS`,
-    /// which is where the runtime's
-    /// `RunConfig::new` and its global pool take their defaults from — so
-    /// they reach every run of the study.
+    /// is exported as `ULBA_BACKEND`, the default backend of the runtime's
+    /// `RunConfig::new`; `--workers` as `ULBA_WORKERS`, the size of the
+    /// runtime's global pool, which the erosion-driven studies run on
+    /// (`scenarios` sizes its own shared pool by it). Both are set before
+    /// the first run, so they reach every run of the study.
     pub fn from_env(value_flags: &[&str]) -> Self {
         let cli = Self::parse(std::env::args().skip(2), |var| std::env::var(var).ok(), value_flags)
             .unwrap_or_else(|err| {

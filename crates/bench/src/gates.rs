@@ -161,26 +161,31 @@ fn id(r: &PerfRow) -> (&str, usize, &str, &str, Option<usize>) {
     (&r.backend, r.pes, &r.policy, &r.gossip_wire, r.strong_rocks)
 }
 
-/// HARD — every row whose identity `(backend, pes, policy, gossip_wire,
-/// strong_rocks)` is in `committed` reproduces the committed row (the k-th
-/// repeat of an identity the k-th: a sweep may repeat one across seeds) in
-/// every column but `hub_shards`, `sim_wall_s` and `peak_rss_bytes`: floats
-/// within 1e-9 relative, the rest exactly. At least one row must match: a
-/// report that shares no run with its committed file proves nothing.
+/// HARD — the report holds the same runs as `committed`, and each
+/// reproduces its committed row. Rows are paired by identity `(backend,
+/// pes, policy, gossip_wire, strong_rocks)`, the k-th repeat of an identity
+/// with the k-th (a sweep may repeat one across seeds); a row on either
+/// side without a twin on the other is a finding, so a report that lost or
+/// gained rows fails. A pair must agree in every column but `hub_shards`,
+/// `sim_wall_s` and `peak_rss_bytes`: floats within 1e-9 relative, the rest
+/// exactly.
 pub fn drift(report: &Report, committed: &Report) -> Vec<Finding> {
     let mut out = Vec::new();
     let mut left: Vec<&PerfRow> = committed.rows.iter().collect();
     for (i, row) in report.rows.iter().enumerate() {
-        let Some(j) = left.iter().position(|base| id(base) == id(row)) else { continue };
+        let Some(j) = left.iter().position(|base| id(base) == id(row)) else {
+            out.push(hard(format!("row {i} {:?} has no committed twin", id(row))));
+            continue;
+        };
         let diff = row.diff(left.remove(j), DRIFT_TOLERANCE).into_iter();
         for (column, got, want) in diff.filter(|(c, ..)| !MACHINE_COLUMNS.contains(c)) {
             out.push(hard(format!("row {i} {:?}: {column} {got}, committed {want}", id(row))));
         }
     }
-    let matched = committed.rows.len() - left.len();
-    if matched == 0 {
-        out.push(hard("no row matched a row of the committed report".into()));
+    for base in &left {
+        out.push(hard(format!("committed row {:?} has no fresh twin", id(base))));
     }
+    let matched = committed.rows.len() - left.len();
     out.push(info(format!("{matched} rows checked against the committed report")));
     out
 }
@@ -375,20 +380,29 @@ mod tests {
     #[test]
     fn drift_is_relative_and_needs_a_matching_row() {
         let with = |makespan| report(vec![row("parallel", "ulba", 16384, makespan)]);
-        assert_eq!(verdict(&drift(&with(0.125), &committed())), (0, 0));
-        assert_eq!(verdict(&drift(&with(0.125 * (1.0 + 1e-10)), &committed())), (0, 0));
-        assert_eq!(verdict(&drift(&with(0.125 * (1.0 + 2e-9)), &committed())), (1, 0));
-        assert_eq!(verdict(&drift(&with(0.125 * (1.0 - 2e-9)), &committed())), (1, 0));
-        // Rows outside the committed report are not judged, but one must match.
+        let committed = with(0.125);
+        assert_eq!(verdict(&drift(&with(0.125), &committed)), (0, 0));
+        assert_eq!(verdict(&drift(&with(0.125 * (1.0 + 1e-10)), &committed)), (0, 0));
+        assert_eq!(verdict(&drift(&with(0.125 * (1.0 + 2e-9)), &committed)), (1, 0));
+        assert_eq!(verdict(&drift(&with(0.125 * (1.0 - 2e-9)), &committed)), (1, 0));
+        // A row outside the committed report is a finding, and so is a
+        // committed row the report lost.
         let mut mixed = with(0.125);
         mixed.rows.push(row("parallel", "ulba", 8, 99.0));
-        assert_eq!(verdict(&drift(&mixed, &committed())), (0, 0));
+        let findings = drift(&mixed, &committed);
+        assert_eq!(verdict(&findings), (1, 0));
+        assert!(findings[0].message.starts_with("row 1 "), "{findings:?}");
+        assert!(findings[0].message.contains("has no committed twin"), "{findings:?}");
+        let findings = drift(&report(vec![]), &committed);
+        assert_eq!(verdict(&findings), (1, 0));
+        assert!(findings[0].message.contains("has no fresh twin"), "{findings:?}");
         let stranger = |change: fn(&mut PerfRow)| {
             let mut row = row("parallel", "ulba", 16384, 0.125);
             change(&mut row);
             report(vec![row])
         };
-        // Each identity column: the row is another run, so nothing matches.
+        // Each identity column: the row is another run, so neither side has
+        // a twin.
         let others: [fn(&mut PerfRow); 5] = [
             |r| r.backend = "gpu".into(),
             |r| r.pes = 8,
@@ -397,9 +411,10 @@ mod tests {
             |r| r.strong_rocks = Some(1),
         ];
         for other in others {
-            let findings = drift(&stranger(other), &committed());
-            assert_eq!(verdict(&findings), (1, 0));
-            assert!(findings[0].message.contains("no row matched a row of the committed"));
+            let findings = drift(&stranger(other), &committed);
+            assert_eq!(verdict(&findings), (2, 0));
+            assert!(findings[0].message.contains("has no committed twin"), "{findings:?}");
+            assert!(findings[1].message.contains("has no fresh twin"), "{findings:?}");
         }
     }
 
@@ -417,10 +432,11 @@ mod tests {
             ("lambda_target", |r| r.lambda_target = Some(4.0)),
             ("lambda_achieved", |r| r.lambda_achieved = Some(4.0)),
         ];
+        let committed = report(vec![base.clone()]);
         for (column, change) in changed {
             let mut fresh = base.clone();
             change(&mut fresh);
-            let findings = drift(&report(vec![fresh]), &committed());
+            let findings = drift(&report(vec![fresh]), &committed);
             assert_eq!(verdict(&findings), (1, 0), "{column}");
             let message = &findings[0].message;
             let row = r#"row 0 ("parallel", 16384, "ulba", "delta:32", None)"#;
@@ -434,7 +450,7 @@ mod tests {
             PerfRow { peak_rss_bytes: Some(1), ..base.clone() },
         ];
         for fresh in machine {
-            assert_eq!(verdict(&drift(&report(vec![fresh]), &committed())), (0, 0));
+            assert_eq!(verdict(&drift(&report(vec![fresh]), &committed)), (0, 0));
         }
         // Every column is an identity, a machine or a checked column.
         let identities = ["backend", "pes", "policy", "gossip_wire", "strong_rocks"];
@@ -454,12 +470,17 @@ mod tests {
             |a, b| report(vec![row("parallel", "ulba", 8, a), row("parallel", "ulba", 8, b)]);
         assert_eq!(verdict(&drift(&seeds(1.0, 2.0), &seeds(1.0, 2.0))), (0, 0));
         assert_eq!(verdict(&drift(&seeds(2.0, 1.0), &seeds(1.0, 2.0))), (2, 0));
-        // A third repeat has no committed twin and is not judged.
+        // A third repeat has no committed twin: a finding, whichever side
+        // has it.
         let mut three = seeds(1.0, 2.0);
         three.rows.push(row("parallel", "ulba", 8, 3.0));
         let findings = drift(&three, &seeds(1.0, 2.0));
-        assert_eq!(verdict(&findings), (0, 0));
-        assert!(findings[0].message.starts_with("2 rows checked"), "{findings:?}");
+        assert_eq!(verdict(&findings), (1, 0));
+        assert!(findings[0].message.starts_with("row 2 "), "{findings:?}");
+        assert!(findings[1].message.starts_with("2 rows checked"), "{findings:?}");
+        let findings = drift(&seeds(1.0, 2.0), &three);
+        assert_eq!(verdict(&findings), (1, 0));
+        assert!(findings[0].message.contains("no fresh twin"), "{findings:?}");
     }
 
     #[test]
@@ -622,10 +643,10 @@ mod tests {
 
     #[test]
     fn run_checks_every_report_and_tags_findings_with_its_label() {
-        let good = report(vec![row("parallel", "ulba", 16384, 0.125)]);
-        let bad = report(vec![row("parallel", "ulba", 16384, 0.25)]);
-        let reports = [("good.json".to_string(), good), ("bad.json".to_string(), bad)];
-        let findings = run(&[Gate::Drift, Gate::Rss], &reports, |_| Ok(committed()));
+        let parallel = |makespan| report(vec![row("parallel", "ulba", 16384, makespan)]);
+        let reports =
+            [("good.json".to_string(), parallel(0.125)), ("bad.json".to_string(), parallel(0.25))];
+        let findings = run(&[Gate::Drift, Gate::Rss], &reports, |_| Ok(parallel(0.125)));
         assert_eq!(verdict(&findings), (1, 0));
         let hard = findings.iter().find(|f| f.severity == Hard).unwrap();
         assert!(hard.message.starts_with("[bad.json] "), "{}", hard.message);

@@ -19,7 +19,7 @@
 
 use crate::partition::{partition_by_shares, Partition};
 use crate::shares::{compute_shares, ShareDecision};
-use ulba_runtime::{SpmdCtx, VirtualTime};
+use ulba_runtime::SpmdCtx;
 
 /// The main PE of the centralized technique.
 pub const LB_ROOT: usize = 0;
@@ -35,9 +35,6 @@ pub struct RebalanceOutcome {
     pub partition: Partition,
     /// The share decision taken on the root (N, majority fallback, shares).
     pub decision: ShareDecision,
-    /// Virtual time at which the LB step started on this rank (subtract
-    /// from `ctx.now()` after migration to obtain the measured LB cost).
-    pub started_at: VirtualTime,
 }
 
 /// Per-item FLOP cost charged on the root for computing the partition
@@ -53,16 +50,13 @@ pub const PARTITION_FLOP_PER_ITEM: f64 = 12.0;
 ///
 /// Returns the same [`RebalanceOutcome`] on every rank, its partition
 /// already repaired to non-empty ranges. The caller performs
-/// the data migration (ideally inside the same `begin_lb` section) and then
-/// reports `ctx.now() − outcome.started_at` to its trigger as the measured
-/// cost.
+/// the data migration (ideally inside the same `begin_lb` section).
 pub async fn centralized_rebalance(
     ctx: &mut SpmdCtx,
     my_alpha: f64,
     my_range_start: usize,
     my_weights: &[u64],
 ) -> RebalanceOutcome {
-    let started_at = ctx.now();
     ctx.begin_lb();
 
     // (1) SendAlphaToMainPE / RecvAlphas.
@@ -107,7 +101,7 @@ pub async fn centralized_rebalance(
     let (partition, decision) = ctx.broadcast(LB_ROOT, payload, bcast_bytes).await;
 
     ctx.end_lb();
-    RebalanceOutcome { partition, decision, started_at }
+    RebalanceOutcome { partition, decision }
 }
 
 #[cfg(test)]
@@ -206,8 +200,9 @@ mod tests {
                 // Imbalanced weights: rank 0 owns heavy items.
                 let w = if rank == 0 { 10u64 } else { 1u64 };
                 let my_weights = vec![w; 25];
-                let outcome = centralized_rebalance(&mut ctx, 0.0, rank * 25, &my_weights).await;
-                let cost = ctx.now() - outcome.started_at;
+                let started = ctx.now();
+                centralized_rebalance(&mut ctx, 0.0, rank * 25, &my_weights).await;
+                let cost = ctx.now() - started;
                 lb_times.lock().push(cost);
             }
         });

@@ -113,28 +113,32 @@ impl fmt::Debug for Run {
 }
 
 /// `buf`, unshared, with room for `room` more slots past `len`, as a
-/// mutable buffer. A run a [`WirView`] still holds is copied first, with
-/// room for `room.max(spare)` more (`spare`: what the change that caused
-/// the copy may still insert), and the shared run is kept in `recycled`.
-/// The copy goes into the run kept there by the previous copy when every
-/// view of that one has dropped and it is large enough, else into a new
-/// allocation. An unshared run is reallocated, to at least twice `len`,
-/// only when `room` is missing. So it is at most one allocation, and none
-/// when the run is unshared and roomy enough or the kept run can be
-/// reused.
+/// mutable buffer, in a database of `size` ranks. A run a [`WirView`]
+/// still holds is copied first, with room for `room.max(spare)` more
+/// (`spare`: what the change that caused the copy may still insert), and
+/// the shared run is kept in `recycled`. The copy goes into the run kept
+/// there by the previous copy when every view of that one has dropped and
+/// it has that room, else into a new allocation. An unshared run is
+/// reallocated only when `room` is missing. A new allocation grows the run
+/// to at least twice `len`, never past `size`, so a database that grows
+/// while it gossips soon owns two runs that both fit it and alternates
+/// between them. So it is at most one allocation, and none when the run is
+/// unshared and roomy enough or the kept run can be reused.
 fn reserve<'a>(
     buf: &'a mut Arc<[Slot]>,
     recycled: &mut Option<Arc<[Slot]>>,
+    size: usize,
     len: usize,
     room: usize,
     spare: usize,
 ) -> &'a mut [Slot] {
+    let grown = |needed: usize| needed.max(2 * len).min(size);
     // No `Weak` is ever made of a run, so a strong count of one means it is
     // unshared. A count read while a holder drops its view can only be too
     // high: that costs a needless copy, never a write to a shared run.
     if Arc::strong_count(buf) > 1 {
-        let capacity = len + room.max(spare);
-        let kept = recycled.take().filter(|r| r.len() >= capacity && Arc::strong_count(r) == 1);
+        let needed = len + room.max(spare);
+        let kept = recycled.take().filter(|r| r.len() >= needed && Arc::strong_count(r) == 1);
         let copy = match kept {
             // Only the slots are copied: what lies past them is spare room,
             // never read.
@@ -142,11 +146,11 @@ fn reserve<'a>(
                 Arc::get_mut(&mut run).expect("unshared")[..len].copy_from_slice(&buf[..len]);
                 run
             }
-            None => with_room(&buf[..len], capacity),
+            None => with_room(&buf[..len], grown(needed)),
         };
         *recycled = Some(mem::replace(buf, copy));
     } else if buf.len() < len + room {
-        *buf = with_room(&buf[..len], (len + room).max(2 * len));
+        *buf = with_room(&buf[..len], grown(len + room));
     }
     Arc::get_mut(buf).expect("unshared")
 }
@@ -307,13 +311,13 @@ impl WirDatabase {
             Ok(i) => {
                 if buf[i].takes(&entry) {
                     self.clock += 1;
-                    reserve(buf, &mut self.recycled, *len, 0, 0)[i] =
+                    reserve(buf, &mut self.recycled, self.size, *len, 0, 0)[i] =
                         Slot { entry, version: self.clock };
                 }
             }
             Err(i) => {
                 self.clock += 1;
-                let slots = reserve(buf, &mut self.recycled, *len, 1, 1);
+                let slots = reserve(buf, &mut self.recycled, self.size, *len, 1, 1);
                 slots.copy_within(i..*len, i + 1);
                 slots[i] = Slot { entry, version: self.clock };
                 *len += 1;
@@ -367,7 +371,8 @@ impl WirDatabase {
             return;
         };
         let len = self.run.len;
-        let slots = &mut reserve(&mut self.run.buf, &mut self.recycled, len, 0, 0)[..len];
+        let slots =
+            &mut reserve(&mut self.run.buf, &mut self.recycled, self.size, len, 0, 0)[..len];
         let mut first_mask = Some(mask);
         for (mine, theirs) in slots.chunks_mut(CHUNK).zip(theirs.chunks(CHUNK)).skip(first) {
             let mask = first_mask.take().unwrap_or_else(|| decide(mine, theirs, since));
@@ -398,7 +403,7 @@ impl WirDatabase {
         let mut known = *len;
         // A shared run is copied with room for every insert the entries can
         // make; an unshared one grows at the first new rank, if at all.
-        let mut slots = reserve(buf, recycled, known, 0, count.min(size - known));
+        let mut slots = reserve(buf, recycled, size, known, 0, count.min(size - known));
         // `slots[..write]` is merged output, `slots[read..known]` the part
         // of the run the walk has not reached, and between them lies the
         // gap (empty — `write == read` — until a new rank needs room).
@@ -433,7 +438,7 @@ impl WirDatabase {
                         let room = (count - done).min(size - known);
                         // Unshared since the walk began: only grow it.
                         if slots.len() < known + room {
-                            slots = reserve(buf, recycled, known, room, room);
+                            slots = reserve(buf, recycled, size, known, room, room);
                         }
                         slots.copy_within(read..known, read + room);
                         read += room;

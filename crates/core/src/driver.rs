@@ -58,8 +58,7 @@ use std::future::Future;
 use std::ops::Deref;
 use std::sync::{Arc, Mutex};
 use ulba_runtime::{
-    Backend, IterationStats, JobHandle, JobServer, MachineSpec, RankMetrics, RunConfig, SpmdCtx,
-    Tag,
+    Backend, IterationStats, JobHandle, MachineSpec, RankMetrics, RunConfig, SpmdCtx, Tag,
 };
 
 /// Message tag of gossip views.
@@ -176,39 +175,6 @@ impl LbParams {
     }
 }
 
-/// Where a run executes: the knobs [`RunConfig::resolve`] turns into an
-/// effective backend and pool (whose workers set the job's block count).
-#[derive(Debug, Clone)]
-pub struct Placement {
-    /// Number of PEs.
-    pub ranks: usize,
-    /// Explicit backend (`Some` always wins).
-    pub backend: Option<Backend>,
-    /// Worker threads of the parallel backend.
-    pub workers: Option<usize>,
-    /// Pool to submit to.
-    pub server: Option<JobServer>,
-}
-
-impl Placement {
-    /// `ranks` PEs wherever the runtime's defaults put them (`ULBA_*`
-    /// environment, else the global pool).
-    pub fn new(ranks: usize) -> Self {
-        Self { ranks, backend: None, workers: None, server: None }
-    }
-
-    /// The checks every application config shares on these fields.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.ranks == 0 {
-            return Err("need at least one rank".into());
-        }
-        if self.workers == Some(0) {
-            return Err("workers must be positive when set (None = all cores)".into());
-        }
-        Ok(())
-    }
-}
-
 /// What rank 0 knew when it executed one LB step.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LbStepRecord {
@@ -249,8 +215,8 @@ pub struct LbRun<X> {
     pub mean_utilization: f64,
     /// Final per-rank time accounting.
     pub rank_metrics: Vec<RankMetrics>,
-    /// The backend that drove the run — what the [`Placement`] and
-    /// `ULBA_BACKEND` resolved to. Pure metadata, like the shard count.
+    /// The backend that drove the run — what the launch's [`RunConfig`]
+    /// resolved to. Pure metadata, like the shard count.
     pub backend: Backend,
     /// The block count the run was admitted with: shards of the rendezvous
     /// hub, its rank share of the workers of the pool it went to (one per
@@ -281,7 +247,7 @@ impl<X> Deref for LbRun<X> {
 
 /// Out-of-band results a run records on its way out: a side channel, not a
 /// collective, so it cannot perturb the virtual-time measurements. Owned
-/// per launched job, so concurrent jobs on a shared [`JobServer`] never
+/// per launched job, so concurrent jobs on a shared `JobServer` never
 /// cross-contaminate.
 struct Side<X> {
     /// Rank 0's extras and LB-step records.
@@ -298,8 +264,10 @@ struct Side<X> {
 pub struct LbLaunch<F> {
     /// The LB-side parameters.
     pub lb: LbParams,
-    /// Where the run executes.
-    pub placement: Placement,
+    /// Where the run executes, as its application resolved it
+    /// ([`RunConfig::resolve`]); the driver sets its machine model from
+    /// [`LbParams::omega`].
+    pub config: RunConfig,
     /// The partition every rank starts from.
     pub initial: Partition,
     /// Builds one rank's workload.
@@ -311,36 +279,24 @@ where
     W: Workload,
     F: Fn(&SpmdCtx) -> W + Send + Sync + 'static,
 {
-    /// The driver's own input checks: [`Placement::validate`], then
-    /// [`LbParams::validate`].
-    pub fn validate(&self) -> Result<(), String> {
-        self.placement.validate()?;
-        self.lb.validate()
-    }
-
-    /// Launch without waiting. `pool`, when given, is where a pool job goes
-    /// (instead of the placement's own server); which backend the placement
-    /// *means* never depends on it. Panics on invalid parameters.
-    fn submit(self, pool: Option<&JobServer>) -> LbJob<W::Extras> {
-        self.validate().unwrap_or_else(|err| panic!("invalid LB launch: {err}"));
-        let Self { lb, placement, initial, make } = self;
-        let Placement { ranks, backend, workers, server } = placement;
-        let mut run_cfg = RunConfig::resolve(ranks, backend, workers, server)
-            .with_spec(MachineSpec::homogeneous(lb.omega));
-        if let Some(pool) = pool {
-            run_cfg.server = Some(pool.clone());
-        }
+    /// Launch without waiting, where [`LbLaunch::config`] says
+    /// ([`ulba_runtime::submit`] picks the pool). Panics on invalid
+    /// parameters.
+    fn submit(self) -> LbJob<W::Extras> {
+        self.lb.validate().unwrap_or_else(|err| panic!("invalid LB launch: {err}"));
+        let Self { lb, config, initial, make } = self;
+        let config = config.with_spec(MachineSpec::homogeneous(lb.omega));
         let side = Arc::new(Mutex::new(Side { root: None, footprint: (0, 0) }));
         let shared = Arc::new(Shared { lb, initial, make, side: Arc::clone(&side) });
         let handle =
-            ulba_runtime::submit(run_cfg, move |ctx| rank_program(ctx, Arc::clone(&shared)));
+            ulba_runtime::submit(config, move |ctx| rank_program(ctx, Arc::clone(&shared)));
         LbJob { handle, side }
     }
 
-    /// Run on the placement's own pool and wait for the record. Panics on
-    /// invalid parameters, a deadlock or a rank panic.
+    /// Run and wait for the record. Panics on invalid parameters, a
+    /// deadlock or a rank panic.
     pub fn run(self) -> LbRun<W::Extras> {
-        self.submit(None).join()
+        self.submit().join()
     }
 }
 
@@ -383,11 +339,9 @@ impl<X> LbJob<X> {
 /// Every config is prepared and validated **before the first job is
 /// submitted** — a bad config mid-sweep must not strand the jobs before it
 /// on a shared pool — and the panic names the offending index. Each launch
-/// routes to its placement's server when set, else to
-/// [`JobServer::global`]; its backend is resolved exactly as
-/// [`LbLaunch::run`] resolves it. Determinism makes every record
-/// bit-identical to a serial run of the same launch; batching only buys
-/// wall time.
+/// then goes exactly where [`LbLaunch::run`] would send it. Determinism
+/// makes every record bit-identical to a serial run of the same launch;
+/// batching only buys wall time.
 pub fn run_batch<C, W, F>(
     cfgs: &[C],
     prepare: impl Fn(&C) -> Result<LbLaunch<F>, String>,
@@ -401,18 +355,11 @@ where
         .enumerate()
         .map(|(index, cfg)| {
             prepare(cfg)
-                .and_then(|launch| launch.validate().map(|()| launch))
+                .and_then(|launch| launch.lb.validate().map(|()| launch))
                 .unwrap_or_else(|err| panic!("invalid config at batch index {index}: {err}"))
         })
         .collect();
-    let jobs: Vec<LbJob<W::Extras>> = launches
-        .into_iter()
-        .map(|launch| {
-            let pool =
-                launch.placement.server.clone().unwrap_or_else(|| JobServer::global().clone());
-            launch.submit(Some(&pool))
-        })
-        .collect();
+    let jobs: Vec<LbJob<W::Extras>> = launches.into_iter().map(LbLaunch::submit).collect();
     jobs.into_iter().map(LbJob::join).collect()
 }
 
@@ -512,7 +459,7 @@ where
             // Every range of the new partition is non-empty (repaired once,
             // on the root), and its bounds are one allocation shared by
             // all ranks.
-            let RebalanceOutcome { partition: rebalanced, decision, .. } =
+            let RebalanceOutcome { partition: rebalanced, decision } =
                 centralized_rebalance(&mut ctx, my_alpha, range_start, &weights).await;
             workload.migrate(&mut ctx, iter, &partition, &rebalanced).await;
             let measured = ctx.now() - lb_started;

@@ -74,7 +74,7 @@ pub mod wir;
 
 pub use balancer::{centralized_rebalance, RebalanceOutcome, LB_ROOT};
 pub use db::{wire_bytes, WirDatabase, WirEntry};
-pub use driver::{LbLaunch, LbParams, LbRun, LbStepRecord, Placement, Workload};
+pub use driver::{LbLaunch, LbParams, LbRun, LbStepRecord, Workload};
 pub use gossip::{select_peers, GossipMode, GossipOutbox, GossipWire};
 pub use model_loop::trigger_driven_schedule;
 pub use outlier::{z_scores, DetectionStat, DEFAULT_Z_THRESHOLD};
@@ -88,7 +88,7 @@ pub use wir::WirEstimator;
 pub mod prelude {
     pub use crate::balancer::{centralized_rebalance, RebalanceOutcome, LB_ROOT};
     pub use crate::db::{wire_bytes, WirDatabase, WirEntry};
-    pub use crate::driver::{LbLaunch, LbParams, LbRun, LbStepRecord, Placement, Workload};
+    pub use crate::driver::{LbLaunch, LbParams, LbRun, LbStepRecord, Workload};
     pub use crate::gossip::{select_peers, GossipMode, GossipOutbox, GossipWire};
     pub use crate::outlier::{z_scores, DetectionStat, DEFAULT_Z_THRESHOLD};
     pub use crate::partition::{partition_by_shares, Partition};

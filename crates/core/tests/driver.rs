@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use ulba_core::driver::run_batch;
 use ulba_core::prelude::*;
-use ulba_runtime::{Backend, JobServer, SpmdCtx};
+use ulba_runtime::{Backend, JobServer, RunConfig, SpmdCtx};
 
 const RANKS: usize = 4;
 const ITEMS: usize = 8;
@@ -110,16 +110,15 @@ fn toy(ctx: &SpmdCtx, steps: &Arc<AtomicUsize>) -> Toy {
 
 fn launch(
     lb: LbParams,
-    placement: Placement,
+    config: RunConfig,
     steps: Arc<AtomicUsize>,
 ) -> LbLaunch<impl Fn(&SpmdCtx) -> Toy + Send + Sync + 'static> {
     let initial = Partition::uniform(RANKS, ITEMS);
-    LbLaunch { lb, placement, initial, make: move |ctx: &SpmdCtx| toy(ctx, &steps) }
+    LbLaunch { lb, config, initial, make: move |ctx: &SpmdCtx| toy(ctx, &steps) }
 }
 
 fn run(trigger: TriggerKind, backend: Backend) -> LbRun<u64> {
-    let placement = Placement { backend: Some(backend), ..Placement::new(RANKS) };
-    launch(params(trigger), placement, Arc::default()).run()
+    launch(params(trigger), RunConfig::new(RANKS).with_backend(backend), Arc::default()).run()
 }
 
 #[test]
@@ -187,7 +186,7 @@ fn after_sync_runs_once_per_rank_iteration_and_defaults_to_a_no_op() {
     let calls = Arc::new(AtomicUsize::new(0));
     let hooked: LbRun<u64> = LbLaunch {
         lb: params(TriggerKind::Periodic(10)),
-        placement: Placement { backend: Some(Backend::Sequential), ..Placement::new(RANKS) },
+        config: RunConfig::new(RANKS).with_backend(Backend::Sequential),
         initial: Partition::uniform(RANKS, ITEMS),
         make: {
             let calls = Arc::clone(&calls);
@@ -210,8 +209,8 @@ fn a_bad_config_mid_sweep_strands_no_job() {
     let mut sweep = vec![params(TriggerKind::Never); 3];
     sweep[2].gossip_wire = GossipWire::Delta { full_every: 0 };
     let prepare = |lb: &LbParams| {
-        let placement = Placement { server: Some(pool.clone()), ..Placement::new(RANKS) };
-        Ok(launch(lb.clone(), placement, Arc::clone(&stranded)))
+        let config = RunConfig::new(RANKS).with_server(pool.clone());
+        Ok(launch(lb.clone(), config, Arc::clone(&stranded)))
     };
     let panic =
         catch_unwind(AssertUnwindSafe(|| -> Vec<LbRun<u64>> { run_batch(&sweep, prepare) }))
@@ -222,8 +221,8 @@ fn a_bad_config_mid_sweep_strands_no_job() {
     // One worker: had jobs 0 and 1 been submitted, they would have been
     // scheduled ahead of (or alongside) this one and stepped by now.
     let fresh = Arc::new(AtomicUsize::new(0));
-    let placement = Placement { server: Some(pool.clone()), ..Placement::new(RANKS) };
-    let _: LbRun<u64> = launch(params(TriggerKind::Never), placement, Arc::clone(&fresh)).run();
+    let config = RunConfig::new(RANKS).with_server(pool.clone());
+    let _: LbRun<u64> = launch(params(TriggerKind::Never), config, Arc::clone(&fresh)).run();
     assert_eq!(fresh.load(Ordering::Relaxed), RANKS * ITERATIONS as usize);
     assert_eq!(stranded.load(Ordering::Relaxed), 0, "jobs before the bad config were launched");
 }

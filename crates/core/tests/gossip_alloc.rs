@@ -252,3 +252,27 @@ fn a_copy_reuses_the_run_whose_views_have_dropped() {
         assert_eq!(held.entries().filter(|e| e.wir == 9.0).count(), 1);
     }
 }
+
+/// Regression: a shared run was copied with room for exactly the change at
+/// hand, so the run kept two copies back was always one slot short for the
+/// next copy of a database that learns a rank per iteration, and every new
+/// rank allocated. Copies grow like an unshared run now, up to the
+/// database's size: once each run of the pair has been allocated that
+/// large, the kept one is always reused.
+#[test]
+fn a_growing_database_allocates_nothing_after_warm_up() {
+    for known in KNOWN {
+        // Gossip goes out every iteration, and the next new rank arrives
+        // while the view sent last is still held.
+        let mut db = half_known(known);
+        let mut allocations = 0;
+        for (learned, rank) in (1..2 * known).step_by(2).enumerate() {
+            let held = db.view();
+            let ((), n) = counted(|| db.update(WirEntry { rank, wir: 2.0, iteration: 1 }));
+            allocations += n;
+            assert_eq!(held.len(), known + learned, "the view keeps its own run");
+        }
+        assert!(db.is_complete());
+        assert!(allocations <= 2, "known {known}: {allocations} allocations for {known} ranks");
+    }
+}

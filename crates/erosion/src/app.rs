@@ -30,7 +30,7 @@ use std::sync::Arc;
 use ulba_core::balancer::LB_ROOT;
 use ulba_core::driver::{run_batch, LbLaunch, LbRun, Workload};
 use ulba_core::partition::{predicted_weights, Partition};
-use ulba_runtime::SpmdCtx;
+use ulba_runtime::{RunConfig, SpmdCtx};
 
 /// FLOP charged per exposed frontier cell per iteration (neighbour scan +
 /// probability sampling).
@@ -192,8 +192,9 @@ fn prepare(
 ) -> Result<LbLaunch<impl Fn(&SpmdCtx) -> ErosionWorkload + Send + Sync + 'static>, String> {
     cfg.validate()?;
     let mut cfg = cfg.clone();
-    let placement = cfg.placement();
-    cfg.server = None;
+    // The server only routes the run: the inputs the rank futures share
+    // must not keep its pool alive.
+    let config = RunConfig::resolve(cfg.ranks, cfg.backend, cfg.workers, cfg.server.take())?;
     let lb = cfg.lb_params();
     let initial = Partition::uniform(cfg.ranks, cfg.cols_per_pe);
     let inputs = Arc::new(Inputs {
@@ -219,7 +220,7 @@ fn prepare(
             history_iter: 0,
         }
     };
-    Ok(LbLaunch { lb, placement, initial, make })
+    Ok(LbLaunch { lb, config, initial, make })
 }
 
 /// Run one erosion experiment and collect its measurements. A config that
@@ -229,10 +230,9 @@ pub fn run_erosion(cfg: &ErosionConfig) -> ExperimentResult {
 }
 
 /// Run a whole sweep concurrently and return the results in input order
-/// ([`run_batch`]): each config routes to its own [`ErosionConfig::server`]
-/// when set, else to the global pool, with the backend [`run_erosion`]
-/// would resolve; every config is validated before the first job is
-/// submitted (the panic names the offending index).
+/// ([`run_batch`]): each config runs where [`run_erosion`] would run it;
+/// every config is validated before the first job is submitted (the panic
+/// names the offending index).
 pub fn run_erosion_batch(cfgs: &[ErosionConfig]) -> Vec<ExperimentResult> {
     run_batch(cfgs, prepare)
 }
@@ -505,32 +505,45 @@ mod tests {
 
     /// `run_erosion` and `run_erosion_batch` mean the same backend by the
     /// same config, for every way of (not) naming one — `Sequential` +
-    /// server was once pooled by one launch path and deferred by another.
+    /// server was once pooled by one launch path and deferred by another,
+    /// and a worker count without a server gave the run a private pool
+    /// and the batch the global one.
     #[test]
     fn run_and_batch_resolve_the_same_backend() {
         for backend in [None, Some(Backend::Sequential), Some(Backend::Parallel)] {
             for server in [None, Some(JobServer::new(1))] {
-                let mut cfg = ErosionConfig::tiny(2, 1);
-                cfg.iterations = 10;
-                cfg.backend = backend;
-                cfg.server = server;
-                let label = format!("{backend:?} + {:?}", cfg.server);
-                let ran = run_erosion(&cfg);
-                let batched = run_erosion_batch(std::slice::from_ref(&cfg)).remove(0);
-                assert_eq!(ran.backend, batched.backend, "{label}");
-                if let Some(explicit) = backend {
-                    assert_eq!(ran.backend, explicit, "{label}: an explicit backend wins");
-                } else if cfg.server.is_some() {
-                    assert_eq!(ran.backend, Backend::Parallel, "{label}: a server is that pool");
-                }
-                assert_eq!(ran.makespan.to_bits(), batched.makespan.to_bits(), "{label}");
-                assert_eq!(ran.lb_iterations, batched.lb_iterations, "{label}");
-                assert_eq!(ran.total_eroded, batched.total_eroded, "{label}");
-                // The shard (= block) count follows the pool a job runs on:
-                // with no server named, `run` sizes it by the machine (or
-                // `ULBA_WORKERS`) and the batch by the global pool.
-                if backend == Some(Backend::Sequential) || cfg.server.is_some() {
-                    assert_eq!(ran.hub_shards, batched.hub_shards, "{label}");
+                for workers in [None, Some(1)] {
+                    let mut cfg = ErosionConfig::tiny(2, 1);
+                    cfg.iterations = 10;
+                    cfg.backend = backend;
+                    cfg.server = server.clone();
+                    cfg.workers = workers;
+                    let label = format!("{backend:?} + {:?} + {workers:?} workers", cfg.server);
+                    let ran = run_erosion(&cfg);
+                    let batched = run_erosion_batch(std::slice::from_ref(&cfg)).remove(0);
+                    assert_eq!(ran.backend, batched.backend, "{label}");
+                    if let Some(explicit) = backend {
+                        assert_eq!(ran.backend, explicit, "{label}: an explicit backend wins");
+                    } else if cfg.server.is_some() {
+                        assert_eq!(
+                            ran.backend,
+                            Backend::Parallel,
+                            "{label}: a server is that pool"
+                        );
+                    }
+                    assert_eq!(ran.makespan.to_bits(), batched.makespan.to_bits(), "{label}");
+                    assert_eq!(ran.lb_iterations, batched.lb_iterations, "{label}");
+                    assert_eq!(ran.total_eroded, batched.total_eroded, "{label}");
+                    // Both go to the same pool: the named server, else the
+                    // private pool a worker count names, else the global
+                    // pool — whose block count another test's job sharing
+                    // it at the same moment could change.
+                    if backend == Some(Backend::Sequential)
+                        || cfg.server.is_some()
+                        || workers.is_some()
+                    {
+                        assert_eq!(ran.hub_shards, batched.hub_shards, "{label}");
+                    }
                 }
             }
         }

@@ -1,10 +1,10 @@
 //! Experiment configuration for the erosion proxy application.
 
 use serde::{Deserialize, Serialize};
-use ulba_core::driver::{require_non_negative, require_positive, LbParams, Placement};
+use ulba_core::driver::{require_non_negative, require_positive, LbParams};
 use ulba_core::gossip::{GossipMode, GossipWire};
 use ulba_core::policy::LbPolicy;
-use ulba_runtime::{Backend, JobServer};
+use ulba_runtime::{Backend, JobServer, RunConfig};
 
 pub use ulba_core::trigger::TriggerKind;
 
@@ -83,16 +83,17 @@ pub struct ErosionConfig {
     pub omega: f64,
     /// Execution backend of the SPMD runtime. `Some` always wins; `None`
     /// means [`ErosionConfig::server`]'s pool when one is set, otherwise
-    /// the `ULBA_BACKEND` environment variable, else the global pool (the
-    /// one rule of `ulba_runtime::RunConfig::resolve`).
+    /// the `ULBA_BACKEND` environment variable, else the parallel backend
+    /// (the one rule of `ulba_runtime::RunConfig::resolve`).
     pub backend: Option<Backend>,
-    /// Worker threads of the parallel backend (`None` = runtime default:
-    /// the `ULBA_WORKERS` environment variable, falling back to all
-    /// available cores). Ignored by the sequential backend.
+    /// Worker threads of a private pool for this run, alone or batched
+    /// (`None` = the global pool, sized by `ULBA_WORKERS` or all cores).
+    /// Ignored when a [`ErosionConfig::server`] is named and by the
+    /// sequential backend.
     pub workers: Option<usize>,
-    /// Submit the run to this existing [`JobServer`] instead of standing up
-    /// (or routing to) a pool of its own — unless an explicit
-    /// [`ErosionConfig::backend`] says sequential. Not serialized — a server is a live handle, not a
+    /// Submit the run to this existing [`JobServer`] instead of the global
+    /// or a private pool — unless an explicit [`ErosionConfig::backend`]
+    /// says sequential. Not serialized — a server is a live handle, not a
     /// parameter; deserialized configs always start with `None`.
     #[serde(skip)]
     pub server: Option<JobServer>,
@@ -135,7 +136,7 @@ impl ErosionConfig {
 
     /// Route this experiment to an existing shared [`JobServer`]. An
     /// explicit [`ErosionConfig::backend`] wins; otherwise a server target
-    /// means that pool; otherwise `ULBA_BACKEND`, else the global pool.
+    /// means that pool.
     /// Figure harnesses use this to run whole sweeps concurrently on one
     /// pool; see [`crate::app::run_erosion_batch`].
     pub fn with_server(mut self, server: JobServer) -> Self {
@@ -179,10 +180,10 @@ impl ErosionConfig {
     }
 
     /// Validate cross-field invariants: the geometry and physics checks
-    /// here, the LB-loop and placement checks every application shares on
-    /// the driver's [`LbParams`] / [`Placement`].
+    /// here, the rank and worker counts in `RunConfig::resolve`, the
+    /// LB-loop checks every application shares in [`LbParams::validate`].
     pub fn validate(&self) -> Result<(), String> {
-        self.placement().validate()?;
+        RunConfig::resolve(self.ranks, self.backend, self.workers, None)?;
         if self.height > 1 << 16 {
             return Err(format!(
                 "height {} exceeds the u16 row-index space of the erosion frontier \
@@ -225,16 +226,6 @@ impl ErosionConfig {
             seed: self.seed,
             omega: self.omega,
             iterations: self.iterations,
-        }
-    }
-
-    /// Where this experiment executes, as the driver resolves it.
-    pub(crate) fn placement(&self) -> Placement {
-        Placement {
-            ranks: self.ranks,
-            backend: self.backend,
-            workers: self.workers,
-            server: self.server.clone(),
         }
     }
 

@@ -91,11 +91,6 @@ impl MachineSpec {
     pub fn allreduce_secs(&self, p: usize, bytes: usize) -> f64 {
         2.0 * Self::rounds(p) * (self.latency + bytes as f64 / self.bandwidth)
     }
-
-    /// Scatter of `bytes` per destination rank from the root.
-    pub fn scatter_secs(&self, p: usize, bytes_per_rank: usize) -> f64 {
-        self.gather_secs(p, bytes_per_rank)
-    }
 }
 
 #[cfg(test)]

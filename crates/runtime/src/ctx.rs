@@ -1,7 +1,7 @@
 //! The per-rank SPMD context: the API an application rank programs against.
 //!
 //! Looks like a tiny MPI: `compute`, `send`/`recv`/`drain`, `barrier`,
-//! `broadcast`, `gather`, `scatter`, `allgather`, `allreduce`. Every
+//! `broadcast`, `gather`, `allgather`, `allreduce`. Every
 //! operation advances the rank's virtual clock according to the
 //! [`MachineSpec`] cost model and books the time into [`RankMetrics`].
 //!
@@ -20,8 +20,8 @@
 //! it. A reduction — [`SpmdCtx::allreduce`] and its `_sum`/`_max`
 //! shorthands, [`SpmdCtx::allgather_with`] — is folded **once per round**
 //! (`O(P)` per round, `O(1)` per rank: the first rank to ask folds in rank
-//! order, the rest clone the cached result); `broadcast`, `scatter` and a
-//! non-root `gather` read one slot. [`SpmdCtx::allgather`] (and `gather`
+//! order, the rest clone the cached result); `broadcast` and a non-root
+//! `gather` read one slot. [`SpmdCtx::allgather`] (and `gather`
 //! on the root) is the only collective that copies `O(P)` per rank, which
 //! across `P` ranks is `O(P²)` per round: reserve it for ranks that keep
 //! the vector. The price of the shared fold is a purity contract: the
@@ -347,24 +347,6 @@ impl SpmdCtx {
         let cost = self.shared.spec.gather_secs(self.size, bytes_per_rank);
         self.sync(round.max_clock, cost);
         (self.rank == root).then(|| round.values.to_vec())
-    }
-
-    /// Scatter: the root supplies one value per rank; each rank receives its
-    /// slot.
-    pub async fn scatter<T: Clone + Send + Sync + 'static>(
-        &mut self,
-        root: usize,
-        values: Option<Vec<T>>,
-        bytes_per_rank: usize,
-    ) -> T {
-        debug_assert_eq!(values.is_some(), self.rank == root, "only the root supplies values");
-        if let Some(v) = &values {
-            assert_eq!(v.len(), self.size, "scatter needs one value per rank");
-        }
-        let round = self.exchange("scatter", values).await;
-        let cost = self.shared.spec.scatter_secs(self.size, bytes_per_rank);
-        self.sync(round.max_clock, cost);
-        round.values[root].as_ref().expect("root deposited values")[self.rank].clone()
     }
 
     // --- instrumentation (free in virtual time) -----------------------------

@@ -9,11 +9,12 @@
 //!
 //! * [`Backend::Parallel`] (the default) — the run is a job on a
 //!   work-stealing [`JobServer`]: the one targeted by
-//!   [`RunConfig::with_server`], the process-wide default
-//!   ([`JobServer::global`]) when no worker count is forced, or a transient
-//!   private pool when one is. The job is cut into contiguous blocks of
-//!   ranks, one per hub shard: its rank share of the pool's workers when
-//!   it is admitted, one per worker when it is alone there, at most 64
+//!   [`RunConfig::with_server`], else a private pool of
+//!   [`RunConfig::workers`] threads when that count is nonzero, else the
+//!   process-wide default ([`JobServer::global`], sized by `ULBA_WORKERS`).
+//!   The job is cut into contiguous blocks of ranks, one per hub shard:
+//!   its rank share of the pool's workers when it is admitted, one per
+//!   worker when it is alone there, at most 64
 //!   ([`RunConfig::effective_hub_shards`]); a worker drives a whole block
 //!   until every rank of it is parked — wakers left in the job's
 //!   hub/mailbox — and a wake flags the rank and re-queues its block. One
@@ -28,16 +29,19 @@
 //! on the job server, independent of which other jobs share the pool. Both
 //! detect deadlocks exactly ([`RunError::Deadlock`]).
 //!
-//! # Which backend a configuration means
+//! # Which backend and pool a configuration means
 //!
 //! Stated once, for [`RunConfig::resolve`] and the app configs built on it:
 //! an explicit backend wins; otherwise a server target means that pool;
-//! otherwise `ULBA_BACKEND`; else the global pool.
+//! otherwise `ULBA_BACKEND`; else the parallel backend. A parallel run goes
+//! to the named server, else to a private pool when a worker count is
+//! named, else to the global pool — whether it is launched alone or in a
+//! batch. `ULBA_WORKERS` sizes only the global pool.
 
 use crate::cost::MachineSpec;
 use crate::ctx::SpmdCtx;
 use crate::exec::sequential::SequentialJob;
-use crate::exec::server::{effective_workers, JobServer, PoolJob};
+use crate::exec::server::{JobServer, PoolJob};
 use crate::hub::Hub;
 use crate::mailbox::MailboxSet;
 use crate::metrics::{Collector, IterationMark, IterationStats, RankMetrics};
@@ -71,15 +75,10 @@ fn warn_unknown_backend(raw: &str) {
     });
 }
 
-/// The `ULBA_WORKERS` environment variable, parsed — the one reader of it,
-/// shared by [`RunConfig::from_env`] and [`JobServer::global`].
-pub(crate) fn env_workers() -> Option<usize> {
-    parse_workers(std::env::var("ULBA_WORKERS").ok().as_deref())
-}
-
 /// A raw `ULBA_WORKERS` value as a worker count: `None` when unset, and
-/// when unparsable, which warns once per process.
-fn parse_workers(raw: Option<&str>) -> Option<usize> {
+/// when unparsable, which warns once per process. [`JobServer::global`]
+/// sizes its pool by it.
+pub(crate) fn parse_workers(raw: Option<&str>) -> Option<usize> {
     let raw = raw?;
     let workers = raw.parse().ok();
     if workers.is_none() {
@@ -124,16 +123,15 @@ pub struct RunConfig {
     /// Execution backend. Defaults to the `ULBA_BACKEND` environment
     /// variable, falling back to [`Backend::Parallel`].
     pub backend: Backend,
-    /// Worker threads of the parallel backend; `0` (the default) means the
-    /// machine's available parallelism. Defaults to the `ULBA_WORKERS`
-    /// environment variable. Also caps the job's blocks: at most one per
-    /// worker of the pool it runs on, exactly that when it runs alone there
+    /// Worker threads of a private pool for this run, started when no
+    /// [`RunConfig::server`] is targeted (never more threads than ranks);
+    /// `0` (the default) sends the run to the global pool
+    /// ([`JobServer::global`]). The pool's workers cap the job's blocks
     /// (see [`RunConfig::effective_hub_shards`]).
     pub workers: usize,
     /// Existing [`JobServer`] to submit to when the backend is
-    /// [`Backend::Parallel`]; `None` (the default) uses the process-wide
-    /// default server ([`JobServer::global`]), or a transient private pool
-    /// when [`RunConfig::workers`] is forced nonzero.
+    /// [`Backend::Parallel`]; `None` (the default) means a private pool
+    /// when [`RunConfig::workers`] is nonzero, else the global pool.
     pub server: Option<JobServer>,
 }
 
@@ -157,27 +155,17 @@ impl RunConfig {
         }
     }
 
-    /// Overlay the `ULBA_*` environment onto this configuration — the one
-    /// place the engine parses runtime env vars, so binaries and tests
-    /// don't re-implement the precedence themselves:
-    ///
-    /// * `ULBA_BACKEND` → [`RunConfig::backend`] (`sequential`,
-    ///   `parallel`; unknown values warn once and are ignored),
-    /// * `ULBA_WORKERS` → [`RunConfig::workers`] (unparsable values warn
-    ///   once and are ignored).
-    ///
-    /// Unset (or unparsable) variables leave the corresponding field
-    /// untouched, so explicit `with_*` calls made *after* this step win,
-    /// while the environment overrides the plain defaults.
+    /// Overlay `ULBA_BACKEND` onto [`RunConfig::backend`] (`sequential`,
+    /// `parallel`; unknown values warn once and are ignored, as is an
+    /// unset variable), so explicit `with_*` calls made *after* this step
+    /// win, while the environment overrides the plain default.
+    /// `ULBA_WORKERS` is not read here: it sizes the global pool only.
     pub fn from_env(mut self) -> Self {
         if let Ok(raw) = std::env::var("ULBA_BACKEND") {
             match raw.parse() {
                 Ok(backend) => self.backend = backend,
                 Err(()) => warn_unknown_backend(&raw),
             }
-        }
-        if let Some(workers) = env_workers() {
-            self.workers = workers;
         }
         self
     }
@@ -194,8 +182,7 @@ impl RunConfig {
         self
     }
 
-    /// Set the worker-thread count of the parallel backend (`0` = all
-    /// available cores; overrides `ULBA_WORKERS`).
+    /// Run on a private pool of `workers` threads (`0` = the global pool).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
@@ -214,21 +201,26 @@ impl RunConfig {
     /// the one place `Option<Backend>` + server target + environment become
     /// an effective backend (see the [module docs](self)): an explicit
     /// `backend` wins; otherwise a `server` target means that pool;
-    /// otherwise `ULBA_BACKEND`; else the global pool. `workers` overrides
-    /// `ULBA_WORKERS` when set.
+    /// otherwise `ULBA_BACKEND`; else the parallel backend. `workers`
+    /// names a private pool. `Err` on zero ranks or `Some(0)` workers.
     pub fn resolve(
         ranks: usize,
         backend: Option<Backend>,
         workers: Option<usize>,
         server: Option<JobServer>,
-    ) -> Self {
-        let mut config = Self::new(ranks);
-        config.workers = workers.unwrap_or(config.workers);
+    ) -> Result<Self, String> {
+        if ranks == 0 {
+            return Err("need at least one rank".into());
+        }
+        if workers == Some(0) {
+            return Err("workers must be positive when set (None = the global pool)".into());
+        }
+        let mut config = Self::new(ranks).with_workers(workers.unwrap_or(0));
         if let Some(server) = server {
             config = config.with_server(server);
         }
         config.backend = backend.unwrap_or(config.backend);
-        config
+        Ok(config)
     }
 
     /// The most contiguous rank ranges the job may be cut into: the shards
@@ -236,8 +228,8 @@ impl RunConfig {
     /// [`JobServer`], the job's schedulable blocks (one worker drives a
     /// whole block at a time). One per worker of the pool the job runs on,
     /// at most 64 — the workers of [`RunConfig::server`] when a server is
-    /// targeted, else the [`RunConfig::workers`] / machine-parallelism
-    /// count the engine sizes its own pool by; the single-threaded
+    /// targeted, else of the private pool [`RunConfig::workers`] sizes,
+    /// else of the global pool (which this call starts); the single-threaded
     /// sequential scheduler keeps the degenerate single shard. Always
     /// clamped to `[1, ranks]`. The cap, not the count: [`JobServer::submit`]
     /// gives a job its rank share of the workers at admission,
@@ -248,7 +240,8 @@ impl RunConfig {
         let workers = match (self.backend, &self.server) {
             (Backend::Sequential, _) => 1,
             (Backend::Parallel, Some(server)) => server.workers(),
-            (Backend::Parallel, None) => effective_workers(self),
+            (Backend::Parallel, None) if self.workers == 0 => JobServer::global().workers(),
+            (Backend::Parallel, None) => self.workers,
         };
         workers.min(64).clamp(1, self.ranks.max(1))
     }
@@ -513,9 +506,10 @@ impl JobHandle {
 }
 
 /// Launch `body` as an SPMD program over `config.ranks` ranks — the one
-/// path from a [`RunConfig`] to a running job (the [module docs](self) say
-/// where it runs; a transient private pool lives as long as the handle,
-/// and [`Backend::Sequential`] ignores any [`RunConfig::server`]).
+/// path from a [`RunConfig`] to a running job and the one place that picks
+/// its pool (the [module docs](self) say which; a private pool lives as
+/// long as the handle, and [`Backend::Sequential`] ignores any
+/// [`RunConfig::server`]).
 ///
 /// `body` is invoked once per rank, here, with that rank's [`SpmdCtx`] and
 /// returns the rank's program as a future; operations that synchronize with
@@ -535,7 +529,7 @@ where
     let server = match &config.server {
         Some(server) => server.clone(),
         None if config.workers == 0 => JobServer::global().clone(),
-        None => JobServer::new(effective_workers(&config)),
+        None => JobServer::new(config.workers.min(config.ranks)),
     };
     server.submit(config, body)
 }

@@ -25,8 +25,8 @@
 //! count is the job's rank share of the pool at admission: a job of
 //! `P_job` ranks on `W` workers gets `ceil(W · P_job / P_resident)`
 //! blocks, `P_resident` being the ranks of every unfinished job on the
-//! pool, this one included; at least 1, at most
-//! [`RunConfig::effective_hub_shards`] (one per worker, 64). A job alone
+//! pool, this one included; at least 1, at most `min(W, 64, P_job)`
+//! ([`RunConfig::effective_hub_shards`] predicts it). A job alone
 //! on its pool gets one block per worker; a batch of equal jobs runs its
 //! first one across the pool and each later one as a single block, which
 //! never parks, instead of splitting every job into blocks that park and
@@ -80,7 +80,9 @@
 //! live block can deliver.
 
 use crate::ctx::SpmdCtx;
-use crate::engine::{env_workers, JobHandle, Launched, RunConfig, RunError, RunReport, RunShared};
+use crate::engine::{
+    parse_workers, JobHandle, Launched, RunConfig, RunError, RunReport, RunShared,
+};
 use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::cell::RefCell;
@@ -700,10 +702,15 @@ impl JobServer {
 
     /// The process-wide default server, started on first use. Sized by
     /// `ULBA_WORKERS` (if set and nonzero) or the machine's available
-    /// parallelism; lives for the rest of the process.
+    /// parallelism — the one reader of that variable; lives for the rest
+    /// of the process.
     pub fn global() -> &'static JobServer {
         static GLOBAL: OnceLock<JobServer> = OnceLock::new();
-        GLOBAL.get_or_init(|| JobServer::new(env_workers().unwrap_or(0)))
+        GLOBAL.get_or_init(|| {
+            JobServer::new(
+                parse_workers(std::env::var("ULBA_WORKERS").ok().as_deref()).unwrap_or(0),
+            )
+        })
     }
 
     /// Worker threads of this server.
@@ -731,9 +738,9 @@ impl JobServer {
     /// Submit `body` as an SPMD job over `config.ranks` ranks; returns
     /// immediately with a handle. The job runs on this server's workers
     /// regardless of `config.backend`, with its own hub/mailbox namespace
-    /// and job id, cut into one block per hub shard: its rank share of the
-    /// workers at admission, at most [`RunConfig::effective_hub_shards`]
-    /// (see the module docs; [`JobHandle::blocks`] reads the count). See
+    /// and job id, cut into one block per hub shard: its rank share of this
+    /// server's workers at admission, at most 64 and one per rank (see the
+    /// module docs; [`JobHandle::blocks`] reads the count). See
     /// [`crate::submit`] for the body contract; the future must be
     /// `'static` because it outlives the submitting stack frame.
     pub fn submit<F, Fut>(&self, config: RunConfig, body: F) -> JobHandle
@@ -743,7 +750,9 @@ impl JobServer {
     {
         assert!(config.ranks >= 1, "need at least one rank");
         let ranks = config.ranks;
-        let shards = self.core.admit(ranks, config.effective_hub_shards());
+        // The share never exceeds this pool's workers, whichever pool the
+        // config itself would route to.
+        let shards = self.core.admit(ranks, ranks.min(64));
         let shared = RunShared::new(&config, shards, false);
         let core = Arc::clone(&self.core);
         let blocks: Vec<Block> = (0..shared.hub.shard_count())
@@ -867,19 +876,6 @@ impl PoolJob {
     }
 }
 
-/// Worker count a [`RunConfig`] resolves to: the explicit
-/// [`RunConfig::workers`] if nonzero, otherwise the machine's available
-/// parallelism; never more than `ranks`. Also the basis of the block cap
-/// of a run that targets no server ([`RunConfig::effective_hub_shards`]).
-pub(crate) fn effective_workers(config: &RunConfig) -> usize {
-    let requested = if config.workers > 0 {
-        config.workers
-    } else {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    };
-    requested.clamp(1, config.ranks)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -978,16 +974,15 @@ mod tests {
         drain_and_join(&server, jobs, &ranks);
     }
 
-    /// Without a server or a worker count, a run sizes its private pool —
-    /// and so its blocks — by the machine, never beyond its ranks.
+    /// Without a server or a worker count, a run goes to the global pool,
+    /// which the machine sizes when `ULBA_WORKERS` is unset; a private pool
+    /// never outnumbers its ranks.
     #[test]
     fn an_unsized_pool_is_the_machine_and_never_outnumbers_the_ranks() {
-        let machine = std::thread::available_parallelism().map_or(1, |n| n.get());
         let wide = RunConfig::defaults(4096);
-        assert_eq!(effective_workers(&wide), machine);
-        assert_eq!(wide.effective_hub_shards(), machine.min(64));
-        assert_eq!(effective_workers(&RunConfig::defaults(1)), 1);
-        assert_eq!(effective_workers(&RunConfig::defaults(16).with_workers(3)), 3);
-        assert_eq!(effective_workers(&RunConfig::defaults(2).with_workers(8)), 2);
+        assert_eq!(wide.effective_hub_shards(), JobServer::global().workers().min(64));
+        assert_eq!(RunConfig::defaults(1).effective_hub_shards(), 1);
+        assert_eq!(RunConfig::defaults(16).with_workers(3).effective_hub_shards(), 3);
+        assert_eq!(RunConfig::defaults(2).with_workers(8).effective_hub_shards(), 2);
     }
 }

@@ -1,6 +1,6 @@
 //! The rendezvous hub: a generation-stamped all-to-all exchange primitive on
-//! which every collective (barrier, broadcast, gather, allgather, allreduce,
-//! scatter) is built.
+//! which every collective (barrier, broadcast, gather, allgather, allreduce)
+//! is built.
 //!
 //! All `P` ranks deposit a typed value and a clock; once the last rank
 //! arrives, everyone observes the full value vector (rank-indexed, hence

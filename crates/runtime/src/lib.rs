@@ -171,15 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn scatter_delivers_rank_slot() {
-        run(RunConfig::new(4), |mut ctx| async move {
-            let values = (ctx.rank() == 0).then(|| (0..4).map(|r| format!("slot-{r}")).collect());
-            let mine = ctx.scatter(0, values, 16).await;
-            assert_eq!(mine, format!("slot-{}", ctx.rank()));
-        });
-    }
-
-    #[test]
     fn allgather_is_rank_indexed() {
         run(RunConfig::new(7), |mut ctx| async move {
             let all = ctx.allgather(ctx.rank() as u64 * 3, 8).await;
@@ -486,14 +477,19 @@ mod tests {
     fn resolve_lets_an_explicit_backend_win_then_a_server_then_the_default() {
         let pool = JobServer::new(1);
         let resolve = |backend, server: bool| {
-            let config = RunConfig::resolve(4, backend, None, server.then(|| pool.clone()));
+            let config = RunConfig::resolve(4, backend, None, server.then(|| pool.clone()))
+                .expect("a valid placement");
             (config.backend, config.server.is_some())
         };
         assert_eq!(resolve(Some(Backend::Sequential), true), (Backend::Sequential, true));
         assert_eq!(resolve(Some(Backend::Parallel), false), (Backend::Parallel, false));
         assert_eq!(resolve(None, true), (Backend::Parallel, true), "a server target is that pool");
-        assert_eq!(resolve(None, false).0, RunConfig::new(4).backend, "else ULBA_BACKEND/global");
-        assert_eq!(RunConfig::resolve(8, None, Some(3), None).workers, 3);
+        assert_eq!(resolve(None, false).0, RunConfig::new(4).backend, "else ULBA_BACKEND/parallel");
+        assert_eq!(RunConfig::resolve(8, None, Some(3), None).map(|c| c.workers), Ok(3));
+        assert_eq!(RunConfig::resolve(8, None, None, None).map(|c| c.workers), Ok(0), "global");
+        let error = |ranks, workers| RunConfig::resolve(ranks, None, workers, None).err();
+        assert!(error(0, None).is_some_and(|err| err.contains("rank")), "no ranks");
+        assert!(error(8, Some(0)).is_some_and(|err| err.contains("workers")), "no workers");
     }
 
     #[test]

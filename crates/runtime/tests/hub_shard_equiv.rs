@@ -136,7 +136,7 @@ async fn payload_body(mut ctx: SpmdCtx, rounds: u64) {
             reference += 1.0 / (r as f64 + 3.0 + iter as f64);
         }
         assert_eq!(total.to_bits(), reference.to_bits(), "allreduce fold order, iter {iter}");
-        // broadcast / gather / scatter from a rotating root: indexing
+        // broadcast / gather from a rotating root: indexing
         // into one shard's part of the round, with a different payload
         // type per collective so the deposit slots change type from one
         // round to the next.
@@ -149,10 +149,6 @@ async fn payload_body(mut ctx: SpmdCtx, rounds: u64) {
             let expect: Vec<(u32, u32)> = (0..size as u32).map(|r| (r, iter as u32)).collect();
             assert_eq!(values, expect, "gather payload, iter {iter}");
         }
-        let seed: Option<Vec<i64>> =
-            (rank == root).then(|| (0..size as i64).map(|r| r * 100 - iter as i64).collect());
-        let mine = ctx.scatter(root, seed, 8).await;
-        assert_eq!(mine, rank as i64 * 100 - iter as i64, "scatter payload, iter {iter}");
         ctx.barrier().await;
     }
 }

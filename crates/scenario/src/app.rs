@@ -25,7 +25,7 @@ use std::sync::Arc;
 use ulba_core::driver::{run_batch, LbLaunch, LbRun, Workload};
 use ulba_core::gossip::{select_peers, GossipMode};
 use ulba_core::partition::Partition;
-use ulba_runtime::{SpmdCtx, Tag};
+use ulba_runtime::{RunConfig, SpmdCtx, Tag};
 
 /// Message tag of task-graph traffic payloads.
 pub const TRAFFIC_TAG: Tag = 0x5C54;
@@ -181,8 +181,9 @@ fn prepare(
         cfg.seed,
     )?;
     let mut cfg = cfg.clone();
-    let placement = cfg.placement();
-    cfg.server = None; // only routes the run; see `inputs`
+    // The server only routes the run: the inputs the rank futures share
+    // must not keep its pool alive.
+    let config = RunConfig::resolve(cfg.ranks, cfg.backend, cfg.workers, cfg.server.take())?;
     let lb = cfg.lb_params();
     let tpr = cfg.tasks_per_rank;
     let initial = Partition::uniform(cfg.ranks, tpr);
@@ -193,7 +194,7 @@ fn prepare(
         units_done: 0,
         traffic_checksum: 0,
     };
-    Ok(LbLaunch { lb, placement, initial, make })
+    Ok(LbLaunch { lb, config, initial, make })
 }
 
 /// Run one scenario experiment and collect its measurements. A config
@@ -203,10 +204,8 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
 }
 
 /// Run a whole sweep concurrently and return the results in input order
-/// ([`run_batch`]): each config routes to its own
-/// [`ScenarioConfig::server`] when set, else to the global pool, with the
-/// backend [`run_scenario`] would resolve; every config is validated before
-/// the first job is submitted.
+/// ([`run_batch`]): each config runs where [`run_scenario`] would run it;
+/// every config is validated before the first job is submitted.
 pub fn run_scenario_batch(cfgs: &[ScenarioConfig]) -> Vec<ScenarioResult> {
     run_batch(cfgs, prepare)
 }
@@ -360,32 +359,45 @@ mod tests {
 
     /// `run_scenario` and `run_scenario_batch` mean the same backend by
     /// the same config, for every way of (not) naming one — `Sequential` +
-    /// server was once pooled by one launch path and deferred by another.
+    /// server was once pooled by one launch path and deferred by another,
+    /// and a worker count without a server gave the run a private pool
+    /// and the batch the global one.
     #[test]
     fn run_and_batch_resolve_the_same_backend() {
         for backend in [None, Some(Backend::Sequential), Some(Backend::Parallel)] {
             for server in [None, Some(JobServer::new(1))] {
-                let mut cfg = ScenarioConfig::tiny(ScenarioKind::TaskGraph, 3);
-                cfg.iterations = 8;
-                cfg.backend = backend;
-                cfg.server = server;
-                let label = format!("{backend:?} + {:?}", cfg.server);
-                let ran = run_scenario(&cfg);
-                let batched = run_scenario_batch(std::slice::from_ref(&cfg)).remove(0);
-                assert_eq!(ran.backend, batched.backend, "{label}");
-                if let Some(explicit) = backend {
-                    assert_eq!(ran.backend, explicit, "{label}: an explicit backend wins");
-                } else if cfg.server.is_some() {
-                    assert_eq!(ran.backend, Backend::Parallel, "{label}: a server is that pool");
-                }
-                assert_eq!(ran.makespan.to_bits(), batched.makespan.to_bits(), "{label}");
-                assert_eq!(ran.lb_iterations, batched.lb_iterations, "{label}");
-                assert_eq!(ran.traffic_checksum, batched.traffic_checksum, "{label}");
-                // The shard (= block) count follows the pool a job runs on:
-                // with no server named, `run` sizes it by the machine (or
-                // `ULBA_WORKERS`) and the batch by the global pool.
-                if backend == Some(Backend::Sequential) || cfg.server.is_some() {
-                    assert_eq!(ran.hub_shards, batched.hub_shards, "{label}");
+                for workers in [None, Some(1)] {
+                    let mut cfg = ScenarioConfig::tiny(ScenarioKind::TaskGraph, 3);
+                    cfg.iterations = 8;
+                    cfg.backend = backend;
+                    cfg.server = server.clone();
+                    cfg.workers = workers;
+                    let label = format!("{backend:?} + {:?} + {workers:?} workers", cfg.server);
+                    let ran = run_scenario(&cfg);
+                    let batched = run_scenario_batch(std::slice::from_ref(&cfg)).remove(0);
+                    assert_eq!(ran.backend, batched.backend, "{label}");
+                    if let Some(explicit) = backend {
+                        assert_eq!(ran.backend, explicit, "{label}: an explicit backend wins");
+                    } else if cfg.server.is_some() {
+                        assert_eq!(
+                            ran.backend,
+                            Backend::Parallel,
+                            "{label}: a server is that pool"
+                        );
+                    }
+                    assert_eq!(ran.makespan.to_bits(), batched.makespan.to_bits(), "{label}");
+                    assert_eq!(ran.lb_iterations, batched.lb_iterations, "{label}");
+                    assert_eq!(ran.traffic_checksum, batched.traffic_checksum, "{label}");
+                    // Both go to the same pool: the named server, else the
+                    // private pool a worker count names, else the global
+                    // pool — whose block count another test's job sharing
+                    // it at the same moment could change.
+                    if backend == Some(Backend::Sequential)
+                        || cfg.server.is_some()
+                        || workers.is_some()
+                    {
+                        assert_eq!(ran.hub_shards, batched.hub_shards, "{label}");
+                    }
                 }
             }
         }

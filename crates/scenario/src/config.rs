@@ -2,10 +2,10 @@
 
 use crate::generator::{ScenarioKind, MIN_AVG_UNITS};
 use serde::{Deserialize, Serialize};
-use ulba_core::driver::{require_non_negative, require_positive, LbParams, Placement};
+use ulba_core::driver::{require_non_negative, require_positive, LbParams};
 use ulba_core::gossip::{GossipMode, GossipWire};
 use ulba_core::policy::LbPolicy;
-use ulba_runtime::{Backend, JobServer};
+use ulba_runtime::{Backend, JobServer, RunConfig};
 
 pub use ulba_core::trigger::TriggerKind;
 
@@ -65,9 +65,12 @@ pub struct ScenarioConfig {
     pub omega: f64,
     /// Execution backend. `Some` always wins; `None` means
     /// [`ScenarioConfig::server`]'s pool when one is set, otherwise
-    /// `ULBA_BACKEND`, else the global pool.
+    /// `ULBA_BACKEND`, else the parallel backend.
     pub backend: Option<Backend>,
-    /// Worker threads of the parallel backend (`None` = default).
+    /// Worker threads of a private pool for this run, alone or batched
+    /// (`None` = the global pool, sized by `ULBA_WORKERS` or all cores).
+    /// Ignored when a [`ScenarioConfig::server`] is named and by the
+    /// sequential backend.
     pub workers: Option<usize>,
     /// Submit the run to this existing [`JobServer`] (unless an explicit
     /// `backend` says sequential). Not serialized — a live handle, not a parameter.
@@ -117,7 +120,7 @@ impl ScenarioConfig {
 
     /// Route this experiment to an existing shared [`JobServer`]. An
     /// explicit [`ScenarioConfig::backend`] wins; otherwise a server target
-    /// means that pool; otherwise `ULBA_BACKEND`, else the global pool. See
+    /// means that pool. See
     /// [`crate::app::run_scenario_batch`].
     pub fn with_server(mut self, server: JobServer) -> Self {
         self.server = Some(server);
@@ -125,12 +128,13 @@ impl ScenarioConfig {
     }
 
     /// Validate cross-field invariants: the generator and traffic checks
-    /// here, the LB-loop and placement checks every application shares on
-    /// the driver's [`LbParams`] / [`Placement`]. The work-table parameters
+    /// here, the rank and worker counts in `RunConfig::resolve`, the
+    /// LB-loop checks every application shares in [`LbParams::validate`].
+    /// The work-table parameters
     /// get a second, authoritative check inside
     /// [`WorkTable::build`](crate::generator::WorkTable::build).
     pub fn validate(&self) -> Result<(), String> {
-        self.placement().validate()?;
+        RunConfig::resolve(self.ranks, self.backend, self.workers, None)?;
         if self.tasks_per_rank == 0 {
             return Err("need at least one task per rank".into());
         }
@@ -177,16 +181,6 @@ impl ScenarioConfig {
             seed: self.seed,
             omega: self.omega,
             iterations: self.iterations,
-        }
-    }
-
-    /// Where this experiment executes, as the driver resolves it.
-    pub(crate) fn placement(&self) -> Placement {
-        Placement {
-            ranks: self.ranks,
-            backend: self.backend,
-            workers: self.workers,
-            server: self.server.clone(),
         }
     }
 

@@ -11,7 +11,7 @@
 //! scheduler instead of the default work-stealing pool.
 
 use ulba::core::prelude::*;
-use ulba::runtime::SpmdCtx;
+use ulba::runtime::{RunConfig, SpmdCtx};
 
 const PES: usize = 16;
 const ITEMS_PER_RANK: usize = 1_000;
@@ -92,7 +92,7 @@ fn main() {
             omega: 1.0e9,
             iterations: 200,
         },
-        placement: Placement::new(PES),
+        config: RunConfig::new(PES),
         initial: Partition::uniform(PES, ITEMS_PER_RANK),
         make: |ctx: &SpmdCtx| Hotspot {
             start: ctx.rank() * ITEMS_PER_RANK,
