@@ -391,7 +391,7 @@ mod tests {
 
     #[test]
     fn zero_steps_returns_the_initial_state() {
-        // `ULBA_SA_STEPS=0 fig2` reaches here: no move is drawn, nothing panics.
+        // A zero-move budget: no move is drawn, nothing panics.
         let out = Annealer::calibrated(&Bowl { target: 5 }, &800, 0, 200, 11)
             .run(&Bowl { target: 5 }, 800);
         assert_eq!((out.best_state, out.moves_evaluated), (800, 0));

@@ -4,9 +4,10 @@
 //! pass a temp directory and never touch the process environment.
 //!
 //! Nothing defaults silently: a misspelled flag, a flag without its value,
-//! a zero `--ranks` entry and an unparsable environment knob
-//! (`ULBA_SEEDS=five`) all exit 2 naming the offender — the wrong behaviour
-//! for a benchmark is to quietly run the default study.
+//! a zero `--ranks` entry, an unparsable variable (`ULBA_SEEDS=five`) and
+//! a set `ULBA_*` variable that nothing reads (`ULBA_QUICK`) all exit 2
+//! naming the offender — the wrong behaviour for a benchmark is to quietly
+//! run the default study.
 
 use crate::figures::MEDIAN_SEEDS;
 use crate::output::StudyOutput;
@@ -14,13 +15,20 @@ use std::path::PathBuf;
 use ulba_core::gossip::GossipWire;
 use ulba_runtime::Backend;
 
-/// Value-taking flags the erosion figure and ablation studies accept.
-pub const EROSION_STUDY_FLAGS: &[&str] = &["--backend", "--workers", "--ranks", "--json"];
+/// The `ULBA_*` variables a study reads: its own two, then the runtime's.
+/// Any other one set exits 2.
+pub const ENV_VARS: [&str; 4] = ["ULBA_RESULTS", "ULBA_SEEDS", "ULBA_BACKEND", "ULBA_WORKERS"];
 
-/// What the command line and the environment asked for.
+/// Value-taking flags the erosion figure and ablation studies accept.
+pub const EROSION_STUDY_FLAGS: &[&str] = &["--ranks", "--json"];
+
+/// What the command line and the environment asked for. The runtime reads
+/// its own two variables, `ULBA_BACKEND` (the default backend of every
+/// run) and `ULBA_WORKERS` (the size of the global pool the studies run
+/// on); [`Cli::parse`] only checks them.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Cli {
-    /// `--smoke`, or `ULBA_QUICK` set to anything but `0`: shrink the study.
+    /// `--smoke`: shrink the study.
     pub smoke: bool,
     /// CSV/report directory: `ULBA_RESULTS`, `results` by default.
     pub results: PathBuf,
@@ -28,23 +36,12 @@ pub struct Cli {
     pub json: Option<PathBuf>,
     /// `--ranks 64,256`: overrides a study's PE sweep.
     pub ranks: Option<Vec<usize>>,
-    /// `--backend sequential|parallel`.
-    pub backend: Option<Backend>,
     /// `--backends sequential,parallel`: one sweep per backend.
     pub backends: Option<Vec<Backend>>,
-    /// `--workers <n>`, else `ULBA_WORKERS`: the size of the pool a study
-    /// runs on, and so the block count of a job alone on it.
-    pub workers: Option<usize>,
     /// `--gossip-wire full|delta|delta:<N>`.
     pub gossip_wire: Option<GossipWire>,
-    /// `ULBA_INSTANCES`.
-    pub instances: Option<usize>,
     /// `ULBA_SEEDS`: how many of the [`MEDIAN_SEEDS`] to run, `1..=5`.
     pub seeds: Option<usize>,
-    /// `ULBA_SA_STEPS`.
-    pub sa_steps: Option<usize>,
-    /// `ULBA_ALPHA_SAMPLES`.
-    pub alpha_samples: Option<usize>,
 }
 
 fn number(what: &str, raw: &str) -> Result<usize, String> {
@@ -72,35 +69,44 @@ fn list<T>(raw: &str, item: impl Fn(&str) -> Result<T, String>) -> Result<Vec<T>
 
 impl Cli {
     /// Pure core of [`from_env`](Self::from_env): `args` is argv after the
-    /// binary and study names, `env` looks a variable up, `value_flags` are
+    /// binary and study names, `env` the process's variables, `value_flags`
     /// the value-taking flags the study accepts (`--smoke` always is).
+    /// `ULBA_BACKEND` and `ULBA_WORKERS` are checked the way the runtime
+    /// parses them: on a value it cannot parse, the runtime alone would
+    /// warn and run its default.
     pub fn parse(
         args: impl IntoIterator<Item = String>,
-        env: impl Fn(&str) -> Option<String>,
+        env: impl IntoIterator<Item = (String, String)>,
         value_flags: &[&str],
     ) -> Result<Self, String> {
-        let mut cli = Cli {
-            smoke: env("ULBA_QUICK").is_some_and(|v| v != "0"),
-            results: env("ULBA_RESULTS").map_or_else(|| PathBuf::from("results"), PathBuf::from),
-            ..Cli::default()
-        };
-        for (var, knob) in [
-            ("ULBA_INSTANCES", &mut cli.instances),
-            ("ULBA_SEEDS", &mut cli.seeds),
-            ("ULBA_SA_STEPS", &mut cli.sa_steps),
-            ("ULBA_ALPHA_SAMPLES", &mut cli.alpha_samples),
-            ("ULBA_WORKERS", &mut cli.workers),
-        ] {
-            if let Some(raw) = env(var) {
-                *knob = Some(number(var, &raw)?);
-            }
-        }
+        let mut cli = Cli { results: PathBuf::from("results"), ..Cli::default() };
         let most = MEDIAN_SEEDS.len();
-        if let Some(seeds) = cli.seeds.filter(|s| !(1..=most).contains(s)) {
-            return Err(format!(
-                "invalid ULBA_SEEDS `{seeds}` (expected 1..={most}: the studies draw from \
-                 {most} median seeds)"
-            ));
+        for (var, raw) in env.into_iter().filter(|(var, _)| var.starts_with("ULBA_")) {
+            let expected = match var.as_str() {
+                "ULBA_RESULTS" => {
+                    cli.results = PathBuf::from(raw);
+                    continue;
+                }
+                "ULBA_SEEDS" => match raw.trim().parse() {
+                    Ok(seeds) if (1..=most).contains(&seeds) => {
+                        cli.seeds = Some(seeds);
+                        continue;
+                    }
+                    _ => format!("1..={most}: the studies draw from {most} median seeds"),
+                },
+                "ULBA_BACKEND" if raw.parse::<Backend>().is_err() => {
+                    "`sequential` or `parallel`".to_string()
+                }
+                "ULBA_WORKERS" if raw.parse::<usize>().is_err() => {
+                    "a worker count; 0 = all cores".to_string()
+                }
+                "ULBA_BACKEND" | "ULBA_WORKERS" => continue,
+                _ => {
+                    let read = ENV_VARS.join(", ");
+                    return Err(format!("unknown variable `{var}` (a study reads only {read})"));
+                }
+            };
+            return Err(format!("invalid {var} `{raw}` (expected {expected})"));
         }
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
@@ -127,9 +133,7 @@ impl Cli {
             match flag {
                 "--json" => cli.json = Some(PathBuf::from(value)),
                 "--ranks" => cli.ranks = Some(list(&value, rank_count)?),
-                "--backend" => cli.backend = Some(backend(&value)?),
                 "--backends" => cli.backends = Some(list(&value, backend)?),
-                "--workers" => cli.workers = Some(number("--workers", &value)?),
                 "--gossip-wire" => cli.gossip_wire = Some(value.parse()?),
                 other => unreachable!("`{other}` is in a study's flag list but not parsed"),
             }
@@ -138,27 +142,14 @@ impl Cli {
     }
 
     /// Parse this process's argv (after the binary and study names) and
-    /// environment, exiting 2 with the diagnostic on any error. `--backend`
-    /// is exported as `ULBA_BACKEND`, the default backend of the runtime's
-    /// `RunConfig::new`; `--workers` as `ULBA_WORKERS`, the size of the
-    /// runtime's global pool, which the erosion-driven studies run on
-    /// (`scenarios` sizes its own shared pool by it). Both are set before
-    /// the first run, so they reach every run of the study.
+    /// environment, exiting 2 with the diagnostic on any error.
     pub fn from_env(value_flags: &[&str]) -> Self {
-        let cli = Self::parse(std::env::args().skip(2), |var| std::env::var(var).ok(), value_flags)
-            .unwrap_or_else(|err| {
-                eprintln!("{err}");
-                std::process::exit(2);
-            });
-        for (var, value) in [
-            ("ULBA_BACKEND", cli.backend.map(|b| b.to_string())),
-            ("ULBA_WORKERS", cli.workers.map(|w| w.to_string())),
-        ] {
-            if let Some(value) = value {
-                std::env::set_var(var, value);
-            }
-        }
-        cli
+        let env = std::env::vars_os()
+            .filter_map(|(var, raw)| Some((var.into_string().ok()?, raw.into_string().ok()?)));
+        Self::parse(std::env::args().skip(2), env, value_flags).unwrap_or_else(|err| {
+            eprintln!("{err}");
+            std::process::exit(2);
+        })
     }
 
     /// The report of `study`: `--json`, else `<results>/BENCH_<study>.json`
@@ -180,8 +171,8 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str], env: &[(&str, &str)], flags: &[&str]) -> Result<Cli, String> {
-        let lookup = |var: &str| env.iter().find(|(k, _)| *k == var).map(|(_, v)| v.to_string());
-        Cli::parse(args.iter().map(|s| s.to_string()), lookup, flags)
+        let env = env.iter().map(|(var, raw)| (var.to_string(), raw.to_string()));
+        Cli::parse(args.iter().map(|s| s.to_string()), env, flags)
     }
 
     #[test]
@@ -200,24 +191,48 @@ mod tests {
 
     #[test]
     fn environment_fills_what_flags_do_not() {
-        let env = [("ULBA_QUICK", "1"), ("ULBA_RESULTS", "/tmp/x"), ("ULBA_SEEDS", "3")];
+        let env = [("ULBA_RESULTS", "/tmp/x"), ("ULBA_SEEDS", "3"), ("PATH", "/bin")];
         let cli = parse(&[], &env, &[]).unwrap();
-        assert_eq!((cli.smoke, cli.seeds, cli.instances), (true, Some(3), None));
+        assert_eq!((cli.smoke, cli.seeds), (false, Some(3)));
         assert_eq!(cli.study_output("fig5").json, PathBuf::from("/tmp/x/BENCH_fig5.json"));
-        assert!(!parse(&[], &[("ULBA_QUICK", "0")], &[]).unwrap().smoke);
-        // A flag wins over its environment twin.
-        let cli = parse(&["--workers", "2"], &[("ULBA_WORKERS", "7")], &["--workers"]).unwrap();
-        assert_eq!(cli.workers, Some(2));
+        // The runtime's two variables are checked, not kept: it reads them.
+        let env = [("ULBA_BACKEND", "seq"), ("ULBA_WORKERS", "0")];
+        assert_eq!(parse(&[], &env, &[]), parse(&[], &[], &[]));
     }
 
     #[test]
     fn unparsable_environment_knobs_name_the_variable_and_the_value() {
-        // Regression: these used to run the study at its default size.
-        for (var, raw) in [("ULBA_SEEDS", "five"), ("ULBA_INSTANCES", "1e3"), ("ULBA_SA_STEPS", "")]
-        {
+        // Regression: these used to run the study at its default size, and
+        // the runtime warns about its own two and runs its default.
+        for (var, raw) in [
+            ("ULBA_SEEDS", "five"),
+            ("ULBA_SEEDS", ""),
+            ("ULBA_WORKERS", "two"),
+            ("ULBA_WORKERS", " 2"),
+            ("ULBA_WORKERS", "-1"),
+            ("ULBA_BACKEND", "threaded"),
+            ("ULBA_BACKEND", ""),
+        ] {
             let err = parse(&[], &[(var, raw)], &[]).unwrap_err();
             assert!(err.contains(var) && err.contains(&format!("`{raw}`")), "{err}");
         }
+    }
+
+    #[test]
+    fn retired_flags_and_variables_exit_naming_the_offender() {
+        // `--backend` and `--workers` only re-exported the runtime's own
+        // variables; `ULBA_QUICK` was a second `--smoke`; the study sizes
+        // are fixed. Each used to be accepted; now none runs a study.
+        for flag in ["--backend", "--workers"] {
+            let err = parse(&[flag, "2"], &[], EROSION_STUDY_FLAGS).unwrap_err();
+            assert!(err.starts_with(&format!("unknown argument `{flag}`")), "{err}");
+        }
+        for var in ["ULBA_QUICK", "ULBA_INSTANCES", "ULBA_SA_STEPS", "ULBA_ALPHA_SAMPLES"] {
+            let err = parse(&[], &[(var, "1")], &[]).unwrap_err();
+            assert!(err.starts_with(&format!("unknown variable `{var}`")), "{err}");
+        }
+        // Only the `ULBA_` namespace is checked.
+        assert!(parse(&[], &[("ULBAQUICK", "1"), ("QUICK", "1")], &[]).is_ok());
     }
 
     #[test]
@@ -240,9 +255,11 @@ mod tests {
         // `threaded` was a backend once; now it is an unknown name like any other.
         for raw in ["threaded", "fibers"] {
             let expected = format!("unknown backend `{raw}` (expected `sequential` or `parallel`)");
-            assert_eq!(parse(&["--backend", raw], &[], &["--backend"]), Err(expected.clone()));
             let list = format!("parallel,{raw}");
             assert_eq!(parse(&["--backends", &list], &[], &["--backends"]), Err(expected));
+            let err = parse(&[], &[("ULBA_BACKEND", raw)], &[]).unwrap_err();
+            let expected = format!("`{raw}` (expected `sequential` or `parallel`)");
+            assert!(err.starts_with("invalid ULBA_BACKEND") && err.ends_with(&expected), "{err}");
         }
     }
 

@@ -79,7 +79,7 @@ pub fn run(
         "fig2_gain_histogram",
         &["sa_time_s", "sigma_time_s", "optimal_time_s", "gain_vs_sa_pct", "gain_vs_optimal_pct"],
         &csv_rows,
-    );
+    )?;
     for (i, p) in points.iter().enumerate() {
         let floor = p.optimal_time * (1.0 - 1e-9);
         if p.sa_time < floor || p.sigma_time < floor {

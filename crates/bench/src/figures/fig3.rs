@@ -17,7 +17,7 @@ pub fn run(
     alpha_samples: u32,
     seed: u64,
     out: &Path,
-) -> Vec<Fig3Bucket> {
+) -> Result<Vec<Fig3Bucket>, String> {
     println!(
         "Fig. 3 — standard LB vs ULBA gain by overloading percentage \
          ({instances_per_bucket} instances × {alpha_samples} α values per bucket)"
@@ -74,8 +74,8 @@ pub fn run(
             "mean_best_alpha",
         ],
         &csv_rows,
-    );
-    buckets
+    )?;
+    Ok(buckets)
 }
 
 #[cfg(test)]
@@ -84,7 +84,7 @@ mod tests {
 
     #[test]
     fn small_fig3_run_shape() {
-        let buckets = run(10, 11, 3, &std::env::temp_dir().join("ulba-fig3-test"));
+        let buckets = run(10, 11, 3, &std::env::temp_dir().join("ulba-fig3-test")).unwrap();
         assert_eq!(buckets.len(), 10);
         for b in &buckets {
             // Never worse than standard (α = 0 fallback).

@@ -135,7 +135,7 @@ pub fn run_4b(
         "fig4b_utilization",
         &["iter", "std_utilization", "std_lb", "ulba_utilization", "ulba_lb"],
         &csv_rows,
-    );
+    )?;
     Ok((std_res, ulba_res))
 }
 

@@ -1,6 +1,7 @@
 //! One module per study; each `run` prints the figure's/table's rows and
 //! writes them under `results/`: the model studies (`table2`, `fig2`,
-//! `fig3`) as a CSV, the erosion-driven ones as a schema-3 report.
+//! `fig3`) as a CSV, the erosion-driven ones as a schema-3 report. A file
+//! a study cannot write is its `Err`, naming the path.
 //! `ulba-bench <study>` (`src/main.rs`) picks a study's defaults and flags
 //! and calls its `run`, so `ulba-bench fig3` regenerates exactly one
 //! artifact and `ulba-bench all` every paper artifact and ablation. The
@@ -8,7 +9,7 @@
 //! [`sweep`] runs them and writes their report.
 
 use crate::output::StudyOutput;
-use crate::report::{perf_row, PerfRow};
+use crate::report::{perf_row, PerfRow, Report};
 use std::time::Instant;
 use ulba_erosion::{median_result, run_erosion_batch, ErosionConfig, ExperimentResult};
 
@@ -97,7 +98,9 @@ pub fn sweep(
         }));
         medians.push(arm_medians);
     }
-    out.write_batch_report(study, batch_wall_s, rows);
+    // A batch: the sweep's wall, no per-row one.
+    let batch_wall_s = Some(batch_wall_s);
+    Report { study: study.into(), smoke: out.smoke, batch_wall_s, rows }.write(&out.json)?;
     Ok(medians)
 }
 

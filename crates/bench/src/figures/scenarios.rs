@@ -1,7 +1,9 @@
 //! Adversarial-scenario policy sweep: every generator family (slow node,
 //! scatter, drifting hotspot, bursty, task graph) crossed with the LB
-//! policies and gossip wire formats, batched on one shared
-//! [`JobServer`] and recorded in `results/BENCH_scenarios.json`.
+//! policies and gossip wire formats, batched on the global pool
+//! ([`JobServer::global`](ulba_runtime::JobServer::global), sized by
+//! `ULBA_WORKERS`, like every other study) and recorded in
+//! `results/BENCH_scenarios.json`.
 //!
 //! Two claims are checked on every invocation:
 //!
@@ -24,7 +26,7 @@ use std::path::Path;
 use std::time::Instant;
 use ulba_core::gossip::GossipWire;
 use ulba_core::policy::LbPolicy;
-use ulba_runtime::{Backend, JobServer};
+use ulba_runtime::Backend;
 use ulba_scenario::config::TriggerKind;
 use ulba_scenario::{
     run_scenario, run_scenario_batch, ScenarioConfig, ScenarioKind, ScenarioResult,
@@ -40,23 +42,17 @@ fn policies() -> [(&'static str, LbPolicy); 2] {
 /// serially at join, inside the same batch call.
 const BACKENDS: [Backend; 2] = [Backend::Parallel, Backend::Sequential];
 
+/// The gossip-wire arms of the sweep.
+const WIRES: [GossipWire; 2] = [GossipWire::Full, GossipWire::Delta { full_every: 32 }];
+
 /// The scenario grid: every family × policy × wire × backend (backend
 /// innermost, so each parallel row sits next to its sequential twin).
-/// `wire_override` restricts the wire dimension (the `--gossip-wire`
-/// flag).
-fn scenario_sweep(
-    smoke: bool,
-    wire_override: Option<GossipWire>,
-) -> Vec<(String, Backend, ScenarioConfig)> {
+fn scenario_sweep(smoke: bool) -> Vec<(String, Backend, ScenarioConfig)> {
     let ranks = if smoke { 8 } else { 64 };
-    let wires: Vec<GossipWire> = match wire_override {
-        Some(wire) => vec![wire],
-        None => vec![GossipWire::Full, GossipWire::Delta { full_every: 32 }],
-    };
     let mut specs = Vec::new();
     for kind in ScenarioKind::ALL {
         for (plabel, policy) in policies() {
-            for &wire in &wires {
+            for wire in WIRES {
                 for backend in BACKENDS {
                     let mut cfg = if smoke {
                         ScenarioConfig::tiny(kind, ranks)
@@ -98,40 +94,40 @@ fn assert_identical(label: &str, a: &ScenarioResult, b: &ScenarioResult) {
     assert_eq!(a.db_entries_total, b.db_entries_total, "[{label}] db footprint diverged");
 }
 
-/// Run the scenario sweep. `workers` sizes the shared pool (0 = all
-/// cores); `wire_override` restricts the wire dimension. Returns the report
+/// Run the scenario sweep on the global pool. Returns the report
 /// (scenario rows carry `lambda_target`/`lambda_achieved`, the sweep's wall
-/// is `batch_wall_s`) after writing it to `json`.
-pub fn run(workers: usize, smoke: bool, wire_override: Option<GossipWire>, json: &Path) -> Report {
-    let specs = scenario_sweep(smoke, wire_override);
+/// is `batch_wall_s`) after writing it to `json`; `Err` if it cannot be
+/// written.
+pub fn run(smoke: bool, json: &Path) -> Result<Report, String> {
+    let specs = scenario_sweep(smoke);
     println!(
-        "Scenario study — {} scenario jobs ({} families × {} policies × wires × {} backends){}",
+        "Scenario study — {} scenario jobs ({} families × {} policies × {} wires × {} \
+         backends){}",
         specs.len(),
         ScenarioKind::ALL.len(),
         policies().len(),
+        WIRES.len(),
         BACKENDS.len(),
         if smoke { " (smoke)" } else { "" }
     );
 
-    let shared = JobServer::new(workers);
     // Untimed warmup primes the process heap before the timed batch.
     {
         let mut warm = specs[0].2.clone();
         warm.iterations = 1;
         warm.backend = Some(Backend::Parallel);
-        let _ = run_scenario(&warm.with_server(shared.clone()));
+        let _ = run_scenario(&warm);
     }
 
-    // Parallel arms share the pool; sequential arms keep their explicit
-    // backend and are deferred to serial execution by the same batch call.
-    let cfgs: Vec<ScenarioConfig> =
-        specs.iter().map(|(_, _, cfg)| cfg.clone().with_server(shared.clone())).collect();
+    // Parallel arms share the global pool; sequential arms are deferred to
+    // serial execution by the same batch call.
+    let cfgs: Vec<ScenarioConfig> = specs.iter().map(|(_, _, cfg)| cfg.clone()).collect();
     let batch_started = Instant::now();
     let results = run_scenario_batch(&cfgs);
     let batch_wall_s = batch_started.elapsed().as_secs_f64();
 
     for ((label, backend, cfg), res) in specs.iter().zip(&results) {
-        assert_eq!(res.backend, *backend, "[{label}] an explicit backend wins over the server");
+        assert_eq!(res.backend, *backend, "[{label}] ran on another backend than its own");
         assert_eq!(res.lambda_target, cfg.lambda, "[{label}/{backend}] target λ mangled in flight");
     }
 
@@ -150,7 +146,6 @@ pub fn run(workers: usize, smoke: bool, wire_override: Option<GossipWire>, json:
             continue;
         }
         let mut check = cfg.clone();
-        check.server = None;
         check.backend = Some(Backend::Parallel);
         check.workers = Some(3);
         let serial = run_scenario(&check);
@@ -207,8 +202,8 @@ pub fn run(workers: usize, smoke: bool, wire_override: Option<GossipWire>, json:
     // file, so a row can never drift from the construction invariant.
     let lambda = gates::lambda(&report);
     assert!(!gates::failed(&lambda), "λ fidelity: {lambda:?}");
-    report.write(json);
-    report
+    report.write(json)?;
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -219,7 +214,7 @@ mod tests {
     fn smoke_sweep_reports_lambda_and_verifies_invariance() {
         let json = std::env::temp_dir().join("ulba-scenarios-test").join("BENCH_scenarios.json");
         // run() hard-asserts λ fidelity and backend/shard bit-identity.
-        let report = run(2, true, None, &json);
+        let report = run(true, &json).unwrap();
         assert_eq!(report.rows.len(), 40, "5 families × 2 policies × 2 wires × 2 backends");
         assert!(report
             .rows
@@ -229,12 +224,5 @@ mod tests {
         assert!(report.rows.iter().any(|r| r.policy == "slow-node+ulba-fixed:0.4"));
         assert!(!gates::failed(&gates::scenario_grid(&report)), "the smoke grid is the full grid");
         assert_eq!(Report::read(&json), Ok(report));
-    }
-
-    #[test]
-    fn wire_override_restricts_the_grid() {
-        let specs = scenario_sweep(true, Some(GossipWire::Full));
-        assert_eq!(specs.len(), 20, "5 families × 2 policies × 1 wire × 2 backends");
-        assert!(specs.iter().all(|(_, _, c)| c.gossip_wire == GossipWire::Full));
     }
 }

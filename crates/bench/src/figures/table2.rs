@@ -9,7 +9,7 @@ use std::path::Path;
 use ulba_model::instance::InstanceDistribution;
 
 /// Run the sampler validation on `count` instances; the CSV goes under `out`.
-pub fn run(count: usize, seed: u64, out: &Path) {
+pub fn run(count: usize, seed: u64, out: &Path) -> Result<(), String> {
     println!("Table II — sampling {count} instances and validating the distributions");
     let dist = InstanceDistribution::default();
     let instances = dist.sample_many(count, seed);
@@ -75,13 +75,14 @@ pub fn run(count: usize, seed: u64, out: &Path) {
         "table2_distributions",
         &["parameter", "specified", "observed_min", "observed_mean", "observed_max"],
         &table,
-    );
+    )
+    .map(drop)
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn table2_runs() {
-        super::run(50, 5, &std::env::temp_dir().join("ulba-table2-test"));
+        super::run(50, 5, &std::env::temp_dir().join("ulba-table2-test")).unwrap();
     }
 }

@@ -67,23 +67,17 @@ fn legs(pe_counts: &[usize], smoke: bool) -> Vec<(&'static str, usize, ErosionCo
         .collect()
 }
 
-/// Run the weak-scaling sweep on `backend` (`None` = runtime default) with
+/// Run the weak-scaling sweep on `backend` with
 /// the given gossip wire format; one row per leg.
-pub fn run(
-    pe_counts: &[usize],
-    backend: Option<Backend>,
-    wire: GossipWire,
-    smoke: bool,
-) -> Vec<PerfRow> {
-    let backend_label = backend.map_or_else(|| "default".to_string(), |b| b.to_string());
+pub fn run(pe_counts: &[usize], backend: Backend, wire: GossipWire, smoke: bool) -> Vec<PerfRow> {
     println!(
         "Weak scaling — erosion app, fixed per-PE domain, standard vs ULBA \
-         (α = 0.4), backend: {backend_label}, gossip wire: {wire}{}",
+         (α = 0.4), backend: {backend}, gossip wire: {wire}{}",
         if smoke { ", smoke" } else { "" }
     );
     let mut legs = legs(pe_counts, smoke);
     for (_, _, cfg) in &mut legs {
-        cfg.backend = backend;
+        cfg.backend = Some(backend);
         cfg.gossip_wire = wire;
     }
     // Explicit untimed warmup: the first simulation in a process pays a
@@ -104,7 +98,7 @@ pub fn run(
         let sim_secs = started.elapsed().as_secs_f64();
         let row = perf_row(label, *ranks, wire, &res, Some(sim_secs));
         eprintln!(
-            "  [P={ranks} {label} {backend_label} S={}] makespan {:.2}s, {} LB calls, \
+            "  [P={ranks} {label} {backend} S={}] makespan {:.2}s, {} LB calls, \
              util {:.1}%, λ {:.3}, {} db entries, peak RSS {}, simulated in {sim_secs:.2}s",
             row.hub_shards,
             row.makespan_virtual_s,
@@ -137,7 +131,7 @@ pub fn run(
         })
         .collect();
     print_table(
-        &format!("Weak scaling — backend {backend_label}, wire {wire}"),
+        &format!("Weak scaling — backend {backend}, wire {wire}"),
         &[
             "PEs",
             "policy",
@@ -161,7 +155,7 @@ mod tests {
 
     #[test]
     fn smoke_rows_are_what_perf_row_gives_and_the_report_round_trips() {
-        let rows = run(&[8], Some(Backend::Sequential), GossipWire::default(), true);
+        let rows = run(&[8], Backend::Sequential, GossipWire::default(), true);
         assert_eq!(rows.len(), 2, "standard + ULBA");
         for (row, (label, ranks, mut cfg)) in rows.iter().zip(legs(&[8], true)) {
             cfg.backend = Some(Backend::Sequential);

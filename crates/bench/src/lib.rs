@@ -19,9 +19,10 @@
 //! The erosion-driven studies emit a schema-3 [`report::Report`]
 //! (`results/BENCH_<study>.json`); [`gates`] holds every check CI runs on
 //! one. Only the binary reads argv and the environment, once, through
-//! [`cli::Cli`]: `ULBA_QUICK=1` (or `--smoke`) shrinks instance counts and
-//! seeds; `ULBA_RESULTS=<dir>` redirects the output; `ULBA_INSTANCES`,
-//! `ULBA_SEEDS`, `ULBA_SA_STEPS`, `ULBA_ALPHA_SAMPLES` override study sizes.
+//! [`cli::Cli`]: `--smoke` shrinks instance counts and seeds;
+//! `ULBA_RESULTS=<dir>` redirects the output; `ULBA_SEEDS` sets how many
+//! median seeds an erosion study runs. The runs themselves read the
+//! runtime's `ULBA_BACKEND` and `ULBA_WORKERS`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

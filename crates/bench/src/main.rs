@@ -1,8 +1,10 @@
 //! `ulba-bench <study> [--smoke] [flags]` — the one entry point of the
-//! harness, one row of [`STUDIES`] per study. An `Err` from a study prints
-//! `::error::<msg>` and exits 1; a flag the study does not read, a
-//! `--ranks` list given to a study that runs one PE count, no study name or
-//! an unknown one exits 2.
+//! harness, one row of [`STUDIES`] per study. An `Err` from a study (an
+//! in-run check, an output file it cannot write) prints `::error::<msg>`
+//! and exits 1; a flag the study does not read, a `--ranks` list given to a
+//! study that runs one PE count, an environment variable nothing reads, no
+//! study name or an unknown one exits 2. The runs read the runtime's own
+//! `ULBA_BACKEND` and `ULBA_WORKERS`.
 //!
 //! `ulba-bench gate <gate>[,<gate>…] <report.json>…` runs the CI gates of
 //! `ulba_bench::gates` over schema-3 reports; `drift` and `wall` compare
@@ -17,7 +19,7 @@ use ulba_bench::figures::weak_scaling::WEAK_SCALING_PE_COUNTS;
 use ulba_bench::figures::{self, MEDIAN_SEEDS, PAPER_PE_COUNTS};
 use ulba_bench::gates::{self, Gate, Severity};
 use ulba_bench::report::Report;
-use ulba_runtime::Backend;
+use ulba_runtime::RunConfig;
 
 /// One `ulba-bench <name>` command.
 struct Study {
@@ -42,13 +44,13 @@ const STUDIES: &[Study] = &[
     Study { name: "ablation_anticipation", flags: EROSION_STUDY_FLAGS, run: ablation_anticipation },
     Study {
         name: "weak_scaling",
-        flags: &["--backend", "--backends", "--workers", "--ranks", "--gossip-wire", "--json"],
+        flags: &["--backends", "--ranks", "--gossip-wire", "--json"],
         run: weak_scaling,
     },
-    Study { name: "scenarios", flags: &["--workers", "--gossip-wire", "--json"], run: scenarios },
+    Study { name: "scenarios", flags: &["--json"], run: scenarios },
     // Each row writes its own report at its own PE counts, so `all` takes
     // neither `--json` nor `--ranks`.
-    Study { name: "all", flags: &["--backend", "--workers"], run: all },
+    Study { name: "all", flags: &[], run: all },
 ];
 
 /// The studies that run at one PE count: `--ranks <p>` replaces it, and a
@@ -111,14 +113,13 @@ fn usage_error(usage: &str) -> ! {
     std::process::exit(2);
 }
 
-/// `ULBA_INSTANCES`, else 1000 model instances (100 at smoke scale).
+/// 1000 model instances, 100 at smoke scale.
 fn instances(cli: &Cli) -> usize {
-    cli.instances.unwrap_or(if cli.smoke { 100 } else { 1000 })
-}
-
-/// `ULBA_ALPHA_SAMPLES`, else the paper's 100 α values per instance.
-fn alpha_samples(cli: &Cli) -> u32 {
-    cli.alpha_samples.unwrap_or(100) as u32
+    if cli.smoke {
+        100
+    } else {
+        1000
+    }
 }
 
 /// The first `ULBA_SEEDS` median seeds, else `full` of them (one at smoke
@@ -138,21 +139,20 @@ fn pe_count(cli: &Cli, default: usize) -> usize {
 
 /// Table II (parameter-distribution validation).
 fn table2(cli: &Cli) -> Result<(), String> {
-    figures::table2::run(instances(cli), 2019, &cli.results);
-    Ok(())
+    figures::table2::run(instances(cli), 2019, &cli.results)
 }
 
 /// Fig. 2 (σ⁺ vs simulated-annealing schedule quality); `Err` if the SA or
 /// the σ⁺ schedule of an instance lands below the exact DP optimum.
 fn fig2(cli: &Cli) -> Result<(), String> {
-    let steps = cli.sa_steps.unwrap_or(if cli.smoke { 5_000 } else { 20_000 });
-    figures::fig2::run(instances(cli), steps as u64, 2019, &cli.results).map(drop)
+    let steps = if cli.smoke { 5_000 } else { 20_000 };
+    figures::fig2::run(instances(cli), steps, 2019, &cli.results).map(drop)
 }
 
-/// Fig. 3 (ULBA gain by overloading percentage).
+/// Fig. 3 (ULBA gain by overloading percentage), on the paper's 100 α
+/// values per instance.
 fn fig3(cli: &Cli) -> Result<(), String> {
-    figures::fig3::run(instances(cli), alpha_samples(cli), 2019, &cli.results);
-    Ok(())
+    figures::fig3::run(instances(cli), 100, 2019, &cli.results).map(drop)
 }
 
 /// Fig. 4a (erosion app: standard vs ULBA, P × rock sweep); `--ranks`
@@ -203,14 +203,11 @@ fn ablation_trigger(cli: &Cli) -> Result<(), String> {
 
 /// Weak scaling: erosion at P ∈ {64, 256, 1024, 4096}, standard vs ULBA,
 /// once per `--backends` entry so their simulation wall-clocks compare,
-/// into one schema-3 report covering every backend.
+/// into one schema-3 report covering every backend; without `--backends`,
+/// once on the runtime's default (`ULBA_BACKEND`).
 fn weak_scaling(cli: &Cli) -> Result<(), String> {
-    // --backend is also the process default (ULBA_BACKEND); the per-run
-    // backend below still wins.
-    let backends: Vec<Option<Backend>> = match &cli.backends {
-        Some(list) => list.iter().copied().map(Some).collect(),
-        None => vec![cli.backend],
-    };
+    // The runtime's default backend: `ULBA_BACKEND`, else parallel.
+    let backends = cli.backends.clone().unwrap_or_else(|| vec![RunConfig::new(1).backend]);
     let pes = pes(cli, &WEAK_SCALING_PE_COUNTS);
     let wire = cli.gossip_wire.unwrap_or_default();
     let mut rows = Vec::new();
@@ -219,16 +216,12 @@ fn weak_scaling(cli: &Cli) -> Result<(), String> {
     }
     let report =
         Report { study: "weak_scaling".into(), smoke: cli.smoke, batch_wall_s: None, rows };
-    report.write(&cli.report_path("weak_scaling"));
-    Ok(())
+    report.write(&cli.report_path("weak_scaling"))
 }
 
-/// The adversarial-scenario sweep. Its grid pins both backends, so no
-/// `--backend`.
+/// The adversarial-scenario sweep; its grid pins its backends and wires.
 fn scenarios(cli: &Cli) -> Result<(), String> {
-    let (workers, json) = (cli.workers.unwrap_or(0), cli.report_path("scenarios"));
-    figures::scenarios::run(workers, cli.smoke, cli.gossip_wire, &json);
-    Ok(())
+    figures::scenarios::run(cli.smoke, &cli.report_path("scenarios")).map(drop)
 }
 
 /// The first [`PAPER_STUDIES`] rows, in order, stopping at the first `Err`.
@@ -276,21 +269,19 @@ fn gate(mut args: impl Iterator<Item = String>) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ulba_bench::cli::ENV_VARS;
 
     fn parse(study: &str, args: &[&str], env: &[(&str, &str)]) -> Result<Cli, String> {
-        let lookup_env =
-            |var: &str| env.iter().find(|(k, _)| *k == var).map(|(_, v)| v.to_string());
+        let env = env.iter().map(|(var, raw)| (var.to_string(), raw.to_string()));
         let study = lookup(study)?;
-        let cli = Cli::parse(args.iter().map(|s| s.to_string()), lookup_env, study.flags)?;
+        let cli = Cli::parse(args.iter().map(|s| s.to_string()), env, study.flags)?;
         check(study, &cli)?;
         Ok(cli)
     }
 
     /// A valid value for each value flag a row may list.
-    const SAMPLES: [(&str, &str); 6] = [
-        ("--backend", "parallel"),
+    const SAMPLES: [(&str, &str); 4] = [
         ("--backends", "sequential,parallel"),
-        ("--workers", "2"),
         ("--ranks", "64"),
         ("--gossip-wire", "delta:4"),
         ("--json", "x.json"),
@@ -317,10 +308,18 @@ mod tests {
     fn ignored_flags_and_unknown_studies_are_rejected() {
         // Regression: `all_figures` took `--ranks` and `--json` and ignored
         // them; `scenarios` did the same with `--backend`. Its `--ranks`
-        // appended legs that only a deleted baseline read.
+        // appended legs that only a deleted baseline read. `--backend` and
+        // `--workers` only re-exported `ULBA_BACKEND` and `ULBA_WORKERS`;
+        // `scenarios --gossip-wire full` wrote a grid `gate scenario-grid`
+        // refuses.
         for (study, args) in [
             ("scenarios", ["--backend", "parallel"]),
             ("scenarios", ["--ranks", "16384"]),
+            ("scenarios", ["--gossip-wire", "full"]),
+            ("fig4a", ["--backend", "sequential"]),
+            ("weak_scaling", ["--backend", "sequential"]),
+            ("all", ["--workers", "2"]),
+            ("fig5", ["--workers", "2"]),
             ("all", ["--ranks", "64"]),
             ("all", ["--json", "x"]),
             ("fig2", ["--ranks", "8"]),
@@ -345,7 +344,8 @@ mod tests {
 
     #[test]
     fn no_study_takes_a_block_count() {
-        // The block count follows `--workers`; the flag that set it is gone.
+        // The block count follows the pool's workers; the flag that set it
+        // is gone.
         for study in STUDIES {
             let err = parse(study.name, &["--hub-shards", "4"], &[]).unwrap_err();
             assert!(err.starts_with("unknown argument `--hub-shards`"), "{}: {err}", study.name);
@@ -365,18 +365,19 @@ mod tests {
 
     #[test]
     fn all_runs_fig3_and_fig5_with_the_environment_knobs() {
-        // Regression: `all_figures` ran fig3 on 100 α values whatever
-        // `ULBA_ALPHA_SAMPLES` said, and fig5 on at most 3 seeds.
-        let env = [("ULBA_ALPHA_SAMPLES", "7"), ("ULBA_SEEDS", "5")];
-        let cli = parse("all", &["--smoke"], &env).unwrap();
-        assert_eq!(alpha_samples(&cli), 7);
+        // Regression: `all_figures` ran fig5 on at most 3 seeds whatever
+        // `ULBA_SEEDS` said.
+        let cli = parse("all", &["--smoke"], &[("ULBA_SEEDS", "5")]).unwrap();
         assert_eq!(seeds(&cli, 3), MEDIAN_SEEDS);
         // The ablations read the same knob: 5 seeds instead of their one.
         assert_eq!(seeds(&cli, 1), MEDIAN_SEEDS);
-        // Without the knobs, the rows' own defaults; an ablation's is seed 11.
+        // Without it, the rows' own defaults; an ablation's is seed 11.
         let cli = parse("all", &[], &[]).unwrap();
-        assert_eq!((alpha_samples(&cli), seeds(&cli, 3).len(), seeds(&cli, 5).len()), (100, 3, 5));
+        assert_eq!((seeds(&cli, 3).len(), seeds(&cli, 5).len()), (3, 5));
         assert_eq!(seeds(&cli, 1), [11]);
+        // fig3 runs the paper's 100 α values: its knob is gone, and says so.
+        let err = parse("all", &[], &[("ULBA_ALPHA_SAMPLES", "7")]).unwrap_err();
+        assert!(err.starts_with("unknown variable `ULBA_ALPHA_SAMPLES`"), "{err}");
     }
 
     #[test]
@@ -389,17 +390,61 @@ mod tests {
                 let rest = text[at + "ulba-bench ".len()..].trim_start_matches("-- ");
                 let word: String =
                     rest.chars().take_while(|c| c.is_ascii_alphanumeric() || *c == '_').collect();
-                if !word.is_empty() {
-                    assert!(word == "gate" || lookup(&word).is_ok(), "{file}: `ulba-bench {word}`");
-                    named += 1;
+                if word.is_empty() {
+                    continue;
+                }
+                named += 1;
+                if word == "gate" {
+                    continue;
+                }
+                let study = lookup(&word).unwrap_or_else(|_| panic!("{file}: `ulba-bench {word}`"));
+                for flag in command_flags(&rest[word.len()..]) {
+                    assert!(
+                        flag == "--smoke" || study.flags.contains(&flag),
+                        "{file}: `ulba-bench {word} {flag}`: not a flag of {word}"
+                    );
                 }
             }
             assert!(named > 0, "{file} names no study");
+            for (at, _) in text.match_indices("ULBA_") {
+                let var: String = text[at..]
+                    .chars()
+                    .take_while(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || *c == '_')
+                    .collect();
+                assert!(
+                    var == "ULBA_" || ENV_VARS.contains(&var.as_str()),
+                    "{file}: `{var}` is read by nothing"
+                );
+            }
             // One binary per study but `all` was deleted, and two more.
             let deleted = STUDIES.iter().map(|s| s.name).chain(["all_figures", "bench_gate"]);
             for bin in deleted {
                 assert!(!text.contains(&format!("--bin {bin}")), "{file}: `--bin {bin}`");
             }
         }
+    }
+
+    /// The `--flags` of one command line: up to a backtick, a comment, a
+    /// shell operator or a line break that no `\` continues and after
+    /// which no `--flag` line follows (a folded YAML block).
+    fn command_flags(command: &str) -> Vec<&str> {
+        let mut flags = Vec::new();
+        for (i, line) in command.split('\n').enumerate() {
+            let line = line.trim();
+            if i > 0 && !line.starts_with("--") {
+                break;
+            }
+            let end = line.find(['`', '#', ';', '|', '&', ')']).unwrap_or(line.len());
+            flags.extend(
+                line[..end]
+                    .split_whitespace()
+                    .filter(|word| word.starts_with("--"))
+                    .map(|word| word.split('=').next().unwrap_or(word)),
+            );
+            if end < line.len() {
+                break;
+            }
+        }
+        flags
     }
 }

@@ -2,9 +2,7 @@
 //! is the caller's decision (see [`Cli`](crate::cli::Cli)); nothing here
 //! reads the environment.
 
-use crate::report::{PerfRow, Report};
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// One CSV line: cells joined by `,`, a cell that holds `,`, `"`, CR or LF
@@ -20,19 +18,32 @@ fn csv_line<S: AsRef<str>>(cells: &[S]) -> String {
     cells.iter().map(|c| quote(c.as_ref())).collect::<Vec<_>>().join(",")
 }
 
+/// Write `contents` to `path`, creating its parent directories. The error
+/// names the directory or file that could not be written.
+pub fn write_file(path: &Path, contents: &str) -> Result<(), String> {
+    if let Some(dir) = path.parent().filter(|dir| !dir.as_os_str().is_empty()) {
+        fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    }
+    fs::write(path, contents).map_err(|e| format!("{}: {e}", path.display()))?;
+    println!("wrote {}", path.display());
+    Ok(())
+}
+
 /// Write a CSV file `<dir>/<name>.csv` (creating `dir`); returns the path.
-pub fn write_csv(dir: &Path, name: &str, header: &[&str], rows: &[Vec<String>]) -> PathBuf {
-    fs::create_dir_all(dir).expect("cannot create results directory");
-    let path = dir.join(format!("{name}.csv"));
-    let mut f = fs::File::create(&path).expect("cannot create CSV file");
-    writeln!(f, "{}", csv_line(header)).expect("write CSV header");
+pub fn write_csv(
+    dir: &Path,
+    name: &str,
+    header: &[&str],
+    rows: &[Vec<String>],
+) -> Result<PathBuf, String> {
+    let mut text = csv_line(header) + "\n";
     for row in rows {
         // Hard, not debug: release binaries are what write the CSVs.
         assert_eq!(row.len(), header.len(), "{name}.csv: row width mismatch");
-        writeln!(f, "{}", csv_line(row)).expect("write CSV row");
+        text += &(csv_line(row) + "\n");
     }
-    println!("wrote {}", path.display());
-    path
+    let path = dir.join(format!("{name}.csv"));
+    write_file(&path, &text).map(|()| path)
 }
 
 /// Where an erosion-driven study writes: its schema-3 report at `json`,
@@ -45,16 +56,6 @@ pub struct StudyOutput {
     pub smoke: bool,
     /// Report path.
     pub json: PathBuf,
-}
-
-impl StudyOutput {
-    /// Write the report of a batched sweep: `rows` have no per-row wall,
-    /// the sweep's is [`Report::batch_wall_s`].
-    pub fn write_batch_report(&self, study: &str, batch_wall_s: f64, rows: Vec<PerfRow>) {
-        let batch_wall_s = Some(batch_wall_s);
-        Report { study: study.to_string(), smoke: self.smoke, batch_wall_s, rows }
-            .write(&self.json);
-    }
 }
 
 /// Print an aligned console table.
@@ -94,6 +95,7 @@ pub fn bar(fraction: f64, width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Report;
 
     #[test]
     fn bar_renders_fraction() {
@@ -110,7 +112,7 @@ mod tests {
             vec!["{256,512}".into(), "4".into()],
             vec!["5".into(), "say \"hi\"".into()],
         ];
-        let p = write_csv(&dir, "unit-test", &["a", "b"], &rows);
+        let p = write_csv(&dir, "unit-test", &["a", "b"], &rows).unwrap();
         assert_eq!(
             std::fs::read_to_string(p).unwrap(),
             "a,b\n1,2\n\"{256,512}\",4\n5,\"say \"\"hi\"\"\"\n"
@@ -126,9 +128,30 @@ mod tests {
     }
 
     #[test]
+    fn a_path_under_a_regular_file_is_an_error_naming_it() {
+        // Regression: both writers panicked (exit 101) after the whole
+        // study had run, `ulba-bench fig4b --json <file>/BENCH_fig4b.json`
+        // and `ULBA_RESULTS=<file> ulba-bench table2` alike.
+        let dir = std::env::temp_dir().join(format!("ulba-output-test-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("a-file");
+        fs::write(&file, "").unwrap();
+        let err = write_csv(&file, "table2", &["a"], &[]).unwrap_err();
+        assert!(err.starts_with(&format!("{}: ", file.display())), "{err}");
+        let report =
+            Report { study: "fig4b".into(), smoke: true, batch_wall_s: None, rows: vec![] };
+        let err = report.write(&file.join("BENCH_fig4b.json")).unwrap_err();
+        assert!(err.starts_with(&format!("{}: ", file.display())), "{err}");
+        // A directory where the file should go: the file is named.
+        let err = write_file(&dir, "").unwrap_err();
+        assert!(err.starts_with(&format!("{}: ", dir.display())), "{err}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     #[should_panic(expected = "row width mismatch")]
     fn csv_row_width_is_checked_in_release_too() {
-        write_csv(
+        let _ = write_csv(
             &std::env::temp_dir().join("ulba-test-results"),
             "ragged",
             &["a", "b"],

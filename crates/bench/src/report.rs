@@ -328,13 +328,10 @@ impl Report {
         head.finish().map(|()| report)
     }
 
-    /// Write the document to `path`, creating parent directories.
-    pub fn write(&self, path: &Path) {
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            std::fs::create_dir_all(parent).expect("cannot create JSON output directory");
-        }
-        std::fs::write(path, self.to_json()).expect("cannot write JSON report");
-        println!("wrote {}", path.display());
+    /// Write the document to `path`, creating parent directories; the
+    /// error names what could not be written.
+    pub fn write(&self, path: &Path) -> Result<(), String> {
+        crate::output::write_file(path, &self.to_json())
     }
 
     /// Read and parse the report at `path`; the error names the path.

@@ -14,8 +14,8 @@
 //!   process-wide default ([`JobServer::global`], sized by `ULBA_WORKERS`).
 //!   The job is cut into contiguous blocks of ranks, one per hub shard:
 //!   its rank share of the pool's workers when it is admitted, one per
-//!   worker when it is alone there, at most 64
-//!   ([`RunConfig::effective_hub_shards`]); a worker drives a whole block
+//!   worker when it is alone there, at most 64 ([`JobHandle::blocks`]
+//!   reads the count); a worker drives a whole block
 //!   until every rank of it is parked — wakers left in the job's
 //!   hub/mailbox — and a wake flags the rank and re-queues its block. One
 //!   shared pool drives many concurrent jobs.
@@ -127,7 +127,7 @@ pub struct RunConfig {
     /// [`RunConfig::server`] is targeted (never more threads than ranks);
     /// `0` (the default) sends the run to the global pool
     /// ([`JobServer::global`]). The pool's workers cap the job's blocks
-    /// (see [`RunConfig::effective_hub_shards`]).
+    /// (see [`JobHandle::blocks`]).
     pub workers: usize,
     /// Existing [`JobServer`] to submit to when the backend is
     /// [`Backend::Parallel`]; `None` (the default) means a private pool
@@ -221,29 +221,6 @@ impl RunConfig {
         }
         config.backend = backend.unwrap_or(config.backend);
         Ok(config)
-    }
-
-    /// The most contiguous rank ranges the job may be cut into: the shards
-    /// of the collective rendezvous hub (one lock each) *and*, on a
-    /// [`JobServer`], the job's schedulable blocks (one worker drives a
-    /// whole block at a time). One per worker of the pool the job runs on,
-    /// at most 64 — the workers of [`RunConfig::server`] when a server is
-    /// targeted, else of the private pool [`RunConfig::workers`] sizes,
-    /// else of the global pool (which this call starts); the single-threaded
-    /// sequential scheduler keeps the degenerate single shard. Always
-    /// clamped to `[1, ranks]`. The cap, not the count: [`JobServer::submit`]
-    /// gives a job its rank share of the workers at admission,
-    /// `ceil(W · ranks / resident ranks)`, within `[1, cap]` — the cap when
-    /// the job is alone on its pool ([`JobHandle::blocks`] reads what it
-    /// got). Reports are bit-identical for any count.
-    pub fn effective_hub_shards(&self) -> usize {
-        let workers = match (self.backend, &self.server) {
-            (Backend::Sequential, _) => 1,
-            (Backend::Parallel, Some(server)) => server.workers(),
-            (Backend::Parallel, None) if self.workers == 0 => JobServer::global().workers(),
-            (Backend::Parallel, None) => self.workers,
-        };
-        workers.min(64).clamp(1, self.ranks.max(1))
     }
 }
 

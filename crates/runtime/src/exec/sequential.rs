@@ -19,8 +19,8 @@
 //! process (sequential, then a `JobServer::new(1)`, 15 and 7 timed runs):
 //! 0.31 vs 0.34 s at `P = 4096` (+9 %; +20 % at the parent, 0.29 vs 0.34 s)
 //! and 2.13 vs 2.15 s at `P = 16384` (+1 %; +7 % at the parent). The
-//! command this paragraph used to quote, `weak_scaling --smoke --ranks
-//! 16384 --backends sequential,parallel --workers 1`, no longer separates
+//! command this paragraph used to quote, `ULBA_WORKERS=1 weak_scaling
+//! --smoke --ranks 16384 --backends sequential,parallel`, no longer separates
 //! them: six invocations, `sim_wall_s` standard / ULBA 1.62–2.16 /
 //! 1.56–2.32 s here against 1.80–2.52 / 1.66–2.21 s on the one-worker
 //! server (a noisier box than at e17654a, where it read 1.78–1.98 /

@@ -26,7 +26,7 @@
 //! `P_job` ranks on `W` workers gets `ceil(W · P_job / P_resident)`
 //! blocks, `P_resident` being the ranks of every unfinished job on the
 //! pool, this one included; at least 1, at most `min(W, 64, P_job)`
-//! ([`RunConfig::effective_hub_shards`] predicts it). A job alone
+//! ([`JobHandle::blocks`] reads it). A job alone
 //! on its pool gets one block per worker; a batch of equal jobs runs its
 //! first one across the pool and each later one as a single block, which
 //! never parks, instead of splitting every job into blocks that park and
@@ -974,15 +974,35 @@ mod tests {
         drain_and_join(&server, jobs, &ranks);
     }
 
+    /// The blocks a barrier job of `config` was admitted with.
+    fn blocks(config: RunConfig) -> usize {
+        let job = crate::submit(config, |mut ctx: SpmdCtx| async move { ctx.barrier().await });
+        let blocks = job.blocks();
+        job.join().expect("completes");
+        blocks
+    }
+
     /// Without a server or a worker count, a run goes to the global pool,
     /// which the machine sizes when `ULBA_WORKERS` is unset; a private pool
     /// never outnumbers its ranks.
     #[test]
     fn an_unsized_pool_is_the_machine_and_never_outnumbers_the_ranks() {
-        let wide = RunConfig::defaults(4096);
-        assert_eq!(wide.effective_hub_shards(), JobServer::global().workers().min(64));
-        assert_eq!(RunConfig::defaults(1).effective_hub_shards(), 1);
-        assert_eq!(RunConfig::defaults(16).with_workers(3).effective_hub_shards(), 3);
-        assert_eq!(RunConfig::defaults(2).with_workers(8).effective_hub_shards(), 2);
+        // Other tests' jobs may be resident on the global pool and take
+        // their share of it: one block per worker is the most this one gets.
+        let global = JobServer::global().workers().min(64);
+        assert!((1..=global).contains(&blocks(RunConfig::defaults(4096))));
+        assert_eq!(blocks(RunConfig::defaults(1)), 1);
+        assert_eq!(blocks(RunConfig::defaults(16).with_workers(3)), 3);
+        assert_eq!(blocks(RunConfig::defaults(2).with_workers(8)), 2);
+    }
+
+    /// A job alone on a pool of more than 64 workers gets 64 blocks (the
+    /// pool is never started: no thread is spawned).
+    #[test]
+    fn blocks_cap_at_64() {
+        let server = unstarted(65);
+        let jobs = submit_all(&server, &[512]);
+        assert_eq!(jobs[0].blocks(), 64);
+        drain_and_join(&server, jobs, &[512]);
     }
 }

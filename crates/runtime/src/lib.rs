@@ -31,8 +31,8 @@
 //! [`JobHandle`]s.
 //!
 //! Collectives rendezvous at a **sharded** hub: ranks deposit into
-//! `S` shards (one lock each; `S = min(workers of the pool, 64)`,
-//! see [`RunConfig::effective_hub_shards`]), one counter tells the last
+//! `S` shards (one lock each; at most `min(workers of the pool, 64)`,
+//! see [`JobHandle::blocks`]), one counter tells the last
 //! shard to complete a round, which moves every deposit into one shared
 //! vector in rank order, and one counter tells the last shard to drain it,
 //! which reopens the hub. On a job server
@@ -382,13 +382,14 @@ mod tests {
         for backend in [Backend::Sequential, Backend::Parallel] {
             for workers in [1usize, 2, 4] {
                 let config = RunConfig::new(4).with_backend(backend).with_workers(workers);
-                let hub_shards = config.effective_hub_shards();
-                let result = try_run(config, |mut ctx| async move {
+                let job = submit(config, |mut ctx| async move {
                     if ctx.rank() != 0 {
                         // Rank 0 never joins: the barrier can never complete.
                         ctx.barrier().await;
                     }
                 });
+                let hub_shards = job.blocks();
+                let result = job.join();
                 match result {
                     Err(RunError::Deadlock { job, blocked, ranks, shards }) => {
                         assert!(job > 0, "{backend} S={hub_shards}: jobs start at id 1");
@@ -505,18 +506,25 @@ mod tests {
         assert_eq!(a.final_clocks, b.final_clocks);
     }
 
+    /// The blocks (= hub shards) a barrier job of `config` was admitted
+    /// with.
+    fn blocks(config: RunConfig) -> usize {
+        let job = submit(config, |mut ctx| async move { ctx.barrier().await });
+        let blocks = job.blocks();
+        job.join().expect("completes");
+        blocks
+    }
+
     #[test]
     fn hub_shard_resolution() {
-        // The sequential scheduler keeps one shard; parallel shards by
-        // worker count, capped at 64 and at the rank count.
-        let seq = RunConfig::new(16).with_backend(Backend::Sequential);
-        assert_eq!(seq.effective_hub_shards(), 1);
+        // The sequential scheduler keeps one shard; a job alone on a
+        // private pool gets one per worker, never more than its ranks (the
+        // cap at 64 is `exec::server`'s `blocks_cap_at_64`).
+        assert_eq!(blocks(RunConfig::new(16).with_backend(Backend::Sequential)), 1);
         let par = RunConfig::new(512).with_backend(Backend::Parallel).with_workers(3);
-        assert_eq!(par.effective_hub_shards(), 3);
-        let wide = par.with_workers(200);
-        assert_eq!(wide.effective_hub_shards(), 64, "sharding caps at 64");
+        assert_eq!(blocks(par), 3);
         let tiny = RunConfig::new(2).with_backend(Backend::Parallel).with_workers(200);
-        assert!(tiny.effective_hub_shards() <= 2);
+        assert_eq!(blocks(tiny), 2, "a private pool never outnumbers its ranks");
     }
 
     /// The shard (= block) count follows the pool the job runs on, not the
@@ -527,11 +535,11 @@ mod tests {
         for workers in [1usize, 3, 8] {
             let server = JobServer::new(workers);
             let config = RunConfig::defaults(64).with_workers(5).with_server(server.clone());
-            assert_eq!(config.effective_hub_shards(), workers, "W = {workers}");
+            assert_eq!(blocks(config.clone()), workers, "W = {workers}");
             let few_ranks = RunConfig::defaults(2).with_server(server.clone());
-            assert_eq!(few_ranks.effective_hub_shards(), workers.min(2), "clamped to the ranks");
+            assert_eq!(blocks(few_ranks), workers.min(2), "clamped to the ranks");
             let sequential = config.with_backend(Backend::Sequential);
-            assert_eq!(sequential.effective_hub_shards(), 1, "the lockstep scheduler has no pool");
+            assert_eq!(blocks(sequential), 1, "the lockstep scheduler has no pool");
         }
     }
 
